@@ -11,9 +11,11 @@
 //! cargo run --release --example hook_overhead [threads...]
 //! ```
 //!
-//! The `guided+tel` row attaches a [`Telemetry`] collector and replays
-//! the runtime-side instrumentation (timestamps, counter records) inside
-//! the window, so it is the *enabled-mode* per-window cost; the
+//! Every row drives its window through the [`Instruments`] methods the
+//! STM retry driver calls (`begin`/`abort`/`commit`), so each row
+//! measures the shipped bookkeeping around its hook. The `guided+tel`
+//! row attaches a [`Telemetry`] collector to that bundle, so it is the
+//! *enabled-mode* per-window cost; the
 //! `guided+drift` row attaches a [`DriftTracker`] instead (per-commit
 //! observed-transition recording, no telemetry); the `guided+adapt` row
 //! runs the adaptive hook *quiescent* — guardian polling, sliding window
@@ -21,11 +23,11 @@
 //! never reach, so no swap ever fires. Its A/B partner is `guided+drift`
 //! (adaptive commits always take the observer path); the steady-state
 //! hot-swap machinery must stay within 2% of it. The `guided+ctn` row
-//! replays the backend-side conflict-provenance recording (one
-//! space-saving sketch update plus one matrix bump per abort, against a
-//! small hot set so the sketch stays on its hit path); its disabled
-//! partner is the plain `guided` row, which still executes the runtime's
-//! one-branch `Option` check with no tracker attached. The plain `guided`
+//! attaches a conflict-provenance tracker (one space-saving sketch update
+//! plus one matrix bump per abort, against a small hot set so the sketch
+//! stays on its hit path); its disabled partner is the plain `guided`
+//! row, which still executes the bundle's one-branch `Option` check with
+//! no tracker attached. The plain `guided`
 //! row is the observability-disabled path the ≤2% ratio budget applies
 //! to. The `guided+ops` row runs `guided+tel`'s exact window with the
 //! live ops plane armed — a 50 ms windowed-telemetry roller and an HTTP
@@ -48,12 +50,12 @@
 
 use gstm_core::contention::ContentionTracker;
 use gstm_core::drift::{DriftConfig, DriftTracker};
-use gstm_core::events::ConflictSite;
 use gstm_core::guidance::{GuidanceHook, GuidedHook, NoopHook, RecorderHook};
 use gstm_core::ops::{self, OpsPlane, OpsRoller, OpsServer, SloSpec};
 use gstm_core::telemetry::Telemetry;
 use gstm_core::{
-    AbortCause, AdaptConfig, GuidanceConfig, GuidedModel, Pair, StateKey, ThreadId, Tsa, TxnId,
+    Abort, AbortCause, AdaptConfig, GuidanceConfig, GuidedModel, Instruments, Pair, StateKey,
+    ThreadId, ThreadStats, Tsa, TxnId,
 };
 use std::collections::{HashMap, HashSet};
 use std::hint::black_box;
@@ -84,13 +86,13 @@ impl GuidanceHook for LegacyRecorder {
 /// Aborts per commit in the measured cycle (3:1, a contended-workload mix).
 const ABORTS_PER_COMMIT: usize = 3;
 
-/// Conflict sites for the `guided+ctn` row: a hot set of
-/// `ABORTS_PER_COMMIT` cache-line-spaced addresses shared by every
-/// thread, so the sketch serves hits (its steady-state path on the
-/// skewed workloads provenance exists for) rather than churning slots.
+/// The window's aborts, conflicting on a hot set of `ABORTS_PER_COMMIT`
+/// cache-line-spaced addresses shared by every thread, so the
+/// `guided+ctn` sketch serves hits (its steady-state path on the skewed
+/// workloads provenance exists for) rather than churning slots.
 #[inline]
-fn hot_site(i: usize) -> ConflictSite {
-    ConflictSite::at(0x1000 + (i << 6))
+fn hot_abort(i: usize) -> Abort {
+    Abort::at(AbortCause::Validation, 0x1000 + (i << 6))
 }
 
 /// The live ops plane's moving parts for the `guided+ops` row, held
@@ -102,72 +104,45 @@ struct OpsRig {
     _server: Option<OpsServer>,
 }
 
-/// One row's moving parts: the hook plus the optional runtime-side
-/// instrumentation each window replays (telemetry records, conflict
-/// provenance records), plus the off-path ops rig kept alive while the
-/// row runs.
-type Setup = (
-    Arc<dyn GuidanceHook>,
-    Option<Arc<Telemetry>>,
-    Option<Arc<ContentionTracker>>,
-    Option<OpsRig>,
-);
+/// One row's moving parts: the instruments (hook plus optional
+/// telemetry and conflict provenance) its windows report to, plus the
+/// off-path ops rig kept alive while the row runs.
+type Setup = (Instruments, Option<OpsRig>);
 
-/// Drive `commits` windows against `hook` from `threads` workers and
-/// return the mean wall-clock nanoseconds per commit (full window: one
-/// gate + three aborts + one commit). When `tel` is set, each window also
-/// replays the runtime-side telemetry instrumentation (gate/commit
-/// timestamps plus counter records), matching what the STM retry loops
-/// do in enabled mode. When `ctn` is set, every abort also records its
-/// conflict site into the tracker, matching the backends' abort paths;
-/// when it is `None` the per-abort `Option` check still runs — that
-/// branch is exactly the runtime's contention-disabled path.
-fn drive(
-    hook: Arc<dyn GuidanceHook>,
-    tel: Option<Arc<Telemetry>>,
-    ctn: Option<Arc<ContentionTracker>>,
-    threads: u16,
-    commits_per_thread: usize,
-) -> f64 {
+/// A row with only a hook: every optional instrument off.
+fn bare(hook: Arc<dyn GuidanceHook>) -> Setup {
+    (Instruments::new(hook, None, None, None), None)
+}
+
+/// Drive `commits` windows against `instruments` from `threads` workers
+/// and return the mean wall-clock nanoseconds per commit (full window:
+/// one gate + three aborts + one commit), each window going through the
+/// [`Instruments`] methods the STM retry driver calls. An absent
+/// instrument costs the bundle's one-branch `Option` check, exactly the
+/// runtime's disabled path.
+fn drive(instruments: Instruments, threads: u16, commits_per_thread: usize) -> f64 {
+    let instruments = Arc::new(instruments);
     let barrier = Arc::new(Barrier::new(threads as usize + 1));
     let mut handles = Vec::new();
     for t in 0..threads {
-        let hook = Arc::clone(&hook);
-        let tel = tel.clone();
-        let ctn = ctn.clone();
+        let instruments = Arc::clone(&instruments);
         let barrier = Arc::clone(&barrier);
         handles.push(std::thread::spawn(move || {
             let me = Pair::new(TxnId(t % 4), ThreadId(t));
+            let mut stats = ThreadStats::new();
+            let mut backoff_from = None;
             barrier.wait();
             for _ in 0..commits_per_thread {
-                // Re-opaque the handle every window: stops LLVM
+                // Re-opaque the bundle every window: stops LLVM
                 // devirtualizing NoopHook and deleting the loop outright.
-                let hook = black_box(&*hook);
-                if let Some(t) = &tel {
-                    let t0 = t.now_ns();
-                    hook.gate(me);
-                    t.record_gate_wait(me, t.now_ns().saturating_sub(t0));
-                    for i in 0..ABORTS_PER_COMMIT {
-                        hook.on_abort(me, AbortCause::Validation);
-                        t.record_abort(me, AbortCause::Validation);
-                        if let Some(ct) = &ctn {
-                            ct.record(me.thread, AbortCause::Validation, hot_site(i));
-                        }
-                    }
-                    let c0 = t.now_ns();
-                    hook.on_commit(me);
-                    t.record_commit(me, t.now_ns().saturating_sub(c0));
-                } else {
-                    hook.gate(me);
-                    for i in 0..ABORTS_PER_COMMIT {
-                        hook.on_abort(me, AbortCause::Validation);
-                        if let Some(ct) = &ctn {
-                            ct.record(me.thread, AbortCause::Validation, hot_site(i));
-                        }
-                    }
-                    hook.on_commit(me);
+                let ins = black_box(&*instruments);
+                ins.begin(me, backoff_from);
+                for i in 0..ABORTS_PER_COMMIT {
+                    backoff_from = ins.abort(me, &mut stats, hot_abort(i));
                 }
+                ins.commit(me, &mut stats, ABORTS_PER_COMMIT as u32, (0, 0));
             }
+            black_box(stats);
             barrier.wait();
         }));
     }
@@ -179,6 +154,20 @@ fn drive(
         h.join().unwrap();
     }
     elapsed.as_nanos() as f64 / (threads as usize * commits_per_thread) as f64
+}
+
+/// A guided hook over `model` with the default configuration.
+fn guided_hook(model: &Arc<GuidedModel>) -> Arc<dyn GuidanceHook> {
+    let hook = GuidedHook::new(Arc::clone(model), GuidanceConfig::default());
+    Arc::new(hook)
+}
+
+/// A guided hook over `model` reporting to `tel`, bundled with that
+/// same collector — the enabled-mode telemetry configuration.
+fn telemetry_instruments(model: &Arc<GuidedModel>, tel: Arc<Telemetry>) -> Instruments {
+    let cfg = GuidanceConfig::default();
+    let hook = GuidedHook::with_telemetry(Arc::clone(model), cfg, Some(Arc::clone(&tel)));
+    Instruments::new(Arc::new(hook), Some(tel), None, None)
 }
 
 /// A model whose states are the solo commits of every pair the harness
@@ -301,8 +290,8 @@ const COMMITS: usize = 200_000;
 fn best_of(n: usize, threads: u16, mk: &dyn Fn() -> Setup) -> f64 {
     (0..n)
         .map(|_| {
-            let (hook, tel, ctn, rig) = mk();
-            let ns = drive(hook, tel, ctn, threads, COMMITS);
+            let (instruments, rig) = mk();
+            let ns = drive(instruments, threads, COMMITS);
             drop(rig);
             ns
         })
@@ -315,8 +304,8 @@ fn best_of(n: usize, threads: u16, mk: &dyn Fn() -> Setup) -> f64 {
 fn median_of(n: usize, threads: u16, mk: &dyn Fn() -> Setup) -> f64 {
     let mut samples: Vec<f64> = (0..n)
         .map(|_| {
-            let (hook, tel, ctn, rig) = mk();
-            let ns = drive(hook, tel, ctn, threads, COMMITS);
+            let (instruments, rig) = mk();
+            let ns = drive(instruments, threads, COMMITS);
             drop(rig);
             ns
         })
@@ -390,17 +379,8 @@ fn run_check(baseline_path: &str) -> ! {
         // burst doesn't blanket all rounds back-to-back.
         let (mut ratio, mut legacy, mut guided) = (f64::INFINITY, 0.0, f64::INFINITY);
         for round in 0..MAX_ROUNDS {
-            let l = median_of(3, threads, &|| {
-                (Arc::new(LegacyRecorder::default()), None, None, None)
-            });
-            let g = median_of(3, threads, &|| {
-                (
-                    Arc::new(GuidedHook::new(Arc::clone(&model), GuidanceConfig::default())),
-                    None,
-                    None,
-                    None,
-                )
-            });
+            let l = median_of(3, threads, &|| bare(Arc::new(LegacyRecorder::default())));
+            let g = median_of(3, threads, &|| bare(guided_hook(&model)));
             if g / l < ratio {
                 (ratio, legacy) = (g / l, l);
             }
@@ -448,35 +428,22 @@ fn main() {
         // Warmup + measure; take the best of 3 to damp scheduler noise.
         let mut rows: Vec<(&str, f64)> = Vec::new();
         let best = |mk: &dyn Fn() -> Setup| -> f64 { best_of(3, threads, mk) };
-        let legacy = best(&|| (Arc::new(LegacyRecorder::default()), None, None, None));
-        rows.push(("noop", best(&|| (Arc::new(NoopHook), None, None, None))));
+        let legacy = best(&|| bare(Arc::new(LegacyRecorder::default())));
+        rows.push(("noop", best(&|| bare(Arc::new(NoopHook)))));
         rows.push(("legacy", legacy));
-        rows.push(("sharded", best(&|| (Arc::new(RecorderHook::new()), None, None, None))));
+        rows.push(("sharded", best(&|| bare(Arc::new(RecorderHook::new())))));
         let model = harness_model(threads);
-        rows.push((
-            "guided",
-            best(&|| {
-                (
-                    Arc::new(GuidedHook::new(Arc::clone(&model), GuidanceConfig::default())),
-                    None,
-                    None,
-                    None,
-                )
-            }),
-        ));
+        rows.push(("guided", best(&|| bare(guided_hook(&model)))));
         // Conflict-provenance enabled: the same telemetry-disabled window
         // plus one `ContentionTracker::record` per abort (sketch hit +
         // matrix bump). A/B partner: the plain `guided` row above, which
-        // executes the runtime's `Option` branch with no tracker.
+        // executes the bundle's `Option` branch with no tracker.
         rows.push((
             "guided+ctn",
             best(&|| {
-                (
-                    Arc::new(GuidedHook::new(Arc::clone(&model), GuidanceConfig::default())),
-                    None,
-                    Some(Arc::new(ContentionTracker::new())),
-                    None,
-                )
+                let tracker = Some(Arc::new(ContentionTracker::new()));
+                let instruments = Instruments::new(guided_hook(&model), None, None, tracker);
+                (instruments, None)
             }),
         ));
         // Drift-enabled mode: per-commit observed-transition recording
@@ -485,17 +452,12 @@ fn main() {
             "guided+drift",
             best(&|| {
                 let drift = Arc::new(DriftTracker::new(&model));
-                (
-                    Arc::new(GuidedHook::with_observability(
-                        Arc::clone(&model),
-                        GuidanceConfig::default(),
-                        None,
-                        Some(drift),
-                    )),
+                bare(Arc::new(GuidedHook::with_observability(
+                    Arc::clone(&model),
+                    GuidanceConfig::default(),
                     None,
-                    None,
-                    None,
-                )
+                    Some(drift),
+                )))
             }),
         ));
         // Adaptive mode, quiescent: the epoch cell resolves on every
@@ -516,26 +478,17 @@ fn main() {
                 };
                 let hook =
                     GuidedHook::adaptive(Arc::clone(&model), GuidanceConfig::default(), adapt, None);
-                (hook as Arc<dyn GuidanceHook>, None, None, None)
+                bare(hook)
             }),
         ));
-        // Enabled mode: counters + histograms + runtime-side timestamps
+        // Enabled mode: counters + histograms + the bundle's timestamps
         // (counters_only keeps the trace ring out of the picture, matching
         // the steady-state harness configuration).
         rows.push((
             "guided+tel",
             best(&|| {
                 let tel = Arc::new(Telemetry::counters_only());
-                (
-                    Arc::new(GuidedHook::with_telemetry(
-                        Arc::clone(&model),
-                        GuidanceConfig::default(),
-                        Some(Arc::clone(&tel)),
-                    )),
-                    Some(tel),
-                    None,
-                    None,
-                )
+                (telemetry_instruments(&model, tel), None)
             }),
         ));
         // Live ops plane on top of enabled-mode telemetry: a roller
@@ -555,16 +508,12 @@ fn main() {
                 let roller =
                     ops::start_roller(Arc::clone(&plane), std::time::Duration::from_millis(50));
                 let server = ops::serve(Arc::clone(&plane), "127.0.0.1:0").ok();
-                (
-                    Arc::new(GuidedHook::with_telemetry(
-                        Arc::clone(&model),
-                        GuidanceConfig::default(),
-                        Some(Arc::clone(&tel)),
-                    )),
-                    Some(tel),
-                    None,
-                    Some(OpsRig { _plane: plane, _roller: roller, _server: server }),
-                )
+                let rig = OpsRig {
+                    _plane: plane,
+                    _roller: roller,
+                    _server: server,
+                };
+                (telemetry_instruments(&model, tel), Some(rig))
             }),
         ));
         for (name, ns) in rows {

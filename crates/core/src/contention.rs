@@ -157,7 +157,8 @@ impl Cell {
 
 /// Lock-free conflict-provenance recorder. See the module docs for the
 /// layout; construct one per run and attach it to the backend (TL2's
-/// `StmBuilder::contention` / LibTM's `with_observability`), then
+/// `StmBuilder::contention`, or the `Instruments` bundle given to
+/// `LibTm::with_instruments`), then
 /// [`snapshot`](ContentionTracker::snapshot) after the run quiesces.
 pub struct ContentionTracker {
     cells: Box<[Cell]>,

@@ -89,6 +89,37 @@ impl ConflictSite {
     }
 }
 
+/// Control-flow signal that the current transaction attempt must roll
+/// back, shared by both STMs. Produced by conflict detection (or an
+/// explicit retry) and propagated with `?` out of the transaction body to
+/// the retry driver ([`crate::Instruments::run`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Abort {
+    /// What killed the attempt.
+    pub cause: AbortCause,
+    /// Where the conflict was detected (unknown for explicit retries).
+    pub site: ConflictSite,
+}
+
+impl Abort {
+    /// An explicit retry: no adversary, no location.
+    pub const EXPLICIT: Abort = Abort {
+        cause: AbortCause::Explicit,
+        site: ConflictSite::UNKNOWN,
+    };
+
+    /// An abort with `cause`, detected on the location keyed `addr`.
+    pub fn at(cause: AbortCause, addr: usize) -> Self {
+        Abort {
+            cause,
+            site: ConflictSite::at(addr),
+        }
+    }
+}
+
+/// Result of a transactional operation.
+pub type TxResult<T> = Result<T, Abort>;
+
 /// One entry in the global event log.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TxEvent {

@@ -1,0 +1,205 @@
+//! One instrumentation path for both STMs: the [`Instruments`] bundle and
+//! the retry driver [`Instruments::run`].
+//!
+//! The paper's hook contract — gate at begin, record on abort, classify
+//! on commit — is the same for TL2 and LibTM, so it is written once. A
+//! backend supplies only its begin step and an [`Attempt`] impl. The
+//! driver is generic over both, so each backend gets a monomorphized loop
+//! that adds no dynamic call, allocation or reference-count traffic per
+//! transaction; an absent instrument costs one predictable branch.
+
+use crate::contention::ContentionTracker;
+use crate::events::{Abort, TxResult};
+use crate::faultinject::{spin_for, FaultPlan, FaultSite, InjectedFault};
+use crate::guidance::{GuidanceHook, NoopHook};
+use crate::ids::Pair;
+use crate::rng::Interleave;
+use crate::stats::ThreadStats;
+use crate::telemetry::{Telemetry, TraceKind};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// One in-flight transaction attempt, as the retry driver sees it.
+pub trait Attempt {
+    /// The backend's `(forced abort, commit delay)` chaos sites, probed in
+    /// that order between a successful body and the commit.
+    const FAULT_SITES: (FaultSite, FaultSite);
+
+    /// Distinct locations buffered for write-back (telemetry reports
+    /// this per committed attempt).
+    fn write_set_size(&self) -> usize;
+
+    /// Run the backend's commit protocol, consuming the attempt.
+    fn commit(self) -> TxResult<()>;
+}
+
+/// What one STM instance reports to: the guidance hook, the optional
+/// telemetry collector, chaos fault plan and conflict-provenance
+/// tracker, and the instance-wide outcome totals.
+pub struct Instruments {
+    hook: Arc<dyn GuidanceHook>,
+    telemetry: Option<Arc<Telemetry>>,
+    faults: Option<Arc<FaultPlan>>,
+    contention: Option<Arc<ContentionTracker>>,
+    total_commits: AtomicU64,
+    total_aborts: AtomicU64,
+}
+
+impl Default for Instruments {
+    fn default() -> Self {
+        Instruments::new(Arc::new(NoopHook), None, None, None)
+    }
+}
+
+impl Instruments {
+    /// Bundle a hook with the optional instruments (`None` = off).
+    pub fn new(
+        hook: Arc<dyn GuidanceHook>,
+        telemetry: Option<Arc<Telemetry>>,
+        faults: Option<Arc<FaultPlan>>,
+        contention: Option<Arc<ContentionTracker>>,
+    ) -> Self {
+        Instruments {
+            hook,
+            telemetry,
+            faults,
+            contention,
+            total_commits: AtomicU64::new(0),
+            total_aborts: AtomicU64::new(0),
+        }
+    }
+
+    /// Commits across all threads so far.
+    pub fn total_commits(&self) -> u64 {
+        self.total_commits.load(Ordering::Relaxed)
+    }
+
+    /// Aborts across all threads so far.
+    pub fn total_aborts(&self) -> u64 {
+        self.total_aborts.load(Ordering::Relaxed)
+    }
+
+    /// Open an attempt: pass the guidance gate and, with telemetry,
+    /// record the backoff since `backoff_from` (what the previous
+    /// [`Instruments::abort`] returned) and the gate wait, then trace
+    /// `Begin` and, for a visible wait, `GateWait`.
+    #[inline]
+    pub fn begin(&self, me: Pair, backoff_from: Option<u64>) {
+        let Some(t) = &self.telemetry else {
+            self.hook.gate(me);
+            return;
+        };
+        let t0 = t.now_ns();
+        if let Some(prev) = backoff_from {
+            t.record_backoff(me, t0.saturating_sub(prev));
+        }
+        self.hook.gate(me);
+        let wait_ns = t.now_ns().saturating_sub(t0);
+        t.record_gate_wait(me, wait_ns);
+        t.trace(me, TraceKind::Begin);
+        // Guided waits are µs-scale; ungated passes would drown the trace.
+        if wait_ns >= 1_000 {
+            t.trace(me, TraceKind::GateWait { wait_ns });
+        }
+    }
+
+    /// Record a transaction that committed after `retries` aborts, with
+    /// its `(commit_ns, writes)`: commit latency and write-set size (used
+    /// only by telemetry).
+    #[inline]
+    pub fn commit(&self, me: Pair, stats: &mut ThreadStats, retries: u32, done: (u64, u32)) {
+        self.hook.on_commit(me);
+        self.total_commits.fetch_add(1, Ordering::Relaxed);
+        stats.record_commit(retries);
+        if let Some(t) = &self.telemetry {
+            let (commit_ns, writes) = done;
+            t.record_commit(me, commit_ns);
+            t.trace(me, TraceKind::Commit { commit_ns, writes });
+        }
+    }
+
+    /// Record a rolled-back attempt. With telemetry, returns the abort
+    /// timestamp: the backoff start for the next [`Instruments::begin`].
+    #[inline]
+    pub fn abort(&self, me: Pair, stats: &mut ThreadStats, abort: Abort) -> Option<u64> {
+        self.hook.on_abort(me, abort.cause);
+        self.total_aborts.fetch_add(1, Ordering::Relaxed);
+        stats.record_abort(abort.cause);
+        if let Some(ct) = &self.contention {
+            ct.record(me.thread, abort.cause, abort.site);
+        }
+        let t = self.telemetry.as_ref()?;
+        let (cause, addr) = (abort.cause, abort.site.raw());
+        t.record_abort(me, cause);
+        t.trace(me, TraceKind::Abort { cause, addr });
+        Some(t.now_ns())
+    }
+
+    #[inline]
+    fn fires(&self, site: FaultSite, me: Pair) -> Option<InjectedFault> {
+        self.faults.as_ref()?.should_fire(site, me.thread.index())
+    }
+
+    /// Run the commit protocol; with telemetry, time it and return
+    /// `(commit_ns, writes)`.
+    #[inline]
+    fn timed_commit<A: Attempt>(&self, tx: A) -> TxResult<(u64, u32)> {
+        let Some(t) = &self.telemetry else {
+            return tx.commit().map(|()| (0, 0));
+        };
+        let writes = tx.write_set_size() as u32;
+        let c0 = t.now_ns();
+        let res = tx.commit();
+        res.map(|()| (t.now_ns().saturating_sub(c0), writes))
+    }
+
+    /// The retry loop: run `body` on attempts opened by `begin` until one
+    /// commits, and return its result.
+    ///
+    /// An attempt passes [`Instruments::begin`], the begin-time
+    /// interleave coin and the backend's `begin`; after the body come the
+    /// chaos probes and the commit, then [`Instruments::commit`] or
+    /// [`Instruments::abort`]. After an abort the thread yields once
+    /// (reduces livelock); an attempt that aborted before its commit
+    /// protocol ran is dropped, releasing what it holds, after that yield.
+    #[inline]
+    pub fn run<A: Attempt, R>(
+        &self,
+        me: Pair,
+        stats: &mut ThreadStats,
+        inject: &Interleave,
+        mut begin: impl FnMut() -> A,
+        mut body: impl FnMut(&mut A) -> TxResult<R>,
+    ) -> R {
+        let mut retries: u32 = 0;
+        let mut backoff_from = None;
+        loop {
+            self.begin(me, backoff_from);
+            inject.at_begin();
+            let mut tx = begin();
+            let outcome = match body(&mut tx) {
+                Err(a) => Err(a),
+                // A forced abort takes the ordinary rollback path; a
+                // commit delay stalls the committer.
+                Ok(_) if self.fires(A::FAULT_SITES.0, me).is_some() => Err(Abort::EXPLICIT),
+                Ok(r) => {
+                    if let Some(fault) = self.fires(A::FAULT_SITES.1, me) {
+                        spin_for(fault.spins);
+                    }
+                    self.timed_commit(tx).map(|done| (r, done))
+                }
+            };
+            match outcome {
+                Ok((r, done)) => {
+                    self.commit(me, stats, retries, done);
+                    return r;
+                }
+                Err(abort) => {
+                    backoff_from = self.abort(me, stats, abort);
+                    retries = retries.saturating_add(1);
+                    std::thread::yield_now();
+                }
+            }
+        }
+    }
+}

@@ -14,7 +14,8 @@
 //!
 //! The crate is STM-agnostic: an STM integrates by invoking a
 //! [`guidance::GuidanceHook`] at transaction begin, abort, and commit.
-//! Both `gstm-tl2` and `gstm-libtm` do exactly that.
+//! Both `gstm-tl2` and `gstm-libtm` do exactly that, through one shared
+//! retry driver ([`Instruments::run`]).
 //!
 //! ## Quick tour
 //!
@@ -50,6 +51,7 @@ pub mod fastset;
 pub mod faultinject;
 pub mod guidance;
 pub mod ids;
+pub mod instruments;
 pub mod mck;
 pub mod metrics;
 pub mod model_io;
@@ -72,10 +74,11 @@ pub mod prelude {
     pub use crate::faultinject::{FaultPlan, FaultSite};
     pub use crate::drift::{DriftConfig, DriftTracker, DriftVerdict, ModelDrift};
     pub use crate::contention::{ContentionStats, ContentionTracker, HotAddr, PairConflict};
-    pub use crate::events::{AbortCause, ConflictSite};
+    pub use crate::events::{Abort, AbortCause, ConflictSite, TxResult};
     pub use crate::fastset::AddrSet;
     pub use crate::guidance::{GateStats, GuidanceHook, GuidedHook, NoopHook, RecorderHook};
     pub use crate::ids::{Pair, ThreadId, TxnId};
+    pub use crate::instruments::{Attempt, Instruments};
     pub use crate::metrics::AbortHistogram;
     pub use crate::ops::{
         OpsPlane, OpsRoller, OpsServer, SloSpec, SloState, SloTransition, SloWatchdog,

@@ -45,6 +45,57 @@ impl SplitMix64 {
     }
 }
 
+/// Interleave injection, owned by one STM thread context: a seeded coin
+/// that yields the OS thread at transaction begin (p = 1/2) and at every
+/// transactional access (p = `2^-k`). This substitutes for the paper's
+/// 8/16-core hardware: with fewer cores than workers, an OS timeslice
+/// outlasts many transactions, so lifetimes would barely overlap and the
+/// races the paper studies would not occur. With injection off each
+/// probe is one branch and draws nothing. The state is a `Cell`, so an
+/// in-flight transaction holds the injector by shared reference.
+pub struct Interleave {
+    rng: std::cell::Cell<SplitMix64>,
+    /// `2^k - 1`: an access yields when the draw's low `k` bits are zero.
+    mask: Option<u64>,
+}
+
+impl Interleave {
+    /// `thread`'s injector at per-access probability `2^-prob_log2`
+    /// (`None` disables it); each thread draws its own stream.
+    pub fn for_thread(prob_log2: Option<u32>, thread: crate::ThreadId) -> Self {
+        let seed = 0x9e37_79b9_7f4a_7c15u64 ^ ((thread.0 as u64) << 32 | 0x1234_5678);
+        Interleave {
+            rng: std::cell::Cell::new(SplitMix64::new(seed)),
+            mask: prob_log2.map(|k| (1u64 << k) - 1),
+        }
+    }
+
+    fn draw(&self) -> u64 {
+        let mut rng = self.rng.replace(SplitMix64::new(0));
+        let x = rng.next();
+        self.rng.set(rng);
+        x
+    }
+
+    /// Begin-time injection point: yield with p = 1/2.
+    #[inline]
+    pub fn at_begin(&self) {
+        if self.mask.is_some() && self.draw() & 1 == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Per-access injection point: yield with p = `2^-k`.
+    #[inline]
+    pub fn at_access(&self) {
+        if let Some(mask) = self.mask {
+            if self.draw() & mask == 0 {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,6 +118,25 @@ mod tests {
         assert_eq!(r.next(), 0xe220_a839_7b1d_cdaf);
         assert_eq!(r.next(), 0x6e78_9e6a_a1b9_65f4);
         assert_eq!(r.next(), 0x06c4_5d18_8009_454f);
+    }
+
+    #[test]
+    fn interleave_draws_only_when_armed() {
+        use crate::ThreadId;
+        let fresh = |k| Interleave::for_thread(k, ThreadId(3)).draw();
+        let off = Interleave::for_thread(None, ThreadId(3));
+        off.at_begin();
+        off.at_access();
+        assert_eq!(off.draw(), fresh(None), "disabled probes draw nothing");
+        let on = Interleave::for_thread(Some(30), ThreadId(3));
+        on.at_begin();
+        on.at_access();
+        let twice_advanced = Interleave::for_thread(Some(30), ThreadId(3));
+        twice_advanced.draw();
+        twice_advanced.draw();
+        assert_eq!(on.draw(), twice_advanced.draw(), "one draw per probe");
+        let other_thread = Interleave::for_thread(None, ThreadId(4));
+        assert_ne!(fresh(None), other_thread.draw());
     }
 
     #[test]

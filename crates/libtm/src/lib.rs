@@ -39,7 +39,7 @@ pub mod txn;
 
 pub use object::TObject;
 pub use runtime::{DetectionMode, LibTm, LibTmConfig, LtThreadCtx, Resolution};
-pub use txn::{LtAbort, LtResult, LtTxn};
+pub use txn::LtTxn;
 
 /// Maximum worker threads per [`LibTm`] instance (size of the doomed-flag
 /// table used by abort-readers resolution).

@@ -1,16 +1,15 @@
 //! The LibTM runtime: detection/resolution configuration, doomed-flag
-//! table for abort-readers, and the retry loop wired to the guidance hook.
+//! table for abort-readers, and the `atomically` entry point into the
+//! shared retry driver ([`gstm_core::Instruments::run`]).
 
-use crate::txn::{LtAbort, LtResult, LtTxn};
+use crate::txn::LtTxn;
 use crate::MAX_THREADS;
-use gstm_core::contention::ContentionTracker;
-use gstm_core::events::{AbortCause, ConflictSite};
-use gstm_core::faultinject::{spin_for, FaultPlan, FaultSite};
-use gstm_core::telemetry::{Telemetry, TraceKind};
-use gstm_core::{GuidanceHook, NoopHook, Pair, ThreadId, TxnId};
+use gstm_core::faultinject::FaultPlan;
+use gstm_core::rng::Interleave;
+use gstm_core::telemetry::Telemetry;
 use gstm_core::ThreadStats;
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use gstm_core::{GuidanceHook, Instruments, Pair, ThreadId, TxResult, TxnId};
+use std::sync::atomic::{AtomicU16, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Conflict-detection mode (the four points on LibTM's pessimistic ↔
@@ -64,7 +63,9 @@ impl Default for LibTmConfig {
 /// One LibTM instance.
 pub struct LibTm {
     pub(crate) config: LibTmConfig,
-    pub(crate) hook: Arc<dyn GuidanceHook>,
+    /// Hook, telemetry, fault plan, contention tracker and the outcome
+    /// totals — everything the retry driver reports to.
+    instruments: Instruments,
     /// Doomed flags: slot t holds 0 (clear) or dooming-writer id + 1.
     doomed: Vec<AtomicU32>,
     /// The contended object key behind each doom, written (Relaxed)
@@ -73,33 +74,31 @@ pub struct LibTm {
     /// which address gets charged can race, like the flag itself.
     doomed_addr: Vec<AtomicUsize>,
     next_thread: AtomicU16,
-    total_commits: AtomicU64,
-    total_aborts: AtomicU64,
-    /// Optional runtime telemetry; `None` keeps the hot path to a single
-    /// branch per instrumentation site.
-    pub(crate) telemetry: Option<Arc<Telemetry>>,
-    /// Optional deterministic fault plan (chaos mode): the retry loop
-    /// probes the libtm forced-abort and commit-delay sites.
-    pub(crate) faults: Option<Arc<FaultPlan>>,
-    /// Optional conflict-provenance tracker fed on every abort; `None`
-    /// keeps the abort path at one predictable branch, like `telemetry`.
-    pub(crate) contention: Option<Arc<ContentionTracker>>,
-}
-
-thread_local! {
-    /// xorshift state for the interleave-injection coin flip.
-    static YIELD_RNG: Cell<u64> = const { Cell::new(0x243f_6a88_85a3_08d3) };
 }
 
 impl LibTm {
+    /// The instance reporting to `instruments` — the one construction
+    /// path; the named constructors below forward to it. Attach a
+    /// [`gstm_core::contention::ContentionTracker`] through the bundle to
+    /// record every abort's cause, owner and conflicting object key.
+    pub fn with_instruments(config: LibTmConfig, instruments: Instruments) -> Arc<Self> {
+        Arc::new(LibTm {
+            config,
+            instruments,
+            doomed: (0..MAX_THREADS).map(|_| AtomicU32::new(0)).collect(),
+            doomed_addr: (0..MAX_THREADS).map(|_| AtomicUsize::new(0)).collect(),
+            next_thread: AtomicU16::new(0),
+        })
+    }
+
     /// A plain instance (no recording, no gating).
     pub fn new(config: LibTmConfig) -> Arc<Self> {
-        Self::with_hook(Arc::new(NoopHook), config)
+        Self::with_instruments(config, Instruments::default())
     }
 
     /// An instance reporting to a guidance hook.
     pub fn with_hook(hook: Arc<dyn GuidanceHook>, config: LibTmConfig) -> Arc<Self> {
-        Self::with_telemetry(hook, config, None)
+        Self::with_instruments(config, Instruments::new(hook, None, None, None))
     }
 
     /// An instance reporting to a guidance hook and, optionally, a
@@ -109,54 +108,21 @@ impl LibTm {
         config: LibTmConfig,
         telemetry: Option<Arc<Telemetry>>,
     ) -> Arc<Self> {
-        Self::with_robustness(hook, config, telemetry, None)
+        Self::with_instruments(config, Instruments::new(hook, telemetry, None, None))
     }
 
     /// [`LibTm::with_telemetry`] plus a deterministic fault plan: each
     /// attempt probes the `libtm-abort` site (forced abort through the
-    /// ordinary rollback path, surfaced as [`AbortCause::Explicit`]) and
-    /// the `libtm-commit-delay` site (a bounded spin before commit).
+    /// ordinary rollback path, surfaced as
+    /// [`gstm_core::AbortCause::Explicit`]) and the `libtm-commit-delay`
+    /// site (a bounded spin before commit).
     pub fn with_robustness(
         hook: Arc<dyn GuidanceHook>,
         config: LibTmConfig,
         telemetry: Option<Arc<Telemetry>>,
         faults: Option<Arc<FaultPlan>>,
     ) -> Arc<Self> {
-        Self::with_observability(hook, config, telemetry, faults, None)
-    }
-
-    /// [`LibTm::with_robustness`] plus an optional conflict-provenance
-    /// tracker: every abort is recorded with its cause, owner, and
-    /// conflicting object key.
-    pub fn with_observability(
-        hook: Arc<dyn GuidanceHook>,
-        config: LibTmConfig,
-        telemetry: Option<Arc<Telemetry>>,
-        faults: Option<Arc<FaultPlan>>,
-        contention: Option<Arc<ContentionTracker>>,
-    ) -> Arc<Self> {
-        Arc::new(LibTm {
-            config,
-            hook,
-            doomed: (0..MAX_THREADS).map(|_| AtomicU32::new(0)).collect(),
-            doomed_addr: (0..MAX_THREADS).map(|_| AtomicUsize::new(0)).collect(),
-            next_thread: AtomicU16::new(0),
-            total_commits: AtomicU64::new(0),
-            total_aborts: AtomicU64::new(0),
-            telemetry,
-            faults,
-            contention,
-        })
-    }
-
-    /// The attached conflict-provenance tracker, if any.
-    pub fn contention(&self) -> Option<&Arc<ContentionTracker>> {
-        self.contention.as_ref()
-    }
-
-    /// The attached telemetry collector, if any.
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
+        Self::with_instruments(config, Instruments::new(hook, telemetry, faults, None))
     }
 
     /// Register the calling thread with the next sequential id.
@@ -178,6 +144,7 @@ impl LibTm {
             tm: Arc::clone(self),
             thread: id,
             stats: ThreadStats::new(),
+            inject: Interleave::for_thread(self.config.yield_prob_log2, id),
         }
     }
 
@@ -186,19 +153,14 @@ impl LibTm {
         &self.config
     }
 
-    /// The installed guidance hook.
-    pub fn hook(&self) -> &Arc<dyn GuidanceHook> {
-        &self.hook
-    }
-
     /// Total commits across all threads.
     pub fn total_commits(&self) -> u64 {
-        self.total_commits.load(Ordering::Relaxed)
+        self.instruments.total_commits()
     }
 
     /// Total aborts across all threads.
     pub fn total_aborts(&self) -> u64 {
-        self.total_aborts.load(Ordering::Relaxed)
+        self.instruments.total_aborts()
     }
 
     /// Mark `victim` as doomed by `writer` over the object keyed `addr`
@@ -221,43 +183,6 @@ impl LibTm {
             )),
         }
     }
-
-    /// Begin-of-transaction interleave injection: yield with p = 1/2 when
-    /// injection is enabled.
-    #[inline]
-    pub(crate) fn maybe_yield_begin(&self) {
-        if self.config.yield_prob_log2.is_some() {
-            let flip = YIELD_RNG.with(|c| {
-                let mut x = c.get();
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                c.set(x);
-                x
-            });
-            if flip & 1 == 0 {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// Interleave-injection coin flip (see `gstm-tl2`'s equivalent).
-    #[inline]
-    pub(crate) fn maybe_yield(&self) {
-        if let Some(k) = self.config.yield_prob_log2 {
-            let flip = YIELD_RNG.with(|c| {
-                let mut x = c.get();
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                c.set(x);
-                x
-            });
-            if flip & ((1u64 << k) - 1) == 0 {
-                std::thread::yield_now();
-            }
-        }
-    }
 }
 
 /// A worker thread's handle onto a [`LibTm`] instance.
@@ -265,6 +190,7 @@ pub struct LtThreadCtx {
     tm: Arc<LibTm>,
     thread: ThreadId,
     stats: ThreadStats,
+    inject: Interleave,
 }
 
 impl LtThreadCtx {
@@ -289,113 +215,20 @@ impl LtThreadCtx {
     }
 
     /// Run `f` transactionally at site `txid`, retrying until commit.
-    pub fn atomically<R>(
-        &mut self,
-        txid: TxnId,
-        mut f: impl FnMut(&mut LtTxn) -> LtResult<R>,
-    ) -> R {
+    /// An attempt begins by clearing any doom aimed at a previous one.
+    pub fn atomically<R>(&mut self, txid: TxnId, f: impl FnMut(&mut LtTxn) -> TxResult<R>) -> R {
         let me = Pair::new(txid, self.thread);
-        let mut retries: u32 = 0;
-        // One Arc clone per transaction (free when telemetry is off);
-        // keeps the instrumentation borrows disjoint from `&mut self`.
-        let tel = self.tm.telemetry.clone();
-        // Timestamp taken when an attempt aborts; the gap to the next
-        // attempt's start is the abort-to-retry backoff histogram sample.
-        let mut backoff_from: Option<u64> = None;
-        loop {
-            if let Some(t) = &tel {
-                let t0 = t.now_ns();
-                if let Some(prev) = backoff_from.take() {
-                    t.record_backoff(me, t0.saturating_sub(prev));
-                }
-                self.tm.hook.gate(me);
-                let wait_ns = t.now_ns().saturating_sub(t0);
-                t.record_gate_wait(me, wait_ns);
-                t.trace(me, TraceKind::Begin);
-                // Trace a gate slice only when the wait is visible at
-                // trace resolution (ungated passes are tens of ns).
-                if wait_ns >= 1_000 {
-                    t.trace(me, TraceKind::GateWait { wait_ns });
-                }
-            } else {
-                self.tm.hook.gate(me);
-            }
-            // Per-transaction interleave injection (see gstm-tl2's
-            // equivalent): sub-timeslice transactions would otherwise
-            // commit in long same-thread bursts on an oversubscribed host.
-            self.tm.maybe_yield_begin();
-            // A doom aimed at a previous attempt must not kill this one.
-            let _ = self.tm.take_doom(self.thread);
-            let mut tx = LtTxn::new(&self.tm, me);
-            let body = f(&mut tx);
-            let mut commit_ns = 0u64;
-            let mut writes = 0u32;
-            let outcome = match body {
-                Err(a) => Err(a),
-                // Chaos sites between a successful body and the commit —
-                // see gstm-tl2's equivalent. The forced abort rides the
-                // ordinary rollback path (locks released, readers
-                // deregistered by the transaction's drop).
-                Ok(_)
-                    if self.tm.faults.as_ref().is_some_and(|f| {
-                        f.should_fire(FaultSite::LibtmAbort, self.thread.index()).is_some()
-                    }) =>
-                {
-                    Err(LtAbort {
-                        cause: AbortCause::Explicit,
-                        site: ConflictSite::UNKNOWN,
-                    })
-                }
-                Ok(r) => {
-                    if let Some(f) = &self.tm.faults {
-                        if let Some(fault) =
-                            f.should_fire(FaultSite::LibtmCommitDelay, self.thread.index())
-                        {
-                            spin_for(fault.spins);
-                        }
-                    }
-                    if let Some(t) = &tel {
-                        writes = tx.write_set_size() as u32;
-                        let c0 = t.now_ns();
-                        let res = tx.commit();
-                        commit_ns = t.now_ns().saturating_sub(c0);
-                        res.map(|()| r)
-                    } else {
-                        tx.commit().map(|()| r)
-                    }
-                }
-            };
-            match outcome {
-                Ok(r) => {
-                    self.tm.hook.on_commit(me);
-                    self.tm.total_commits.fetch_add(1, Ordering::Relaxed);
-                    self.stats.record_commit(retries);
-                    if let Some(t) = &tel {
-                        t.record_commit(me, commit_ns);
-                        t.trace(me, TraceKind::Commit { commit_ns, writes });
-                    }
-                    return r;
-                }
-                Err(abort) => {
-                    self.tm.hook.on_abort(me, abort.cause);
-                    self.tm.total_aborts.fetch_add(1, Ordering::Relaxed);
-                    self.stats.record_abort(abort.cause);
-                    if let Some(ct) = &self.tm.contention {
-                        ct.record(self.thread, abort.cause, abort.site);
-                    }
-                    if let Some(t) = &tel {
-                        t.record_abort(me, abort.cause);
-                        t.trace(
-                            me,
-                            TraceKind::Abort { cause: abort.cause, addr: abort.site.raw() },
-                        );
-                        backoff_from = Some(t.now_ns());
-                    }
-                    retries = retries.saturating_add(1);
-                    std::thread::yield_now();
-                }
-            }
-        }
+        let (tm, inject) = (&*self.tm, &self.inject);
+        tm.instruments.run(
+            me,
+            &mut self.stats,
+            inject,
+            || {
+                let _ = tm.take_doom(me.thread);
+                LtTxn::new(tm, me, inject)
+            },
+            f,
+        )
     }
 }
 
@@ -498,11 +331,18 @@ mod tests {
 
     #[test]
     fn abort_readers_dooms_a_live_reader() {
+        use gstm_core::contention::{ContentionTracker, PairConflict};
+        use gstm_core::NoopHook;
         use std::sync::atomic::AtomicBool;
         // One thread sits in a long transaction reading `x`; a writer
         // commits to `x`; the reader's next operation must abort with
-        // AbortedByWriter.
-        let tm = LibTm::new(LibTmConfig::default());
+        // AbortedByWriter, and the tracker must charge that abort to the
+        // writer and to `x`.
+        let tracker = Arc::new(ContentionTracker::new());
+        let tm = LibTm::with_instruments(
+            LibTmConfig::default(),
+            Instruments::new(Arc::new(NoopHook), None, None, Some(tracker.clone())),
+        );
         let x = TObject::new(0u32);
         let saw_doom = Arc::new(AtomicBool::new(false));
         let barrier = Arc::new(std::sync::Barrier::new(2));
@@ -547,6 +387,13 @@ mod tests {
         });
         assert!(saw_doom.load(Ordering::SeqCst), "reader was doomed");
         assert_eq!(x.load_quiesced(), 1);
+        let ctn = tracker.snapshot();
+        assert_eq!((ctn.total(), ctn.attributed), (1, 1), "one abort");
+        let pair = |p: &PairConflict| (p.victim, p.owner, p.count);
+        assert_eq!(ctn.pairs.iter().map(pair).collect::<Vec<_>>(), [(0, 1, 1)]);
+        let hot: Vec<_> = ctn.top.iter().map(|h| (h.addr, h.count)).collect();
+        assert_eq!(hot, [(x.inner.key(), 1)]);
+        assert_eq!((tm.total_aborts(), tm.total_commits()), (1, 2));
     }
 
     #[test]

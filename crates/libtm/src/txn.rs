@@ -3,21 +3,11 @@
 
 use crate::object::{ObjectInner, TObject};
 use crate::runtime::{DetectionMode, LibTm, Resolution};
-use gstm_core::{AbortCause, AddrSet, ConflictSite, Pair, ThreadId};
+use gstm_core::faultinject::FaultSite;
+use gstm_core::rng::Interleave;
+use gstm_core::{Abort, AbortCause, AddrSet, Attempt, Pair, ThreadId, TxResult};
 use std::any::Any;
 use std::sync::Arc;
-
-/// Rollback signal for a LibTM transaction attempt.
-#[derive(Clone, Copy, Debug)]
-pub struct LtAbort {
-    /// What killed the attempt.
-    pub cause: AbortCause,
-    /// Where the conflict was detected (unknown for explicit retries).
-    pub site: ConflictSite,
-}
-
-/// Result of a LibTM transactional operation.
-pub type LtResult<T> = Result<T, LtAbort>;
 
 /// Type-erased view of an object for read/write sets.
 pub(crate) trait LtTarget: Send + Sync {
@@ -117,6 +107,8 @@ pub struct LtTxn<'tm> {
     write_set: Vec<Box<dyn LtWriteEntry>>,
     /// Writer locks acquired at encounter time (pessimistic-write modes).
     held_write: Vec<Arc<dyn LtTarget>>,
+    /// The owning thread's interleave injector.
+    inject: &'tm Interleave,
 }
 
 impl Drop for LtTxn<'_> {
@@ -132,7 +124,7 @@ impl Drop for LtTxn<'_> {
 }
 
 impl<'tm> LtTxn<'tm> {
-    pub(crate) fn new(tm: &'tm LibTm, me: Pair) -> Self {
+    pub(crate) fn new(tm: &'tm LibTm, me: Pair, inject: &'tm Interleave) -> Self {
         LtTxn {
             tm,
             me,
@@ -141,6 +133,7 @@ impl<'tm> LtTxn<'tm> {
             registered_keys: AddrSet::new(),
             write_set: Vec::new(),
             held_write: Vec::new(),
+            inject,
         }
     }
 
@@ -149,33 +142,19 @@ impl<'tm> LtTxn<'tm> {
         self.me
     }
 
-    /// Number of distinct objects buffered in the write set (telemetry
-    /// reports this per committed attempt).
-    pub fn write_set_size(&self) -> usize {
-        self.write_set.len()
-    }
-
-    /// Number of distinct objects tracked in the read set.
-    pub fn read_set_size(&self) -> usize {
-        self.read_set.len()
-    }
-
     /// Explicitly abort and retry.
-    pub fn retry(&self) -> LtAbort {
-        LtAbort {
-            cause: AbortCause::Explicit,
-            site: ConflictSite::UNKNOWN,
-        }
+    pub fn retry(&self) -> Abort {
+        Abort::EXPLICIT
     }
 
-    fn check_doomed(&self) -> LtResult<()> {
+    fn check_doomed(&self) -> TxResult<()> {
         if let Some((writer, addr)) = self.tm.take_doom(self.me.thread) {
-            return Err(LtAbort {
-                cause: AbortCause::AbortedByWriter {
+            return Err(Abort::at(
+                AbortCause::AbortedByWriter {
                     writer: Some(writer),
                 },
-                site: ConflictSite::at(addr),
-            });
+                addr,
+            ));
         }
         Ok(())
     }
@@ -192,9 +171,9 @@ impl<'tm> LtTxn<'tm> {
     }
 
     /// Transactional read under the configured detection mode.
-    pub fn read<T: Clone + Send + Sync + 'static>(&mut self, obj: &TObject<T>) -> LtResult<T> {
+    pub fn read<T: Clone + Send + Sync + 'static>(&mut self, obj: &TObject<T>) -> TxResult<T> {
         self.check_doomed()?;
-        self.tm.maybe_yield();
+        self.inject.at_access();
         if let Some(i) = self.write_index(obj.inner.key()) {
             // Invariant, not a recoverable error: keys are allocation
             // addresses kept alive by the entry's TObject clone, so a
@@ -210,10 +189,10 @@ impl<'tm> LtTxn<'tm> {
         // A held writer lock means a commit is in flight: back off.
         if let Some(owner) = target.writer() {
             if owner != me {
-                return Err(LtAbort {
-                    cause: AbortCause::ReadLocked { owner: Some(owner) },
-                    site: ConflictSite::at(target.key()),
-                });
+                return Err(Abort::at(
+                    AbortCause::ReadLocked { owner: Some(owner) },
+                    target.key(),
+                ));
             }
         }
         // Visible-reader registration — the reader side of both
@@ -225,10 +204,7 @@ impl<'tm> LtTxn<'tm> {
                 let v1 = target.version();
                 let value = obj.inner.snapshot();
                 if target.version() != v1 || target.writer().is_some_and(|w| w != me) {
-                    return Err(LtAbort {
-                        cause: AbortCause::ReadVersion,
-                        site: ConflictSite::at(target.key()),
-                    });
+                    return Err(Abort::at(AbortCause::ReadVersion, target.key()));
                 }
                 self.read_set.push((target, v1));
                 Ok(value)
@@ -246,9 +222,9 @@ impl<'tm> LtTxn<'tm> {
         &mut self,
         obj: &TObject<T>,
         value: T,
-    ) -> LtResult<()> {
+    ) -> TxResult<()> {
         self.check_doomed()?;
-        self.tm.maybe_yield();
+        self.inject.at_access();
         let key = obj.inner.key();
         if let Some(i) = self.write_index(key) {
             // Same invariant as the read-own-write path above.
@@ -282,12 +258,12 @@ impl<'tm> LtTxn<'tm> {
         &mut self,
         obj: &TObject<T>,
         f: impl FnOnce(T) -> T,
-    ) -> LtResult<()> {
+    ) -> TxResult<()> {
         let v = self.read(obj)?;
         self.write(obj, f(v))
     }
 
-    fn acquire_writer(&self, target: &Arc<dyn LtTarget>) -> LtResult<()> {
+    fn acquire_writer(&self, target: &Arc<dyn LtTarget>) -> TxResult<()> {
         let me = self.me.thread;
         for _ in 0..self.tm.config.commit_spin {
             if target.try_lock_writer(me) {
@@ -295,17 +271,17 @@ impl<'tm> LtTxn<'tm> {
             }
             std::thread::yield_now();
         }
-        Err(LtAbort {
-            cause: AbortCause::CommitLockBusy {
+        Err(Abort::at(
+            AbortCause::CommitLockBusy {
                 owner: target.writer(),
             },
-            site: ConflictSite::at(target.key()),
-        })
+            target.key(),
+        ))
     }
 
     /// Resolve this committing writer against the visible readers of one
     /// write target, per the configured policy.
-    fn resolve_readers(&self, target: &dyn LtTarget) -> LtResult<()> {
+    fn resolve_readers(&self, target: &dyn LtTarget) -> TxResult<()> {
         let me = self.me.thread;
         match self.tm.config.resolution {
             Resolution::AbortReaders => {
@@ -323,21 +299,30 @@ impl<'tm> LtTxn<'tm> {
                 }
                 // Could not drain readers: give way (avoids
                 // writer/reader deadlock).
-                Err(LtAbort {
-                    cause: AbortCause::CommitLockBusy { owner: None },
-                    site: ConflictSite::at(target.key()),
-                })
+                Err(Abort::at(
+                    AbortCause::CommitLockBusy { owner: None },
+                    target.key(),
+                ))
             }
         }
+    }
+}
+
+impl Attempt for LtTxn<'_> {
+    const FAULT_SITES: (FaultSite, FaultSite) =
+        (FaultSite::LibtmAbort, FaultSite::LibtmCommitDelay);
+
+    fn write_set_size(&self) -> usize {
+        self.write_set.len()
     }
 
     /// Commit: take commit-time writer locks (optimistic-write modes),
     /// validate optimistic reads, resolve visible readers, publish, and
     /// release everything.
-    pub(crate) fn commit(mut self) -> Result<(), LtAbort> {
+    fn commit(mut self) -> TxResult<()> {
         let me = self.me.thread;
         let mut acquired: Vec<Arc<dyn LtTarget>> = Vec::new();
-        let result = (|| -> Result<(), LtAbort> {
+        let result = (|| -> TxResult<()> {
             self.check_doomed()?;
             if self.write_set.is_empty() {
                 return Ok(());
@@ -358,10 +343,7 @@ impl<'tm> LtTxn<'tm> {
             // writer in flight.
             for (t, v) in &self.read_set {
                 if t.version() != *v || t.writer().is_some_and(|w| w != me) {
-                    return Err(LtAbort {
-                        cause: AbortCause::Validation,
-                        site: ConflictSite::at(t.key()),
-                    });
+                    return Err(Abort::at(AbortCause::Validation, t.key()));
                 }
             }
             self.check_doomed()?;

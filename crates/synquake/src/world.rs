@@ -1,6 +1,7 @@
 //! The game world: players and the spatial cell grid.
 
-use gstm_libtm::{LtResult, LtTxn, TObject};
+use gstm_core::TxResult;
+use gstm_libtm::{LtTxn, TObject};
 
 /// One player's mutable state.
 #[derive(Clone, Debug)]
@@ -93,7 +94,7 @@ impl World {
         id: u32,
         nx: u32,
         ny: u32,
-    ) -> LtResult<()> {
+    ) -> TxResult<()> {
         let pobj = &self.players[id as usize];
         let mut p = tx.read(pobj)?;
         let old_cell = self.cell_index(p.x, p.y);
@@ -123,7 +124,7 @@ impl World {
         id: u32,
         damage: i32,
         pick: u64,
-    ) -> LtResult<Option<u32>> {
+    ) -> TxResult<Option<u32>> {
         let pobj = &self.players[id as usize];
         let p = tx.read(pobj)?;
         let cell = self.cell_index(p.x, p.y);
@@ -166,7 +167,7 @@ impl World {
     /// Transactionally pick up one item from `id`'s cell, if any,
     /// restoring up to 10 hp (the original's "eat/pickup" action).
     /// Returns the item id taken.
-    pub fn pickup(&self, tx: &mut LtTxn, id: u32) -> LtResult<Option<u32>> {
+    pub fn pickup(&self, tx: &mut LtTxn, id: u32) -> TxResult<Option<u32>> {
         let pobj = &self.players[id as usize];
         let mut p = tx.read(pobj)?;
         let cell = self.cell_index(p.x, p.y);

@@ -56,7 +56,7 @@ pub mod vlock;
 
 pub use clock::{ClockMode, GlobalClock, ShardedClock};
 pub use runtime::{Detection, Stm, StmBuilder, StmConfig, ThreadCtx};
-pub use gstm_core::ThreadStats;
+pub use gstm_core::{Abort, ThreadStats, TxResult};
 pub use tvar::TVar;
-pub use txn::{Abort, TxResult, Txn};
+pub use txn::Txn;
 pub use vlock::{LockTable, VLock};

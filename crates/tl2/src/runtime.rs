@@ -1,15 +1,16 @@
 //! The STM runtime: instance configuration, thread registration, and the
-//! `atomically` retry loop that wires transactions to the guidance hook.
+//! `atomically` entry point into the shared retry driver
+//! ([`gstm_core::Instruments::run`]).
 
 use crate::clock::{self, ClockMode, ClockSnapshot, MAX_SHARDS, SHARD_BITS};
-use crate::txn::{Abort, Txn, TxResult};
+use crate::txn::Txn;
 use gstm_core::contention::ContentionTracker;
-use gstm_core::events::{AbortCause, ConflictSite};
-use gstm_core::faultinject::{spin_for, FaultPlan, FaultSite};
+use gstm_core::faultinject::FaultPlan;
 use gstm_core::placement::{self, PlacementPlan};
-use gstm_core::telemetry::{ClockStats, ShardClockStats, Telemetry, TraceKind};
+use gstm_core::rng::Interleave;
+use gstm_core::telemetry::{ClockStats, ShardClockStats, Telemetry};
 use gstm_core::ThreadStats;
-use gstm_core::{GuidanceHook, NoopHook, Pair, ThreadId, TxnId};
+use gstm_core::{GuidanceHook, Instruments, NoopHook, Pair, ThreadId, TxResult, TxnId};
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -35,17 +36,11 @@ pub struct StmConfig {
     /// Bounded spin iterations per write-lock acquisition at commit.
     pub commit_spin: u32,
     /// Interleave injection: when `Some(k)`, every transactional read or
-    /// write yields the OS thread with probability `2^-k`.
-    ///
-    /// This is the documented substitution for the paper's 8/16-core
-    /// hardware: on a host with fewer cores than worker threads, the OS
-    /// timeslice is far longer than a transaction, so transactional
-    /// lifetimes would barely overlap and the abort/commit races the paper
-    /// studies would not occur. Injected yields restore dense
-    /// interleaving. `None` disables injection (the default).
+    /// write yields the OS thread with probability `2^-k`, and every
+    /// transaction begin with probability 1/2 (see
+    /// [`gstm_core::rng::Interleave`]). `None` disables injection (the
+    /// default).
     pub yield_prob_log2: Option<u32>,
-    /// Yield once after every abort before retrying (reduces livelock).
-    pub abort_backoff: bool,
 }
 
 impl Default for StmConfig {
@@ -54,7 +49,6 @@ impl Default for StmConfig {
             detection: Detection::Lazy,
             commit_spin: 64,
             yield_prob_log2: None,
-            abort_backoff: true,
         }
     }
 }
@@ -125,7 +119,7 @@ impl StmBuilder {
 
     /// Arm a deterministic fault plan: each attempt probes the
     /// `tl2-abort` site (forced abort through the ordinary rollback
-    /// path, surfaced as [`AbortCause::Explicit`]) and the
+    /// path, surfaced as [`gstm_core::AbortCause::Explicit`]) and the
     /// `tl2-commit-delay` site (a bounded spin while the write set is
     /// buffered, emulating a descheduled committer).
     pub fn faults(mut self, faults: Option<Arc<FaultPlan>>) -> Self {
@@ -157,23 +151,18 @@ impl StmBuilder {
     /// Build the instance.
     pub fn build(self) -> Arc<Stm> {
         Arc::new(Stm {
-            hook: self.hook,
+            instruments: Instruments::new(self.hook, self.telemetry, self.faults, self.contention),
             config: self.config,
-            telemetry: self.telemetry,
-            faults: self.faults,
             clock_mode: self.clock_mode,
             placement: self.placement,
-            contention: self.contention,
             shard_commits: (0..MAX_SHARDS).map(|_| AtomicU64::new(0)).collect(),
             clock_baseline: clock::sharded().snapshot(),
             next_thread: AtomicU16::new(0),
-            total_commits: AtomicU64::new(0),
-            total_aborts: AtomicU64::new(0),
         })
     }
 }
 
-/// One STM instance: a guidance hook plus global counters. All instances
+/// One STM instance: configuration plus its [`Instruments`]. All instances
 /// of one [`ClockMode`] commit through that mode's process-wide clock
 /// ([`clock::global`] / [`clock::sharded`]), so a [`crate::TVar`] may be
 /// used under any instance of the same mode — instances differ only in
@@ -182,24 +171,15 @@ impl StmBuilder {
 /// then run: sharded stamps always exceed prior global stamps); the
 /// reverse direction and concurrent cross-mode sharing are not supported.
 pub struct Stm {
-    pub(crate) hook: Arc<dyn GuidanceHook>,
+    /// Hook, telemetry, fault plan, contention tracker and the outcome
+    /// totals — everything the retry driver reports to.
+    instruments: Instruments,
     pub(crate) config: StmConfig,
-    /// Optional runtime telemetry. `None` (the default) keeps every
-    /// instrumentation point in `atomically` to a single predictable
-    /// branch — no timestamps are read and no counters are touched.
-    pub(crate) telemetry: Option<Arc<Telemetry>>,
-    /// Optional deterministic fault plan (chaos mode): the retry loop
-    /// probes the forced-abort and commit-delay sites. `None` keeps the
-    /// clean path at one predictable branch per site, like `telemetry`.
-    pub(crate) faults: Option<Arc<FaultPlan>>,
     /// Which commit clock transactions of this instance use.
     pub(crate) clock_mode: ClockMode,
     /// Placement plan consulted at registration (core pinning + shard
     /// assignment); `None` = unpinned, shard = thread id mod shards.
     placement: Option<Arc<PlacementPlan>>,
-    /// Optional conflict-provenance tracker fed on every abort; `None`
-    /// keeps the abort path at one predictable branch, like `telemetry`.
-    pub(crate) contention: Option<Arc<ContentionTracker>>,
     /// Per-shard successful-commit counters (sharded mode; all zero in
     /// global mode). Every commit increments exactly one slot, so the
     /// slots partition `total_commits` — the analyzer's exactness check.
@@ -209,8 +189,6 @@ pub struct Stm {
     /// though the clocks outlive the instance.
     clock_baseline: ClockSnapshot,
     next_thread: AtomicU16,
-    total_commits: AtomicU64,
-    total_aborts: AtomicU64,
 }
 
 impl Stm {
@@ -226,18 +204,8 @@ impl Stm {
         StmBuilder::new(config).hook(hook).build()
     }
 
-    /// An instance that additionally records commits, aborts, and
-    /// latencies into `telemetry`.
-    pub fn with_telemetry(
-        hook: Arc<dyn GuidanceHook>,
-        config: StmConfig,
-        telemetry: Option<Arc<Telemetry>>,
-    ) -> Arc<Self> {
-        StmBuilder::new(config).hook(hook).telemetry(telemetry).build()
-    }
-
-    /// [`Stm::with_telemetry`] plus a deterministic fault plan (see
-    /// [`StmBuilder::faults`]).
+    /// An instance that additionally records into `telemetry` and runs
+    /// a deterministic fault plan (see [`StmBuilder::faults`]).
     pub fn with_robustness(
         hook: Arc<dyn GuidanceHook>,
         config: StmConfig,
@@ -286,18 +254,8 @@ impl Stm {
             thread: id,
             shard,
             stats: ThreadStats::new(),
-            rng: 0x9e37_79b9_7f4a_7c15u64 ^ ((id.0 as u64) << 32 | 0x1234_5678),
+            inject: Interleave::for_thread(self.config.yield_prob_log2, id),
         }
-    }
-
-    /// The guidance hook installed at construction.
-    pub fn hook(&self) -> &Arc<dyn GuidanceHook> {
-        &self.hook
-    }
-
-    /// The telemetry sink installed at construction, if any.
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
     }
 
     /// This instance's configuration.
@@ -307,28 +265,17 @@ impl Stm {
 
     /// Total commits across all threads so far.
     pub fn total_commits(&self) -> u64 {
-        self.total_commits.load(Ordering::Relaxed)
+        self.instruments.total_commits()
     }
 
     /// Total aborts across all threads so far.
     pub fn total_aborts(&self) -> u64 {
-        self.total_aborts.load(Ordering::Relaxed)
+        self.instruments.total_aborts()
     }
 
     /// The commit clock this instance uses.
     pub fn clock_mode(&self) -> ClockMode {
         self.clock_mode
-    }
-
-    /// The placement plan installed at construction, if any.
-    pub fn placement(&self) -> Option<&Arc<PlacementPlan>> {
-        self.placement.as_ref()
-    }
-
-    /// The conflict-provenance tracker installed at construction, if
-    /// any.
-    pub fn contention(&self) -> Option<&Arc<ContentionTracker>> {
-        self.contention.as_ref()
     }
 
     /// Current value of this instance's commit clock — the global
@@ -342,10 +289,13 @@ impl Stm {
         }
     }
 
-    /// Record a successful commit against its clock shard (sharded mode).
+    /// Record a successful commit against its clock shard (sharded mode
+    /// only; a no-op in global mode).
     #[inline]
     pub(crate) fn record_shard_commit(&self, shard: u16) {
-        self.shard_commits[shard as usize % MAX_SHARDS].fetch_add(1, Ordering::Relaxed);
+        if self.clock_mode == ClockMode::Sharded {
+            self.shard_commits[shard as usize % MAX_SHARDS].fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Per-run commit-clock statistics: deltas of the process-wide
@@ -397,7 +347,7 @@ pub struct ThreadCtx {
     /// Clock shard this thread commits through (sharded mode).
     shard: u16,
     stats: ThreadStats,
-    rng: u64,
+    inject: Interleave,
 }
 
 impl ThreadCtx {
@@ -426,15 +376,6 @@ impl ThreadCtx {
         std::mem::take(&mut self.stats)
     }
 
-    fn next_seed(&mut self) -> u64 {
-        // splitmix64 step — decorrelates attempts and threads.
-        self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
     /// Run `f` transactionally at static transaction site `txid`,
     /// retrying on conflicts until it commits. Returns `f`'s result from
     /// the committing attempt.
@@ -442,125 +383,18 @@ impl ThreadCtx {
     /// Each attempt is bracketed by the guidance hook: `gate` before the
     /// attempt (blocks in guided mode while the transaction would steer
     /// execution to a low-probability state), `on_abort` after a rollback,
-    /// `on_commit` after success.
-    pub fn atomically<R>(
-        &mut self,
-        txid: TxnId,
-        mut f: impl FnMut(&mut Txn) -> TxResult<R>,
-    ) -> R {
+    /// `on_commit` after success. An attempt begins by sampling the
+    /// commit clock into its read version.
+    pub fn atomically<R>(&mut self, txid: TxnId, f: impl FnMut(&mut Txn) -> TxResult<R>) -> R {
         let me = Pair::new(txid, self.thread);
-        let mut retries: u32 = 0;
-        // One Arc clone per transaction (free when telemetry is off);
-        // keeps the instrumentation borrows disjoint from `&mut self`.
-        let tel = self.stm.telemetry.clone();
-        // Timestamp taken when an attempt aborts; the gap to the next
-        // attempt's start is the abort-to-retry backoff histogram sample.
-        let mut backoff_from: Option<u64> = None;
-        loop {
-            if let Some(t) = &tel {
-                let t0 = t.now_ns();
-                if let Some(prev) = backoff_from.take() {
-                    t.record_backoff(me, t0.saturating_sub(prev));
-                }
-                self.stm.hook.gate(me);
-                let wait_ns = t.now_ns().saturating_sub(t0);
-                t.record_gate_wait(me, wait_ns);
-                t.trace(me, TraceKind::Begin);
-                // A per-attempt gate slice only when the wait is visible
-                // at trace resolution (guided waits are µs-scale; an
-                // ungated pass is tens of ns and would drown the trace).
-                if wait_ns >= 1_000 {
-                    t.trace(me, TraceKind::GateWait { wait_ns });
-                }
-            } else {
-                self.stm.hook.gate(me);
-            }
-            let seed = self.next_seed();
-            // Interleave injection, per-transaction component: on real
-            // hardware every thread is always running, so between two of
-            // one thread's transactions other threads commit with high
-            // probability regardless of transaction length. A begin-time
-            // yield (p = 1/2) restores that for sub-timeslice
-            // transactions, which otherwise commit in long same-thread
-            // runs on an oversubscribed host.
-            if self.stm.config.yield_prob_log2.is_some() && seed & 1 == 0 {
-                std::thread::yield_now();
-            }
-            let rv = self.stm.clock_now();
-            let mut tx = Txn::new(&self.stm, me, rv, seed, self.shard);
-            let body = f(&mut tx);
-            let mut commit_ns = 0u64;
-            let mut writes = 0u32;
-            let outcome = match body {
-                Err(a) => Err(a),
-                // Chaos sites, probed between a successful body and the
-                // commit: a forced abort takes the ordinary rollback path
-                // (write set discarded, hook notified, stats counted) as
-                // AbortCause::Explicit; a commit delay stalls the
-                // committer while its locks/validation window is widest.
-                Ok(_)
-                    if self.stm.faults.as_ref().is_some_and(|f| {
-                        f.should_fire(FaultSite::Tl2Abort, self.thread.index()).is_some()
-                    }) =>
-                {
-                    Err(Abort {
-                        cause: AbortCause::Explicit,
-                        site: ConflictSite::UNKNOWN,
-                    })
-                }
-                Ok(r) => {
-                    if let Some(f) = &self.stm.faults {
-                        if let Some(fault) = f.should_fire(FaultSite::Tl2CommitDelay, self.thread.index()) {
-                            spin_for(fault.spins);
-                        }
-                    }
-                    if let Some(t) = &tel {
-                        writes = tx.write_set_size() as u32;
-                        let c0 = t.now_ns();
-                        let res = tx.commit();
-                        commit_ns = t.now_ns().saturating_sub(c0);
-                        res.map(|()| r)
-                    } else {
-                        tx.commit().map(|()| r)
-                    }
-                }
-            };
-            match outcome {
-                Ok(r) => {
-                    self.stm.hook.on_commit(me);
-                    self.stm.total_commits.fetch_add(1, Ordering::Relaxed);
-                    if self.stm.clock_mode == ClockMode::Sharded {
-                        self.stm.record_shard_commit(self.shard);
-                    }
-                    self.stats.record_commit(retries);
-                    if let Some(t) = &tel {
-                        t.record_commit(me, commit_ns);
-                        t.trace(me, TraceKind::Commit { commit_ns, writes });
-                    }
-                    return r;
-                }
-                Err(abort) => {
-                    self.stm.hook.on_abort(me, abort.cause);
-                    self.stm.total_aborts.fetch_add(1, Ordering::Relaxed);
-                    self.stats.record_abort(abort.cause);
-                    if let Some(ct) = &self.stm.contention {
-                        ct.record(self.thread, abort.cause, abort.site);
-                    }
-                    if let Some(t) = &tel {
-                        t.record_abort(me, abort.cause);
-                        t.trace(
-                            me,
-                            TraceKind::Abort { cause: abort.cause, addr: abort.site.raw() },
-                        );
-                        backoff_from = Some(t.now_ns());
-                    }
-                    retries = retries.saturating_add(1);
-                    if self.stm.config.abort_backoff {
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
+        let (stm, inject, shard) = (&*self.stm, &self.inject, self.shard);
+        stm.instruments.run(
+            me,
+            &mut self.stats,
+            inject,
+            || Txn::new(stm, me, stm.clock_now(), inject, shard),
+            f,
+        )
     }
 }
 

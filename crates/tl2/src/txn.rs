@@ -4,23 +4,11 @@
 use crate::runtime::{Detection, Stm};
 use crate::tvar::{TVar, TxTarget};
 use crate::vlock::VLock;
-use gstm_core::{AbortCause, AddrSet, ConflictSite, Pair};
+use gstm_core::faultinject::FaultSite;
+use gstm_core::rng::Interleave;
+use gstm_core::{Abort, AbortCause, AddrSet, Attempt, Pair, TxResult};
 use std::any::Any;
 use std::sync::Arc;
-
-/// Control-flow signal that the current transaction attempt must roll
-/// back. Produced by conflict detection (or [`Txn::retry`]) and propagated
-/// with `?` out of the user's transaction body to the retry loop.
-#[derive(Clone, Copy, Debug)]
-pub struct Abort {
-    /// What killed the attempt.
-    pub cause: AbortCause,
-    /// Where the conflict was detected (unknown for explicit retries).
-    pub site: ConflictSite,
-}
-
-/// Result of a transactional operation.
-pub type TxResult<T> = Result<T, Abort>;
 
 /// A buffered write awaiting commit.
 trait WriteEntry: Send {
@@ -80,8 +68,8 @@ pub struct Txn<'stm> {
     /// version each lock word carried before acquisition (needed to
     /// restore on abort and to validate own reads at commit).
     eager_locks: Vec<(Arc<dyn TxTarget>, u64)>,
-    /// xorshift state for the interleave-injection knob.
-    rng: u64,
+    /// The owning thread's interleave injector.
+    inject: &'stm Interleave,
     n_reads: u64,
     n_writes: u64,
 }
@@ -98,7 +86,13 @@ impl Drop for Txn<'_> {
 }
 
 impl<'stm> Txn<'stm> {
-    pub(crate) fn new(stm: &'stm Stm, me: Pair, rv: u64, rng_seed: u64, shard: u16) -> Self {
+    pub(crate) fn new(
+        stm: &'stm Stm,
+        me: Pair,
+        rv: u64,
+        inject: &'stm Interleave,
+        shard: u16,
+    ) -> Self {
         Txn {
             stm,
             me,
@@ -108,7 +102,7 @@ impl<'stm> Txn<'stm> {
             read_keys: AddrSet::new(),
             write_set: Vec::new(),
             eager_locks: Vec::new(),
-            rng: rng_seed | 1,
+            inject,
             n_reads: 0,
             n_writes: 0,
         }
@@ -134,45 +128,10 @@ impl<'stm> Txn<'stm> {
         self.n_writes
     }
 
-    /// Number of distinct locations buffered in the write set (what the
-    /// commit protocol will lock and write back; telemetry reports this
-    /// per committed attempt).
-    pub fn write_set_size(&self) -> usize {
-        self.write_set.len()
-    }
-
-    /// Number of distinct locations tracked in the read set (what
-    /// commit-time validation will re-check).
-    pub fn read_set_size(&self) -> usize {
-        self.read_set.len()
-    }
-
     /// Explicitly abort and retry the transaction (e.g. a queue consumer
     /// finding the queue empty).
     pub fn retry(&self) -> Abort {
-        Abort {
-            cause: AbortCause::Explicit,
-            site: ConflictSite::UNKNOWN,
-        }
-    }
-
-    /// The interleave-injection point: with the configured probability,
-    /// yield the OS thread so transactional lifetimes overlap densely even
-    /// on a machine with fewer cores than worker threads. A no-op unless
-    /// [`crate::StmConfig::yield_prob_log2`] is set.
-    #[inline]
-    fn maybe_yield(&mut self) {
-        if let Some(k) = self.stm.config.yield_prob_log2 {
-            // xorshift64 — cheap, good enough for a coin flip.
-            let mut x = self.rng;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.rng = x;
-            if x & ((1u64 << k) - 1) == 0 {
-                std::thread::yield_now();
-            }
-        }
+        Abort::EXPLICIT
     }
 
     fn write_index(&self, key: usize) -> Option<usize> {
@@ -189,7 +148,7 @@ impl<'stm> Txn<'stm> {
     /// newer than `rv`.
     pub fn read<T: Clone + Send + Sync + 'static>(&mut self, tvar: &TVar<T>) -> TxResult<T> {
         self.n_reads += 1;
-        self.maybe_yield();
+        self.inject.at_access();
         if let Some(i) = self.write_index(tvar.key()) {
             // Invariant, not a recoverable error: keys are allocation
             // addresses and every entry keeps its TVar's Arc alive, so a
@@ -205,23 +164,15 @@ impl<'stm> Txn<'stm> {
         let inner = &tvar.inner;
         let s1 = inner.lock.vlock().sample();
         if s1.is_locked() {
-            return Err(Abort {
-                cause: AbortCause::ReadLocked { owner: s1.owner() },
-                site: ConflictSite::at(tvar.key()),
-            });
+            let cause = AbortCause::ReadLocked { owner: s1.owner() };
+            return Err(Abort::at(cause, tvar.key()));
         }
         if s1.version() > self.rv {
-            return Err(Abort {
-                cause: AbortCause::ReadVersion,
-                site: ConflictSite::at(tvar.key()),
-            });
+            return Err(Abort::at(AbortCause::ReadVersion, tvar.key()));
         }
         let value = inner.read_snapshot();
         if inner.lock.vlock().sample() != s1 {
-            return Err(Abort {
-                cause: AbortCause::ReadVersion,
-                site: ConflictSite::at(tvar.key()),
-            });
+            return Err(Abort::at(AbortCause::ReadVersion, tvar.key()));
         }
         if self.read_keys.insert(tvar.key()) {
             self.read_set.push(Arc::clone(&tvar.inner) as Arc<dyn TxTarget>);
@@ -262,10 +213,8 @@ impl<'stm> Txn<'stm> {
                 }
             }
         }
-        Err(Abort {
-            cause: AbortCause::CommitLockBusy { owner: last_owner },
-            site: ConflictSite::at(key),
-        })
+        let cause = AbortCause::CommitLockBusy { owner: last_owner };
+        Err(Abort::at(cause, key))
     }
 
     /// Transactional write: buffer `value` in the write set (write-back).
@@ -277,7 +226,7 @@ impl<'stm> Txn<'stm> {
         value: T,
     ) -> TxResult<()> {
         self.n_writes += 1;
-        self.maybe_yield();
+        self.inject.at_access();
         if self.stm.config.detection == Detection::Eager {
             self.eager_acquire(tvar.inner.vlock(), tvar.key(), || {
                 Arc::clone(&tvar.inner) as Arc<dyn TxTarget>
@@ -322,7 +271,7 @@ impl<'stm> Txn<'stm> {
     ///    version ≤ `rv`, or locked by this very transaction with its
     ///    pre-lock version ≤ `rv`.
     /// 5. Publish buffered values and release the locks stamped with `wv`.
-    pub(crate) fn commit(mut self) -> Result<(), Abort> {
+    fn commit_protocol(mut self) -> TxResult<()> {
         if self.write_set.is_empty() {
             return Ok(());
         }
@@ -372,10 +321,8 @@ impl<'stm> Txn<'stm> {
                     Some(prev) => locked.push((i, prev, lock_addr)),
                     None => {
                         release_all(&self.write_set, &locked);
-                        return Err(Abort {
-                            cause: AbortCause::CommitLockBusy { owner: last_owner },
-                            site: ConflictSite::at(entry.key()),
-                        });
+                        let cause = AbortCause::CommitLockBusy { owner: last_owner };
+                        return Err(Abort::at(cause, entry.key()));
                     }
                 }
             }
@@ -415,20 +362,14 @@ impl<'stm> Txn<'stm> {
                         Some(p) if p <= self.rv => continue,
                         _ => {
                             release_all(&self.write_set, &locked);
-                            return Err(Abort {
-                                cause: AbortCause::Validation,
-                                site: ConflictSite::at(target.key()),
-                            });
+                            return Err(Abort::at(AbortCause::Validation, target.key()));
                         }
                     }
                 } else {
                     let s = lock.sample();
                     if s.is_locked() || s.version() > self.rv {
                         release_all(&self.write_set, &locked);
-                        return Err(Abort {
-                            cause: AbortCause::Validation,
-                            site: ConflictSite::at(target.key()),
-                        });
+                        return Err(Abort::at(AbortCause::Validation, target.key()));
                     }
                 }
             }
@@ -446,6 +387,22 @@ impl<'stm> Txn<'stm> {
         for (target, _) in self.eager_locks.drain(..) {
             target.vlock().unlock(wv);
         }
+        Ok(())
+    }
+}
+
+impl Attempt for Txn<'_> {
+    const FAULT_SITES: (FaultSite, FaultSite) = (FaultSite::Tl2Abort, FaultSite::Tl2CommitDelay);
+
+    fn write_set_size(&self) -> usize {
+        self.write_set.len()
+    }
+
+    /// The TL2 commit protocol, then the per-shard commit record.
+    fn commit(self) -> TxResult<()> {
+        let (stm, shard) = (self.stm, self.shard);
+        self.commit_protocol()?;
+        stm.record_shard_commit(shard);
         Ok(())
     }
 }

@@ -17,7 +17,7 @@ use gstm_core::tsa::{GuidedModel, Tsa};
 use gstm_core::tss::StateKey;
 use gstm_harness::experiment::ExperimentConfig;
 use gstm_stamp::{by_name, Benchmark, InputSize, RunConfig};
-use gstm_tl2::{ClockMode, Stm, StmConfig};
+use gstm_tl2::{ClockMode, StmBuilder, StmConfig};
 use std::sync::Arc;
 
 fn main() {
@@ -74,11 +74,12 @@ fn main() {
             Some(drift.clone()),
         ));
         for _ in 0..cfg.measure_runs {
-            let stm = Stm::with_telemetry(
-                hook.clone(),
-                StmConfig { yield_prob_log2: cfg.yield_k, ..StmConfig::default() },
-                None,
-            );
+            let stm = StmBuilder::new(StmConfig {
+                yield_prob_log2: cfg.yield_k,
+                ..StmConfig::default()
+            })
+            .hook(hook.clone())
+            .build();
             bench.run(
                 &stm,
                 &RunConfig { threads, size: cfg.test_size, seed: cfg.seed },
@@ -110,11 +111,12 @@ fn profile(bench: &dyn Benchmark, cfg: &ExperimentConfig, threads: u16) -> Vec<V
     let recorder = Arc::new(RecorderHook::new());
     let mut runs = Vec::with_capacity(cfg.profile_runs);
     for _ in 0..cfg.profile_runs {
-        let stm = Stm::with_telemetry(
-            recorder.clone(),
-            StmConfig { yield_prob_log2: cfg.yield_k, ..StmConfig::default() },
-            None,
-        );
+        let stm = StmBuilder::new(StmConfig {
+            yield_prob_log2: cfg.yield_k,
+            ..StmConfig::default()
+        })
+        .hook(recorder.clone())
+        .build();
         bench.run(
             &stm,
             &RunConfig { threads, size: cfg.train_size, seed: cfg.seed },

@@ -12,7 +12,7 @@ use gstm_core::{AffinitySource, PinPolicy};
 use gstm_core::telemetry::{Telemetry, TelemetrySnapshot, ABORT_CAUSE_NAMES};
 use gstm_harness::experiment::{train_model, ExperimentConfig};
 use gstm_stamp::{by_name, Benchmark, InputSize, RunConfig};
-use gstm_tl2::{ClockMode, Stm, StmConfig};
+use gstm_tl2::{ClockMode, StmBuilder, StmConfig};
 use std::sync::Arc;
 
 fn main() {
@@ -130,7 +130,10 @@ fn drive(
         seed: cfg.seed,
     };
     for _ in 0..runs {
-        let stm = Stm::with_telemetry(hook.clone(), stm_cfg, Some(telemetry.clone()));
+        let stm = StmBuilder::new(stm_cfg)
+            .hook(hook.clone())
+            .telemetry(Some(telemetry.clone()))
+            .build();
         bench.run(&stm, &run_cfg);
     }
 }

@@ -1,10 +1,14 @@
 //! Failure injection: a panicking transaction body must never wedge the
 //! STM — no lock may stay held, no reader registration may leak — and
-//! other threads must keep committing.
+//! other threads must keep committing. A fault-plan-forced abort must go
+//! through the shared retry driver's bookkeeping exactly once.
 
-use gstm_core::{ThreadId, TxnId};
+use gstm_core::contention::ContentionTracker;
+use gstm_core::faultinject::{FaultPlan, FaultSite};
+use gstm_core::telemetry::{Telemetry, TraceKind};
+use gstm_core::{AbortCause, Instruments, NoopHook, ThreadId, ThreadStats, TxnId};
 use gstm_libtm::{DetectionMode, LibTm, LibTmConfig, Resolution, TObject};
-use gstm_tl2::{Stm, StmConfig, TVar};
+use gstm_tl2::{Stm, StmBuilder, StmConfig, TVar};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -133,4 +137,86 @@ fn explicit_retry_storm_does_not_starve_commits() {
         });
     });
     assert_eq!(hits.load_quiesced(), 3);
+}
+
+/// Run `three_increments` (which must commit three increments through
+/// the given instruments and return the thread's stats and the instance
+/// totals) under a plan that forces one abort at `site`. Every record
+/// point must see that abort exactly once, and the trace must show the
+/// retried attempt in driver order.
+fn check_forced_abort_counted_once(
+    site: FaultSite,
+    three_increments: impl FnOnce(
+        Arc<Telemetry>,
+        Arc<FaultPlan>,
+        Arc<ContentionTracker>,
+    ) -> (ThreadStats, u64, u64),
+) {
+    let tel = Arc::new(Telemetry::new());
+    let tracker = Arc::new(ContentionTracker::new());
+    let plan = Arc::new(FaultPlan::parse_spec("1:forced-aborts@1000x1").unwrap());
+    let (stats, commits, aborts) = three_increments(tel.clone(), plan.clone(), tracker.clone());
+    assert_eq!(plan.injected(site), 1);
+    assert_eq!((stats.commits, stats.aborts, stats.explicit), (3, 1, 1));
+    assert_eq!((commits, aborts), (3, 1), "instance totals");
+    let snap = tel.snapshot();
+    let counted = (snap.commits, snap.aborts_total(), snap.explicit_retries());
+    assert_eq!((counted, snap.backoff_ns.count), ((3, 1, 1), 1));
+    let ctn = tracker.snapshot();
+    assert_eq!(
+        (ctn.total(), ctn.unattributed, ctn.owner_unknown),
+        (1, 1, 1)
+    );
+    // A gate slice is traced only when the (here ungated) pass happened
+    // to take over 1 µs, so it carries no information.
+    let kinds: Vec<&str> = tel
+        .trace_events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            TraceKind::GateWait { .. } => None,
+            TraceKind::Begin => Some("begin"),
+            TraceKind::Abort {
+                cause: AbortCause::Explicit,
+                addr: 0,
+            } => Some("explicit"),
+            TraceKind::Commit { writes: 1, .. } => Some("commit"),
+            _ => Some("unexpected"),
+        })
+        .collect();
+    let expected = "begin explicit begin commit begin commit begin commit";
+    assert_eq!(kinds.join(" "), expected);
+}
+
+#[test]
+fn tl2_forced_abort_is_counted_once() {
+    check_forced_abort_counted_once(FaultSite::Tl2Abort, |tel, plan, tracker| {
+        let stm = StmBuilder::new(StmConfig::default())
+            .telemetry(Some(tel))
+            .faults(Some(plan))
+            .contention(Some(tracker))
+            .build();
+        let v = TVar::new(0u64);
+        let mut ctx = stm.register();
+        for _ in 0..3 {
+            ctx.atomically(TxnId(0), |tx| tx.modify(&v, |x| x + 1));
+        }
+        assert_eq!(v.load_quiesced(), 3);
+        (ctx.take_stats(), stm.total_commits(), stm.total_aborts())
+    });
+}
+
+#[test]
+fn libtm_forced_abort_is_counted_once() {
+    check_forced_abort_counted_once(FaultSite::LibtmAbort, |tel, plan, tracker| {
+        let instruments =
+            Instruments::new(Arc::new(NoopHook), Some(tel), Some(plan), Some(tracker));
+        let tm = LibTm::with_instruments(LibTmConfig::default(), instruments);
+        let v = TObject::new(0u64);
+        let mut ctx = tm.register();
+        for _ in 0..3 {
+            ctx.atomically(TxnId(0), |tx| tx.modify(&v, |x| x + 1));
+        }
+        assert_eq!(v.load_quiesced(), 3);
+        (ctx.take_stats(), tm.total_commits(), tm.total_aborts())
+    });
 }
