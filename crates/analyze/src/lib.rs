@@ -34,7 +34,8 @@
 //! reporting false mismatches.
 
 use gstm_core::events::TxEvent;
-use gstm_core::metrics::{self, AbortHistogram};
+use gstm_core::json::{self, array_lines, escape, Value};
+use gstm_core::metrics::{self, quantile, AbortHistogram};
 use gstm_core::telemetry::{parse_jsonl, TraceEvent, TraceKind};
 use gstm_core::tss::{parse_tseq, StateKey};
 use std::fmt::Write as _;
@@ -365,15 +366,6 @@ pub fn epoch_segments(events: &[TraceEvent]) -> Vec<EpochSegment> {
     segs
 }
 
-/// Exact nearest-rank quantile over a sorted sample (`q` in `[0,1]`).
-pub fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// Everything re-derived from one repetition's artifacts.
 #[derive(Clone, Debug)]
 pub struct RunAnalysis {
@@ -552,6 +544,26 @@ pub struct Check {
     pub pass: bool,
     /// Human-readable evidence.
     pub detail: String,
+}
+
+impl Check {
+    /// A check with an explicit verdict.
+    pub fn new(name: &str, pass: bool, detail: String) -> Check {
+        Check {
+            name: name.into(),
+            pass,
+            detail,
+        }
+    }
+
+    /// A check that passes iff `findings` is empty: its detail is
+    /// `ok_detail` on a pass and the findings joined by `"; "` otherwise.
+    pub fn from_findings(name: &str, findings: Vec<String>, ok_detail: impl Into<String>) -> Check {
+        match findings.is_empty() {
+            true => Check::new(name, true, ok_detail.into()),
+            false => Check::new(name, false, findings.join("; ")),
+        }
+    }
 }
 
 /// Model-drift facts lifted from the final run's exposition (the drift
@@ -775,13 +787,10 @@ pub fn analyze_campaign_with_failures(
     let threads = csv.iter().map(|r| r.thread + 1).max().unwrap_or(0);
     let n_runs = csv.iter().map(|r| r.run + 1).max().unwrap_or(0);
     let mut checks = Vec::new();
-    let mut check = |name: &str, pass: bool, detail: String| {
-        checks.push(Check { name: name.into(), pass, detail });
-    };
 
     // -- artifact inventory -------------------------------------------------
     let dropped_total: u64 = runs.iter().map(|r| r.dropped).sum();
-    check(
+    checks.push(Check::new(
         "artifacts",
         runs.len() == n_runs && !runs.is_empty(),
         format!(
@@ -790,7 +799,7 @@ pub fn analyze_campaign_with_failures(
             n_runs,
             dropped_total
         ),
-    );
+    ));
     let trace_exact = dropped_total == 0 && runs.len() == n_runs;
 
     // -- trace totals vs the run's own counters -----------------------------
@@ -815,15 +824,11 @@ pub fn analyze_campaign_with_failures(
                 ));
             }
         }
-        check(
+        checks.push(Check::from_findings(
             "trace_vs_prom_totals",
-            bad.is_empty(),
-            if bad.is_empty() {
-                "per-run trace-reconstructed commit/abort totals match the counters".into()
-            } else {
-                bad.join("; ")
-            },
-        );
+            bad,
+            "per-run trace-reconstructed commit/abort totals match the counters",
+        ));
     }
 
     // -- trace per-thread counts vs the harness's runs.csv ------------------
@@ -846,15 +851,11 @@ pub fn analyze_campaign_with_failures(
                 ));
             }
         }
-        check(
+        checks.push(Check::from_findings(
             "trace_vs_csv_counts",
-            bad.is_empty(),
-            if bad.is_empty() {
-                "per-run per-thread commit/abort counts match the harness csv exactly".into()
-            } else {
-                bad.join("; ")
-            },
-        );
+            bad,
+            "per-run per-thread commit/abort counts match the harness csv exactly",
+        ));
     }
 
     // -- per-thread series partition the global counters --------------------
@@ -884,15 +885,11 @@ pub fn analyze_campaign_with_failures(
                 }
             }
         }
-        check(
+        checks.push(Check::from_findings(
             "thread_partition",
-            bad.is_empty(),
-            if bad.is_empty() {
-                "per-thread commit/abort/gate-outcome series sum to the global counters".into()
-            } else {
-                bad.join("; ")
-            },
-        );
+            bad,
+            "per-thread commit/abort/gate-outcome series sum to the global counters",
+        ));
     }
 
     // -- per-thread execution-time variance ---------------------------------
@@ -912,18 +909,16 @@ pub fn analyze_campaign_with_failures(
                 )),
             }
         }
-        check(
+        let mut c = Check::from_findings(
             "variance_match",
-            bad.is_empty() && summary.std_dev_secs.len() == threads,
-            if bad.is_empty() {
-                format!(
-                    "per-thread std-dev recomputed from runs.csv matches harness within {}",
-                    th.float_tol
-                )
-            } else {
-                bad.join("; ")
-            },
+            bad,
+            format!(
+                "per-thread std-dev recomputed from runs.csv matches harness within {}",
+                th.float_tol
+            ),
         );
+        c.pass &= summary.std_dev_secs.len() == threads;
+        checks.push(c);
     }
 
     // -- abort tail ---------------------------------------------------------
@@ -940,7 +935,7 @@ pub fn analyze_campaign_with_failures(
         }
         if trace_exact {
             let pass = tails[..] == summary.tail_metric[..];
-            check(
+            checks.push(Check::new(
                 "abort_tail_match",
                 pass,
                 if pass {
@@ -948,13 +943,13 @@ pub fn analyze_campaign_with_failures(
                 } else {
                     format!("reconstructed {:?} vs harness {:?}", tails, summary.tail_metric)
                 },
-            );
+            ));
         } else {
-            check(
+            checks.push(Check::new(
                 "abort_tail_match",
                 true,
                 "skipped: trace incomplete (dropped events or missing runs)".into(),
-            );
+            ));
         }
     }
 
@@ -963,33 +958,33 @@ pub fn analyze_campaign_with_failures(
     let nd = metrics::non_determinism(&tseqs);
     if trace_exact {
         let pass = nd as u64 == summary.non_determinism;
-        check(
+        checks.push(Check::new(
             "non_determinism_match",
             pass,
             format!(
                 "distinct TSS across reconstructed Tseqs = {nd}, harness = {}",
                 summary.non_determinism
             ),
-        );
+        ));
     } else {
-        check(
+        checks.push(Check::new(
             "non_determinism_match",
             true,
             "skipped: trace incomplete (dropped events or missing runs)".into(),
-        );
+        ));
     }
 
     // -- campaign totals ----------------------------------------------------
     let commits: u64 = csv.iter().map(|r| r.commits).sum();
     let aborts: u64 = csv.iter().map(|r| r.aborts).sum();
-    check(
+    checks.push(Check::new(
         "totals_match",
         commits == summary.commits && aborts == summary.aborts,
         format!(
             "runs.csv totals {commits}c/{aborts}a vs summary {}c/{}a",
             summary.commits, summary.aborts
         ),
-    );
+    ));
 
     // -- per-epoch segmentation (adaptive runs) -----------------------------
     // Each repetition binds its own telemetry and its own model manager,
@@ -1051,12 +1046,10 @@ pub fn analyze_campaign_with_failures(
             }
         }
         let exact_runs = runs.iter().filter(|r| r.dropped == 0).count();
-        check(
+        checks.push(Check::from_findings(
             "epoch_segmentation",
-            bad.is_empty(),
-            if !bad.is_empty() {
-                bad.join("; ")
-            } else if exact_runs == 0 {
+            bad,
+            if exact_runs == 0 {
                 "skipped: trace incomplete (dropped events or missing runs)".into()
             } else {
                 format!(
@@ -1064,7 +1057,7 @@ pub fn analyze_campaign_with_failures(
                      per-epoch commit partition consistent across {exact_runs} exact run(s)"
                 )
             },
-        );
+        ));
     }
 
     // -- degradation ladder (breaker / fault campaigns) ---------------------
@@ -1122,21 +1115,15 @@ pub fn analyze_campaign_with_failures(
                 }
             }
         }
-        check(
+        checks.push(Check::from_findings(
             "breaker_consistency",
-            bad.is_empty(),
-            if bad.is_empty() {
-                format!(
-                    "{} trip(s), {} probe(s), {} re-close(s) consistent between \
-                     counters and trace",
-                    degradation.breaker_trips,
-                    degradation.breaker_probes,
-                    degradation.breaker_recloses
-                )
-            } else {
-                bad.join("; ")
-            },
-        );
+            bad,
+            format!(
+                "{} trip(s), {} probe(s), {} re-close(s) consistent between \
+                 counters and trace",
+                degradation.breaker_trips, degradation.breaker_probes, degradation.breaker_recloses
+            ),
+        ));
     }
 
     // -- sharded commit clock (runs measured with --clock=sharded) ----------
@@ -1167,20 +1154,16 @@ pub fn analyze_campaign_with_failures(
                     ));
                 }
             }
-            check(
+            checks.push(Check::from_findings(
                 "clock_shard_partition",
-                bad.is_empty(),
-                if bad.is_empty() {
-                    format!(
-                        "{} sharded run(s): shard commit counters partition the \
-                         commit totals exactly ({} shard sample(s))",
-                        sharded.len(),
-                        total_shards
-                    )
-                } else {
-                    bad.join("; ")
-                },
-            );
+                bad,
+                format!(
+                    "{} sharded run(s): shard commit counters partition the \
+                     commit totals exactly ({} shard sample(s))",
+                    sharded.len(),
+                    total_shards
+                ),
+            ));
 
             let mut bad = Vec::new();
             let mut checked = 0usize;
@@ -1221,18 +1204,14 @@ pub fn analyze_campaign_with_failures(
                     }
                 }
             }
-            check(
+            checks.push(Check::from_findings(
                 "clock_shard_monotone",
-                bad.is_empty(),
-                if bad.is_empty() {
-                    format!(
-                        "per-shard epochs monotone with Δepoch ≥ advances across \
-                         {checked} shard-run pair(s)"
-                    )
-                } else {
-                    bad.join("; ")
-                },
-            );
+                bad,
+                format!(
+                    "per-shard epochs monotone with Δepoch ≥ advances across \
+                     {checked} shard-run pair(s)"
+                ),
+            ));
         }
     }
 
@@ -1269,19 +1248,15 @@ pub fn analyze_campaign_with_failures(
                     ));
                 }
             }
-            check(
+            checks.push(Check::from_findings(
                 "contention_partition",
-                bad.is_empty(),
-                if bad.is_empty() {
-                    format!(
-                        "{} run(s): attributed + unattributed partitions the abort \
-                         counter exactly",
-                        with.len()
-                    )
-                } else {
-                    bad.join("; ")
-                },
-            );
+                bad,
+                format!(
+                    "{} run(s): attributed + unattributed partitions the abort \
+                     counter exactly",
+                    with.len()
+                ),
+            ));
 
             let mut bad = Vec::new();
             for r in &with {
@@ -1297,15 +1272,11 @@ pub fn analyze_campaign_with_failures(
                     ));
                 }
             }
-            check(
+            checks.push(Check::from_findings(
                 "contention_sketch_partition",
-                bad.is_empty(),
-                if bad.is_empty() {
-                    "top-K + residual conserves the attributed mass in every run".into()
-                } else {
-                    bad.join("; ")
-                },
-            );
+                bad,
+                "top-K + residual conserves the attributed mass in every run",
+            ));
 
             let mut bad = Vec::new();
             for r in &with {
@@ -1324,15 +1295,11 @@ pub fn analyze_campaign_with_failures(
                     ));
                 }
             }
-            check(
+            checks.push(Check::from_findings(
                 "contention_matrix_partition",
-                bad.is_empty(),
-                if bad.is_empty() {
-                    "victim/owner matrix + owner_unknown partitions the recorded total".into()
-                } else {
-                    bad.join("; ")
-                },
-            );
+                bad,
+                "victim/owner matrix + owner_unknown partitions the recorded total",
+            ));
 
             {
                 let exact: Vec<&&RunAnalysis> =
@@ -1361,12 +1328,10 @@ pub fn analyze_campaign_with_failures(
                         ));
                     }
                 }
-                check(
+                checks.push(Check::from_findings(
                     "contention_trace_attribution",
-                    bad.is_empty(),
-                    if !bad.is_empty() {
-                        bad.join("; ")
-                    } else if exact.is_empty() {
+                    bad,
+                    if exact.is_empty() {
                         "skipped: trace incomplete (dropped events)".into()
                     } else {
                         format!(
@@ -1375,7 +1340,7 @@ pub fn analyze_campaign_with_failures(
                             exact.len()
                         )
                     },
-                );
+                ));
             }
 
             // Facts: merge per-run exports by address / by pair.
@@ -1443,7 +1408,7 @@ pub fn analyze_campaign_with_failures(
 
     // -- policy gates -------------------------------------------------------
     if let (Some(max_pct), Some(c)) = (th.max_hot_addr_pct, contention.as_ref()) {
-        check(
+        checks.push(Check::new(
             "hot_addr_threshold",
             c.hottest_pct <= max_pct,
             format!(
@@ -1451,10 +1416,10 @@ pub fn analyze_campaign_with_failures(
                 c.top.first().map(|&(a, _)| format!("{a:#x}")).unwrap_or_else(|| "n/a".into()),
                 c.hottest_pct
             ),
-        );
+        ));
     }
     if th.fail_on_degraded {
-        check(
+        checks.push(Check::new(
             "degradation",
             !degradation.any(),
             format!(
@@ -1465,7 +1430,7 @@ pub fn analyze_campaign_with_failures(
                 degradation.guardian_restarts,
                 degradation.failed_reps.len()
             ),
-        );
+        ));
     }
     if let Some(max_cv) = th.max_cv_pct {
         let worst = (0..threads)
@@ -1477,18 +1442,18 @@ pub fn analyze_campaign_with_failures(
                 }
             })
             .fold(0.0f64, f64::max);
-        check(
+        checks.push(Check::new(
             "cv_threshold",
             worst <= max_cv,
             format!("worst per-thread time CV {worst:.2}% vs limit {max_cv}%"),
-        );
+        ));
     }
     if let Some(max_nd) = th.max_non_determinism {
-        check(
+        checks.push(Check::new(
             "non_determinism_threshold",
             summary.non_determinism <= max_nd,
             format!("non-determinism {} vs limit {max_nd}", summary.non_determinism),
-        );
+        ));
     }
     if let Some(max_ar) = th.max_abort_ratio_pct {
         let ratio = if commits + aborts > 0 {
@@ -1496,11 +1461,11 @@ pub fn analyze_campaign_with_failures(
         } else {
             0.0
         };
-        check(
+        checks.push(Check::new(
             "abort_ratio_threshold",
             ratio <= max_ar,
             format!("abort ratio {ratio:.2}% vs limit {max_ar}%"),
-        );
+        ));
     }
 
     // -- model drift (from the final run's exposition) ----------------------
@@ -1528,18 +1493,18 @@ pub fn analyze_campaign_with_failures(
     });
     if let Some(d) = &drift {
         if th.fail_on_stale {
-            check(
+            checks.push(Check::new(
                 "staleness",
                 d.staleness < 3,
                 format!("model verdict: {}", staleness_label(d.staleness)),
-            );
+            ));
         }
         if let Some(max_off) = th.max_off_model_pct {
-            check(
+            checks.push(Check::new(
                 "off_model_threshold",
                 d.off_model_pct <= max_off,
                 format!("off-model transitions {:.2}% vs limit {max_off}%", d.off_model_pct),
-            );
+            ));
         }
     }
 
@@ -1664,29 +1629,14 @@ pub struct IncidentFacts {
     pub trace_events: usize,
 }
 
-/// Extract a top-level `  "key": N,` scalar from a pretty-printed dump.
-fn incident_u64(text: &str, key: &str) -> Option<u64> {
-    let pat = format!("\n  \"{key}\": ");
-    let at = text.find(&pat)? + pat.len();
-    let rest = &text[at..];
-    let end = rest.find(|c: char| !c.is_ascii_digit())?;
-    rest[..end].parse().ok()
-}
-
-/// Extract a top-level `  "key": "..."` string (no escape handling —
-/// the fields read this way never contain escapes).
-fn incident_str(text: &str, key: &str) -> Option<String> {
-    let pat = format!("\n  \"{key}\": \"");
-    let at = text.find(&pat)? + pat.len();
-    let rest = &text[at..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Parse one incident flight-recorder dump. Rejects schema mismatches
-/// and non-incident documents with a clear error; `name` prefixes every
-/// message.
+/// Parse one incident flight-recorder dump. Rejects malformed JSON,
+/// schema mismatches and non-incident documents with a clear error;
+/// `name` prefixes every message.
 pub fn parse_incident_json(name: &str, text: &str) -> Result<IncidentFacts, String> {
-    let schema = incident_u64(text, "schema")
+    let doc = json::parse(text).map_err(|e| format!("{name}: invalid JSON: {e}"))?;
+    let schema = doc
+        .get("schema")
+        .and_then(Value::as_u64)
         .ok_or_else(|| format!("{name}: no \"schema\" field — not a gstm incident dump"))?;
     if schema != gstm_core::telemetry::SCHEMA_VERSION as u64 {
         return Err(format!(
@@ -1695,7 +1645,8 @@ pub fn parse_incident_json(name: &str, text: &str) -> Result<IncidentFacts, Stri
             gstm_core::telemetry::SCHEMA_VERSION
         ));
     }
-    match incident_str(text, "kind").as_deref() {
+    let str_field = |key: &str| doc.get(key).and_then(Value::as_str);
+    match str_field("kind") {
         Some("gstm_incident") => {}
         other => {
             return Err(format!(
@@ -1704,21 +1655,30 @@ pub fn parse_incident_json(name: &str, text: &str) -> Result<IncidentFacts, Stri
             ))
         }
     }
+    let missing = |key: &str| format!("{name}: missing \"{key}\"");
+    let u64_field = |key: &str| {
+        doc.get(key)
+            .and_then(Value::as_u64)
+            .ok_or_else(|| missing(key))
+    };
+    let string = |key: &str| {
+        str_field(key)
+            .map(str::to_string)
+            .ok_or_else(|| missing(key))
+    };
+    let len = |key: &str| {
+        doc.get(key)
+            .and_then(Value::as_array)
+            .map_or(0, <[Value]>::len)
+    };
     Ok(IncidentFacts {
-        seq: incident_u64(text, "seq")
-            .ok_or_else(|| format!("{name}: missing \"seq\""))?,
-        stamp: incident_str(text, "stamp")
-            .ok_or_else(|| format!("{name}: missing \"stamp\""))?,
-        tripped_window: incident_u64(text, "tripped_window")
-            .ok_or_else(|| format!("{name}: missing \"tripped_window\""))?,
-        state: incident_str(text, "state")
-            .ok_or_else(|| format!("{name}: missing \"state\""))?,
-        // The serializers emit these keys nowhere else: `"index":` only
-        // in window objects, `{"window":` only in timeline transitions,
-        // `"txn":` only in trace events.
-        windows: text.matches("{\"index\":").count(),
-        transitions: text.matches("{\"window\":").count(),
-        trace_events: text.matches("\"txn\":").count(),
+        seq: u64_field("seq")?,
+        stamp: string("stamp")?,
+        tripped_window: u64_field("tripped_window")?,
+        state: string("state")?,
+        windows: len("windows"),
+        transitions: len("timeline"),
+        trace_events: len("trace"),
     })
 }
 
@@ -1760,18 +1720,14 @@ pub fn ops_partition_check(prom: &PromSnapshot) -> Check {
         .filter(|(_, lhs, rhs)| lhs != rhs)
         .map(|(what, lhs, rhs)| format!("{what}: Σ windows + evicted = {lhs} ≠ cumulative {rhs}"))
         .collect();
-    Check {
-        name: "window_partition".into(),
-        pass: bad.is_empty(),
-        detail: if bad.is_empty() {
-            format!(
-                "{retained} retained + {evicted_n} evicted window(s) partition the cumulative \
-                 commit/abort/gate counters exactly"
-            )
-        } else {
-            bad.join("; ")
-        },
-    }
+    Check::from_findings(
+        "window_partition",
+        bad,
+        format!(
+            "{retained} retained + {evicted_n} evicted window(s) partition the cumulative \
+             commit/abort/gate counters exactly"
+        ),
+    )
 }
 
 /// Load the ops-plane artifacts from `dir`, when present: the frozen
@@ -1833,15 +1789,15 @@ pub fn analyze_ops(dir: &Path, stem: &str) -> Result<Option<(OpsFacts, Vec<Check
     };
     let mut checks = vec![ops_partition_check(&prom)];
     if facts.incidents_total > 0 || !facts.incidents.is_empty() {
-        checks.push(Check {
-            name: "incident_artifacts".into(),
-            pass: facts.incidents.len() as u64 == facts.incidents_total,
-            detail: format!(
+        checks.push(Check::new(
+            "incident_artifacts",
+            facts.incidents.len() as u64 == facts.incidents_total,
+            format!(
                 "{} flight-recorder dump(s) for {} declared incident(s)",
                 facts.incidents.len(),
                 facts.incidents_total
             ),
-        });
+        ));
     }
     Ok(Some((facts, checks)))
 }
@@ -1849,22 +1805,6 @@ pub fn analyze_ops(dir: &Path, stem: &str) -> Result<Option<(OpsFacts, Vec<Check
 // ---------------------------------------------------------------------------
 // Rendering
 // ---------------------------------------------------------------------------
-
-fn esc_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn jf(x: f64) -> String {
     if x.is_finite() {
@@ -1887,22 +1827,18 @@ pub fn render_verdict_json(r: &CampaignReport) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"schema\": {},", gstm_core::telemetry::SCHEMA_VERSION);
-    let _ = writeln!(out, "  \"stem\": \"{}\",", esc_json(&r.stem));
+    let _ = writeln!(out, "  \"stem\": \"{}\",", escape(&r.stem));
     let _ = writeln!(out, "  \"runs\": {},", r.runs);
     let _ = writeln!(out, "  \"threads\": {},", r.threads);
     let _ = writeln!(out, "  \"pass\": {},", r.pass());
-    let _ = writeln!(out, "  \"checks\": [");
-    for (i, c) in r.checks.iter().enumerate() {
-        let comma = if i + 1 < r.checks.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"pass\": {}, \"detail\": \"{}\"}}{comma}",
-            esc_json(&c.name),
-            c.pass,
-            esc_json(&c.detail)
-        );
-    }
-    let _ = writeln!(out, "  ],");
+    let checks = r.checks.iter().map(|c| {
+        let (name, detail) = (escape(&c.name), escape(&c.detail));
+        format!(
+            "{{\"name\": \"{name}\", \"pass\": {}, \"detail\": \"{detail}\"}}",
+            c.pass
+        )
+    });
+    let _ = writeln!(out, "  \"checks\": [\n{}  ],", array_lines("    ", checks));
     let _ = writeln!(out, "  \"metrics\": {{");
     let _ = writeln!(out, "    \"std_dev_secs\": {},", jf_vec(&r.std_dev_secs));
     let _ = writeln!(out, "    \"mean_secs\": {},", jf_vec(&r.mean_secs));
@@ -1925,36 +1861,37 @@ pub fn render_verdict_json(r: &CampaignReport) -> String {
         "      \"final_breaker_state\": \"{}\",",
         breaker_state_label(d.final_breaker_state)
     );
-    let _ = writeln!(out, "      \"failed_reps\": [");
-    for (i, f) in d.failed_reps.iter().enumerate() {
-        let comma = if i + 1 < d.failed_reps.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "        {{\"phase\": \"{}\", \"rep\": {}, \"cause\": \"{}\"}}{comma}",
-            esc_json(&f.phase),
-            f.rep,
-            esc_json(&f.cause)
-        );
-    }
-    let _ = writeln!(out, "      ]");
+    let reps = d.failed_reps.iter().map(|f| {
+        let (phase, cause) = (escape(&f.phase), escape(&f.cause));
+        format!(
+            "{{\"phase\": \"{phase}\", \"rep\": {}, \"cause\": \"{cause}\"}}",
+            f.rep
+        )
+    });
+    let _ = writeln!(
+        out,
+        "      \"failed_reps\": [\n{}      ]",
+        array_lines("        ", reps)
+    );
     let _ = writeln!(out, "    }},");
     let _ = write!(out, "    \"model_swaps\": {}", r.model_swaps);
     if r.model_swaps > 0 {
         let _ = writeln!(out, ",");
-        let _ = writeln!(out, "    \"epochs\": [");
-        for (i, (run, s)) in r.epochs.iter().enumerate() {
-            let comma = if i + 1 < r.epochs.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "      {{\"run\": {run}, \"epoch\": {}, \"swap_verdict\": {}, \
-                 \"transitions\": {}, \"commits\": {}}}{comma}",
+        let epochs = r.epochs.iter().map(|(run, s)| {
+            format!(
+                "{{\"run\": {run}, \"epoch\": {}, \"swap_verdict\": {}, \
+                 \"transitions\": {}, \"commits\": {}}}",
                 s.epoch,
                 s.swap_verdict.map(|v| v.to_string()).unwrap_or_else(|| "null".into()),
                 s.transitions,
                 s.commits
-            );
-        }
-        let _ = write!(out, "    ]");
+            )
+        });
+        let _ = write!(
+            out,
+            "    \"epochs\": [\n{}    ]",
+            array_lines("      ", epochs)
+        );
     }
     if let Some(c) = &r.contention {
         let _ = writeln!(out, ",");
@@ -1966,24 +1903,24 @@ pub fn render_verdict_json(r: &CampaignReport) -> String {
         let _ = writeln!(out, "      \"sketch_replacements\": {},", c.replacements);
         let _ = writeln!(out, "      \"gini\": {},", jf(c.gini));
         let _ = writeln!(out, "      \"hottest_pct\": {},", jf(c.hottest_pct));
-        let _ = writeln!(out, "      \"top\": [");
-        for (i, &(addr, count)) in c.top.iter().enumerate() {
-            let comma = if i + 1 < c.top.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "        {{\"addr\": \"{addr:#x}\", \"aborts\": {count}}}{comma}"
-            );
-        }
-        let _ = writeln!(out, "      ],");
-        let _ = writeln!(out, "      \"pairs\": [");
-        for (i, &(v, o, count)) in c.pairs.iter().enumerate() {
-            let comma = if i + 1 < c.pairs.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "        {{\"victim\": {v}, \"owner\": {o}, \"aborts\": {count}}}{comma}"
-            );
-        }
-        let _ = writeln!(out, "      ]");
+        let top = c
+            .top
+            .iter()
+            .map(|(a, n)| format!("{{\"addr\": \"{a:#x}\", \"aborts\": {n}}}"));
+        let _ = writeln!(
+            out,
+            "      \"top\": [\n{}      ],",
+            array_lines("        ", top)
+        );
+        let pairs = c
+            .pairs
+            .iter()
+            .map(|(v, o, n)| format!("{{\"victim\": {v}, \"owner\": {o}, \"aborts\": {n}}}"));
+        let _ = writeln!(
+            out,
+            "      \"pairs\": [\n{}      ]",
+            array_lines("        ", pairs)
+        );
         let _ = write!(out, "    }}");
     }
     if let Some(o) = &r.ops {
@@ -1997,24 +1934,22 @@ pub fn render_verdict_json(r: &CampaignReport) -> String {
         let _ = writeln!(out, "      \"slo_windows\": {},", o.slo_windows);
         let _ = writeln!(out, "      \"breached_windows\": {},", o.breached_windows);
         let _ = writeln!(out, "      \"trace_dropped\": {},", r.trace_dropped);
-        let _ = writeln!(out, "      \"incidents\": [");
-        for (i, inc) in o.incidents.iter().enumerate() {
-            let comma = if i + 1 < o.incidents.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "        {{\"seq\": {}, \"stamp\": \"{}\", \"tripped_window\": {}, \
+        let incidents = o.incidents.iter().map(|inc| {
+            format!(
+                "{{\"seq\": {}, \"stamp\": \"{}\", \"tripped_window\": {}, \
                  \"state\": \"{}\", \"windows\": {}, \"transitions\": {}, \
-                 \"trace_events\": {}}}{comma}",
+                 \"trace_events\": {}}}",
                 inc.seq,
-                esc_json(&inc.stamp),
+                escape(&inc.stamp),
                 inc.tripped_window,
-                esc_json(&inc.state),
+                escape(&inc.state),
                 inc.windows,
                 inc.transitions,
                 inc.trace_events
-            );
-        }
-        let _ = writeln!(out, "      ]");
+            )
+        });
+        let rows = array_lines("        ", incidents);
+        let _ = writeln!(out, "      \"incidents\": [\n{rows}      ]");
         let _ = write!(out, "    }}");
     }
     if let Some(d) = &r.drift {
@@ -2302,18 +2237,23 @@ pub fn render_markdown(r: &CampaignReport) -> String {
     let _ = writeln!(out);
     let _ = writeln!(out, "## Checks");
     let _ = writeln!(out);
+    write_check_table(&mut out, &r.checks);
+    out
+}
+
+/// The markdown `| check | result | detail |` table both reports end with.
+fn write_check_table(out: &mut String, checks: &[Check]) {
     let _ = writeln!(out, "| check | result | detail |");
     let _ = writeln!(out, "|-------|--------|--------|");
-    for c in &r.checks {
+    for c in checks {
+        let result = if c.pass { "pass" } else { "FAIL" };
         let _ = writeln!(
             out,
-            "| {} | {} | {} |",
+            "| {} | {result} | {} |",
             c.name,
-            if c.pass { "pass" } else { "FAIL" },
             c.detail.replace('|', "\\|")
         );
     }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -2342,18 +2282,9 @@ pub struct ServerTickRow {
     pub sessions: u64,
 }
 
-/// Pull `"key":<digits>` out of one JSONL line.
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Parse a server `ticks.jsonl` body. Returns the rows plus the count of
 /// evicted early ticks (the optional leading `{"truncated_ticks":N}`
-/// marker).
+/// marker). Every non-blank line must be a complete JSON object.
 pub fn parse_ticks_jsonl(text: &str) -> Result<(Vec<ServerTickRow>, u64), String> {
     let mut rows = Vec::new();
     let mut truncated = 0;
@@ -2362,21 +2293,22 @@ pub fn parse_ticks_jsonl(text: &str) -> Result<(Vec<ServerTickRow>, u64), String
         if line.is_empty() {
             continue;
         }
-        if let Some(n) = json_u64(line, "truncated_ticks") {
+        let obj = json::parse(line).map_err(|e| format!("line {}: invalid JSON: {e}", i + 1))?;
+        let num = |key: &str| obj.get(key).and_then(Value::as_u64);
+        if let Some(n) = num("truncated_ticks") {
             truncated = n;
             continue;
         }
-        let row = ServerTickRow {
-            tick: json_u64(line, "tick").ok_or(format!("line {}: no tick field", i + 1))?,
-            frame_ns: json_u64(line, "frame_ns").unwrap_or(0),
-            cost: json_u64(line, "cost").unwrap_or(0),
-            ladder: json_u64(line, "ladder").unwrap_or(0) as u8,
-            offered: json_u64(line, "offered").unwrap_or(0),
-            executed: json_u64(line, "executed").unwrap_or(0),
-            shed: json_u64(line, "shed").unwrap_or(0),
-            sessions: json_u64(line, "sessions").unwrap_or(0),
-        };
-        rows.push(row);
+        rows.push(ServerTickRow {
+            tick: num("tick").ok_or(format!("line {}: no tick field", i + 1))?,
+            frame_ns: num("frame_ns").unwrap_or(0),
+            cost: num("cost").unwrap_or(0),
+            ladder: num("ladder").unwrap_or(0) as u8,
+            offered: num("offered").unwrap_or(0),
+            executed: num("executed").unwrap_or(0),
+            shed: num("shed").unwrap_or(0),
+            sessions: num("sessions").unwrap_or(0),
+        });
     }
     Ok((rows, truncated))
 }
@@ -2419,9 +2351,6 @@ pub fn analyze_server_ticks(
     th: &Thresholds,
 ) -> (ServerFacts, Vec<Check>) {
     let mut checks = Vec::new();
-    let mut check = |name: &str, pass: bool, detail: String| {
-        checks.push(Check { name: name.into(), pass, detail });
-    };
 
     let mut facts = ServerFacts { ticks: rows.len(), truncated, ..ServerFacts::default() };
     let mut frames: Vec<u64> = rows.iter().map(|r| r.frame_ns).collect();
@@ -2471,41 +2400,41 @@ pub fn analyze_server_ticks(
         prev_rung = Some(r.ladder);
     }
 
-    check(
+    checks.push(Check::new(
         "server_ticks",
         !rows.is_empty(),
         format!("{} tick(s), {} evicted early", rows.len(), truncated),
-    );
-    check(
+    ));
+    checks.push(Check::new(
         "server_shed_accounting",
         shed_bad == 0,
         format!(
             "executed {} + shed {} vs offered {}: {} tick(s) off",
             facts.executed, facts.shed, facts.offered, shed_bad
         ),
-    );
-    check(
+    ));
+    checks.push(Check::new(
         "server_ladder_sanity",
         ladder_bad == 0,
         format!(
             "max rung {}, {} move(s), {} invalid step(s)/code(s)",
             facts.max_rung, facts.ladder_moves, ladder_bad
         ),
-    );
+    ));
     if let Some(max_cv) = th.max_frame_cv_pct {
-        check(
+        checks.push(Check::new(
             "server_frame_cv",
             facts.frame_cv_pct <= max_cv,
             format!("frame-time CV {:.1}% vs max {max_cv}%", facts.frame_cv_pct),
-        );
+        ));
     }
     if let Some(max_ms) = th.max_frame_p99_ms {
         let p99_ms = facts.frame_p99_ns as f64 / 1e6;
-        check(
+        checks.push(Check::new(
             "server_frame_p99",
             p99_ms <= max_ms,
             format!("frame p99 {p99_ms:.3}ms vs max {max_ms}ms"),
-        );
+        ));
     }
     (facts, checks)
 }
@@ -2533,17 +2462,7 @@ pub fn render_server_markdown(facts: &ServerFacts, checks: &[Check]) -> String {
         facts.max_rung, facts.ladder_moves, facts.rung_ticks
     );
     let _ = writeln!(out);
-    let _ = writeln!(out, "| check | result | detail |");
-    let _ = writeln!(out, "|-------|--------|--------|");
-    for c in checks {
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} |",
-            c.name,
-            if c.pass { "pass" } else { "FAIL" },
-            c.detail.replace('|', "\\|")
-        );
-    }
+    write_check_table(&mut out, checks);
     out
 }
 
@@ -2569,11 +2488,12 @@ pub fn render_server_verdict_json(facts: &ServerFacts, checks: &[Check]) -> Stri
     );
     for (i, c) in checks.iter().enumerate() {
         let sep = if i == 0 { "" } else { "," };
-        let detail = c.detail.replace('\\', "\\\\").replace('"', "\\\"");
         let _ = write!(
             out,
-            "{sep}{{\"name\":\"{}\",\"pass\":{},\"detail\":\"{detail}\"}}",
-            c.name, c.pass
+            "{sep}{{\"name\":\"{}\",\"pass\":{},\"detail\":\"{}\"}}",
+            escape(&c.name),
+            c.pass,
+            escape(&c.detail)
         );
     }
     let _ = write!(out, "]}}");

@@ -19,10 +19,10 @@
 //! 1 on a failed check, 2 on usage or I/O errors.
 
 use gstm_analyze::{
-    analyze_dir, analyze_server_ticks, parse_ticks_jsonl, render_markdown,
-    render_server_markdown, render_server_verdict_json, render_verdict_json, Thresholds,
+    analyze_dir, analyze_server_ticks, parse_ticks_jsonl, render_markdown, render_server_markdown,
+    render_server_verdict_json, render_verdict_json, Check, Thresholds,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 struct Cli {
@@ -128,18 +128,24 @@ fn run_server_mode(cli: &Cli, path: &PathBuf) -> ExitCode {
         .clone()
         .or_else(|| path.parent().map(PathBuf::from))
         .unwrap_or_else(|| PathBuf::from("."));
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
+    let verdict = render_server_verdict_json(&facts, &checks);
+    let md = render_server_markdown(&facts, &checks);
+    emit(&out_dir, "server", verdict, md, &checks)
+}
+
+/// Write `<stem>_verdict.json` and `<stem>_report.md` into `out_dir`,
+/// print the report and a one-line verdict, and map the verdict to the
+/// exit code.
+fn emit(out_dir: &Path, stem: &str, verdict: String, md: String, checks: &[Check]) -> ExitCode {
+    if let Err(e) = std::fs::create_dir_all(out_dir) {
         eprintln!("gstm-analyze: creating {}: {e}", out_dir.display());
         return ExitCode::from(2);
     }
-    let md = render_server_markdown(&facts, &checks);
-    let verdict_path = out_dir.join("server_verdict.json");
-    for (p, body) in [
-        (&verdict_path, render_server_verdict_json(&facts, &checks)),
-        (&out_dir.join("server_report.md"), md.clone()),
-    ] {
-        if let Err(e) = std::fs::write(p, body) {
-            eprintln!("gstm-analyze: writing {}: {e}", p.display());
+    let verdict_path = out_dir.join(format!("{stem}_verdict.json"));
+    let report_path = out_dir.join(format!("{stem}_report.md"));
+    for (path, body) in [(&verdict_path, verdict), (&report_path, md.clone())] {
+        if let Err(e) = std::fs::write(path, body) {
+            eprintln!("gstm-analyze: writing {}: {e}", path.display());
             return ExitCode::from(2);
         }
     }
@@ -185,31 +191,12 @@ fn main() -> ExitCode {
         }
     };
     let out_dir = cli.out.unwrap_or_else(|| dir.clone());
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("gstm-analyze: creating {}: {e}", out_dir.display());
-        return ExitCode::from(2);
-    }
-    let verdict_path = out_dir.join(format!("{stem}_verdict.json"));
-    let report_path = out_dir.join(format!("{stem}_report.md"));
-    let md = render_markdown(&report);
-    for (path, body) in [(&verdict_path, render_verdict_json(&report)), (&report_path, md.clone())]
-    {
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("gstm-analyze: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    print!("{md}");
-    println!();
-    println!(
-        "verdict: {} ({} checks) -> {}",
-        if report.pass() { "PASS" } else { "FAIL" },
-        report.checks.len(),
-        verdict_path.display()
-    );
-    if report.pass() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    let verdict = render_verdict_json(&report);
+    emit(
+        &out_dir,
+        &stem,
+        verdict,
+        render_markdown(&report),
+        &report.checks,
+    )
 }

@@ -132,16 +132,6 @@ fn per_thread_hists_mirror_retry_accounting() {
     assert_eq!(buckets, vec![(0, 1), (1, 1)]);
 }
 
-#[test]
-fn quantiles_use_nearest_rank() {
-    let xs = [100, 150, 200, 250];
-    assert_eq!(quantile(&xs, 0.50), 150);
-    assert_eq!(quantile(&xs, 0.99), 250);
-    assert_eq!(quantile(&xs, 0.0), 100);
-    assert_eq!(quantile(&[], 0.5), 0);
-    assert_eq!(quantile(&[7], 0.99), 7);
-}
-
 /// Satellite: JSONL → Tseq round-trip fidelity. The guidance metric
 /// computed from a model built over the reconstructed Tseq must equal
 /// the one from the in-memory Tseq bit-for-bit.

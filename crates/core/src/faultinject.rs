@@ -34,6 +34,7 @@
 //! "faults that stop", letting the breaker's half-open probe re-admit
 //! guidance. Omitting `:PLAN` means `forced-aborts`.
 
+use crate::rng::{finalize, GOLDEN};
 use crate::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -210,17 +211,6 @@ pub struct InjectedFault {
     pub spins: u32,
 }
 
-const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// The splitmix64 finalizer (same mixer as the `schedule_replay`
-/// interleaver). Public so other deterministic components — e.g. the
-/// gate backoff jitter — share one well-tested mixer.
-pub fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 #[repr(align(64))]
 struct PaddedCounter(AtomicU64);
 
@@ -363,8 +353,8 @@ impl FaultPlan {
 
     /// Deterministic draw for probe `n` of `(site, slot)`.
     fn draw(&self, site: FaultSite, slot: usize, n: u64) -> u64 {
-        let stream = self.seed ^ mix64(((site.index() as u64) << 32) | (slot as u64 + 1));
-        mix64(stream.wrapping_add(n.wrapping_add(1).wrapping_mul(GOLDEN)))
+        let stream = self.seed ^ finalize(((site.index() as u64) << 32) | (slot as u64 + 1));
+        finalize(stream.wrapping_add(n.wrapping_add(1).wrapping_mul(GOLDEN)))
     }
 
     /// Probe `site` from `thread`. Returns the fired fault, or `None`

@@ -56,8 +56,9 @@ use crate::breaker::{Breaker, BreakerState};
 use crate::config::GuidanceConfig;
 use crate::drift::{DriftTracker, ModelDrift};
 use crate::events::AbortCause;
-use crate::faultinject::{mix64, spin_for, FaultPlan, FaultSite};
+use crate::faultinject::{spin_for, FaultPlan, FaultSite};
 use crate::ids::Pair;
+use crate::rng::finalize;
 use crate::sync::Mutex;
 use crate::telemetry::{GateOutcome, Telemetry, TraceKind};
 use crate::tsa::{GuidedModel, StateId};
@@ -590,9 +591,9 @@ impl GuidedHook {
                     break;
                 }
                 let base = 1u64 << round.min(BACKOFF_CAP);
-                let jitter = mix64(
-                    ((who.packed() as u64) << 32) ^ ((retry as u64) << 16) ^ round as u64,
-                ) % base;
+                let jitter =
+                    finalize(((who.packed() as u64) << 32) ^ ((retry as u64) << 16) ^ round as u64)
+                        % base;
                 spin_for((base + jitter) as u32);
                 std::thread::yield_now();
             }

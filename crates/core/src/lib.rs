@@ -52,6 +52,7 @@ pub mod faultinject;
 pub mod guidance;
 pub mod ids;
 pub mod instruments;
+pub mod json;
 pub mod mck;
 pub mod metrics;
 pub mod model_io;

@@ -33,6 +33,16 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     (ss / (xs.len() - 1) as f64).sqrt()
 }
 
+/// Exact nearest-rank quantile over a sorted sample (`q` in `[0,1]`);
+/// 0 for an empty sample.
+pub fn quantile(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 /// Percentage improvement of `new` over `base`: positive when `new < base`.
 /// Returns 0 when the baseline is 0 (nothing to improve).
 pub fn pct_improvement(base: f64, new: f64) -> f64 {
@@ -156,6 +166,16 @@ mod tests {
         assert!((s - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
         assert_eq!(std_dev(&[1.0]), 0.0);
         assert_eq!(std_dev(&[]), 0.0);
+    }
+
+    #[test]
+    fn quantiles_use_nearest_rank() {
+        let xs = [100, 150, 200, 250];
+        assert_eq!(quantile(&xs, 0.50), 150);
+        assert_eq!(quantile(&xs, 0.99), 250);
+        assert_eq!(quantile(&xs, 0.0), 100);
+        assert_eq!(quantile(&[], 0.5), 0);
+        assert_eq!(quantile(&[7], 0.99), 7);
     }
 
     #[test]

@@ -40,9 +40,10 @@
 //! publishes to.
 
 use crate::drift::DriftVerdict;
+use crate::json::{array_lines, escape};
 use crate::sync::Mutex;
 use crate::telemetry::{
-    LatencyHistogram, Telemetry, TelemetrySnapshot, TraceEvent, TraceKind, ABORT_CAUSE_NAMES,
+    event_json, LatencyHistogram, Telemetry, TelemetrySnapshot, TraceEvent, ABORT_CAUSE_NAMES,
     BUILD_VERSION, SCHEMA_VERSION,
 };
 use std::collections::VecDeque;
@@ -861,67 +862,19 @@ pub struct IncidentDump {
     pub json: String,
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+/// `{"<cause>":<count>,...}` in [`ABORT_CAUSE_NAMES`] order.
+fn cause_counts_json(aborts: &[u64]) -> String {
+    let fields: Vec<String> = ABORT_CAUSE_NAMES
+        .iter()
+        .zip(aborts)
+        .map(|(name, v)| format!("\"{name}\":{v}"))
+        .collect();
+    format!("{{{}}}", fields.join(","))
 }
 
 fn json_strings(items: &[String]) -> String {
-    let quoted: Vec<String> = items.iter().map(|b| format!("\"{}\"", esc(b))).collect();
+    let quoted: Vec<String> = items.iter().map(|b| format!("\"{}\"", escape(b))).collect();
     format!("[{}]", quoted.join(", "))
-}
-
-/// One trace event as flat JSON **without** `ts_ns`: `seq` order is the
-/// causal record, and omitting wall-clock noise is what lets a
-/// chaos-seeded incident dump replay bit-identically.
-fn trace_event_json(ev: &TraceEvent) -> String {
-    let mut out = format!(
-        "{{\"seq\":{},\"txn\":{},\"thread\":{}",
-        ev.seq, ev.pair.txn.0, ev.pair.thread.0
-    );
-    match ev.kind {
-        TraceKind::Begin => out.push_str(",\"kind\":\"begin\""),
-        TraceKind::GateWait { wait_ns } => {
-            let _ = write!(out, ",\"kind\":\"gate_wait\",\"wait_ns\":{wait_ns}");
-        }
-        TraceKind::Abort { cause, addr } => {
-            let name = ABORT_CAUSE_NAMES[crate::telemetry::cause_index(cause)];
-            let _ = write!(out, ",\"kind\":\"abort\",\"cause\":\"{name}\"");
-            if let Some(t) = cause.conflicting_thread() {
-                let _ = write!(out, ",\"conflict\":{}", t.0);
-            }
-            if addr != 0 {
-                let _ = write!(out, ",\"addr\":{addr}");
-            }
-        }
-        TraceKind::Commit { commit_ns, writes } => {
-            let _ = write!(out, ",\"kind\":\"commit\",\"commit_ns\":{commit_ns},\"writes\":{writes}");
-        }
-        TraceKind::StateTransition { from, to } => {
-            let _ = write!(out, ",\"kind\":\"state_transition\",\"from\":{from},\"to\":{to}");
-        }
-        TraceKind::ModelSwap { epoch, verdict } => {
-            let _ = write!(out, ",\"kind\":\"model_swap\",\"epoch\":{epoch},\"verdict\":{verdict}");
-        }
-        TraceKind::Breaker { from, to, cause } => {
-            let _ = write!(out, ",\"kind\":\"breaker\",\"from\":{from},\"to\":{to},\"cause\":{cause}");
-        }
-    }
-    out.push('}');
-    out
 }
 
 fn window_json(w: &WindowDelta) -> String {
@@ -931,13 +884,14 @@ fn window_json(w: &WindowDelta) -> String {
         w.counters.commits,
         w.counters.aborts_total()
     );
-    let _ = write!(out, ",\"aborts_by_cause\":{{");
-    for (i, (name, v)) in ABORT_CAUSE_NAMES.iter().zip(&w.counters.aborts).enumerate() {
-        let _ = write!(out, "{}\"{name}\":{v}", if i == 0 { "" } else { "," });
-    }
     let _ = write!(
         out,
-        "}},\"gate_passed\":{},\"gate_waited\":{},\"gate_released\":{}",
+        ",\"aborts_by_cause\":{}",
+        cause_counts_json(&w.counters.aborts)
+    );
+    let _ = write!(
+        out,
+        ",\"gate_passed\":{},\"gate_waited\":{},\"gate_released\":{}",
         w.counters.gate_passed, w.counters.gate_waited, w.counters.gate_released
     );
     let _ = write!(
@@ -982,7 +936,7 @@ fn transition_json(t: &SloTransition) -> String {
 /// Serialize a flight-recorder dump: the tripping transition, the full
 /// transition timeline, the last `windows`, the evicted rollup, the
 /// cumulative counters, breaker/drift/contention verdicts, and a
-/// trace-ring drain (without `ts_ns` — see `trace_event_json`).
+/// trace-ring drain (without `ts_ns` — see `event_json`).
 #[allow(clippy::too_many_arguments)]
 pub fn render_incident_json(
     seq: u64,
@@ -998,24 +952,16 @@ pub fn render_incident_json(
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"schema\": {SCHEMA_VERSION},");
     let _ = writeln!(out, "  \"kind\": \"gstm_incident\",");
-    let _ = writeln!(out, "  \"version\": \"{}\",", esc(BUILD_VERSION));
-    let _ = writeln!(out, "  \"stamp\": \"{}\",", esc(stamp));
+    let _ = writeln!(out, "  \"version\": \"{}\",", escape(BUILD_VERSION));
+    let _ = writeln!(out, "  \"stamp\": \"{}\",", escape(stamp));
     let _ = writeln!(out, "  \"seq\": {seq},");
     let _ = writeln!(out, "  \"tripped_window\": {},", trip.window);
     let _ = writeln!(out, "  \"state\": \"{}\",", trip.to.label());
     let _ = writeln!(out, "  \"breaches\": {},", json_strings(&trip.breaches));
-    let _ = writeln!(out, "  \"timeline\": [");
-    for (i, t) in timeline.iter().enumerate() {
-        let comma = if i + 1 == timeline.len() { "" } else { "," };
-        let _ = writeln!(out, "    {}{comma}", transition_json(t));
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"windows\": [");
-    for (i, w) in windows.iter().enumerate() {
-        let comma = if i + 1 == windows.len() { "" } else { "," };
-        let _ = writeln!(out, "    {}{comma}", window_json(w));
-    }
-    let _ = writeln!(out, "  ],");
+    let rows = array_lines("    ", timeline.iter().map(transition_json));
+    let _ = writeln!(out, "  \"timeline\": [\n{rows}  ],");
+    let rows = array_lines("    ", windows.iter().map(|w| window_json(w)));
+    let _ = writeln!(out, "  \"windows\": [\n{rows}  ],");
     let (ev, ev_n) = evicted;
     let _ = writeln!(
         out,
@@ -1088,12 +1034,8 @@ pub fn render_incident_json(
             let _ = writeln!(out, "  \"contention\": null,");
         }
     }
-    let _ = writeln!(out, "  \"trace\": [");
-    for (i, ev) in trace.iter().enumerate() {
-        let comma = if i + 1 == trace.len() { "" } else { "," };
-        let _ = writeln!(out, "    {}{comma}", trace_event_json(ev));
-    }
-    let _ = writeln!(out, "  ]");
+    let rows = array_lines("    ", trace.iter().map(|ev| event_json(ev, false)));
+    let _ = writeln!(out, "  \"trace\": [\n{rows}  ]");
     let _ = writeln!(out, "}}");
     out
 }
@@ -1269,10 +1211,7 @@ impl OpsPlane {
     pub fn vars_json(&self) -> String {
         let g = self.inner.lock();
         let snap = g.windows.cumulative();
-        let mut aborts = String::new();
-        for (i, (name, v)) in ABORT_CAUSE_NAMES.iter().zip(&snap.aborts).enumerate() {
-            let _ = write!(aborts, "{}\"{name}\":{v}", if i == 0 { "" } else { "," });
-        }
+        let aborts = cause_counts_json(&snap.aborts);
         let drift = match &snap.model_drift {
             Some(d) => format!(
                 "{{\"verdict\":\"{}\",\"off_model_pct\":{:.3}}}",
@@ -1283,14 +1222,14 @@ impl OpsPlane {
         };
         format!(
             "{{\"schema\":{SCHEMA_VERSION},\"version\":\"{}\",\"commits\":{},\
-             \"aborts\":{{{aborts}}},\"gate_passed\":{},\"gate_waited\":{},\
+             \"aborts\":{aborts},\"gate_passed\":{},\"gate_waited\":{},\
              \"gate_released\":{},\"commit_p50_ns\":{},\"commit_p99_ns\":{},\
              \"commit_mean_ns\":{:.1},\"trace_dropped\":{},\"model_swaps\":{},\
              \"breaker\":{{\"state\":{},\"trips\":{},\"recloses\":{},\"probes\":{}}},\
              \"guardian_restarts\":{},\"drift\":{drift},\
              \"slo\":{{\"state\":\"{}\",\"windows_closed\":{},\"retained\":{},\
              \"evicted_windows\":{},\"incidents\":{}}}}}",
-            esc(BUILD_VERSION),
+            escape(BUILD_VERSION),
             snap.commits,
             snap.gate_passed,
             snap.gate_waited,
@@ -1316,16 +1255,11 @@ impl OpsPlane {
     /// The `/incidents` body: a JSON array of flight-recorder dumps.
     pub fn incidents_json(&self) -> String {
         let g = self.inner.lock();
-        let mut out = String::from("[");
-        for (i, inc) in g.incidents.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            out.push_str(inc.json.trim_end());
-        }
-        out.push_str("\n]\n");
-        out
+        let dumps = g
+            .incidents
+            .iter()
+            .map(|inc| inc.json.trim_end().to_string());
+        format!("[\n{}]\n", array_lines("", dumps))
     }
 
     /// Copies of all recorded incidents.
@@ -1659,7 +1593,7 @@ fn handle_conn(mut stream: TcpStream, plane: &OpsPlane) -> std::io::Result<()> {
                     &mut stream,
                     400,
                     CT_JSON,
-                    &format!("{{\"error\":\"{}\"}}", esc(why)),
+                    &format!("{{\"error\":\"{}\"}}", escape(why)),
                 );
             }
             HttpParse::Complete { method, path } => {
@@ -1737,6 +1671,7 @@ mod tests {
     use super::*;
     use crate::events::AbortCause;
     use crate::ids::{Pair, ThreadId, TxnId};
+    use crate::telemetry::TraceKind;
 
     fn pair(t: u16) -> Pair {
         Pair::new(TxnId(t), ThreadId(t))

@@ -13,6 +13,26 @@
 //! stream is a pure function of its seed — which is exactly the property
 //! the replay suites assert ("same seed ⇒ bit-identical execution").
 
+/// The splitmix64 increment (2^64 / φ).
+pub const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The splitmix64 output finalizer alone: two xor-shift-multiply rounds
+/// and a final xor-shift. A bijection on `u64`.
+#[inline]
+pub fn finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// One splitmix64 step as a pure hash: `finalize(x + GOLDEN)`, i.e. the
+/// first draw of `SplitMix64::new(x)`. The seeded input generators of
+/// STAMP and SynQuake derive every value from it.
+#[inline]
+pub fn mix64(x: u64) -> u64 {
+    finalize(x.wrapping_add(GOLDEN))
+}
+
 /// Splitmix64 generator (Steele, Lea & Flood; the `java.util.SplittableRandom`
 /// output function). One `u64` of state, two xor-multiply rounds per draw.
 #[derive(Clone, Debug)]
@@ -31,11 +51,8 @@ impl SplitMix64 {
         reason = "an infinite stream: returns u64, not Option<u64>"
     )]
     pub fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        self.0 = self.0.wrapping_add(GOLDEN);
+        finalize(self.0)
     }
 
     /// Uniform-ish draw in `0..n` (modulo bias is irrelevant for schedule
@@ -63,7 +80,7 @@ impl Interleave {
     /// `thread`'s injector at per-access probability `2^-prob_log2`
     /// (`None` disables it); each thread draws its own stream.
     pub fn for_thread(prob_log2: Option<u32>, thread: crate::ThreadId) -> Self {
-        let seed = 0x9e37_79b9_7f4a_7c15u64 ^ ((thread.0 as u64) << 32 | 0x1234_5678);
+        let seed = GOLDEN ^ ((thread.0 as u64) << 32 | 0x1234_5678);
         Interleave {
             rng: std::cell::Cell::new(SplitMix64::new(seed)),
             mask: prob_log2.map(|k| (1u64 << k) - 1),

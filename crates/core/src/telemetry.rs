@@ -828,16 +828,6 @@ impl Telemetry {
     pub fn render_prometheus(&self) -> String {
         self.snapshot().render_prometheus()
     }
-
-    /// JSONL export of the retained trace (one event per line).
-    pub fn export_jsonl(&self) -> String {
-        export_jsonl(&self.trace_events())
-    }
-
-    /// chrome://tracing JSON export of the retained trace.
-    pub fn export_chrome_trace(&self) -> String {
-        export_chrome_trace(&self.trace_events())
-    }
 }
 
 impl Default for Telemetry {
@@ -1299,84 +1289,77 @@ pub fn export_jsonl(events: &[TraceEvent]) -> String {
         "{{\"kind\":\"meta\",\"schema\":{SCHEMA_VERSION},\"version\":\"{BUILD_VERSION}\"}}"
     );
     for ev in events {
-        let _ = write!(
-            out,
-            "{{\"seq\":{},\"ts_ns\":{},\"txn\":{},\"thread\":{}",
-            ev.seq, ev.ts_ns, ev.pair.txn.0, ev.pair.thread.0
-        );
-        match ev.kind {
-            TraceKind::Begin => {
-                let _ = write!(out, ",\"kind\":\"begin\"");
-            }
-            TraceKind::GateWait { wait_ns } => {
-                let _ = write!(out, ",\"kind\":\"gate_wait\",\"wait_ns\":{wait_ns}");
-            }
-            TraceKind::Abort { cause, addr } => {
-                let _ = write!(out, ",\"kind\":\"abort\",\"cause\":\"{}\"", cause_name(cause));
-                if let Some(t) = cause.conflicting_thread() {
-                    let _ = write!(out, ",\"conflict\":{}", t.0);
-                }
-                // Optional field (like "conflict"): pre-PR7 artifacts
-                // lack it and parse_jsonl defaults it to 0.
-                if addr != 0 {
-                    let _ = write!(out, ",\"addr\":{addr}");
-                }
-            }
-            TraceKind::Commit { commit_ns, writes } => {
-                let _ = write!(
-                    out,
-                    ",\"kind\":\"commit\",\"commit_ns\":{commit_ns},\"writes\":{writes}"
-                );
-            }
-            TraceKind::StateTransition { from, to } => {
-                let _ = write!(out, ",\"kind\":\"state_transition\",\"from\":{from},\"to\":{to}");
-            }
-            TraceKind::ModelSwap { epoch, verdict } => {
-                let _ = write!(out, ",\"kind\":\"model_swap\",\"epoch\":{epoch},\"verdict\":{verdict}");
-            }
-            TraceKind::Breaker { from, to, cause } => {
-                let _ = write!(
-                    out,
-                    ",\"kind\":\"breaker\",\"from\":{from},\"to\":{to},\"cause\":{cause}"
-                );
-            }
-        }
-        out.push_str("}\n");
+        out.push_str(&event_json(ev, true));
+        out.push('\n');
     }
     out
 }
 
-/// Extract the raw value text following `"key":` in a single-line, flat
-/// JSON object (the shape [`export_jsonl`] emits).
-fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .char_indices()
-        .find(|&(i, c)| (c == ',' || c == '}') && !in_string(rest, i))
-        .map(|(i, _)| i)
-        .unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-/// Whether byte offset `i` of `s` falls inside a double-quoted string.
-fn in_string(s: &str, i: usize) -> bool {
-    s[..i].bytes().filter(|&b| b == b'"').count() % 2 == 1
-}
-
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    json_field(line, key)?.parse().ok()
-}
-
-fn json_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    json_field(line, key)?.strip_prefix('"')?.strip_suffix('"')
+/// One trace event as a flat JSON object: the one serializer behind
+/// [`export_jsonl`] (`with_ts`) and the incident dump, which omits
+/// `ts_ns` so a chaos-seeded dump replays bit-identically (`seq` order
+/// is the causal record).
+pub(crate) fn event_json(ev: &TraceEvent, with_ts: bool) -> String {
+    use std::fmt::Write as _;
+    let mut out = format!("{{\"seq\":{}", ev.seq);
+    if with_ts {
+        let _ = write!(out, ",\"ts_ns\":{}", ev.ts_ns);
+    }
+    let _ = write!(
+        out,
+        ",\"txn\":{},\"thread\":{}",
+        ev.pair.txn.0, ev.pair.thread.0
+    );
+    match ev.kind {
+        TraceKind::Begin => out.push_str(",\"kind\":\"begin\""),
+        TraceKind::GateWait { wait_ns } => {
+            let _ = write!(out, ",\"kind\":\"gate_wait\",\"wait_ns\":{wait_ns}");
+        }
+        TraceKind::Abort { cause, addr } => {
+            let _ = write!(
+                out,
+                ",\"kind\":\"abort\",\"cause\":\"{}\"",
+                cause_name(cause)
+            );
+            if let Some(t) = cause.conflicting_thread() {
+                let _ = write!(out, ",\"conflict\":{}", t.0);
+            }
+            // Optional field (like "conflict"): artifacts written before
+            // conflict provenance lack it and parse_jsonl defaults it to 0.
+            if addr != 0 {
+                let _ = write!(out, ",\"addr\":{addr}");
+            }
+        }
+        TraceKind::Commit { commit_ns, writes } => {
+            let _ = write!(out, ",\"kind\":\"commit\",\"commit_ns\":{commit_ns}");
+            let _ = write!(out, ",\"writes\":{writes}");
+        }
+        TraceKind::StateTransition { from, to } => {
+            let _ = write!(
+                out,
+                ",\"kind\":\"state_transition\",\"from\":{from},\"to\":{to}"
+            );
+        }
+        TraceKind::ModelSwap { epoch, verdict } => {
+            let _ = write!(out, ",\"kind\":\"model_swap\",\"epoch\":{epoch}");
+            let _ = write!(out, ",\"verdict\":{verdict}");
+        }
+        TraceKind::Breaker { from, to, cause } => {
+            let _ = write!(out, ",\"kind\":\"breaker\",\"from\":{from},\"to\":{to}");
+            let _ = write!(out, ",\"cause\":{cause}");
+        }
+    }
+    out.push('}');
+    out
 }
 
 /// Parse JSONL produced by [`export_jsonl`] back into events, preserving
-/// order. Returns a description of the first malformed line on error.
+/// order. Every non-blank line must be a complete JSON object; the
+/// first malformed line is returned as a line-numbered error.
 pub fn parse_jsonl(s: &str) -> Result<Vec<TraceEvent>, String> {
     use crate::ids::{ThreadId, TxnId};
+    use crate::json::Value;
+    use TraceKind as K;
     let mut out = Vec::new();
     for (n, line) in s.lines().enumerate() {
         let line = line.trim();
@@ -1384,11 +1367,15 @@ pub fn parse_jsonl(s: &str) -> Result<Vec<TraceEvent>, String> {
             continue;
         }
         let err = |what: &str| format!("line {}: {what}: {line}", n + 1);
-        // Schema-stamped meta line (absent in pre-PR8 artifacts, which is
-        // tolerated; a *mismatched* stamp is a hard error so a newer or
-        // older exporter is never silently misparsed).
-        if json_str(line, "kind") == Some("meta") {
-            match json_u64(line, "schema") {
+        let obj = crate::json::parse(line).map_err(|e| err(&format!("invalid JSON ({e})")))?;
+        let num = |key: &str| obj.get(key).and_then(Value::as_u64);
+        let req = |key: &str| num(key).ok_or_else(|| err(&format!("missing {key}")));
+        let text = |key: &str| obj.get(key).and_then(Value::as_str);
+        // Schema-stamped meta line (absent in artifacts that predate the
+        // stamp, which is tolerated; a *mismatched* stamp is a hard error
+        // so a newer or older exporter is never silently misparsed).
+        if text("kind") == Some("meta") {
+            match num("schema") {
                 Some(s) if s == u64::from(SCHEMA_VERSION) => continue,
                 Some(s) => {
                     return Err(format!(
@@ -1400,19 +1387,16 @@ pub fn parse_jsonl(s: &str) -> Result<Vec<TraceEvent>, String> {
                 None => return Err(err("meta line missing schema")),
             }
         }
-        let seq = json_u64(line, "seq").ok_or_else(|| err("missing seq"))?;
-        let ts_ns = json_u64(line, "ts_ns").ok_or_else(|| err("missing ts_ns"))?;
-        let txn = json_u64(line, "txn").ok_or_else(|| err("missing txn"))? as u16;
-        let thread = json_u64(line, "thread").ok_or_else(|| err("missing thread"))? as u16;
-        let kind_str = json_str(line, "kind").ok_or_else(|| err("missing kind"))?;
-        let conflict = json_u64(line, "conflict").map(|t| ThreadId(t as u16));
-        let kind = match kind_str {
-            "begin" => TraceKind::Begin,
-            "gate_wait" => TraceKind::GateWait {
-                wait_ns: json_u64(line, "wait_ns").ok_or_else(|| err("missing wait_ns"))?,
+        let (seq, ts_ns) = (req("seq")?, req("ts_ns")?);
+        let pair = Pair::new(TxnId(req("txn")? as u16), ThreadId(req("thread")? as u16));
+        let conflict = num("conflict").map(|t| ThreadId(t as u16));
+        let kind = match text("kind").ok_or_else(|| err("missing kind"))? {
+            "begin" => K::Begin,
+            "gate_wait" => K::GateWait {
+                wait_ns: req("wait_ns")?,
             },
             "abort" => {
-                let cause = match json_str(line, "cause").ok_or_else(|| err("missing cause"))? {
+                let cause = match text("cause").ok_or_else(|| err("missing cause"))? {
                     "read_locked" => AbortCause::ReadLocked { owner: conflict },
                     "read_version" => AbortCause::ReadVersion,
                     "commit_lock_busy" => AbortCause::CommitLockBusy { owner: conflict },
@@ -1421,35 +1405,39 @@ pub fn parse_jsonl(s: &str) -> Result<Vec<TraceEvent>, String> {
                     "explicit" => AbortCause::Explicit,
                     _ => return Err(err("unknown cause")),
                 };
-                // Tolerant: pre-PR7 artifacts have no "addr" field.
-                TraceKind::Abort {
+                // Tolerant: artifacts older than conflict provenance have
+                // no "addr" field.
+                K::Abort {
                     cause,
-                    addr: json_u64(line, "addr").unwrap_or(0) as usize,
+                    addr: num("addr").unwrap_or(0) as usize,
                 }
             }
-            "commit" => TraceKind::Commit {
-                commit_ns: json_u64(line, "commit_ns").ok_or_else(|| err("missing commit_ns"))?,
-                writes: json_u64(line, "writes").ok_or_else(|| err("missing writes"))? as u32,
+            "commit" => K::Commit {
+                commit_ns: req("commit_ns")?,
+                writes: req("writes")? as u32,
             },
-            "state_transition" => TraceKind::StateTransition {
-                from: json_u64(line, "from").ok_or_else(|| err("missing from"))? as u32,
-                to: json_u64(line, "to").ok_or_else(|| err("missing to"))? as u32,
+            "state_transition" => K::StateTransition {
+                from: req("from")? as u32,
+                to: req("to")? as u32,
             },
-            "model_swap" => TraceKind::ModelSwap {
-                epoch: json_u64(line, "epoch").ok_or_else(|| err("missing epoch"))? as u32,
-                verdict: json_u64(line, "verdict").ok_or_else(|| err("missing verdict"))? as u8,
+            "model_swap" => K::ModelSwap {
+                epoch: req("epoch")? as u32,
+                verdict: req("verdict")? as u8,
             },
-            "breaker" => TraceKind::Breaker {
-                from: json_u64(line, "from").ok_or_else(|| err("missing from"))? as u8,
-                to: json_u64(line, "to").ok_or_else(|| err("missing to"))? as u8,
-                cause: json_u64(line, "cause").ok_or_else(|| err("missing cause"))? as u8,
-            },
+            "breaker" => {
+                let (from, to) = (req("from")? as u8, req("to")? as u8);
+                K::Breaker {
+                    from,
+                    to,
+                    cause: req("cause")? as u8,
+                }
+            }
             _ => return Err(err("unknown kind")),
         };
         out.push(TraceEvent {
             seq,
             ts_ns,
-            pair: Pair::new(TxnId(txn), ThreadId(thread)),
+            pair,
             kind,
         });
     }
@@ -1478,6 +1466,29 @@ fn state_name(id: u32) -> String {
     }
 }
 
+/// One `traceEvents` entry: a duration slice (`"ph":"X"`) from
+/// `start_ns` when `dur_ns` is set, else an instant (`"ph":"i"`) whose
+/// scope (`t`hread, `p`rocess or `g`lobal) is `scope`; slices pass `""`.
+fn chrome_entry(
+    name: &str,
+    cat: &str,
+    start_ns: u64,
+    dur_ns: Option<u64>,
+    tid: u32,
+    scope: &str,
+    args: &str,
+) -> String {
+    let (ph, dur, scope) = match dur_ns {
+        Some(d) => ("X", format!(",\"dur\":{}", fmt_us(d)), String::new()),
+        None => ("i", String::new(), format!(",\"s\":\"{scope}\"")),
+    };
+    format!(
+        "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"{ph}\",\"ts\":{}{dur},\"pid\":0,\
+         \"tid\":{tid}{scope},\"args\":{{{args}}}}}",
+        fmt_us(start_ns)
+    )
+}
+
 /// Serialize trace events as a chrome://tracing `trace_event` JSON
 /// document (openable in Perfetto / chrome://tracing).
 ///
@@ -1488,174 +1499,84 @@ fn state_name(id: u32) -> String {
 /// [`TSA_TRACK_TID`] track — each slice spans from one transition to the
 /// next and is named after the state the system resided in.
 pub fn export_chrome_trace(events: &[TraceEvent]) -> String {
-    use std::fmt::Write as _;
     let mut entries: Vec<String> = Vec::new();
     entries.push(format!(
         "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{TSA_TRACK_TID},\
          \"args\":{{\"name\":\"TSA state\"}}}}"
     ));
-    let mut transitions: Vec<&TraceEvent> = Vec::new();
+    let mut transitions: Vec<(u64, u32, u32)> = Vec::new();
     let mut max_ts = 0u64;
     for ev in events {
         max_ts = max_ts.max(ev.ts_ns);
-        let tid = ev.pair.thread.0;
+        let tid = u32::from(ev.pair.thread.0);
         let txn = ev.pair.txn.0;
-        let mut e = String::new();
-        match ev.kind {
+        let (ts, seq) = (ev.ts_ns, format!("\"seq\":{}", ev.seq));
+        entries.push(match ev.kind {
             TraceKind::Begin => {
-                let _ = write!(
-                    e,
-                    "{{\"name\":\"begin:t{txn}\",\"cat\":\"tx\",\"ph\":\"i\",\"ts\":{},\
-                     \"pid\":0,\"tid\":{tid},\"s\":\"t\",\"args\":{{\"seq\":{}}}}}",
-                    fmt_us(ev.ts_ns),
-                    ev.seq
-                );
+                chrome_entry(&format!("begin:t{txn}"), "tx", ts, None, tid, "t", &seq)
             }
             TraceKind::GateWait { wait_ns } => {
-                let _ = write!(
-                    e,
-                    "{{\"name\":\"gate\",\"cat\":\"gate\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                     \"pid\":0,\"tid\":{tid},\"args\":{{\"seq\":{}}}}}",
-                    fmt_us(ev.ts_ns.saturating_sub(wait_ns)),
-                    fmt_us(wait_ns),
-                    ev.seq
-                );
+                let start = ts.saturating_sub(wait_ns);
+                chrome_entry("gate", "gate", start, Some(wait_ns), tid, "", &seq)
             }
             TraceKind::Abort { cause, addr } => {
-                let culprit = if addr != 0 {
-                    format!(",\"addr\":\"{addr:#x}\"")
-                } else {
-                    String::new()
+                let culprit = match addr {
+                    0 => String::new(),
+                    a => format!(",\"addr\":\"{a:#x}\""),
                 };
-                let _ = write!(
-                    e,
-                    "{{\"name\":\"abort:{}\",\"cat\":\"abort\",\"ph\":\"i\",\"ts\":{},\
-                     \"pid\":0,\"tid\":{tid},\"s\":\"t\",\"args\":{{\"seq\":{}{culprit}}}}}",
-                    cause_name(cause),
-                    fmt_us(ev.ts_ns),
-                    ev.seq
-                );
+                let (name, args) = (format!("abort:{}", cause_name(cause)), seq + &culprit);
+                chrome_entry(&name, "abort", ts, None, tid, "t", &args)
             }
             TraceKind::Commit { commit_ns, writes } => {
-                let _ = write!(
-                    e,
-                    "{{\"name\":\"commit:t{txn}\",\"cat\":\"tx\",\"ph\":\"X\",\"ts\":{},\
-                     \"dur\":{},\"pid\":0,\"tid\":{tid},\
-                     \"args\":{{\"seq\":{},\"writes\":{writes}}}}}",
-                    fmt_us(ev.ts_ns.saturating_sub(commit_ns)),
-                    fmt_us(commit_ns),
-                    ev.seq
-                );
+                let (start, name) = (ts.saturating_sub(commit_ns), format!("commit:t{txn}"));
+                let args = format!("{seq},\"writes\":{writes}");
+                chrome_entry(&name, "tx", start, Some(commit_ns), tid, "", &args)
             }
             TraceKind::StateTransition { from, to } => {
-                transitions.push(ev);
-                let _ = write!(
-                    e,
-                    "{{\"name\":\"{}\",\"cat\":\"tsa\",\"ph\":\"i\",\"ts\":{},\
-                     \"pid\":0,\"tid\":{tid},\"s\":\"p\",\
-                     \"args\":{{\"seq\":{},\"from\":\"{}\"}}}}",
-                    state_name(to),
-                    fmt_us(ev.ts_ns),
-                    ev.seq,
-                    state_name(from)
-                );
+                transitions.push((ts, from, to));
+                let args = format!("{seq},\"from\":\"{}\"", state_name(from));
+                chrome_entry(&state_name(to), "tsa", ts, None, tid, "p", &args)
             }
+            // Swaps and breaker flips go on the TSA track: a swap
+            // punctuates the state-residency timeline it invalidates, a
+            // flip changes how that timeline is enforced.
             TraceKind::ModelSwap { epoch, verdict } => {
-                // Rendered on the TSA track: the swap punctuates the
-                // state-residency timeline it invalidates.
-                let _ = write!(
-                    e,
-                    "{{\"name\":\"model_swap:e{epoch}\",\"cat\":\"tsa\",\"ph\":\"i\",\"ts\":{},\
-                     \"pid\":0,\"tid\":{TSA_TRACK_TID},\"s\":\"g\",\
-                     \"args\":{{\"seq\":{},\"verdict\":{verdict}}}}}",
-                    fmt_us(ev.ts_ns),
-                    ev.seq
-                );
+                let name = format!("model_swap:e{epoch}");
+                let args = format!("{seq},\"verdict\":{verdict}");
+                chrome_entry(&name, "tsa", ts, None, TSA_TRACK_TID, "g", &args)
             }
             TraceKind::Breaker { from, to, cause } => {
-                // Also on the TSA track: a breaker flip changes how the
-                // state timeline is being enforced.
-                let _ = write!(
-                    e,
-                    "{{\"name\":\"breaker:{}->{}\",\"cat\":\"tsa\",\"ph\":\"i\",\"ts\":{},\
-                     \"pid\":0,\"tid\":{TSA_TRACK_TID},\"s\":\"g\",\
-                     \"args\":{{\"seq\":{},\"from\":{from},\"cause\":{cause}}}}}",
+                let name = format!(
+                    "breaker:{}->{}",
                     crate::breaker::BreakerState::from_code(from).label(),
-                    crate::breaker::BreakerState::from_code(to).label(),
-                    fmt_us(ev.ts_ns),
-                    ev.seq
+                    crate::breaker::BreakerState::from_code(to).label()
                 );
+                let args = format!("{seq},\"from\":{from},\"cause\":{cause}");
+                chrome_entry(&name, "tsa", ts, None, TSA_TRACK_TID, "g", &args)
             }
-        }
-        entries.push(e);
+        });
     }
     // Residency slices: state `to` holds from its transition until the
     // next one (or the end of the trace).
-    transitions.sort_by_key(|e| e.ts_ns);
-    for (i, tr) in transitions.iter().enumerate() {
-        let (from, to) = match tr.kind {
-            TraceKind::StateTransition { from, to } => (from, to),
-            _ => unreachable!("transitions holds only state transitions"),
-        };
-        let end = transitions
-            .get(i + 1)
-            .map(|n| n.ts_ns)
-            .unwrap_or(max_ts)
-            .max(tr.ts_ns + 1);
-        entries.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"tsa\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":0,\"tid\":{TSA_TRACK_TID},\"args\":{{\"from\":\"{}\"}}}}",
-            state_name(to),
-            fmt_us(tr.ts_ns),
-            fmt_us(end - tr.ts_ns),
-            state_name(from)
+    transitions.sort_by_key(|&(ts, _, _)| ts);
+    for (i, &(ts, from, to)) in transitions.iter().enumerate() {
+        let end = transitions.get(i + 1).map_or(max_ts, |n| n.0).max(ts + 1);
+        let (dur, args) = (end - ts, format!("\"from\":\"{}\"", state_name(from)));
+        let name = state_name(to);
+        entries.push(chrome_entry(
+            &name,
+            "tsa",
+            ts,
+            Some(dur),
+            TSA_TRACK_TID,
+            "",
+            &args,
         ));
     }
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     out.push_str(&entries.join(",\n"));
     out.push_str("\n]}\n");
     out
-}
-
-/// Count the objects in a chrome trace's `traceEvents` array (a
-/// structural sanity check used by tests and the harness validator).
-pub fn chrome_trace_event_count(json: &str) -> Option<usize> {
-    let start = json.find("\"traceEvents\":[")? + "\"traceEvents\":[".len();
-    let body = &json[start..];
-    let mut depth = 0usize;
-    let mut count = 0usize;
-    let mut in_str = false;
-    let mut prev_escape = false;
-    for c in body.chars() {
-        if in_str {
-            if prev_escape {
-                prev_escape = false;
-            } else if c == '\\' {
-                prev_escape = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' => {
-                if depth == 0 {
-                    count += 1;
-                }
-                depth += 1;
-            }
-            '}' => {
-                if depth == 0 {
-                    return None; // unbalanced
-                }
-                depth -= 1;
-            }
-            ']' if depth == 0 => return Some(count),
-            _ => {}
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -1870,6 +1791,108 @@ mod tests {
     }
 
     #[test]
+    fn trace_event_serializer_golden_bytes() {
+        use TraceKind as K;
+        let ev = |seq, kind| TraceEvent {
+            seq,
+            ts_ns: 1_000 + seq,
+            pair: p(seq as u16, 2),
+            kind,
+        };
+        let read_locked = AbortCause::ReadLocked {
+            owner: Some(ThreadId(7)),
+        };
+        let golden = [
+            (ev(0, K::Begin), r#""kind":"begin""#),
+            (
+                ev(1, K::GateWait { wait_ns: 120 }),
+                r#""kind":"gate_wait","wait_ns":120"#,
+            ),
+            (
+                ev(
+                    2,
+                    K::Abort {
+                        cause: read_locked,
+                        addr: usize::MAX,
+                    },
+                ),
+                r#""kind":"abort","cause":"read_locked","conflict":7,"addr":18446744073709551615"#,
+            ),
+            (
+                ev(
+                    3,
+                    K::Abort {
+                        cause: AbortCause::Validation,
+                        addr: 0,
+                    },
+                ),
+                r#""kind":"abort","cause":"validation""#,
+            ),
+            (
+                ev(
+                    4,
+                    K::Commit {
+                        commit_ns: 55,
+                        writes: 3,
+                    },
+                ),
+                r#""kind":"commit","commit_ns":55,"writes":3"#,
+            ),
+            (
+                ev(
+                    5,
+                    K::StateTransition {
+                        from: UNKNOWN_STATE,
+                        to: 4,
+                    },
+                ),
+                r#""kind":"state_transition","from":4294967295,"to":4"#,
+            ),
+            (
+                ev(
+                    6,
+                    K::ModelSwap {
+                        epoch: 1,
+                        verdict: 3,
+                    },
+                ),
+                r#""kind":"model_swap","epoch":1,"verdict":3"#,
+            ),
+            (
+                ev(
+                    7,
+                    K::Breaker {
+                        from: 0,
+                        to: 1,
+                        cause: 2,
+                    },
+                ),
+                r#""kind":"breaker","from":0,"to":1,"cause":2"#,
+            ),
+        ];
+        let mut jsonl = String::new();
+        for (e, tail) in &golden {
+            // `ev` puts txn = seq on thread 2.
+            for with_ts in [false, true] {
+                let out = event_json(e, with_ts);
+                let ts = if with_ts {
+                    format!(",\"ts_ns\":{}", e.ts_ns)
+                } else {
+                    String::new()
+                };
+                let want = format!("{{\"seq\":{0}{ts},\"txn\":{0},\"thread\":2,{tail}}}", e.seq);
+                assert_eq!(out, want);
+                crate::json::parse(&out).expect("serializer output is JSON");
+            }
+            jsonl.push_str(&event_json(e, true));
+            jsonl.push('\n');
+        }
+        let events: Vec<TraceEvent> = golden.iter().map(|(e, _)| *e).collect();
+        assert!(export_jsonl(&events).ends_with(&jsonl));
+        assert_eq!(parse_jsonl(&jsonl).unwrap(), events);
+    }
+
+    #[test]
     fn jsonl_schema_stamp_is_enforced() {
         // A mismatched stamp is a hard, descriptive error...
         let err = parse_jsonl("{\"kind\":\"meta\",\"schema\":999}\n").unwrap_err();
@@ -1914,21 +1937,26 @@ mod tests {
         // metadata + one entry per event + one residency slice per
         // transition.
         let expected = 1 + events.len() + 2;
-        assert_eq!(chrome_trace_event_count(&json), Some(expected));
-        assert!(json.contains("\"traceEvents\""));
+        assert_eq!(chrome_trace_events(&json).len(), expected);
         assert!(json.contains("TSA state"));
         assert!(json.contains("\"name\":\"S4\""));
         assert!(json.contains("\"name\":\"unknown\"") || json.contains("\"from\":\"unknown\""));
-        // Balanced braces overall.
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes);
+    }
+
+    /// The `traceEvents` array of a chrome trace, which must parse as
+    /// one strict JSON document.
+    fn chrome_trace_events(json: &str) -> Vec<crate::json::Value> {
+        let doc = crate::json::parse(json).expect("chrome trace is valid JSON");
+        doc.get("traceEvents")
+            .and_then(crate::json::Value::as_array)
+            .unwrap()
+            .to_vec()
     }
 
     #[test]
     fn chrome_trace_of_empty_input_is_valid() {
         let json = export_chrome_trace(&[]);
-        assert_eq!(chrome_trace_event_count(&json), Some(1), "metadata only");
+        assert_eq!(chrome_trace_events(&json).len(), 1, "metadata only");
     }
 
     #[test]

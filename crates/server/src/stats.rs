@@ -6,6 +6,7 @@
 //! judging, and `/metrics` scrapes gain the cumulative `gstm_server_*`
 //! families.
 
+use gstm_core::metrics::quantile;
 use gstm_core::ops::{ServerSource, ServerWindow};
 use gstm_core::sync::Mutex;
 use std::fmt::Write as _;
@@ -75,15 +76,6 @@ impl ServerStats {
         self.ladder.store(to.code() as u32, Ordering::Relaxed);
         self.ladder_entries[to.code() as usize].fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Sorted-quantile upper bound over `sorted` (empty → 0).
-    fn quantile(sorted: &[u64], q: f64) -> u64 {
-        if sorted.is_empty() {
-            return 0;
-        }
-        let idx = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-        sorted[idx]
-    }
 }
 
 impl ServerSource for ServerStats {
@@ -99,8 +91,8 @@ impl ServerSource for ServerStats {
             sessions_rejected: self.sessions_rejected.load(Ordering::Relaxed),
             malformed_frames: self.malformed_frames.load(Ordering::Relaxed),
             disconnects: self.disconnects.load(Ordering::Relaxed),
-            frame_p50_ns: Self::quantile(&frames, 0.50),
-            frame_p99_ns: Self::quantile(&frames, 0.99),
+            frame_p50_ns: quantile(&frames, 0.50),
+            frame_p99_ns: quantile(&frames, 0.99),
             ladder: self.ladder.load(Ordering::Relaxed) as u8,
             sessions: self.sessions.load(Ordering::Relaxed),
         };

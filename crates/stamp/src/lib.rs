@@ -178,13 +178,7 @@ pub(crate) fn run_workers(
 }
 
 /// Deterministic 64-bit mix used by the input generators.
-#[inline]
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+pub(crate) use gstm_core::rng::mix64;
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,7 @@
 //! Transactional chained hash table (STAMP `hashtable.c`).
 
 use crate::list::TList;
+use gstm_core::rng::mix64;
 use gstm_tl2::{TxResult, Txn};
 use std::sync::Arc;
 
@@ -19,14 +20,6 @@ impl<V> Clone for THashMap<V> {
     }
 }
 
-#[inline]
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 impl<V: Clone + Send + Sync + 'static> THashMap<V> {
     /// A table with `num_buckets` chains (rounded up to at least 1).
     pub fn new(num_buckets: usize) -> Self {
@@ -38,7 +31,7 @@ impl<V: Clone + Send + Sync + 'static> THashMap<V> {
 
     #[inline]
     fn bucket(&self, key: u64) -> &TList<V> {
-        let h = splitmix(key) as usize;
+        let h = mix64(key) as usize;
         &self.buckets[h % self.buckets.len()]
     }
 

@@ -8,6 +8,7 @@
 
 use crate::quest::QuestLayout;
 use crate::world::World;
+use gstm_core::rng::mix64;
 use gstm_core::{ThreadId, ThreadStats, TxnId};
 use gstm_libtm::LibTm;
 use std::sync::{Arc, Barrier};
@@ -91,14 +92,6 @@ impl FrameResult {
         }
         t
     }
-}
-
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Step `v` toward `target` by at most `speed`.
