@@ -786,212 +786,26 @@ pub fn analyze_campaign_with_failures(
 ) -> CampaignReport {
     let threads = csv.iter().map(|r| r.thread + 1).max().unwrap_or(0);
     let n_runs = csv.iter().map(|r| r.run + 1).max().unwrap_or(0);
-    let mut checks = Vec::new();
-
-    // -- artifact inventory -------------------------------------------------
     let dropped_total: u64 = runs.iter().map(|r| r.dropped).sum();
-    checks.push(Check::new(
-        "artifacts",
-        runs.len() == n_runs && !runs.is_empty(),
-        format!(
-            "{} telemetry artifact pair(s) for {} csv repetition(s); {} trace event(s) dropped",
-            runs.len(),
-            n_runs,
-            dropped_total
-        ),
-    ));
     let trace_exact = dropped_total == 0 && runs.len() == n_runs;
-
-    // -- trace totals vs the run's own counters -----------------------------
-    {
-        let mut bad = Vec::new();
-        for r in runs {
-            if r.dropped > 0 {
-                continue;
-            }
-            let pc = r.prom.get("gstm_commits_total", &[]).unwrap_or(-1.0) as i64;
-            let pa = r.prom.sum("gstm_aborts_total", &[]) as i64;
-            // Trailing unattributed aborts make trace_aborts a lower
-            // bound; commits must match exactly.
-            if pc != r.trace_commits() as i64 || pa < r.trace_aborts() as i64 {
-                bad.push(format!(
-                    "run {}: trace {}c/{}a vs prom {}c/{}a",
-                    r.run,
-                    r.trace_commits(),
-                    r.trace_aborts(),
-                    pc,
-                    pa
-                ));
-            }
-        }
-        checks.push(Check::from_findings(
-            "trace_vs_prom_totals",
-            bad,
-            "per-run trace-reconstructed commit/abort totals match the counters",
-        ));
-    }
-
-    // -- trace per-thread counts vs the harness's runs.csv ------------------
-    {
-        let mut bad = Vec::new();
-        for row in csv {
-            let Some(r) = runs.iter().find(|r| r.run == row.run) else { continue };
-            if r.dropped > 0 {
-                continue;
-            }
-            let (c, a) = r
-                .hists
-                .get(row.thread)
-                .map(|h| (h.total_commits(), h.total_aborts()))
-                .unwrap_or((0, 0));
-            if c != row.commits || a != row.aborts {
-                bad.push(format!(
-                    "run {} thread {}: trace {c}c/{a}a vs csv {}c/{}a",
-                    row.run, row.thread, row.commits, row.aborts
-                ));
-            }
-        }
-        checks.push(Check::from_findings(
-            "trace_vs_csv_counts",
-            bad,
-            "per-run per-thread commit/abort counts match the harness csv exactly",
-        ));
-    }
-
-    // -- per-thread series partition the global counters --------------------
-    {
-        let mut bad = Vec::new();
-        for r in runs {
-            let gc = r.prom.get("gstm_commits_total", &[]).unwrap_or(-1.0);
-            let tc = r.prom.sum("gstm_thread_commits_total", &[]);
-            if gc != tc {
-                bad.push(format!("run {}: thread commits {tc} != total {gc}", r.run));
-            }
-            let ga = r.prom.sum("gstm_aborts_total", &[]);
-            let ta = r.prom.sum("gstm_thread_aborts_total", &[]);
-            if ga != ta {
-                bad.push(format!("run {}: thread aborts {ta} != total {ga}", r.run));
-            }
-            for outcome in ["passed", "waited", "released"] {
-                let g = r.prom.get("gstm_gate_outcomes_total", &[("outcome", outcome)]);
-                let t = r
-                    .prom
-                    .sum("gstm_thread_gate_outcomes_total", &[("outcome", outcome)]);
-                if g.unwrap_or(-1.0) != t {
-                    bad.push(format!(
-                        "run {}: thread gate {outcome} {t} != total {:?}",
-                        r.run, g
-                    ));
-                }
-            }
-        }
-        checks.push(Check::from_findings(
-            "thread_partition",
-            bad,
-            "per-thread commit/abort/gate-outcome series sum to the global counters",
-        ));
-    }
-
-    // -- per-thread execution-time variance ---------------------------------
     let mut mean_secs = vec![0.0; threads];
     let mut std_dev_secs = vec![0.0; threads];
-    {
-        let mut bad = Vec::new();
-        for t in 0..threads {
-            let secs: Vec<f64> = csv.iter().filter(|r| r.thread == t).map(|r| r.secs).collect();
-            mean_secs[t] = metrics::mean(&secs);
-            std_dev_secs[t] = metrics::std_dev(&secs);
-            match summary.std_dev_secs.get(t) {
-                Some(&h) if approx(std_dev_secs[t], h, th.float_tol) => {}
-                other => bad.push(format!(
-                    "thread {t}: recomputed {} vs harness {:?}",
-                    std_dev_secs[t], other
-                )),
-            }
-        }
-        let mut c = Check::from_findings(
-            "variance_match",
-            bad,
-            format!(
-                "per-thread std-dev recomputed from runs.csv matches harness within {}",
-                th.float_tol
-            ),
-        );
-        c.pass &= summary.std_dev_secs.len() == threads;
-        checks.push(c);
+    for t in 0..threads {
+        let secs: Vec<f64> = csv.iter().filter(|r| r.thread == t).map(|r| r.secs).collect();
+        mean_secs[t] = metrics::mean(&secs);
+        std_dev_secs[t] = metrics::std_dev(&secs);
     }
-
-    // -- abort tail ---------------------------------------------------------
-    let mut tails = vec![0u64; threads];
-    {
-        let mut merged = vec![AbortHistogram::new(); threads];
-        for r in runs {
-            for (m, h) in merged.iter_mut().zip(&r.hists) {
-                m.merge(h);
-            }
-        }
-        for (t, m) in merged.iter().enumerate() {
-            tails[t] = m.tail_metric();
-        }
-        if trace_exact {
-            let pass = tails[..] == summary.tail_metric[..];
-            checks.push(Check::new(
-                "abort_tail_match",
-                pass,
-                if pass {
-                    format!("per-thread abort tail Σj² {:?} matches harness exactly", tails)
-                } else {
-                    format!("reconstructed {:?} vs harness {:?}", tails, summary.tail_metric)
-                },
-            ));
-        } else {
-            checks.push(Check::new(
-                "abort_tail_match",
-                true,
-                "skipped: trace incomplete (dropped events or missing runs)".into(),
-            ));
+    let mut merged = vec![AbortHistogram::new(); threads];
+    for r in runs {
+        for (m, h) in merged.iter_mut().zip(&r.hists) {
+            m.merge(h);
         }
     }
-
-    // -- non-determinism ----------------------------------------------------
+    let tails: Vec<u64> = merged.iter().map(AbortHistogram::tail_metric).collect();
     let tseqs: Vec<&[StateKey]> = runs.iter().map(|r| r.tseq.as_slice()).collect();
     let nd = metrics::non_determinism(&tseqs);
-    if trace_exact {
-        let pass = nd as u64 == summary.non_determinism;
-        checks.push(Check::new(
-            "non_determinism_match",
-            pass,
-            format!(
-                "distinct TSS across reconstructed Tseqs = {nd}, harness = {}",
-                summary.non_determinism
-            ),
-        ));
-    } else {
-        checks.push(Check::new(
-            "non_determinism_match",
-            true,
-            "skipped: trace incomplete (dropped events or missing runs)".into(),
-        ));
-    }
-
-    // -- campaign totals ----------------------------------------------------
     let commits: u64 = csv.iter().map(|r| r.commits).sum();
     let aborts: u64 = csv.iter().map(|r| r.aborts).sum();
-    checks.push(Check::new(
-        "totals_match",
-        commits == summary.commits && aborts == summary.aborts,
-        format!(
-            "runs.csv totals {commits}c/{aborts}a vs summary {}c/{}a",
-            summary.commits, summary.aborts
-        ),
-    ));
-
-    // -- per-epoch segmentation (adaptive runs) -----------------------------
-    // Each repetition binds its own telemetry and its own model manager,
-    // so a run's `gstm_model_swaps_total` must equal the `ModelSwap`
-    // events in that run's trace, its epoch ids must advance
-    // monotonically, and the per-epoch commit counts must partition the
-    // run's trace-reconstructed commit total.
     let model_swaps: u64 = runs
         .iter()
         .map(|r| {
@@ -1005,508 +819,47 @@ pub fn analyze_campaign_with_failures(
         .iter()
         .flat_map(|r| r.segments.iter().map(|s| (r.run, *s)))
         .collect();
-    {
-        let mut bad = Vec::new();
-        for r in runs {
-            if r.dropped > 0 {
-                continue;
-            }
-            match r.prom.get("gstm_model_swaps_total", &[]) {
-                Some(prom_swaps) if prom_swaps as u64 != r.trace_swaps() => bad.push(format!(
-                    "run {}: {} swap event(s) in trace vs gstm_model_swaps_total {}",
-                    r.run,
-                    r.trace_swaps(),
-                    prom_swaps
-                )),
-                // Older artifacts predate the family entirely — tolerate
-                // its absence, but not alongside swap events.
-                None if r.trace_swaps() > 0 => bad.push(format!(
-                    "run {}: {} swap event(s) but no gstm_model_swaps_total family",
-                    r.run,
-                    r.trace_swaps()
-                )),
-                _ => {}
-            }
-            for w in r.segments.windows(2) {
-                if w[1].epoch <= w[0].epoch {
-                    bad.push(format!(
-                        "run {}: epoch id regressed {} -> {}",
-                        r.run, w[0].epoch, w[1].epoch
-                    ));
-                }
-            }
-            let seg_commits: u64 = r.segments.iter().map(|s| s.commits).sum();
-            if seg_commits != r.trace_commits() {
-                bad.push(format!(
-                    "run {}: per-epoch commits {} don't partition trace total {}",
-                    r.run,
-                    seg_commits,
-                    r.trace_commits()
-                ));
-            }
-        }
-        let exact_runs = runs.iter().filter(|r| r.dropped == 0).count();
-        checks.push(Check::from_findings(
-            "epoch_segmentation",
-            bad,
-            if exact_runs == 0 {
-                "skipped: trace incomplete (dropped events or missing runs)".into()
-            } else {
-                format!(
-                    "{model_swaps} model swap(s); swap counters, epoch ordering, and \
-                     per-epoch commit partition consistent across {exact_runs} exact run(s)"
-                )
-            },
-        ));
+    let degradation = degradation_facts(runs, failures);
+    let with_contention: Vec<&RunAnalysis> = runs
+        .iter()
+        .filter(|r| r.prom.get("gstm_contention_attributed_total", &[]).is_some())
+        .collect();
+    let contention = (!with_contention.is_empty()).then(|| contention_facts(&with_contention));
+    let drift = runs.last().and_then(drift_facts);
+
+    let mut checks = vec![
+        check_artifacts(runs.len(), n_runs, dropped_total),
+        check_trace_vs_prom_totals(runs),
+        check_trace_vs_csv_counts(runs, csv),
+        check_thread_partition(runs),
+        check_variance_match(&std_dev_secs, summary, th),
+        check_abort_tail(&tails, summary, trace_exact),
+        check_non_determinism(nd, summary, trace_exact),
+        check_totals(commits, aborts, summary),
+        check_epoch_segmentation(runs, model_swaps),
+        check_breaker_consistency(runs, &degradation),
+    ];
+    if !with_contention.is_empty() {
+        checks.extend([
+            check_contention_partition(&with_contention),
+            check_contention_sketch_partition(&with_contention),
+            check_contention_matrix_partition(&with_contention),
+            check_contention_trace_attribution(&with_contention),
+        ]);
     }
-
-    // -- degradation ladder (breaker / fault campaigns) ---------------------
-    // Counters are per run (each guided run binds its own breaker and
-    // collector), so a run's `gstm_breaker_tripped_total` must equal the
-    // →open transitions in that run's trace, and likewise for re-closes
-    // and half-open probes. Artifacts predating the breaker families are
-    // tolerated — unless the trace carries breaker events.
-    let degradation = {
-        let sum = |name: &str| -> u64 {
-            runs.iter()
-                .filter_map(|r| r.prom.get(name, &[]))
-                .sum::<f64>() as u64
-        };
-        DegradationFacts {
-            failed_reps: failures.to_vec(),
-            breaker_trips: sum("gstm_breaker_tripped_total"),
-            breaker_recloses: sum("gstm_breaker_reclosed_total"),
-            breaker_probes: sum("gstm_breaker_half_open_total"),
-            model_rejections: sum("gstm_breaker_model_rejected_total"),
-            guardian_restarts: sum("gstm_guardian_restarts_total"),
-            final_breaker_state: runs
-                .last()
-                .and_then(|r| r.prom.get("gstm_breaker_state", &[]))
-                .unwrap_or(0.0) as u64,
-            events: runs
-                .iter()
-                .flat_map(|r| r.breaker_events.iter().map(|e| (r.run, *e)))
-                .collect(),
-        }
-    };
-    {
-        let mut bad = Vec::new();
-        for r in runs {
-            if r.dropped > 0 {
-                continue;
-            }
-            let traced = |to: u8| r.breaker_events.iter().filter(|e| e.to == to).count() as u64;
-            let families = [
-                ("gstm_breaker_tripped_total", traced(1)),
-                ("gstm_breaker_half_open_total", traced(2)),
-                ("gstm_breaker_reclosed_total", traced(0)),
-            ];
-            for (name, from_trace) in families {
-                match r.prom.get(name, &[]) {
-                    Some(v) if v as u64 != from_trace => bad.push(format!(
-                        "run {}: {} trace transition(s) vs {name} {}",
-                        r.run, from_trace, v
-                    )),
-                    None if from_trace > 0 => bad.push(format!(
-                        "run {}: {} breaker event(s) but no {name} family",
-                        r.run, from_trace
-                    )),
-                    _ => {}
-                }
-            }
-        }
-        checks.push(Check::from_findings(
-            "breaker_consistency",
-            bad,
-            format!(
-                "{} trip(s), {} probe(s), {} re-close(s) consistent between \
-                 counters and trace",
-                degradation.breaker_trips, degradation.breaker_probes, degradation.breaker_recloses
-            ),
-        ));
-    }
-
-    // -- sharded commit clock (runs measured with --clock=sharded) ----------
-    // The harness stamps every run's collector with that repetition's
-    // clock deltas, so two invariants must hold exactly per run:
-    // (a) the per-shard commit counters partition the run's commit total —
-    // every commit is attributed to exactly one shard; (b) per shard the
-    // epoch moved forward, and by at least as many steps as the shard
-    // advanced — each successful advance raises the shard's epoch by ≥ 1,
-    // so `Δepoch < advances` would mean a stamp went backwards.
-    {
-        let sharded: Vec<_> = runs
-            .iter()
-            .filter(|r| r.prom.get("gstm_clock_mode", &[]) == Some(1.0))
-            .collect();
-        if !sharded.is_empty() {
-            let mut bad = Vec::new();
-            let mut total_shards = 0usize;
-            for r in &sharded {
-                let commits = r.prom.get("gstm_commits_total", &[]).unwrap_or(0.0) as u64;
-                let shard_sum =
-                    r.prom.sum("gstm_clock_shard_commits_total", &[]) as u64;
-                total_shards += r.prom.family("gstm_clock_shard_commits_total").count();
-                if shard_sum != commits {
-                    bad.push(format!(
-                        "run {}: Σ shard commits {} != gstm_commits_total {}",
-                        r.run, shard_sum, commits
-                    ));
-                }
-            }
-            checks.push(Check::from_findings(
-                "clock_shard_partition",
-                bad,
-                format!(
-                    "{} sharded run(s): shard commit counters partition the \
-                     commit totals exactly ({} shard sample(s))",
-                    sharded.len(),
-                    total_shards
-                ),
-            ));
-
-            let mut bad = Vec::new();
-            let mut checked = 0usize;
-            for r in &sharded {
-                let advances: Vec<(String, u64)> = r
-                    .prom
-                    .family("gstm_clock_shard_advances_total")
-                    .filter_map(|s| {
-                        s.labels
-                            .iter()
-                            .find(|(k, _)| k == "shard")
-                            .map(|(_, v)| (v.clone(), s.value as u64))
-                    })
-                    .collect();
-                for (shard, adv) in advances {
-                    let sh: &str = &shard;
-                    let start = r
-                        .prom
-                        .get("gstm_clock_shard_epoch", &[("shard", sh), ("point", "start")])
-                        .unwrap_or(0.0) as u64;
-                    let end = r
-                        .prom
-                        .get("gstm_clock_shard_epoch", &[("shard", sh), ("point", "end")])
-                        .unwrap_or(0.0) as u64;
-                    checked += 1;
-                    if end < start {
-                        bad.push(format!(
-                            "run {} shard {shard}: epoch went backwards ({start} -> {end})",
-                            r.run
-                        ));
-                    } else if end - start < adv {
-                        bad.push(format!(
-                            "run {} shard {shard}: {adv} advance(s) but epoch moved \
-                             only {} — a stamp must have repeated or regressed",
-                            r.run,
-                            end - start
-                        ));
-                    }
-                }
-            }
-            checks.push(Check::from_findings(
-                "clock_shard_monotone",
-                bad,
-                format!(
-                    "per-shard epochs monotone with Δepoch ≥ advances across \
-                     {checked} shard-run pair(s)"
-                ),
-            ));
-        }
-    }
-
-    // -- conflict provenance (runs with a contention tracker attached) ------
-    // The tracker records every abort the retry loop sees, so three exact
-    // partitions must hold per run: (a) attributed + unattributed equals
-    // the run's abort counter — no abort escapes provenance accounting;
-    // (b) the exported top-K plus the residual equals attributed — the
-    // space-saving sketch conserves mass through eviction; (c) the
-    // victim/owner matrix plus owner_unknown equals the recorded total —
-    // every abort lands in exactly one matrix bucket. A fourth check
-    // audits the trace against the counters, and degrades to an explicit
-    // "skipped" when the ring dropped events (the PR 3 convention):
-    // a sampled trace must never fail — or silently pass — an exact gate.
-    let contention = {
-        let with: Vec<&RunAnalysis> = runs
-            .iter()
-            .filter(|r| r.prom.get("gstm_contention_attributed_total", &[]).is_some())
-            .collect();
-        if with.is_empty() {
-            None
-        } else {
-            let mut bad = Vec::new();
-            for r in &with {
-                let attributed =
-                    r.prom.get("gstm_contention_attributed_total", &[]).unwrap_or(0.0) as u64;
-                let unattributed =
-                    r.prom.get("gstm_contention_unattributed_total", &[]).unwrap_or(0.0) as u64;
-                let aborts = r.prom.sum("gstm_aborts_total", &[]) as u64;
-                if attributed + unattributed != aborts {
-                    bad.push(format!(
-                        "run {}: attributed {} + unattributed {} != gstm_aborts_total {}",
-                        r.run, attributed, unattributed, aborts
-                    ));
-                }
-            }
-            checks.push(Check::from_findings(
-                "contention_partition",
-                bad,
-                format!(
-                    "{} run(s): attributed + unattributed partitions the abort \
-                     counter exactly",
-                    with.len()
-                ),
-            ));
-
-            let mut bad = Vec::new();
-            for r in &with {
-                let attributed =
-                    r.prom.get("gstm_contention_attributed_total", &[]).unwrap_or(0.0) as u64;
-                let top_sum = r.prom.sum("gstm_contention_addr_aborts_total", &[]) as u64;
-                let residual =
-                    r.prom.get("gstm_contention_residual_total", &[]).unwrap_or(0.0) as u64;
-                if top_sum + residual != attributed {
-                    bad.push(format!(
-                        "run {}: Σ top-K {} + residual {} != attributed {}",
-                        r.run, top_sum, residual, attributed
-                    ));
-                }
-            }
-            checks.push(Check::from_findings(
-                "contention_sketch_partition",
-                bad,
-                "top-K + residual conserves the attributed mass in every run",
-            ));
-
-            let mut bad = Vec::new();
-            for r in &with {
-                let total = (r.prom.get("gstm_contention_attributed_total", &[]).unwrap_or(0.0)
-                    + r.prom.get("gstm_contention_unattributed_total", &[]).unwrap_or(0.0))
-                    as u64;
-                let pair_sum = r.prom.sum("gstm_contention_pair_aborts_total", &[]) as u64;
-                let unknown = r
-                    .prom
-                    .get("gstm_contention_owner_unknown_total", &[])
-                    .unwrap_or(0.0) as u64;
-                if pair_sum + unknown != total {
-                    bad.push(format!(
-                        "run {}: Σ pairs {} + owner_unknown {} != recorded total {}",
-                        r.run, pair_sum, unknown, total
-                    ));
-                }
-            }
-            checks.push(Check::from_findings(
-                "contention_matrix_partition",
-                bad,
-                "victim/owner matrix + owner_unknown partitions the recorded total",
-            ));
-
-            {
-                let exact: Vec<&&RunAnalysis> =
-                    with.iter().filter(|r| r.dropped == 0).collect();
-                let mut bad = Vec::new();
-                for r in &exact {
-                    let attributed = r
-                        .prom
-                        .get("gstm_contention_attributed_total", &[])
-                        .unwrap_or(0.0) as u64;
-                    let unattributed = r
-                        .prom
-                        .get("gstm_contention_unattributed_total", &[])
-                        .unwrap_or(0.0) as u64;
-                    if r.abort_events_with_addr != attributed
-                        || r.abort_events != attributed + unattributed
-                    {
-                        bad.push(format!(
-                            "run {}: trace {} abort event(s), {} with addr, vs counters \
-                             {} attributed + {} unattributed",
-                            r.run,
-                            r.abort_events,
-                            r.abort_events_with_addr,
-                            attributed,
-                            unattributed
-                        ));
-                    }
-                }
-                checks.push(Check::from_findings(
-                    "contention_trace_attribution",
-                    bad,
-                    if exact.is_empty() {
-                        "skipped: trace incomplete (dropped events)".into()
-                    } else {
-                        format!(
-                            "trace abort/culprit-address events agree with the \
-                             attribution counters in {} exact run(s)",
-                            exact.len()
-                        )
-                    },
-                ));
-            }
-
-            // Facts: merge per-run exports by address / by pair.
-            let mut by_addr: std::collections::BTreeMap<usize, u64> =
-                std::collections::BTreeMap::new();
-            let mut by_pair: std::collections::BTreeMap<(u16, u16), u64> =
-                std::collections::BTreeMap::new();
-            let (mut attributed, mut unattributed, mut replacements) = (0u64, 0u64, 0u64);
-            for r in &with {
-                attributed +=
-                    r.prom.get("gstm_contention_attributed_total", &[]).unwrap_or(0.0) as u64;
-                unattributed +=
-                    r.prom.get("gstm_contention_unattributed_total", &[]).unwrap_or(0.0) as u64;
-                replacements += r
-                    .prom
-                    .get("gstm_contention_sketch_replacements_total", &[])
-                    .unwrap_or(0.0) as u64;
-                for s in r.prom.family("gstm_contention_addr_aborts_total") {
-                    let Some((_, a)) = s.labels.iter().find(|(k, _)| k == "addr") else {
-                        continue;
-                    };
-                    let Ok(addr) =
-                        usize::from_str_radix(a.trim_start_matches("0x"), 16)
-                    else {
-                        continue;
-                    };
-                    *by_addr.entry(addr).or_insert(0) += s.value as u64;
-                }
-                for s in r.prom.family("gstm_contention_pair_aborts_total") {
-                    let get = |key: &str| {
-                        s.labels
-                            .iter()
-                            .find(|(k, _)| k == key)
-                            .and_then(|(_, v)| v.parse::<u16>().ok())
-                    };
-                    if let (Some(v), Some(o)) = (get("victim"), get("owner")) {
-                        *by_pair.entry((v, o)).or_insert(0) += s.value as u64;
-                    }
-                }
-            }
-            let mut top: Vec<(usize, u64)> = by_addr.into_iter().collect();
-            top.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            top.truncate(16);
-            let counts: Vec<u64> = top.iter().map(|&(_, c)| c).collect();
-            let hottest_pct = if attributed > 0 {
-                100.0 * counts.first().copied().unwrap_or(0) as f64 / attributed as f64
-            } else {
-                0.0
-            };
-            let mut pairs: Vec<(u16, u16, u64)> =
-                by_pair.into_iter().map(|((v, o), c)| (v, o, c)).collect();
-            pairs.sort_by(|a, b| b.2.cmp(&a.2).then((a.0, a.1).cmp(&(b.0, b.1))));
-            Some(ContentionFacts {
-                runs_with: with.len(),
-                attributed,
-                unattributed,
-                replacements,
-                gini: gini(&counts),
-                hottest_pct,
-                top,
-                pairs,
-            })
-        }
-    };
-
-    // -- policy gates -------------------------------------------------------
-    if let (Some(max_pct), Some(c)) = (th.max_hot_addr_pct, contention.as_ref()) {
-        checks.push(Check::new(
-            "hot_addr_threshold",
-            c.hottest_pct <= max_pct,
-            format!(
-                "hottest address {} carries {:.2}% of attributed aborts vs limit {max_pct}%",
-                c.top.first().map(|&(a, _)| format!("{a:#x}")).unwrap_or_else(|| "n/a".into()),
-                c.hottest_pct
-            ),
-        ));
-    }
-    if th.fail_on_degraded {
-        checks.push(Check::new(
-            "degradation",
-            !degradation.any(),
-            format!(
-                "{} breaker trip(s), {} model rejection(s), {} guardian restart(s), \
-                 {} failed rep(s)",
-                degradation.breaker_trips,
-                degradation.model_rejections,
-                degradation.guardian_restarts,
-                degradation.failed_reps.len()
-            ),
-        ));
-    }
-    if let Some(max_cv) = th.max_cv_pct {
-        let worst = (0..threads)
-            .map(|t| {
-                if mean_secs[t] > 0.0 {
-                    100.0 * std_dev_secs[t] / mean_secs[t]
-                } else {
-                    0.0
-                }
-            })
-            .fold(0.0f64, f64::max);
-        checks.push(Check::new(
-            "cv_threshold",
-            worst <= max_cv,
-            format!("worst per-thread time CV {worst:.2}% vs limit {max_cv}%"),
-        ));
-    }
-    if let Some(max_nd) = th.max_non_determinism {
-        checks.push(Check::new(
-            "non_determinism_threshold",
-            summary.non_determinism <= max_nd,
-            format!("non-determinism {} vs limit {max_nd}", summary.non_determinism),
-        ));
-    }
-    if let Some(max_ar) = th.max_abort_ratio_pct {
-        let ratio = if commits + aborts > 0 {
-            100.0 * aborts as f64 / (commits + aborts) as f64
-        } else {
-            0.0
-        };
-        checks.push(Check::new(
-            "abort_ratio_threshold",
-            ratio <= max_ar,
-            format!("abort ratio {ratio:.2}% vs limit {max_ar}%"),
-        ));
-    }
-
-    // -- model drift (from the final run's exposition) ----------------------
-    let drift = runs.last().and_then(|r| {
-        let staleness = r.prom.get("gstm_model_staleness", &[])?;
-        Some(DriftFacts {
-            staleness: staleness as u64,
-            off_model_pct: r.prom.get("gstm_model_off_model_pct", &[]).unwrap_or(0.0),
-            kl_mean_nats: r
-                .prom
-                .get("gstm_model_kl_divergence_nats", &[("stat", "mean")])
-                .unwrap_or(0.0),
-            kl_max_nats: r
-                .prom
-                .get("gstm_model_kl_divergence_nats", &[("stat", "max")])
-                .unwrap_or(0.0),
-            profiled_metric_pct: r
-                .prom
-                .get("gstm_model_guidance_metric_pct", &[("source", "profiled")])
-                .unwrap_or(0.0),
-            observed_metric_pct: r
-                .prom
-                .get("gstm_model_guidance_metric_pct", &[("source", "observed")]),
-        })
-    });
-    if let Some(d) = &drift {
-        if th.fail_on_stale {
-            checks.push(Check::new(
-                "staleness",
-                d.staleness < 3,
-                format!("model verdict: {}", staleness_label(d.staleness)),
-            ));
-        }
-        if let Some(max_off) = th.max_off_model_pct {
-            checks.push(Check::new(
-                "off_model_threshold",
-                d.off_model_pct <= max_off,
-                format!("off-model transitions {:.2}% vs limit {max_off}%", d.off_model_pct),
-            ));
-        }
-    }
+    checks.extend(
+        [
+            gate_hot_addr(th, contention.as_ref()),
+            gate_degradation(th, &degradation),
+            gate_cv(th, &mean_secs, &std_dev_secs),
+            gate_non_determinism(th, summary),
+            gate_abort_ratio(th, commits, aborts),
+            gate_staleness(th, drift.as_ref()),
+            gate_off_model(th, drift.as_ref()),
+        ]
+        .into_iter()
+        .flatten(),
+    );
 
     CampaignReport {
         stem: stem.to_string(),
@@ -1529,6 +882,604 @@ pub fn analyze_campaign_with_failures(
         trace_dropped: dropped_total,
         ops: None,
     }
+}
+
+/// Artifact inventory: one telemetry pair per csv repetition.
+fn check_artifacts(pairs: usize, n_runs: usize, dropped_total: u64) -> Check {
+    Check::new(
+        "artifacts",
+        pairs == n_runs && pairs > 0,
+        format!(
+            "{pairs} telemetry artifact pair(s) for {n_runs} csv repetition(s); \
+             {dropped_total} trace event(s) dropped"
+        ),
+    )
+}
+
+/// Trace totals vs the run's own counters.
+fn check_trace_vs_prom_totals(runs: &[RunAnalysis]) -> Check {
+    let mut bad = Vec::new();
+    for r in runs {
+        if r.dropped > 0 {
+            continue;
+        }
+        let pc = r.prom.get("gstm_commits_total", &[]).unwrap_or(-1.0) as i64;
+        let pa = r.prom.sum("gstm_aborts_total", &[]) as i64;
+        // Trailing unattributed aborts make trace_aborts a lower
+        // bound; commits must match exactly.
+        if pc != r.trace_commits() as i64 || pa < r.trace_aborts() as i64 {
+            bad.push(format!(
+                "run {}: trace {}c/{}a vs prom {}c/{}a",
+                r.run,
+                r.trace_commits(),
+                r.trace_aborts(),
+                pc,
+                pa
+            ));
+        }
+    }
+    Check::from_findings(
+        "trace_vs_prom_totals",
+        bad,
+        "per-run trace-reconstructed commit/abort totals match the counters",
+    )
+}
+
+/// Trace per-thread counts vs the harness's runs.csv.
+fn check_trace_vs_csv_counts(runs: &[RunAnalysis], csv: &[CsvRunRow]) -> Check {
+    let mut bad = Vec::new();
+    for row in csv {
+        let Some(r) = runs.iter().find(|r| r.run == row.run) else { continue };
+        if r.dropped > 0 {
+            continue;
+        }
+        let (c, a) = r
+            .hists
+            .get(row.thread)
+            .map(|h| (h.total_commits(), h.total_aborts()))
+            .unwrap_or((0, 0));
+        if c != row.commits || a != row.aborts {
+            bad.push(format!(
+                "run {} thread {}: trace {c}c/{a}a vs csv {}c/{}a",
+                row.run, row.thread, row.commits, row.aborts
+            ));
+        }
+    }
+    Check::from_findings(
+        "trace_vs_csv_counts",
+        bad,
+        "per-run per-thread commit/abort counts match the harness csv exactly",
+    )
+}
+
+/// Per-thread series partition the global counters.
+fn check_thread_partition(runs: &[RunAnalysis]) -> Check {
+    let mut bad = Vec::new();
+    for r in runs {
+        let gc = r.prom.get("gstm_commits_total", &[]).unwrap_or(-1.0);
+        let tc = r.prom.sum("gstm_thread_commits_total", &[]);
+        if gc != tc {
+            bad.push(format!("run {}: thread commits {tc} != total {gc}", r.run));
+        }
+        let ga = r.prom.sum("gstm_aborts_total", &[]);
+        let ta = r.prom.sum("gstm_thread_aborts_total", &[]);
+        if ga != ta {
+            bad.push(format!("run {}: thread aborts {ta} != total {ga}", r.run));
+        }
+        for outcome in ["passed", "waited", "released"] {
+            let g = r.prom.get("gstm_gate_outcomes_total", &[("outcome", outcome)]);
+            let t = r
+                .prom
+                .sum("gstm_thread_gate_outcomes_total", &[("outcome", outcome)]);
+            if g.unwrap_or(-1.0) != t {
+                bad.push(format!(
+                    "run {}: thread gate {outcome} {t} != total {:?}",
+                    r.run, g
+                ));
+            }
+        }
+    }
+    Check::from_findings(
+        "thread_partition",
+        bad,
+        "per-thread commit/abort/gate-outcome series sum to the global counters",
+    )
+}
+
+/// Per-thread execution-time std-dev recomputed from runs.csv vs the
+/// harness summary.
+fn check_variance_match(std_dev_secs: &[f64], summary: &HarnessSummary, th: &Thresholds) -> Check {
+    let mut bad = Vec::new();
+    for (t, &sd) in std_dev_secs.iter().enumerate() {
+        match summary.std_dev_secs.get(t) {
+            Some(&h) if approx(sd, h, th.float_tol) => {}
+            other => bad.push(format!("thread {t}: recomputed {sd} vs harness {other:?}")),
+        }
+    }
+    let mut c = Check::from_findings(
+        "variance_match",
+        bad,
+        format!(
+            "per-thread std-dev recomputed from runs.csv matches harness within {}",
+            th.float_tol
+        ),
+    );
+    c.pass &= summary.std_dev_secs.len() == std_dev_secs.len();
+    c
+}
+
+/// A trace-derived check skipped because the trace is incomplete: it
+/// passes and says so, rather than failing on sampled data.
+fn skipped_incomplete_trace(name: &str) -> Check {
+    Check::new(
+        name,
+        true,
+        "skipped: trace incomplete (dropped events or missing runs)".into(),
+    )
+}
+
+/// Per-thread abort tail Σj² from the merged reconstructed histograms.
+fn check_abort_tail(tails: &[u64], summary: &HarnessSummary, trace_exact: bool) -> Check {
+    if !trace_exact {
+        return skipped_incomplete_trace("abort_tail_match");
+    }
+    let pass = tails == summary.tail_metric.as_slice();
+    Check::new(
+        "abort_tail_match",
+        pass,
+        if pass {
+            format!("per-thread abort tail Σj² {tails:?} matches harness exactly")
+        } else {
+            format!("reconstructed {tails:?} vs harness {:?}", summary.tail_metric)
+        },
+    )
+}
+
+/// Distinct TSS across the reconstructed Tseqs.
+fn check_non_determinism(nd: usize, summary: &HarnessSummary, trace_exact: bool) -> Check {
+    if !trace_exact {
+        return skipped_incomplete_trace("non_determinism_match");
+    }
+    Check::new(
+        "non_determinism_match",
+        nd as u64 == summary.non_determinism,
+        format!(
+            "distinct TSS across reconstructed Tseqs = {nd}, harness = {}",
+            summary.non_determinism
+        ),
+    )
+}
+
+/// Campaign totals from runs.csv vs the summary.
+fn check_totals(commits: u64, aborts: u64, summary: &HarnessSummary) -> Check {
+    Check::new(
+        "totals_match",
+        commits == summary.commits && aborts == summary.aborts,
+        format!(
+            "runs.csv totals {commits}c/{aborts}a vs summary {}c/{}a",
+            summary.commits, summary.aborts
+        ),
+    )
+}
+
+/// Per-epoch segmentation (adaptive runs). Each repetition binds its own
+/// telemetry and its own model manager, so a run's
+/// `gstm_model_swaps_total` must equal the `ModelSwap` events in that
+/// run's trace, its epoch ids must advance monotonically, and the
+/// per-epoch commit counts must partition the run's trace-reconstructed
+/// commit total.
+fn check_epoch_segmentation(runs: &[RunAnalysis], model_swaps: u64) -> Check {
+    let mut bad = Vec::new();
+    for r in runs {
+        if r.dropped > 0 {
+            continue;
+        }
+        match r.prom.get("gstm_model_swaps_total", &[]) {
+            Some(prom_swaps) if prom_swaps as u64 != r.trace_swaps() => bad.push(format!(
+                "run {}: {} swap event(s) in trace vs gstm_model_swaps_total {}",
+                r.run,
+                r.trace_swaps(),
+                prom_swaps
+            )),
+            // Older artifacts predate the family entirely — tolerate
+            // its absence, but not alongside swap events.
+            None if r.trace_swaps() > 0 => bad.push(format!(
+                "run {}: {} swap event(s) but no gstm_model_swaps_total family",
+                r.run,
+                r.trace_swaps()
+            )),
+            _ => {}
+        }
+        for w in r.segments.windows(2) {
+            if w[1].epoch <= w[0].epoch {
+                bad.push(format!(
+                    "run {}: epoch id regressed {} -> {}",
+                    r.run, w[0].epoch, w[1].epoch
+                ));
+            }
+        }
+        let seg_commits: u64 = r.segments.iter().map(|s| s.commits).sum();
+        if seg_commits != r.trace_commits() {
+            bad.push(format!(
+                "run {}: per-epoch commits {} don't partition trace total {}",
+                r.run,
+                seg_commits,
+                r.trace_commits()
+            ));
+        }
+    }
+    let exact_runs = runs.iter().filter(|r| r.dropped == 0).count();
+    Check::from_findings(
+        "epoch_segmentation",
+        bad,
+        if exact_runs == 0 {
+            "skipped: trace incomplete (dropped events or missing runs)".into()
+        } else {
+            format!(
+                "{model_swaps} model swap(s); swap counters, epoch ordering, and \
+                 per-epoch commit partition consistent across {exact_runs} exact run(s)"
+            )
+        },
+    )
+}
+
+/// Degradation facts: breaker counters summed over runs, the final run's
+/// breaker position, every traced transition, and the failures CSV.
+fn degradation_facts(runs: &[RunAnalysis], failures: &[CsvFailure]) -> DegradationFacts {
+    let sum = |name: &str| -> u64 {
+        runs.iter()
+            .filter_map(|r| r.prom.get(name, &[]))
+            .sum::<f64>() as u64
+    };
+    DegradationFacts {
+        failed_reps: failures.to_vec(),
+        breaker_trips: sum("gstm_breaker_tripped_total"),
+        breaker_recloses: sum("gstm_breaker_reclosed_total"),
+        breaker_probes: sum("gstm_breaker_half_open_total"),
+        model_rejections: sum("gstm_breaker_model_rejected_total"),
+        guardian_restarts: sum("gstm_guardian_restarts_total"),
+        final_breaker_state: runs
+            .last()
+            .and_then(|r| r.prom.get("gstm_breaker_state", &[]))
+            .unwrap_or(0.0) as u64,
+        events: runs
+            .iter()
+            .flat_map(|r| r.breaker_events.iter().map(|e| (r.run, *e)))
+            .collect(),
+    }
+}
+
+/// Degradation ladder (breaker / fault campaigns). Counters are per run
+/// (each guided run binds its own breaker and collector), so a run's
+/// `gstm_breaker_tripped_total` must equal the →open transitions in that
+/// run's trace, and likewise for re-closes and half-open probes.
+/// Artifacts predating the breaker families are tolerated — unless the
+/// trace carries breaker events.
+fn check_breaker_consistency(runs: &[RunAnalysis], degradation: &DegradationFacts) -> Check {
+    let mut bad = Vec::new();
+    for r in runs {
+        if r.dropped > 0 {
+            continue;
+        }
+        let traced = |to: u8| r.breaker_events.iter().filter(|e| e.to == to).count() as u64;
+        let families = [
+            ("gstm_breaker_tripped_total", traced(1)),
+            ("gstm_breaker_half_open_total", traced(2)),
+            ("gstm_breaker_reclosed_total", traced(0)),
+        ];
+        for (name, from_trace) in families {
+            match r.prom.get(name, &[]) {
+                Some(v) if v as u64 != from_trace => bad.push(format!(
+                    "run {}: {} trace transition(s) vs {name} {}",
+                    r.run, from_trace, v
+                )),
+                None if from_trace > 0 => bad.push(format!(
+                    "run {}: {} breaker event(s) but no {name} family",
+                    r.run, from_trace
+                )),
+                _ => {}
+            }
+        }
+    }
+    Check::from_findings(
+        "breaker_consistency",
+        bad,
+        format!(
+            "{} trip(s), {} probe(s), {} re-close(s) consistent between \
+             counters and trace",
+            degradation.breaker_trips, degradation.breaker_probes, degradation.breaker_recloses
+        ),
+    )
+}
+
+// -- conflict provenance (runs with a contention tracker attached) ----------
+// The tracker records every abort the retry loop sees, so three exact
+// partitions must hold per run: (a) attributed + unattributed equals the
+// run's abort counter — no abort escapes provenance accounting; (b) the
+// exported top-K plus the residual equals attributed — the space-saving
+// sketch conserves mass through eviction; (c) the victim/owner matrix plus
+// owner_unknown equals the recorded total — every abort lands in exactly
+// one matrix bucket. A fourth check audits the trace against the counters,
+// and degrades to an explicit "skipped" when the ring dropped events: a
+// sampled trace must never fail — or silently pass — an exact gate.
+
+/// A run's value of a single-sample contention family, 0 when absent.
+fn contention_u64(r: &RunAnalysis, name: &str) -> u64 {
+    r.prom.get(name, &[]).unwrap_or(0.0) as u64
+}
+
+/// (a) attributed + unattributed partitions the abort counter.
+fn check_contention_partition(with: &[&RunAnalysis]) -> Check {
+    let mut bad = Vec::new();
+    for r in with {
+        let attributed = contention_u64(r, "gstm_contention_attributed_total");
+        let unattributed = contention_u64(r, "gstm_contention_unattributed_total");
+        let aborts = r.prom.sum("gstm_aborts_total", &[]) as u64;
+        if attributed + unattributed != aborts {
+            bad.push(format!(
+                "run {}: attributed {} + unattributed {} != gstm_aborts_total {}",
+                r.run, attributed, unattributed, aborts
+            ));
+        }
+    }
+    Check::from_findings(
+        "contention_partition",
+        bad,
+        format!(
+            "{} run(s): attributed + unattributed partitions the abort \
+             counter exactly",
+            with.len()
+        ),
+    )
+}
+
+/// (b) top-K + residual conserves the attributed mass.
+fn check_contention_sketch_partition(with: &[&RunAnalysis]) -> Check {
+    let mut bad = Vec::new();
+    for r in with {
+        let attributed = contention_u64(r, "gstm_contention_attributed_total");
+        let top_sum = r.prom.sum("gstm_contention_addr_aborts_total", &[]) as u64;
+        let residual = contention_u64(r, "gstm_contention_residual_total");
+        if top_sum + residual != attributed {
+            bad.push(format!(
+                "run {}: Σ top-K {} + residual {} != attributed {}",
+                r.run, top_sum, residual, attributed
+            ));
+        }
+    }
+    Check::from_findings(
+        "contention_sketch_partition",
+        bad,
+        "top-K + residual conserves the attributed mass in every run",
+    )
+}
+
+/// (c) victim/owner matrix + owner_unknown partitions the recorded total.
+fn check_contention_matrix_partition(with: &[&RunAnalysis]) -> Check {
+    let mut bad = Vec::new();
+    for r in with {
+        let total = (r.prom.get("gstm_contention_attributed_total", &[]).unwrap_or(0.0)
+            + r.prom.get("gstm_contention_unattributed_total", &[]).unwrap_or(0.0))
+            as u64;
+        let pair_sum = r.prom.sum("gstm_contention_pair_aborts_total", &[]) as u64;
+        let unknown = contention_u64(r, "gstm_contention_owner_unknown_total");
+        if pair_sum + unknown != total {
+            bad.push(format!(
+                "run {}: Σ pairs {} + owner_unknown {} != recorded total {}",
+                r.run, pair_sum, unknown, total
+            ));
+        }
+    }
+    Check::from_findings(
+        "contention_matrix_partition",
+        bad,
+        "victim/owner matrix + owner_unknown partitions the recorded total",
+    )
+}
+
+/// The trace's abort events vs the attribution counters, in exact runs.
+fn check_contention_trace_attribution(with: &[&RunAnalysis]) -> Check {
+    let exact: Vec<&&RunAnalysis> = with.iter().filter(|r| r.dropped == 0).collect();
+    let mut bad = Vec::new();
+    for r in &exact {
+        let attributed = contention_u64(r, "gstm_contention_attributed_total");
+        let unattributed = contention_u64(r, "gstm_contention_unattributed_total");
+        if r.abort_events_with_addr != attributed || r.abort_events != attributed + unattributed
+        {
+            bad.push(format!(
+                "run {}: trace {} abort event(s), {} with addr, vs counters \
+                 {} attributed + {} unattributed",
+                r.run, r.abort_events, r.abort_events_with_addr, attributed, unattributed
+            ));
+        }
+    }
+    Check::from_findings(
+        "contention_trace_attribution",
+        bad,
+        if exact.is_empty() {
+            "skipped: trace incomplete (dropped events)".into()
+        } else {
+            format!(
+                "trace abort/culprit-address events agree with the \
+                 attribution counters in {} exact run(s)",
+                exact.len()
+            )
+        },
+    )
+}
+
+/// Contention facts: per-run exports merged by address and by pair.
+fn contention_facts(with: &[&RunAnalysis]) -> ContentionFacts {
+    let mut by_addr: std::collections::BTreeMap<usize, u64> = std::collections::BTreeMap::new();
+    let mut by_pair: std::collections::BTreeMap<(u16, u16), u64> =
+        std::collections::BTreeMap::new();
+    let (mut attributed, mut unattributed, mut replacements) = (0u64, 0u64, 0u64);
+    for r in with {
+        attributed += contention_u64(r, "gstm_contention_attributed_total");
+        unattributed += contention_u64(r, "gstm_contention_unattributed_total");
+        replacements += contention_u64(r, "gstm_contention_sketch_replacements_total");
+        for s in r.prom.family("gstm_contention_addr_aborts_total") {
+            let Some((_, a)) = s.labels.iter().find(|(k, _)| k == "addr") else {
+                continue;
+            };
+            let Ok(addr) = usize::from_str_radix(a.trim_start_matches("0x"), 16) else {
+                continue;
+            };
+            *by_addr.entry(addr).or_insert(0) += s.value as u64;
+        }
+        for s in r.prom.family("gstm_contention_pair_aborts_total") {
+            let get = |key: &str| {
+                s.labels
+                    .iter()
+                    .find(|(k, _)| k == key)
+                    .and_then(|(_, v)| v.parse::<u16>().ok())
+            };
+            if let (Some(v), Some(o)) = (get("victim"), get("owner")) {
+                *by_pair.entry((v, o)).or_insert(0) += s.value as u64;
+            }
+        }
+    }
+    let mut top: Vec<(usize, u64)> = by_addr.into_iter().collect();
+    top.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    top.truncate(16);
+    let counts: Vec<u64> = top.iter().map(|&(_, c)| c).collect();
+    let hottest_pct = if attributed > 0 {
+        100.0 * counts.first().copied().unwrap_or(0) as f64 / attributed as f64
+    } else {
+        0.0
+    };
+    let mut pairs: Vec<(u16, u16, u64)> =
+        by_pair.into_iter().map(|((v, o), c)| (v, o, c)).collect();
+    pairs.sort_by(|a, b| b.2.cmp(&a.2).then((a.0, a.1).cmp(&(b.0, b.1))));
+    ContentionFacts {
+        runs_with: with.len(),
+        attributed,
+        unattributed,
+        replacements,
+        gini: gini(&counts),
+        hottest_pct,
+        top,
+        pairs,
+    }
+}
+
+/// Model drift from the final run's exposition, when it carries the
+/// `gstm_model_*` families.
+fn drift_facts(r: &RunAnalysis) -> Option<DriftFacts> {
+    let staleness = r.prom.get("gstm_model_staleness", &[])?;
+    Some(DriftFacts {
+        staleness: staleness as u64,
+        off_model_pct: r.prom.get("gstm_model_off_model_pct", &[]).unwrap_or(0.0),
+        kl_mean_nats: r
+            .prom
+            .get("gstm_model_kl_divergence_nats", &[("stat", "mean")])
+            .unwrap_or(0.0),
+        kl_max_nats: r
+            .prom
+            .get("gstm_model_kl_divergence_nats", &[("stat", "max")])
+            .unwrap_or(0.0),
+        profiled_metric_pct: r
+            .prom
+            .get("gstm_model_guidance_metric_pct", &[("source", "profiled")])
+            .unwrap_or(0.0),
+        observed_metric_pct: r
+            .prom
+            .get("gstm_model_guidance_metric_pct", &[("source", "observed")]),
+    })
+}
+
+// -- policy gates: present only when their threshold is set -----------------
+
+/// `--max-hot-addr-pct`: the hottest address's share of attributed aborts.
+fn gate_hot_addr(th: &Thresholds, contention: Option<&ContentionFacts>) -> Option<Check> {
+    let (max_pct, c) = (th.max_hot_addr_pct?, contention?);
+    Some(Check::new(
+        "hot_addr_threshold",
+        c.hottest_pct <= max_pct,
+        format!(
+            "hottest address {} carries {:.2}% of attributed aborts vs limit {max_pct}%",
+            c.top.first().map(|&(a, _)| format!("{a:#x}")).unwrap_or_else(|| "n/a".into()),
+            c.hottest_pct
+        ),
+    ))
+}
+
+/// `--fail-on-degraded`: any breaker trip, rejection, restart or casualty.
+fn gate_degradation(th: &Thresholds, degradation: &DegradationFacts) -> Option<Check> {
+    th.fail_on_degraded.then(|| {
+        Check::new(
+            "degradation",
+            !degradation.any(),
+            format!(
+                "{} breaker trip(s), {} model rejection(s), {} guardian restart(s), \
+                 {} failed rep(s)",
+                degradation.breaker_trips,
+                degradation.model_rejections,
+                degradation.guardian_restarts,
+                degradation.failed_reps.len()
+            ),
+        )
+    })
+}
+
+/// `--max-cv-pct`: the worst per-thread execution-time CV.
+fn gate_cv(th: &Thresholds, mean_secs: &[f64], std_dev_secs: &[f64]) -> Option<Check> {
+    let max_cv = th.max_cv_pct?;
+    let worst = mean_secs
+        .iter()
+        .zip(std_dev_secs)
+        .map(|(&mean, &sd)| if mean > 0.0 { 100.0 * sd / mean } else { 0.0 })
+        .fold(0.0f64, f64::max);
+    Some(Check::new(
+        "cv_threshold",
+        worst <= max_cv,
+        format!("worst per-thread time CV {worst:.2}% vs limit {max_cv}%"),
+    ))
+}
+
+/// `--max-nondet`: the harness's non-determinism count.
+fn gate_non_determinism(th: &Thresholds, summary: &HarnessSummary) -> Option<Check> {
+    let max_nd = th.max_non_determinism?;
+    Some(Check::new(
+        "non_determinism_threshold",
+        summary.non_determinism <= max_nd,
+        format!("non-determinism {} vs limit {max_nd}", summary.non_determinism),
+    ))
+}
+
+/// `--max-abort-ratio-pct`: aborts over attempts, campaign-wide.
+fn gate_abort_ratio(th: &Thresholds, commits: u64, aborts: u64) -> Option<Check> {
+    let max_ar = th.max_abort_ratio_pct?;
+    let ratio = if commits + aborts > 0 {
+        100.0 * aborts as f64 / (commits + aborts) as f64
+    } else {
+        0.0
+    };
+    Some(Check::new(
+        "abort_ratio_threshold",
+        ratio <= max_ar,
+        format!("abort ratio {ratio:.2}% vs limit {max_ar}%"),
+    ))
+}
+
+/// `--fail-on-stale`: the drift verdict must not have reached Stale.
+fn gate_staleness(th: &Thresholds, drift: Option<&DriftFacts>) -> Option<Check> {
+    let d = drift.filter(|_| th.fail_on_stale)?;
+    Some(Check::new(
+        "staleness",
+        d.staleness < 3,
+        format!("model verdict: {}", staleness_label(d.staleness)),
+    ))
+}
+
+/// `--max-off-model-pct`: the share of transitions leaving the model.
+fn gate_off_model(th: &Thresholds, drift: Option<&DriftFacts>) -> Option<Check> {
+    let (max_off, d) = (th.max_off_model_pct?, drift?);
+    Some(Check::new(
+        "off_model_threshold",
+        d.off_model_pct <= max_off,
+        format!("off-model transitions {:.2}% vs limit {max_off}%", d.off_model_pct),
+    ))
 }
 
 // ---------------------------------------------------------------------------

@@ -514,80 +514,6 @@ fn failures_csv_roundtrip_parses_quoted_causes() {
 
 /// The scripted schedule plus one full breaker excursion: trip on
 /// released-rate, cooldown to half-open, probe re-closes.
-fn sharded_prom(shard0_commits: u64, shard1_epoch_end: u64) -> String {
-    fixture_prom(0)
-        + &format!(
-            "gstm_clock_mode 1\n\
-             gstm_clock_global_advances_total 0\n\
-             gstm_clock_shard_advances_total{{shard=\"0\"}} 2\n\
-             gstm_clock_shard_advances_total{{shard=\"1\"}} 2\n\
-             gstm_clock_shard_epoch{{shard=\"0\",point=\"start\"}} 10\n\
-             gstm_clock_shard_epoch{{shard=\"0\",point=\"end\"}} 14\n\
-             gstm_clock_shard_epoch{{shard=\"1\",point=\"start\"}} 10\n\
-             gstm_clock_shard_epoch{{shard=\"1\",point=\"end\"}} {shard1_epoch_end}\n\
-             gstm_clock_shard_commits_total{{shard=\"0\"}} {shard0_commits}\n\
-             gstm_clock_shard_commits_total{{shard=\"1\"}} 2\n"
-        )
-}
-
-#[test]
-fn sharded_clock_checks_pass_on_consistent_artifacts() {
-    // fixture commits_total = 4 per run: shards 2 + 2 partition it, and
-    // both shards moved their epoch by at least their advance count.
-    let (_, csv, summary) = fixture_campaign();
-    let runs: Vec<RunAnalysis> = (0..2)
-        .map(|r| {
-            RunAnalysis::from_artifacts(
-                r,
-                &export_jsonl(&scripted_run()),
-                &sharded_prom(2, 13),
-                2,
-            )
-            .unwrap()
-        })
-        .collect();
-    let rep = analyze_campaign("kmeans_2t", &runs, &csv, &summary, &Thresholds::default());
-    let failed: Vec<_> = rep.checks.iter().filter(|c| !c.pass).collect();
-    assert!(failed.is_empty(), "failed checks: {failed:?}");
-    let part = rep.checks.iter().find(|c| c.name == "clock_shard_partition").unwrap();
-    assert!(part.detail.contains("2 sharded run(s)"), "{}", part.detail);
-    let mono = rep.checks.iter().find(|c| c.name == "clock_shard_monotone").unwrap();
-    assert!(mono.detail.contains("4 shard-run pair(s)"), "{}", mono.detail);
-}
-
-#[test]
-fn global_clock_artifacts_skip_the_shard_checks() {
-    let (runs, csv, summary) = fixture_campaign();
-    let rep = analyze_campaign("kmeans_2t", &runs, &csv, &summary, &Thresholds::default());
-    assert!(rep.checks.iter().all(|c| !c.name.starts_with("clock_shard")));
-}
-
-#[test]
-fn shard_partition_and_monotonicity_violations_fail() {
-    let (_, csv, summary) = fixture_campaign();
-    // Shard 0 claims 3 commits (sum 5 != 4) and shard 1's epoch moved only
-    // 1 step for 2 advances — both checks must fail with run detail.
-    let runs: Vec<RunAnalysis> = (0..2)
-        .map(|r| {
-            RunAnalysis::from_artifacts(
-                r,
-                &export_jsonl(&scripted_run()),
-                &sharded_prom(3, 11),
-                2,
-            )
-            .unwrap()
-        })
-        .collect();
-    let rep = analyze_campaign("kmeans_2t", &runs, &csv, &summary, &Thresholds::default());
-    assert!(!rep.pass());
-    let part = rep.checks.iter().find(|c| c.name == "clock_shard_partition").unwrap();
-    assert!(!part.pass);
-    assert!(part.detail.contains("5 != gstm_commits_total 4"), "{}", part.detail);
-    let mono = rep.checks.iter().find(|c| c.name == "clock_shard_monotone").unwrap();
-    assert!(!mono.pass);
-    assert!(mono.detail.contains("epoch moved"), "{}", mono.detail);
-}
-
 fn breaker_run() -> Vec<TraceEvent> {
     let mgr = pair(0, 0);
     let brk = |from, to, cause| TraceKind::Breaker { from, to, cause };

@@ -6,8 +6,7 @@
 //! *where*. This module attributes every abort to the memory location it
 //! was detected on (when the backend knows one) and to the `(victim,
 //! owner)` thread pair (when the abort cause carries an owner), so the
-//! analyzer can rank hot addresses and the placement planner can build
-//! its affinity matrix from measured conflicts instead of the TSA proxy.
+//! analyzer can rank hot addresses and conflicting thread pairs.
 //!
 //! # Design
 //!

@@ -57,7 +57,6 @@ pub mod mck;
 pub mod metrics;
 pub mod model_io;
 pub mod ops;
-pub mod placement;
 pub mod rng;
 pub mod stats;
 pub mod sync;
@@ -85,12 +84,8 @@ pub mod prelude {
         OpsPlane, OpsRoller, OpsServer, SloSpec, SloState, SloTransition, SloWatchdog,
         WindowDelta, WindowedTelemetry,
     };
-    pub use crate::placement::{AffinityMatrix, AffinitySource, PinPolicy, PlacementPlan};
     pub use crate::stats::ThreadStats;
-    pub use crate::telemetry::{
-        ClockStats, PlacementStats, ShardClockStats, Telemetry, TelemetrySnapshot, TraceEvent,
-        TraceKind,
-    };
+    pub use crate::telemetry::{Telemetry, TelemetrySnapshot, TraceEvent, TraceKind};
     pub use crate::tsa::{GuidedModel, StateId, Tsa};
     pub use crate::tseq::{parse_causal, EventLogHook};
     pub use crate::tss::StateKey;

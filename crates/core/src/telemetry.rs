@@ -452,97 +452,10 @@ pub struct Telemetry {
     /// adaptive mode the manager re-attaches the new epoch's tracker on
     /// every swap, so the snapshot always reports the live generation.
     drift: Mutex<Option<Arc<DriftTracker>>>,
-    /// Commit-clock statistics for the run, set by the STM owner after
-    /// the run (cold; never touched on the hot path).
-    clock_stats: Mutex<Option<ClockStats>>,
-    /// Thread-placement plan summary, set by the harness (cold).
-    placement: Mutex<Option<PlacementStats>>,
     /// Merged conflict-provenance stats, set by the harness after the
     /// run quiesces (cold; the hot record path lives in
     /// [`crate::contention::ContentionTracker`], not here).
     contention: Mutex<Option<ContentionStats>>,
-}
-
-/// One clock shard's per-run statistics (sharded commit clock).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardClockStats {
-    /// Shard id.
-    pub shard: u16,
-    /// Stamps this shard's clock word returned during the run.
-    pub advances: u64,
-    /// Shard epoch at run start.
-    pub epoch_start: u64,
-    /// Shard epoch at run end. Every advance raises the epoch by at
-    /// least one, so `epoch_end - epoch_start >= advances` — the
-    /// analyzer's per-shard monotonicity witness.
-    pub epoch_end: u64,
-    /// Transactions that committed through this shard (including
-    /// read-only commits, which stamp no version but still partition).
-    pub commits: u64,
-}
-
-/// Per-run commit-clock statistics, exported as the `gstm_clock_*`
-/// Prometheus families.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ClockStats {
-    /// Whether the run used the sharded clock.
-    pub sharded: bool,
-    /// Global-clock advances during the run (global mode; 0 in sharded
-    /// mode, whose committers never touch the global counter).
-    pub global_advances: u64,
-    /// Per-shard rows (empty in global mode). Only shards that saw any
-    /// activity are listed.
-    pub shards: Vec<ShardClockStats>,
-}
-
-impl ClockStats {
-    /// The mode as a flag spelling.
-    pub fn mode(&self) -> &'static str {
-        if self.sharded {
-            "sharded"
-        } else {
-            "global"
-        }
-    }
-
-    /// Total commits across all shard rows.
-    pub fn shard_commits_total(&self) -> u64 {
-        self.shards.iter().map(|s| s.commits).sum()
-    }
-}
-
-/// A placement plan summarized for export (`gstm_placement_*` families).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PlacementStats {
-    /// [`crate::placement::PinPolicy::code`] of the policy in force.
-    pub policy: u8,
-    /// Number of conflict clusters in the plan.
-    pub clusters: u64,
-    /// Threads the plan pins to a core.
-    pub pinned_threads: u64,
-    /// `(thread, shard)` assignments.
-    pub thread_shard: Vec<(u16, u16)>,
-    /// `(thread, core)` assignments (pinned threads only).
-    pub thread_core: Vec<(u16, u16)>,
-}
-
-impl PlacementStats {
-    /// Summarize a [`crate::placement::PlacementPlan`].
-    pub fn from_plan(plan: &crate::placement::PlacementPlan) -> Self {
-        use crate::ids::ThreadId;
-        let threads = plan.threads();
-        PlacementStats {
-            policy: plan.policy().code(),
-            clusters: plan.clusters().len() as u64,
-            pinned_threads: plan.pinned_count() as u64,
-            thread_shard: (0..threads as u16)
-                .filter_map(|t| plan.shard_of(ThreadId(t)).map(|s| (t, s)))
-                .collect(),
-            thread_core: (0..threads as u16)
-                .filter_map(|t| plan.core_of(ThreadId(t)).map(|c| (t, c)))
-                .collect(),
-        }
-    }
 }
 
 impl Telemetry {
@@ -574,22 +487,8 @@ impl Telemetry {
             breaker_state: AtomicU64::new(0),
             guardian_restarts: AtomicU64::new(0),
             drift: Mutex::new(None),
-            clock_stats: Mutex::new(None),
-            placement: Mutex::new(None),
             contention: Mutex::new(None),
         }
-    }
-
-    /// Attach the run's commit-clock statistics (set by the STM owner
-    /// after the run; snapshots expose them as `gstm_clock_*`).
-    pub fn set_clock_stats(&self, stats: ClockStats) {
-        *self.clock_stats.lock() = Some(stats);
-    }
-
-    /// Attach the run's placement-plan summary (set by the harness;
-    /// snapshots expose it as `gstm_placement_*`).
-    pub fn set_placement(&self, stats: PlacementStats) {
-        *self.placement.lock() = Some(stats);
     }
 
     /// Attach the run's merged conflict-provenance stats (set by the
@@ -788,8 +687,6 @@ impl Telemetry {
             breaker_state: self.breaker_state.load(Ordering::Relaxed) as u8,
             guardian_restarts: self.guardian_restarts.load(Ordering::Relaxed),
             model_drift: self.drift.lock().as_ref().map(|d| d.report()),
-            clock: self.clock_stats.lock().clone(),
-            placement: self.placement.lock().clone(),
             contention: self.contention.lock().clone(),
             ..Default::default()
         };
@@ -907,10 +804,6 @@ pub struct TelemetrySnapshot {
     pub guardian_restarts: u64,
     /// Model-drift report, when a [`DriftTracker`] is attached.
     pub model_drift: Option<ModelDrift>,
-    /// Commit-clock statistics, when the STM owner set them.
-    pub clock: Option<ClockStats>,
-    /// Placement-plan summary, when the harness set it.
-    pub placement: Option<PlacementStats>,
     /// Conflict-provenance stats, when the harness attached a
     /// [`crate::contention::ContentionTracker`] to the run.
     pub contention: Option<ContentionStats>,
@@ -934,8 +827,8 @@ impl TelemetrySnapshot {
 
     /// Fold `other` into `self`, treating the pair as one logical run:
     /// counters and histograms add exactly; per-thread cells merge by
-    /// cell index; point-in-time fields (breaker position, drift, clock,
-    /// placement, contention) take `other`'s when present, since `other`
+    /// cell index; point-in-time fields (breaker position, drift,
+    /// contention) take `other`'s when present, since `other`
     /// is the newer snapshot. This is how the ops plane maintains one
     /// cumulative view across the harness's per-run collectors.
     pub fn absorb(&mut self, other: &TelemetrySnapshot) {
@@ -974,12 +867,6 @@ impl TelemetrySnapshot {
         self.guardian_restarts += other.guardian_restarts;
         if other.model_drift.is_some() {
             self.model_drift = other.model_drift.clone();
-        }
-        if other.clock.is_some() {
-            self.clock = other.clock.clone();
-        }
-        if other.placement.is_some() {
-            self.placement = other.placement.clone();
         }
         if other.contention.is_some() {
             self.contention = other.contention.clone();
@@ -1037,63 +924,6 @@ impl TelemetrySnapshot {
         let _ = writeln!(out, "gstm_breaker_state {}", self.breaker_state);
         let _ = writeln!(out, "# TYPE gstm_guardian_restarts_total counter");
         let _ = writeln!(out, "gstm_guardian_restarts_total {}", self.guardian_restarts);
-        // Clock families are emitted only when the STM owner attached
-        // stats — their absence means "artifacts predate the sharded
-        // clock", which the analyzer treats as "checks not applicable".
-        if let Some(c) = &self.clock {
-            // 0 global, 1 sharded.
-            let _ = writeln!(out, "# TYPE gstm_clock_mode gauge");
-            let _ = writeln!(out, "gstm_clock_mode {}", u8::from(c.sharded));
-            let _ = writeln!(out, "# TYPE gstm_clock_global_advances_total counter");
-            let _ = writeln!(out, "gstm_clock_global_advances_total {}", c.global_advances);
-            if !c.shards.is_empty() {
-                let _ = writeln!(out, "# TYPE gstm_clock_shard_advances_total counter");
-                for s in &c.shards {
-                    let _ = writeln!(
-                        out,
-                        "gstm_clock_shard_advances_total{{shard=\"{}\"}} {}",
-                        s.shard, s.advances
-                    );
-                }
-                let _ = writeln!(out, "# TYPE gstm_clock_shard_epoch gauge");
-                for s in &c.shards {
-                    let _ = writeln!(
-                        out,
-                        "gstm_clock_shard_epoch{{shard=\"{}\",point=\"start\"}} {}",
-                        s.shard, s.epoch_start
-                    );
-                    let _ = writeln!(
-                        out,
-                        "gstm_clock_shard_epoch{{shard=\"{}\",point=\"end\"}} {}",
-                        s.shard, s.epoch_end
-                    );
-                }
-                let _ = writeln!(out, "# TYPE gstm_clock_shard_commits_total counter");
-                for s in &c.shards {
-                    let _ = writeln!(
-                        out,
-                        "gstm_clock_shard_commits_total{{shard=\"{}\"}} {}",
-                        s.shard, s.commits
-                    );
-                }
-            }
-        }
-        if let Some(p) = &self.placement {
-            let _ = writeln!(out, "# TYPE gstm_placement_policy gauge");
-            let _ = writeln!(out, "gstm_placement_policy {}", p.policy);
-            let _ = writeln!(out, "# TYPE gstm_placement_clusters gauge");
-            let _ = writeln!(out, "gstm_placement_clusters {}", p.clusters);
-            let _ = writeln!(out, "# TYPE gstm_placement_pinned_threads gauge");
-            let _ = writeln!(out, "gstm_placement_pinned_threads {}", p.pinned_threads);
-            let _ = writeln!(out, "# TYPE gstm_placement_thread_shard gauge");
-            for &(t, s) in &p.thread_shard {
-                let _ = writeln!(out, "gstm_placement_thread_shard{{thread=\"{t}\"}} {s}");
-            }
-            let _ = writeln!(out, "# TYPE gstm_placement_thread_core gauge");
-            for &(t, c) in &p.thread_core {
-                let _ = writeln!(out, "gstm_placement_thread_core{{thread=\"{t}\"}} {c}");
-            }
-        }
         // Contention families are emitted only when the harness attached
         // a tracker — absence means "artifacts predate conflict
         // provenance" (or the run disabled it), which the analyzer

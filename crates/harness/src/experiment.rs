@@ -2,9 +2,9 @@
 //! benchmark (the paper's Section II-C framework).
 
 use gstm_core::prelude::*;
-use gstm_core::{analyzer, metrics, placement};
+use gstm_core::{analyzer, metrics};
 use gstm_stamp::{Benchmark, InputSize, RunConfig};
-use gstm_tl2::{clock, ClockMode, StmBuilder, StmConfig};
+use gstm_tl2::{StmBuilder, StmConfig};
 use std::sync::Arc;
 
 /// Parameters of one benchmark experiment.
@@ -39,20 +39,6 @@ pub struct ExperimentConfig {
     /// `--profile-threads` flag). Deliberately mismatching it trains a
     /// stale model — the drift/adaptation demo scenario.
     pub profile_threads: Option<u16>,
-    /// Commit-clock implementation for the measurement phases (the
-    /// `--clock` flag). Profiling always runs on the global clock so the
-    /// trained model is identical across clock modes.
-    pub clock: ClockMode,
-    /// Thread-placement policy for the measurement phases (the `--pin`
-    /// flag): `Model` derives a conflict-affinity plan from the phase-2
-    /// TSA; `Compact`/`Scatter` are the classic baselines; `None` leaves
-    /// the OS scheduler alone and assigns clock shards round-robin.
-    pub pin: PinPolicy,
-    /// Affinity signal for `--pin=model` (the `--affinity` flag):
-    /// `Tsa` builds the matrix from the profiled automaton; `Measured`
-    /// rides a contention tracker on the profiling runs and builds it
-    /// from the observed victim/owner abort matrix instead.
-    pub affinity: AffinitySource,
 }
 
 impl ExperimentConfig {
@@ -69,9 +55,6 @@ impl ExperimentConfig {
             seed: 0x5eed_cafe,
             adaptive: None,
             profile_threads: None,
-            clock: ClockMode::Global,
-            pin: PinPolicy::None,
-            affinity: AffinitySource::Tsa,
         }
     }
 }
@@ -262,29 +245,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 struct Phase {
     runs: usize,
     size: InputSize,
-    clock: ClockMode,
-    plan: Option<Arc<PlacementPlan>>,
     faults: Option<Arc<FaultPlan>>,
-    /// A caller-owned contention tracker accumulating across every run of
-    /// the phase (the measured-affinity profiling signal). When absent,
-    /// each *telemetry-collected* run gets its own fresh tracker so the
-    /// per-run snapshot's attribution partitions exactly against that
-    /// run's abort counters; uncollected runs pay only the disabled-path
-    /// branch.
-    shared_contention: Option<Arc<ContentionTracker>>,
 }
 
 impl Phase {
-    /// Profiling: the training input on the global clock, unpinned and
-    /// fault-free.
-    fn training(cfg: &ExperimentConfig, shared_contention: Option<Arc<ContentionTracker>>) -> Self {
+    /// Profiling: the training input, fault-free.
+    fn training(cfg: &ExperimentConfig) -> Self {
         Phase {
             runs: cfg.profile_runs,
             size: cfg.train_size,
-            clock: ClockMode::Global,
-            plan: None,
             faults: None,
-            shared_contention,
         }
     }
 }
@@ -311,20 +281,18 @@ fn measure<H: GuidanceHook + 'static>(
     // earlier casualties, so per-run hooks/collectors (and the run0,
     // run1, ... artifact files built from them) never have holes.
     let mut ok = 0usize;
-    let plan = &phase.plan;
     for rep in 0..phase.runs {
         let hook = hook_for_run(ok);
         let tel = telemetry_for_run(ok);
-        let contention = phase
-            .shared_contention
-            .clone()
-            .or_else(|| tel.as_ref().map(|_| Arc::new(ContentionTracker::new())));
+        // Each telemetry-collected run gets its own contention tracker,
+        // so the per-run snapshot's attribution partitions exactly
+        // against that run's abort counters; uncollected runs pay only
+        // the disabled-path branch.
+        let contention = tel.as_ref().map(|_| Arc::new(ContentionTracker::new()));
         let stm = StmBuilder::new(stm_config(cfg))
             .hook(hook.clone())
             .telemetry(tel.clone())
             .faults(phase.faults.clone())
-            .clock(phase.clock)
-            .placement(plan.clone())
             .contention(contention.clone())
             .build();
         let run_cfg = RunConfig {
@@ -359,18 +327,8 @@ fn measure<H: GuidanceHook + 'static>(
         }
         m.per_run_hists.push(run_hists);
         recorded.push(take_run(&hook));
-        // Stamp the run's collector with this repetition's clock deltas
-        // and the placement plan it executed under, so the exported
-        // Prometheus snapshot carries the gstm_clock_*/gstm_placement_*
-        // families gstm-analyze cross-checks.
-        if let Some(tel) = &tel {
-            tel.set_clock_stats(stm.clock_stats());
-            if let Some(p) = &plan {
-                tel.set_placement(PlacementStats::from_plan(p));
-            }
-            if let Some(ct) = &contention {
-                tel.set_contention(ct.snapshot());
-            }
+        if let (Some(tel), Some(ct)) = (&tel, &contention) {
+            tel.set_contention(ct.snapshot());
         }
         ok += 1;
     }
@@ -389,47 +347,12 @@ pub fn train_model(bench: &dyn Benchmark, cfg: &ExperimentConfig) -> GuidedModel
     let (_, train_runs) = measure(
         bench,
         &profile_cfg,
-        &Phase::training(cfg, None),
+        &Phase::training(cfg),
         |_| recorder.clone(),
         |_| None,
         |h| h.take_run(),
     );
     GuidedModel::build(Tsa::from_runs(&train_runs), &cfg.guidance)
-}
-
-/// Derive the measurement-phase placement plan from the freshly trained
-/// TSA. `Model` clusters threads by conflict affinity (shared clock
-/// shard, adjacent cores); `Compact`/`Scatter` are the classic layouts;
-/// `None` returns no plan — unpinned threads, round-robin shard default.
-///
-/// With `--affinity=measured`, `measured` carries the contention
-/// tracker's profiling-phase snapshot and its victim/owner matrix
-/// replaces the TSA-derived one. An empty measured matrix (profiling
-/// observed no attributable conflicts) falls back to the TSA signal
-/// rather than degrading `model` to unclustered compact geometry.
-fn placement_plan(
-    cfg: &ExperimentConfig,
-    tsa: &Tsa,
-    measured: Option<&ContentionStats>,
-) -> Option<Arc<PlacementPlan>> {
-    let cores = placement::online_cpus();
-    let threads = cfg.threads as usize;
-    match cfg.pin {
-        PinPolicy::None => None,
-        PinPolicy::Model => {
-            let m = measured
-                .filter(|s| !s.pairs.is_empty())
-                .map(|s| AffinityMatrix::from_contention(s, threads))
-                .unwrap_or_else(|| AffinityMatrix::from_tsa(tsa, threads));
-            Some(Arc::new(PlacementPlan::model_driven(&m, cores, clock::MAX_SHARDS)))
-        }
-        policy => Some(Arc::new(PlacementPlan::trivial(
-            policy,
-            threads,
-            cores,
-            clock::MAX_SHARDS,
-        ))),
-    }
 }
 
 /// Run the full pipeline for one benchmark at one thread count.
@@ -492,16 +415,10 @@ pub fn run_experiment_chaos(
         ..*cfg
     };
     let recorder = Arc::new(RecorderHook::new());
-    // `--pin=model --affinity=measured`: a contention tracker rides every
-    // profiling run (one shared instance — the matrix should integrate
-    // all training evidence) and its snapshot feeds the placement plan.
-    let profile_contention = (cfg.pin == PinPolicy::Model
-        && cfg.affinity == AffinitySource::Measured)
-        .then(|| Arc::new(ContentionTracker::new()));
     let (_, train_runs) = measure(
         bench,
         &profile_cfg,
-        &Phase::training(cfg, profile_contention.clone()),
+        &Phase::training(cfg),
         |_| recorder.clone(),
         |_| None,
         |h| h.take_run(),
@@ -510,11 +427,6 @@ pub fn run_experiment_chaos(
     // ---- Phase 2: model generation + analysis ----
     let tsa = Tsa::from_runs(&train_runs);
     let model_states = tsa.num_states();
-    // The placement plan must come off the TSA before `GuidedModel::build`
-    // consumes it. Both measurement phases share the plan so the guided/
-    // default comparison holds clock and placement fixed.
-    let measured_affinity = profile_contention.as_ref().map(|ct| ct.snapshot());
-    let plan = placement_plan(cfg, &tsa, measured_affinity.as_ref());
     // Round-trip the model through its on-disk encoding exactly as a
     // load from disk would see it, letting the chaos plan's corrupt-model
     // site tamper with the bytes in between. The integrity header must
@@ -542,10 +454,7 @@ pub fn run_experiment_chaos(
     let mut phase = Phase {
         runs: cfg.measure_runs,
         size: cfg.test_size,
-        clock: cfg.clock,
-        plan,
         faults: None,
-        shared_contention: None,
     };
     let (default_m, _) = measure(
         bench,
@@ -756,9 +665,6 @@ mod tests {
             seed: 77,
             adaptive: None,
             profile_threads: None,
-            clock: ClockMode::Global,
-            pin: PinPolicy::None,
-            affinity: AffinitySource::Tsa,
         }
     }
 
@@ -1016,46 +922,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_clock_pipeline_partitions_commits() {
-        // End-to-end `--clock=sharded --pin=model`: the pipeline completes,
-        // per-run telemetry carries clock + placement stats, and each run's
-        // shard commit counters partition that run's commit total exactly.
-        let bench = by_name("kmeans").unwrap();
-        let cfg = ExperimentConfig {
-            clock: ClockMode::Sharded,
-            pin: PinPolicy::Model,
-            ..tiny_cfg(2)
-        };
-        let tels: Vec<Arc<Telemetry>> =
-            (0..cfg.measure_runs).map(|_| Arc::new(Telemetry::counters_only())).collect();
-        let e = run_experiment_observed(&*bench, &cfg, |r| tels.get(r).cloned());
-        assert_eq!(e.guided_m.per_thread_times.len(), cfg.measure_runs);
-        for (r, tel) in tels.iter().enumerate() {
-            let snap = tel.snapshot();
-            let clock = snap.clock.as_ref().expect("clock stats stamped");
-            assert!(clock.sharded, "run {r} measured on the sharded clock");
-            assert_eq!(
-                clock.shard_commits_total(),
-                snap.commits,
-                "run {r}: shard counters partition the commit total"
-            );
-            for s in &clock.shards {
-                assert!(
-                    s.epoch_end >= s.epoch_start,
-                    "run {r} shard {} epoch went backwards",
-                    s.shard
-                );
-            }
-            let placement = snap.placement.as_ref().expect("placement stamped");
-            assert_eq!(placement.policy, PinPolicy::Model.code());
-            assert_eq!(placement.thread_shard.len(), 2);
-            let prom = snap.render_prometheus();
-            assert!(prom.contains("gstm_clock_mode 1"));
-            assert!(prom.contains("gstm_placement_policy"));
-        }
-    }
-
-    #[test]
     fn contention_rides_telemetry_and_partitions_aborts() {
         // End-to-end observability contract behind `--telemetry`: every
         // collected guided run gets its own contention tracker, the
@@ -1087,45 +953,6 @@ mod tests {
             let prom = snap.render_prometheus();
             assert!(prom.contains("gstm_contention_attributed_total"));
         }
-    }
-
-    #[test]
-    fn measured_affinity_builds_a_model_plan() {
-        // `--pin=model --affinity=measured`: the pipeline completes and
-        // still produces a full model-policy placement plan (thread→shard
-        // and thread→core maps over every worker), now derived from the
-        // profiling phase's victim/owner abort matrix.
-        let bench = by_name("kmeans").unwrap();
-        let cfg = ExperimentConfig {
-            pin: PinPolicy::Model,
-            affinity: AffinitySource::Measured,
-            ..tiny_cfg(2)
-        };
-        let tel = Arc::new(Telemetry::counters_only());
-        let e = run_experiment_instrumented(&*bench, &cfg, Some(tel.clone()));
-        assert!(e.guided_m.total_commits() > 0);
-        let snap = tel.snapshot();
-        let placement = snap.placement.as_ref().expect("placement stamped");
-        assert_eq!(placement.policy, PinPolicy::Model.code());
-        assert_eq!(placement.thread_shard.len(), 2);
-        assert_eq!(placement.thread_core.len(), 2);
-    }
-
-    #[test]
-    fn global_clock_pipeline_reports_unsharded_stats() {
-        // `--clock=global` (the default) keeps the legacy clock and says
-        // so in telemetry. (No numeric bound on `global_advances` here:
-        // the clock is process-wide, so parallel tests advance it too.)
-        let bench = by_name("kmeans").unwrap();
-        let tel = Arc::new(Telemetry::counters_only());
-        let e = run_experiment_instrumented(&*bench, &tiny_cfg(2), Some(tel.clone()));
-        assert!(e.guided_m.total_commits() > 0);
-        let snap = tel.snapshot();
-        let clock = snap.clock.as_ref().expect("clock stats stamped");
-        assert!(!clock.sharded);
-        assert!(clock.shards.is_empty());
-        assert!(snap.placement.is_none(), "no plan without --pin");
-        assert!(snap.render_prometheus().contains("gstm_clock_mode 0"));
     }
 
     #[test]

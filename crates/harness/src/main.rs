@@ -46,22 +46,6 @@
 //!                       execution on released-rate / off-model /
 //!                       starvation bounds, re-admits via half-open
 //!                       probes after cooldown
-//!   --clock MODE        commit clock for the measurement phases:
-//!                       `global` (TL2's single CAS word, the default) or
-//!                       `sharded` (GV5-style: each committer stamps
-//!                       `(epoch << 6) | shard` on its own padded shard
-//!                       word; validation compares against the lazy
-//!                       aggregate bound). Profiling always runs global.
-//!   --pin POLICY        thread placement for the measurement phases:
-//!                       `none` (default, OS scheduler), `compact`
-//!                       (thread t -> core t%cores), `scatter` (spread
-//!                       across cores), or `model` (cluster threads by
-//!                       TSA conflict affinity: conflicting threads share
-//!                       a clock shard and adjacent cores)
-//!   --affinity SRC      signal behind --pin=model: `tsa` (default,
-//!                       profiled-automaton affinity) or `measured`
-//!                       (victim/owner abort attribution recorded by the
-//!                       contention tracker during profiling)
 //!   --serve ADDR        live ops plane: serve /metrics (Prometheus),
 //!                       /health (SLO verdict, 503 in Incident), /vars
 //!                       and /incidents from a std-only HTTP/1.1 thread
@@ -79,8 +63,7 @@
 //! ```
 
 use gstm_core::ops::{self, OpsPlane, OpsRoller, OpsServer, SloSpec};
-use gstm_core::{AffinitySource, FaultPlan, GuidanceConfig, PinPolicy, Telemetry};
-use gstm_tl2::ClockMode;
+use gstm_core::{FaultPlan, GuidanceConfig, Telemetry};
 use gstm_harness::experiment::{
     run_experiment_chaos, BenchExperiment, ExperimentConfig, Robustness,
 };
@@ -130,12 +113,6 @@ struct Options {
     chaos: Option<String>,
     /// Gate every guided run through its own circuit breaker.
     breaker: bool,
-    /// Commit-clock implementation (`--clock=global|sharded`).
-    clock: ClockMode,
-    /// Thread-placement policy (`--pin=none|compact|scatter|model`).
-    pin: PinPolicy,
-    /// Affinity signal for `--pin=model` (`--affinity=tsa|measured`).
-    affinity: AffinitySource,
     /// `--serve=ADDR`: bind the live ops endpoint there.
     serve: Option<String>,
     /// `--slo=SPEC`: watchdog rules; also turns the ops plane on.
@@ -154,27 +131,6 @@ fn parse_size(s: &str) -> InputSize {
             std::process::exit(2);
         }
     }
-}
-
-fn parse_clock(s: &str) -> ClockMode {
-    ClockMode::parse(s).unwrap_or_else(|e| {
-        eprintln!("bad --clock: {e}");
-        std::process::exit(2);
-    })
-}
-
-fn parse_affinity(s: &str) -> AffinitySource {
-    AffinitySource::parse(s).unwrap_or_else(|e| {
-        eprintln!("bad --affinity: {e}");
-        std::process::exit(2);
-    })
-}
-
-fn parse_pin(s: &str) -> PinPolicy {
-    PinPolicy::parse(s).unwrap_or_else(|e| {
-        eprintln!("bad --pin: {e}");
-        std::process::exit(2);
-    })
 }
 
 /// Parse a flag's numeric value; malformed input is a usage error (exit
@@ -207,9 +163,6 @@ fn parse_args() -> Options {
         profile_threads: None,
         chaos: None,
         breaker: false,
-        clock: ClockMode::Global,
-        pin: PinPolicy::None,
-        affinity: AffinitySource::Tsa,
         serve: None,
         slo: None,
         duration: None,
@@ -271,18 +224,6 @@ fn parse_args() -> Options {
                 opts.chaos = Some(s["--chaos=".len()..].to_string());
             }
             "--breaker" => opts.breaker = true,
-            "--clock" => opts.clock = parse_clock(&next(&mut args, "--clock")),
-            s if s.starts_with("--clock=") => {
-                opts.clock = parse_clock(&s["--clock=".len()..]);
-            }
-            "--pin" => opts.pin = parse_pin(&next(&mut args, "--pin")),
-            s if s.starts_with("--pin=") => {
-                opts.pin = parse_pin(&s["--pin=".len()..]);
-            }
-            "--affinity" => opts.affinity = parse_affinity(&next(&mut args, "--affinity")),
-            s if s.starts_with("--affinity=") => {
-                opts.affinity = parse_affinity(&s["--affinity=".len()..]);
-            }
             "--serve" => opts.serve = Some(next(&mut args, "--serve")),
             s if s.starts_with("--serve=") => {
                 opts.serve = Some(s["--serve=".len()..].to_string());
@@ -332,7 +273,6 @@ fn print_help() {
          \x20        --size s --train-size s --players N --frames N\n\
          \x20        --tfactor F --seed X --out DIR --no-csv --telemetry[=DIR]\n\
          \x20        --adaptive[=W] --profile-threads N --chaos SEED[:PLAN] --breaker\n\
-         \x20        --clock global|sharded --pin none|compact|scatter|model --affinity tsa|measured\n\
          \x20        --serve ADDR --slo SPEC --duration SECS"
     );
 }
@@ -400,9 +340,6 @@ impl Campaign {
                     seed: self.opts.seed,
                     adaptive: self.opts.adaptive,
                     profile_threads: self.opts.profile_threads,
-                    clock: self.opts.clock,
-                    pin: self.opts.pin,
-                    affinity: self.opts.affinity,
                 };
                 eprintln!("[gstm-repro] running {} @ {threads} threads ...", bench.name());
                 // Collectors exist when artifacts were requested
@@ -710,9 +647,9 @@ fn main() {
                     .collect();
                 c.emit("summary", &tables::summary(&all));
             }
-            "table1" => c.emit("table1", &tables::table1(&e8, &e16)),
-            "table3" => c.emit("table3", &tables::table3(&e8, &e16)),
-            "table4" => c.emit("table4", &tables::table4(&e8, &e16)),
+            "table1" => c.emit("table1", &tables::table1(&e8, &e16, (t_lo, t_hi))),
+            "table3" => c.emit("table3", &tables::table3(&e8, &e16, (t_lo, t_hi))),
+            "table4" => c.emit("table4", &tables::table4(&e8, &e16, (t_lo, t_hi))),
             "fig4" => c.emit("fig4", &figures::fig_variance(&e8, t_lo)),
             "fig5" => c.emit("fig5", &figures::fig_abort_tail(&e8, t_lo)),
             "fig6" => c.emit("fig6", &figures::fig_variance(&e16, t_hi)),
@@ -721,9 +658,9 @@ fn main() {
             "fig9" => c.emit("fig9", &figures::fig9_nondeterminism(&e8, &e16)),
             "fig10" => c.emit("fig10", &figures::fig10_slowdown(&e8, &e16)),
             "stamp" => {
-                c.emit("table1", &tables::table1(&e8, &e16));
-                c.emit("table3", &tables::table3(&e8, &e16));
-                c.emit("table4", &tables::table4(&e8, &e16));
+                c.emit("table1", &tables::table1(&e8, &e16, (t_lo, t_hi)));
+                c.emit("table3", &tables::table3(&e8, &e16, (t_lo, t_hi)));
+                c.emit("table4", &tables::table4(&e8, &e16, (t_lo, t_hi)));
                 c.emit("fig4", &figures::fig_variance(&e8, t_lo));
                 c.emit("fig5", &figures::fig_abort_tail(&e8, t_lo));
                 c.emit("fig6", &figures::fig_variance(&e16, t_hi));
@@ -777,9 +714,6 @@ fn main() {
                 seed: c.opts.seed,
                 adaptive: c.opts.adaptive,
                 profile_threads: c.opts.profile_threads,
-                clock: c.opts.clock,
-                pin: c.opts.pin,
-                affinity: c.opts.affinity,
             };
             eprintln!("[gstm-repro] training {name} @ {threads} threads ...");
             let model = gstm_harness::experiment::train_model(&*bench, &cfg);
@@ -811,9 +745,6 @@ fn main() {
                         seed: c.opts.seed,
                         adaptive: c.opts.adaptive,
                         profile_threads: c.opts.profile_threads,
-                        clock: c.opts.clock,
-                        pin: c.opts.pin,
-                        affinity: c.opts.affinity,
                     };
                     eprintln!(
                         "[gstm-repro] repeating {} @ {threads} threads x{} ...",

@@ -5,24 +5,30 @@ use crate::game::GameExperiment;
 use crate::report::{f1, Table};
 
 /// Pair up experiments by benchmark name across the two thread counts,
-/// preserving the 8-thread ordering.
+/// preserving the low-count ordering.
 fn paired<'a>(
-    eight: &'a [BenchExperiment],
-    sixteen: &'a [BenchExperiment],
+    lo: &'a [BenchExperiment],
+    hi: &'a [BenchExperiment],
 ) -> Vec<(&'a BenchExperiment, Option<&'a BenchExperiment>)> {
-    eight
-        .iter()
-        .map(|e| (e, sixteen.iter().find(|s| s.name == e.name)))
+    lo.iter()
+        .map(|e| (e, hi.iter().find(|s| s.name == e.name)))
         .collect()
 }
 
-/// Table I: model analyzer guidance metric percentage (lower is better).
-pub fn table1(eight: &[BenchExperiment], sixteen: &[BenchExperiment]) -> Table {
+/// Column labels for a campaign's `(low, high)` thread counts.
+fn thread_labels((lo, hi): (u16, u16)) -> [String; 2] {
+    [format!("{lo} threads"), format!("{hi} threads")]
+}
+
+/// Table I: model analyzer guidance metric percentage (lower is better),
+/// one column per thread count of `threads`.
+pub fn table1(lo: &[BenchExperiment], hi: &[BenchExperiment], threads: (u16, u16)) -> Table {
+    let [lo_label, hi_label] = thread_labels(threads);
     let mut t = Table::new(
         "Table I: model analyzer guidance metric % (lower is better)",
-        &["Application", "8 threads", "16 threads"],
+        &["Application", &lo_label, &hi_label],
     );
-    for (e, s) in paired(eight, sixteen) {
+    for (e, s) in paired(lo, hi) {
         t.row(vec![
             e.name.to_string(),
             f1(e.analyzer.guidance_metric_pct),
@@ -54,13 +60,14 @@ pub fn table2() -> Table {
 }
 
 /// Table III: number of states in each application's model.
-pub fn table3(eight: &[BenchExperiment], sixteen: &[BenchExperiment]) -> Table {
+pub fn table3(lo: &[BenchExperiment], hi: &[BenchExperiment], threads: (u16, u16)) -> Table {
     let kb = |bytes: usize| format!("{:.1} KB", bytes as f64 / 1024.0);
+    let [lo_label, hi_label] = thread_labels(threads);
     let mut t = Table::new(
         "Table III: number of states in the model (+ encoded size)",
-        &["Application", "8 threads", "size", "16 threads", "size"],
+        &["Application", &lo_label, "size", &hi_label, "size"],
     );
-    for (e, s) in paired(eight, sixteen) {
+    for (e, s) in paired(lo, hi) {
         t.row(vec![
             e.name.to_string(),
             e.model_states.to_string(),
@@ -74,12 +81,13 @@ pub fn table3(eight: &[BenchExperiment], sixteen: &[BenchExperiment]) -> Table {
 
 /// Table IV: average % improvement in the abort-tail metric across all
 /// threads.
-pub fn table4(eight: &[BenchExperiment], sixteen: &[BenchExperiment]) -> Table {
+pub fn table4(lo: &[BenchExperiment], hi: &[BenchExperiment], threads: (u16, u16)) -> Table {
+    let [lo_label, hi_label] = thread_labels(threads);
     let mut t = Table::new(
         "Table IV: average % improvement in the tail distribution of aborts",
-        &["Application", "8 threads", "16 threads"],
+        &["Application", &lo_label, &hi_label],
     );
-    for (e, s) in paired(eight, sixteen) {
+    for (e, s) in paired(lo, hi) {
         t.row(vec![
             e.name.to_string(),
             f1(e.tail_improvement_pct()),
@@ -206,7 +214,7 @@ mod tests {
     fn table1_pairs_thread_counts() {
         let e8 = vec![fake_exp("kmeans", 8, 26.0, 100)];
         let e16 = vec![fake_exp("kmeans", 16, 37.0, 200)];
-        let s = table1(&e8, &e16).render();
+        let s = table1(&e8, &e16, (8, 16)).render();
         assert!(s.contains("kmeans"));
         assert!(s.contains("26.0"));
         assert!(s.contains("37.0"));
@@ -215,8 +223,23 @@ mod tests {
     #[test]
     fn table3_reports_state_counts() {
         let e8 = vec![fake_exp("yada", 8, 19.0, 27120)];
-        let s = table3(&e8, &[]).render();
+        let s = table3(&e8, &[], (8, 16)).render();
         assert!(s.contains("27120"));
+    }
+
+    #[test]
+    fn stamp_tables_label_columns_with_the_campaign_threads() {
+        let lo = vec![fake_exp("kmeans", 2, 26.0, 100)];
+        let hi = vec![fake_exp("kmeans", 4, 37.0, 200)];
+        for t in [
+            table1(&lo, &hi, (2, 4)),
+            table3(&lo, &hi, (2, 4)),
+            table4(&lo, &hi, (2, 4)),
+        ] {
+            let s = t.render();
+            assert!(s.contains("2 threads") && s.contains("4 threads"), "{s}");
+            assert!(!s.contains("8 threads") && !s.contains("16 threads"), "{s}");
+        }
     }
 
     #[test]

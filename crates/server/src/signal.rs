@@ -1,8 +1,7 @@
 //! SIGINT/SIGTERM → graceful-shutdown flag, without a signal crate.
 //!
 //! The container build has no registry access, so this installs the
-//! handler with a raw `rt_sigaction` syscall (same inline-asm idiom as
-//! `gstm_core::placement`'s affinity syscalls). The kernel requires a
+//! handler with a raw `rt_sigaction` syscall. The kernel requires a
 //! userspace restorer trampoline on x86-64; a two-instruction
 //! `global_asm!` stub issuing `rt_sigreturn` serves. On other targets
 //! installation fails open: [`install`] returns `false` and the server

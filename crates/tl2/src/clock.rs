@@ -1,80 +1,29 @@
-//! The commit version clocks.
+//! The commit version clock.
 //!
 //! TL2's central serialization device is a monotonically increasing
 //! version counter. Transactions sample it at begin (`rv`); committing
 //! writers advance it and stamp their write locations with the new value
 //! (`wv`). A location whose version exceeds a transaction's `rv` was
 //! written after that transaction began, so reading it would be
-//! inconsistent.
-//!
-//! Two implementations are provided, selected per [`crate::Stm`] instance
-//! by [`ClockMode`]:
-//!
-//! * [`GlobalClock`] — the textbook single atomic counter. Every commit
-//!   is a `fetch_add` on one cache line; correct, simple, and the
-//!   classic multi-core STM bottleneck.
-//! * [`ShardedClock`] — a GV5-style sharded/deferred clock. Each
-//!   committer advances only its own padded shard word and stamps
-//!   versions as `(epoch << SHARD_BITS) | shard_id`; readers derive
-//!   their `rv` from a lazily aggregated *bound* (the max over the
-//!   active shard words and the global clock) instead of one contended
-//!   line. See `DESIGN.md` §12 for the correctness argument.
+//! inconsistent. [`GlobalClock`] is the textbook single atomic counter:
+//! every commit is a `fetch_add` on one cache line. See `DESIGN.md` §12.
 //!
 //! ## Version-space overflow
 //!
 //! Stamped versions live in the low 63 bits of a [`crate::VLock`] word —
 //! bit 63 is the lock bit. `u64` arithmetic itself wraps only after
-//! 2^64 advances (> 580 years at 10⁹ commits/s), but the *usable* space
-//! is 2^63 for the global clock and 2^57 epochs for the sharded clock
-//! (6 bits go to the shard id). Overflow is therefore a program-logic
-//! impossibility, not a runtime condition: `advance` documents wrapping
-//! `u64` semantics and carries a `debug_assert!` that the returned stamp
-//! keeps bit 63 clear, so a hypothetical overflow is caught loudly in
-//! debug builds instead of silently corrupting lock words in release.
+//! 2^64 advances (> 580 years at 10⁹ commits/s), and the *usable* space
+//! is 2^63. Overflow is therefore a program-logic impossibility, not a
+//! runtime condition: `advance` documents wrapping `u64` semantics and
+//! carries a `debug_assert!` that the returned stamp keeps bit 63 clear,
+//! so a hypothetical overflow is caught loudly in debug builds instead of
+//! silently corrupting lock words in release.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Low bits of a sharded stamp that carry the shard id.
-pub const SHARD_BITS: u32 = 6;
-
-/// Number of clock shards (and the maximum number of usefully distinct
-/// shard assignments).
-pub const MAX_SHARDS: usize = 1 << SHARD_BITS;
-
-/// Bit 63 of a version word is the lock bit ([`crate::vlock`]); no clock
-/// may ever produce a stamp with it set.
+/// Bit 63 of a version word is the lock bit ([`crate::vlock`]); the clock
+/// must never produce a stamp with it set.
 const LOCK_BIT: u64 = 1 << 63;
-
-/// Which commit clock an [`crate::Stm`] instance uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ClockMode {
-    /// One process-wide atomic counter (TL2's GV1). The seed behavior —
-    /// bit-compatible with every release before the sharded clock.
-    #[default]
-    Global,
-    /// Per-thread-cluster shard words with a lazily aggregated global
-    /// bound (GV5-style). Commits touch only their own cache line.
-    Sharded,
-}
-
-impl ClockMode {
-    /// Parse a `--clock=` flag value.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "global" => Ok(ClockMode::Global),
-            "sharded" => Ok(ClockMode::Sharded),
-            other => Err(format!("unknown clock mode {other:?} (want global|sharded)")),
-        }
-    }
-
-    /// The flag spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ClockMode::Global => "global",
-            ClockMode::Sharded => "sharded",
-        }
-    }
-}
 
 /// A shared, monotonically increasing version clock.
 #[derive(Debug, Default)]
@@ -88,8 +37,7 @@ pub struct GlobalClock(AtomicU64);
 /// transaction samples its `rv` from).
 static CLOCK: GlobalClock = GlobalClock::new();
 
-/// The process-wide clock all [`ClockMode::Global`] instances commit
-/// through (and a component of the sharded clock's bound).
+/// The process-wide clock every [`crate::Stm`] instance commits through.
 #[inline]
 pub fn global() -> &'static GlobalClock {
     &CLOCK
@@ -125,215 +73,6 @@ impl GlobalClock {
         );
         wv
     }
-}
-
-/// One shard's clock state, padded to its own cache-line pair so
-/// committers on different shards never false-share.
-#[repr(align(128))]
-struct ShardWord {
-    /// The highest stamp published through this shard:
-    /// `(epoch << SHARD_BITS) | shard_id`, or 0 if never advanced.
-    stamp: AtomicU64,
-    /// How many stamps [`ShardedClock::advance`] has returned for this
-    /// shard (monotonicity witness: each advance raises the epoch by at
-    /// least one, so `Δepoch ≥ Δadvances` over any interval).
-    advances: AtomicU64,
-}
-
-/// A GV5-style sharded commit clock.
-///
-/// Committers advance only their own shard word; readers aggregate a
-/// *bound* lazily by scanning the active shard words plus the global
-/// clock. Stamps encode their shard in the low [`SHARD_BITS`] bits, so
-/// distinct shards can never produce equal stamps and per-shard stamps
-/// are strictly increasing.
-///
-/// The global clock is folded into the bound so values stamped through
-/// [`ClockMode::Global`] *before* a sharded instance starts (setup
-/// phases, earlier runs in the same process) stay readable: every
-/// sharded stamp strictly exceeds the global clock's value at stamping
-/// time. Concurrently sharing one `TVar` between a global-mode and a
-/// sharded-mode instance is *not* supported.
-pub struct ShardedClock {
-    shards: [ShardWord; MAX_SHARDS],
-    /// High-water mark of shard ids in use (`max shard + 1`), raised
-    /// before a shard's first CAS so any nonzero shard word is covered
-    /// by every later bound scan.
-    active: AtomicU64,
-}
-
-impl Default for ShardedClock {
-    fn default() -> Self {
-        ShardedClock::new()
-    }
-}
-
-/// A point-in-time copy of the sharded clock (plus the global clock),
-/// used to compute per-run deltas — the clock is process-wide and
-/// outlives any one [`crate::Stm`].
-#[derive(Clone, Debug)]
-pub struct ClockSnapshot {
-    /// Global clock value.
-    pub global: u64,
-    /// Per-shard stamp words.
-    pub stamps: [u64; MAX_SHARDS],
-    /// Per-shard advance counters.
-    pub advances: [u64; MAX_SHARDS],
-    /// Active-shard high-water mark.
-    pub active: usize,
-}
-
-/// The process-wide sharded clock (see [`global`] for why clocks are
-/// process-wide, not per-instance).
-static SHARDED: ShardedClock = ShardedClock::new();
-
-/// The process-wide sharded clock all [`ClockMode::Sharded`] instances
-/// commit through.
-#[inline]
-pub fn sharded() -> &'static ShardedClock {
-    &SHARDED
-}
-
-impl ShardedClock {
-    /// A sharded clock with every shard at epoch 0.
-    pub const fn new() -> Self {
-        ShardedClock {
-            shards: [const {
-                ShardWord {
-                    stamp: AtomicU64::new(0),
-                    advances: AtomicU64::new(0),
-                }
-            }; MAX_SHARDS],
-            active: AtomicU64::new(0),
-        }
-    }
-
-    /// The lazily aggregated global bound: the maximum of the global
-    /// clock and every active shard word. A sharded transaction's `rv`.
-    ///
-    /// Reading N shard words is N uncontended cache hits in steady
-    /// state — the words change only when *their* shard commits —
-    /// versus every commit invalidating the single global line.
-    pub fn bound(&self) -> u64 {
-        let mut max = global().now();
-        let active = (self.active.load(Ordering::SeqCst) as usize).min(MAX_SHARDS);
-        for shard in &self.shards[..active] {
-            let v = shard.stamp.load(Ordering::SeqCst);
-            if v > max {
-                max = v;
-            }
-        }
-        max
-    }
-
-    /// Announce that `shard` will be used, so bound scans cover it even
-    /// before its first commit.
-    pub fn register_shard(&self, shard: u16) {
-        let s = (shard as usize).min(MAX_SHARDS - 1);
-        self.active.fetch_max(s as u64 + 1, Ordering::SeqCst);
-    }
-
-    /// Advance `shard` and return the new stamp
-    /// `(epoch << SHARD_BITS) | shard` — a committing transaction's
-    /// `wv`. Per shard, returned stamps are strictly increasing.
-    ///
-    /// The returned stamp is guaranteed to exceed every bound any
-    /// reader could have observed before this call returns: after the
-    /// CAS publishes the candidate stamp, a *post-check* re-reads the
-    /// other shard words and the global clock, and retries at a higher
-    /// epoch if any of them already reached the candidate — closing the
-    /// race where a reader samples its `rv` between this committer's
-    /// bound scan and its CAS (DESIGN.md §12).
-    pub fn advance(&self, shard: u16) -> u64 {
-        let s = (shard as usize).min(MAX_SHARDS - 1);
-        self.active.fetch_max(s as u64 + 1, Ordering::SeqCst);
-        loop {
-            // Candidate: one epoch above everything currently visible.
-            // `bound()` includes our own shard word, so the candidate
-            // always exceeds it unless a same-shard committer races us.
-            let epoch = (self.bound() >> SHARD_BITS).wrapping_add(1);
-            let stamp = (epoch << SHARD_BITS) | s as u64;
-            debug_assert!(
-                stamp & LOCK_BIT == 0,
-                "sharded clock overflowed into the lock bit (2^57 epochs)"
-            );
-            let cur = self.shards[s].stamp.load(Ordering::SeqCst);
-            if cur >= stamp {
-                continue; // same-shard race: re-derive from a fresh bound
-            }
-            if self.shards[s]
-                .stamp
-                .compare_exchange(cur, stamp, Ordering::SeqCst, Ordering::SeqCst)
-                .is_err()
-            {
-                continue;
-            }
-            // Post-check: if any *other* clock component caught up to the
-            // candidate while we were between the bound scan and the CAS,
-            // a reader may already hold an rv ≥ stamp — retry at a higher
-            // epoch. Our own (now published) word only raises future
-            // bounds, which is harmless.
-            let raced = global().now() >= stamp || {
-                let active = (self.active.load(Ordering::SeqCst) as usize).min(MAX_SHARDS);
-                self.shards[..active]
-                    .iter()
-                    .enumerate()
-                    .any(|(o, w)| o != s && w.stamp.load(Ordering::SeqCst) >= stamp)
-            };
-            if raced {
-                continue;
-            }
-            self.shards[s].advances.fetch_add(1, Ordering::SeqCst);
-            return stamp;
-        }
-    }
-
-    /// Current stamp word of a shard (0 if never advanced).
-    pub fn shard_stamp(&self, shard: u16) -> u64 {
-        self.shards[(shard as usize).min(MAX_SHARDS - 1)]
-            .stamp
-            .load(Ordering::SeqCst)
-    }
-
-    /// How many stamps [`ShardedClock::advance`] has returned for a shard.
-    pub fn shard_advances(&self, shard: u16) -> u64 {
-        self.shards[(shard as usize).min(MAX_SHARDS - 1)]
-            .advances
-            .load(Ordering::SeqCst)
-    }
-
-    /// The active-shard high-water mark (`max used shard + 1`).
-    pub fn active(&self) -> usize {
-        (self.active.load(Ordering::SeqCst) as usize).min(MAX_SHARDS)
-    }
-
-    /// Snapshot every component for later delta computation.
-    pub fn snapshot(&self) -> ClockSnapshot {
-        let mut stamps = [0u64; MAX_SHARDS];
-        let mut advances = [0u64; MAX_SHARDS];
-        for (i, w) in self.shards.iter().enumerate() {
-            stamps[i] = w.stamp.load(Ordering::SeqCst);
-            advances[i] = w.advances.load(Ordering::SeqCst);
-        }
-        ClockSnapshot {
-            global: global().now(),
-            stamps,
-            advances,
-            active: self.active(),
-        }
-    }
-}
-
-/// The epoch component of a sharded stamp.
-#[inline]
-pub fn stamp_epoch(stamp: u64) -> u64 {
-    stamp >> SHARD_BITS
-}
-
-/// The shard component of a sharded stamp.
-#[inline]
-pub fn stamp_shard(stamp: u64) -> u16 {
-    (stamp & (MAX_SHARDS as u64 - 1)) as u16
 }
 
 #[cfg(test)]
@@ -396,104 +135,5 @@ mod tests {
         for h in handles {
             h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
         }
-    }
-
-    #[test]
-    fn clock_mode_parses_both_spellings() {
-        assert_eq!(ClockMode::parse("global"), Ok(ClockMode::Global));
-        assert_eq!(ClockMode::parse("sharded"), Ok(ClockMode::Sharded));
-        assert!(ClockMode::parse("gv5").is_err());
-        assert_eq!(ClockMode::Sharded.as_str(), "sharded");
-        assert_eq!(ClockMode::default(), ClockMode::Global);
-    }
-
-    #[test]
-    fn sharded_stamps_encode_their_shard() {
-        let c = ShardedClock::new();
-        let a = c.advance(3);
-        assert_eq!(stamp_shard(a), 3);
-        assert!(stamp_epoch(a) >= 1);
-        let b = c.advance(5);
-        assert_eq!(stamp_shard(b), 5);
-        assert!(b > a, "later advance observes the earlier stamp in its bound");
-        assert!(c.active() >= 6);
-    }
-
-    #[test]
-    fn sharded_bound_covers_every_stamp() {
-        let c = ShardedClock::new();
-        let mut last = 0;
-        for s in 0..8u16 {
-            last = c.advance(s);
-            assert!(c.bound() >= last, "bound below a published stamp");
-        }
-        assert_eq!(c.bound(), last);
-    }
-
-    #[test]
-    fn sharded_advance_exceeds_prior_global_stamps() {
-        // Values stamped through the global clock before a sharded run
-        // (setup phases) must stay below every sharded rv: the bound
-        // folds the global clock in, and stamps strictly exceed it.
-        let g = global().now();
-        let c = ShardedClock::new();
-        assert!(c.bound() >= g);
-        let stamp = c.advance(0);
-        assert!(stamp > g, "sharded stamp {stamp} not above global value {g}");
-    }
-
-    #[test]
-    fn sharded_stamps_are_strictly_monotone_per_shard_under_contention() {
-        // Two threads share shard 0, two more run shards 1 and 2; per
-        // shard the returned stamps must strictly increase, globally
-        // every stamp must be unique, and Δepoch ≥ Δadvances.
-        let c = Arc::new(ShardedClock::new());
-        const N: usize = 2000;
-        let handles: Vec<_> = [0u16, 0, 1, 2]
-            .iter()
-            .map(|&shard| {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || {
-                    let mut prev = 0u64;
-                    let mut out = Vec::with_capacity(N);
-                    for _ in 0..N {
-                        let wv = c.advance(shard);
-                        assert_eq!(stamp_shard(wv), shard);
-                        assert!(wv > prev, "shard {shard}: stamp {wv} not above {prev}");
-                        prev = wv;
-                        out.push(wv);
-                    }
-                    out
-                })
-            })
-            .collect();
-        let mut all: Vec<u64> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), 4 * N, "every sharded stamp must be unique");
-        for shard in 0..3u16 {
-            let advances = c.shard_advances(shard);
-            let epoch = stamp_epoch(c.shard_stamp(shard));
-            assert!(
-                epoch >= advances,
-                "shard {shard}: epoch {epoch} below advance count {advances}"
-            );
-        }
-    }
-
-    #[test]
-    fn snapshot_captures_deltas() {
-        let c = ShardedClock::new();
-        c.advance(1);
-        let before = c.snapshot();
-        c.advance(1);
-        c.advance(1);
-        let after = c.snapshot();
-        assert_eq!(after.advances[1] - before.advances[1], 2);
-        assert!(after.stamps[1] > before.stamps[1]);
-        assert!(after.active >= 2);
     }
 }

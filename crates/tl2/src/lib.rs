@@ -3,13 +3,8 @@
 //! A Rust implementation of Transactional Locking II (Dice, Shalev, Shavit
 //! — DISC'06), the STM the paper's STAMP experiments run on:
 //!
-//! * **Version clock** ([`clock::GlobalClock`], or the GV5-style
-//!   [`clock::ShardedClock`] selected with [`clock::ClockMode`]): committers
-//!   advance it; every transaction samples it at begin into its read
-//!   version `rv`. The sharded clock removes the single CAS hot-spot by
-//!   letting each committer stamp `(epoch << SHARD_BITS) | shard` on its
-//!   own cache-line-padded shard word, at the cost of always validating
-//!   the read set at commit.
+//! * **Version clock** ([`clock::GlobalClock`]): committers advance it;
+//!   every transaction samples it at begin into its read version `rv`.
 //! * **Commit-time locking, write-back**: writes are buffered in the
 //!   transaction's write set; at commit the write locations are locked,
 //!   the read set is validated against `rv`, and the buffered values are
@@ -54,7 +49,7 @@ pub mod tvar;
 pub mod txn;
 pub mod vlock;
 
-pub use clock::{ClockMode, GlobalClock, ShardedClock};
+pub use clock::GlobalClock;
 pub use runtime::{Detection, Stm, StmBuilder, StmConfig, ThreadCtx};
 pub use gstm_core::{Abort, ThreadStats, TxResult};
 pub use tvar::TVar;

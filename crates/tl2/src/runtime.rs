@@ -2,16 +2,15 @@
 //! `atomically` entry point into the shared retry driver
 //! ([`gstm_core::Instruments::run`]).
 
-use crate::clock::{self, ClockMode, ClockSnapshot, MAX_SHARDS, SHARD_BITS};
+use crate::clock;
 use crate::txn::Txn;
 use gstm_core::contention::ContentionTracker;
 use gstm_core::faultinject::FaultPlan;
-use gstm_core::placement::{self, PlacementPlan};
 use gstm_core::rng::Interleave;
-use gstm_core::telemetry::{ClockStats, ShardClockStats, Telemetry};
+use gstm_core::telemetry::Telemetry;
 use gstm_core::ThreadStats;
 use gstm_core::{GuidanceHook, Instruments, NoopHook, Pair, ThreadId, TxResult, TxnId};
-use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::Arc;
 
 /// When conflicts between writers are detected (Section II of the paper:
@@ -70,34 +69,34 @@ impl StmConfig {
 /// ladder.
 ///
 /// ```
-/// use gstm_tl2::{ClockMode, StmBuilder, StmConfig};
+/// use gstm_core::{Telemetry, TxnId};
+/// use gstm_tl2::{StmBuilder, StmConfig, TVar};
+/// use std::sync::Arc;
 ///
+/// let tel = Arc::new(Telemetry::counters_only());
 /// let stm = StmBuilder::new(StmConfig::default())
-///     .clock(ClockMode::Sharded)
+///     .telemetry(Some(tel.clone()))
 ///     .build();
-/// assert_eq!(stm.clock_mode(), ClockMode::Sharded);
+/// let v = TVar::new(1u32);
+/// stm.register().atomically(TxnId(0), |tx| tx.modify(&v, |x| x + 1));
+/// assert_eq!(tel.snapshot().commits, 1);
 /// ```
 pub struct StmBuilder {
     hook: Arc<dyn GuidanceHook>,
     config: StmConfig,
     telemetry: Option<Arc<Telemetry>>,
     faults: Option<Arc<FaultPlan>>,
-    clock_mode: ClockMode,
-    placement: Option<Arc<PlacementPlan>>,
     contention: Option<Arc<ContentionTracker>>,
 }
 
 impl StmBuilder {
-    /// A builder for a plain instance (no recording, no gating, global
-    /// clock, no placement).
+    /// A builder for a plain instance (no recording, no gating).
     pub fn new(config: StmConfig) -> Self {
         StmBuilder {
             hook: Arc::new(NoopHook),
             config,
             telemetry: None,
             faults: None,
-            clock_mode: ClockMode::Global,
-            placement: None,
             contention: None,
         }
     }
@@ -127,19 +126,6 @@ impl StmBuilder {
         self
     }
 
-    /// Select the commit clock (default [`ClockMode::Global`]).
-    pub fn clock(mut self, mode: ClockMode) -> Self {
-        self.clock_mode = mode;
-        self
-    }
-
-    /// Install a thread-placement plan: [`Stm::register_as`] pins each
-    /// worker per the plan and assigns its clock shard from it.
-    pub fn placement(mut self, plan: Option<Arc<PlacementPlan>>) -> Self {
-        self.placement = plan;
-        self
-    }
-
     /// Attach a conflict-provenance tracker: every abort is recorded
     /// with its cause, owner, and conflicting address. `None` (the
     /// default) keeps the abort path at one predictable branch.
@@ -153,41 +139,20 @@ impl StmBuilder {
         Arc::new(Stm {
             instruments: Instruments::new(self.hook, self.telemetry, self.faults, self.contention),
             config: self.config,
-            clock_mode: self.clock_mode,
-            placement: self.placement,
-            shard_commits: (0..MAX_SHARDS).map(|_| AtomicU64::new(0)).collect(),
-            clock_baseline: clock::sharded().snapshot(),
             next_thread: AtomicU16::new(0),
         })
     }
 }
 
-/// One STM instance: configuration plus its [`Instruments`]. All instances
-/// of one [`ClockMode`] commit through that mode's process-wide clock
-/// ([`clock::global`] / [`clock::sharded`]), so a [`crate::TVar`] may be
-/// used under any instance of the same mode — instances differ only in
-/// configuration and instrumentation. Handing a `TVar` from a global-mode
-/// instance to a sharded one is safe when the accesses are ordered (setup
-/// then run: sharded stamps always exceed prior global stamps); the
-/// reverse direction and concurrent cross-mode sharing are not supported.
+/// One STM instance: configuration plus its [`Instruments`]. Every
+/// instance commits through the process-wide [`clock::global`] clock, so
+/// a [`crate::TVar`] may be used under any instance — instances differ
+/// only in configuration and instrumentation.
 pub struct Stm {
     /// Hook, telemetry, fault plan, contention tracker and the outcome
     /// totals — everything the retry driver reports to.
     instruments: Instruments,
     pub(crate) config: StmConfig,
-    /// Which commit clock transactions of this instance use.
-    pub(crate) clock_mode: ClockMode,
-    /// Placement plan consulted at registration (core pinning + shard
-    /// assignment); `None` = unpinned, shard = thread id mod shards.
-    placement: Option<Arc<PlacementPlan>>,
-    /// Per-shard successful-commit counters (sharded mode; all zero in
-    /// global mode). Every commit increments exactly one slot, so the
-    /// slots partition `total_commits` — the analyzer's exactness check.
-    shard_commits: Box<[AtomicU64]>,
-    /// Process-wide clock state at construction; [`Stm::clock_stats`]
-    /// reports deltas against it so per-run stats are run-local even
-    /// though the clocks outlive the instance.
-    clock_baseline: ClockSnapshot,
     next_thread: AtomicU16,
 }
 
@@ -230,29 +195,10 @@ impl Stm {
     /// this to keep thread ids stable across runs — the model's states
     /// name specific thread ids, so profiled and guided runs must agree on
     /// the numbering.
-    ///
-    /// This is also where placement lands: if the instance carries a
-    /// [`PlacementPlan`], the calling OS thread is pinned to its planned
-    /// core (best-effort; unsupported platforms no-op) and its clock
-    /// shard comes from the plan instead of the `id % MAX_SHARDS`
-    /// default.
     pub fn register_as(self: &Arc<Self>, id: ThreadId) -> ThreadCtx {
-        let mut shard = (id.index() % MAX_SHARDS) as u16;
-        if let Some(plan) = &self.placement {
-            if let Some(s) = plan.shard_of(id) {
-                shard = s % MAX_SHARDS as u16;
-            }
-            if let Some(core) = plan.core_of(id) {
-                placement::pin_current_thread(core as usize);
-            }
-        }
-        if self.clock_mode == ClockMode::Sharded {
-            clock::sharded().register_shard(shard);
-        }
         ThreadCtx {
             stm: Arc::clone(self),
             thread: id,
-            shard,
             stats: ThreadStats::new(),
             inject: Interleave::for_thread(self.config.yield_prob_log2, id),
         }
@@ -273,69 +219,10 @@ impl Stm {
         self.instruments.total_aborts()
     }
 
-    /// The commit clock this instance uses.
-    pub fn clock_mode(&self) -> ClockMode {
-        self.clock_mode
-    }
-
-    /// Current value of this instance's commit clock — the global
-    /// counter in global mode, the lazily aggregated bound in sharded
-    /// mode. Either way, no stamp a new transaction can observe exceeds
-    /// this value.
+    /// Current value of the commit clock. No stamp a new transaction
+    /// can observe exceeds this value.
     pub fn clock_now(&self) -> u64 {
-        match self.clock_mode {
-            ClockMode::Global => clock::global().now(),
-            ClockMode::Sharded => clock::sharded().bound(),
-        }
-    }
-
-    /// Record a successful commit against its clock shard (sharded mode
-    /// only; a no-op in global mode).
-    #[inline]
-    pub(crate) fn record_shard_commit(&self, shard: u16) {
-        if self.clock_mode == ClockMode::Sharded {
-            self.shard_commits[shard as usize % MAX_SHARDS].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Per-run commit-clock statistics: deltas of the process-wide
-    /// clock(s) against this instance's construction-time baseline, plus
-    /// the instance-local per-shard commit partition. Feed to
-    /// [`Telemetry::set_clock_stats`] for export.
-    pub fn clock_stats(&self) -> ClockStats {
-        match self.clock_mode {
-            ClockMode::Global => ClockStats {
-                sharded: false,
-                global_advances: clock::global()
-                    .now()
-                    .saturating_sub(self.clock_baseline.global),
-                shards: Vec::new(),
-            },
-            ClockMode::Sharded => {
-                let now = clock::sharded().snapshot();
-                let base = &self.clock_baseline;
-                let mut shards = Vec::new();
-                for s in 0..now.active.max(base.active) {
-                    let advances = now.advances[s].saturating_sub(base.advances[s]);
-                    let commits = self.shard_commits[s].load(Ordering::Relaxed);
-                    if advances == 0 && commits == 0 {
-                        continue;
-                    }
-                    shards.push(ShardClockStats {
-                        shard: s as u16,
-                        advances,
-                        epoch_start: base.stamps[s] >> SHARD_BITS,
-                        epoch_end: now.stamps[s] >> SHARD_BITS,
-                        commits,
-                    });
-                }
-                ClockStats {
-                    sharded: true,
-                    global_advances: 0,
-                    shards,
-                }
-            }
-        }
+        clock::global().now()
     }
 }
 
@@ -344,8 +231,6 @@ impl Stm {
 pub struct ThreadCtx {
     stm: Arc<Stm>,
     thread: ThreadId,
-    /// Clock shard this thread commits through (sharded mode).
-    shard: u16,
     stats: ThreadStats,
     inject: Interleave,
 }
@@ -354,11 +239,6 @@ impl ThreadCtx {
     /// This thread's id within the STM instance.
     pub fn thread_id(&self) -> ThreadId {
         self.thread
-    }
-
-    /// The clock shard this thread commits through in sharded mode.
-    pub fn shard(&self) -> u16 {
-        self.shard
     }
 
     /// The owning STM instance.
@@ -387,12 +267,12 @@ impl ThreadCtx {
     /// commit clock into its read version.
     pub fn atomically<R>(&mut self, txid: TxnId, f: impl FnMut(&mut Txn) -> TxResult<R>) -> R {
         let me = Pair::new(txid, self.thread);
-        let (stm, inject, shard) = (&*self.stm, &self.inject, self.shard);
+        let (stm, inject) = (&*self.stm, &self.inject);
         stm.instruments.run(
             me,
             &mut self.stats,
             inject,
-            || Txn::new(stm, me, stm.clock_now(), inject, shard),
+            || Txn::new(stm, me, stm.clock_now(), inject),
             f,
         )
     }
@@ -426,23 +306,36 @@ mod tests {
 
     #[test]
     fn concurrent_increments_are_atomic() {
+        // Every thread increments one shared counter, and, in a second
+        // transaction, one of four more counters picked by a target that
+        // rotates per thread and iteration, so threads collide on mixed
+        // pairs. The committed values must account for every increment
+        // and the instance must count exactly one commit per transaction.
         let stm = Stm::new(StmConfig::with_yield_injection(2));
         let v = TVar::new(0u64);
+        let counters: Vec<TVar<u64>> = (0..4).map(|_| TVar::new(0)).collect();
         let threads = 4;
         let per = 250;
         std::thread::scope(|s| {
             for t in 0..threads {
                 let stm = Arc::clone(&stm);
                 let v = v.clone();
+                let counters = counters.clone();
                 s.spawn(move || {
                     let mut ctx = stm.register_as(ThreadId(t));
-                    for _ in 0..per {
+                    for i in 0..per {
                         ctx.atomically(TxnId(0), |tx| tx.modify(&v, |x| x + 1));
+                        let k = (t as usize + i) % counters.len();
+                        ctx.atomically(TxnId(1), |tx| tx.modify(&counters[k], |x| x + 1));
                     }
                 });
             }
         });
+        let per = per as u64;
         assert_eq!(v.load_quiesced(), threads as u64 * per);
+        let mixed: u64 = counters.iter().map(TVar::load_quiesced).sum();
+        assert_eq!(mixed, threads as u64 * per, "mixed-target increments lost");
+        assert_eq!(stm.total_commits(), 2 * threads as u64 * per);
     }
 
     #[test]

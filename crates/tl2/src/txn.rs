@@ -57,8 +57,6 @@ pub struct Txn<'stm> {
     stm: &'stm Stm,
     me: Pair,
     rv: u64,
-    /// Clock shard this transaction commits through (sharded mode).
-    shard: u16,
     read_set: Vec<Arc<dyn TxTarget>>,
     /// Locations already in `read_set`, keyed by allocation address —
     /// consulted on every read, so it avoids a SipHash per probe.
@@ -86,18 +84,11 @@ impl Drop for Txn<'_> {
 }
 
 impl<'stm> Txn<'stm> {
-    pub(crate) fn new(
-        stm: &'stm Stm,
-        me: Pair,
-        rv: u64,
-        inject: &'stm Interleave,
-        shard: u16,
-    ) -> Self {
+    pub(crate) fn new(stm: &'stm Stm, me: Pair, rv: u64, inject: &'stm Interleave) -> Self {
         Txn {
             stm,
             me,
             rv,
-            shard,
             read_set: Vec::new(),
             read_keys: AddrSet::new(),
             write_set: Vec::new(),
@@ -258,6 +249,14 @@ impl<'stm> Txn<'stm> {
         let v = self.read(tvar)?;
         self.write(tvar, f(v))
     }
+}
+
+impl Attempt for Txn<'_> {
+    const FAULT_SITES: (FaultSite, FaultSite) = (FaultSite::Tl2Abort, FaultSite::Tl2CommitDelay);
+
+    fn write_set_size(&self) -> usize {
+        self.write_set.len()
+    }
 
     /// The TL2 commit protocol. Consumes the transaction.
     ///
@@ -271,7 +270,7 @@ impl<'stm> Txn<'stm> {
     ///    version ≤ `rv`, or locked by this very transaction with its
     ///    pre-lock version ≤ `rv`.
     /// 5. Publish buffered values and release the locks stamped with `wv`.
-    fn commit_protocol(mut self) -> TxResult<()> {
+    fn commit(mut self) -> TxResult<()> {
         if self.write_set.is_empty() {
             return Ok(());
         }
@@ -328,21 +327,14 @@ impl<'stm> Txn<'stm> {
             }
         }
 
-        // Phase 3: obtain the write version from the configured clock.
-        let wv = match self.stm.clock_mode {
-            crate::clock::ClockMode::Global => crate::clock::global().advance(),
-            crate::clock::ClockMode::Sharded => crate::clock::sharded().advance(self.shard),
-        };
+        // Phase 3: obtain the write version from the global clock.
+        let wv = crate::clock::global().advance();
 
-        // Phase 4: validate the read set. A location this transaction
-        // itself locked (at commit in lazy mode, at encounter in eager
-        // mode) validates against its pre-lock version.
-        //
-        // Under the sharded clock the `wv == rv + 1` shortcut is unsound:
-        // another shard may have stamped versions between our rv and wv
-        // that the arithmetic test cannot see, so sharded commits always
-        // validate.
-        if self.stm.clock_mode == crate::clock::ClockMode::Sharded || wv != self.rv + 1 {
+        // Phase 4: validate the read set, unless no other commit advanced
+        // the clock since `rv`. A location this transaction itself locked
+        // (at commit in lazy mode, at encounter in eager mode) validates
+        // against its pre-lock version.
+        if wv != self.rv + 1 {
             let own_prev = |txn: &Self, locked: &[(usize, u64, usize)], lock_addr: usize| -> Option<u64> {
                 locked
                     .iter()
@@ -387,22 +379,6 @@ impl<'stm> Txn<'stm> {
         for (target, _) in self.eager_locks.drain(..) {
             target.vlock().unlock(wv);
         }
-        Ok(())
-    }
-}
-
-impl Attempt for Txn<'_> {
-    const FAULT_SITES: (FaultSite, FaultSite) = (FaultSite::Tl2Abort, FaultSite::Tl2CommitDelay);
-
-    fn write_set_size(&self) -> usize {
-        self.write_set.len()
-    }
-
-    /// The TL2 commit protocol, then the per-shard commit record.
-    fn commit(self) -> TxResult<()> {
-        let (stm, shard) = (self.stm, self.shard);
-        self.commit_protocol()?;
-        stm.record_shard_commit(shard);
         Ok(())
     }
 }

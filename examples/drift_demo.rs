@@ -11,13 +11,12 @@
 //! ```
 
 use gstm_core::drift::DriftTracker;
-use gstm_core::{AffinitySource, PinPolicy};
 use gstm_core::guidance::{GuidedHook, RecorderHook};
 use gstm_core::tsa::{GuidedModel, Tsa};
 use gstm_core::tss::StateKey;
 use gstm_harness::experiment::ExperimentConfig;
 use gstm_stamp::{by_name, Benchmark, InputSize, RunConfig};
-use gstm_tl2::{ClockMode, StmBuilder, StmConfig};
+use gstm_tl2::{StmBuilder, StmConfig};
 use std::sync::Arc;
 
 fn main() {
@@ -38,9 +37,6 @@ fn main() {
         seed: 0x7e1e_5eed,
         adaptive: None,
         profile_threads: None,
-        clock: ClockMode::Global,
-        pin: PinPolicy::None,
-        affinity: AffinitySource::Tsa,
     };
 
     println!(

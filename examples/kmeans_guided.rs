@@ -7,10 +7,9 @@
 //! cargo run --release --example kmeans_guided [threads] [runs]
 //! ```
 
-use gstm_core::{metrics, AffinitySource, PinPolicy};
+use gstm_core::metrics;
 use gstm_harness::experiment::{run_experiment, ExperimentConfig};
 use gstm_stamp::{by_name, InputSize};
-use gstm_tl2::ClockMode;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -29,9 +28,6 @@ fn main() {
         seed: 0x5eed_cafe,
         adaptive: None,
         profile_threads: None,
-        clock: ClockMode::Global,
-        pin: PinPolicy::None,
-        affinity: AffinitySource::Tsa,
     };
     println!("running kmeans pipeline @ {threads} threads, {runs} runs/mode ...");
     let e = run_experiment(&*bench, &cfg);

@@ -8,11 +8,10 @@
 //! ```
 
 use gstm_core::guidance::{GuidedHook, NoopHook};
-use gstm_core::{AffinitySource, PinPolicy};
 use gstm_core::telemetry::{Telemetry, TelemetrySnapshot, ABORT_CAUSE_NAMES};
 use gstm_harness::experiment::{train_model, ExperimentConfig};
 use gstm_stamp::{by_name, Benchmark, InputSize, RunConfig};
-use gstm_tl2::{ClockMode, StmBuilder, StmConfig};
+use gstm_tl2::{StmBuilder, StmConfig};
 use std::sync::Arc;
 
 fn main() {
@@ -32,9 +31,6 @@ fn main() {
         seed: 0x7e1e_5eed,
         adaptive: None,
         profile_threads: None,
-        clock: ClockMode::Global,
-        pin: PinPolicy::None,
-        affinity: AffinitySource::Tsa,
     };
 
     println!("training guided model on kmeans @ {threads} threads ({runs} profiling runs) ...");

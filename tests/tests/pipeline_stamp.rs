@@ -1,10 +1,9 @@
 //! End-to-end pipeline integration: every STAMP benchmark through
 //! profile → model → analyze → default/guided measurement.
 
-use gstm_core::{AffinitySource, GuidanceConfig, PinPolicy};
+use gstm_core::GuidanceConfig;
 use gstm_harness::experiment::{run_experiment, ExperimentConfig};
 use gstm_stamp::{all_benchmarks, InputSize};
-use gstm_tl2::ClockMode;
 
 fn cfg(threads: u16) -> ExperimentConfig {
     ExperimentConfig {
@@ -18,9 +17,6 @@ fn cfg(threads: u16) -> ExperimentConfig {
         seed: 0xbeef,
         adaptive: None,
         profile_threads: None,
-        clock: ClockMode::Global,
-        pin: PinPolicy::None,
-        affinity: AffinitySource::Tsa,
     }
 }
 
