@@ -33,6 +33,20 @@ pub trait Attempt {
     fn commit(self) -> TxResult<()>;
 }
 
+/// Outcome-total cells per instance; a thread counts into cell
+/// `id % OUTCOME_CELLS`.
+const OUTCOME_CELLS: usize = 64;
+
+/// One thread's commit and abort totals, padded to its own cache lines
+/// so committing threads never write a shared line. Ids that alias onto
+/// one cell still count exactly: every add is a `fetch_add`.
+#[derive(Default)]
+#[repr(align(128))]
+struct OutcomeCell {
+    commits: AtomicU64,
+    aborts: AtomicU64,
+}
+
 /// What one STM instance reports to: the guidance hook, the optional
 /// telemetry collector, chaos fault plan and conflict-provenance
 /// tracker, and the instance-wide outcome totals.
@@ -41,8 +55,7 @@ pub struct Instruments {
     telemetry: Option<Arc<Telemetry>>,
     faults: Option<Arc<FaultPlan>>,
     contention: Option<Arc<ContentionTracker>>,
-    total_commits: AtomicU64,
-    total_aborts: AtomicU64,
+    totals: Box<[OutcomeCell]>,
 }
 
 impl Default for Instruments {
@@ -64,19 +77,29 @@ impl Instruments {
             telemetry,
             faults,
             contention,
-            total_commits: AtomicU64::new(0),
-            total_aborts: AtomicU64::new(0),
+            totals: (0..OUTCOME_CELLS).map(|_| OutcomeCell::default()).collect(),
         }
     }
 
     /// Commits across all threads so far.
     pub fn total_commits(&self) -> u64 {
-        self.total_commits.load(Ordering::Relaxed)
+        self.totals
+            .iter()
+            .map(|c| c.commits.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Aborts across all threads so far.
     pub fn total_aborts(&self) -> u64 {
-        self.total_aborts.load(Ordering::Relaxed)
+        self.totals
+            .iter()
+            .map(|c| c.aborts.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    #[inline]
+    fn totals_of(&self, me: Pair) -> &OutcomeCell {
+        &self.totals[me.thread.index() % OUTCOME_CELLS]
     }
 
     /// Open an attempt: pass the guidance gate and, with telemetry,
@@ -109,7 +132,7 @@ impl Instruments {
     #[inline]
     pub fn commit(&self, me: Pair, stats: &mut ThreadStats, retries: u32, done: (u64, u32)) {
         self.hook.on_commit(me);
-        self.total_commits.fetch_add(1, Ordering::Relaxed);
+        self.totals_of(me).commits.fetch_add(1, Ordering::Relaxed);
         stats.record_commit(retries);
         if let Some(t) = &self.telemetry {
             let (commit_ns, writes) = done;
@@ -123,7 +146,7 @@ impl Instruments {
     #[inline]
     pub fn abort(&self, me: Pair, stats: &mut ThreadStats, abort: Abort) -> Option<u64> {
         self.hook.on_abort(me, abort.cause);
-        self.total_aborts.fetch_add(1, Ordering::Relaxed);
+        self.totals_of(me).aborts.fetch_add(1, Ordering::Relaxed);
         stats.record_abort(abort.cause);
         if let Some(ct) = &self.contention {
             ct.record(me.thread, abort.cause, abort.site);

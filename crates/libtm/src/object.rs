@@ -81,14 +81,13 @@ impl<T> ObjectInner<T> {
         rs.retain(|&r| r != me.0);
     }
 
-    /// Snapshot the readers other than `me`.
-    pub(crate) fn other_readers(&self, me: ThreadId) -> Vec<ThreadId> {
-        self.readers
-            .lock()
-            .iter()
-            .filter(|&&r| r != me.0)
-            .map(|&r| ThreadId(r))
-            .collect()
+    /// Call `visit` on each reader other than `me`, in registration
+    /// order, under the registry lock (so `visit` must not touch this
+    /// object's registry).
+    pub(crate) fn for_each_other_reader(&self, me: ThreadId, mut visit: impl FnMut(ThreadId)) {
+        for &r in self.readers.lock().iter().filter(|&&r| r != me.0) {
+            visit(ThreadId(r));
+        }
     }
 
     pub(crate) fn has_other_readers(&self, me: ThreadId) -> bool {
@@ -161,7 +160,16 @@ mod tests {
         o.inner.add_reader(ThreadId(1));
         o.inner.add_reader(ThreadId(1)); // idempotent
         o.inner.add_reader(ThreadId(2));
-        assert_eq!(o.inner.other_readers(ThreadId(1)), vec![ThreadId(2)]);
+        o.inner.add_reader(ThreadId(3));
+        let mut others = Vec::new();
+        o.inner
+            .for_each_other_reader(ThreadId(1), |r| others.push(r));
+        assert_eq!(
+            others,
+            [ThreadId(2), ThreadId(3)],
+            "registration order, self excluded"
+        );
+        o.inner.remove_reader(ThreadId(3));
         assert!(o.inner.has_other_readers(ThreadId(3)));
         o.inner.remove_reader(ThreadId(2));
         assert!(!o.inner.has_other_readers(ThreadId(1)));

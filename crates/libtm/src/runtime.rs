@@ -2,13 +2,14 @@
 //! table for abort-readers, and the `atomically` entry point into the
 //! shared retry driver ([`gstm_core::Instruments::run`]).
 
-use crate::txn::LtTxn;
+use crate::txn::{LtBuffers, LtTxn};
 use crate::MAX_THREADS;
 use gstm_core::faultinject::FaultPlan;
 use gstm_core::rng::Interleave;
 use gstm_core::telemetry::Telemetry;
 use gstm_core::ThreadStats;
 use gstm_core::{GuidanceHook, Instruments, Pair, ThreadId, TxResult, TxnId};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU16, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -145,6 +146,7 @@ impl LibTm {
             thread: id,
             stats: ThreadStats::new(),
             inject: Interleave::for_thread(self.config.yield_prob_log2, id),
+            bufs: Cell::default(),
         }
     }
 
@@ -191,6 +193,8 @@ pub struct LtThreadCtx {
     thread: ThreadId,
     stats: ThreadStats,
     inject: Interleave,
+    /// Read/write-set buffers every attempt of this thread reuses.
+    bufs: Cell<LtBuffers>,
 }
 
 impl LtThreadCtx {
@@ -218,17 +222,27 @@ impl LtThreadCtx {
     /// An attempt begins by clearing any doom aimed at a previous one.
     pub fn atomically<R>(&mut self, txid: TxnId, f: impl FnMut(&mut LtTxn) -> TxResult<R>) -> R {
         let me = Pair::new(txid, self.thread);
-        let (tm, inject) = (&*self.tm, &self.inject);
+        let (tm, inject, bufs) = (&*self.tm, &self.inject, &self.bufs);
         tm.instruments.run(
             me,
             &mut self.stats,
             inject,
             || {
                 let _ = tm.take_doom(me.thread);
-                LtTxn::new(tm, me, inject)
+                LtTxn::new(tm, me, inject, bufs)
             },
             f,
         )
+    }
+
+    /// Whether the thread's buffers are back home and empty — true
+    /// between transactions.
+    #[cfg(test)]
+    pub(crate) fn buffers_idle(&self) -> bool {
+        let bufs = self.bufs.take();
+        let idle = bufs.is_empty();
+        self.bufs.set(bufs);
+        idle
     }
 }
 
@@ -394,6 +408,72 @@ mod tests {
         let hot: Vec<_> = ctn.top.iter().map(|h| (h.addr, h.count)).collect();
         assert_eq!(hot, [(x.inner.key(), 1)]);
         assert_eq!((tm.total_aborts(), tm.total_commits()), (1, 2));
+    }
+
+    /// No writer lock and no reader registration left on `objs`.
+    fn released(objs: &[&TObject<u32>]) -> bool {
+        objs.iter()
+            .all(|o| o.inner.writer().is_none() && !o.inner.has_other_readers(ThreadId(63)))
+    }
+
+    #[test]
+    fn aborted_attempt_leaves_no_stale_entries() {
+        for (detection, resolution) in all_modes() {
+            let tm = LibTm::new(LibTmConfig {
+                detection,
+                resolution,
+                ..LibTmConfig::default()
+            });
+            let (x, y) = (TObject::new(1u32), TObject::new(10u32));
+            let mut ctx = tm.register();
+            let mut attempts = 0;
+            let seen = ctx.atomically(TxnId(0), |tx| {
+                attempts += 1;
+                if attempts == 1 {
+                    let v = tx.read(&x)?;
+                    tx.write(&x, v + 100)?;
+                    tx.write(&y, 99)?;
+                    return Err(tx.retry());
+                }
+                // A surviving write-set entry would answer this read
+                // with 101 or publish y.
+                let v = tx.read(&x)?;
+                tx.write(&x, v + 1)?;
+                Ok((v, tx.read(&x)?, tx.read(&y)?))
+            });
+            let mode = format!("{detection:?}/{resolution:?}");
+            assert_eq!(seen, (1, 2, 10), "{mode}");
+            assert_eq!((x.load_quiesced(), y.load_quiesced()), (2, 10), "{mode}");
+            assert!(released(&[&x, &y]), "{mode}: lock or registration left");
+            assert!(ctx.buffers_idle(), "{mode}: buffers not returned empty");
+        }
+    }
+
+    #[test]
+    fn panicking_body_leaves_context_usable() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for (detection, resolution) in all_modes() {
+            let tm = LibTm::new(LibTmConfig {
+                detection,
+                resolution,
+                ..LibTmConfig::default()
+            });
+            let v = TObject::new(5u32);
+            let mut ctx = tm.register();
+            let unwound = catch_unwind(AssertUnwindSafe(|| {
+                ctx.atomically::<()>(TxnId(0), |tx| {
+                    let x = tx.read(&v)?; // registers a visible reader
+                    tx.write(&v, x + 1)?; // pessimistic writes: takes the lock
+                    panic!("body panics mid-transaction");
+                })
+            }));
+            let mode = format!("{detection:?}/{resolution:?}");
+            assert!(unwound.is_err());
+            assert!(released(&[&v]), "{mode}: lock or registration left");
+            assert!(ctx.buffers_idle(), "{mode}");
+            ctx.atomically(TxnId(0), |tx| tx.modify(&v, |x| x * 2));
+            assert_eq!(v.load_quiesced(), 10, "{mode}: panicked write leaked");
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@ use gstm_core::faultinject::FaultSite;
 use gstm_core::rng::Interleave;
 use gstm_core::{Abort, AbortCause, AddrSet, Attempt, Pair, ThreadId, TxResult};
 use std::any::Any;
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// Type-erased view of an object for read/write sets.
@@ -18,7 +19,7 @@ pub(crate) trait LtTarget: Send + Sync {
     fn unlock_writer(&self, me: ThreadId);
     fn add_reader(&self, me: ThreadId);
     fn remove_reader(&self, me: ThreadId);
-    fn other_readers(&self, me: ThreadId) -> Vec<ThreadId>;
+    fn for_each_other_reader(&self, me: ThreadId, visit: &mut dyn FnMut(ThreadId));
     fn has_other_readers(&self, me: ThreadId) -> bool;
     fn key(&self) -> usize;
 }
@@ -45,8 +46,8 @@ impl<T: Send + Sync> LtTarget for ObjectInner<T> {
     fn remove_reader(&self, me: ThreadId) {
         ObjectInner::remove_reader(self, me)
     }
-    fn other_readers(&self, me: ThreadId) -> Vec<ThreadId> {
-        ObjectInner::other_readers(self, me)
+    fn for_each_other_reader(&self, me: ThreadId, visit: &mut dyn FnMut(ThreadId)) {
+        ObjectInner::for_each_other_reader(self, me, visit)
     }
     fn has_other_readers(&self, me: ThreadId) -> bool {
         ObjectInner::has_other_readers(self, me)
@@ -58,7 +59,7 @@ impl<T: Send + Sync> LtTarget for ObjectInner<T> {
 
 /// A buffered write awaiting publication.
 trait LtWriteEntry: Send {
-    fn target_arc(&self) -> Arc<dyn LtTarget>;
+    fn target(&self) -> &dyn LtTarget;
     fn key(&self) -> usize;
     fn publish(&self);
     fn as_any(&self) -> &dyn Any;
@@ -71,8 +72,8 @@ struct TypedWrite<T> {
 }
 
 impl<T: Clone + Send + Sync + 'static> LtWriteEntry for TypedWrite<T> {
-    fn target_arc(&self) -> Arc<dyn LtTarget> {
-        self.obj.inner.clone()
+    fn target(&self) -> &dyn LtTarget {
+        &*self.obj.inner
     }
     fn key(&self) -> usize {
         self.obj.inner.key()
@@ -88,14 +89,12 @@ impl<T: Clone + Send + Sync + 'static> LtWriteEntry for TypedWrite<T> {
     }
 }
 
-/// One in-flight LibTM transaction attempt.
-///
-/// Dropping an attempt (committed or aborted) releases every
-/// encounter-time writer lock it still holds and deregisters its visible
-/// reads, so an aborted attempt can never wedge other threads.
-pub struct LtTxn<'tm> {
-    tm: &'tm LibTm,
-    me: Pair,
+/// A thread's LibTM transaction buffers. [`crate::LtThreadCtx`] owns one
+/// bundle; each attempt borrows it, and its `Drop` clears and returns it,
+/// so a thread's attempts allocate no sets of their own once the buffers
+/// have grown to its largest transaction.
+#[derive(Default)]
+pub(crate) struct LtBuffers {
     /// Optimistic-read validation entries: `(object, observed version)`.
     read_set: Vec<(Arc<dyn LtTarget>, u64)>,
     /// Objects where this attempt registered as a visible reader.
@@ -107,6 +106,30 @@ pub struct LtTxn<'tm> {
     write_set: Vec<Box<dyn LtWriteEntry>>,
     /// Writer locks acquired at encounter time (pessimistic-write modes).
     held_write: Vec<Arc<dyn LtTarget>>,
+}
+
+impl LtBuffers {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.read_set.is_empty()
+            && self.registered.is_empty()
+            && self.registered_keys.is_empty()
+            && self.write_set.is_empty()
+            && self.held_write.is_empty()
+    }
+}
+
+/// One in-flight LibTM transaction attempt.
+///
+/// Dropping an attempt (committed or aborted) releases every
+/// encounter-time writer lock it still holds and deregisters its visible
+/// reads, so an aborted attempt can never wedge other threads.
+pub struct LtTxn<'tm> {
+    tm: &'tm LibTm,
+    me: Pair,
+    /// The thread's buffers, taken from `home` for this attempt.
+    bufs: LtBuffers,
+    home: &'tm Cell<LtBuffers>,
     /// The owning thread's interleave injector.
     inject: &'tm Interleave,
 }
@@ -114,25 +137,32 @@ pub struct LtTxn<'tm> {
 impl Drop for LtTxn<'_> {
     fn drop(&mut self) {
         let me = self.me.thread;
-        for h in self.held_write.drain(..) {
+        let b = &mut self.bufs;
+        for h in b.held_write.drain(..) {
             h.unlock_writer(me);
         }
-        for r in self.registered.drain(..) {
+        for r in b.registered.drain(..) {
             r.remove_reader(me);
         }
+        b.read_set.clear();
+        b.registered_keys.clear();
+        b.write_set.clear();
+        self.home.set(std::mem::take(&mut self.bufs));
     }
 }
 
 impl<'tm> LtTxn<'tm> {
-    pub(crate) fn new(tm: &'tm LibTm, me: Pair, inject: &'tm Interleave) -> Self {
+    pub(crate) fn new(
+        tm: &'tm LibTm,
+        me: Pair,
+        inject: &'tm Interleave,
+        home: &'tm Cell<LtBuffers>,
+    ) -> Self {
         LtTxn {
             tm,
             me,
-            read_set: Vec::new(),
-            registered: Vec::new(),
-            registered_keys: AddrSet::new(),
-            write_set: Vec::new(),
-            held_write: Vec::new(),
+            bufs: home.take(),
+            home,
             inject,
         }
     }
@@ -160,13 +190,13 @@ impl<'tm> LtTxn<'tm> {
     }
 
     fn write_index(&self, key: usize) -> Option<usize> {
-        self.write_set.iter().position(|e| e.key() == key)
+        self.bufs.write_set.iter().position(|e| e.key() == key)
     }
 
     fn register_reader(&mut self, inner: &Arc<dyn LtTarget>) {
-        if self.registered_keys.insert(inner.key()) {
+        if self.bufs.registered_keys.insert(inner.key()) {
             inner.add_reader(self.me.thread);
-            self.registered.push(Arc::clone(inner));
+            self.bufs.registered.push(Arc::clone(inner));
         }
     }
 
@@ -178,7 +208,7 @@ impl<'tm> LtTxn<'tm> {
             // Invariant, not a recoverable error: keys are allocation
             // addresses kept alive by the entry's TObject clone, so a
             // same-key entry is the same allocation and the same T.
-            let e = self.write_set[i]
+            let e = self.bufs.write_set[i]
                 .as_any()
                 .downcast_ref::<TypedWrite<T>>()
                 .expect("write-set entry type mismatch");
@@ -206,7 +236,7 @@ impl<'tm> LtTxn<'tm> {
                 if target.version() != v1 || target.writer().is_some_and(|w| w != me) {
                     return Err(Abort::at(AbortCause::ReadVersion, target.key()));
                 }
-                self.read_set.push((target, v1));
+                self.bufs.read_set.push((target, v1));
                 Ok(value)
             }
             DetectionMode::FullyPessimistic | DetectionMode::PessimisticRead => {
@@ -228,7 +258,7 @@ impl<'tm> LtTxn<'tm> {
         let key = obj.inner.key();
         if let Some(i) = self.write_index(key) {
             // Same invariant as the read-own-write path above.
-            let e = self.write_set[i]
+            let e = self.bufs.write_set[i]
                 .as_any_mut()
                 .downcast_mut::<TypedWrite<T>>()
                 .expect("write-set entry type mismatch");
@@ -239,14 +269,12 @@ impl<'tm> LtTxn<'tm> {
         if matches!(
             self.tm.config.detection,
             DetectionMode::FullyPessimistic | DetectionMode::PessimisticWrite
-        ) {
-            let target: Arc<dyn LtTarget> = obj.inner.clone();
-            if !self.held_write.iter().any(|h| h.key() == key) {
-                self.acquire_writer(&target)?;
-                self.held_write.push(target);
-            }
+        ) && !self.bufs.held_write.iter().any(|h| h.key() == key)
+        {
+            self.acquire_writer(&*obj.inner)?;
+            self.bufs.held_write.push(obj.inner.clone());
         }
-        self.write_set.push(Box::new(TypedWrite {
+        self.bufs.write_set.push(Box::new(TypedWrite {
             obj: obj.clone(),
             value,
         }));
@@ -263,7 +291,7 @@ impl<'tm> LtTxn<'tm> {
         self.write(obj, f(v))
     }
 
-    fn acquire_writer(&self, target: &Arc<dyn LtTarget>) -> TxResult<()> {
+    fn acquire_writer(&self, target: &dyn LtTarget) -> TxResult<()> {
         let me = self.me.thread;
         for _ in 0..self.tm.config.commit_spin {
             if target.try_lock_writer(me) {
@@ -285,9 +313,10 @@ impl<'tm> LtTxn<'tm> {
         let me = self.me.thread;
         match self.tm.config.resolution {
             Resolution::AbortReaders => {
-                for reader in target.other_readers(me) {
-                    self.tm.doom(reader, me, target.key());
-                }
+                // Dooming only stores atomics, so it runs under the
+                // registry lock without collecting the readers first.
+                let key = target.key();
+                target.for_each_other_reader(me, &mut |reader| self.tm.doom(reader, me, key));
                 Ok(())
             }
             Resolution::WaitForReaders => {
@@ -306,6 +335,48 @@ impl<'tm> LtTxn<'tm> {
             }
         }
     }
+
+    /// The commit protocol up to publication, counting the commit-time
+    /// writer locks it takes in `acquired` for [`Attempt::commit`] to
+    /// release.
+    fn commit_locked(&mut self, acquired: &mut usize) -> TxResult<()> {
+        let me = self.me.thread;
+        self.check_doomed()?;
+        if self.bufs.write_set.is_empty() {
+            return Ok(());
+        }
+        // Commit-time locking (the "fully optimistic" side).
+        if matches!(
+            self.tm.config.detection,
+            DetectionMode::FullyOptimistic | DetectionMode::PessimisticRead
+        ) {
+            // Keys are unique within the write set, so the unstable sort
+            // gives the stable order without the stable sort's scratch
+            // buffer.
+            self.bufs.write_set.sort_unstable_by_key(|e| e.key());
+            for entry in &self.bufs.write_set {
+                self.acquire_writer(entry.target())?;
+                *acquired += 1;
+            }
+        }
+        // Validate optimistic reads: versions unchanged and no foreign
+        // writer in flight.
+        for (t, v) in &self.bufs.read_set {
+            if t.version() != *v || t.writer().is_some_and(|w| w != me) {
+                return Err(Abort::at(AbortCause::Validation, t.key()));
+            }
+        }
+        self.check_doomed()?;
+        // Resolve readers of each written object, then publish.
+        for entry in &self.bufs.write_set {
+            self.resolve_readers(entry.target())?;
+        }
+        for entry in &self.bufs.write_set {
+            entry.publish();
+            entry.target().bump_version();
+        }
+        Ok(())
+    }
 }
 
 impl Attempt for LtTxn<'_> {
@@ -313,54 +384,23 @@ impl Attempt for LtTxn<'_> {
         (FaultSite::LibtmAbort, FaultSite::LibtmCommitDelay);
 
     fn write_set_size(&self) -> usize {
-        self.write_set.len()
+        self.bufs.write_set.len()
     }
 
     /// Commit: take commit-time writer locks (optimistic-write modes),
     /// validate optimistic reads, resolve visible readers, publish, and
     /// release everything.
     fn commit(mut self) -> TxResult<()> {
-        let me = self.me.thread;
-        let mut acquired: Vec<Arc<dyn LtTarget>> = Vec::new();
-        let result = (|| -> TxResult<()> {
-            self.check_doomed()?;
-            if self.write_set.is_empty() {
-                return Ok(());
-            }
-            // Commit-time locking (the "fully optimistic" side).
-            if matches!(
-                self.tm.config.detection,
-                DetectionMode::FullyOptimistic | DetectionMode::PessimisticRead
-            ) {
-                self.write_set.sort_by_key(|e| e.key());
-                for entry in &self.write_set {
-                    let target = entry.target_arc();
-                    self.acquire_writer(&target)?;
-                    acquired.push(target);
-                }
-            }
-            // Validate optimistic reads: versions unchanged and no foreign
-            // writer in flight.
-            for (t, v) in &self.read_set {
-                if t.version() != *v || t.writer().is_some_and(|w| w != me) {
-                    return Err(Abort::at(AbortCause::Validation, t.key()));
-                }
-            }
-            self.check_doomed()?;
-            // Resolve readers of each written object, then publish.
-            for entry in &self.write_set {
-                self.resolve_readers(&*entry.target_arc())?;
-            }
-            for entry in &self.write_set {
-                entry.publish();
-                entry.target_arc().bump_version();
-            }
-            Ok(())
-        })();
+        // Commit-time locks are taken in sorted write-set order and the
+        // first failure stops, so they always cover a prefix of the write
+        // set: `acquired` counts it.
+        let mut acquired = 0;
+        let result = self.commit_locked(&mut acquired);
         // Release commit-time locks; Drop releases encounter-time locks
         // and reader registrations.
-        for t in acquired {
-            t.unlock_writer(me);
+        let me = self.me.thread;
+        for entry in &self.bufs.write_set[..acquired] {
+            entry.target().unlock_writer(me);
         }
         result
     }

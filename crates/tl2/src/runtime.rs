@@ -3,13 +3,14 @@
 //! ([`gstm_core::Instruments::run`]).
 
 use crate::clock;
-use crate::txn::Txn;
+use crate::txn::{TxBuffers, Txn};
 use gstm_core::contention::ContentionTracker;
 use gstm_core::faultinject::FaultPlan;
 use gstm_core::rng::Interleave;
 use gstm_core::telemetry::Telemetry;
 use gstm_core::ThreadStats;
 use gstm_core::{GuidanceHook, Instruments, NoopHook, Pair, ThreadId, TxResult, TxnId};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::Arc;
 
@@ -201,6 +202,7 @@ impl Stm {
             thread: id,
             stats: ThreadStats::new(),
             inject: Interleave::for_thread(self.config.yield_prob_log2, id),
+            bufs: Cell::default(),
         }
     }
 
@@ -233,6 +235,8 @@ pub struct ThreadCtx {
     thread: ThreadId,
     stats: ThreadStats,
     inject: Interleave,
+    /// Read/write-set buffers every attempt of this thread reuses.
+    bufs: Cell<TxBuffers>,
 }
 
 impl ThreadCtx {
@@ -267,14 +271,24 @@ impl ThreadCtx {
     /// commit clock into its read version.
     pub fn atomically<R>(&mut self, txid: TxnId, f: impl FnMut(&mut Txn) -> TxResult<R>) -> R {
         let me = Pair::new(txid, self.thread);
-        let (stm, inject) = (&*self.stm, &self.inject);
+        let (stm, inject, bufs) = (&*self.stm, &self.inject, &self.bufs);
         stm.instruments.run(
             me,
             &mut self.stats,
             inject,
-            || Txn::new(stm, me, stm.clock_now(), inject),
+            || Txn::new(stm, me, stm.clock_now(), inject, bufs),
             f,
         )
+    }
+
+    /// Whether the thread's buffers are back home and empty — true
+    /// between transactions.
+    #[cfg(test)]
+    pub(crate) fn buffers_idle(&self) -> bool {
+        let bufs = self.bufs.take();
+        let idle = bufs.is_empty();
+        self.bufs.set(bufs);
+        idle
     }
 }
 

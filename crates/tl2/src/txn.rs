@@ -8,6 +8,7 @@ use gstm_core::faultinject::FaultSite;
 use gstm_core::rng::Interleave;
 use gstm_core::{Abort, AbortCause, AddrSet, Attempt, Pair, TxResult};
 use std::any::Any;
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// A buffered write awaiting commit.
@@ -47,6 +48,45 @@ impl<T: Clone + Send + Sync + 'static> WriteEntry for TypedWrite<T> {
     }
 }
 
+/// A thread's transaction buffers. [`crate::ThreadCtx`] owns one bundle;
+/// each attempt borrows it, and its `Drop` clears and returns it, so a
+/// thread's attempts allocate no sets of their own once the buffers have
+/// grown to its largest transaction.
+#[derive(Default)]
+pub(crate) struct TxBuffers {
+    read_set: Vec<Arc<dyn TxTarget>>,
+    /// Locations already in `read_set`, keyed by allocation address —
+    /// consulted on every read, so it avoids a SipHash per probe.
+    read_keys: AddrSet,
+    write_set: Vec<Box<dyn WriteEntry>>,
+    /// Encounter-time locks held in eager detection mode, with the
+    /// version each lock word carried before acquisition (needed to
+    /// restore on abort and to validate own reads at commit).
+    eager_locks: Vec<(Arc<dyn TxTarget>, u64)>,
+    /// Commit-time locks, as `(write-set index, pre-lock version, lock
+    /// address)`.
+    locked: Vec<(usize, u64, usize)>,
+}
+
+impl TxBuffers {
+    fn clear(&mut self) {
+        self.read_set.clear();
+        self.read_keys.clear();
+        self.write_set.clear();
+        self.eager_locks.clear();
+        self.locked.clear();
+    }
+
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.read_set.is_empty()
+            && self.read_keys.is_empty()
+            && self.write_set.is_empty()
+            && self.eager_locks.is_empty()
+            && self.locked.is_empty()
+    }
+}
+
 /// One in-flight transaction attempt.
 ///
 /// Created by [`crate::ThreadCtx::atomically`]; user code receives
@@ -57,15 +97,9 @@ pub struct Txn<'stm> {
     stm: &'stm Stm,
     me: Pair,
     rv: u64,
-    read_set: Vec<Arc<dyn TxTarget>>,
-    /// Locations already in `read_set`, keyed by allocation address —
-    /// consulted on every read, so it avoids a SipHash per probe.
-    read_keys: AddrSet,
-    write_set: Vec<Box<dyn WriteEntry>>,
-    /// Encounter-time locks held in eager detection mode, with the
-    /// version each lock word carried before acquisition (needed to
-    /// restore on abort and to validate own reads at commit).
-    eager_locks: Vec<(Arc<dyn TxTarget>, u64)>,
+    /// The thread's buffers, taken from `home` for this attempt.
+    bufs: TxBuffers,
+    home: &'stm Cell<TxBuffers>,
     /// The owning thread's interleave injector.
     inject: &'stm Interleave,
     n_reads: u64,
@@ -77,22 +111,28 @@ impl Drop for Txn<'_> {
         // Abort path (or a panicking body): restore every encounter-time
         // lock to its pre-acquisition version. The commit path drains
         // `eager_locks` before returning, so this releases nothing there.
-        for (target, prev) in self.eager_locks.drain(..) {
+        for (target, prev) in self.bufs.eager_locks.drain(..) {
             target.vlock().unlock(prev);
         }
+        self.bufs.clear();
+        self.home.set(std::mem::take(&mut self.bufs));
     }
 }
 
 impl<'stm> Txn<'stm> {
-    pub(crate) fn new(stm: &'stm Stm, me: Pair, rv: u64, inject: &'stm Interleave) -> Self {
+    pub(crate) fn new(
+        stm: &'stm Stm,
+        me: Pair,
+        rv: u64,
+        inject: &'stm Interleave,
+        home: &'stm Cell<TxBuffers>,
+    ) -> Self {
         Txn {
             stm,
             me,
             rv,
-            read_set: Vec::new(),
-            read_keys: AddrSet::new(),
-            write_set: Vec::new(),
-            eager_locks: Vec::new(),
+            bufs: home.take(),
+            home,
             inject,
             n_reads: 0,
             n_writes: 0,
@@ -128,7 +168,7 @@ impl<'stm> Txn<'stm> {
     fn write_index(&self, key: usize) -> Option<usize> {
         // Write sets are small in STAMP-style workloads; linear scan beats
         // a map until tens of entries.
-        self.write_set.iter().position(|e| e.key() == key)
+        self.bufs.write_set.iter().position(|e| e.key() == key)
     }
 
     /// Transactional read (TL2 read protocol).
@@ -146,7 +186,7 @@ impl<'stm> Txn<'stm> {
             // same-key entry is the same allocation and thus the same T.
             // A failed downcast means heap corruption; retrying the
             // transaction could not fix it.
-            let entry = self.write_set[i]
+            let entry = self.bufs.write_set[i]
                 .as_any()
                 .downcast_ref::<TypedWrite<T>>()
                 .expect("write-set entry type mismatch for aliased key");
@@ -165,8 +205,10 @@ impl<'stm> Txn<'stm> {
         if inner.lock.vlock().sample() != s1 {
             return Err(Abort::at(AbortCause::ReadVersion, tvar.key()));
         }
-        if self.read_keys.insert(tvar.key()) {
-            self.read_set.push(Arc::clone(&tvar.inner) as Arc<dyn TxTarget>);
+        if self.bufs.read_keys.insert(tvar.key()) {
+            self.bufs
+                .read_set
+                .push(Arc::clone(&tvar.inner) as Arc<dyn TxTarget>);
         }
         Ok(value)
     }
@@ -184,6 +226,7 @@ impl<'stm> Txn<'stm> {
     ) -> TxResult<()> {
         let lock_addr = lock as *const _ as usize;
         if self
+            .bufs
             .eager_locks
             .iter()
             .any(|(t, _)| t.vlock() as *const _ as usize == lock_addr)
@@ -194,7 +237,7 @@ impl<'stm> Txn<'stm> {
         for _ in 0..self.stm.config.commit_spin {
             match lock.try_lock(self.me.thread) {
                 Ok(prev) => {
-                    self.eager_locks.push((retain(), prev));
+                    self.bufs.eager_locks.push((retain(), prev));
                     return Ok(());
                 }
                 Err(observed) => {
@@ -226,13 +269,13 @@ impl<'stm> Txn<'stm> {
         if let Some(i) = self.write_index(tvar.key()) {
             // Same invariant as the read-own-write path: a matching key
             // proves this is the same live allocation, hence the same T.
-            let entry = self.write_set[i]
+            let entry = self.bufs.write_set[i]
                 .as_any_mut()
                 .downcast_mut::<TypedWrite<T>>()
                 .expect("write-set entry type mismatch for aliased key");
             entry.value = value;
         } else {
-            self.write_set.push(Box::new(TypedWrite {
+            self.bufs.write_set.push(Box::new(TypedWrite {
                 tvar: tvar.clone(),
                 value,
             }));
@@ -255,7 +298,7 @@ impl Attempt for Txn<'_> {
     const FAULT_SITES: (FaultSite, FaultSite) = (FaultSite::Tl2Abort, FaultSite::Tl2CommitDelay);
 
     fn write_set_size(&self) -> usize {
-        self.write_set.len()
+        self.bufs.write_set.len()
     }
 
     /// The TL2 commit protocol. Consumes the transaction.
@@ -271,19 +314,27 @@ impl Attempt for Txn<'_> {
     ///    pre-lock version ≤ `rv`.
     /// 5. Publish buffered values and release the locks stamped with `wv`.
     fn commit(mut self) -> TxResult<()> {
-        if self.write_set.is_empty() {
+        let TxBuffers {
+            read_set,
+            write_set,
+            eager_locks,
+            locked,
+            ..
+        } = &mut self.bufs;
+        if write_set.is_empty() {
             return Ok(());
         }
-        self.write_set.sort_by_key(|e| e.key());
+        // Keys are unique within the write set, so the unstable sort
+        // gives the stable order without the stable sort's scratch buffer.
+        write_set.sort_unstable_by_key(|e| e.key());
         let me = self.me.thread;
         let eager = self.stm.config.detection == Detection::Eager;
 
         // Phase 2: acquire write locks (lazy mode only — eager writes
-        // already hold theirs). Each entry is `(write-set index, pre-lock
-        // version, lock address)`; carrying the lock address here both
-        // dedupes stripe-mates without a per-commit hash set and lets
-        // validation find own-lock versions with a plain scan.
-        let mut locked: Vec<(usize, u64, usize)> = Vec::with_capacity(self.write_set.len());
+        // already hold theirs). Each `locked` entry is `(write-set index,
+        // pre-lock version, lock address)`; carrying the lock address
+        // here both dedupes stripe-mates without a per-commit hash set
+        // and lets validation find own-lock versions with a plain scan.
         let release_all = |write_set: &[Box<dyn WriteEntry>], locked: &[(usize, u64, usize)]| {
             for &(j, prev, _) in locked {
                 write_set[j].target().vlock().unlock(prev);
@@ -295,7 +346,7 @@ impl Attempt for Txn<'_> {
             // (and later released) exactly once. The write set is sorted
             // and small, so a linear scan over already-acquired locks
             // beats hashing.
-            for (i, entry) in self.write_set.iter().enumerate() {
+            for (i, entry) in write_set.iter().enumerate() {
                 let lock = entry.target().vlock();
                 let lock_addr = lock as *const _ as usize;
                 if locked.iter().any(|&(_, _, a)| a == lock_addr) {
@@ -319,7 +370,7 @@ impl Attempt for Txn<'_> {
                 match acquired {
                     Some(prev) => locked.push((i, prev, lock_addr)),
                     None => {
-                        release_all(&self.write_set, &locked);
+                        release_all(write_set, locked);
                         let cause = AbortCause::CommitLockBusy { owner: last_owner };
                         return Err(Abort::at(cause, entry.key()));
                     }
@@ -335,32 +386,32 @@ impl Attempt for Txn<'_> {
         // (at commit in lazy mode, at encounter in eager mode) validates
         // against its pre-lock version.
         if wv != self.rv + 1 {
-            let own_prev = |txn: &Self, locked: &[(usize, u64, usize)], lock_addr: usize| -> Option<u64> {
+            let own_prev = |lock_addr: usize| -> Option<u64> {
                 locked
                     .iter()
                     .find(|&&(_, _, a)| a == lock_addr)
                     .map(|&(_, p, _)| p)
                     .or_else(|| {
-                        txn.eager_locks
+                        eager_locks
                             .iter()
                             .find(|(t, _)| t.vlock() as *const _ as usize == lock_addr)
                             .map(|&(_, p)| p)
                     })
             };
-            for target in &self.read_set {
+            for target in read_set.iter() {
                 let lock = target.vlock();
                 if lock.is_locked_by(me) {
-                    match own_prev(&self, &locked, lock as *const _ as usize) {
+                    match own_prev(lock as *const _ as usize) {
                         Some(p) if p <= self.rv => continue,
                         _ => {
-                            release_all(&self.write_set, &locked);
+                            release_all(write_set, locked);
                             return Err(Abort::at(AbortCause::Validation, target.key()));
                         }
                     }
                 } else {
                     let s = lock.sample();
                     if s.is_locked() || s.version() > self.rv {
-                        release_all(&self.write_set, &locked);
+                        release_all(write_set, locked);
                         return Err(Abort::at(AbortCause::Validation, target.key()));
                     }
                 }
@@ -370,13 +421,13 @@ impl Attempt for Txn<'_> {
         // Phase 5: write back, then release each *acquired lock* exactly
         // once with wv (write-set entries may share stripes). Draining
         // eager_locks keeps Drop (the abort path) from double-releasing.
-        for entry in &self.write_set {
+        for entry in write_set.iter() {
             entry.publish();
         }
-        for &(j, _, _) in &locked {
-            self.write_set[j].target().vlock().unlock(wv);
+        for &(j, _, _) in locked.iter() {
+            write_set[j].target().vlock().unlock(wv);
         }
-        for (target, _) in self.eager_locks.drain(..) {
+        for (target, _) in eager_locks.drain(..) {
             target.vlock().unlock(wv);
         }
         Ok(())
@@ -736,6 +787,69 @@ mod tests {
         });
         assert_eq!(a.load_quiesced(), 200);
         assert_eq!(b.load_quiesced(), 200);
+    }
+
+    #[test]
+    fn aborted_attempt_leaves_no_stale_entries() {
+        for detection in [crate::Detection::Lazy, crate::Detection::Eager] {
+            let stm = Stm::new(StmConfig {
+                detection,
+                ..StmConfig::default()
+            });
+            let x = TVar::new(1u32);
+            let y = TVar::new(10u32);
+            let mut ctx = stm.register();
+            let mut attempts = 0;
+            let seen = ctx.atomically(TxnId(0), |tx| {
+                attempts += 1;
+                if attempts == 1 {
+                    let v = tx.read(&x)?;
+                    tx.write(&x, v + 100)?;
+                    tx.write(&y, 99)?;
+                    return Err(tx.retry());
+                }
+                // A surviving write-set entry would answer this read
+                // with 101; a surviving read entry or lock would fail
+                // validation or publish y.
+                let v = tx.read(&x)?;
+                tx.write(&x, v + 1)?;
+                Ok((v, tx.read(&x)?, tx.read(&y)?))
+            });
+            assert_eq!(seen, (1, 2, 10), "{detection:?}");
+            assert_eq!((x.load_quiesced(), y.load_quiesced()), (2, 10));
+            for lock in [x.inner.lock.vlock(), y.inner.lock.vlock()] {
+                assert!(!lock.sample().is_locked(), "{detection:?}: lock left held");
+            }
+            assert!(
+                ctx.buffers_idle(),
+                "{detection:?}: buffers not returned empty"
+            );
+        }
+    }
+
+    #[test]
+    fn panicking_body_leaves_context_usable() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for detection in [crate::Detection::Lazy, crate::Detection::Eager] {
+            let stm = Stm::new(StmConfig {
+                detection,
+                ..StmConfig::default()
+            });
+            let v = TVar::new(5u32);
+            let mut ctx = stm.register();
+            let unwound = catch_unwind(AssertUnwindSafe(|| {
+                ctx.atomically::<()>(TxnId(0), |tx| {
+                    let x = tx.read(&v)?;
+                    tx.write(&v, x + 1)?; // eager: takes the lock
+                    panic!("body panics mid-transaction");
+                })
+            }));
+            assert!(unwound.is_err());
+            assert!(!v.inner.lock.vlock().sample().is_locked(), "{detection:?}");
+            assert!(ctx.buffers_idle(), "{detection:?}");
+            ctx.atomically(TxnId(0), |tx| tx.modify(&v, |x| x * 2));
+            assert_eq!(v.load_quiesced(), 10, "{detection:?}: panicked write leaked");
+        }
     }
 
     #[test]
