@@ -4,14 +4,15 @@
 //! guided repetition (`<bench>_<threads>t_run<r>_telemetry.{prom,jsonl,trace.json}`)
 //! plus two CSVs with its own accounting (`<bench>_<threads>t_runs.csv`,
 //! `<bench>_<threads>t_guided_summary.csv`). This crate re-derives the
-//! paper's variance metrics *from the exported telemetry alone* —
-//! reconstructing each run's Tseq from the JSONL trace with the same
-//! windowed attribution the profiler uses ([`gstm_core::tss::parse_tseq`]) —
-//! and cross-checks them against the harness numbers:
+//! paper's variance metrics *from the exported telemetry alone* and
+//! cross-checks them against the harness numbers:
 //!
 //! * per-thread execution-time standard deviation (recomputed from
 //!   `runs.csv`, checked against `guided_summary.csv` at float tolerance),
-//! * non-determinism (distinct TSS across reconstructed Tseqs, exact),
+//! * non-determinism: distinct TSS across the runs' traced states, exact.
+//!   The guided hook's own tracker writes each state it forms into the
+//!   trace ([`TraceKind::State`]), so the analyzer reads the recorded Tseq
+//!   instead of re-deriving it, and requires one state per traced commit,
 //! * the abort-tail metric Σj² per thread (exact),
 //! * per-thread/gate-outcome partitions of the global counters (exact),
 //! * commit-latency quantiles per run (exact nearest-rank over raw
@@ -27,17 +28,16 @@
 //! and [`render_markdown`] serialize it for CI (`verdict.json`) and for
 //! humans.
 //!
-//! Counters are trusted unconditionally; trace-derived quantities (Tseq,
+//! Counters are trusted unconditionally; trace-derived quantities (states,
 //! histograms) are only cross-checked exactly when the run's
 //! `gstm_trace_dropped_total` is zero — a saturated ring makes the trace
 //! a *sample*, and the affected checks degrade to "skipped" rather than
 //! reporting false mismatches.
 
-use gstm_core::events::TxEvent;
 use gstm_core::json::{self, array_lines, escape, Value};
 use gstm_core::metrics::{self, quantile, AbortHistogram};
 use gstm_core::telemetry::{parse_jsonl, TraceEvent, TraceKind};
-use gstm_core::tss::{parse_tseq, StateKey};
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -283,22 +283,6 @@ pub fn parse_failures_csv(text: &str) -> Result<Vec<CsvFailure>, String> {
 // Per-run reconstruction from the JSONL trace
 // ---------------------------------------------------------------------------
 
-/// Rebuild the run's transaction sequence from its trace: map the
-/// commit/abort events (already globally sequenced) onto the event-log
-/// shape and apply the profiler's windowed attribution — aborts group
-/// with the *next* commit, trailing aborts are dropped.
-pub fn tseq_from_events(events: &[TraceEvent]) -> Vec<StateKey> {
-    let log: Vec<TxEvent> = events
-        .iter()
-        .filter_map(|ev| match ev.kind {
-            TraceKind::Abort { cause, .. } => Some(TxEvent::Abort(ev.pair, cause)),
-            TraceKind::Commit { .. } => Some(TxEvent::Commit(ev.pair, 0)),
-            _ => None,
-        })
-        .collect();
-    parse_tseq(&log)
-}
-
 /// Rebuild per-thread abort histograms: each thread's aborts since its
 /// previous commit are that commit's retry count, mirroring the
 /// harness's `ThreadStats::record_commit` bookkeeping.
@@ -373,8 +357,9 @@ pub struct RunAnalysis {
     pub run: usize,
     /// Trace events, in global sequence order.
     pub events: usize,
-    /// Reconstructed transaction sequence.
-    pub tseq: Vec<StateKey>,
+    /// Keys of the run's traced [`TraceKind::State`] records, in sequence
+    /// order: the guided hook's recorded Tseq.
+    pub states: Vec<u64>,
     /// Reconstructed per-thread abort histograms.
     pub hists: Vec<AbortHistogram>,
     /// Raw commit latencies, sorted ascending, nanoseconds.
@@ -437,18 +422,23 @@ impl RunAnalysis {
             })
             .collect();
         let (mut abort_events, mut abort_events_with_addr) = (0u64, 0u64);
+        let mut states = Vec::new();
         for ev in &events {
-            if let TraceKind::Abort { addr, .. } = ev.kind {
-                abort_events += 1;
-                if addr != 0 {
-                    abort_events_with_addr += 1;
+            match ev.kind {
+                TraceKind::Abort { addr, .. } => {
+                    abort_events += 1;
+                    if addr != 0 {
+                        abort_events_with_addr += 1;
+                    }
                 }
+                TraceKind::State { key } => states.push(key),
+                _ => {}
             }
         }
         Ok(RunAnalysis {
             run,
             events: events.len(),
-            tseq: tseq_from_events(&events),
+            states,
             hists: per_thread_hists(&events, threads),
             commit_ns,
             dropped: prom.get("gstm_trace_dropped_total", &[]).unwrap_or(0.0) as u64,
@@ -716,7 +706,7 @@ pub struct CampaignReport {
     /// Per-thread abort tail Σj² from the merged reconstructed
     /// histograms.
     pub tail_metric: Vec<u64>,
-    /// Distinct TSS across the reconstructed Tseqs.
+    /// Distinct TSS across the runs' traced states.
     pub non_determinism: usize,
     /// Campaign commit total (from `runs.csv`).
     pub commits: u64,
@@ -802,8 +792,7 @@ pub fn analyze_campaign_with_failures(
         }
     }
     let tails: Vec<u64> = merged.iter().map(AbortHistogram::tail_metric).collect();
-    let tseqs: Vec<&[StateKey]> = runs.iter().map(|r| r.tseq.as_slice()).collect();
-    let nd = metrics::non_determinism(&tseqs);
+    let nd = runs.iter().flat_map(|r| &r.states).collect::<HashSet<_>>().len();
     let commits: u64 = csv.iter().map(|r| r.commits).sum();
     let aborts: u64 = csv.iter().map(|r| r.aborts).sum();
     let model_swaps: u64 = runs
@@ -834,7 +823,7 @@ pub fn analyze_campaign_with_failures(
         check_thread_partition(runs),
         check_variance_match(&std_dev_secs, summary, th),
         check_abort_tail(&tails, summary, trace_exact),
-        check_non_determinism(nd, summary, trace_exact),
+        check_non_determinism(runs, nd, summary, trace_exact),
         check_totals(commits, aborts, summary),
         check_epoch_segmentation(runs, model_swaps),
         check_breaker_consistency(runs, &degradation),
@@ -1035,19 +1024,28 @@ fn check_abort_tail(tails: &[u64], summary: &HarnessSummary, trace_exact: bool) 
     )
 }
 
-/// Distinct TSS across the reconstructed Tseqs.
-fn check_non_determinism(nd: usize, summary: &HarnessSummary, trace_exact: bool) -> Check {
+/// Distinct TSS across the traced states, with every run carrying one
+/// state per traced commit (a lost state fails the check).
+fn check_non_determinism(
+    runs: &[RunAnalysis],
+    nd: usize,
+    summary: &HarnessSummary,
+    trace_exact: bool,
+) -> Check {
     if !trace_exact {
         return skipped_incomplete_trace("non_determinism_match");
     }
-    Check::new(
-        "non_determinism_match",
-        nd as u64 == summary.non_determinism,
-        format!(
-            "distinct TSS across reconstructed Tseqs = {nd}, harness = {}",
-            summary.non_determinism
-        ),
-    )
+    let mut detail = format!(
+        "distinct TSS across traced states = {nd}, harness = {}",
+        summary.non_determinism
+    );
+    let mut pass = nd as u64 == summary.non_determinism;
+    for r in runs.iter().filter(|r| r.states.len() != r.commit_ns.len()) {
+        pass = false;
+        let (states, commits) = (r.states.len(), r.commit_ns.len());
+        let _ = write!(detail, "; run {}: {states} state(s) for {commits} commit(s)", r.run);
+    }
+    Check::new("non_determinism_match", pass, detail)
 }
 
 /// Campaign totals from runs.csv vs the summary.
@@ -1968,7 +1966,7 @@ pub fn render_markdown(r: &CampaignReport) -> String {
     let _ = writeln!(out);
     let _ = writeln!(
         out,
-        "Non-determinism (distinct TSS across reconstructed Tseqs): **{}**.",
+        "Non-determinism (distinct TSS across traced states): **{}**.",
         r.non_determinism
     );
     let _ = writeln!(out);

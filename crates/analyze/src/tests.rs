@@ -1,10 +1,12 @@
 use super::*;
-use gstm_core::analyzer::analyze;
 use gstm_core::config::GuidanceConfig;
 use gstm_core::events::AbortCause;
+use gstm_core::guidance::{GuidanceHook, GuidedHook};
 use gstm_core::ids::{Pair, ThreadId, TxnId};
-use gstm_core::telemetry::export_jsonl;
+use gstm_core::telemetry::{export_jsonl, Telemetry};
 use gstm_core::tsa::{GuidedModel, Tsa};
+use gstm_core::tss::{hash_parts, StateKey};
+use std::sync::Arc;
 
 fn pair(txn: u16, thread: u16) -> Pair {
     Pair::new(TxnId(txn), ThreadId(thread))
@@ -22,17 +24,28 @@ fn abort() -> TraceKind {
     TraceKind::Abort { cause: AbortCause::ReadVersion, addr: 0 }
 }
 
+/// The `State` record a guided hook traces for a commit by `commit` that
+/// closed a window holding the (sorted) `aborts`.
+fn state(aborts: &[Pair], commit: Pair) -> TraceKind {
+    TraceKind::State { key: hash_parts(aborts, commit) }
+}
+
 /// The scripted schedule used by the campaign fixtures: two threads,
-/// four commits, one abort on thread 1 before its first commit.
+/// four commits, one abort on thread 1 before its first commit. Each
+/// commit's state precedes it, as the hook traces it first.
 fn scripted_run() -> Vec<TraceEvent> {
     let (a0, b1) = (pair(0, 0), pair(1, 1));
     vec![
         ev(1, a0, TraceKind::Begin),
-        ev(2, a0, commit(100)),
-        ev(3, b1, abort()),
-        ev(4, b1, commit(200)),
-        ev(5, a0, commit(150)),
-        ev(6, b1, commit(250)),
+        ev(2, a0, state(&[], a0)),
+        ev(3, a0, commit(100)),
+        ev(4, b1, abort()),
+        ev(5, b1, state(&[b1], b1)),
+        ev(6, b1, commit(200)),
+        ev(7, a0, state(&[], a0)),
+        ev(8, a0, commit(150)),
+        ev(9, b1, state(&[], b1)),
+        ev(10, b1, commit(250)),
     ]
 }
 
@@ -43,15 +56,19 @@ fn adaptive_run() -> Vec<TraceEvent> {
     let (a0, b1, mgr) = (pair(0, 0), pair(1, 1), pair(0, 0));
     let trans = |from, to| TraceKind::StateTransition { from, to };
     vec![
-        ev(1, a0, commit(100)),
+        ev(1, a0, state(&[], a0)),
         ev(2, a0, trans(u32::MAX, 0)),
-        ev(3, b1, abort()),
-        ev(4, b1, commit(200)),
-        ev(5, b1, trans(0, 1)),
-        ev(6, mgr, TraceKind::ModelSwap { epoch: 1, verdict: 2 }),
-        ev(7, a0, commit(150)),
-        ev(8, a0, trans(u32::MAX, 2)),
-        ev(9, b1, commit(250)),
+        ev(3, a0, commit(100)),
+        ev(4, b1, abort()),
+        ev(5, b1, state(&[b1], b1)),
+        ev(6, b1, trans(0, 1)),
+        ev(7, b1, commit(200)),
+        ev(8, mgr, TraceKind::ModelSwap { epoch: 1, verdict: 2 }),
+        ev(9, a0, state(&[], a0)),
+        ev(10, a0, trans(u32::MAX, 2)),
+        ev(11, a0, commit(150)),
+        ev(12, b1, state(&[], b1)),
+        ev(13, b1, commit(250)),
     ]
 }
 
@@ -132,56 +149,41 @@ fn per_thread_hists_mirror_retry_accounting() {
     assert_eq!(buckets, vec![(0, 1), (1, 1)]);
 }
 
-/// Satellite: JSONL → Tseq round-trip fidelity. The guidance metric
-/// computed from a model built over the reconstructed Tseq must equal
-/// the one from the in-memory Tseq bit-for-bit.
+/// JSONL round trip of a guided hook's own states: the keys the analyzer
+/// reads back are the recorded Tseq's hashes, in order, and count the
+/// same distinct states as the Tseq itself.
 #[test]
-fn jsonl_roundtrip_preserves_tseq_and_guidance_metric() {
+fn jsonl_roundtrip_preserves_traced_states() {
     let (a0, b1, c0) = (pair(0, 0), pair(1, 1), pair(2, 0));
-    // A longer schedule with interleaved aborts, multi-pair windows, and
-    // a trailing abort that the windowed attribution must drop.
-    let script: Vec<TraceEvent> = vec![
-        ev(1, a0, abort()),
-        ev(2, b1, commit(10)),
-        ev(3, a0, commit(20)),
-        ev(4, b1, abort()),
-        ev(5, c0, abort()),
-        ev(6, b1, commit(30)),
-        ev(7, c0, commit(40)),
-        ev(8, b1, commit(50)),
-        ev(9, a0, abort()),
-    ];
-
-    // In-memory path: the event-log shape the profiler consumes.
-    let log: Vec<TxEvent> = script
-        .iter()
-        .filter_map(|e| match e.kind {
-            TraceKind::Abort { cause, .. } => Some(TxEvent::Abort(e.pair, cause)),
-            TraceKind::Commit { .. } => Some(TxEvent::Commit(e.pair, 0)),
-            _ => None,
-        })
-        .collect();
-    let in_memory = parse_tseq(&log);
-
-    // Exported path: JSONL text → parse → reconstruct.
-    let jsonl = export_jsonl(&script);
-    let parsed = gstm_core::telemetry::parse_jsonl(&jsonl).unwrap();
-    let reconstructed = tseq_from_events(&parsed);
-
-    assert_eq!(in_memory, reconstructed, "Tseq must survive the JSONL round trip");
-    assert_eq!(in_memory.len(), 5, "trailing abort dropped, one state per commit");
-
     let cfg = GuidanceConfig::default();
-    let m_mem = GuidedModel::build(Tsa::from_runs(&[in_memory]), &cfg);
-    let m_rec = GuidedModel::build(Tsa::from_runs(&[reconstructed]), &cfg);
-    let (r_mem, r_rec) = (analyze(&m_mem), analyze(&m_rec));
-    assert_eq!(
-        r_mem.guidance_metric_pct.to_bits(),
-        r_rec.guidance_metric_pct.to_bits(),
-        "guidance metric must be identical: {} vs {}",
-        r_mem.guidance_metric_pct,
-        r_rec.guidance_metric_pct
-    );
+    let tsa = Tsa::from_runs(&[vec![StateKey::solo(a0), StateKey::solo(b1)]]);
+    let model = Arc::new(GuidedModel::build(tsa, &cfg));
+    let tel = Arc::new(Telemetry::new());
+    let hook = GuidedHook::with_robustness(model, cfg, Some(tel.clone()), None, None, None);
+    // Interleaved aborts, a multi-pair window, a repeated state, and a
+    // trailing abort whose window never closes.
+    let cause = AbortCause::ReadVersion;
+    hook.on_abort(a0, cause);
+    hook.on_commit(b1);
+    hook.on_commit(a0);
+    hook.on_abort(c0, cause);
+    hook.on_abort(b1, cause);
+    hook.on_commit(b1);
+    hook.on_commit(c0);
+    hook.on_commit(b1);
+    hook.on_commit(b1);
+    hook.on_abort(a0, cause);
+    let tseq = hook.take_run();
+    assert_eq!(tseq.len(), 6, "one state per commit");
+
+    let jsonl = export_jsonl(&tel.trace_events());
+    assert_eq!(gstm_core::telemetry::parse_jsonl(&jsonl).unwrap(), tel.trace_events());
+    let r = RunAnalysis::from_artifacts(0, &jsonl, &fixture_prom(0), 3).unwrap();
+    let recorded: Vec<u64> = tseq.iter().map(StateKey::hash64).collect();
+    assert_eq!(r.states, recorded, "states must survive the JSONL round trip");
+    let distinct = r.states.iter().collect::<HashSet<_>>().len();
+    assert_eq!(distinct, metrics::non_determinism(&[tseq]));
+    assert_eq!(distinct, 5);
 }
 
 #[test]
@@ -267,9 +269,7 @@ fn fixture_campaign() -> (Vec<RunAnalysis>, Vec<CsvRunRow>, HarnessSummary) {
             metrics::std_dev(&[2.0, 2.2]),
         ],
         tail_metric: merged.iter().map(|m| m.tail_metric()).collect(),
-        non_determinism: metrics::non_determinism(
-            &runs.iter().map(|r| r.tseq.as_slice()).collect::<Vec<_>>(),
-        ) as u64,
+        non_determinism: 3,
         commits: 8,
         aborts: 2,
     };
@@ -315,6 +315,25 @@ fn divergent_summary_fails_the_matching_check() {
         .map(|c| c.name.as_str())
         .collect();
     assert_eq!(failing, vec!["variance_match", "non_determinism_match"]);
+}
+
+#[test]
+fn run_missing_a_state_fails_non_determinism_match() {
+    let (mut runs, csv, summary) = fixture_campaign();
+    // Drop run 0's last State. Run 1 still carries that key, so the
+    // distinct count is unchanged: only the per-commit count catches it.
+    let mut lossy = scripted_run();
+    let last = lossy.iter().rposition(|e| matches!(e.kind, TraceKind::State { .. })).unwrap();
+    lossy.remove(last);
+    runs[0] = RunAnalysis::from_artifacts(0, &export_jsonl(&lossy), &fixture_prom(0), 2).unwrap();
+    let rep = analyze_campaign("kmeans_2t", &runs, &csv, &summary, &Thresholds::default());
+    assert_eq!(rep.non_determinism, summary.non_determinism as usize);
+    let c = rep.checks.iter().find(|c| c.name == "non_determinism_match").unwrap();
+    assert!(!c.pass, "{}", c.detail);
+    assert!(c.detail.contains("run 0: 3 state(s) for 4 commit(s)"), "{}", c.detail);
+    let failing: Vec<&str> =
+        rep.checks.iter().filter(|c| !c.pass).map(|c| c.name.as_str()).collect();
+    assert_eq!(failing, vec!["non_determinism_match"]);
 }
 
 #[test]
@@ -366,7 +385,7 @@ fn adaptive_campaign() -> (Vec<RunAnalysis>, Vec<CsvRunRow>, HarnessSummary) {
     let summary = HarnessSummary {
         std_dev_secs: vec![0.0, 0.0],
         tail_metric: runs[0].hists.iter().map(|h| h.tail_metric()).collect(),
-        non_determinism: metrics::non_determinism(&[runs[0].tseq.as_slice()]) as u64,
+        non_determinism: 3,
         commits: 4,
         aborts: 1,
     };
@@ -788,19 +807,23 @@ fn contention_run() -> Vec<TraceEvent> {
     let (a0, b1) = (pair(0, 0), pair(1, 1));
     vec![
         ev(1, a0, TraceKind::Begin),
-        ev(2, a0, commit(100)),
+        ev(2, a0, state(&[], a0)),
+        ev(3, a0, commit(100)),
         ev(
-            3,
+            4,
             b1,
             TraceKind::Abort {
                 cause: AbortCause::ReadLocked { owner: Some(ThreadId(0)) },
                 addr: 0xab00,
             },
         ),
-        ev(4, b1, commit(200)),
-        ev(5, a0, abort()),
-        ev(6, a0, commit(150)),
-        ev(7, b1, commit(250)),
+        ev(5, b1, state(&[b1], b1)),
+        ev(6, b1, commit(200)),
+        ev(7, a0, abort()),
+        ev(8, a0, state(&[a0], a0)),
+        ev(9, a0, commit(150)),
+        ev(10, b1, state(&[], b1)),
+        ev(11, b1, commit(250)),
     ]
 }
 
@@ -861,9 +884,7 @@ fn contention_campaign() -> (Vec<RunAnalysis>, Vec<CsvRunRow>, HarnessSummary) {
     let summary = HarnessSummary {
         std_dev_secs: vec![metrics::std_dev(&[1.0, 1.1]), metrics::std_dev(&[2.0, 2.2])],
         tail_metric: merged.iter().map(|m| m.tail_metric()).collect(),
-        non_determinism: metrics::non_determinism(
-            &runs.iter().map(|r| r.tseq.as_slice()).collect::<Vec<_>>(),
-        ) as u64,
+        non_determinism: 4,
         commits: 8,
         aborts: 4,
     };

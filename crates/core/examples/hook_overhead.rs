@@ -166,7 +166,8 @@ fn guided_hook(model: &Arc<GuidedModel>) -> Arc<dyn GuidanceHook> {
 /// same collector — the enabled-mode telemetry configuration.
 fn telemetry_instruments(model: &Arc<GuidedModel>, tel: Arc<Telemetry>) -> Instruments {
     let cfg = GuidanceConfig::default();
-    let hook = GuidedHook::with_telemetry(Arc::clone(model), cfg, Some(Arc::clone(&tel)));
+    let tel_hook = Some(Arc::clone(&tel));
+    let hook = GuidedHook::with_robustness(Arc::clone(model), cfg, tel_hook, None, None, None);
     Instruments::new(Arc::new(hook), Some(tel), None, None)
 }
 
@@ -452,11 +453,13 @@ fn main() {
             "guided+drift",
             best(&|| {
                 let drift = Arc::new(DriftTracker::new(&model));
-                bare(Arc::new(GuidedHook::with_observability(
+                bare(Arc::new(GuidedHook::with_robustness(
                     Arc::clone(&model),
                     GuidanceConfig::default(),
                     None,
                     Some(drift),
+                    None,
+                    None,
                 )))
             }),
         ));

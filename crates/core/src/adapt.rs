@@ -307,20 +307,11 @@ pub struct ModelManager {
 impl ModelManager {
     /// A manager whose epoch 0 is `initial`. `guidance` parameterizes
     /// rebuilt models exactly like the offline pipeline. No background
-    /// thread is started — see [`ModelManager::spawn_guardian`].
-    pub fn new(
-        initial: Arc<GuidedModel>,
-        guidance: GuidanceConfig,
-        cfg: AdaptConfig,
-        telemetry: Option<Arc<Telemetry>>,
-    ) -> Arc<Self> {
-        Self::with_robustness(initial, guidance, cfg, telemetry, None, None)
-    }
-
-    /// [`ModelManager::new`] plus the robustness layer: the `breaker`
-    /// follows the live epoch's drift tracker across hot-swaps, and the
-    /// guardian probes `faults`' guardian-panic site each poll (panics
-    /// are caught, counted, and survived with capped backoff).
+    /// thread is started — see [`ModelManager::spawn_guardian`]. The
+    /// robustness layer is optional: the `breaker` follows the live
+    /// epoch's drift tracker across hot-swaps, and the guardian probes
+    /// `faults`' guardian-panic site each poll (panics are caught,
+    /// counted, and survived with capped backoff).
     pub fn with_robustness(
         initial: Arc<GuidedModel>,
         guidance: GuidanceConfig,

@@ -1,19 +1,5 @@
 //! Configuration knobs for guided execution.
 
-/// How an STM run participates in the guidance pipeline.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ExecMode {
-    /// Plain STM: no recording, no gating (the paper's `default`/`orig`).
-    Default,
-    /// Record the transaction sequence for model generation
-    /// (the paper's `mcmc_data` option).
-    Profile,
-    /// Gate transactions using a trained model (the paper's `model` option),
-    /// while also recording states so non-determinism under guidance can be
-    /// measured (`ND_mcmc`).
-    Guided,
-}
-
 /// Tunables of the guided-execution framework (Sections V–VI of the paper).
 #[derive(Clone, Copy, Debug)]
 pub struct GuidanceConfig {

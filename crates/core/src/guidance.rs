@@ -16,6 +16,9 @@
 //! [`RecorderHook`] (profiling / non-determinism measurement), and
 //! [`GuidedHook`] (model-driven gating, which also records so that
 //! non-determinism under guidance can be measured — the paper's `ND_mcmc`).
+//! A traced guided hook also writes each state it forms into the trace
+//! ([`TraceKind::State`]), so the exported artifacts carry the tracker's
+//! own Tseq rather than a re-derivation of it.
 //!
 //! ## Hot-path architecture
 //!
@@ -62,7 +65,7 @@ use crate::rng::finalize;
 use crate::sync::Mutex;
 use crate::telemetry::{GateOutcome, Telemetry, TraceKind};
 use crate::tsa::{GuidedModel, StateId};
-use crate::tss::StateKey;
+use crate::tss::{hash_parts, StateKey};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -333,41 +336,25 @@ pub struct GuidedHook {
 impl GuidedHook {
     /// Create a guided hook over a trained model.
     pub fn new(model: Arc<GuidedModel>, config: GuidanceConfig) -> Self {
-        Self::with_observability(model, config, None, None)
+        Self::with_robustness(model, config, None, None, None, None)
     }
 
-    /// Create a guided hook that additionally reports gate outcomes and
-    /// TSA state transitions to `telemetry`.
-    pub fn with_telemetry(
-        model: Arc<GuidedModel>,
-        config: GuidanceConfig,
-        telemetry: Option<Arc<Telemetry>>,
-    ) -> Self {
-        Self::with_observability(model, config, telemetry, None)
-    }
-
-    /// Create a guided hook with full observability: telemetry (gate
-    /// outcomes + trace events) and/or a model-drift tracker receiving
-    /// every observed transition. The tracker must be built over the
-    /// same model (state ids are shared); register the same `Arc` with
-    /// [`Telemetry::attach_drift`] to have snapshots carry the drift
-    /// report.
-    pub fn with_observability(
-        model: Arc<GuidedModel>,
-        config: GuidanceConfig,
-        telemetry: Option<Arc<Telemetry>>,
-        drift: Option<Arc<DriftTracker>>,
-    ) -> Self {
-        Self::with_robustness(model, config, telemetry, drift, None, None)
-    }
-
-    /// Create a guided hook with observability plus the robustness layer:
-    /// a circuit `breaker` that degrades gating to fail-open unguided
-    /// execution when the model misbehaves, and/or a deterministic fault
-    /// plan (`faults`) that exercises the gate-stall and transition-storm
-    /// chaos sites. The drift tracker (when given alongside the breaker)
-    /// is attached to the breaker so Fresh verdicts veto model-health
-    /// trips.
+    /// Create a guided hook with observability and the robustness layer,
+    /// each part optional:
+    ///
+    /// * `telemetry` receives gate outcomes and, when it has a trace
+    ///   ring, one [`TraceKind::State`] per commit plus the TSA state
+    ///   transitions;
+    /// * `drift` receives every observed transition. It must be built
+    ///   over the same model (state ids are shared); register the same
+    ///   `Arc` with [`Telemetry::attach_drift`] to have snapshots carry
+    ///   the drift report;
+    /// * a circuit `breaker` degrades gating to fail-open unguided
+    ///   execution when the model misbehaves. A drift tracker given
+    ///   alongside it is attached to it, so Fresh verdicts veto
+    ///   model-health trips;
+    /// * a deterministic fault plan (`faults`) exercises the gate-stall
+    ///   and transition-storm chaos sites.
     pub fn with_robustness(
         model: Arc<GuidedModel>,
         config: GuidanceConfig,
@@ -623,9 +610,16 @@ impl GuidedHook {
         epoch: u32,
         drift: Option<&DriftTracker>,
     ) {
-        let id = self
-            .tracker
-            .commit_with(who, |aborts, commit| model.id_of_parts(aborts, commit));
+        // The state's identity is hashed under the commit lock only when
+        // a trace ring will record it.
+        let trace_states = self.telemetry.as_ref().is_some_and(|t| t.trace_enabled());
+        let (id, key) = self.tracker.commit_with(who, |aborts, commit| {
+            let key = trace_states.then(|| hash_parts(aborts, commit));
+            (model.id_of_parts(aborts, commit), key)
+        });
+        if let (Some(t), Some(key)) = (&self.telemetry, key) {
+            t.trace(who, TraceKind::State { key });
+        }
         let next = match id {
             Some(id) => id.0,
             None => {
@@ -655,7 +649,7 @@ impl GuidedHook {
         // off-model transitions and scrambles the current state to
         // unknown — the failure shape of an application phase change the
         // model has never seen. No trace events are fabricated (the
-        // analyzer cross-checks traces against the recorded Tseq).
+        // analyzer counts the traced states against the harness's).
         if let Some(f) = &self.faults {
             if let Some(fault) = f.should_fire(FaultSite::TransitionStorm, who.thread.index()) {
                 if let Some(d) = drift {
@@ -888,15 +882,52 @@ mod tests {
         assert_eq!(run, vec![StateKey::new(vec![p(0, 1), p(0, 2)], p(0, 0))]);
     }
 
+    /// Drive a scripted abort/commit schedule through a hook traced into
+    /// `tel`; returns the `State` keys traced and the recorded Tseq.
+    fn traced_states(tel: Arc<Telemetry>) -> (Vec<u64>, Vec<StateKey>) {
+        let (model, cfg) = (two_state_model(), GuidanceConfig::default());
+        let hook = GuidedHook::with_robustness(model, cfg, Some(tel.clone()), None, None, None);
+        hook.on_abort(p(0, 2), AbortCause::Validation);
+        hook.on_abort(p(0, 1), AbortCause::Validation);
+        hook.on_commit(p(0, 0));
+        hook.on_commit(p(0, 1));
+        hook.on_abort(p(1, 2), AbortCause::ReadVersion);
+        hook.on_abort(p(1, 2), AbortCause::ReadVersion);
+        hook.on_commit(p(9, 9)); // unmodeled: still one state
+        let keys = tel
+            .trace_events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceKind::State { key } => Some(key),
+                _ => None,
+            })
+            .collect();
+        (keys, hook.take_run())
+    }
+
+    #[test]
+    fn traced_hook_writes_one_state_per_commit() {
+        let (keys, run) = traced_states(Arc::new(Telemetry::new()));
+        assert_eq!(run.len(), 3);
+        let recorded: Vec<u64> = run.iter().map(StateKey::hash64).collect();
+        assert_eq!(keys, recorded, "the trace carries the tracker's own states, in order");
+        // Without a trace ring there is nothing to write them into.
+        let (keys, run) = traced_states(Arc::new(Telemetry::counters_only()));
+        assert!(keys.is_empty());
+        assert_eq!(run.len(), 3);
+    }
+
     #[test]
     fn guided_commits_feed_attached_drift_tracker() {
         let model = two_state_model();
         let drift = Arc::new(DriftTracker::new(&model));
-        let hook = GuidedHook::with_observability(
+        let hook = GuidedHook::with_robustness(
             model,
             GuidanceConfig::default(),
             None,
             Some(drift.clone()),
+            None,
+            None,
         );
         // First commit transitions from UNKNOWN; the next two walk the
         // modeled A→B edge and then B's terminal (no outbound) state.

@@ -62,7 +62,6 @@ pub mod stats;
 pub mod sync;
 pub mod telemetry;
 pub mod tsa;
-pub mod tseq;
 pub mod tss;
 
 /// Convenient re-exports of the types used by nearly every integration.
@@ -70,7 +69,7 @@ pub mod prelude {
     pub use crate::adapt::{AdaptConfig, EpochRef, ModelEpoch, ModelManager};
     pub use crate::analyzer::{analyze, AnalyzerReport, ModelVerdict};
     pub use crate::breaker::{Breaker, BreakerCause, BreakerConfig, BreakerState};
-    pub use crate::config::{ExecMode, GuidanceConfig};
+    pub use crate::config::GuidanceConfig;
     pub use crate::faultinject::{FaultPlan, FaultSite};
     pub use crate::drift::{DriftConfig, DriftTracker, DriftVerdict, ModelDrift};
     pub use crate::contention::{ContentionStats, ContentionTracker, HotAddr, PairConflict};
@@ -87,7 +86,6 @@ pub mod prelude {
     pub use crate::stats::ThreadStats;
     pub use crate::telemetry::{Telemetry, TelemetrySnapshot, TraceEvent, TraceKind};
     pub use crate::tsa::{GuidedModel, StateId, Tsa};
-    pub use crate::tseq::{parse_causal, EventLogHook};
     pub use crate::tss::StateKey;
 }
 

@@ -51,13 +51,22 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 14;
 /// an unknown current state).
 pub const UNKNOWN_STATE: u32 = u32::MAX;
 
-/// Version of the exported artifact schema (`.prom`, `.jsonl`, verdict
-/// and incident JSON). Bumped whenever a consumer could misparse an
-/// artifact from a different build; `gstm-analyze` refuses mismatches
+/// Version of the exported artifact schema (`.prom`, verdict and
+/// incident JSON; the JSONL trace has [`TRACE_SCHEMA_VERSION`]). Bumped
+/// whenever a consumer could misparse an artifact from a different
+/// build; `gstm-analyze` refuses mismatches
 /// instead of silently misreading them. Stamped as the
 /// `gstm_build_info{schema="..."}` Prometheus family and as the
-/// `"schema"` field of the JSONL meta line and of JSON artifacts.
+/// `"schema"` field of JSON artifacts.
 pub const SCHEMA_VERSION: u32 = 1;
+
+/// Version of the JSONL trace schema, stamped into the meta line that
+/// [`export_jsonl`] writes and checked by [`parse_jsonl`]. Versioned apart
+/// from [`SCHEMA_VERSION`] because the trace's event vocabulary changes
+/// independently of the exposition, verdict and incident formats. Schema
+/// 2 added [`TraceKind::State`]: a schema-1 trace carries no states, so
+/// the analyzer rejects it rather than counting zero of them.
+pub const TRACE_SCHEMA_VERSION: u32 = 2;
 
 /// Build version string stamped into exported artifacts. Falls back to
 /// "unversioned" under bare-rustc builds, where cargo's package
@@ -362,6 +371,13 @@ pub enum TraceKind {
         /// State id after the commit.
         to: u32,
     },
+    /// The thread transactional state a guided commit formed, recorded
+    /// by the guided hook's own tracker (one per commit). The analyzer
+    /// counts non-determinism from these records.
+    State {
+        /// [`crate::tss::hash_parts`] of the state's aborts and commit.
+        key: u64,
+    },
     /// The guided model was regenerated and hot-swapped (adaptive mode).
     /// Attributed to the synthetic pair `<0,0>`: the swap is performed by
     /// the model manager, not a worker transaction.
@@ -502,7 +518,7 @@ impl Telemetry {
     /// Register a model-drift tracker so snapshots (and their Prometheus
     /// exposition, via the `gstm_model_*` families) carry its
     /// [`ModelDrift`] report. Pass the same `Arc` to
-    /// [`crate::guidance::GuidedHook::with_observability`] so the hook
+    /// [`crate::guidance::GuidedHook::with_robustness`] so the hook
     /// feeds what the snapshot reads.
     pub fn attach_drift(&self, tracker: Arc<DriftTracker>) {
         *self.drift.lock() = Some(tracker);
@@ -1116,7 +1132,7 @@ pub fn export_jsonl(events: &[TraceEvent]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{{\"kind\":\"meta\",\"schema\":{SCHEMA_VERSION},\"version\":\"{BUILD_VERSION}\"}}"
+        "{{\"kind\":\"meta\",\"schema\":{TRACE_SCHEMA_VERSION},\"version\":\"{BUILD_VERSION}\"}}"
     );
     for ev in events {
         out.push_str(&event_json(ev, true));
@@ -1170,6 +1186,9 @@ pub(crate) fn event_json(ev: &TraceEvent, with_ts: bool) -> String {
                 ",\"kind\":\"state_transition\",\"from\":{from},\"to\":{to}"
             );
         }
+        TraceKind::State { key } => {
+            let _ = write!(out, ",\"kind\":\"state\",\"key\":{key}");
+        }
         TraceKind::ModelSwap { epoch, verdict } => {
             let _ = write!(out, ",\"kind\":\"model_swap\",\"epoch\":{epoch}");
             let _ = write!(out, ",\"verdict\":{verdict}");
@@ -1206,11 +1225,11 @@ pub fn parse_jsonl(s: &str) -> Result<Vec<TraceEvent>, String> {
         // so a newer or older exporter is never silently misparsed).
         if text("kind") == Some("meta") {
             match num("schema") {
-                Some(s) if s == u64::from(SCHEMA_VERSION) => continue,
+                Some(s) if s == u64::from(TRACE_SCHEMA_VERSION) => continue,
                 Some(s) => {
                     return Err(format!(
                         "line {}: artifact schema {s} but this build reads schema \
-                         {SCHEMA_VERSION}; re-export with a matching gstm version",
+                         {TRACE_SCHEMA_VERSION}; re-export with a matching gstm version",
                         n + 1
                     ))
                 }
@@ -1250,6 +1269,7 @@ pub fn parse_jsonl(s: &str) -> Result<Vec<TraceEvent>, String> {
                 from: req("from")? as u32,
                 to: req("to")? as u32,
             },
+            "state" => K::State { key: req("key")? },
             "model_swap" => K::ModelSwap {
                 epoch: req("epoch")? as u32,
                 verdict: req("verdict")? as u8,
@@ -1324,6 +1344,7 @@ fn chrome_entry(
 ///
 /// Mapping: commits and gate waits become duration (`"X"`) slices ending
 /// at their record timestamp; begins and aborts become instants (`"i"`);
+/// [`TraceKind::State`] records are omitted;
 /// [`TraceKind::StateTransition`] events additionally synthesize a
 /// state-residency timeline of `"X"` slices on the dedicated
 /// [`TSA_TRACK_TID`] track — each slice spans from one transition to the
@@ -1341,7 +1362,7 @@ pub fn export_chrome_trace(events: &[TraceEvent]) -> String {
         let tid = u32::from(ev.pair.thread.0);
         let txn = ev.pair.txn.0;
         let (ts, seq) = (ev.ts_ns, format!("\"seq\":{}", ev.seq));
-        entries.push(match ev.kind {
+        let entry = match ev.kind {
             TraceKind::Begin => {
                 chrome_entry(&format!("begin:t{txn}"), "tx", ts, None, tid, "t", &seq)
             }
@@ -1384,7 +1405,10 @@ pub fn export_chrome_trace(events: &[TraceEvent]) -> String {
                 let args = format!("{seq},\"from\":{from},\"cause\":{cause}");
                 chrome_entry(&name, "tsa", ts, None, TSA_TRACK_TID, "g", &args)
             }
-        });
+            // The TSA track already shows the transitions states cause.
+            TraceKind::State { .. } => continue,
+        };
+        entries.push(entry);
     }
     // Residency slices: state `to` holds from its transition until the
     // next one (or the end of the trace).
@@ -1604,6 +1628,12 @@ mod tests {
                 pair: p(0, 0),
                 kind: TraceKind::ModelSwap { epoch: 1, verdict: 3 },
             },
+            TraceEvent {
+                seq: 8,
+                ts_ns: 560,
+                pair: p(0, 3),
+                kind: TraceKind::State { key: u64::MAX },
+            },
         ]
     }
 
@@ -1614,7 +1644,7 @@ mod tests {
         // One schema-stamped meta line, then one line per event.
         assert_eq!(jsonl.lines().count(), events.len() + 1);
         assert!(jsonl.starts_with(&format!(
-            "{{\"kind\":\"meta\",\"schema\":{SCHEMA_VERSION}"
+            "{{\"kind\":\"meta\",\"schema\":{TRACE_SCHEMA_VERSION}"
         )));
         let parsed = parse_jsonl(&jsonl).expect("parses");
         assert_eq!(parsed, events, "count, ordering, and payloads survive");
@@ -1699,6 +1729,10 @@ mod tests {
                 ),
                 r#""kind":"breaker","from":0,"to":1,"cause":2"#,
             ),
+            (
+                ev(8, K::State { key: u64::MAX }),
+                r#""kind":"state","key":18446744073709551615"#,
+            ),
         ];
         let mut jsonl = String::new();
         for (e, tail) in &golden {
@@ -1728,10 +1762,13 @@ mod tests {
         let err = parse_jsonl("{\"kind\":\"meta\",\"schema\":999}\n").unwrap_err();
         assert!(err.contains("schema 999"), "got: {err}");
         assert!(err.contains("re-export"), "got: {err}");
+        // A schema-1 trace predates State events: rejected, not misread.
+        let err = parse_jsonl("{\"kind\":\"meta\",\"schema\":1}\n").unwrap_err();
+        assert!(err.contains("schema 1 but"), "got: {err}");
         // ...a matching stamp is skipped; a missing stamp (pre-PR8
         // artifact) is tolerated.
         let line = "{\"seq\":0,\"ts_ns\":1,\"txn\":0,\"thread\":0,\"kind\":\"begin\"}";
-        let stamped = format!("{{\"kind\":\"meta\",\"schema\":{SCHEMA_VERSION}}}\n{line}");
+        let stamped = format!("{{\"kind\":\"meta\",\"schema\":{TRACE_SCHEMA_VERSION}}}\n{line}");
         assert_eq!(parse_jsonl(&stamped).unwrap().len(), 1);
         assert_eq!(parse_jsonl(line).unwrap().len(), 1);
         assert!(parse_jsonl("{\"kind\":\"meta\"}").is_err());
@@ -1764,9 +1801,9 @@ mod tests {
     fn chrome_trace_is_structurally_valid() {
         let events = sample_events();
         let json = export_chrome_trace(&events);
-        // metadata + one entry per event + one residency slice per
-        // transition.
-        let expected = 1 + events.len() + 2;
+        // metadata + one entry per event but the JSONL-only State record
+        // + one residency slice per transition.
+        let expected = 1 + (events.len() - 1) + 2;
         assert_eq!(chrome_trace_events(&json).len(), expected);
         assert!(json.contains("TSA state"));
         assert!(json.contains("\"name\":\"S4\""));

@@ -15,12 +15,12 @@
 //! observed since the previous commit with the *next* commit event. Both
 //! the profiling recorder and the guided-execution tracker use this same
 //! windowed attribution, so the states seen at run time are drawn from the
-//! same space as the states in the model. (Section III of the paper argues
-//! tracking the state of concurrent transactions this way is sufficient;
-//! precise causal attribution via write-versions is available from the raw
-//! [`crate::events::EventLog`] for offline studies.)
+//! same space as the states in the model. Section III of the paper argues
+//! tracking the state of concurrent transactions this way is sufficient.
+//! The tracker is the only code that forms states from aborts; a traced
+//! guided run exports each one as a
+//! [`crate::telemetry::TraceKind::State`] record keyed by [`hash_parts`].
 
-use crate::events::{TxEvent, TxEvent::*};
 use crate::ids::Pair;
 use std::fmt;
 
@@ -150,32 +150,9 @@ impl fmt::Display for StateKey {
     }
 }
 
-/// Parse a totally ordered event log into the transaction sequence (Tseq)
-/// of thread transactional states, using the same windowed attribution as
-/// the online tracker: every abort is grouped with the next commit.
-///
-/// Aborts trailing the final commit are dropped (they belong to a window
-/// that never closed — in practice, retries that committed after the
-/// measured region ended).
-pub fn parse_tseq(events: &[TxEvent]) -> Vec<StateKey> {
-    let mut out = Vec::new();
-    let mut pending: Vec<Pair> = Vec::new();
-    for ev in events {
-        match *ev {
-            Begin(_) => {}
-            Abort(p, _) => pending.push(p),
-            Commit(p, _) => {
-                out.push(StateKey::new(std::mem::take(&mut pending), p));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::AbortCause;
     use crate::ids::{ThreadId, TxnId};
 
     fn p(t: u16, th: u16) -> Pair {
@@ -205,22 +182,6 @@ mod tests {
         assert!(s.contains(p(1, 7)));
         assert!(!s.contains(p(0, 7)));
         assert!(!s.contains(p(2, 5)));
-    }
-
-    #[test]
-    fn parse_groups_aborts_with_next_commit() {
-        let evs = vec![
-            TxEvent::Begin(p(0, 0)),
-            TxEvent::Abort(p(0, 1), AbortCause::Validation),
-            TxEvent::Abort(p(0, 2), AbortCause::Validation),
-            TxEvent::Commit(p(0, 0), 1),
-            TxEvent::Commit(p(1, 1), 2),
-            TxEvent::Abort(p(1, 3), AbortCause::ReadVersion),
-        ];
-        let tseq = parse_tseq(&evs);
-        assert_eq!(tseq.len(), 2);
-        assert_eq!(tseq[0], StateKey::new(vec![p(0, 1), p(0, 2)], p(0, 0)));
-        assert_eq!(tseq[1], StateKey::solo(p(1, 1)));
     }
 
     #[test]

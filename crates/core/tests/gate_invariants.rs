@@ -109,7 +109,14 @@ fn gate_outcomes_partition_calls_over_randomized_schedules() {
             ..GuidanceConfig::default()
         };
         let tel = Arc::new(Telemetry::counters_only());
-        let hook = Arc::new(GuidedHook::with_telemetry(model, cfg, Some(tel.clone())));
+        let hook = Arc::new(GuidedHook::with_robustness(
+        model,
+        cfg,
+        Some(tel.clone()),
+        None,
+        None,
+        None,
+    ));
         let per_thread = run_schedule(&hook, seed, threads, 6);
 
         let total_gates: u64 = per_thread.iter().map(|&(g, _, _)| g).sum();
@@ -165,7 +172,14 @@ fn gate_invariants_hold_with_runtime_attached() {
         ..GuidanceConfig::default()
     };
     let tel = Arc::new(Telemetry::counters_only());
-    let hook = Arc::new(GuidedHook::with_telemetry(model, cfg, Some(tel.clone())));
+    let hook = Arc::new(GuidedHook::with_robustness(
+            model,
+            cfg,
+            Some(tel.clone()),
+            None,
+            None,
+            None,
+        ));
 
     // Drive the hook the way a runtime does: gate precedes every attempt,
     // and every attempt ends in exactly one on_abort or on_commit.

@@ -336,9 +336,13 @@ fn measure<H: GuidanceHook + 'static>(
     (m, recorded)
 }
 
-/// Profile a benchmark and build its guided model without measuring —
-/// used by `gstm-repro inspect` for model exploration.
-pub fn train_model(bench: &dyn Benchmark, cfg: &ExperimentConfig) -> GuidedModel {
+/// Profile a benchmark: record `cfg.profile_runs` fault-free runs of the
+/// training input (the artifact's `mcmc_data` option) into the automaton
+/// its guided model is built from. `profile_threads` lets the model be
+/// trained at a different thread count than it is asked to guide — the
+/// canonical way to hand the guided phase a stale model (drift_demo /
+/// the adapt-smoke CI job).
+fn profile(bench: &dyn Benchmark, cfg: &ExperimentConfig) -> Tsa {
     let profile_cfg = ExperimentConfig {
         threads: cfg.profile_threads.unwrap_or(cfg.threads),
         ..*cfg
@@ -352,80 +356,49 @@ pub fn train_model(bench: &dyn Benchmark, cfg: &ExperimentConfig) -> GuidedModel
         |_| None,
         |h| h.take_run(),
     );
-    GuidedModel::build(Tsa::from_runs(&train_runs), &cfg.guidance)
+    Tsa::from_runs(&train_runs)
+}
+
+/// Profile a benchmark and build its guided model without measuring —
+/// used by `gstm-repro inspect` for model exploration.
+pub fn train_model(bench: &dyn Benchmark, cfg: &ExperimentConfig) -> GuidedModel {
+    GuidedModel::build(profile(bench, cfg), &cfg.guidance)
 }
 
 /// Run the full pipeline for one benchmark at one thread count.
 pub fn run_experiment(bench: &dyn Benchmark, cfg: &ExperimentConfig) -> BenchExperiment {
-    run_experiment_instrumented(bench, cfg, None)
+    run_experiment_chaos(bench, cfg, |_| None, &Robustness::default())
 }
 
-/// [`run_experiment`] with an optional telemetry collector attached to the
-/// *guided* measurement phase (phase 4). Scoping telemetry to that phase
-/// makes the snapshot directly checkable: its commit/abort totals must
-/// equal what the harness's own per-thread statistics count for the
-/// guided runs. One collector accumulates across all guided runs; use
-/// [`run_experiment_observed`] for per-run collectors.
-pub fn run_experiment_instrumented(
-    bench: &dyn Benchmark,
-    cfg: &ExperimentConfig,
-    telemetry: Option<Arc<Telemetry>>,
-) -> BenchExperiment {
-    run_experiment_observed(bench, cfg, |_| telemetry.clone())
-}
-
-/// [`run_experiment`] with a telemetry collector *per guided run*:
+/// [`run_experiment`] with a telemetry collector *per guided run*, under
+/// an optional chaos campaign.
+///
 /// `telemetry_for_run(r)` supplies the collector for guided run `r`
 /// (return a clone of one `Arc` to share it across runs, or distinct
 /// instances so every run exports its own artifacts — what `--telemetry`
-/// does, so repetition `r+1` no longer overwrites repetition `r`).
+/// does). Scoping telemetry to the guided phase makes each snapshot
+/// directly checkable against the harness's own per-thread statistics.
+/// When any run is collected, a fixed-model campaign feeds one
+/// [`DriftTracker`] over the freshly trained model from every guided
+/// run's hook and attaches it to every collector, so each exported
+/// snapshot carries the cumulative [`gstm_core::drift::ModelDrift`]
+/// report up to that run.
 ///
-/// When any run is collected, a [`DriftTracker`] over the freshly
-/// trained model is created, fed by every guided run's hook, and
-/// attached to every collector, so each exported snapshot carries the
-/// cumulative [`gstm_core::drift::ModelDrift`] report up to that run.
-pub fn run_experiment_observed(
-    bench: &dyn Benchmark,
-    cfg: &ExperimentConfig,
-    telemetry_for_run: impl Fn(usize) -> Option<Arc<Telemetry>>,
-) -> BenchExperiment {
-    run_experiment_chaos(bench, cfg, telemetry_for_run, &Robustness::default())
-}
-
-/// [`run_experiment_observed`] under a chaos campaign: the fault plan is
-/// armed for the guided measurement phase (the trained model and the
-/// default baseline stay clean), the model is round-tripped through its
-/// on-disk encoding with the corrupt-model site given a shot at the
-/// bytes, and — when requested or when the model file was rejected —
-/// every guided run gates through its own circuit breaker, attached to
-/// that run's telemetry collector so each exported snapshot carries its
-/// own trip/re-close history.
+/// Under chaos the fault plan is armed for the guided measurement phase
+/// (the trained model and the default baseline stay clean), the model is
+/// round-tripped through its on-disk encoding with the corrupt-model site
+/// given a shot at the bytes, and — when requested or when the model file
+/// was rejected — every guided run gates through its own circuit breaker,
+/// attached to that run's telemetry collector so each exported snapshot
+/// carries its own trip/re-close history.
 pub fn run_experiment_chaos(
     bench: &dyn Benchmark,
     cfg: &ExperimentConfig,
     telemetry_for_run: impl Fn(usize) -> Option<Arc<Telemetry>>,
     robust: &Robustness,
 ) -> BenchExperiment {
-    // ---- Phase 1: profile (the artifact's `mcmc_data` option) ----
-    // `profile_threads` lets the model be trained at a different thread
-    // count than it is asked to guide — the canonical way to hand the
-    // guided phase a stale model (drift_demo / the adapt-smoke CI job).
-    let profile_cfg = ExperimentConfig {
-        threads: cfg.profile_threads.unwrap_or(cfg.threads),
-        ..*cfg
-    };
-    let recorder = Arc::new(RecorderHook::new());
-    let (_, train_runs) = measure(
-        bench,
-        &profile_cfg,
-        &Phase::training(cfg),
-        |_| recorder.clone(),
-        |_| None,
-        |h| h.take_run(),
-    );
-
-    // ---- Phase 2: model generation + analysis ----
-    let tsa = Tsa::from_runs(&train_runs);
+    // ---- Phases 1-2: profile, then model generation + analysis ----
+    let tsa = profile(bench, cfg);
     let model_states = tsa.num_states();
     // Round-trip the model through its on-disk encoding exactly as a
     // load from disk would see it, letting the chaos plan's corrupt-model
@@ -701,7 +674,12 @@ mod tests {
         // per-thread statistics count for the guided phase.
         let bench = by_name("kmeans").unwrap();
         let tel = Arc::new(Telemetry::new());
-        let e = run_experiment_instrumented(&*bench, &tiny_cfg(2), Some(tel.clone()));
+        let e = run_experiment_chaos(
+            &*bench,
+            &tiny_cfg(2),
+            |_| Some(tel.clone()),
+            &Robustness::default(),
+        );
         let snap = tel.snapshot();
         assert_eq!(snap.commits, e.guided_m.total_commits());
         assert_eq!(snap.aborts_total(), e.guided_m.total_aborts());
@@ -723,7 +701,12 @@ mod tests {
         let cfg = tiny_cfg(2);
         let tels: Vec<Arc<Telemetry>> =
             (0..cfg.measure_runs).map(|_| Arc::new(Telemetry::new())).collect();
-        let e = run_experiment_observed(&*bench, &cfg, |r| tels.get(r).cloned());
+        let e = run_experiment_chaos(
+            &*bench,
+            &cfg,
+            |r| tels.get(r).cloned(),
+            &Robustness::default(),
+        );
         assert_eq!(e.guided_m.per_run_hists.len(), cfg.measure_runs);
         let (mut commits, mut aborts) = (0u64, 0u64);
         for (r, tel) in tels.iter().enumerate() {
@@ -763,7 +746,7 @@ mod tests {
             ..tiny_cfg(2)
         };
         let tel = Arc::new(Telemetry::counters_only());
-        let e = run_experiment_instrumented(&*bench, &cfg, Some(tel.clone()));
+        let e = run_experiment_chaos(&*bench, &cfg, |_| Some(tel.clone()), &Robustness::default());
         assert_eq!(e.guided_m.per_thread_times.len(), 3);
         let snap = tel.snapshot();
         assert_eq!(snap.commits, e.guided_m.total_commits());
@@ -932,7 +915,12 @@ mod tests {
         let cfg = tiny_cfg(2);
         let tels: Vec<Arc<Telemetry>> =
             (0..cfg.measure_runs).map(|_| Arc::new(Telemetry::counters_only())).collect();
-        let e = run_experiment_observed(&*bench, &cfg, |r| tels.get(r).cloned());
+        let e = run_experiment_chaos(
+            &*bench,
+            &cfg,
+            |r| tels.get(r).cloned(),
+            &Robustness::default(),
+        );
         assert!(e.guided_m.total_commits() > 0);
         for (r, tel) in tels.iter().enumerate() {
             let snap = tel.snapshot();

@@ -358,11 +358,11 @@ impl Campaign {
                     // One collector per guided run, so repetition r+1
                     // does not overwrite repetition r's artifacts and
                     // gstm-analyze sees every run. The ring must hold a
-                    // whole repetition: gstm-analyze's exact Tseq and
-                    // abort-tail cross-checks degrade to "skipped" the
-                    // moment one event is overwritten (default capacity
-                    // wraps on the reference workloads' ~50k
-                    // events/thread).
+                    // whole repetition: gstm-analyze's non-determinism
+                    // (one traced state per commit) and abort-tail
+                    // cross-checks degrade to "skipped" the moment one
+                    // event is overwritten (default capacity wraps on the
+                    // reference workloads' ~50k events/thread).
                     const TRACE_CAP_PER_THREAD: usize = 1 << 17;
                     let trace_cap = if want_artifacts { TRACE_CAP_PER_THREAD } else { 0 };
                     let tels: Vec<Arc<Telemetry>> = (0..cfg.measure_runs)

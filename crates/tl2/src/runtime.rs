@@ -64,7 +64,7 @@ impl StmConfig {
 }
 
 /// Configures and builds an [`Stm`] instance — the one construction
-/// path; the named constructors ([`Stm::new`], [`Stm::with_hook`], …)
+/// path; the named constructors ([`Stm::new`], [`Stm::with_robustness`])
 /// are thin wrappers over it. First concrete step toward the planned
 /// `StmBackend` trait: backends will take a builder, not a constructor
 /// ladder.
@@ -165,13 +165,9 @@ impl Stm {
 
     /// An instance reporting to the given guidance hook — a
     /// [`gstm_core::RecorderHook`] for profiling or a
-    /// [`gstm_core::GuidedHook`] for model-driven execution.
-    pub fn with_hook(hook: Arc<dyn GuidanceHook>, config: StmConfig) -> Arc<Self> {
-        StmBuilder::new(config).hook(hook).build()
-    }
-
-    /// An instance that additionally records into `telemetry` and runs
-    /// a deterministic fault plan (see [`StmBuilder::faults`]).
+    /// [`gstm_core::GuidedHook`] for model-driven execution — that
+    /// optionally records into `telemetry` and runs a deterministic fault
+    /// plan (see [`StmBuilder::faults`]).
     pub fn with_robustness(
         hook: Arc<dyn GuidanceHook>,
         config: StmConfig,

@@ -63,11 +63,13 @@ fn main() {
         (format!("stale (profiled @ {stale_threads} threads)"), stale),
     ] {
         let drift = Arc::new(DriftTracker::new(&model));
-        let hook = Arc::new(GuidedHook::with_observability(
+        let hook = Arc::new(GuidedHook::with_robustness(
             model,
             cfg.guidance,
             None,
             Some(drift.clone()),
+            None,
+            None,
         ));
         for _ in 0..cfg.measure_runs {
             let stm = StmBuilder::new(StmConfig {

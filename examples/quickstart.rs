@@ -61,7 +61,7 @@ fn main() {
     let recorder = Arc::new(RecorderHook::new());
     let mut train_runs = Vec::new();
     for _ in 0..RUNS {
-        let stm = Stm::with_hook(recorder.clone(), stm_config);
+        let stm = Stm::with_robustness(recorder.clone(), stm_config, None, None);
         workload(&stm);
         train_runs.push(recorder.take_run());
     }
@@ -90,7 +90,7 @@ fn main() {
     let guided_hook = Arc::new(GuidedHook::new(model, guidance));
     let mut guided_times = Vec::new();
     for _ in 0..RUNS {
-        let stm = Stm::with_hook(guided_hook.clone(), stm_config);
+        let stm = Stm::with_robustness(guided_hook.clone(), stm_config, None, None);
         guided_times.push(workload(&stm));
     }
 

@@ -44,10 +44,13 @@ fn main() {
     // Guided: same workload through the gate, reporting into its own
     // collector. One hook across runs, like the harness's phase 4.
     let guided = Arc::new(Telemetry::counters_only());
-    let hook = Arc::new(GuidedHook::with_telemetry(
+    let hook = Arc::new(GuidedHook::with_robustness(
         model,
         cfg.guidance,
         Some(guided.clone()),
+        None,
+        None,
+        None,
     ));
     drive(&*bench, &cfg, hook, &guided, runs);
 

@@ -33,7 +33,7 @@ fn guided_counter_workload_is_exact() {
     let mut runs = Vec::new();
     for _ in 0..3 {
         let counters: Vec<TVar<u64>> = (0..3).map(|_| TVar::new(0)).collect();
-        let stm = Stm::with_hook(rec.clone(), stm_cfg);
+        let stm = Stm::with_robustness(rec.clone(), stm_cfg, None, None);
         work(&stm, &counters);
         runs.push(rec.take_run());
     }
@@ -44,7 +44,7 @@ fn guided_counter_workload_is_exact() {
 
     let counters: Vec<TVar<u64>> = (0..3).map(|_| TVar::new(0)).collect();
     let hook = Arc::new(GuidedHook::new(model, GuidanceConfig::default()));
-    let stm = Stm::with_hook(hook.clone(), stm_cfg);
+    let stm = Stm::with_robustness(hook.clone(), stm_cfg, None, None);
     work(&stm, &counters);
     let total: u64 = counters.iter().map(TVar::load_quiesced).sum();
     assert_eq!(total, 800, "guidance corrupted the computation");
@@ -70,7 +70,7 @@ fn guided_stamp_results_match_default() {
     let rec = Arc::new(RecorderHook::new());
     let mut runs = Vec::new();
     for _ in 0..2 {
-        let stm = Stm::with_hook(rec.clone(), stm_cfg);
+        let stm = Stm::with_robustness(rec.clone(), stm_cfg, None, None);
         bench.run(&stm, &run_cfg);
         runs.push(rec.take_run());
     }
@@ -81,9 +81,11 @@ fn guided_stamp_results_match_default() {
 
     let default = bench.run(&Stm::new(stm_cfg), &run_cfg);
     let guided = bench.run(
-        &Stm::with_hook(
+        &Stm::with_robustness(
             Arc::new(GuidedHook::new(model, GuidanceConfig::default())),
             stm_cfg,
+            None,
+            None,
         ),
         &run_cfg,
     );
@@ -105,7 +107,7 @@ fn model_round_trips_through_disk_and_still_guides() {
     let rec = Arc::new(RecorderHook::new());
     let mut runs = Vec::new();
     for _ in 0..2 {
-        let stm = Stm::with_hook(rec.clone(), stm_cfg);
+        let stm = Stm::with_robustness(rec.clone(), stm_cfg, None, None);
         bench.run(&stm, &run_cfg);
         runs.push(rec.take_run());
     }
@@ -121,7 +123,7 @@ fn model_round_trips_through_disk_and_still_guides() {
 
     let model = Arc::new(GuidedModel::build(loaded, &GuidanceConfig::default()));
     let hook = Arc::new(GuidedHook::new(model, GuidanceConfig::default()));
-    let r = bench.run(&Stm::with_hook(hook, stm_cfg), &run_cfg);
+    let r = bench.run(&Stm::with_robustness(hook, stm_cfg, None, None), &run_cfg);
     assert!(r.per_thread_secs.iter().all(|&t| t > 0.0));
     std::fs::remove_file(&path).ok();
 }
@@ -140,7 +142,7 @@ fn gate_released_threads_always_make_progress() {
         &GuidanceConfig::default(),
     ));
     let hook = Arc::new(GuidedHook::new(model, GuidanceConfig::default()));
-    let stm = Stm::with_hook(hook, StmConfig::default());
+    let stm = Stm::with_robustness(hook, StmConfig::default(), None, None);
     let v = TVar::new(0u32);
     // Drive the tracker into the alien model's state space.
     let mut ctx = stm.register_as(ThreadId(9));

@@ -328,81 +328,6 @@ fn std_dev_is_translation_invariant_and_scales() {
 }
 
 // ---------------------------------------------------------------------------
-// Tseq causal-parse properties
-// ---------------------------------------------------------------------------
-
-mod tseq_props {
-    use super::Rng;
-    use gstm_core::events::{AbortCause, TxEvent};
-    use gstm_core::prelude::*;
-    use gstm_core::tseq::parse_causal;
-    use gstm_core::tss::parse_tseq;
-
-    fn event(rng: &mut Rng) -> TxEvent {
-        let pair = rng.pair();
-        match rng.below(4) {
-            0 => TxEvent::Begin(pair),
-            1 => TxEvent::Commit(pair, 0),
-            _ => {
-                let cause = match rng.below(4) {
-                    0 => AbortCause::ReadVersion,
-                    1 => AbortCause::Validation,
-                    2 => AbortCause::Explicit,
-                    _ => AbortCause::ReadLocked { owner: Some(ThreadId(rng.below(8) as u16)) },
-                };
-                TxEvent::Abort(pair, cause)
-            }
-        }
-    }
-
-    fn events(seed: u64) -> Vec<TxEvent> {
-        let mut rng = Rng::new(seed ^ 0xca5a1);
-        (0..rng.below(120)).map(|_| event(&mut rng)).collect()
-    }
-
-    #[test]
-    fn causal_parse_emits_one_state_per_commit_in_order() {
-        for seed in 0..64u64 {
-            let events = events(seed);
-            let commit_pairs: Vec<_> = events
-                .iter()
-                .filter_map(|e| match e {
-                    TxEvent::Commit(p, _) => Some(*p),
-                    _ => None,
-                })
-                .collect();
-            let tseq = parse_causal(&events);
-            assert_eq!(tseq.len(), commit_pairs.len(), "seed {seed}");
-            let tseq_commits: Vec<_> = tseq.iter().map(|s| s.commit()).collect();
-            assert_eq!(tseq_commits, commit_pairs, "seed {seed}: commit order changed");
-        }
-    }
-
-    #[test]
-    fn causal_attributes_each_abort_at_most_once() {
-        for seed in 0..64u64 {
-            let events = events(seed);
-            let aborts = events.iter().filter(|e| matches!(e, TxEvent::Abort(..))).count();
-            let attributed: usize =
-                parse_causal(&events).iter().map(|s| s.aborts().len()).sum();
-            // Canonicalization dedups identical pairs inside one window,
-            // so attributed <= aborts always holds.
-            assert!(attributed <= aborts, "seed {seed}: {attributed} > {aborts}");
-        }
-    }
-
-    #[test]
-    fn windowed_parse_never_drops_commits() {
-        for seed in 0..64u64 {
-            let events = events(seed);
-            let commits =
-                events.iter().filter(|e| matches!(e, TxEvent::Commit(..))).count();
-            assert_eq!(parse_tseq(&events).len(), commits, "seed {seed}");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Transactional containers vs. BTreeMap
 // ---------------------------------------------------------------------------
 
