@@ -6,7 +6,10 @@
 //!   guided mode it blocks the caller while `<txn,thread>` does not appear
 //!   in any tuple of a high-probability destination state of the *current*
 //!   state, re-examining the (possibly changed) current state up to `k`
-//!   times before releasing the thread anyway (progress guarantee).
+//!   times before releasing the thread anyway (progress guarantee). With
+//!   a fixed model the wait also ends at once while the caller is the
+//!   only thread that has ever gated on the hook, since nobody else can
+//!   change the state.
 //! * [`GuidanceHook::on_abort`] reports a rolled-back attempt.
 //! * [`GuidanceHook::on_commit`] reports a successful commit; the tracker
 //!   drains the aborts observed since the previous commit into a new
@@ -36,6 +39,8 @@
 //!   [`crate::tsa`]), and append one owned [`StateKey`] to the recorded
 //!   Tseq. The common solo state (no aborts since the last commit)
 //!   allocates nothing.
+//! * **Gates** count their outcome in the caller's own shard, so the
+//!   gate writes no line another thread writes.
 //!
 //! The windowed attribution semantics are unchanged from the original
 //! double-mutex tracker: every abort is grouped with the next commit, and
@@ -66,7 +71,7 @@ use crate::sync::Mutex;
 use crate::telemetry::{GateOutcome, Telemetry, TraceKind};
 use crate::tsa::{GuidedModel, StateId};
 use crate::tss::{hash_parts, StateKey};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Sentinel for "current state not present in the model".
@@ -76,6 +81,12 @@ const UNKNOWN: u32 = u32::MAX;
 /// unknown. The state half short-circuits every consumer, so the epoch
 /// half never matters for this value.
 const UNKNOWN_WORD: u64 = UNKNOWN as u64;
+
+/// [`GuidedHook`]'s gater word before any thread has gated.
+const NO_GATER: u32 = u32::MAX;
+
+/// [`GuidedHook`]'s gater word once two or more threads have gated.
+const MANY_GATERS: u32 = u32::MAX - 1;
 
 /// Number of per-thread abort buffers (power of two; thread ids map to
 /// shards by masking). 64 covers every thread count the experiments use
@@ -107,12 +118,18 @@ pub struct NoopHook;
 
 impl GuidanceHook for NoopHook {}
 
-/// One per-thread abort buffer, padded to its own cache line so abort
-/// traffic from different threads never false-shares.
+/// One thread's slot, padded to its own cache line so traffic from
+/// different threads never false-shares: the aborts it has pending and
+/// its gate outcomes. Only the owning thread writes the outcome
+/// counters; ids that alias onto one shard still count exactly, since
+/// every update is an atomic read-modify-write.
 #[derive(Default)]
 #[repr(align(128))]
 struct Shard {
     pending: Mutex<Vec<Pair>>,
+    passed: AtomicU64,
+    waited: AtomicU64,
+    released: AtomicU64,
 }
 
 /// Commit-side state, all behind one lock: the scratch buffer commits
@@ -156,12 +173,33 @@ impl Default for StateTracker {
 }
 
 impl StateTracker {
+    #[inline]
+    fn index(who: Pair) -> usize {
+        who.thread.index() & (TRACKER_SHARDS - 1)
+    }
+
+    #[inline]
+    fn shard(&self, who: Pair) -> &Shard {
+        &self.shards[Self::index(who)]
+    }
+
+    /// Gate outcomes summed over every shard.
+    fn gate_totals(&self) -> (u64, u64, u64) {
+        self.shards.iter().fold((0, 0, 0), |(p, w, r), s| {
+            (
+                p + s.passed.load(Ordering::Relaxed),
+                w + s.waited.load(Ordering::Relaxed),
+                r + s.released.load(Ordering::Relaxed),
+            )
+        })
+    }
+
     /// Record an abort: a push into the aborting thread's own shard, plus
     /// an occupancy-bit publication when the shard transitions from empty
     /// (so repeat aborts within one window never touch the shared word).
     #[inline]
     fn abort(&self, who: Pair) {
-        let idx = who.thread.index() & (TRACKER_SHARDS - 1);
+        let idx = Self::index(who);
         let was_empty = {
             let mut buf = self.shards[idx].pending.lock();
             let was_empty = buf.is_empty();
@@ -309,9 +347,11 @@ pub struct GuidedHook {
     /// the current state is absent from the (epoch's) model. Fixed-model
     /// hooks always use epoch 0.
     current: AtomicU64,
-    passed: AtomicU64,
-    waited: AtomicU64,
-    released: AtomicU64,
+    /// The one thread that has gated on this hook so far, as a thread
+    /// index; [`NO_GATER`] before the first gate and [`MANY_GATERS`] for
+    /// good once a second thread gates. Read by every waiting gate,
+    /// written at most twice.
+    gaters: AtomicU32,
     unknown_states: AtomicU64,
     /// Optional telemetry sink: gate outcomes feed the per-thread
     /// counters, commits feed TSA state-transition trace events. `None`
@@ -371,9 +411,7 @@ impl GuidedHook {
             config,
             tracker: StateTracker::default(),
             current: AtomicU64::new(UNKNOWN_WORD),
-            passed: AtomicU64::new(0),
-            waited: AtomicU64::new(0),
-            released: AtomicU64::new(0),
+            gaters: AtomicU32::new(NO_GATER),
             unknown_states: AtomicU64::new(0),
             telemetry,
             drift,
@@ -428,9 +466,7 @@ impl GuidedHook {
             config,
             tracker: StateTracker::default(),
             current: AtomicU64::new(UNKNOWN_WORD),
-            passed: AtomicU64::new(0),
-            waited: AtomicU64::new(0),
-            released: AtomicU64::new(0),
+            gaters: AtomicU32::new(NO_GATER),
             unknown_states: AtomicU64::new(0),
             telemetry,
             drift: None,
@@ -505,10 +541,11 @@ impl GuidedHook {
 
     /// Gate behaviour counters accumulated so far.
     pub fn stats(&self) -> GateStats {
+        let (passed, waited, released) = self.tracker.gate_totals();
         GateStats {
-            passed: self.passed.load(Ordering::Relaxed),
-            waited: self.waited.load(Ordering::Relaxed),
-            released: self.released.load(Ordering::Relaxed),
+            passed,
+            waited,
+            released,
             unknown_states: self.unknown_states.load(Ordering::Relaxed),
         }
     }
@@ -524,17 +561,18 @@ impl GuidedHook {
         s == UNKNOWN || e != epoch || model.is_allowed(StateId(s), who)
     }
 
-    /// Count a gate resolution in the local counters and, when attached,
+    /// Count a gate resolution in the caller's shard and, when attached,
     /// the telemetry cells and the breaker's health window. A trip
     /// reported back by the breaker fails the gate open *immediately*:
     /// one store of the unknown word releases every thread still spinning
     /// on the old current state (unknown always passes).
     #[inline]
     fn count_outcome(&self, who: Pair, outcome: GateOutcome) {
+        let shard = self.tracker.shard(who);
         let counter = match outcome {
-            GateOutcome::Passed => &self.passed,
-            GateOutcome::Waited => &self.waited,
-            GateOutcome::Released => &self.released,
+            GateOutcome::Passed => &shard.passed,
+            GateOutcome::Waited => &shard.waited,
+            GateOutcome::Released => &shard.released,
         };
         counter.fetch_add(1, Ordering::Relaxed);
         if let Some(t) = &self.telemetry {
@@ -554,9 +592,20 @@ impl GuidedHook {
     /// call entry. A concurrent hot-swap cannot strand a waiter: commits
     /// under the new generation re-tag the current word, the tag mismatch
     /// reads as unknown, and unknown always passes.
+    ///
+    /// A fixed model's word changes only in a gate (a breaker trip) or a
+    /// commit, and every commit follows its thread's gate. So while the
+    /// caller is the only thread that has ever gated on the hook, nobody
+    /// can wake it: before each wait round a fixed-model gate checks
+    /// that, and skips the rest of its budget for the final
+    /// re-examination. Once a second thread has gated every wait runs its
+    /// full budget, as the paper's gate does. An adaptive hook always
+    /// keeps the full wait: its manager can re-tag the word from a thread
+    /// that never gates.
     fn gate_with(&self, who: Pair, model: &GuidedModel, epoch: u32) {
+        let fixed = matches!(self.source, ModelSource::Fixed(_));
         let mut waited = false;
-        for retry in 0..self.config.k_retries {
+        'retry: for retry in 0..self.config.k_retries {
             let cur = self.current.load(Ordering::Acquire);
             if Self::allowed_word(cur, model, epoch, who) {
                 self.count_outcome(
@@ -577,6 +626,9 @@ impl GuidedHook {
                 if self.current.load(Ordering::Acquire) != cur {
                     break;
                 }
+                if fixed && self.gaters.load(Ordering::Relaxed) == who.thread.index() as u32 {
+                    break 'retry;
+                }
                 let base = 1u64 << round.min(BACKOFF_CAP);
                 let jitter =
                     finalize(((who.packed() as u64) << 32) ^ ((retry as u64) << 16) ^ round as u64)
@@ -585,9 +637,10 @@ impl GuidedHook {
                 std::thread::yield_now();
             }
         }
-        // Retry budget exhausted. Re-examine once — the final wait may have
-        // ended on a state change whose new state allows us — and otherwise
-        // release to guarantee progress.
+        // Retry budget exhausted, or no other thread that could wake us.
+        // Re-examine once — the final wait may have ended on a state
+        // change whose new state allows us — and otherwise release to
+        // guarantee progress.
         if Self::allowed_word(self.current.load(Ordering::Acquire), model, epoch, who) {
             self.count_outcome(
                 who,
@@ -595,6 +648,24 @@ impl GuidedHook {
             );
         } else {
             self.count_outcome(who, GateOutcome::Released);
+        }
+    }
+
+    /// Record that `who`'s thread gates on this hook: the first gating
+    /// thread claims [`GuidedHook::gaters`], any other moves it to
+    /// [`MANY_GATERS`] for good. Steady state is one load.
+    #[inline]
+    fn note_gater(&self, who: Pair) {
+        let me = who.thread.index() as u32;
+        let seen = self.gaters.load(Ordering::Relaxed);
+        if seen != me
+            && seen != MANY_GATERS
+            && self
+                .gaters
+                .compare_exchange(NO_GATER, me, Ordering::Relaxed, Ordering::Relaxed)
+                .is_err()
+        {
+            self.gaters.store(MANY_GATERS, Ordering::Relaxed);
         }
     }
 
@@ -665,6 +736,7 @@ impl GuidedHook {
 
 impl GuidanceHook for GuidedHook {
     fn gate(&self, who: Pair) {
+        self.note_gater(who);
         // Chaos site: stall this thread at the gate, as if it lost its
         // timeslice between the epoch read and the state examination.
         if let Some(f) = &self.faults {
@@ -818,6 +890,7 @@ mod tests {
             ..GuidanceConfig::default()
         };
         let hook = Arc::new(GuidedHook::new(model, cfg));
+        hook.gate(p(5, 5)); // the rescuer gates first, as every committer does
         hook.on_commit(p(0, 0)); // current = A; only p(0,1) allowed
         let h2 = Arc::clone(&hook);
         let waiter = std::thread::spawn(move || h2.gate(p(0, 2)));
@@ -839,6 +912,7 @@ mod tests {
             ..GuidanceConfig::default()
         };
         let hook = Arc::new(GuidedHook::new(model, cfg));
+        hook.gate(p(5, 5)); // the rescuer gates first, as every committer does
         hook.on_commit(p(0, 0)); // current = A; only p(0,1) allowed
         let done = Arc::new(AtomicBool::new(false));
         let h2 = Arc::clone(&hook);
@@ -856,6 +930,102 @@ mod tests {
         waiter.join().unwrap();
         assert!(done.load(Ordering::SeqCst));
         assert_eq!(hook.stats().unknown_states, 1);
+    }
+
+    /// A budget no test could sit out: a gate that returns at all
+    /// within the test's lifetime did not spend it.
+    fn endless() -> GuidanceConfig {
+        GuidanceConfig {
+            k_retries: 1_000_000,
+            wait_spins: 1_000_000,
+            ..GuidanceConfig::default()
+        }
+    }
+
+    #[test]
+    fn lone_waiter_on_a_fixed_hook_releases_at_once() {
+        let hook = GuidedHook::new(two_state_model(), endless());
+        hook.on_commit(p(0, 0)); // current = A; only p(0,1) allowed
+        let t0 = std::time::Instant::now();
+        hook.gate(p(0, 2)); // nobody else has ever gated: no waker
+        assert!(t0.elapsed() < std::time::Duration::from_secs(5));
+        let stats = hook.stats();
+        assert_eq!((stats.passed, stats.waited, stats.released), (0, 0, 1));
+    }
+
+    #[test]
+    fn adaptive_hook_keeps_waiting_as_the_only_gater() {
+        // The same lone waiter on an adaptive hook: its manager can
+        // re-tag the word from a thread that never gates, so it is still
+        // waiting 20 ms later and a state change rescues it. (The rescuing
+        // commit never gated, standing in for such a re-tag.)
+        let hook = GuidedHook::adaptive(two_state_model(), endless(), manual_adapt(16), None);
+        hook.on_commit(p(0, 0));
+        let at_gate = Arc::new(std::sync::Barrier::new(2));
+        let waiter = {
+            let (hook, at_gate) = (Arc::clone(&hook), Arc::clone(&at_gate));
+            std::thread::spawn(move || {
+                at_gate.wait();
+                hook.gate(p(0, 2));
+            })
+        };
+        at_gate.wait();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!waiter.is_finished(), "adaptive gate gave up its wait");
+        hook.on_commit(p(5, 5)); // unknown state: everything allowed
+        waiter.join().unwrap();
+        let stats = hook.stats();
+        assert_eq!(stats.released, 0);
+        assert_eq!(stats.passed + stats.waited, 1);
+    }
+
+    #[test]
+    fn gater_word_turns_many_at_the_second_gating_thread_for_good() {
+        let hook = GuidedHook::new(two_state_model(), GuidanceConfig::default());
+        let (a, b) = (p(0, 1), p(1, 2));
+        let gaters = || hook.gaters.load(Ordering::Relaxed);
+        hook.on_commit(b); // only a gate registers its thread
+        assert_eq!(gaters(), NO_GATER);
+        hook.gate(a);
+        hook.gate(p(1, 1)); // another transaction of the same thread
+        assert_eq!(gaters(), 1);
+        let _ = hook.take_run(); // a new run keeps the registration
+        assert_eq!(gaters(), 1);
+        hook.gate(b);
+        assert_eq!(gaters(), MANY_GATERS);
+        hook.gate(a);
+        assert_eq!(gaters(), MANY_GATERS);
+    }
+
+    #[test]
+    fn shard_counters_partition_each_threads_gate_calls() {
+        let hook = Arc::new(GuidedHook::new(two_state_model(), GuidanceConfig::default()));
+        hook.on_commit(p(0, 0)); // current = A; p(0,1) passes, the rest wait
+        std::thread::scope(|s| {
+            for th in 1..4u16 {
+                let hook = Arc::clone(&hook);
+                s.spawn(move || {
+                    for i in 0..50 * th {
+                        let who = p(i % 2, th);
+                        hook.gate(who);
+                        hook.on_commit(who);
+                    }
+                });
+            }
+        });
+        let mut sum = (0, 0, 0);
+        for th in 1..4u16 {
+            let shard = hook.tracker.shard(p(0, th));
+            let (pa, wa, re) = (
+                shard.passed.load(Ordering::Relaxed),
+                shard.waited.load(Ordering::Relaxed),
+                shard.released.load(Ordering::Relaxed),
+            );
+            assert_eq!(pa + wa + re, 50 * th as u64, "thread {th}");
+            sum = (sum.0 + pa, sum.1 + wa, sum.2 + re);
+        }
+        let stats = hook.stats();
+        assert_eq!((stats.passed, stats.waited, stats.released), sum);
     }
 
     #[test]

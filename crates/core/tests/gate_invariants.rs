@@ -3,7 +3,10 @@
 //! Every `gate` call resolves to exactly one of passed / waited /
 //! released, so over any schedule the three [`GateStats`] counters must
 //! partition the calls — and the per-thread telemetry cells must agree
-//! with both the global stats and each thread's own call count.
+//! with both the global stats and each thread's own call count. The last
+//! two tests pin the wake-up rule: once another thread has gated, a
+//! fixed-model waiter keeps waiting even while that thread is parked
+//! between attempts, and a commit by that thread still rescues it.
 
 use gstm_core::prelude::*;
 use gstm_core::telemetry::TELEMETRY_SHARDS;
@@ -217,4 +220,75 @@ fn gate_invariants_hold_with_runtime_attached() {
     assert_eq!(snap.gate_total(), total);
     assert_eq!(snap.commits + snap.aborts_total(), total);
     assert_eq!(snap.commits, (threads as u64) * 200);
+}
+
+/// A model cycling through the solo commits of threads 0, 1 and 2: its
+/// state "thread 0 committed" allows only thread 1, so the gate of
+/// `p(0, 2)` from that state waits until `p(0, 1)` commits. Returns the
+/// model and the pair whose commit enters the state.
+fn blocking_model() -> (Arc<GuidedModel>, Pair) {
+    let cycle = [p(0, 0), p(0, 1), p(0, 2)].map(StateKey::solo);
+    let run: Vec<StateKey> = (0..20).flat_map(|_| cycle.clone()).collect();
+    let model = GuidedModel::build(Tsa::from_runs(&[run]), &GuidanceConfig::with_tfactor(1.0));
+    (Arc::new(model), p(0, 0))
+}
+
+/// A budget no test could sit out: a gate that returns at all within
+/// the test's lifetime did not spend it.
+fn endless() -> GuidanceConfig {
+    GuidanceConfig { k_retries: 1_000_000, wait_spins: 1_000_000, ..GuidanceConfig::default() }
+}
+
+#[test]
+fn waiter_is_rescued_by_another_gating_thread() {
+    let (model, enter) = blocking_model();
+    let hook = Arc::new(GuidedHook::new(model, endless()));
+    let rescuer = p(3, 3);
+    hook.gate(rescuer); // passes on the unknown state
+    hook.gate(enter);
+    hook.on_commit(enter); // the word now blocks p(0, 2)
+    let at_gate = Arc::new(std::sync::Barrier::new(2));
+    let waiter = {
+        let (hook, at_gate) = (Arc::clone(&hook), Arc::clone(&at_gate));
+        std::thread::spawn(move || {
+            at_gate.wait();
+            hook.gate(p(0, 2));
+        })
+    };
+    at_gate.wait();
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    assert!(!waiter.is_finished(), "a possible waker must keep the waiter waiting");
+    hook.on_commit(rescuer); // an unmodeled state: everything passes
+    waiter.join().unwrap();
+    let stats = hook.stats();
+    assert_eq!((stats.passed, stats.waited, stats.released), (2, 1, 0));
+}
+
+#[test]
+fn waiter_keeps_waiting_while_the_other_thread_is_parked_between_attempts() {
+    // The frame-end shape: the other thread committed and parks at a
+    // barrier. It has gated before, so it can gate and commit again and
+    // change the state: the waiter keeps its full budget meanwhile, and
+    // the other thread's next commit, `p(0, 1)`, rescues it.
+    let (model, enter) = blocking_model();
+    let hook = Arc::new(GuidedHook::new(model, endless()));
+    let barrier = Arc::new(std::sync::Barrier::new(2));
+    let waiter = {
+        let (hook, barrier) = (Arc::clone(&hook), Arc::clone(&barrier));
+        std::thread::spawn(move || {
+            barrier.wait(); // the other thread has committed `enter`
+            hook.gate(p(0, 2));
+        })
+    };
+    hook.gate(enter);
+    hook.on_commit(enter); // the word now blocks p(0, 2)
+    barrier.wait(); // committed; now parked outside any attempt
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    assert!(!waiter.is_finished(), "a thread that gated before is a possible waker");
+    let next = p(0, 1); // allowed from the blocking state
+    hook.gate(next);
+    hook.on_commit(next);
+    waiter.join().unwrap();
+    let stats = hook.stats();
+    assert_eq!((stats.passed, stats.waited, stats.released), (2, 1, 0));
 }

@@ -106,6 +106,13 @@ pub struct ModeMeasurement {
 }
 
 impl ModeMeasurement {
+    /// Attempt indices of the successful repetitions, in order: run `r`
+    /// of every per-run vector here is attempt `ok_reps().nth(r)`.
+    pub fn ok_reps(&self) -> impl Iterator<Item = usize> + '_ {
+        let attempts = self.per_run_hists.len() + self.failed.len();
+        (0..attempts).filter(|&rep| self.failed.iter().all(|f| f.rep != rep))
+    }
+
     /// Per-thread standard deviation of execution time over runs.
     pub fn per_thread_std_dev(&self) -> Vec<f64> {
         let threads = self
@@ -170,18 +177,20 @@ pub struct BenchExperiment {
     pub default_m: ModeMeasurement,
     /// Guided measurements.
     pub guided_m: ModeMeasurement,
-    /// Gate behaviour during the guided runs.
+    /// Gate behaviour during the successful guided runs.
     pub gate: gstm_core::guidance::GateStats,
-    /// Guided-model hot-swaps across the guided runs (0 unless the
+    /// Guided-model hot-swaps across the successful guided runs (0 unless the
     /// experiment ran with [`ExperimentConfig::adaptive`]).
     pub model_swaps: u64,
     /// Whether the round-tripped model file was rejected at load (the
     /// chaos corrupt-model site fired and the integrity header caught
     /// it), starting the guided phase fail-open.
     pub model_rejected: bool,
-    /// Breaker trips (Closed/Half-Open → Open) summed over guided runs.
+    /// Breaker trips (Closed/Half-Open → Open) summed over successful
+    /// guided runs.
     pub breaker_trips: u64,
-    /// Breaker re-closes (Half-Open → Closed) summed over guided runs.
+    /// Breaker re-closes (Half-Open → Closed) summed over successful
+    /// guided runs.
     pub breaker_recloses: u64,
 }
 
@@ -260,10 +269,12 @@ impl Phase {
 }
 
 /// Run `phase.runs` measured executions, collecting timings, histograms,
-/// and recorded state sequences. `hook_for_run` supplies the guidance
-/// hook and `telemetry_for_run` the (optional) telemetry collector for
-/// each run — a constant closure shares one instance across runs; per-run
-/// instances give each run its own artifacts.
+/// and recorded state sequences. `hook_for_run(rep)` supplies the guidance
+/// hook and `telemetry_for_run(rep)` the (optional) telemetry collector
+/// for attempt `rep` — a constant closure shares one instance across
+/// runs; per-attempt instances give each run its own artifacts, and keep
+/// a casualty's partial trace and states out of the next run's (compact
+/// the successes with [`ModeMeasurement::ok_reps`]).
 fn measure<H: GuidanceHook + 'static>(
     bench: &dyn Benchmark,
     cfg: &ExperimentConfig,
@@ -277,13 +288,9 @@ fn measure<H: GuidanceHook + 'static>(
         ..Default::default()
     };
     let mut recorded = Vec::new();
-    // Successful repetitions take consecutive indices regardless of
-    // earlier casualties, so per-run hooks/collectors (and the run0,
-    // run1, ... artifact files built from them) never have holes.
-    let mut ok = 0usize;
     for rep in 0..phase.runs {
-        let hook = hook_for_run(ok);
-        let tel = telemetry_for_run(ok);
+        let hook = hook_for_run(rep);
+        let tel = telemetry_for_run(rep);
         // Each telemetry-collected run gets its own contention tracker,
         // so the per-run snapshot's attribution partitions exactly
         // against that run's abort counters; uncollected runs pay only
@@ -330,7 +337,6 @@ fn measure<H: GuidanceHook + 'static>(
         if let (Some(tel), Some(ct)) = (&tel, &contention) {
             tel.set_contention(ct.snapshot());
         }
-        ok += 1;
     }
     m.non_determinism = metrics::non_determinism(&recorded);
     (m, recorded)
@@ -373,11 +379,14 @@ pub fn run_experiment(bench: &dyn Benchmark, cfg: &ExperimentConfig) -> BenchExp
 /// [`run_experiment`] with a telemetry collector *per guided run*, under
 /// an optional chaos campaign.
 ///
-/// `telemetry_for_run(r)` supplies the collector for guided run `r`
-/// (return a clone of one `Arc` to share it across runs, or distinct
-/// instances so every run exports its own artifacts — what `--telemetry`
-/// does). Scoping telemetry to the guided phase makes each snapshot
-/// directly checkable against the harness's own per-thread statistics.
+/// `telemetry_for_run(rep)` supplies the collector for guided attempt
+/// `rep` (return a clone of one `Arc` to share it across runs, or
+/// distinct instances so every run exports its own artifacts — what
+/// `--telemetry` does). A repetition that panics leaves its collector
+/// behind: the next attempt gets the next collector, and
+/// [`ModeMeasurement::ok_reps`] maps successful runs to them. Scoping
+/// telemetry to the guided phase makes each snapshot directly checkable
+/// against the harness's own per-thread statistics.
 /// When any run is collected, a fixed-model campaign feeds one
 /// [`DriftTracker`] over the freshly trained model from every guided
 /// run's hook and attaches it to every collector, so each exported
@@ -439,10 +448,9 @@ pub fn run_experiment_chaos(
     );
 
     // ---- Phase 4: guided measurement (`model` + `ND_mcmc`) ----
-    // One hook per run (a fresh hook resets no cross-run state the old
-    // shared hook kept: the tracker drains and the current state resets
-    // at every take_run), so each run can bind its own collector. Drift
-    // accumulates across runs in one shared tracker.
+    // One hook per attempt, so each binds its own collector and a
+    // casualty's hook is never reused. Drift accumulates across runs in
+    // one shared tracker.
     let tels: Vec<Option<Arc<Telemetry>>> =
         (0..cfg.measure_runs).map(&telemetry_for_run).collect();
     // Fixed-model observability shares one drift tracker across runs;
@@ -503,21 +511,26 @@ pub fn run_experiment_chaos(
         |r| tels[r].clone(),
         |h| h.take_run(),
     );
-    let mut gate = gstm_core::guidance::GateStats::default();
-    let mut model_swaps = 0u64;
     for hook in &guided_hooks {
-        gate.merge(&hook.stats());
         if let Some(mgr) = hook.manager() {
             // Join the guardian before reading the final swap count so
             // no regeneration lands after the experiment is reported.
             mgr.stop();
-            model_swaps += mgr.swaps();
         }
     }
+    // Gate outcomes, swaps and breaker transitions cover the reported
+    // runs only, like every other guided measurement.
+    let mut gate = gstm_core::guidance::GateStats::default();
+    let mut model_swaps = 0u64;
     let (mut breaker_trips, mut breaker_recloses) = (0u64, 0u64);
-    for b in breakers.iter().flatten() {
-        breaker_trips += b.trips();
-        breaker_recloses += b.recloses();
+    for rep in guided_m.ok_reps() {
+        let hook = &guided_hooks[rep];
+        gate.merge(&hook.stats());
+        model_swaps += hook.manager().map_or(0, |mgr| mgr.swaps());
+        if let Some(b) = &breakers[rep] {
+            breaker_trips += b.trips();
+            breaker_recloses += b.recloses();
+        }
     }
 
     BenchExperiment {
@@ -861,6 +874,9 @@ mod tests {
         inner: Arc<dyn Benchmark>,
         calls: std::sync::atomic::AtomicUsize,
         panic_on: Vec<usize>,
+        /// Panic after running the benchmark instead of before it, so the
+        /// casualty leaves a full run of commits behind.
+        late: bool,
     }
 
     impl Benchmark for Flaky {
@@ -874,8 +890,10 @@ mod tests {
             let n = self
                 .calls
                 .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            assert!(self.late || !self.panic_on.contains(&n), "synthetic rep failure");
+            let result = self.inner.run(stm, cfg);
             assert!(!self.panic_on.contains(&n), "synthetic rep failure");
-            self.inner.run(stm, cfg)
+            result
         }
     }
 
@@ -889,6 +907,7 @@ mod tests {
             inner: by_name("kmeans").unwrap(),
             calls: std::sync::atomic::AtomicUsize::new(0),
             panic_on: vec![6],
+            late: false,
         };
         let e = run_experiment(&flaky, &tiny_cfg(2));
         assert!(e.default_m.failed.is_empty());
@@ -902,6 +921,53 @@ mod tests {
         assert_eq!(e.guided_m.per_thread_times.len(), 2);
         assert_eq!(e.guided_m.per_run_hists.len(), 2);
         assert_eq!(e.guided_m.wall_secs.len(), 2);
+        assert_eq!(e.guided_m.ok_reps().collect::<Vec<_>>(), vec![0, 2]);
+    }
+
+    #[test]
+    fn run_after_a_casualty_traces_only_its_own_commits() {
+        // Guided rep 1 (call 6) runs kmeans to the end and then panics,
+        // so its collector holds a whole run of commits and states. The
+        // next run gets a fresh hook and collector: its trace holds one
+        // traced state per commit the harness counted for that run.
+        let flaky = Flaky {
+            inner: by_name("kmeans").unwrap(),
+            calls: std::sync::atomic::AtomicUsize::new(0),
+            panic_on: vec![6],
+            late: true,
+        };
+        let cfg = tiny_cfg(2);
+        let tels: Vec<Arc<Telemetry>> = (0..cfg.measure_runs)
+            .map(|_| Arc::new(Telemetry::with_trace_capacity(1 << 17)))
+            .collect();
+        let e = run_experiment_chaos(
+            &flaky,
+            &cfg,
+            |r| tels.get(r).cloned(),
+            &Robustness::default(),
+        );
+        assert_eq!(e.guided_m.ok_reps().collect::<Vec<_>>(), vec![0, 2]);
+        let count = |tel: &Telemetry, state: bool| {
+            tel.trace_events()
+                .iter()
+                .filter(|ev| match ev.kind {
+                    TraceKind::State { .. } => state,
+                    TraceKind::Commit { .. } => !state,
+                    _ => false,
+                })
+                .count() as u64
+        };
+        assert!(count(&tels[1], true) > 0, "the casualty committed before it panicked");
+        for (r, rep) in e.guided_m.ok_reps().enumerate() {
+            let tel = &tels[rep];
+            assert_eq!(tel.trace_dropped(), 0, "run {r}: the ring must hold the run");
+            let commits: u64 =
+                e.guided_m.per_run_hists[r].iter().map(|h| h.total_commits()).sum();
+            assert_eq!(count(tel, false), commits, "run {r}: traced commits");
+            assert_eq!(count(tel, true), commits, "run {r}: traced states");
+        }
+        let gate = e.gate.passed + e.gate.waited + e.gate.released;
+        assert_eq!(gate, e.guided_m.total_commits() + e.guided_m.total_aborts());
     }
 
     #[test]

@@ -386,14 +386,11 @@ impl Campaign {
                     );
                     // Each run's snapshot must agree with the harness's
                     // own accounting for that run; a divergence means an
-                    // instrumentation hole, so say so loudly.
-                    // Panicked guided reps leave their collectors unused,
-                    // so only the first `per_run_hists.len()` telemetry
-                    // slots correspond to recorded runs (failed reps are
-                    // compacted out by the experiment driver).
-                    for (r, tel) in
-                        tels.iter().take(e.guided_m.per_run_hists.len()).enumerate()
-                    {
+                    // instrumentation hole, so say so loudly. A panicked
+                    // guided rep's collector is skipped, and the runs
+                    // that succeeded are numbered run0, run1, ... in order.
+                    for (r, rep) in e.guided_m.ok_reps().enumerate() {
+                        let tel = &tels[rep];
                         let snap = tel.snapshot();
                         let hists = &e.guided_m.per_run_hists[r];
                         let hc: u64 = hists.iter().map(|h| h.total_commits()).sum();
