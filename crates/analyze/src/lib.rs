@@ -34,6 +34,8 @@
 //! a *sample*, and the affected checks degrade to "skipped" rather than
 //! reporting false mismatches.
 
+#![forbid(unsafe_code)]
+
 use gstm_core::json::{self, array_lines, escape, Value};
 use gstm_core::metrics::{self, quantile, AbortHistogram};
 use gstm_core::telemetry::{parse_jsonl, TraceEvent, TraceKind};

@@ -18,6 +18,8 @@
 //! and print the markdown report. Exit code 0 when every check passes,
 //! 1 on a failed check, 2 on usage or I/O errors.
 
+#![forbid(unsafe_code)]
+
 use gstm_analyze::{
     analyze_dir, analyze_server_ticks, parse_ticks_jsonl, render_markdown, render_server_markdown,
     render_server_verdict_json, render_verdict_json, Check, Thresholds,

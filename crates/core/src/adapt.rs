@@ -16,30 +16,41 @@
 //!   window via the ordinary [`Tsa::from_runs`] / [`GuidedModel::build`]
 //!   pipeline;
 //! * the new model is **hot-swapped** through an [`EpochCell`] so the
-//!   gate's read side stays a single shared load — readers never block,
-//!   never observe a torn model, and a retired epoch is freed only once
-//!   the last in-flight reader lets go of it.
+//!   gate's read side stays a shared load and a thread-local check —
+//!   readers never block, never observe a torn model, and a retired
+//!   epoch is freed once the last reader lets go of it.
 //!
 //! ## Epoch cell: swap without reader-side fences
 //!
 //! The classic lock-free hand-off (epoch-based reclamation, hazard
 //! pointers) needs a StoreLoad fence on every read-side pin, which busts
 //! the hook's ≤2% overhead budget. The cell instead exploits that swaps
-//! are *rare* and readers are *keyed by thread*:
+//! are *rare*:
 //!
 //! * the current [`ModelEpoch`] lives behind a mutex (`current`) next to
 //!   a monotone publication counter (`epoch`);
-//! * each reader thread owns one cache-padded slot holding a **cached
-//!   `Arc<ModelEpoch>`** plus the counter value it was cloned under;
-//! * the steady-state read is two relaxed/acquire loads (shared counter,
-//!   own tag) and a pointer dereference — no RMW, no fence, no lock;
-//! * only when the counter moved does the reader take the cold path:
-//!   lock `current`, clone the new `Arc` into its slot, drop the old one.
+//! * each OS thread keeps a one-entry `thread_local!` cache: the cell's
+//!   unique id, the counter value, and an `Arc<ModelEpoch>` cloned under
+//!   that value;
+//! * the steady-state read ([`EpochCell::with`]) is one acquire load of
+//!   the shared counter and a compare against the thread's own entry — no
+//!   RMW, no fence, no lock, and no write to a line another thread reads;
+//! * only when the counter moved, or the thread last read another cell,
+//!   does the reader take the cold path: lock `current`, clone the new
+//!   `Arc` into its entry, drop the old one.
+//!
+//! The cache is keyed by OS thread, not by the caller's `ThreadId`, so two
+//! threads that register under one id can never share an entry. It is
+//! keyed by a process-unique cell id, not the cell's address, so a cell
+//! allocated where a dropped one lived never inherits its entry. All of
+//! it is safe code.
 //!
 //! Reclamation falls out of `Arc`: a superseded epoch stays alive exactly
-//! as long as some slot (or in-flight clone) still references it, and is
-//! freed by whichever reader or manager drops the last reference. A
-//! reader stalled mid-window keeps its epoch alive rather than racing a
+//! as long as some thread's entry (or an in-flight clone) still
+//! references it, and is freed by whichever reader or manager drops the
+//! last reference. The price is that each OS thread keeps at most one
+//! retired epoch alive until its next adaptive call (or its exit). A
+//! reader stalled mid-call keeps its epoch alive rather than racing a
 //! free.
 //!
 //! Because state ids are *model-relative*, the hook's current-state word
@@ -58,7 +69,7 @@ use crate::guidance::GuidedHook;
 use crate::sync::Mutex;
 use crate::telemetry::Telemetry;
 use crate::tsa::{GuidedModel, Tsa};
-use std::cell::UnsafeCell;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -67,17 +78,6 @@ use std::time::Duration;
 /// panics the poll interval stretches to at most `poll << 6` so a
 /// deterministically poisoned regeneration step cannot spin a core.
 const GUARDIAN_BACKOFF_CAP: u32 = 6;
-
-/// Reader cache slots in an [`EpochCell`] (power of two; thread ids map
-/// by masking, like the tracker shards). Threads beyond this alias and
-/// fall back to the locked clone path.
-pub const EPOCH_SLOTS: usize = 64;
-
-/// Slot owner sentinel: unclaimed.
-const FREE: u32 = u32::MAX;
-
-/// Cache tag sentinel: nothing cached yet.
-const EMPTY: u32 = u32::MAX;
 
 /// One model generation: the model, its id, and the drift tracker that
 /// observes execution *under* it. Rebuilding produces a whole new epoch,
@@ -100,79 +100,44 @@ impl ModelEpoch {
     }
 }
 
-/// A reader's per-thread epoch cache. `owner` is claimed once (CAS) by
-/// the first thread that maps here; from then on only that thread
-/// touches `cached`, so the steady path is single-writer and needs no
-/// synchronization beyond the tag load. Aliased threads (owner mismatch)
-/// never touch `cached` at all.
-struct CacheSlot {
-    owner: AtomicU32,
-    /// Publication-counter value `cached` was cloned under.
-    tag: AtomicU32,
-    cached: UnsafeCell<Option<Arc<ModelEpoch>>>,
+/// Source of [`EpochCell`] ids: every cell gets a fresh one, so a cache
+/// entry can never be mistaken for another cell's.
+static NEXT_CELL_ID: AtomicU64 = AtomicU64::new(0);
+
+/// One OS thread's cached view of one [`EpochCell`].
+struct CachedEpoch {
+    /// [`EpochCell::id`] of the cell `epoch` was read from.
+    cell: u64,
+    /// Publication-counter value `epoch` was cloned under.
+    tag: u32,
+    epoch: Arc<ModelEpoch>,
 }
 
-#[repr(align(128))]
-struct PaddedSlot(CacheSlot);
-
-impl Default for PaddedSlot {
-    fn default() -> Self {
-        PaddedSlot(CacheSlot {
-            owner: AtomicU32::new(FREE),
-            tag: AtomicU32::new(EMPTY),
-            cached: UnsafeCell::new(None),
-        })
-    }
+thread_local! {
+    /// The calling thread's one-entry epoch cache (see the module docs).
+    static EPOCH_CACHE: RefCell<Option<CachedEpoch>> = const { RefCell::new(None) };
 }
 
 /// Lock-free read / locked swap holder for the current [`ModelEpoch`].
 ///
-/// See the module docs for the design. Readers call `EpochCell::load`
+/// See the module docs for the design. Readers call [`EpochCell::with`]
 /// once per hook entry; the manager calls [`EpochCell::swap`] per
 /// regeneration.
 pub struct EpochCell {
+    /// Process-unique id keying the readers' thread-local caches.
+    id: u64,
     /// Publication counter: bumped (release) after `current` is replaced.
     epoch: AtomicU32,
     current: Mutex<Arc<ModelEpoch>>,
-    slots: Box<[PaddedSlot]>,
-}
-
-// SAFETY: `cached` is only written by the slot's owner thread (enforced
-// by the `owner` CAS protocol in `load`) and only read through the
-// reference that same thread holds; all cross-thread hand-off goes
-// through `current`'s mutex and the release/acquire counter.
-unsafe impl Send for EpochCell {}
-unsafe impl Sync for EpochCell {}
-
-/// What `EpochCell::load` hands the hot path: either the calling
-/// thread's cached reference (steady state — no refcount traffic) or an
-/// owned clone (aliased threads / first touch contention).
-pub enum EpochRef<'a> {
-    /// Borrowed from the caller's own cache slot.
-    Cached(&'a ModelEpoch),
-    /// Cloned under the cell lock (slow path).
-    Owned(Arc<ModelEpoch>),
-}
-
-impl std::ops::Deref for EpochRef<'_> {
-    type Target = ModelEpoch;
-
-    #[inline]
-    fn deref(&self) -> &ModelEpoch {
-        match self {
-            EpochRef::Cached(e) => e,
-            EpochRef::Owned(e) => e,
-        }
-    }
 }
 
 impl EpochCell {
     /// A cell whose current generation is `initial`.
     pub fn new(initial: Arc<ModelEpoch>) -> Self {
         EpochCell {
+            id: NEXT_CELL_ID.fetch_add(1, Ordering::Relaxed),
             epoch: AtomicU32::new(0),
             current: Mutex::new(initial),
-            slots: (0..EPOCH_SLOTS).map(|_| PaddedSlot::default()).collect(),
         }
     }
 
@@ -187,7 +152,7 @@ impl EpochCell {
     }
 
     /// Publish `next` as the current generation. Readers observe the
-    /// counter bump on their next load and refresh their slot; the
+    /// counter bump on their next read and refresh their cache; the
     /// superseded epoch is freed when the last cached/cloned `Arc` to it
     /// drops.
     pub fn swap(&self, next: Arc<ModelEpoch>) {
@@ -195,42 +160,37 @@ impl EpochCell {
         self.epoch.fetch_add(1, Ordering::Release);
     }
 
-    /// The hot-path read: the caller's current view of the model.
+    /// The hot-path read: run `f` on the caller's current view of the
+    /// model.
     ///
-    /// Steady state (no swap since this thread's last call) is two loads
-    /// and no atomic write. The returned reference must be dropped before
-    /// the same thread calls `load` again (hook entry points do not
-    /// nest), because a refresh replaces the slot's cached `Arc` in
-    /// place; this is why the borrowing variant is crate-internal — the
-    /// public surface ([`Self::current`]) always clones.
+    /// Steady state (no swap since this thread's last read of this cell)
+    /// is one shared load, no atomic write and no lock. A call nested in
+    /// another `with` on the same thread finds the cache in use and reads
+    /// a locked clone instead.
     #[inline]
-    pub(crate) fn load(&self, thread_index: usize) -> EpochRef<'_> {
-        let now = self.epoch.load(Ordering::Acquire);
-        let slot = &self.slots[thread_index & (EPOCH_SLOTS - 1)].0;
-        let me = thread_index as u32;
-        let owner = slot.owner.load(Ordering::Relaxed);
-        let owned = owner == me
-            || (owner == FREE
-                && slot
-                    .owner
-                    .compare_exchange(FREE, me, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok());
-        if !owned {
-            // Aliased thread: never touches the slot cache.
-            return EpochRef::Owned(self.current.lock().clone());
+    pub fn with<R>(&self, f: impl FnOnce(&ModelEpoch) -> R) -> R {
+        let tag = self.epoch.load(Ordering::Acquire);
+        EPOCH_CACHE.with(|cache| {
+            let Ok(mut cache) = cache.try_borrow_mut() else {
+                return f(&self.current());
+            };
+            let entry = match &mut *cache {
+                Some(e) if e.cell == self.id && e.tag == tag => e,
+                stale => stale.insert(self.refresh(tag)),
+            };
+            f(&entry.epoch)
+        })
+    }
+
+    /// A cache entry for this cell's generation as of counter value
+    /// `tag` (the cold path of [`EpochCell::with`]).
+    #[cold]
+    fn refresh(&self, tag: u32) -> CachedEpoch {
+        CachedEpoch {
+            cell: self.id,
+            tag,
+            epoch: self.current(),
         }
-        if slot.tag.load(Ordering::Relaxed) != now {
-            let fresh = self.current.lock().clone();
-            // SAFETY: this thread owns the slot (CAS above), so it is the
-            // only writer of `cached`, and no borrow from a previous
-            // `load` is alive (see the method contract).
-            unsafe { *slot.cached.get() = Some(fresh) };
-            slot.tag.store(now, Ordering::Relaxed);
-        }
-        // SAFETY: sole-owner read; the slot holds `Some` since the
-        // refresh above ran at least once for this thread.
-        let arc = unsafe { (*slot.cached.get()).as_ref().unwrap() };
-        EpochRef::Cached(arc)
     }
 }
 
@@ -545,32 +505,34 @@ mod tests {
     fn cell_load_caches_until_swap() {
         let m = model_of(&[(0, 0), (0, 1)]);
         let cell = EpochCell::new(ModelEpoch::new(0, m.clone(), DriftConfig::default()));
-        {
-            let e = cell.load(3);
+        let first = cell.with(|e| {
             assert_eq!(e.id, 0);
-            assert!(matches!(e, EpochRef::Cached(_)));
-        }
-        {
-            // Second load from the same thread: still the cached epoch.
-            let e = cell.load(3);
-            assert_eq!(e.id, 0);
-        }
+            e as *const ModelEpoch
+        });
+        // Second read from the same thread: still the cached epoch.
+        assert!(std::ptr::eq(cell.with(|e| e as *const ModelEpoch), first));
         cell.swap(ModelEpoch::new(1, model_of(&[(1, 0)]), DriftConfig::default()));
-        let e = cell.load(3);
-        assert_eq!(e.id, 1, "reader refreshes after a swap");
+        assert_eq!(cell.with(|e| e.id), 1, "reader refreshes after a swap");
         assert_eq!(cell.publications(), 1);
     }
 
     #[test]
-    fn aliased_slot_readers_get_owned_clones() {
-        let m = model_of(&[(0, 0)]);
-        let cell = EpochCell::new(ModelEpoch::new(0, m, DriftConfig::default()));
-        // Thread 2 claims slot 2; thread 2 + EPOCH_SLOTS aliases to the
-        // same slot and must take the owned path.
-        let _ = cell.load(2);
-        let aliased = cell.load(2 + EPOCH_SLOTS);
-        assert!(matches!(aliased, EpochRef::Owned(_)));
-        assert_eq!(aliased.id, 0);
+    fn cells_never_share_a_cache_entry() {
+        // Two cells at the same publication count: reading one must not
+        // hand back the other's epoch, and a nested read of the same cell
+        // sees the same generation.
+        let cell_of = |id| {
+            EpochCell::new(ModelEpoch::new(
+                id,
+                model_of(&[(0, 0)]),
+                DriftConfig::default(),
+            ))
+        };
+        let (a, b) = (cell_of(7), cell_of(9));
+        assert_eq!(a.with(|e| e.id), 7);
+        assert_eq!(b.with(|e| e.id), 9);
+        assert_eq!(a.with(|e| (e.id, b.with(|inner| inner.id))), (7, 9));
+        assert_eq!(a.with(|e| (e.id, a.with(|inner| inner.id))), (7, 7));
     }
 
     #[test]
@@ -579,69 +541,17 @@ mod tests {
         let e0 = ModelEpoch::new(0, m0, DriftConfig::default());
         let weak0 = Arc::downgrade(&e0);
         let cell = EpochCell::new(e0);
-        let _ = cell.load(1); // thread 1 caches epoch 0
+        cell.with(|_| ()); // this thread caches epoch 0
         cell.swap(ModelEpoch::new(1, model_of(&[(1, 1)]), DriftConfig::default()));
         assert!(
             weak0.upgrade().is_some(),
-            "epoch 0 still pinned by thread 1's slot"
+            "epoch 0 still pinned by this thread's cache"
         );
-        let _ = cell.load(1); // refresh drops the pin
+        cell.with(|_| ()); // refresh drops the pin
         assert!(
             weak0.upgrade().is_none(),
             "last reference gone => epoch reclaimed"
         );
-    }
-
-    #[test]
-    fn slot_claim_race_crowns_exactly_one_owner() {
-        // Four OS threads whose indices all alias to slot 5 race the
-        // claim CAS from a barrier. Exactly one may win the slot (and see
-        // borrowed `Cached` refs); every loser must take the mutex
-        // fallback (`Owned` clones) on every single load — the unclaimed
-        // slot is never written by two threads.
-        let cell = Arc::new(EpochCell::new(ModelEpoch::new(
-            0,
-            model_of(&[(0, 0)]),
-            DriftConfig::default(),
-        )));
-        let contenders: Vec<usize> = (0..4).map(|i| 5 + i * EPOCH_SLOTS).collect();
-        let barrier = Arc::new(std::sync::Barrier::new(contenders.len() + 1));
-        let stop = Arc::new(AtomicBool::new(false));
-        let handles: Vec<_> = contenders
-            .iter()
-            .map(|&idx| {
-                let cell = Arc::clone(&cell);
-                let barrier = Arc::clone(&barrier);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    let mut saw_cached = false;
-                    let mut last = 0u32;
-                    while !stop.load(Ordering::Relaxed) {
-                        let e = cell.load(idx);
-                        saw_cached |= matches!(e, EpochRef::Cached(_));
-                        assert!(e.id >= last, "epoch went backwards");
-                        last = e.id;
-                    }
-                    saw_cached
-                })
-            })
-            .collect();
-        barrier.wait();
-        for id in 1..=20u32 {
-            cell.swap(ModelEpoch::new(id, model_of(&[(0, 0)]), DriftConfig::default()));
-            std::thread::yield_now();
-        }
-        stop.store(true, Ordering::Relaxed);
-        let saw_cached: Vec<bool> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        let owner = cell.slots[5].0.owner.load(Ordering::Relaxed);
-        let winner = contenders
-            .iter()
-            .position(|&idx| idx as u32 == owner)
-            .expect("slot 5 claimed by one of the contenders");
-        assert!(saw_cached[winner], "the CAS winner reads through its slot");
-        let cached_count = saw_cached.iter().filter(|&&c| c).count();
-        assert_eq!(cached_count, 1, "losers must always fall back to owned clones");
     }
 
     #[test]
@@ -652,21 +562,23 @@ mod tests {
             DriftConfig::default(),
         )));
         let stop = Arc::new(AtomicBool::new(false));
-        let readers: Vec<_> = (0..4u16)
-            .map(|t| {
+        let readers: Vec<_> = (0..4)
+            .map(|_| {
                 let cell = Arc::clone(&cell);
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
                     let mut last = 0u32;
                     while !stop.load(Ordering::Relaxed) {
-                        let e = cell.load(t as usize);
                         // The epoch a reader observes is internally
                         // consistent: its drift tracker was built for its
                         // model (state counts agree) and ids never go
                         // backwards.
-                        assert_eq!(e.drift.num_states(), e.model.num_states());
-                        assert!(e.id >= last, "epochs are monotone per reader");
-                        last = e.id;
+                        let id = cell.with(|e| {
+                            assert_eq!(e.drift.num_states(), e.model.num_states());
+                            e.id
+                        });
+                        assert!(id >= last, "epochs are monotone per reader");
+                        last = id;
                     }
                 })
             })

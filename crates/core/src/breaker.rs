@@ -33,7 +33,7 @@
 //! when a breaker is attached at all.
 
 use crate::drift::{DriftTracker, DriftVerdict};
-use crate::sync::Mutex;
+use crate::sync::{Mutex, PerThread};
 use crate::telemetry::Telemetry;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -185,10 +185,8 @@ impl Default for BreakerConfig {
     }
 }
 
-/// Watchdog slots per breaker; threads above this alias.
-const WATCH_SHARDS: usize = 64;
-
-#[repr(align(64))]
+/// One thread's watchdog streaks; ids that alias onto one slot share
+/// their streaks.
 #[derive(Default)]
 struct Watch {
     consec_released: AtomicU32,
@@ -209,7 +207,7 @@ pub struct Breaker {
     win_commits: AtomicU64,
     /// Gate calls since the breaker opened.
     open_calls: AtomicU64,
-    watch: Vec<Watch>,
+    watch: PerThread<Watch>,
     drift: Mutex<Option<Arc<DriftTracker>>>,
     transition: Mutex<()>,
     trips: AtomicU64,
@@ -232,7 +230,7 @@ impl Breaker {
             win_aborts: AtomicU64::new(0),
             win_commits: AtomicU64::new(0),
             open_calls: AtomicU64::new(0),
-            watch: (0..WATCH_SHARDS).map(|_| Watch::default()).collect(),
+            watch: PerThread::default(),
             drift: Mutex::new(None),
             transition: Mutex::new(()),
             trips: AtomicU64::new(0),
@@ -338,7 +336,7 @@ impl Breaker {
                 None
             }
             BreakerState::Closed | BreakerState::HalfOpen => {
-                let w = &self.watch[thread % WATCH_SHARDS];
+                let w = self.watch.get(thread);
                 let streak = if released {
                     self.released.fetch_add(1, Ordering::Relaxed);
                     w.consec_released.fetch_add(1, Ordering::Relaxed) + 1
@@ -370,7 +368,7 @@ impl Breaker {
             return None;
         }
         self.win_aborts.fetch_add(1, Ordering::Relaxed);
-        let w = &self.watch[thread % WATCH_SHARDS];
+        let w = self.watch.get(thread);
         let streak = w.abort_streak.fetch_add(1, Ordering::Relaxed) + 1;
         if streak >= self.cfg.abort_streak {
             return self.transition_to(state, BreakerState::Open, BreakerCause::AbortStorm);
@@ -384,7 +382,8 @@ impl Breaker {
             return;
         }
         self.win_commits.fetch_add(1, Ordering::Relaxed);
-        self.watch[thread % WATCH_SHARDS]
+        self.watch
+            .get(thread)
             .abort_streak
             .store(0, Ordering::Relaxed);
     }
@@ -482,7 +481,7 @@ impl Breaker {
         self.win_aborts.store(0, Ordering::Relaxed);
         self.win_commits.store(0, Ordering::Relaxed);
         self.open_calls.store(0, Ordering::Relaxed);
-        for w in &self.watch {
+        for w in self.watch.iter() {
             w.consec_released.store(0, Ordering::Relaxed);
             w.abort_streak.store(0, Ordering::Relaxed);
         }

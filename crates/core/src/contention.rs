@@ -10,11 +10,10 @@
 //!
 //! # Design
 //!
-//! A [`ContentionTracker`] holds [`CONTENTION_SHARDS`] cache-padded
-//! cells, indexed by `thread.index() & (CONTENTION_SHARDS - 1)` — the
-//! same sharding discipline as the telemetry counters: with at most
-//! [`CONTENTION_SHARDS`] worker threads every cell has a single writer,
-//! so the record path needs only relaxed atomics and never a lock or an
+//! A [`ContentionTracker`] holds one cell per thread in a [`PerThread`]
+//! table — the same slot type as the telemetry counters: with at most
+//! [`SLOTS`] worker threads every cell has a single writer, so the
+//! record path needs only relaxed atomics and never a lock or an
 //! allocation. Each cell contains:
 //!
 //! * a **space-saving top-K sketch** (Metwally et al.) over conflict
@@ -51,12 +50,8 @@
 
 use crate::events::{AbortCause, ConflictSite};
 use crate::ids::ThreadId;
+use crate::sync::{slot_of, PerThread, SLOTS};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-/// Number of per-thread cells. Power of two; thread ids are masked into
-/// the cell space, so runs with more threads than cells share cells
-/// (counts stay conserved — only per-thread attribution coarsens).
-pub const CONTENTION_SHARDS: usize = 64;
 
 /// Slots per space-saving sketch cell. The error bound on any reported
 /// count is at most `attributed_in_cell / SKETCH_SLOTS`.
@@ -66,10 +61,9 @@ pub const SKETCH_SLOTS: usize = 32;
 /// sketch mass is folded into [`ContentionStats::residual`].
 pub const EXPORT_TOP_K: usize = 16;
 
-/// One thread's cache-padded contention cell: a space-saving sketch plus
-/// a conflict-matrix row. Padded/aligned to 128 bytes so adjacent cells
-/// never share a cache line (two-line prefetch granularity).
-#[repr(align(128))]
+/// One thread's contention cell: a space-saving sketch plus a
+/// conflict-matrix row. Runs with more threads than [`SLOTS`] share
+/// cells: counts stay conserved, only per-thread attribution coarsens.
 struct Cell {
     /// Sketch slot addresses (0 = empty).
     slot_addr: [AtomicUsize; SKETCH_SLOTS],
@@ -78,8 +72,8 @@ struct Cell {
     /// Sketch slot over-count bounds (count inherited at eviction).
     slot_err: [AtomicU64; SKETCH_SLOTS],
     /// Conflict-matrix row: aborts of this cell's thread by owner column
-    /// (owner id masked into the cell space).
-    pairs: [AtomicU64; CONTENTION_SHARDS],
+    /// (owner id masked into the slot space).
+    pairs: [AtomicU64; SLOTS],
     /// Aborts recorded with a known conflict address.
     attributed: AtomicU64,
     /// Aborts recorded without one.
@@ -160,7 +154,7 @@ impl Cell {
 /// `LibTm::with_instruments`), then
 /// [`snapshot`](ContentionTracker::snapshot) after the run quiesces.
 pub struct ContentionTracker {
-    cells: Box<[Cell]>,
+    cells: PerThread<Cell>,
 }
 
 impl Default for ContentionTracker {
@@ -173,7 +167,7 @@ impl ContentionTracker {
     /// A fresh tracker with all-zero cells.
     pub fn new() -> Self {
         ContentionTracker {
-            cells: (0..CONTENTION_SHARDS).map(|_| Cell::new()).collect(),
+            cells: PerThread::new(Cell::new),
         }
     }
 
@@ -186,13 +180,12 @@ impl ContentionTracker {
     /// allocation, no locks.
     #[inline]
     pub fn record(&self, thread: ThreadId, cause: AbortCause, site: ConflictSite) {
-        let cell = &self.cells[thread.index() & (CONTENTION_SHARDS - 1)];
+        let cell = self.cells.get(thread.index());
         match cause {
             AbortCause::ReadLocked { owner: Some(o) }
             | AbortCause::CommitLockBusy { owner: Some(o) }
             | AbortCause::AbortedByWriter { writer: Some(o) } => {
-                cell.pairs[o.index() & (CONTENTION_SHARDS - 1)]
-                    .fetch_add(1, Ordering::Relaxed);
+                cell.pairs[slot_of(o.index())].fetch_add(1, Ordering::Relaxed);
             }
             // Owner-less records (version/validation failures see only a
             // stale version, never who wrote it; explicit aborts have no
@@ -229,7 +222,7 @@ impl ContentionTracker {
         let mut replacements = 0u64;
         let mut owner_unknown = 0u64;
         let mut occupied = 0u64;
-        let mut pairs_acc = vec![0u64; CONTENTION_SHARDS * CONTENTION_SHARDS];
+        let mut pairs_acc = vec![0u64; SLOTS * SLOTS];
         for (victim, cell) in self.cells.iter().enumerate() {
             attributed += cell.attributed.load(Ordering::Relaxed);
             unattributed += cell.unattributed.load(Ordering::Relaxed);
@@ -246,7 +239,7 @@ impl ContentionTracker {
                 e.1 += cell.slot_err[i].load(Ordering::Relaxed);
             }
             for (owner, n) in cell.pairs.iter().enumerate() {
-                pairs_acc[victim * CONTENTION_SHARDS + owner] += n.load(Ordering::Relaxed);
+                pairs_acc[victim * SLOTS + owner] += n.load(Ordering::Relaxed);
             }
         }
         let mut ranked: Vec<HotAddr> = by_addr
@@ -262,8 +255,8 @@ impl ContentionTracker {
             .enumerate()
             .filter(|&(_, &n)| n > 0)
             .map(|(i, &n)| PairConflict {
-                victim: (i / CONTENTION_SHARDS) as u16,
-                owner: (i % CONTENTION_SHARDS) as u16,
+                victim: (i / SLOTS) as u16,
+                owner: (i % SLOTS) as u16,
                 count: n,
             })
             .collect();
@@ -273,7 +266,7 @@ impl ContentionTracker {
             residual,
             replacements,
             occupied,
-            capacity: (CONTENTION_SHARDS * SKETCH_SLOTS) as u64,
+            capacity: (SLOTS * SKETCH_SLOTS) as u64,
             top: ranked,
             pairs,
             owner_unknown,
@@ -324,7 +317,7 @@ pub struct ContentionStats {
     pub replacements: u64,
     /// Occupied sketch slots across all cells.
     pub occupied: u64,
-    /// Total sketch slots (`CONTENTION_SHARDS * SKETCH_SLOTS`).
+    /// Total sketch slots (`crate::sync::SLOTS * SKETCH_SLOTS`).
     pub capacity: u64,
     /// The merged top-K hot addresses, count-descending.
     pub top: Vec<HotAddr>,
@@ -568,6 +561,6 @@ mod tests {
         assert_eq!(s.top.len(), 0);
         assert_eq!(s.pairs.len(), 0);
         assert_eq!(s.saturation(), 0.0);
-        assert_eq!(s.capacity, (CONTENTION_SHARDS * SKETCH_SLOTS) as u64);
+        assert_eq!(s.capacity, (SLOTS * SKETCH_SLOTS) as u64);
     }
 }

@@ -18,10 +18,10 @@
 //! thread slot. The generator is the same splitmix64 finalizer the
 //! `schedule_replay` interleaver uses, so a chaos replay under a fixed
 //! interleaving reproduces a bit-identical fault schedule: same probes
-//! in the same order → same fires with the same entropy. Threads above
-//! [`FAULT_SHARDS`] alias slots (like the tracker shards); per-slot
-//! streams stay independent of each other and of probe order on other
-//! slots.
+//! in the same order → same fires with the same entropy. A thread's slot
+//! is its [`PerThread`] slot, so threads [`crate::sync::SLOTS`] apart
+//! alias one slot; per-slot streams stay independent of each other and
+//! of probe order on other slots.
 //!
 //! # Plan syntax
 //!
@@ -35,12 +35,8 @@
 //! guidance. Omitting `:PLAN` means `forced-aborts`.
 
 use crate::rng::{finalize, GOLDEN};
-use crate::sync::Mutex;
+use crate::sync::{slot_of, Mutex, PerThread};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Thread slots per site; threads above this alias (same policy as the
-/// guidance tracker shards).
-pub const FAULT_SHARDS: usize = 64;
 
 /// Named injection points threaded through the stack.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -211,16 +207,13 @@ pub struct InjectedFault {
     pub spins: u32,
 }
 
-#[repr(align(64))]
-struct PaddedCounter(AtomicU64);
-
 /// A seeded, deterministic fault schedule. See the module docs for the
 /// determinism argument and the plan syntax.
 pub struct FaultPlan {
     seed: u64,
     sites: [SiteConfig; NUM_SITES],
-    /// Probe ordinals, one padded cell per `(site, slot)`.
-    counters: Vec<PaddedCounter>,
+    /// Probe ordinals: each thread slot holds one per site.
+    counters: PerThread<[AtomicU64; NUM_SITES]>,
     /// Fired-injection counts per site.
     injected: [AtomicU64; NUM_SITES],
     /// When present, every fire is appended here (replay tests).
@@ -233,9 +226,7 @@ impl FaultPlan {
         FaultPlan {
             seed,
             sites,
-            counters: (0..NUM_SITES * FAULT_SHARDS)
-                .map(|_| PaddedCounter(AtomicU64::new(0)))
-                .collect(),
+            counters: PerThread::default(),
             injected: Default::default(),
             log: None,
         }
@@ -364,10 +355,8 @@ impl FaultPlan {
         if cfg.permille == 0 {
             return None;
         }
-        let slot = thread & (FAULT_SHARDS - 1);
-        let n = self.counters[site.index() * FAULT_SHARDS + slot]
-            .0
-            .fetch_add(1, Ordering::Relaxed);
+        let slot = slot_of(thread);
+        let n = self.counters.get(slot)[site.index()].fetch_add(1, Ordering::Relaxed);
         let entropy = self.draw(site, slot, n);
         if entropy % 1000 >= cfg.permille as u64 {
             return None;

@@ -29,18 +29,19 @@
 //! tracker is built to be contention-free and allocation-free at steady
 //! state:
 //!
-//! * **Aborts** push into one of `TRACKER_SHARDS` cache-padded per-thread
-//!   buffers selected by the aborting thread's id — an uncontended lock
-//!   acquisition (a single CAS) plus a `Vec` push; no global lock is
-//!   touched and no other thread's cache line is written.
+//! * **Aborts** push into the aborting thread's shard, its slot in a
+//!   [`PerThread`] table — an uncontended lock acquisition (a single CAS)
+//!   plus a `Vec` push; no global lock is touched and no other thread's
+//!   cache line is written.
 //! * **Commits** take the *single* commit-side lock, sweep the shards into
 //!   a reused scratch buffer, canonicalize it in place, classify the state
 //!   (model lookup by borrowed slice, via precomputed 64-bit hashes — see
 //!   [`crate::tsa`]), and append one owned [`StateKey`] to the recorded
 //!   Tseq. The common solo state (no aborts since the last commit)
 //!   allocates nothing.
-//! * **Gates** count their outcome in the caller's own shard, so the
-//!   gate writes no line another thread writes.
+//! * **Gates** count their outcome, and commits count a state absent
+//!   from the model, in the caller's own shard, so neither writes a line
+//!   another thread writes.
 //!
 //! The windowed attribution semantics are unchanged from the original
 //! double-mutex tracker: every abort is grouped with the next commit, and
@@ -57,7 +58,10 @@
 //! tagged with the model's epoch: state ids are model-relative, so a
 //! state recorded under a superseded model must not be interpreted by the
 //! new one — a tag mismatch degrades the state to "unknown", which fails
-//! open exactly like an unmodeled state.
+//! open exactly like an unmodeled state. Each gate and each commit
+//! resolves the generation once, through the calling OS thread's own
+//! epoch cache, so two threads registered under one `ThreadId` never
+//! share cache state.
 
 use crate::adapt::{pack_state, unpack_state, AdaptConfig, ModelManager};
 use crate::breaker::{Breaker, BreakerState};
@@ -67,7 +71,7 @@ use crate::events::AbortCause;
 use crate::faultinject::{spin_for, FaultPlan, FaultSite};
 use crate::ids::Pair;
 use crate::rng::finalize;
-use crate::sync::Mutex;
+use crate::sync::{slot_of, Mutex, PerThread};
 use crate::telemetry::{GateOutcome, Telemetry, TraceKind};
 use crate::tsa::{GuidedModel, StateId};
 use crate::tss::{hash_parts, StateKey};
@@ -87,11 +91,6 @@ const NO_GATER: u32 = u32::MAX;
 
 /// [`GuidedHook`]'s gater word once two or more threads have gated.
 const MANY_GATERS: u32 = u32::MAX - 1;
-
-/// Number of per-thread abort buffers (power of two; thread ids map to
-/// shards by masking). 64 covers every thread count the experiments use
-/// without aliasing; beyond that, aliased threads merely share a buffer.
-const TRACKER_SHARDS: usize = 64;
 
 /// Cap on the gate's exponential backoff: a wait round busy-spins at most
 /// `2 * (1 << BACKOFF_CAP)` iterations before yielding, keeping the
@@ -118,18 +117,18 @@ pub struct NoopHook;
 
 impl GuidanceHook for NoopHook {}
 
-/// One thread's slot, padded to its own cache line so traffic from
-/// different threads never false-shares: the aborts it has pending and
-/// its gate outcomes. Only the owning thread writes the outcome
-/// counters; ids that alias onto one shard still count exactly, since
-/// every update is an atomic read-modify-write.
+/// One thread's slot in the tracker's [`PerThread`] table: the aborts
+/// it has pending, its gate outcomes and its commits into states absent
+/// from the model. Only the owning thread writes the counters; ids that
+/// alias onto one shard still count exactly, since every update is an
+/// atomic read-modify-write.
 #[derive(Default)]
-#[repr(align(128))]
 struct Shard {
     pending: Mutex<Vec<Pair>>,
     passed: AtomicU64,
     waited: AtomicU64,
     released: AtomicU64,
+    unknown: AtomicU64,
 }
 
 /// Commit-side state, all behind one lock: the scratch buffer commits
@@ -156,42 +155,33 @@ struct CommitSide {
 /// commit drain visit only shards that actually received aborts since the
 /// last drain — the common low-conflict commit swaps one word and touches
 /// no shard at all.
+#[derive(Default)]
 struct StateTracker {
-    shards: Box<[Shard]>,
+    /// One shard per [`crate::sync::SLOTS`] slot, so one bit per shard
+    /// fits `occupied`.
+    shards: PerThread<Shard>,
     occupied: AtomicU64,
     commit: Mutex<CommitSide>,
 }
 
-impl Default for StateTracker {
-    fn default() -> Self {
-        StateTracker {
-            shards: (0..TRACKER_SHARDS).map(|_| Shard::default()).collect(),
-            occupied: AtomicU64::new(0),
-            commit: Mutex::new(CommitSide::default()),
-        }
-    }
-}
+const _: () = assert!(crate::sync::SLOTS == u64::BITS as usize);
 
 impl StateTracker {
     #[inline]
-    fn index(who: Pair) -> usize {
-        who.thread.index() & (TRACKER_SHARDS - 1)
-    }
-
-    #[inline]
     fn shard(&self, who: Pair) -> &Shard {
-        &self.shards[Self::index(who)]
+        self.shards.get(who.thread.index())
     }
 
-    /// Gate outcomes summed over every shard.
-    fn gate_totals(&self) -> (u64, u64, u64) {
-        self.shards.iter().fold((0, 0, 0), |(p, w, r), s| {
-            (
-                p + s.passed.load(Ordering::Relaxed),
-                w + s.waited.load(Ordering::Relaxed),
-                r + s.released.load(Ordering::Relaxed),
-            )
-        })
+    /// Gate outcomes and unknown-state commits summed over every shard.
+    fn gate_totals(&self) -> GateStats {
+        let mut total = GateStats::default();
+        for s in self.shards.iter() {
+            total.passed += s.passed.load(Ordering::Relaxed);
+            total.waited += s.waited.load(Ordering::Relaxed);
+            total.released += s.released.load(Ordering::Relaxed);
+            total.unknown_states += s.unknown.load(Ordering::Relaxed);
+        }
+        total
     }
 
     /// Record an abort: a push into the aborting thread's own shard, plus
@@ -199,9 +189,9 @@ impl StateTracker {
     /// (so repeat aborts within one window never touch the shared word).
     #[inline]
     fn abort(&self, who: Pair) {
-        let idx = Self::index(who);
+        let idx = slot_of(who.thread.index());
         let was_empty = {
-            let mut buf = self.shards[idx].pending.lock();
+            let mut buf = self.shards.get(idx).pending.lock();
             let was_empty = buf.is_empty();
             buf.push(who);
             was_empty
@@ -232,7 +222,8 @@ impl StateTracker {
         while occupied != 0 {
             let idx = occupied.trailing_zeros() as usize;
             occupied &= occupied - 1;
-            side.scratch.append(&mut self.shards[idx].pending.lock());
+            side.scratch
+                .append(&mut self.shards.get(idx).pending.lock());
         }
         side.scratch.sort_unstable();
         side.scratch.dedup();
@@ -352,7 +343,6 @@ pub struct GuidedHook {
     /// good once a second thread gates. Read by every waiting gate,
     /// written at most twice.
     gaters: AtomicU32,
-    unknown_states: AtomicU64,
     /// Optional telemetry sink: gate outcomes feed the per-thread
     /// counters, commits feed TSA state-transition trace events. `None`
     /// keeps the hot path at one extra predictable branch per call.
@@ -412,7 +402,6 @@ impl GuidedHook {
             tracker: StateTracker::default(),
             current: AtomicU64::new(UNKNOWN_WORD),
             gaters: AtomicU32::new(NO_GATER),
-            unknown_states: AtomicU64::new(0),
             telemetry,
             drift,
             breaker,
@@ -467,7 +456,6 @@ impl GuidedHook {
             tracker: StateTracker::default(),
             current: AtomicU64::new(UNKNOWN_WORD),
             gaters: AtomicU32::new(NO_GATER),
-            unknown_states: AtomicU64::new(0),
             telemetry,
             drift: None,
             breaker,
@@ -541,13 +529,7 @@ impl GuidedHook {
 
     /// Gate behaviour counters accumulated so far.
     pub fn stats(&self) -> GateStats {
-        let (passed, waited, released) = self.tracker.gate_totals();
-        GateStats {
-            passed,
-            waited,
-            released,
-            unknown_states: self.unknown_states.load(Ordering::Relaxed),
-        }
+        self.tracker.gate_totals()
     }
 
     /// Whether `who` may proceed from the state packed in `word`, judged
@@ -694,7 +676,10 @@ impl GuidedHook {
         let next = match id {
             Some(id) => id.0,
             None => {
-                self.unknown_states.fetch_add(1, Ordering::Relaxed);
+                self.tracker
+                    .shard(who)
+                    .unknown
+                    .fetch_add(1, Ordering::Relaxed);
                 UNKNOWN
             }
         };
@@ -758,9 +743,10 @@ impl GuidanceHook for GuidedHook {
             ModelSource::Fixed(model) => self.gate_with(who, model, 0),
             ModelSource::Adaptive(mgr) => {
                 // One epoch resolution per call: on the steady path this
-                // is two loads into the caller's own cache slot.
-                let epoch = mgr.cell().load(who.thread.index());
-                self.gate_with(who, &epoch.model, epoch.id);
+                // is a shared load and a check of the calling thread's
+                // own cache.
+                mgr.cell()
+                    .with(|epoch| self.gate_with(who, &epoch.model, epoch.id));
             }
         }
     }
@@ -777,10 +763,9 @@ impl GuidanceHook for GuidedHook {
             ModelSource::Fixed(model) => {
                 self.commit_with_model(who, model, 0, self.drift.as_deref());
             }
-            ModelSource::Adaptive(mgr) => {
-                let epoch = mgr.cell().load(who.thread.index());
+            ModelSource::Adaptive(mgr) => mgr.cell().with(|epoch| {
                 self.commit_with_model(who, &epoch.model, epoch.id, Some(&epoch.drift));
-            }
+            }),
         }
         if let Some(b) = &self.breaker {
             b.note_commit(who.thread.index());
@@ -815,10 +800,10 @@ mod tests {
 
     #[test]
     fn aliased_threads_share_a_shard_without_loss() {
-        // Thread ids TRACKER_SHARDS apart alias to one shard; the window
-        // must still contain both aborts.
+        // Thread ids SLOTS apart alias to one shard; the window must
+        // still contain both aborts.
         let rec = RecorderHook::new();
-        let far = TRACKER_SHARDS as u16;
+        let far = crate::sync::SLOTS as u16;
         rec.on_abort(p(0, 1), AbortCause::Validation);
         rec.on_abort(p(0, 1 + far), AbortCause::Validation);
         rec.on_commit(p(1, 0));

@@ -15,6 +15,7 @@ use crate::guidance::{GuidanceHook, NoopHook};
 use crate::ids::Pair;
 use crate::rng::Interleave;
 use crate::stats::ThreadStats;
+use crate::sync::PerThread;
 use crate::telemetry::{Telemetry, TraceKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,15 +34,10 @@ pub trait Attempt {
     fn commit(self) -> TxResult<()>;
 }
 
-/// Outcome-total cells per instance; a thread counts into cell
-/// `id % OUTCOME_CELLS`.
-const OUTCOME_CELLS: usize = 64;
-
-/// One thread's commit and abort totals, padded to its own cache lines
+/// One thread's commit and abort totals, in its own [`PerThread`] slot
 /// so committing threads never write a shared line. Ids that alias onto
-/// one cell still count exactly: every add is a `fetch_add`.
+/// one slot still count exactly: every add is a `fetch_add`.
 #[derive(Default)]
-#[repr(align(128))]
 struct OutcomeCell {
     commits: AtomicU64,
     aborts: AtomicU64,
@@ -55,7 +51,7 @@ pub struct Instruments {
     telemetry: Option<Arc<Telemetry>>,
     faults: Option<Arc<FaultPlan>>,
     contention: Option<Arc<ContentionTracker>>,
-    totals: Box<[OutcomeCell]>,
+    totals: PerThread<OutcomeCell>,
 }
 
 impl Default for Instruments {
@@ -77,7 +73,7 @@ impl Instruments {
             telemetry,
             faults,
             contention,
-            totals: (0..OUTCOME_CELLS).map(|_| OutcomeCell::default()).collect(),
+            totals: PerThread::default(),
         }
     }
 
@@ -99,7 +95,7 @@ impl Instruments {
 
     #[inline]
     fn totals_of(&self, me: Pair) -> &OutcomeCell {
-        &self.totals[me.thread.index() % OUTCOME_CELLS]
+        self.totals.get(me.thread.index())
     }
 
     /// Open an attempt: pass the guidance gate and, with telemetry,

@@ -40,6 +40,8 @@
 //! assert!(report.guidance_metric_pct <= 100.0);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod adapt;
 pub mod analyzer;
 pub mod breaker;
@@ -66,7 +68,7 @@ pub mod tss;
 
 /// Convenient re-exports of the types used by nearly every integration.
 pub mod prelude {
-    pub use crate::adapt::{AdaptConfig, EpochRef, ModelEpoch, ModelManager};
+    pub use crate::adapt::{AdaptConfig, ModelEpoch, ModelManager};
     pub use crate::analyzer::{analyze, AnalyzerReport, ModelVerdict};
     pub use crate::breaker::{Breaker, BreakerCause, BreakerConfig, BreakerState};
     pub use crate::config::GuidanceConfig;

@@ -25,8 +25,9 @@
 //! Per window a worker takes these steps:
 //!
 //! 1. **GateEntry** — the breaker bypass check plus the epoch resolution
-//!    (`EpochCell::load`). Coarsened to one step: the interleavings this
-//!    hides cannot affect any checked invariant (both halves are loads;
+//!    (`EpochCell::with`). Coarsened to one step: the interleavings this
+//!    hides cannot affect any checked invariant (both halves only load
+//!    shared state — the epoch cache they may refill is thread-local;
 //!    the outcome partition, automaton and tag invariants are insensitive
 //!    to a trip landing between them).
 //! 2. **GateCheck** × (≤ `k_retries` + 1) — one load of the current word
@@ -39,7 +40,7 @@
 //! 3. **AbortStep** (scripted) — push into the thread's abort shard and
 //!    notify the breaker, then re-gate.
 //! 4. **CommitEntry** — re-resolve the epoch (the commit path does its own
-//!    `EpochCell::load`).
+//!    `EpochCell::with`).
 //! 5. **CommitApply** — drain all shards into a [`StateKey`], append to
 //!    the recorded Tseq, classify under the pinned epoch's model, store
 //!    the packed `(epoch, state)` current word, notify the breaker. This
@@ -911,7 +912,7 @@ impl MachineState {
             Phase::GateCheck => self.gate_check(t, fp),
             Phase::AbortStep => self.abort_step(t, fp),
             Phase::CommitEntry => {
-                // Mirror of on_commit's own EpochCell::load.
+                // Mirror of on_commit's own EpochCell::with.
                 fp.read(W_GEN);
                 let gen = self.generation();
                 let ctx = &mut self.threads[t as usize];

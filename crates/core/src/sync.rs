@@ -1,5 +1,6 @@
 //! Poison-transparent wrappers over [`std::sync::Mutex`] and
-//! [`std::sync::RwLock`].
+//! [`std::sync::RwLock`], and the one padded per-thread table,
+//! [`PerThread`].
 //!
 //! The guidance hot path and the STM value slots hold their locks only for
 //! a handful of instructions and never panic while holding one, so lock
@@ -9,6 +10,60 @@
 //! directly.
 
 use std::sync::{MutexGuard, PoisonError, RwLockReadGuard, RwLockWriteGuard};
+
+/// Slots in every [`PerThread`] table (a power of two). Thread ids map to
+/// slots by masking: the first `SLOTS` ids get private slots, and ids
+/// `SLOTS` apart share one.
+pub const SLOTS: usize = 64;
+
+/// The slot thread id `thread` maps to in a [`PerThread`] table. Masking
+/// is idempotent, so a slot index maps to itself.
+#[inline]
+pub const fn slot_of(thread: usize) -> usize {
+    thread & (SLOTS - 1)
+}
+
+/// One slot, aligned to two cache lines (the adjacent-line prefetcher's
+/// granule) so writes from different threads never false-share.
+#[repr(align(128))]
+struct Padded<T>(T);
+
+/// A table of [`SLOTS`] padded values, one per thread id.
+///
+/// Every hot-path counter and buffer that is kept per thread lives in
+/// one of these: a thread writes only its own slot, and cold readers
+/// sum over [`PerThread::iter`]. Aliased ids share a slot, so a slot's
+/// contents must stay correct under concurrent writers (atomics or a
+/// lock); aliasing only coarsens per-thread attribution.
+pub struct PerThread<T> {
+    slots: Box<[Padded<T>]>,
+}
+
+impl<T> PerThread<T> {
+    /// A table whose every slot is `init()`.
+    pub fn new(mut init: impl FnMut() -> T) -> Self {
+        PerThread {
+            slots: (0..SLOTS).map(|_| Padded(init())).collect(),
+        }
+    }
+
+    /// The slot of thread id `thread` (see [`slot_of`]).
+    #[inline]
+    pub fn get(&self, thread: usize) -> &T {
+        &self.slots[slot_of(thread)].0
+    }
+
+    /// Every slot, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().map(|s| &s.0)
+    }
+}
+
+impl<T: Default> Default for PerThread<T> {
+    fn default() -> Self {
+        Self::new(T::default)
+    }
+}
 
 /// A mutual-exclusion lock whose `lock` ignores poisoning.
 #[derive(Default, Debug)]
@@ -56,7 +111,27 @@ impl<T> RwLock<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
+
+    #[test]
+    fn per_thread_slots_are_padded_and_alias_by_mask() {
+        let t: PerThread<AtomicU64> = PerThread::default();
+        assert_eq!(std::mem::align_of::<Padded<AtomicU64>>(), 128);
+        assert_eq!(t.iter().count(), SLOTS);
+        t.get(3).fetch_add(1, Ordering::Relaxed);
+        t.get(3 + SLOTS).fetch_add(1, Ordering::Relaxed);
+        assert_eq!(
+            t.get(3).load(Ordering::Relaxed),
+            2,
+            "ids SLOTS apart share a slot"
+        );
+        assert!(std::ptr::eq(t.get(slot_of(3 + SLOTS)), t.get(3)));
+        let a = t.get(0) as *const AtomicU64 as usize;
+        let b = t.get(1) as *const AtomicU64 as usize;
+        assert_eq!(b - a, 128, "neighbouring slots sit on separate line pairs");
+        assert_eq!(t.iter().map(|c| c.load(Ordering::Relaxed)).sum::<u64>(), 2);
+    }
 
     #[test]
     fn lock_round_trips() {

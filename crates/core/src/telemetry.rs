@@ -14,9 +14,8 @@
 //! (the default) every instrumentation point in the hot path is a single
 //! predictable branch and **no timestamp is read**. When enabled:
 //!
-//! * counters live in [`TELEMETRY_SHARDS`] cache-padded per-thread cells
-//!   (relaxed atomic adds on the caller's own line — no contention, no
-//!   false sharing);
+//! * counters live in a [`PerThread`] table of cells (relaxed atomic
+//!   adds on the caller's own line — no contention, no false sharing);
 //! * histograms are HDR-style power-of-2 buckets: one `ilog2` plus one
 //!   relaxed add;
 //! * timestamps come from the TSC on x86_64 (calibrated once at
@@ -29,15 +28,10 @@ use crate::contention::ContentionStats;
 use crate::drift::{DriftTracker, ModelDrift};
 use crate::events::AbortCause;
 use crate::ids::Pair;
-use crate::sync::Mutex;
+use crate::sync::{Mutex, PerThread};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Number of cache-padded counter/tracer cells. Thread ids map to cells
-/// by masking (as in the guidance tracker's shards): up to 64 threads get
-/// private cells, beyond that threads alias and merely share one.
-pub const TELEMETRY_SHARDS: usize = 64;
 
 /// Histogram buckets: bucket 0 holds exact zeros; bucket *i* ≥ 1 holds
 /// values in `[2^(i-1), 2^i)`; bucket 64 holds `[2^63, u64::MAX]`.
@@ -123,6 +117,9 @@ pub struct Clock {
 #[cfg(target_arch = "x86_64")]
 const CLOCK_SHIFT: u32 = 24;
 
+// `_rdtsc` is the one exception to the crate-wide lint: it reads a
+// register, touches no memory, and every x86_64 CPU has it.
+#[allow(unsafe_code)]
 impl Clock {
     /// Construct and (on x86_64) calibrate the clock.
     pub fn new() -> Self {
@@ -309,11 +306,10 @@ impl HistogramSnapshot {
 // Counters
 // ---------------------------------------------------------------------------
 
-/// One cache-padded counter cell. All adds are relaxed: each thread
-/// writes (almost always) only its own cell, and the snapshot only needs
+/// One thread's counter cell. All adds are relaxed: each thread writes
+/// (almost always) only its own cell, and the snapshot only needs
 /// eventually-consistent totals.
 #[derive(Default)]
-#[repr(align(128))]
 struct CounterCell {
     commits: AtomicU64,
     aborts: [AtomicU64; 6],
@@ -422,14 +418,6 @@ struct TraceRing {
     next: usize,
 }
 
-/// A per-thread tracer shard, padded like the counter cells so tracing
-/// threads never false-share.
-#[derive(Default)]
-#[repr(align(128))]
-struct TraceShard {
-    ring: Mutex<TraceRing>,
-}
-
 // ---------------------------------------------------------------------------
 // Telemetry
 // ---------------------------------------------------------------------------
@@ -439,14 +427,16 @@ struct TraceShard {
 /// Constructed once per instrumented run and shared (`Arc`) between the
 /// STM runtime, the guidance hook, and whoever reads the snapshot.
 pub struct Telemetry {
-    cells: Box<[CounterCell]>,
+    cells: PerThread<CounterCell>,
     commit_ns: LatencyHistogram,
     backoff_ns: LatencyHistogram,
     gate_wait_ns: LatencyHistogram,
     clock: Clock,
     trace_cap: usize,
     trace_seq: AtomicU64,
-    trace: Box<[TraceShard]>,
+    /// Per-thread tracer rings, padded like the counter cells so tracing
+    /// threads never false-share.
+    trace: PerThread<Mutex<TraceRing>>,
     trace_dropped: AtomicU64,
     /// Guided-model hot-swaps performed by the adaptive model manager.
     model_swaps: AtomicU64,
@@ -486,14 +476,14 @@ impl Telemetry {
     /// counters and histograms are kept.
     pub fn with_trace_capacity(cap: usize) -> Self {
         Telemetry {
-            cells: (0..TELEMETRY_SHARDS).map(|_| CounterCell::default()).collect(),
+            cells: PerThread::default(),
             commit_ns: LatencyHistogram::new(),
             backoff_ns: LatencyHistogram::new(),
             gate_wait_ns: LatencyHistogram::new(),
             clock: Clock::new(),
             trace_cap: cap,
             trace_seq: AtomicU64::new(0),
-            trace: (0..TELEMETRY_SHARDS).map(|_| TraceShard::default()).collect(),
+            trace: PerThread::default(),
             trace_dropped: AtomicU64::new(0),
             model_swaps: AtomicU64::new(0),
             breaker_trips: AtomicU64::new(0),
@@ -548,7 +538,7 @@ impl Telemetry {
 
     #[inline]
     fn cell(&self, who: Pair) -> &CounterCell {
-        &self.cells[who.thread.index() & (TELEMETRY_SHARDS - 1)]
+        self.cells.get(who.thread.index())
     }
 
     /// Record a committed attempt and its commit-protocol latency.
@@ -601,8 +591,7 @@ impl Telemetry {
             pair: who,
             kind,
         };
-        let shard = &self.trace[who.thread.index() & (TELEMETRY_SHARDS - 1)];
-        let mut ring = shard.ring.lock();
+        let mut ring = self.trace.get(who.thread.index()).lock();
         if ring.buf.len() < self.trace_cap {
             ring.buf.push(ev);
         } else {
@@ -618,9 +607,8 @@ impl Telemetry {
     /// happens outside every lock.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
         let mut out = Vec::new();
-        for shard in self.trace.iter() {
-            let ring = shard.ring.lock();
-            out.extend_from_slice(&ring.buf);
+        for ring in self.trace.iter() {
+            out.extend_from_slice(&ring.lock().buf);
         }
         out.sort_unstable_by_key(|e| e.seq);
         out
@@ -751,10 +739,10 @@ impl Default for Telemetry {
 
 /// Counters of one (nonempty) per-thread cell, as captured by
 /// [`Telemetry::snapshot`]. `cell` is the cell index — equal to the
-/// thread id for the first [`TELEMETRY_SHARDS`] threads.
+/// thread id for the first [`crate::sync::SLOTS`] threads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ThreadCounters {
-    /// Cell index (thread id modulo [`TELEMETRY_SHARDS`]).
+    /// Cell index ([`crate::sync::slot_of`] the thread id).
     pub cell: usize,
     /// Committed attempts.
     pub commits: u64,
@@ -1515,7 +1503,7 @@ mod tests {
     fn aliased_threads_share_a_cell() {
         let tel = Telemetry::counters_only();
         tel.record_commit(p(0, 1), 5);
-        tel.record_commit(p(0, 1 + TELEMETRY_SHARDS as u16), 5);
+        tel.record_commit(p(0, 1 + crate::sync::SLOTS as u16), 5);
         let s = tel.snapshot();
         assert_eq!(s.commits, 2);
         assert_eq!(s.per_thread.len(), 1, "aliases share cell 1");

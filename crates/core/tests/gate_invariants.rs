@@ -3,13 +3,15 @@
 //! Every `gate` call resolves to exactly one of passed / waited /
 //! released, so over any schedule the three [`GateStats`] counters must
 //! partition the calls — and the per-thread telemetry cells must agree
-//! with both the global stats and each thread's own call count. The last
-//! two tests pin the wake-up rule: once another thread has gated, a
+//! with both the global stats and each thread's own call count. Two
+//! tests pin the wake-up rule: once another thread has gated, a
 //! fixed-model waiter keeps waiting even while that thread is parked
-//! between attempts, and a commit by that thread still rescues it.
+//! between attempts, and a commit by that thread still rescues it. The
+//! last one runs two OS threads under one `ThreadId` on an adaptive hook
+//! while its model is hot-swapped: the epoch cache must stay sound.
 
 use gstm_core::prelude::*;
-use gstm_core::telemetry::TELEMETRY_SHARDS;
+use gstm_core::sync::SLOTS;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -142,8 +144,8 @@ fn gate_outcomes_partition_calls_over_randomized_schedules() {
         assert_eq!(snap.gate_total(), total_gates, "seed {seed}");
 
         // And each thread's cell counts exactly its own calls (thread ids
-        // here are below TELEMETRY_SHARDS, so cells don't alias).
-        assert!(threads as usize <= TELEMETRY_SHARDS);
+        // here are below SLOTS, so cells don't alias).
+        assert!(threads as usize <= SLOTS);
         for (th, &(gates, _, _)) in per_thread.iter().enumerate() {
             let cell = snap
                 .per_thread
@@ -291,4 +293,52 @@ fn waiter_keeps_waiting_while_the_other_thread_is_parked_between_attempts() {
     waiter.join().unwrap();
     let stats = hook.stats();
     assert_eq!((stats.passed, stats.waited, stats.released), (2, 1, 0));
+}
+
+#[test]
+fn shared_thread_id_on_an_adaptive_hook_survives_concurrent_swaps() {
+    // Two OS threads gate and commit as ThreadId(0) while this thread
+    // hot-swaps the model as fast as it can. Each OS thread has its own
+    // epoch cache, so sharing an id shares no cache entry.
+    const SWAPS: u32 = 200_000;
+    let (model, _) = blocking_model();
+    let cfg = GuidanceConfig {
+        k_retries: 1,
+        wait_spins: 1,
+        ..GuidanceConfig::default()
+    };
+    let adapt = AdaptConfig {
+        background: false,
+        ..AdaptConfig::default()
+    };
+    let hook = GuidedHook::adaptive(Arc::clone(&model), cfg, adapt, None);
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let workers: Vec<_> = (0..2)
+        .map(|_| {
+            let (hook, stop) = (Arc::clone(&hook), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let me = p(0, 0);
+                let mut rounds = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    hook.gate(me);
+                    hook.on_commit(me);
+                    rounds += 1;
+                }
+                rounds
+            })
+        })
+        .collect();
+    let mgr = Arc::clone(hook.manager().expect("adaptive hook"));
+    for _ in 0..SWAPS {
+        mgr.swap_in(Arc::clone(&model), DriftVerdict::Drifting);
+    }
+    stop.store(true, Ordering::Relaxed);
+    let rounds: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
+    let stats = hook.stats();
+    assert_eq!(stats.passed + stats.waited + stats.released, rounds);
+    assert_eq!(mgr.swaps(), SWAPS as u64);
+    assert!(
+        hook.current_tag().0 <= SWAPS,
+        "no commit ran ahead of the swaps"
+    );
 }

@@ -5,6 +5,20 @@ use crate::experiment::BenchExperiment;
 use crate::game::GameExperiment;
 use crate::report::{f1, f2, f4, Table};
 
+/// The experiments of both thread counts, each `(bench, threads)` once.
+/// A campaign with a single thread count passes the same experiments as
+/// both.
+pub fn each_once<'a>(
+    lo: &'a [BenchExperiment],
+    hi: &'a [BenchExperiment],
+) -> Vec<&'a BenchExperiment> {
+    let mut seen = std::collections::HashSet::new();
+    lo.iter()
+        .chain(hi)
+        .filter(|e| seen.insert((e.name, e.threads)))
+        .collect()
+}
+
 /// Figures 4 (8 threads) and 6 (16 threads): per-thread percentage
 /// improvement in execution-time standard deviation, per benchmark.
 pub fn fig_variance(exps: &[BenchExperiment], threads: u16) -> Table {
@@ -67,20 +81,21 @@ pub fn fig8_ssca2(eight: &[BenchExperiment], sixteen: &[BenchExperiment]) -> Tab
         "Figure 8: ssca2 with guided execution (degradation expected)",
         &["threads", "thread", "improvement %", "tail default", "tail guided"],
     );
-    for exps in [eight, sixteen] {
-        for e in exps.iter().filter(|e| e.name == "ssca2") {
-            let imps = e.variance_improvement_pct();
-            let td = e.default_m.per_thread_tails();
-            let tg = e.guided_m.per_thread_tails();
-            for th in 0..imps.len() {
-                t.row(vec![
-                    e.threads.to_string(),
-                    th.to_string(),
-                    f1(imps[th]),
-                    td[th].to_string(),
-                    tg[th].to_string(),
-                ]);
-            }
+    for e in each_once(eight, sixteen)
+        .into_iter()
+        .filter(|e| e.name == "ssca2")
+    {
+        let imps = e.variance_improvement_pct();
+        let td = e.default_m.per_thread_tails();
+        let tg = e.guided_m.per_thread_tails();
+        for th in 0..imps.len() {
+            t.row(vec![
+                e.threads.to_string(),
+                th.to_string(),
+                f1(imps[th]),
+                td[th].to_string(),
+                tg[th].to_string(),
+            ]);
         }
     }
     t
@@ -92,16 +107,14 @@ pub fn fig9_nondeterminism(eight: &[BenchExperiment], sixteen: &[BenchExperiment
         "Figure 9: % reduction in non-determinism (distinct TSS)",
         &["Application", "threads", "default", "guided", "reduction %"],
     );
-    for exps in [eight, sixteen] {
-        for e in exps {
-            t.row(vec![
-                e.name.to_string(),
-                e.threads.to_string(),
-                e.default_m.non_determinism.to_string(),
-                e.guided_m.non_determinism.to_string(),
-                f1(e.nondeterminism_reduction_pct()),
-            ]);
-        }
+    for e in each_once(eight, sixteen) {
+        t.row(vec![
+            e.name.to_string(),
+            e.threads.to_string(),
+            e.default_m.non_determinism.to_string(),
+            e.guided_m.non_determinism.to_string(),
+            f1(e.nondeterminism_reduction_pct()),
+        ]);
     }
     t
 }
@@ -112,16 +125,14 @@ pub fn fig10_slowdown(eight: &[BenchExperiment], sixteen: &[BenchExperiment]) ->
         "Figure 10: slowdown of guided vs default execution (x)",
         &["Application", "threads", "default s", "guided s", "slowdown x"],
     );
-    for exps in [eight, sixteen] {
-        for e in exps {
-            t.row(vec![
-                e.name.to_string(),
-                e.threads.to_string(),
-                f4(e.default_m.mean_wall()),
-                f4(e.guided_m.mean_wall()),
-                f2(e.slowdown()),
-            ]);
-        }
+    for e in each_once(eight, sixteen) {
+        t.row(vec![
+            e.name.to_string(),
+            e.threads.to_string(),
+            f4(e.default_m.mean_wall()),
+            f4(e.guided_m.mean_wall()),
+            f2(e.slowdown()),
+        ]);
     }
     t
 }
@@ -291,5 +302,21 @@ mod tests {
     fn nondeterminism_figure_computes_reduction() {
         let t = fig9_nondeterminism(&[fake()], &[]);
         assert!(t.to_csv().contains("kmeans,8,10,6,40.0"));
+    }
+
+    #[test]
+    fn a_single_thread_count_emits_each_experiment_once() {
+        // A campaign run with one `--threads` value passes the same
+        // experiments as both thread counts.
+        let mut ssca2 = fake();
+        ssca2.name = "ssca2";
+        let exps = [fake(), ssca2];
+        let rows = |t: Table| t.to_csv().lines().count() - 1;
+        assert_eq!(rows(fig9_nondeterminism(&exps, &exps)), 2);
+        assert_eq!(rows(fig10_slowdown(&exps, &exps)), 2);
+        assert_eq!(rows(fig8_ssca2(&exps, &exps)), 2, "ssca2's two threads");
+        let mut sixteen = fake();
+        sixteen.threads = 16;
+        assert_eq!(each_once(&exps, &[sixteen]).len(), 3);
     }
 }

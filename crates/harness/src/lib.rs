@@ -7,6 +7,8 @@
 //! ([`tables`], [`figures`]). The `gstm-repro` binary exposes one
 //! subcommand per table/figure; see `gstm-repro help`.
 
+#![forbid(unsafe_code)]
+
 pub mod experiment;
 pub mod figures;
 pub mod game;

@@ -62,6 +62,8 @@
 //!                       equal the exported ops.prom byte-for-byte)
 //! ```
 
+#![forbid(unsafe_code)]
+
 use gstm_core::ops::{self, OpsPlane, OpsRoller, OpsServer, SloSpec};
 use gstm_core::{FaultPlan, GuidanceConfig, Telemetry};
 use gstm_harness::experiment::{
@@ -635,15 +637,7 @@ fn main() {
     let run_stamp_cmd = |c: &mut Campaign, which: &str| {
         let (e8, e16) = c.stamp_pair();
         match which {
-            "summary" => {
-                let mut seen = std::collections::HashSet::new();
-                let all: Vec<&gstm_harness::experiment::BenchExperiment> = e8
-                    .iter()
-                    .chain(e16.iter())
-                    .filter(|e| seen.insert((e.name, e.threads)))
-                    .collect();
-                c.emit("summary", &tables::summary(&all));
-            }
+            "summary" => c.emit("summary", &tables::summary(&figures::each_once(&e8, &e16))),
             "table1" => c.emit("table1", &tables::table1(&e8, &e16, (t_lo, t_hi))),
             "table3" => c.emit("table3", &tables::table3(&e8, &e16, (t_lo, t_hi))),
             "table4" => c.emit("table4", &tables::table4(&e8, &e16, (t_lo, t_hi))),

@@ -33,6 +33,8 @@
 //! assert_eq!(hp.load_quiesced(), 75);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod object;
 pub mod runtime;
 pub mod txn;
@@ -40,7 +42,3 @@ pub mod txn;
 pub use object::TObject;
 pub use runtime::{DetectionMode, LibTm, LibTmConfig, LtThreadCtx, Resolution};
 pub use txn::LtTxn;
-
-/// Maximum worker threads per [`LibTm`] instance (size of the doomed-flag
-/// table used by abort-readers resolution).
-pub const MAX_THREADS: usize = 64;

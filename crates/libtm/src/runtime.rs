@@ -3,9 +3,9 @@
 //! shared retry driver ([`gstm_core::Instruments::run`]).
 
 use crate::txn::{LtBuffers, LtTxn};
-use crate::MAX_THREADS;
 use gstm_core::faultinject::FaultPlan;
 use gstm_core::rng::Interleave;
+use gstm_core::sync::{PerThread, SLOTS};
 use gstm_core::telemetry::Telemetry;
 use gstm_core::ThreadStats;
 use gstm_core::{GuidanceHook, Instruments, Pair, ThreadId, TxResult, TxnId};
@@ -61,19 +61,26 @@ impl Default for LibTmConfig {
     }
 }
 
+/// One thread's doomed flag (abort-readers resolution).
+#[derive(Default)]
+struct Doom {
+    /// 0 (clear) or the dooming writer's id + 1.
+    writer: AtomicU32,
+    /// The contended object key behind the doom, written (Relaxed)
+    /// before the flag's Release store. Best-effort under concurrent
+    /// dooms of one victim — the partition counters stay exact; only
+    /// which address gets charged can race, like the flag itself.
+    addr: AtomicUsize,
+}
+
 /// One LibTM instance.
 pub struct LibTm {
     pub(crate) config: LibTmConfig,
     /// Hook, telemetry, fault plan, contention tracker and the outcome
     /// totals — everything the retry driver reports to.
     instruments: Instruments,
-    /// Doomed flags: slot t holds 0 (clear) or dooming-writer id + 1.
-    doomed: Vec<AtomicU32>,
-    /// The contended object key behind each doom, written (Relaxed)
-    /// before the flag's Release store. Best-effort under concurrent
-    /// dooms of one victim — the partition counters stay exact; only
-    /// which address gets charged can race, like the flag itself.
-    doomed_addr: Vec<AtomicUsize>,
+    /// Doomed flags, one per registered thread id.
+    doomed: PerThread<Doom>,
     next_thread: AtomicU16,
 }
 
@@ -86,8 +93,7 @@ impl LibTm {
         Arc::new(LibTm {
             config,
             instruments,
-            doomed: (0..MAX_THREADS).map(|_| AtomicU32::new(0)).collect(),
-            doomed_addr: (0..MAX_THREADS).map(|_| AtomicUsize::new(0)).collect(),
+            doomed: PerThread::default(),
             next_thread: AtomicU16::new(0),
         })
     }
@@ -133,13 +139,14 @@ impl LibTm {
     }
 
     /// Register under an explicit id (stable ids across runs, as the
-    /// model requires).
+    /// model requires). Ids must be below [`SLOTS`], so every thread
+    /// owns its doomed flag.
     pub fn register_as(self: &Arc<Self>, id: ThreadId) -> LtThreadCtx {
         assert!(
-            (id.index()) < MAX_THREADS,
-            "thread id {} exceeds MAX_THREADS {}",
+            id.index() < SLOTS,
+            "thread id {} exceeds SLOTS {}",
             id.0,
-            MAX_THREADS
+            SLOTS
         );
         LtThreadCtx {
             tm: Arc::clone(self),
@@ -170,19 +177,18 @@ impl LibTm {
     /// Release store, so a victim that observes the flag also observes
     /// the address.
     pub(crate) fn doom(&self, victim: ThreadId, writer: ThreadId, addr: usize) {
-        self.doomed_addr[victim.index()].store(addr, Ordering::Relaxed);
-        self.doomed[victim.index()].store(writer.0 as u32 + 1, Ordering::Release);
+        let doom = self.doomed.get(victim.index());
+        doom.addr.store(addr, Ordering::Relaxed);
+        doom.writer.store(writer.0 as u32 + 1, Ordering::Release);
     }
 
     /// Consume `me`'s doomed flag, returning the dooming writer and the
     /// contended object key if set.
     pub(crate) fn take_doom(&self, me: ThreadId) -> Option<(ThreadId, usize)> {
-        match self.doomed[me.index()].swap(0, Ordering::AcqRel) {
+        let doom = self.doomed.get(me.index());
+        match doom.writer.swap(0, Ordering::AcqRel) {
             0 => None,
-            w => Some((
-                ThreadId((w - 1) as u16),
-                self.doomed_addr[me.index()].load(Ordering::Relaxed),
-            )),
+            w => Some((ThreadId((w - 1) as u16), doom.addr.load(Ordering::Relaxed))),
         }
     }
 }
@@ -484,9 +490,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds MAX_THREADS")]
+    #[should_panic(expected = "exceeds SLOTS")]
     fn oversized_thread_id_is_rejected() {
         let tm = LibTm::new(LibTmConfig::default());
-        let _ = tm.register_as(ThreadId(MAX_THREADS as u16));
+        let _ = tm.register_as(ThreadId(SLOTS as u16));
     }
 }

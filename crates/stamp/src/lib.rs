@@ -31,6 +31,8 @@
 //! assert!(result.merged_stats().commits > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod genome;
 pub mod intruder;
 pub mod kmeans;

@@ -40,6 +40,8 @@
 //! assert_eq!(next, Some(42));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bitmap;
 pub mod hashmap;
 pub mod list;

@@ -38,10 +38,12 @@
 //! assert_eq!(result.audit_failures, 0); // world stayed consistent
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod quest;
 pub mod server;
 pub mod world;
 
 pub use quest::QuestLayout;
-pub use server::{run_game, FrameResult, GameConfig};
+pub use server::{cross_thread_overlaps, run_game, Action, FrameResult, GameConfig};
 pub use world::{Player, World};

@@ -7,10 +7,11 @@
 //! variance metric).
 
 use crate::quest::QuestLayout;
-use crate::world::World;
+use crate::world::{Player, World};
 use gstm_core::rng::mix64;
-use gstm_core::{ThreadId, ThreadStats, TxnId};
-use gstm_libtm::LibTm;
+use gstm_core::{ThreadId, ThreadStats, TxResult, TxnId};
+use gstm_libtm::{LibTm, LtTxn};
+use std::ops::Range;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
@@ -94,6 +95,125 @@ impl FrameResult {
     }
 }
 
+impl GameConfig {
+    /// The players thread `t` acts for: the `t`-th of `threads`
+    /// contiguous, equal-sized (up to rounding) id ranges.
+    pub fn share(&self, t: u16) -> Range<u32> {
+        let n = self.threads.max(1) as u32;
+        let chunk = self.players.div_ceil(n);
+        (t as u32 * chunk).min(self.players)..((t as u32 + 1) * chunk).min(self.players)
+    }
+
+    /// The action player `id` takes in `frame`: a pure function of the
+    /// config, the frame, the id and — for a move, the one action that
+    /// depends on where the player stands — its state, which `player` is
+    /// called to read.
+    #[inline]
+    pub fn action(&self, frame: u64, id: u32, player: impl FnOnce() -> Player) -> Action {
+        let r = mix64(self.seed ^ (frame << 24) ^ id as u64);
+        if r % 100 < self.attack_pct {
+            return Action::Attack { pick: mix64(r) };
+        }
+        if r % 100 < self.attack_pct + self.pickup_pct {
+            return Action::Pickup;
+        }
+        let p = player();
+        let (qx, qy) = self.quest.position(p.quest, frame, self.map_size);
+        // Jitter keeps the crowd from collapsing to one pixel.
+        let jx = (mix64(r >> 3) % 40) as u32;
+        let jy = (mix64(r >> 5) % 40) as u32;
+        Action::Move {
+            x: step_toward(p.x, (qx + jx).min(self.map_size - 1), self.speed),
+            y: step_toward(p.y, (qy + jy).min(self.map_size - 1), self.speed),
+        }
+    }
+}
+
+/// One player's action in one frame.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Action {
+    /// Attack a player sharing the cell; `pick` chooses which.
+    Attack {
+        /// Victim choice among the cell's other occupants.
+        pick: u64,
+    },
+    /// Pick up an item lying in the player's cell.
+    Pickup,
+    /// Step toward the player's quest.
+    Move {
+        /// Destination x.
+        x: u32,
+        /// Destination y.
+        y: u32,
+    },
+}
+
+impl Action {
+    /// The transaction site the action runs as.
+    pub fn txn(&self) -> TxnId {
+        match self {
+            Action::Attack { .. } => TXN_ATTACK,
+            Action::Pickup => TXN_PICKUP,
+            Action::Move { .. } => TXN_MOVE,
+        }
+    }
+
+    /// Run the action for player `id` inside `tx`.
+    pub fn run(&self, world: &World, tx: &mut LtTxn, id: u32) -> TxResult<()> {
+        match *self {
+            Action::Attack { pick } => world.attack(tx, id, 25, pick).map(drop),
+            Action::Pickup => world.pickup(tx, id).map(drop),
+            Action::Move { x, y } => world.move_player(tx, id, x, y),
+        }
+    }
+}
+
+/// Per frame, the pairs of actions by players of different threads
+/// whose cell footprints overlap: a measure of the contention a layout
+/// creates that no scheduler can perturb.
+///
+/// An action's footprint is the cells it touches: a move touches the
+/// cell it leaves and the cell it enters, an attack or pickup the
+/// player's own cell. Footprints are known from the world before the
+/// frame runs, and only a player's own moves change its position, so
+/// the count is a pure function of the world, the seed, the quest
+/// layout and the thread partition ([`GameConfig::share`]). It is
+/// computed on the calling thread, without running a transaction.
+pub fn cross_thread_overlaps(cfg: &GameConfig) -> Vec<u64> {
+    let world = World::new(cfg.map_size, cfg.cell_size, cfg.players, cfg.seed);
+    let mut players: Vec<Player> = world.players.iter().map(|p| p.load_quiesced()).collect();
+    let owner: Vec<u16> = (0..cfg.threads.max(1))
+        .flat_map(|t| cfg.share(t).map(move |_| t))
+        .collect();
+    (0..cfg.frames)
+        .map(|frame| {
+            let footprints: Vec<[usize; 2]> = players
+                .iter_mut()
+                .enumerate()
+                .map(|(id, p)| {
+                    let here = world.cell_index(p.x, p.y);
+                    match cfg.action(frame, id as u32, || p.clone()) {
+                        Action::Move { x, y } => {
+                            (p.x, p.y) = (x, y);
+                            [here, world.cell_index(x, y)]
+                        }
+                        _ => [here, here],
+                    }
+                })
+                .collect();
+            let mut pairs = 0;
+            for (i, a) in footprints.iter().enumerate() {
+                for (j, b) in footprints.iter().enumerate().skip(i + 1) {
+                    if owner[i] != owner[j] && a.iter().any(|c| b.contains(c)) {
+                        pairs += 1;
+                    }
+                }
+            }
+            pairs
+        })
+        .collect()
+}
+
 /// Step `v` toward `target` by at most `speed`.
 fn step_toward(v: u32, target: u32, speed: u32) -> u32 {
     if v < target {
@@ -124,42 +244,13 @@ pub fn run_game(tm: &Arc<LibTm>, cfg: &GameConfig) -> FrameResult {
                 let cfg = *cfg;
                 s.spawn(move || {
                     let mut ctx = tm.register_as(ThreadId(t));
-                    let chunk = (cfg.players as usize).div_ceil(n);
-                    let lo = (t as usize * chunk).min(cfg.players as usize);
-                    let hi = ((t as usize + 1) * chunk).min(cfg.players as usize);
                     for frame in 0..cfg.frames {
                         barrier.wait();
                         let t0 = Instant::now();
-                        for id in lo as u32..hi as u32 {
-                            let r = mix64(cfg.seed ^ (frame << 24) ^ id as u64);
-                            if r % 100 < cfg.attack_pct {
-                                ctx.atomically(TXN_ATTACK, |tx| {
-                                    world.attack(tx, id, 25, mix64(r))
-                                });
-                            } else if r % 100 < cfg.attack_pct + cfg.pickup_pct {
-                                ctx.atomically(TXN_PICKUP, |tx| world.pickup(tx, id));
-                            } else {
-                                let p = world.players[id as usize].load_quiesced();
-                                let (qx, qy) =
-                                    cfg.quest.position(p.quest, frame, cfg.map_size);
-                                // Jitter keeps the crowd from collapsing to
-                                // one pixel.
-                                let jx = (mix64(r >> 3) % 40) as u32;
-                                let jy = (mix64(r >> 5) % 40) as u32;
-                                let nx = step_toward(
-                                    p.x,
-                                    (qx + jx).min(cfg.map_size - 1),
-                                    cfg.speed,
-                                );
-                                let ny = step_toward(
-                                    p.y,
-                                    (qy + jy).min(cfg.map_size - 1),
-                                    cfg.speed,
-                                );
-                                ctx.atomically(TXN_MOVE, |tx| {
-                                    world.move_player(tx, id, nx, ny)
-                                });
-                            }
+                        for id in cfg.share(t) {
+                            let action = cfg
+                                .action(frame, id, || world.players[id as usize].load_quiesced());
+                            ctx.atomically(action.txn(), |tx| action.run(&world, tx, id));
                         }
                         barrier.wait();
                         // Thread 0 owns the frame clock: the frame is done
@@ -238,6 +329,31 @@ mod tests {
         assert_eq!(r.frame_secs.len(), 12);
         assert!(r.frame_secs.iter().all(|&s| s > 0.0));
         assert_eq!(r.audit_failures, 0, "cell bookkeeping is consistent");
+    }
+
+    #[test]
+    fn shares_partition_the_players() {
+        let cfg = quick_cfg(5, QuestLayout::Quadrants4);
+        let ids: Vec<u32> = (0..5).flat_map(|t| cfg.share(t)).collect();
+        assert_eq!(ids, (0..cfg.players).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn overlap_count_is_pure_and_needs_two_threads() {
+        let cfg = quick_cfg(3, QuestLayout::WorstCase4);
+        let counts = cross_thread_overlaps(&cfg);
+        assert_eq!(counts.len(), 12, "one count per frame");
+        assert!(counts.iter().sum::<u64>() > 0);
+        assert_eq!(
+            counts,
+            cross_thread_overlaps(&cfg),
+            "no state outside the config"
+        );
+        let solo = cross_thread_overlaps(&quick_cfg(1, QuestLayout::WorstCase4));
+        assert!(
+            solo.iter().all(|&n| n == 0),
+            "one thread has no cross-thread pair"
+        );
     }
 
     #[test]

@@ -43,6 +43,8 @@
 //! assert_eq!(acct.load_quiesced(), 70);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod runtime;
 pub mod tvar;
