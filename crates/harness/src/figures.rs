@@ -19,12 +19,15 @@ pub fn each_once<'a>(
         .collect()
 }
 
-/// Figures 4 (8 threads) and 6 (16 threads): per-thread percentage
-/// improvement in execution-time standard deviation, per benchmark.
-pub fn fig_variance(exps: &[BenchExperiment], threads: u16) -> Table {
-    let fig = if threads == 8 { "Figure 4" } else { "Figure 6" };
+/// Figures 4 (the campaign's low thread count, 8 in the paper) and 6
+/// (its high count, 16): per-thread percentage improvement in
+/// execution-time standard deviation, per benchmark. `figure` is the
+/// paper's figure number, 4 or 6.
+pub fn fig_variance(exps: &[BenchExperiment], threads: u16, figure: u8) -> Table {
     let mut t = Table::new(
-        &format!("{fig}: % execution-time variance improvement per thread ({threads} threads)"),
+        &format!(
+            "Figure {figure}: % execution-time variance improvement per thread ({threads} threads)"
+        ),
         &["Application", "thread", "improvement %"],
     );
     for e in exps {
@@ -35,13 +38,13 @@ pub fn fig_variance(exps: &[BenchExperiment], threads: u16) -> Table {
     t
 }
 
-/// Figures 5 (8 threads) and 7 (16 threads): tail of the abort
-/// distribution, default (dotted in the paper) vs guided (solid), per
-/// thread.
-pub fn fig_abort_tail(exps: &[BenchExperiment], threads: u16) -> Table {
-    let fig = if threads == 8 { "Figure 5" } else { "Figure 7" };
+/// Figures 5 (the campaign's low thread count, 8 in the paper) and 7
+/// (its high count, 16): tail of the abort distribution, default (dotted
+/// in the paper) vs guided (solid), per thread. `figure` is the paper's
+/// figure number, 5 or 7.
+pub fn fig_abort_tail(exps: &[BenchExperiment], threads: u16, figure: u8) -> Table {
     let mut t = Table::new(
-        &format!("{fig}: abort distribution default vs guided ({threads} threads)"),
+        &format!("Figure {figure}: abort distribution default vs guided ({threads} threads)"),
         &["Application", "thread", "aborts", "freq default", "freq guided"],
     );
     for e in exps {
@@ -267,18 +270,36 @@ mod tests {
 
     #[test]
     fn variance_figure_emits_one_row_per_thread() {
-        let t = fig_variance(&[fake()], 8);
+        let t = fig_variance(&[fake()], 8, 4);
         let csv = t.to_csv();
         assert_eq!(csv.lines().count(), 3, "header + 2 threads");
     }
 
     #[test]
     fn abort_tail_figure_merges_histograms() {
-        let t = fig_abort_tail(&[fake()], 8);
+        let t = fig_abort_tail(&[fake()], 8, 5);
         let csv = t.to_csv();
         // abort counts 0 and 3 appear for both threads.
         assert!(csv.contains("kmeans,0,0,10,12"));
         assert!(csv.contains("kmeans,0,3,2,0"));
+    }
+
+    #[test]
+    fn figure_numbers_come_from_the_caller_not_the_thread_count() {
+        // `--threads 2 4` draws Figures 4/5 at 2 threads and 6/7 at 4;
+        // the paper's 8 threads can be either count.
+        let title = |t: Table| t.render().lines().next().unwrap().to_string();
+        for (threads, low) in [(2, true), (4, false), (8, false), (16, true)] {
+            let (var, tail) = if low { (4, 5) } else { (6, 7) };
+            assert_eq!(
+                title(fig_variance(&[fake()], threads, var)),
+                format!("== Figure {var}: % execution-time variance improvement per thread ({threads} threads) ==")
+            );
+            assert_eq!(
+                title(fig_abort_tail(&[fake()], threads, tail)),
+                format!("== Figure {tail}: abort distribution default vs guided ({threads} threads) ==")
+            );
+        }
     }
 
     #[test]

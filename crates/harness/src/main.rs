@@ -636,26 +636,31 @@ fn main() {
 
     let run_stamp_cmd = |c: &mut Campaign, which: &str| {
         let (e8, e16) = c.stamp_pair();
+        // One column group per distinct thread count.
+        let mut cols: Vec<tables::Column> = vec![(t_lo, &e8)];
+        if t_hi != t_lo {
+            cols.push((t_hi, &e16));
+        }
         match which {
             "summary" => c.emit("summary", &tables::summary(&figures::each_once(&e8, &e16))),
-            "table1" => c.emit("table1", &tables::table1(&e8, &e16, (t_lo, t_hi))),
-            "table3" => c.emit("table3", &tables::table3(&e8, &e16, (t_lo, t_hi))),
-            "table4" => c.emit("table4", &tables::table4(&e8, &e16, (t_lo, t_hi))),
-            "fig4" => c.emit("fig4", &figures::fig_variance(&e8, t_lo)),
-            "fig5" => c.emit("fig5", &figures::fig_abort_tail(&e8, t_lo)),
-            "fig6" => c.emit("fig6", &figures::fig_variance(&e16, t_hi)),
-            "fig7" => c.emit("fig7", &figures::fig_abort_tail(&e16, t_hi)),
+            "table1" => c.emit("table1", &tables::table1(&cols)),
+            "table3" => c.emit("table3", &tables::table3(&cols)),
+            "table4" => c.emit("table4", &tables::table4(&cols)),
+            "fig4" => c.emit("fig4", &figures::fig_variance(&e8, t_lo, 4)),
+            "fig5" => c.emit("fig5", &figures::fig_abort_tail(&e8, t_lo, 5)),
+            "fig6" => c.emit("fig6", &figures::fig_variance(&e16, t_hi, 6)),
+            "fig7" => c.emit("fig7", &figures::fig_abort_tail(&e16, t_hi, 7)),
             "fig8" => c.emit("fig8", &figures::fig8_ssca2(&e8, &e16)),
             "fig9" => c.emit("fig9", &figures::fig9_nondeterminism(&e8, &e16)),
             "fig10" => c.emit("fig10", &figures::fig10_slowdown(&e8, &e16)),
             "stamp" => {
-                c.emit("table1", &tables::table1(&e8, &e16, (t_lo, t_hi)));
-                c.emit("table3", &tables::table3(&e8, &e16, (t_lo, t_hi)));
-                c.emit("table4", &tables::table4(&e8, &e16, (t_lo, t_hi)));
-                c.emit("fig4", &figures::fig_variance(&e8, t_lo));
-                c.emit("fig5", &figures::fig_abort_tail(&e8, t_lo));
-                c.emit("fig6", &figures::fig_variance(&e16, t_hi));
-                c.emit("fig7", &figures::fig_abort_tail(&e16, t_hi));
+                c.emit("table1", &tables::table1(&cols));
+                c.emit("table3", &tables::table3(&cols));
+                c.emit("table4", &tables::table4(&cols));
+                c.emit("fig4", &figures::fig_variance(&e8, t_lo, 4));
+                c.emit("fig5", &figures::fig_abort_tail(&e8, t_lo, 5));
+                c.emit("fig6", &figures::fig_variance(&e16, t_hi, 6));
+                c.emit("fig7", &figures::fig_abort_tail(&e16, t_hi, 7));
                 c.emit("fig8", &figures::fig8_ssca2(&e8, &e16));
                 c.emit("fig9", &figures::fig9_nondeterminism(&e8, &e16));
                 c.emit("fig10", &figures::fig10_slowdown(&e8, &e16));

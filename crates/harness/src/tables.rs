@@ -4,39 +4,50 @@ use crate::experiment::BenchExperiment;
 use crate::game::GameExperiment;
 use crate::report::{f1, Table};
 
-/// Pair up experiments by benchmark name across the two thread counts,
-/// preserving the low-count ordering.
-fn paired<'a>(
-    lo: &'a [BenchExperiment],
-    hi: &'a [BenchExperiment],
-) -> Vec<(&'a BenchExperiment, Option<&'a BenchExperiment>)> {
-    lo.iter()
-        .map(|e| (e, hi.iter().find(|s| s.name == e.name)))
-        .collect()
-}
+/// One column group of a STAMP table: a thread count and the
+/// experiments run at it.
+pub type Column<'a> = (u16, &'a [BenchExperiment]);
 
-/// Column labels for a campaign's `(low, high)` thread counts.
-fn thread_labels((lo, hi): (u16, u16)) -> [String; 2] {
-    [format!("{lo} threads"), format!("{hi} threads")]
+/// A STAMP table: one row per benchmark of the first column and, under
+/// each column's "N threads" heading followed by `extra` headings, the
+/// cells `cells` renders from that thread count's experiment (blank where
+/// the benchmark did not run at it).
+fn per_thread_count(
+    title: &str,
+    cols: &[Column],
+    extra: &[&str],
+    cells: impl Fn(&BenchExperiment) -> Vec<String>,
+) -> Table {
+    let mut header = vec!["Application".to_string()];
+    for (threads, _) in cols {
+        header.push(format!("{threads} threads"));
+        header.extend(extra.iter().map(|h| h.to_string()));
+    }
+    let header: Vec<&str> = header.iter().map(String::as_str).collect();
+    let mut t = Table::new(title, &header);
+    let first = cols.first().map_or(&[][..], |&(_, exps)| exps);
+    for e in first {
+        let mut row = vec![e.name.to_string()];
+        for (_, exps) in cols {
+            match exps.iter().find(|s| s.name == e.name) {
+                Some(s) => row.extend(cells(s)),
+                None => row.extend(std::iter::repeat_n(String::new(), 1 + extra.len())),
+            }
+        }
+        t.row(row);
+    }
+    t
 }
 
 /// Table I: model analyzer guidance metric percentage (lower is better),
-/// one column per thread count of `threads`.
-pub fn table1(lo: &[BenchExperiment], hi: &[BenchExperiment], threads: (u16, u16)) -> Table {
-    let [lo_label, hi_label] = thread_labels(threads);
-    let mut t = Table::new(
+/// one column per thread count.
+pub fn table1(cols: &[Column]) -> Table {
+    per_thread_count(
         "Table I: model analyzer guidance metric % (lower is better)",
-        &["Application", &lo_label, &hi_label],
-    );
-    for (e, s) in paired(lo, hi) {
-        t.row(vec![
-            e.name.to_string(),
-            f1(e.analyzer.guidance_metric_pct),
-            s.map(|s| f1(s.analyzer.guidance_metric_pct))
-                .unwrap_or_default(),
-        ]);
-    }
-    t
+        cols,
+        &[],
+        |e| vec![f1(e.analyzer.guidance_metric_pct)],
+    )
 }
 
 /// Table II: configuration of the machine used for the experiments.
@@ -60,41 +71,25 @@ pub fn table2() -> Table {
 }
 
 /// Table III: number of states in each application's model.
-pub fn table3(lo: &[BenchExperiment], hi: &[BenchExperiment], threads: (u16, u16)) -> Table {
+pub fn table3(cols: &[Column]) -> Table {
     let kb = |bytes: usize| format!("{:.1} KB", bytes as f64 / 1024.0);
-    let [lo_label, hi_label] = thread_labels(threads);
-    let mut t = Table::new(
+    per_thread_count(
         "Table III: number of states in the model (+ encoded size)",
-        &["Application", &lo_label, "size", &hi_label, "size"],
-    );
-    for (e, s) in paired(lo, hi) {
-        t.row(vec![
-            e.name.to_string(),
-            e.model_states.to_string(),
-            kb(e.model_bytes),
-            s.map(|s| s.model_states.to_string()).unwrap_or_default(),
-            s.map(|s| kb(s.model_bytes)).unwrap_or_default(),
-        ]);
-    }
-    t
+        cols,
+        &["size"],
+        |e| vec![e.model_states.to_string(), kb(e.model_bytes)],
+    )
 }
 
 /// Table IV: average % improvement in the abort-tail metric across all
 /// threads.
-pub fn table4(lo: &[BenchExperiment], hi: &[BenchExperiment], threads: (u16, u16)) -> Table {
-    let [lo_label, hi_label] = thread_labels(threads);
-    let mut t = Table::new(
+pub fn table4(cols: &[Column]) -> Table {
+    per_thread_count(
         "Table IV: average % improvement in the tail distribution of aborts",
-        &["Application", &lo_label, &hi_label],
-    );
-    for (e, s) in paired(lo, hi) {
-        t.row(vec![
-            e.name.to_string(),
-            f1(e.tail_improvement_pct()),
-            s.map(|s| f1(s.tail_improvement_pct())).unwrap_or_default(),
-        ]);
-    }
-    t
+        cols,
+        &[],
+        |e| vec![f1(e.tail_improvement_pct())],
+    )
 }
 
 /// Table V: SynQuake guidance metric (lower is better).
@@ -212,9 +207,9 @@ mod tests {
 
     #[test]
     fn table1_pairs_thread_counts() {
-        let e8 = vec![fake_exp("kmeans", 8, 26.0, 100)];
-        let e16 = vec![fake_exp("kmeans", 16, 37.0, 200)];
-        let s = table1(&e8, &e16, (8, 16)).render();
+        let e8 = [fake_exp("kmeans", 8, 26.0, 100)];
+        let e16 = [fake_exp("kmeans", 16, 37.0, 200)];
+        let s = table1(&[(8, &e8), (16, &e16)]).render();
         assert!(s.contains("kmeans"));
         assert!(s.contains("26.0"));
         assert!(s.contains("37.0"));
@@ -222,23 +217,32 @@ mod tests {
 
     #[test]
     fn table3_reports_state_counts() {
-        let e8 = vec![fake_exp("yada", 8, 19.0, 27120)];
-        let s = table3(&e8, &[], (8, 16)).render();
-        assert!(s.contains("27120"));
+        let e8 = [fake_exp("yada", 8, 19.0, 27120)];
+        let t = table3(&[(8, &e8), (16, &[])]);
+        assert_eq!(t.to_csv().lines().nth(1), Some("yada,27120,264.8 KB,,"));
     }
 
     #[test]
     fn stamp_tables_label_columns_with_the_campaign_threads() {
-        let lo = vec![fake_exp("kmeans", 2, 26.0, 100)];
-        let hi = vec![fake_exp("kmeans", 4, 37.0, 200)];
-        for t in [
-            table1(&lo, &hi, (2, 4)),
-            table3(&lo, &hi, (2, 4)),
-            table4(&lo, &hi, (2, 4)),
-        ] {
+        let lo = [fake_exp("kmeans", 2, 26.0, 100)];
+        let hi = [fake_exp("kmeans", 4, 37.0, 200)];
+        let cols = [(2, &lo[..]), (4, &hi[..])];
+        for t in [table1(&cols), table3(&cols), table4(&cols)] {
             let s = t.render();
             assert!(s.contains("2 threads") && s.contains("4 threads"), "{s}");
             assert!(!s.contains("8 threads") && !s.contains("16 threads"), "{s}");
+        }
+    }
+
+    #[test]
+    fn a_single_thread_count_emits_one_column_group() {
+        let only = [fake_exp("kmeans", 2, 26.0, 100)];
+        let cols = [(2, &only[..])];
+        for (t, width) in [(table1(&cols), 2), (table3(&cols), 3), (table4(&cols), 2)] {
+            let csv = t.to_csv();
+            let header: Vec<&str> = csv.lines().next().unwrap().split(',').collect();
+            assert_eq!(header.len(), width, "{csv}");
+            assert_eq!(header.iter().filter(|h| **h == "2 threads").count(), 1, "{csv}");
         }
     }
 

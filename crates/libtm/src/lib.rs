@@ -6,15 +6,15 @@
 //!
 //! * **object-granularity** consistency (per-object locks and versions,
 //!   eliminating false sharing),
-//! * **four conflict-detection modes** ranging from fully pessimistic
-//!   (read and write locks acquired before access) to fully optimistic
-//!   (reads proceed without locks, write locks taken at commit),
-//! * **two conflict-resolution policies** — *wait-for-readers* and
-//!   *abort-readers* — applied by committing writers against the visible
-//!   reader registry of each object.
+//! * **fully-optimistic conflict detection**: reads proceed without locks
+//!   and are version-validated, write locks are taken at commit,
+//! * **abort-readers resolution**: a committing writer dooms the other
+//!   transactions registered as visible readers of each object it writes.
 //!
-//! The paper's experiments (and ours) use **fully-optimistic detection
-//! with abort-readers resolution**.
+//! That is the configuration the paper's SynQuake experiments use, and
+//! the only one implemented. LibTM's other detection modes (pessimistic
+//! reads and/or encounter-time write locks) and its wait-for-readers
+//! policy were implemented once and removed: no workload ran them.
 //!
 //! Like `gstm-tl2`, every transaction reports begin/abort/commit to a
 //! [`gstm_core::GuidanceHook`], so profiling and model-guided execution
@@ -26,7 +26,7 @@
 //! use gstm_libtm::{LibTm, LibTmConfig, TObject};
 //! use gstm_core::TxnId;
 //!
-//! let tm = LibTm::new(LibTmConfig::default()); // fully-optimistic + abort-readers
+//! let tm = LibTm::new(LibTmConfig::default());
 //! let hp = TObject::new(100i32);
 //! let mut ctx = tm.register();
 //! ctx.atomically(TxnId(0), |tx| tx.modify(&hp, |h| h - 25));
@@ -40,5 +40,5 @@ pub mod runtime;
 pub mod txn;
 
 pub use object::TObject;
-pub use runtime::{DetectionMode, LibTm, LibTmConfig, LtThreadCtx, Resolution};
+pub use runtime::{LibTm, LibTmConfig, LtThreadCtx};
 pub use txn::LtTxn;

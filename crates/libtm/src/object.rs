@@ -90,10 +90,6 @@ impl<T> ObjectInner<T> {
         }
     }
 
-    pub(crate) fn has_other_readers(&self, me: ThreadId) -> bool {
-        self.readers.lock().iter().any(|&r| r != me.0)
-    }
-
     pub(crate) fn key(&self) -> usize {
         self as *const Self as *const () as usize
     }
@@ -161,18 +157,20 @@ mod tests {
         o.inner.add_reader(ThreadId(1)); // idempotent
         o.inner.add_reader(ThreadId(2));
         o.inner.add_reader(ThreadId(3));
-        let mut others = Vec::new();
-        o.inner
-            .for_each_other_reader(ThreadId(1), |r| others.push(r));
+        let others = |me: u16| {
+            let mut rs = Vec::new();
+            o.inner.for_each_other_reader(ThreadId(me), |r| rs.push(r));
+            rs
+        };
         assert_eq!(
-            others,
+            others(1),
             [ThreadId(2), ThreadId(3)],
             "registration order, self excluded"
         );
         o.inner.remove_reader(ThreadId(3));
-        assert!(o.inner.has_other_readers(ThreadId(3)));
+        assert_eq!(others(3), [ThreadId(1), ThreadId(2)]);
         o.inner.remove_reader(ThreadId(2));
-        assert!(!o.inner.has_other_readers(ThreadId(1)));
+        assert!(others(1).is_empty());
     }
 
     #[test]

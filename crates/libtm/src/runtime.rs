@@ -1,5 +1,5 @@
-//! The LibTM runtime: detection/resolution configuration, doomed-flag
-//! table for abort-readers, and the `atomically` entry point into the
+//! The LibTM runtime: configuration, the doomed-flag table for
+//! abort-readers resolution, and the `atomically` entry point into the
 //! shared retry driver ([`gstm_core::Instruments::run`]).
 
 use crate::txn::{LtBuffers, LtTxn};
@@ -13,38 +13,13 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU16, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Conflict-detection mode (the four points on LibTM's pessimistic ↔
-/// optimistic spectrum).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DetectionMode {
-    /// Read and write locks acquired before access.
-    FullyPessimistic,
-    /// Reads lock (block writers via the registry); writes lock at commit.
-    PessimisticRead,
-    /// Reads are optimistic (version-validated); writes lock at encounter.
-    PessimisticWrite,
-    /// Reads are optimistic; write locks are acquired at commit — the mode
-    /// the SynQuake experiments use.
-    FullyOptimistic,
-}
-
-/// Conflict-resolution policy applied by committing writers.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Resolution {
-    /// Spin until the object's visible readers drain.
-    WaitForReaders,
-    /// Doom the readers and proceed — the SynQuake experiments' policy.
-    AbortReaders,
-}
-
-/// Tunables of one LibTM instance.
+/// Tunables of one LibTM instance. Detection is fully optimistic (reads
+/// version-validated, writer locks taken at commit) and resolution is
+/// abort-readers (a committing writer dooms the object's visible
+/// readers), the one configuration the paper's SynQuake runs use.
 #[derive(Clone, Copy, Debug)]
 pub struct LibTmConfig {
-    /// Conflict-detection mode.
-    pub detection: DetectionMode,
-    /// Conflict-resolution policy.
-    pub resolution: Resolution,
-    /// Bounded spin for lock acquisition / reader draining.
+    /// Bounded spin for commit-time writer-lock acquisition.
     pub commit_spin: u32,
     /// Interleave injection, as in gstm-tl2's `StmConfig::yield_prob_log2`.
     pub yield_prob_log2: Option<u32>,
@@ -53,8 +28,6 @@ pub struct LibTmConfig {
 impl Default for LibTmConfig {
     fn default() -> Self {
         LibTmConfig {
-            detection: DetectionMode::FullyOptimistic,
-            resolution: Resolution::AbortReaders,
             commit_spin: 64,
             yield_prob_log2: None,
         }
@@ -257,87 +230,61 @@ mod tests {
     use super::*;
     use crate::object::TObject;
 
-    fn all_modes() -> Vec<(DetectionMode, Resolution)> {
-        let detections = [
-            DetectionMode::FullyPessimistic,
-            DetectionMode::PessimisticRead,
-            DetectionMode::PessimisticWrite,
-            DetectionMode::FullyOptimistic,
-        ];
-        let resolutions = [Resolution::WaitForReaders, Resolution::AbortReaders];
-        detections
-            .into_iter()
-            .flat_map(|d| resolutions.into_iter().map(move |r| (d, r)))
-            .collect()
+    #[test]
+    fn counter_is_atomic() {
+        let tm = LibTm::new(LibTmConfig {
+            yield_prob_log2: Some(2),
+            ..LibTmConfig::default()
+        });
+        let v = TObject::new(0u64);
+        std::thread::scope(|s| {
+            for t in 0..4u16 {
+                let tm = Arc::clone(&tm);
+                let v = v.clone();
+                s.spawn(move || {
+                    let mut ctx = tm.register_as(ThreadId(t));
+                    for _ in 0..100 {
+                        ctx.atomically(TxnId(0), |tx| tx.modify(&v, |x| x + 1));
+                    }
+                });
+            }
+        });
+        assert_eq!(v.load_quiesced(), 400, "lost updates");
     }
 
     #[test]
-    fn counter_is_atomic_in_every_mode() {
-        for (detection, resolution) in all_modes() {
-            let tm = LibTm::new(LibTmConfig {
-                detection,
-                resolution,
-                yield_prob_log2: Some(2),
-                ..LibTmConfig::default()
-            });
-            let v = TObject::new(0u64);
-            std::thread::scope(|s| {
-                for t in 0..4u16 {
-                    let tm = Arc::clone(&tm);
-                    let v = v.clone();
-                    s.spawn(move || {
-                        let mut ctx = tm.register_as(ThreadId(t));
-                        for _ in 0..100 {
-                            ctx.atomically(TxnId(0), |tx| tx.modify(&v, |x| x + 1));
+    fn transfers_between_objects_preserve_total() {
+        let tm = LibTm::new(LibTmConfig {
+            yield_prob_log2: Some(2),
+            ..LibTmConfig::default()
+        });
+        let accounts: Vec<TObject<i64>> = (0..6).map(|_| TObject::new(100)).collect();
+        std::thread::scope(|s| {
+            for t in 0..3u16 {
+                let tm = Arc::clone(&tm);
+                let accounts = accounts.clone();
+                s.spawn(move || {
+                    let mut ctx = tm.register_as(ThreadId(t));
+                    for i in 0..100usize {
+                        let from = (t as usize + i) % accounts.len();
+                        let to = (t as usize + i * 5 + 1) % accounts.len();
+                        if from == to {
+                            continue;
                         }
-                    });
-                }
-            });
-            assert_eq!(
-                v.load_quiesced(),
-                400,
-                "lost updates under {detection:?}/{resolution:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn transfers_preserve_total_in_every_mode() {
-        for (detection, resolution) in all_modes() {
-            let tm = LibTm::new(LibTmConfig {
-                detection,
-                resolution,
-                yield_prob_log2: Some(2),
-                ..LibTmConfig::default()
-            });
-            let accounts: Vec<TObject<i64>> = (0..6).map(|_| TObject::new(100)).collect();
-            std::thread::scope(|s| {
-                for t in 0..3u16 {
-                    let tm = Arc::clone(&tm);
-                    let accounts = accounts.clone();
-                    s.spawn(move || {
-                        let mut ctx = tm.register_as(ThreadId(t));
-                        for i in 0..100usize {
-                            let from = (t as usize + i) % accounts.len();
-                            let to = (t as usize + i * 5 + 1) % accounts.len();
-                            if from == to {
-                                continue;
-                            }
-                            let (a, b) = (accounts[from].clone(), accounts[to].clone());
-                            ctx.atomically(TxnId(0), |tx| {
-                                let av = tx.read(&a)?;
-                                let bv = tx.read(&b)?;
-                                tx.write(&a, av - 1)?;
-                                tx.write(&b, bv + 1)?;
-                                Ok(())
-                            });
-                        }
-                    });
-                }
-            });
-            let total: i64 = accounts.iter().map(|a| a.load_quiesced()).sum();
-            assert_eq!(total, 600, "imbalance under {detection:?}/{resolution:?}");
-        }
+                        let (a, b) = (accounts[from].clone(), accounts[to].clone());
+                        ctx.atomically(TxnId(0), |tx| {
+                            let av = tx.read(&a)?;
+                            let bv = tx.read(&b)?;
+                            tx.write(&a, av - 1)?;
+                            tx.write(&b, bv + 1)?;
+                            Ok(())
+                        });
+                    }
+                });
+            }
+        });
+        let total: i64 = accounts.iter().map(|a| a.load_quiesced()).sum();
+        assert_eq!(total, 600, "imbalance");
     }
 
     #[test]
@@ -418,68 +365,57 @@ mod tests {
 
     /// No writer lock and no reader registration left on `objs`.
     fn released(objs: &[&TObject<u32>]) -> bool {
-        objs.iter()
-            .all(|o| o.inner.writer().is_none() && !o.inner.has_other_readers(ThreadId(63)))
+        objs.iter().all(|o| {
+            let mut readers = 0;
+            o.inner.for_each_other_reader(ThreadId(63), |_| readers += 1);
+            o.inner.writer().is_none() && readers == 0
+        })
     }
 
     #[test]
     fn aborted_attempt_leaves_no_stale_entries() {
-        for (detection, resolution) in all_modes() {
-            let tm = LibTm::new(LibTmConfig {
-                detection,
-                resolution,
-                ..LibTmConfig::default()
-            });
-            let (x, y) = (TObject::new(1u32), TObject::new(10u32));
-            let mut ctx = tm.register();
-            let mut attempts = 0;
-            let seen = ctx.atomically(TxnId(0), |tx| {
-                attempts += 1;
-                if attempts == 1 {
-                    let v = tx.read(&x)?;
-                    tx.write(&x, v + 100)?;
-                    tx.write(&y, 99)?;
-                    return Err(tx.retry());
-                }
-                // A surviving write-set entry would answer this read
-                // with 101 or publish y.
+        let tm = LibTm::new(LibTmConfig::default());
+        let (x, y) = (TObject::new(1u32), TObject::new(10u32));
+        let mut ctx = tm.register();
+        let mut attempts = 0;
+        let seen = ctx.atomically(TxnId(0), |tx| {
+            attempts += 1;
+            if attempts == 1 {
                 let v = tx.read(&x)?;
-                tx.write(&x, v + 1)?;
-                Ok((v, tx.read(&x)?, tx.read(&y)?))
-            });
-            let mode = format!("{detection:?}/{resolution:?}");
-            assert_eq!(seen, (1, 2, 10), "{mode}");
-            assert_eq!((x.load_quiesced(), y.load_quiesced()), (2, 10), "{mode}");
-            assert!(released(&[&x, &y]), "{mode}: lock or registration left");
-            assert!(ctx.buffers_idle(), "{mode}: buffers not returned empty");
-        }
+                tx.write(&x, v + 100)?;
+                tx.write(&y, 99)?;
+                return Err(tx.retry());
+            }
+            // A surviving write-set entry would answer this read
+            // with 101 or publish y.
+            let v = tx.read(&x)?;
+            tx.write(&x, v + 1)?;
+            Ok((v, tx.read(&x)?, tx.read(&y)?))
+        });
+        assert_eq!(seen, (1, 2, 10));
+        assert_eq!((x.load_quiesced(), y.load_quiesced()), (2, 10));
+        assert!(released(&[&x, &y]), "lock or registration left");
+        assert!(ctx.buffers_idle(), "buffers not returned empty");
     }
 
     #[test]
     fn panicking_body_leaves_context_usable() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        for (detection, resolution) in all_modes() {
-            let tm = LibTm::new(LibTmConfig {
-                detection,
-                resolution,
-                ..LibTmConfig::default()
-            });
-            let v = TObject::new(5u32);
-            let mut ctx = tm.register();
-            let unwound = catch_unwind(AssertUnwindSafe(|| {
-                ctx.atomically::<()>(TxnId(0), |tx| {
-                    let x = tx.read(&v)?; // registers a visible reader
-                    tx.write(&v, x + 1)?; // pessimistic writes: takes the lock
-                    panic!("body panics mid-transaction");
-                })
-            }));
-            let mode = format!("{detection:?}/{resolution:?}");
-            assert!(unwound.is_err());
-            assert!(released(&[&v]), "{mode}: lock or registration left");
-            assert!(ctx.buffers_idle(), "{mode}");
-            ctx.atomically(TxnId(0), |tx| tx.modify(&v, |x| x * 2));
-            assert_eq!(v.load_quiesced(), 10, "{mode}: panicked write leaked");
-        }
+        let tm = LibTm::new(LibTmConfig::default());
+        let v = TObject::new(5u32);
+        let mut ctx = tm.register();
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            ctx.atomically::<()>(TxnId(0), |tx| {
+                let x = tx.read(&v)?; // registers a visible reader
+                tx.write(&v, x + 1)?;
+                panic!("body panics mid-transaction");
+            })
+        }));
+        assert!(unwound.is_err());
+        assert!(released(&[&v]), "lock or registration left");
+        assert!(ctx.buffers_idle());
+        ctx.atomically(TxnId(0), |tx| tx.modify(&v, |x| x * 2));
+        assert_eq!(v.load_quiesced(), 10, "panicked write leaked");
     }
 
     #[test]

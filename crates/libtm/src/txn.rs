@@ -1,8 +1,8 @@
-//! LibTM transactions: per-mode read/write protocols and the commit
-//! protocol with reader-conflict resolution.
+//! LibTM transactions: the fully-optimistic read/write protocol and the
+//! commit protocol with abort-readers resolution.
 
 use crate::object::{ObjectInner, TObject};
-use crate::runtime::{DetectionMode, LibTm, Resolution};
+use crate::runtime::LibTm;
 use gstm_core::faultinject::FaultSite;
 use gstm_core::rng::Interleave;
 use gstm_core::{Abort, AbortCause, AddrSet, Attempt, Pair, ThreadId, TxResult};
@@ -20,7 +20,6 @@ pub(crate) trait LtTarget: Send + Sync {
     fn add_reader(&self, me: ThreadId);
     fn remove_reader(&self, me: ThreadId);
     fn for_each_other_reader(&self, me: ThreadId, visit: &mut dyn FnMut(ThreadId));
-    fn has_other_readers(&self, me: ThreadId) -> bool;
     fn key(&self) -> usize;
 }
 
@@ -48,9 +47,6 @@ impl<T: Send + Sync> LtTarget for ObjectInner<T> {
     }
     fn for_each_other_reader(&self, me: ThreadId, visit: &mut dyn FnMut(ThreadId)) {
         ObjectInner::for_each_other_reader(self, me, visit)
-    }
-    fn has_other_readers(&self, me: ThreadId) -> bool {
-        ObjectInner::has_other_readers(self, me)
     }
     fn key(&self) -> usize {
         ObjectInner::key(self)
@@ -95,7 +91,7 @@ impl<T: Clone + Send + Sync + 'static> LtWriteEntry for TypedWrite<T> {
 /// have grown to its largest transaction.
 #[derive(Default)]
 pub(crate) struct LtBuffers {
-    /// Optimistic-read validation entries: `(object, observed version)`.
+    /// Read validation entries: `(object, observed version)`.
     read_set: Vec<(Arc<dyn LtTarget>, u64)>,
     /// Objects where this attempt registered as a visible reader.
     registered: Vec<Arc<dyn LtTarget>>,
@@ -104,8 +100,6 @@ pub(crate) struct LtBuffers {
     registered_keys: AddrSet,
     /// Buffered writes.
     write_set: Vec<Box<dyn LtWriteEntry>>,
-    /// Writer locks acquired at encounter time (pessimistic-write modes).
-    held_write: Vec<Arc<dyn LtTarget>>,
 }
 
 impl LtBuffers {
@@ -115,15 +109,13 @@ impl LtBuffers {
             && self.registered.is_empty()
             && self.registered_keys.is_empty()
             && self.write_set.is_empty()
-            && self.held_write.is_empty()
     }
 }
 
 /// One in-flight LibTM transaction attempt.
 ///
-/// Dropping an attempt (committed or aborted) releases every
-/// encounter-time writer lock it still holds and deregisters its visible
-/// reads, so an aborted attempt can never wedge other threads.
+/// Dropping an attempt (committed or aborted) deregisters its visible
+/// reads, so no later commit dooms this thread over a finished attempt.
 pub struct LtTxn<'tm> {
     tm: &'tm LibTm,
     me: Pair,
@@ -138,9 +130,6 @@ impl Drop for LtTxn<'_> {
     fn drop(&mut self) {
         let me = self.me.thread;
         let b = &mut self.bufs;
-        for h in b.held_write.drain(..) {
-            h.unlock_writer(me);
-        }
         for r in b.registered.drain(..) {
             r.remove_reader(me);
         }
@@ -200,7 +189,8 @@ impl<'tm> LtTxn<'tm> {
         }
     }
 
-    /// Transactional read under the configured detection mode.
+    /// Transactional read: register as a visible reader, then take a
+    /// version-validated snapshot.
     pub fn read<T: Clone + Send + Sync + 'static>(&mut self, obj: &TObject<T>) -> TxResult<T> {
         self.check_doomed()?;
         self.inject.at_access();
@@ -225,29 +215,18 @@ impl<'tm> LtTxn<'tm> {
                 ));
             }
         }
-        // Visible-reader registration — the reader side of both
-        // resolution policies.
+        // Visible-reader registration: a committing writer dooms us.
         self.register_reader(&target);
-        match self.tm.config.detection {
-            DetectionMode::FullyOptimistic | DetectionMode::PessimisticWrite => {
-                // Version-validated read.
-                let v1 = target.version();
-                let value = obj.inner.snapshot();
-                if target.version() != v1 || target.writer().is_some_and(|w| w != me) {
-                    return Err(Abort::at(AbortCause::ReadVersion, target.key()));
-                }
-                self.bufs.read_set.push((target, v1));
-                Ok(value)
-            }
-            DetectionMode::FullyPessimistic | DetectionMode::PessimisticRead => {
-                // Registration blocks writers (they wait for us or doom
-                // us); no version record needed.
-                Ok(obj.inner.snapshot())
-            }
+        let v1 = target.version();
+        let value = obj.inner.snapshot();
+        if target.version() != v1 || target.writer().is_some_and(|w| w != me) {
+            return Err(Abort::at(AbortCause::ReadVersion, target.key()));
         }
+        self.bufs.read_set.push((target, v1));
+        Ok(value)
     }
 
-    /// Transactional write under the configured detection mode.
+    /// Transactional write: buffer `value` until commit.
     pub fn write<T: Clone + Send + Sync + 'static>(
         &mut self,
         obj: &TObject<T>,
@@ -264,15 +243,6 @@ impl<'tm> LtTxn<'tm> {
                 .expect("write-set entry type mismatch");
             e.value = value;
             return Ok(());
-        }
-        // Encounter-time locking in pessimistic-write modes.
-        if matches!(
-            self.tm.config.detection,
-            DetectionMode::FullyPessimistic | DetectionMode::PessimisticWrite
-        ) && !self.bufs.held_write.iter().any(|h| h.key() == key)
-        {
-            self.acquire_writer(&*obj.inner)?;
-            self.bufs.held_write.push(obj.inner.clone());
         }
         self.bufs.write_set.push(Box::new(TypedWrite {
             obj: obj.clone(),
@@ -307,35 +277,6 @@ impl<'tm> LtTxn<'tm> {
         ))
     }
 
-    /// Resolve this committing writer against the visible readers of one
-    /// write target, per the configured policy.
-    fn resolve_readers(&self, target: &dyn LtTarget) -> TxResult<()> {
-        let me = self.me.thread;
-        match self.tm.config.resolution {
-            Resolution::AbortReaders => {
-                // Dooming only stores atomics, so it runs under the
-                // registry lock without collecting the readers first.
-                let key = target.key();
-                target.for_each_other_reader(me, &mut |reader| self.tm.doom(reader, me, key));
-                Ok(())
-            }
-            Resolution::WaitForReaders => {
-                for _ in 0..self.tm.config.commit_spin {
-                    if !target.has_other_readers(me) {
-                        return Ok(());
-                    }
-                    std::thread::yield_now();
-                }
-                // Could not drain readers: give way (avoids
-                // writer/reader deadlock).
-                Err(Abort::at(
-                    AbortCause::CommitLockBusy { owner: None },
-                    target.key(),
-                ))
-            }
-        }
-    }
-
     /// The commit protocol up to publication, counting the commit-time
     /// writer locks it takes in `acquired` for [`Attempt::commit`] to
     /// release.
@@ -345,31 +286,28 @@ impl<'tm> LtTxn<'tm> {
         if self.bufs.write_set.is_empty() {
             return Ok(());
         }
-        // Commit-time locking (the "fully optimistic" side).
-        if matches!(
-            self.tm.config.detection,
-            DetectionMode::FullyOptimistic | DetectionMode::PessimisticRead
-        ) {
-            // Keys are unique within the write set, so the unstable sort
-            // gives the stable order without the stable sort's scratch
-            // buffer.
-            self.bufs.write_set.sort_unstable_by_key(|e| e.key());
-            for entry in &self.bufs.write_set {
-                self.acquire_writer(entry.target())?;
-                *acquired += 1;
-            }
+        // Keys are unique within the write set, so the unstable sort gives
+        // the stable order without the stable sort's scratch buffer.
+        self.bufs.write_set.sort_unstable_by_key(|e| e.key());
+        for entry in &self.bufs.write_set {
+            self.acquire_writer(entry.target())?;
+            *acquired += 1;
         }
-        // Validate optimistic reads: versions unchanged and no foreign
-        // writer in flight.
+        // Validate reads: versions unchanged and no foreign writer in
+        // flight.
         for (t, v) in &self.bufs.read_set {
             if t.version() != *v || t.writer().is_some_and(|w| w != me) {
                 return Err(Abort::at(AbortCause::Validation, t.key()));
             }
         }
         self.check_doomed()?;
-        // Resolve readers of each written object, then publish.
+        // Abort-readers resolution: doom the other visible readers of each
+        // written object, then publish. Dooming only stores atomics, so it
+        // runs under the registry lock without collecting readers first.
         for entry in &self.bufs.write_set {
-            self.resolve_readers(entry.target())?;
+            let target = entry.target();
+            let key = target.key();
+            target.for_each_other_reader(me, &mut |reader| self.tm.doom(reader, me, key));
         }
         for entry in &self.bufs.write_set {
             entry.publish();
@@ -387,17 +325,15 @@ impl Attempt for LtTxn<'_> {
         self.bufs.write_set.len()
     }
 
-    /// Commit: take commit-time writer locks (optimistic-write modes),
-    /// validate optimistic reads, resolve visible readers, publish, and
-    /// release everything.
+    /// Commit: take writer locks in key order, validate reads, doom the
+    /// written objects' other readers, publish, and release the locks.
     fn commit(mut self) -> TxResult<()> {
         // Commit-time locks are taken in sorted write-set order and the
         // first failure stops, so they always cover a prefix of the write
         // set: `acquired` counts it.
         let mut acquired = 0;
         let result = self.commit_locked(&mut acquired);
-        // Release commit-time locks; Drop releases encounter-time locks
-        // and reader registrations.
+        // Release the writer locks; Drop releases reader registrations.
         let me = self.me.thread;
         for entry in &self.bufs.write_set[..acquired] {
             entry.target().unlock_writer(me);

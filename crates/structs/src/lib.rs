@@ -1,8 +1,8 @@
 //! # gstm-structs — transactional data structures over gstm-tl2
 //!
 //! Rust ports of the TM-aware containers the STAMP benchmarks are built
-//! from (the C suite ships `list.c`, `rbtree.c`, `hashtable.c`, `queue.c`,
-//! `vector.c`, `bitmap.c` with `TM_*` accessors). Every operation takes a
+//! from (the C suite ships `list.c`, `rbtree.c`, `hashtable.c`, `queue.c`
+//! with `TM_*` accessors). Every operation takes a
 //! `&mut Txn` and composes inside a single atomic region; conflict
 //! detection falls out of the underlying [`gstm_tl2::TVar`] protocol.
 //!
@@ -13,8 +13,9 @@
 //!   conflict footprint matches the workload, not the balancing scheme).
 //! * [`THashMap`] — fixed-bucket chained hash table.
 //! * [`TQueue`] — FIFO queue.
-//! * [`TVector`] — fixed-capacity vector with transactional slots.
-//! * [`TBitmap`] — bitmap with transactional words.
+//!
+//! Ports of STAMP's `vector.c` and `bitmap.c` existed once and were
+//! removed: no workload used them.
 //!
 //! ## Example
 //!
@@ -42,16 +43,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bitmap;
 pub mod hashmap;
 pub mod list;
 pub mod map;
 pub mod queue;
-pub mod vector;
 
-pub use bitmap::TBitmap;
 pub use hashmap::THashMap;
 pub use list::TList;
 pub use map::TMap;
 pub use queue::TQueue;
-pub use vector::TVector;

@@ -56,4 +56,4 @@ pub use runtime::{Detection, Stm, StmBuilder, StmConfig, ThreadCtx};
 pub use gstm_core::{Abort, ThreadStats, TxResult};
 pub use tvar::TVar;
 pub use txn::Txn;
-pub use vlock::{LockTable, VLock};
+pub use vlock::VLock;

@@ -6,28 +6,15 @@
 //! same scheme LibTM's objects use, so a reader that loses TL2's version
 //! race still clones an intact (if stale) value and then aborts: no torn
 //! reads and no raw pointers.
+//!
+//! Every location embeds its own lock (TL2's per-object "PO" mode). The
+//! striped "PS" mode, where locations hash into a shared lock table, was
+//! removed: no workload used it, and it made unrelated locations share
+//! lock words and every commit dedupe its locks by address.
 
-use crate::vlock::{LockTable, VLock};
+use crate::vlock::VLock;
 use gstm_core::sync::RwLock;
 use std::sync::Arc;
-
-/// Where a location's versioned lock lives: embedded (TL2 "PO",
-/// per-object — the default) or in a shared [`LockTable`] stripe (TL2
-/// "PS", constant lock memory but occasional false conflicts).
-pub(crate) enum LockSlot {
-    Own(VLock),
-    Striped(Arc<LockTable>, usize),
-}
-
-impl LockSlot {
-    #[inline]
-    pub(crate) fn vlock(&self) -> &VLock {
-        match self {
-            LockSlot::Own(l) => l,
-            LockSlot::Striped(table, index) => table.lock(*index),
-        }
-    }
-}
 
 /// The lock-word view of a transactional location, type-erased so read and
 /// write sets can hold heterogeneous targets.
@@ -40,13 +27,13 @@ pub(crate) trait TxTarget: Send + Sync {
 }
 
 pub(crate) struct TVarInner<T> {
-    pub(crate) lock: LockSlot,
+    pub(crate) lock: VLock,
     value: RwLock<T>,
 }
 
 impl<T: Send + Sync> TxTarget for TVarInner<T> {
     fn vlock(&self) -> &VLock {
-        self.lock.vlock()
+        &self.lock
     }
 
     fn key(&self) -> usize {
@@ -98,29 +85,14 @@ impl<T> Clone for TVar<T> {
 
 impl<T: Clone + Send + Sync + 'static> TVar<T> {
     /// Create a location initialized to `value`, at version 0, with its
-    /// own embedded lock (TL2 "PO" mode — the default).
+    /// own embedded lock.
     pub fn new(value: T) -> Self {
         TVar {
             inner: Arc::new(TVarInner {
-                lock: LockSlot::Own(VLock::new(0)),
+                lock: VLock::new(0),
                 value: RwLock::new(value),
             }),
         }
-    }
-
-    /// Create a location whose lock is a stripe of `table` (TL2 "PS"
-    /// mode): lock metadata stays constant-size no matter how many
-    /// locations exist, at the cost of occasional false conflicts between
-    /// locations hashing to the same stripe.
-    pub fn new_striped(table: &Arc<LockTable>, value: T) -> Self {
-        let inner = Arc::new_cyclic(|weak: &std::sync::Weak<TVarInner<T>>| {
-            let index = table.index_for(weak.as_ptr() as usize);
-            TVarInner {
-                lock: LockSlot::Striped(Arc::clone(table), index),
-                value: RwLock::new(value),
-            }
-        });
-        TVar { inner }
     }
 
     /// Read the committed value outside any transaction.
@@ -130,13 +102,13 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     /// initialization and quiesced post-run checks.
     pub fn load_quiesced(&self) -> T {
         loop {
-            let s1 = self.inner.lock.vlock().sample();
+            let s1 = self.inner.lock.sample();
             if s1.is_locked() {
                 std::thread::yield_now();
                 continue;
             }
             let v = self.inner.read_snapshot();
-            if self.inner.lock.vlock().sample() == s1 {
+            if self.inner.lock.sample() == s1 {
                 return v;
             }
         }

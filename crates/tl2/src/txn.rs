@@ -59,13 +59,11 @@ pub(crate) struct TxBuffers {
     /// consulted on every read, so it avoids a SipHash per probe.
     read_keys: AddrSet,
     write_set: Vec<Box<dyn WriteEntry>>,
-    /// Encounter-time locks held in eager detection mode, with the
-    /// version each lock word carried before acquisition (needed to
-    /// restore on abort and to validate own reads at commit).
-    eager_locks: Vec<(Arc<dyn TxTarget>, u64)>,
-    /// Commit-time locks, as `(write-set index, pre-lock version, lock
-    /// address)`.
-    locked: Vec<(usize, u64, usize)>,
+    /// Write locks this attempt holds, as `(write-set index, pre-lock
+    /// version)`: taken at commit in lazy mode, at the write in eager
+    /// mode. The version restores the word on abort and validates the
+    /// attempt's own reads at commit.
+    locked: Vec<(usize, u64)>,
 }
 
 impl TxBuffers {
@@ -73,7 +71,6 @@ impl TxBuffers {
         self.read_set.clear();
         self.read_keys.clear();
         self.write_set.clear();
-        self.eager_locks.clear();
         self.locked.clear();
     }
 
@@ -82,7 +79,6 @@ impl TxBuffers {
         self.read_set.is_empty()
             && self.read_keys.is_empty()
             && self.write_set.is_empty()
-            && self.eager_locks.is_empty()
             && self.locked.is_empty()
     }
 }
@@ -108,11 +104,12 @@ pub struct Txn<'stm> {
 
 impl Drop for Txn<'_> {
     fn drop(&mut self) {
-        // Abort path (or a panicking body): restore every encounter-time
-        // lock to its pre-acquisition version. The commit path drains
-        // `eager_locks` before returning, so this releases nothing there.
-        for (target, prev) in self.bufs.eager_locks.drain(..) {
-            target.vlock().unlock(prev);
+        // Abort path (or a panicking body): restore every held lock to
+        // its pre-acquisition version. A successful commit drains
+        // `locked` before returning, so this releases nothing there.
+        let b = &mut self.bufs;
+        for (j, prev) in b.locked.drain(..) {
+            b.write_set[j].target().vlock().unlock(prev);
         }
         self.bufs.clear();
         self.home.set(std::mem::take(&mut self.bufs));
@@ -193,7 +190,7 @@ impl<'stm> Txn<'stm> {
             return Ok(entry.value.clone());
         }
         let inner = &tvar.inner;
-        let s1 = inner.lock.vlock().sample();
+        let s1 = inner.lock.sample();
         if s1.is_locked() {
             let cause = AbortCause::ReadLocked { owner: s1.owner() };
             return Err(Abort::at(cause, tvar.key()));
@@ -202,7 +199,7 @@ impl<'stm> Txn<'stm> {
             return Err(Abort::at(AbortCause::ReadVersion, tvar.key()));
         }
         let value = inner.read_snapshot();
-        if inner.lock.vlock().sample() != s1 {
+        if inner.lock.sample() != s1 {
             return Err(Abort::at(AbortCause::ReadVersion, tvar.key()));
         }
         if self.bufs.read_keys.insert(tvar.key()) {
@@ -213,33 +210,14 @@ impl<'stm> Txn<'stm> {
         Ok(value)
     }
 
-    /// Acquire a lock at encounter time (eager detection). Deduplicates by
-    /// *lock* identity, so stripe-mates (TL2 "PS" mode) acquire their
-    /// shared lock once. `retain` produces the owning handle kept until
-    /// release — invoked only on actual acquisition, so the already-held
-    /// (re-write and stripe-mate) path clones no `Arc`.
-    fn eager_acquire(
-        &mut self,
-        lock: &VLock,
-        key: usize,
-        retain: impl FnOnce() -> Arc<dyn TxTarget>,
-    ) -> TxResult<()> {
-        let lock_addr = lock as *const _ as usize;
-        if self
-            .bufs
-            .eager_locks
-            .iter()
-            .any(|(t, _)| t.vlock() as *const _ as usize == lock_addr)
-        {
-            return Ok(());
-        }
+    /// Take the lock of the location keyed `key`, spinning up to the
+    /// configured bound. Returns the pre-lock version, or the abort naming
+    /// the last observed holder.
+    fn lock(&self, lock: &VLock, key: usize) -> TxResult<u64> {
         let mut last_owner = None;
         for _ in 0..self.stm.config.commit_spin {
             match lock.try_lock(self.me.thread) {
-                Ok(prev) => {
-                    self.bufs.eager_locks.push((retain(), prev));
-                    return Ok(());
-                }
+                Ok(prev) => return Ok(prev),
                 Err(observed) => {
                     last_owner = observed.owner();
                     std::hint::spin_loop();
@@ -261,25 +239,25 @@ impl<'stm> Txn<'stm> {
     ) -> TxResult<()> {
         self.n_writes += 1;
         self.inject.at_access();
-        if self.stm.config.detection == Detection::Eager {
-            self.eager_acquire(tvar.inner.vlock(), tvar.key(), || {
-                Arc::clone(&tvar.inner) as Arc<dyn TxTarget>
-            })?;
-        }
         if let Some(i) = self.write_index(tvar.key()) {
             // Same invariant as the read-own-write path: a matching key
             // proves this is the same live allocation, hence the same T.
+            // In eager mode the first write already took the lock.
             let entry = self.bufs.write_set[i]
                 .as_any_mut()
                 .downcast_mut::<TypedWrite<T>>()
                 .expect("write-set entry type mismatch for aliased key");
             entry.value = value;
-        } else {
-            self.bufs.write_set.push(Box::new(TypedWrite {
-                tvar: tvar.clone(),
-                value,
-            }));
+            return Ok(());
         }
+        if self.stm.config.detection == Detection::Eager {
+            let prev = self.lock(&tvar.inner.lock, tvar.key())?;
+            self.bufs.locked.push((self.bufs.write_set.len(), prev));
+        }
+        self.bufs.write_set.push(Box::new(TypedWrite {
+            tvar: tvar.clone(),
+            value,
+        }));
         Ok(())
     }
 
@@ -305,8 +283,9 @@ impl Attempt for Txn<'_> {
     ///
     /// 1. Read-only transactions commit immediately: every read was
     ///    validated against `rv` at read time.
-    /// 2. Lock the write set in address order (bounded spinning per lock;
-    ///    on failure, release and abort with the holder's identity).
+    /// 2. Lazy mode: lock the write set in address order (bounded
+    ///    spinning per lock; on failure, release and abort with the
+    ///    holder's identity). Eager mode took each lock at its write.
     /// 3. Advance the global clock to obtain `wv`.
     /// 4. Unless `wv == rv + 1` (no concurrent committer — TL2's fast
     ///    path), validate the read set: every location must be unlocked at
@@ -314,67 +293,23 @@ impl Attempt for Txn<'_> {
     ///    pre-lock version ≤ `rv`.
     /// 5. Publish buffered values and release the locks stamped with `wv`.
     fn commit(mut self) -> TxResult<()> {
-        let TxBuffers {
-            read_set,
-            write_set,
-            eager_locks,
-            locked,
-            ..
-        } = &mut self.bufs;
-        if write_set.is_empty() {
+        if self.bufs.write_set.is_empty() {
             return Ok(());
         }
-        // Keys are unique within the write set, so the unstable sort
-        // gives the stable order without the stable sort's scratch buffer.
-        write_set.sort_unstable_by_key(|e| e.key());
         let me = self.me.thread;
-        let eager = self.stm.config.detection == Detection::Eager;
 
-        // Phase 2: acquire write locks (lazy mode only — eager writes
-        // already hold theirs). Each `locked` entry is `(write-set index,
-        // pre-lock version, lock address)`; carrying the lock address
-        // here both dedupes stripe-mates without a per-commit hash set
-        // and lets validation find own-lock versions with a plain scan.
-        let release_all = |write_set: &[Box<dyn WriteEntry>], locked: &[(usize, u64, usize)]| {
-            for &(j, prev, _) in locked {
-                write_set[j].target().vlock().unlock(prev);
-            }
-        };
-        if !eager {
-            // Dedupe by lock identity: in striped ("PS") mode several
-            // write-set entries can share one lock, which must be taken
-            // (and later released) exactly once. The write set is sorted
-            // and small, so a linear scan over already-acquired locks
-            // beats hashing.
-            for (i, entry) in write_set.iter().enumerate() {
-                let lock = entry.target().vlock();
-                let lock_addr = lock as *const _ as usize;
-                if locked.iter().any(|&(_, _, a)| a == lock_addr) {
-                    continue;
-                }
-                let mut acquired = None;
-                let mut last_owner = None;
-                for _ in 0..self.stm.config.commit_spin {
-                    match lock.try_lock(me) {
-                        Ok(prev) => {
-                            acquired = Some(prev);
-                            break;
-                        }
-                        Err(observed) => {
-                            last_owner = observed.owner();
-                            std::hint::spin_loop();
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-                match acquired {
-                    Some(prev) => locked.push((i, prev, lock_addr)),
-                    None => {
-                        release_all(write_set, locked);
-                        let cause = AbortCause::CommitLockBusy { owner: last_owner };
-                        return Err(Abort::at(cause, entry.key()));
-                    }
-                }
+        // Phase 2: acquire write locks (lazy mode only; eager writes
+        // already hold theirs, indexed by write-set position, so the set
+        // stays unsorted). Keys are unique within the write set, so the
+        // unstable sort gives the stable order without the stable sort's
+        // scratch buffer. A failed acquisition returns the abort, and Drop
+        // releases the locks taken so far.
+        if self.stm.config.detection == Detection::Lazy {
+            self.bufs.write_set.sort_unstable_by_key(|e| e.key());
+            for i in 0..self.bufs.write_set.len() {
+                let entry = &self.bufs.write_set[i];
+                let prev = self.lock(entry.target().vlock(), entry.key())?;
+                self.bufs.locked.push((i, prev));
             }
         }
 
@@ -383,52 +318,39 @@ impl Attempt for Txn<'_> {
 
         // Phase 4: validate the read set, unless no other commit advanced
         // the clock since `rv`. A location this transaction itself locked
-        // (at commit in lazy mode, at encounter in eager mode) validates
-        // against its pre-lock version.
+        // validates against its pre-lock version, found by location key.
+        let TxBuffers {
+            read_set,
+            write_set,
+            locked,
+            ..
+        } = &mut self.bufs;
         if wv != self.rv + 1 {
-            let own_prev = |lock_addr: usize| -> Option<u64> {
-                locked
-                    .iter()
-                    .find(|&&(_, _, a)| a == lock_addr)
-                    .map(|&(_, p, _)| p)
-                    .or_else(|| {
-                        eager_locks
-                            .iter()
-                            .find(|(t, _)| t.vlock() as *const _ as usize == lock_addr)
-                            .map(|&(_, p)| p)
-                    })
-            };
             for target in read_set.iter() {
                 let lock = target.vlock();
-                if lock.is_locked_by(me) {
-                    match own_prev(lock as *const _ as usize) {
-                        Some(p) if p <= self.rv => continue,
-                        _ => {
-                            release_all(write_set, locked);
-                            return Err(Abort::at(AbortCause::Validation, target.key()));
-                        }
-                    }
+                let valid = if lock.is_locked_by(me) {
+                    let key = target.key();
+                    locked
+                        .iter()
+                        .find(|&&(j, _)| write_set[j].key() == key)
+                        .is_some_and(|&(_, prev)| prev <= self.rv)
                 } else {
                     let s = lock.sample();
-                    if s.is_locked() || s.version() > self.rv {
-                        release_all(write_set, locked);
-                        return Err(Abort::at(AbortCause::Validation, target.key()));
-                    }
+                    !s.is_locked() && s.version() <= self.rv
+                };
+                if !valid {
+                    return Err(Abort::at(AbortCause::Validation, target.key()));
                 }
             }
         }
 
-        // Phase 5: write back, then release each *acquired lock* exactly
-        // once with wv (write-set entries may share stripes). Draining
-        // eager_locks keeps Drop (the abort path) from double-releasing.
+        // Phase 5: write back, then release every lock stamped with wv.
+        // Draining `locked` keeps Drop from restoring the old versions.
         for entry in write_set.iter() {
             entry.publish();
         }
-        for &(j, _, _) in locked.iter() {
+        for (j, _) in locked.drain(..) {
             write_set[j].target().vlock().unlock(wv);
-        }
-        for (target, _) in eager_locks.drain(..) {
-            target.vlock().unlock(wv);
         }
         Ok(())
     }
@@ -501,7 +423,7 @@ mod tests {
         // and observe the reader's abort cause.
         let stm = Stm::new(StmConfig::default());
         let v = TVar::new(5u32);
-        v.inner.lock.vlock().try_lock(ThreadId(9)).unwrap();
+        v.inner.lock.try_lock(ThreadId(9)).unwrap();
         let mut ctx = stm.register_as(ThreadId(0));
         let mut causes = Vec::new();
         let mut attempts = 0;
@@ -514,7 +436,7 @@ mod tests {
             match tx.read(&v) {
                 Err(a) => {
                     causes.push(a.cause);
-                    v.inner.lock.vlock().unlock(0);
+                    v.inner.lock.unlock(0);
                     Err(a)
                 }
                 Ok(_) => Ok(()),
@@ -592,7 +514,7 @@ mod tests {
         let stm = Stm::new(config);
         let v = TVar::new(0u32);
         // Simulate a concurrent writer holding the lock.
-        let prev = v.inner.lock.vlock().try_lock(ThreadId(9)).unwrap();
+        let prev = v.inner.lock.try_lock(ThreadId(9)).unwrap();
         let mut ctx = stm.register_as(ThreadId(0));
         let mut first_attempt_cause = None;
         let mut attempts = 0;
@@ -604,7 +526,7 @@ mod tests {
             match tx.write(&v, 5) {
                 Err(a) => {
                     first_attempt_cause = Some(a.cause);
-                    v.inner.lock.vlock().unlock(prev);
+                    v.inner.lock.unlock(prev);
                     Err(a)
                 }
                 Ok(()) => Ok(()),
@@ -626,7 +548,7 @@ mod tests {
         };
         let stm = Stm::new(config);
         let v = TVar::new(3u32);
-        let before = v.inner.lock.vlock().sample();
+        let before = v.inner.lock.sample();
         let mut ctx = stm.register();
         let mut attempts = 0;
         ctx.atomically(TxnId(0), |tx| {
@@ -682,111 +604,31 @@ mod tests {
     }
 
     #[test]
-    fn striped_vars_share_a_table_and_stay_correct() {
-        use crate::vlock::LockTable;
-        // A 2-stripe table over 16 vars: heavy lock sharing, maximal
-        // false conflicts — correctness must be unaffected.
-        let table = Arc::new(LockTable::new(2));
-        let stm = Stm::new(StmConfig::with_yield_injection(2));
-        let vars: Vec<TVar<u64>> = (0..16)
-            .map(|_| TVar::new_striped(&table, 0))
-            .collect();
-        std::thread::scope(|s| {
-            for t in 0..4u16 {
-                let stm = Arc::clone(&stm);
-                let vars = vars.clone();
-                s.spawn(move || {
-                    let mut ctx = stm.register_as(ThreadId(t));
-                    for i in 0..100usize {
-                        let a = vars[(t as usize + i) % vars.len()].clone();
-                        let b = vars[(t as usize + i * 7 + 1) % vars.len()].clone();
-                        ctx.atomically(TxnId(0), |tx| {
-                            // a and b may share a stripe: the commit
-                            // protocol must take that lock once.
-                            tx.modify(&a, |x| x + 1)?;
-                            tx.modify(&b, |x| x + 1)
-                        });
-                    }
-                });
-            }
-        });
-        let total: u64 = vars.iter().map(TVar::load_quiesced).sum();
-        assert_eq!(total, 4 * 100 * 2);
-    }
-
-    #[test]
-    fn striped_and_own_locked_vars_mix_in_one_txn() {
-        use crate::vlock::LockTable;
-        let table = Arc::new(LockTable::new(4));
-        let stm = Stm::new(StmConfig::default());
-        let own = TVar::new(1u32);
-        let striped = TVar::new_striped(&table, 2u32);
-        let mut ctx = stm.register();
-        let sum = ctx.atomically(TxnId(0), |tx| {
-            let a = tx.read(&own)?;
-            let b = tx.read(&striped)?;
-            tx.write(&own, a + 10)?;
-            tx.write(&striped, b + 10)?;
-            Ok(a + b)
-        });
-        assert_eq!(sum, 3);
-        assert_eq!(own.load_quiesced(), 11);
-        assert_eq!(striped.load_quiesced(), 12);
-    }
-
-    #[test]
-    fn eager_mode_handles_stripe_sharing() {
-        use crate::vlock::LockTable;
-        // Single-stripe table: every striped var shares one lock. Eager
-        // writes must acquire it once and release it once.
-        let table = Arc::new(LockTable::new(1));
-        let config = StmConfig {
-            detection: crate::Detection::Eager,
-            ..StmConfig::default()
-        };
-        let stm = Stm::new(config);
-        let a = TVar::new_striped(&table, 0u32);
-        let b = TVar::new_striped(&table, 0u32);
-        let mut ctx = stm.register();
-        ctx.atomically(TxnId(0), |tx| {
-            tx.write(&a, 1)?;
-            tx.write(&b, 2)
-        });
-        assert_eq!((a.load_quiesced(), b.load_quiesced()), (1, 2));
-        // The shared lock is released: a later txn works.
-        ctx.atomically(TxnId(0), |tx| tx.modify(&a, |x| x + 1));
-        assert_eq!(a.load_quiesced(), 2);
-    }
-
-    #[test]
-    fn false_conflicts_occur_but_resolve() {
-        use crate::vlock::LockTable;
-        // Two disjoint counters on one stripe: writers to different data
-        // contend on the shared lock, yet both make progress.
-        let table = Arc::new(LockTable::new(1));
-        let stm = Stm::new(StmConfig::with_yield_injection(2));
-        let a = TVar::new_striped(&table, 0u64);
-        let b = TVar::new_striped(&table, 0u64);
-        std::thread::scope(|s| {
-            let stm1 = Arc::clone(&stm);
-            let a1 = a.clone();
-            s.spawn(move || {
-                let mut ctx = stm1.register_as(ThreadId(0));
-                for _ in 0..200 {
-                    ctx.atomically(TxnId(0), |tx| tx.modify(&a1, |x| x + 1));
-                }
+    fn own_locked_read_validates_after_an_unrelated_commit() {
+        // The transaction reads and writes x; an unrelated commit to y
+        // during its attempt makes wv != rv + 1, so commit validates x
+        // while holding x's lock itself, against x's pre-lock version.
+        for detection in [crate::Detection::Lazy, crate::Detection::Eager] {
+            let stm = Stm::new(StmConfig {
+                detection,
+                ..StmConfig::default()
             });
-            let stm2 = Arc::clone(&stm);
-            let b2 = b.clone();
-            s.spawn(move || {
-                let mut ctx = stm2.register_as(ThreadId(1));
-                for _ in 0..200 {
-                    ctx.atomically(TxnId(1), |tx| tx.modify(&b2, |x| x + 1));
+            let (x, y) = (TVar::new(1u32), TVar::new(0u32));
+            let mut ctx = stm.register_as(ThreadId(0));
+            let mut other = stm.register_as(ThreadId(1));
+            let mut attempts = 0;
+            ctx.atomically(TxnId(0), |tx| {
+                attempts += 1;
+                let v = tx.read(&x)?;
+                tx.write(&x, v + 1)?;
+                if attempts == 1 {
+                    other.atomically(TxnId(1), |tx2| tx2.write(&y, 1));
                 }
+                Ok(())
             });
-        });
-        assert_eq!(a.load_quiesced(), 200);
-        assert_eq!(b.load_quiesced(), 200);
+            assert_eq!(attempts, 1, "{detection:?}: own lock failed validation");
+            assert_eq!((x.load_quiesced(), y.load_quiesced()), (2, 1));
+        }
     }
 
     #[test]
@@ -817,7 +659,7 @@ mod tests {
             });
             assert_eq!(seen, (1, 2, 10), "{detection:?}");
             assert_eq!((x.load_quiesced(), y.load_quiesced()), (2, 10));
-            for lock in [x.inner.lock.vlock(), y.inner.lock.vlock()] {
+            for lock in [&x.inner.lock, &y.inner.lock] {
                 assert!(!lock.sample().is_locked(), "{detection:?}: lock left held");
             }
             assert!(
@@ -845,7 +687,7 @@ mod tests {
                 })
             }));
             assert!(unwound.is_err());
-            assert!(!v.inner.lock.vlock().sample().is_locked(), "{detection:?}");
+            assert!(!v.inner.lock.sample().is_locked(), "{detection:?}");
             assert!(ctx.buffers_idle(), "{detection:?}");
             ctx.atomically(TxnId(0), |tx| tx.modify(&v, |x| x * 2));
             assert_eq!(v.load_quiesced(), 10, "{detection:?}: panicked write leaked");

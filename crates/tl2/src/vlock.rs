@@ -100,44 +100,6 @@ impl VLock {
     }
 }
 
-/// A fixed array of versioned locks shared by many transactional
-/// locations — TL2's "PS" (per-stripe) mode. Locations hash to stripes,
-/// so unrelated locations occasionally share a lock and *falsely*
-/// conflict; the trade is constant lock-metadata memory regardless of
-/// data-set size. Compare with the default per-location lock (TL2 "PO").
-pub struct LockTable {
-    locks: Box<[VLock]>,
-    mask: usize,
-}
-
-impl LockTable {
-    /// A table with `size` stripes, rounded up to a power of two.
-    pub fn new(size: usize) -> Self {
-        let n = size.max(2).next_power_of_two();
-        LockTable {
-            locks: (0..n).map(|_| VLock::new(0)).collect(),
-            mask: n - 1,
-        }
-    }
-
-    /// Number of stripes.
-    pub fn stripes(&self) -> usize {
-        self.locks.len()
-    }
-
-    /// The stripe index an address hashes to.
-    pub fn index_for(&self, addr: usize) -> usize {
-        // Fibonacci hashing over the address, discarding alignment bits.
-        let h = (addr >> 4).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        (h >> 32) & self.mask
-    }
-
-    /// The lock at a stripe index.
-    pub fn lock(&self, index: usize) -> &VLock {
-        &self.locks[index & self.mask]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,22 +137,6 @@ mod tests {
         l.unlock(2);
         let after = l.sample();
         assert_ne!(before, after, "version bump must change the sample");
-    }
-
-    #[test]
-    fn lock_table_hashes_into_range_and_is_stable() {
-        let t = LockTable::new(100);
-        assert_eq!(t.stripes(), 128);
-        for addr in [0usize, 64, 4096, usize::MAX - 64] {
-            let i = t.index_for(addr);
-            assert!(i < t.stripes());
-            assert_eq!(i, t.index_for(addr), "stable hash");
-        }
-        // Locks are addressable and independent.
-        t.lock(0).try_lock(ThreadId(0)).unwrap();
-        assert!(t.lock(1).try_lock(ThreadId(1)).is_ok());
-        t.lock(0).unlock(1);
-        t.lock(1).unlock(1);
     }
 
     #[test]

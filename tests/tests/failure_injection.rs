@@ -7,7 +7,7 @@ use gstm_core::contention::ContentionTracker;
 use gstm_core::faultinject::{FaultPlan, FaultSite};
 use gstm_core::telemetry::{Telemetry, TraceKind};
 use gstm_core::{AbortCause, Instruments, NoopHook, ThreadId, ThreadStats, TxnId};
-use gstm_libtm::{DetectionMode, LibTm, LibTmConfig, Resolution, TObject};
+use gstm_libtm::{LibTm, LibTmConfig, TObject};
 use gstm_tl2::{Stm, StmBuilder, StmConfig, TVar};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -35,40 +35,39 @@ fn tl2_panicking_body_leaves_no_locks() {
 }
 
 #[test]
-fn libtm_panicking_body_releases_encounter_locks() {
-    // Pessimistic-write mode takes writer locks *during the body*; the
-    // transaction's Drop must release them even on panic.
-    for detection in [
-        DetectionMode::FullyPessimistic,
-        DetectionMode::PessimisticRead,
-        DetectionMode::PessimisticWrite,
-        DetectionMode::FullyOptimistic,
-    ] {
-        let tm = LibTm::new(LibTmConfig {
-            detection,
-            resolution: Resolution::AbortReaders,
-            ..LibTmConfig::default()
-        });
-        let v = TObject::new(7u32);
-        let mut ctx = tm.register_as(ThreadId(0));
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            ctx.atomically(TxnId(0), |tx| {
-                let _ = tx.read(&v)?;
-                tx.write(&v, 99)?;
-                panic!("injected failure");
-                #[allow(unreachable_code)]
-                Ok(())
-            })
-        }));
-        assert!(result.is_err());
-        assert_eq!(v.load_quiesced(), 7, "{detection:?}: write leaked");
-        // Another thread must be able to lock and commit immediately —
-        // a leaked writer lock or reader registration would block it
-        // (WaitForReaders) or abort it forever.
-        let mut ctx2 = tm.register_as(ThreadId(1));
-        ctx2.atomically(TxnId(1), |tx| tx.modify(&v, |x| x + 1));
-        assert_eq!(v.load_quiesced(), 8, "{detection:?}: STM wedged");
-    }
+fn libtm_panicking_body_releases_reader_registrations() {
+    // A LibTM read registers a visible reader *during the body*; the
+    // transaction's Drop must deregister it even on panic.
+    let tm = LibTm::new(LibTmConfig::default());
+    let v = TObject::new(7u32);
+    let mut ctx = tm.register_as(ThreadId(0));
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        ctx.atomically(TxnId(0), |tx| {
+            let _ = tx.read(&v)?;
+            tx.write(&v, 99)?;
+            panic!("injected failure");
+            #[allow(unreachable_code)]
+            Ok(())
+        })
+    }));
+    assert!(result.is_err());
+    assert_eq!(v.load_quiesced(), 7, "write leaked");
+    // Another thread must commit to `v` at once, and a registration leaked
+    // on `v` would let that commit doom the panicked thread's next
+    // transaction, which never touches `v`.
+    let w = TObject::new(0u32);
+    let mut ctx2 = tm.register_as(ThreadId(1));
+    let mut attempts = 0;
+    ctx.atomically(TxnId(0), |tx| {
+        attempts += 1;
+        let x = tx.read(&w)?;
+        if attempts == 1 {
+            ctx2.atomically(TxnId(1), |tx2| tx2.modify(&v, |x| x + 1));
+        }
+        tx.write(&w, x + 1)
+    });
+    assert_eq!(attempts, 1, "doomed through a leaked registration");
+    assert_eq!((v.load_quiesced(), w.load_quiesced()), (8, 1));
 }
 
 #[test]

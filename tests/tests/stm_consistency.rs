@@ -2,18 +2,18 @@
 //! dense interleaving, with structural audits after the dust settles.
 
 use gstm_core::{ThreadId, TxnId};
-use gstm_structs::{TBitmap, THashMap, TList, TMap, TQueue};
+use gstm_structs::{THashMap, TList, TMap, TQueue};
 use gstm_tl2::{Stm, StmConfig, TVar};
 use std::sync::Arc;
 
 #[test]
 fn mixed_structure_transaction_is_all_or_nothing() {
-    // One transaction that touches a map, a queue, a bitmap, and a
+    // One transaction that touches a map, a queue, a hash map, and a
     // counter: after concurrent execution, all four views agree.
     let stm = Stm::new(StmConfig::with_yield_injection(2));
     let map: TMap<u64> = TMap::new();
     let queue: TQueue<u64> = TQueue::new();
-    let bitmap = TBitmap::new(4096);
+    let index: THashMap<u64> = THashMap::new(64);
     let counter = TVar::new(0u64);
 
     std::thread::scope(|s| {
@@ -21,7 +21,7 @@ fn mixed_structure_transaction_is_all_or_nothing() {
             let stm = Arc::clone(&stm);
             let map = map.clone();
             let queue = queue.clone();
-            let bitmap = bitmap.clone();
+            let index = index.clone();
             let counter = counter.clone();
             s.spawn(move || {
                 let mut ctx = stm.register_as(ThreadId(t));
@@ -30,7 +30,7 @@ fn mixed_structure_transaction_is_all_or_nothing() {
                     ctx.atomically(TxnId(0), |tx| {
                         map.insert(tx, key, key)?;
                         queue.push(tx, key)?;
-                        bitmap.set(tx, key as usize)?;
+                        index.insert(tx, key, key)?;
                         tx.modify(&counter, |c| c + 1)
                     });
                 }
@@ -40,17 +40,17 @@ fn mixed_structure_transaction_is_all_or_nothing() {
 
     let stm2 = Stm::new(StmConfig::default());
     let mut ctx = stm2.register();
-    let (map_len, q_len, ones, count) = ctx.atomically(TxnId(1), |tx| {
+    let (map_len, q_len, index_len, count) = ctx.atomically(TxnId(1), |tx| {
         Ok((
             map.len(tx)?,
             queue.len(tx)?,
-            bitmap.count_ones(tx)?,
+            index.len(tx)?,
             tx.read(&counter)?,
         ))
     });
     assert_eq!(map_len, 320);
     assert_eq!(q_len, 320);
-    assert_eq!(ones, 320);
+    assert_eq!(index_len, 320);
     assert_eq!(count, 320);
 }
 

@@ -1,9 +1,9 @@
-//! SynQuake integration: the game stays consistent under every LibTM
-//! configuration and under guided execution.
+//! SynQuake integration: the game stays consistent on LibTM, under
+//! default and guided execution.
 
 use gstm_core::prelude::*;
 use gstm_core::GuidanceConfig;
-use gstm_libtm::{DetectionMode, LibTm, LibTmConfig, Resolution};
+use gstm_libtm::{LibTm, LibTmConfig};
 use gstm_synquake::{cross_thread_overlaps, run_game, GameConfig, QuestLayout};
 use std::sync::Arc;
 
@@ -24,28 +24,14 @@ fn quick_cfg(quest: QuestLayout) -> GameConfig {
 }
 
 #[test]
-fn world_is_consistent_under_every_libtm_configuration() {
-    for detection in [
-        DetectionMode::FullyPessimistic,
-        DetectionMode::PessimisticRead,
-        DetectionMode::PessimisticWrite,
-        DetectionMode::FullyOptimistic,
-    ] {
-        for resolution in [Resolution::WaitForReaders, Resolution::AbortReaders] {
-            let tm = LibTm::new(LibTmConfig {
-                detection,
-                resolution,
-                yield_prob_log2: Some(3),
-                ..LibTmConfig::default()
-            });
-            let r = run_game(&tm, &quick_cfg(QuestLayout::WorstCase4));
-            assert_eq!(
-                r.audit_failures, 0,
-                "corrupt world under {detection:?}/{resolution:?}"
-            );
-            assert_eq!(r.frame_secs.len(), 15);
-        }
-    }
+fn world_is_consistent_under_libtm() {
+    let tm = LibTm::new(LibTmConfig {
+        yield_prob_log2: Some(3),
+        ..LibTmConfig::default()
+    });
+    let r = run_game(&tm, &quick_cfg(QuestLayout::WorstCase4));
+    assert_eq!(r.audit_failures, 0, "corrupt world");
+    assert_eq!(r.frame_secs.len(), 15);
 }
 
 #[test]
