@@ -475,7 +475,6 @@ fn main() {
                 let adapt = AdaptConfig {
                     drift: DriftConfig {
                         min_transitions: u64::MAX,
-                        ..DriftConfig::default()
                     },
                     ..AdaptConfig::default()
                 };

@@ -11,7 +11,7 @@
 //!   critical section (no new hot-path locks — see
 //!   [`crate::guidance::GuidedHook::window_snapshot`]);
 //! * a [`ModelManager`] polls the current epoch's drift verdict on a
-//!   background thread and, when the [`DriftConfig`] ladder reaches
+//!   background thread and, when the drift ladder reaches
 //!   `Drifting`/`Stale`, rebuilds the TSA + [`GuidedModel`] from the
 //!   window via the ordinary [`Tsa::from_runs`] / [`GuidedModel::build`]
 //!   pipeline;
@@ -74,8 +74,14 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
+/// How often the background guardian re-examines the drift verdict. A
+/// verdict needs `min_transitions` commits to form, so sub-millisecond
+/// reaction buys nothing; 5ms keeps the idle guardian invisible even on a
+/// single-core host.
+const POLL: Duration = Duration::from_millis(5);
+
 /// Cap on the guardian's restart backoff exponent: after repeated caught
-/// panics the poll interval stretches to at most `poll << 6` so a
+/// panics the poll interval stretches to at most `POLL << 6` so a
 /// deterministically poisoned regeneration step cannot spin a core.
 const GUARDIAN_BACKOFF_CAP: u32 = 6;
 
@@ -205,8 +211,6 @@ pub struct AdaptConfig {
     /// attempted; below this a Drifting/Stale verdict is ignored (a
     /// model built from a sliver would be worse than the stale one).
     pub min_window: usize,
-    /// How often the background thread re-examines the drift verdict.
-    pub poll: Duration,
     /// Whether [`crate::guidance::GuidedHook::adaptive`] spawns the
     /// guardian thread. Disable for manual, deterministic control of
     /// regeneration points (the schedule-replay tests do).
@@ -220,10 +224,6 @@ impl Default for AdaptConfig {
         AdaptConfig {
             window: 4096,
             min_window: 256,
-            // A drift verdict needs `min_transitions` commits to form, so
-            // sub-millisecond reaction buys nothing; 5ms keeps the idle
-            // guardian invisible even on a single-core host.
-            poll: Duration::from_millis(5),
             background: true,
             drift: DriftConfig::default(),
         }
@@ -394,10 +394,10 @@ impl ModelManager {
         next_id
     }
 
-    /// Start the background guardian: every `poll`, upgrade the hook and
-    /// run [`ModelManager::maybe_regenerate`]. The thread exits when the
-    /// hook is dropped or [`ModelManager::stop`] is called. At most one
-    /// guardian per manager.
+    /// Start the background guardian: every `POLL` (5 ms), upgrade the
+    /// hook and run [`ModelManager::maybe_regenerate`]. The thread exits
+    /// when the hook is dropped or [`ModelManager::stop`] is called. At
+    /// most one guardian per manager.
     pub fn spawn_guardian(self: &Arc<Self>, hook: &Arc<GuidedHook>) {
         let mut slot = self.guardian.lock();
         if slot.is_some() {
@@ -411,7 +411,7 @@ impl ModelManager {
             let mut streak = 0u32;
             loop {
                 let backoff = 1u32 << streak.min(GUARDIAN_BACKOFF_CAP);
-                std::thread::sleep(mgr.cfg.poll * backoff);
+                std::thread::sleep(POLL * backoff);
                 if mgr.stop.load(Ordering::Acquire) {
                     break;
                 }

@@ -15,13 +15,19 @@
 use crate::config::GuidanceConfig;
 use crate::tsa::GuidedModel;
 
+/// Guidance-metric percentage at or above which the analyzer rejects a
+/// model ("If the metric is above 50 ... most of the transition states
+/// in the model are high probability states"); the drift tracker applies
+/// the same bound live.
+pub const METRIC_REJECT_PCT: f64 = 50.0;
+
 /// Whether the analyzer deems a model usable for guided execution.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ModelVerdict {
     /// The model is biased enough to guide execution.
     Fit,
-    /// Transition distributions are too uniform (metric above the reject
-    /// threshold): guidance would only add overhead.
+    /// Transition distributions are too uniform (metric at or above
+    /// [`METRIC_REJECT_PCT`]): guidance would only add overhead.
     TooUniform,
     /// The automaton has too few states to express meaningful bias.
     TooFewStates,
@@ -40,7 +46,8 @@ pub struct AnalyzerReport {
     pub total_destinations: u64,
     /// Sum of thresholded destination-set sizes, `Σ|S'|`.
     pub kept_destinations: u64,
-    /// The verdict under the thresholds in [`GuidanceConfig`].
+    /// The verdict under [`GuidanceConfig::min_states`] and
+    /// [`METRIC_REJECT_PCT`].
     pub verdict: ModelVerdict,
 }
 
@@ -72,7 +79,7 @@ pub fn analyze_with(model: &GuidedModel, config: &GuidanceConfig) -> AnalyzerRep
     };
     let verdict = if model.num_states() < config.min_states {
         ModelVerdict::TooFewStates
-    } else if metric >= config.metric_reject_pct {
+    } else if metric >= METRIC_REJECT_PCT {
         ModelVerdict::TooUniform
     } else {
         ModelVerdict::Fit

@@ -22,10 +22,6 @@ pub struct GuidanceConfig {
     /// all; below this the analyzer declares the model unfit ("if the model
     /// contains too few states ... the model is unfit").
     pub min_states: usize,
-    /// Guidance-metric percentage at or above which the analyzer rejects
-    /// the model ("If the metric is above 50 ... most of the transition
-    /// states in the model are high probability states").
-    pub metric_reject_pct: f64,
 }
 
 impl Default for GuidanceConfig {
@@ -35,7 +31,6 @@ impl Default for GuidanceConfig {
             k_retries: 16,
             wait_spins: 2,
             min_states: 8,
-            metric_reject_pct: 50.0,
         }
     }
 }
@@ -58,7 +53,7 @@ mod tests {
     fn defaults_match_paper() {
         let c = GuidanceConfig::default();
         assert_eq!(c.tfactor, 4.0);
-        assert_eq!(c.metric_reject_pct, 50.0);
+        assert_eq!(crate::analyzer::METRIC_REJECT_PCT, 50.0);
         assert!(c.k_retries > 0);
     }
 

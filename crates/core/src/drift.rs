@@ -54,48 +54,44 @@
 //!   *sees* a sliver of execution is stale no matter how well that
 //!   sliver matches.
 
+use crate::analyzer::{self, METRIC_REJECT_PCT};
 use crate::telemetry::UNKNOWN_STATE;
 use crate::tsa::GuidedModel;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Thresholds for the staleness verdict.
+/// Transition-weighted mean KL (nats) at or above which the model counts
+/// as drifting.
+const KL_DRIFT_NATS: f64 = 0.5;
+/// Off-model percentage at or above which the model counts as drifting.
+const OFF_MODEL_DRIFT_PCT: f64 = 25.0;
+/// Off-model percentage at or above which the model is stale.
+const OFF_MODEL_STALE_PCT: f64 = 60.0;
+/// Percentage of *all* transitions originating outside the model
+/// (`from_unknown`) at or above which the model counts as drifting — a
+/// coverage signal: off-model mass out of *unknown* states never shows up
+/// in `off_model_pct`, so a model describing only a sliver of execution
+/// would otherwise still read as matching.
+const UNKNOWN_DRIFT_PCT: f64 = 25.0;
+/// `from_unknown` percentage at or above which the model is stale.
+const UNKNOWN_STALE_PCT: f64 = 60.0;
+
+/// Evidence bar of the staleness verdict. The thresholds themselves are
+/// fixed: KL 0.5 nats, off-model 25% / 60%, unknown-origin 25% / 60%
+/// (drifting / stale), and an observed guidance metric at or above
+/// [`METRIC_REJECT_PCT`] for a model that profiled below
+/// it — the paper's "metric ≥ ~50 means guidance is useless" rejection,
+/// applied live.
 #[derive(Clone, Copy, Debug)]
 pub struct DriftConfig {
     /// Observed transitions (all kinds) below which no verdict is issued
     /// ([`DriftVerdict::Insufficient`]).
     pub min_transitions: u64,
-    /// Transition-weighted mean KL (nats) at or above which the model
-    /// counts as drifting.
-    pub kl_drift_nats: f64,
-    /// Off-model percentage at or above which the model counts as
-    /// drifting.
-    pub off_model_drift_pct: f64,
-    /// Off-model percentage at or above which the model is stale.
-    pub off_model_stale_pct: f64,
-    /// Percentage of *all* transitions originating outside the model
-    /// (`from_unknown`) at or above which the model counts as drifting —
-    /// a coverage signal: off-model mass out of *unknown* states never
-    /// shows up in `off_model_pct`, so a model describing only a sliver
-    /// of execution would otherwise still read as matching.
-    pub unknown_drift_pct: f64,
-    /// `from_unknown` percentage at or above which the model is stale.
-    pub unknown_stale_pct: f64,
-    /// Observed guidance metric at or above which a model that profiled
-    /// as biased (below this value) is stale — the paper's "metric ≥ ~50
-    /// means guidance is useless" rejection, applied live.
-    pub metric_stale_pct: f64,
 }
 
 impl Default for DriftConfig {
     fn default() -> Self {
         DriftConfig {
             min_transitions: 100,
-            kl_drift_nats: 0.5,
-            off_model_drift_pct: 25.0,
-            off_model_stale_pct: 60.0,
-            unknown_drift_pct: 25.0,
-            unknown_stale_pct: 60.0,
-            metric_stale_pct: 50.0,
         }
     }
 }
@@ -281,7 +277,8 @@ pub struct DriftTracker {
     /// Tfactor the model was thresholded with (reused for the observed
     /// metric so the two are comparable).
     tfactor: f64,
-    config: DriftConfig,
+    /// [`DriftConfig::min_transitions`].
+    min_transitions: u64,
 }
 
 impl DriftTracker {
@@ -298,7 +295,6 @@ impl DriftTracker {
         let mut edge_dsts = Vec::new();
         let mut edge_profiled = Vec::new();
         edge_offsets.push(0u32);
-        let (mut total_dests, mut kept_dests) = (0u64, 0u64);
         for id in tsa.state_ids() {
             // The TSA keeps outbound edges frequency-sorted; re-sort by
             // destination id so `record` can binary-search.
@@ -313,15 +309,7 @@ impl DriftTracker {
                 edge_profiled.push(f);
             }
             edge_offsets.push(edge_dsts.len() as u32);
-            let (all, kept) = model.dest_counts(id);
-            total_dests += all as u64;
-            kept_dests += kept as u64;
         }
-        let profiled_metric_pct = if total_dests == 0 {
-            100.0
-        } else {
-            100.0 * kept_dests as f64 / total_dests as f64
-        };
         let edge_counts = (0..edge_dsts.len()).map(|_| AtomicU64::new(0)).collect();
         DriftTracker {
             edge_offsets: edge_offsets.into_boxed_slice(),
@@ -331,9 +319,9 @@ impl DriftTracker {
             off_edge: (0..n).map(|_| AtomicU64::new(0)).collect(),
             to_unknown: (0..n).map(|_| AtomicU64::new(0)).collect(),
             from_unknown: AtomicU64::new(0),
-            profiled_metric_pct,
+            profiled_metric_pct: analyzer::analyze(model).guidance_metric_pct,
             tfactor: model.tfactor(),
-            config,
+            min_transitions: config.min_transitions,
         }
     }
 
@@ -448,18 +436,17 @@ impl DriftTracker {
             verdict: DriftVerdict::Insufficient,
             reason: String::new(),
         };
-        let cfg = &self.config;
-        let (verdict, reason) = if drift.transitions_total() < cfg.min_transitions {
+        let (verdict, reason) = if drift.transitions_total() < self.min_transitions {
             (
                 DriftVerdict::Insufficient,
                 format!(
                     "{} transitions observed (< {} needed for a verdict)",
                     drift.transitions_total(),
-                    cfg.min_transitions
+                    self.min_transitions
                 ),
             )
-        } else if drift.profiled_metric_pct < cfg.metric_stale_pct
-            && observed_metric_pct.is_some_and(|m| m >= cfg.metric_stale_pct)
+        } else if drift.profiled_metric_pct < METRIC_REJECT_PCT
+            && observed_metric_pct.is_some_and(|m| m >= METRIC_REJECT_PCT)
         {
             (
                 DriftVerdict::Stale,
@@ -470,50 +457,44 @@ impl DriftTracker {
                     observed_metric_pct.unwrap_or(100.0)
                 ),
             )
-        } else if off_model_pct >= cfg.off_model_stale_pct {
+        } else if off_model_pct >= OFF_MODEL_STALE_PCT {
             (
                 DriftVerdict::Stale,
                 format!(
                     "{off_model_pct:.0}% of transitions leave the modeled edge set \
-                     (≥ {:.0}%); re-profile",
-                    cfg.off_model_stale_pct
+                     (≥ {OFF_MODEL_STALE_PCT:.0}%); re-profile"
                 ),
             )
-        } else if drift.from_unknown_pct() >= cfg.unknown_stale_pct {
+        } else if drift.from_unknown_pct() >= UNKNOWN_STALE_PCT {
             (
                 DriftVerdict::Stale,
                 format!(
-                    "{:.0}% of transitions originate outside the model (≥ {:.0}%); the \
-                     profile no longer covers this execution; re-profile",
+                    "{:.0}% of transitions originate outside the model \
+                     (≥ {UNKNOWN_STALE_PCT:.0}%); the profile no longer covers this \
+                     execution; re-profile",
                     drift.from_unknown_pct(),
-                    cfg.unknown_stale_pct
                 ),
             )
-        } else if mean_kl_nats >= cfg.kl_drift_nats {
+        } else if mean_kl_nats >= KL_DRIFT_NATS {
             (
                 DriftVerdict::Drifting,
-                format!(
-                    "mean KL divergence {mean_kl_nats:.2} nats ≥ {:.2}",
-                    cfg.kl_drift_nats
-                ),
+                format!("mean KL divergence {mean_kl_nats:.2} nats ≥ {KL_DRIFT_NATS:.2}"),
             )
-        } else if off_model_pct >= cfg.off_model_drift_pct {
+        } else if off_model_pct >= OFF_MODEL_DRIFT_PCT {
             (
                 DriftVerdict::Drifting,
                 format!(
                     "{off_model_pct:.0}% of transitions leave the modeled edge set \
-                     (≥ {:.0}%)",
-                    cfg.off_model_drift_pct
+                     (≥ {OFF_MODEL_DRIFT_PCT:.0}%)"
                 ),
             )
-        } else if drift.from_unknown_pct() >= cfg.unknown_drift_pct {
+        } else if drift.from_unknown_pct() >= UNKNOWN_DRIFT_PCT {
             (
                 DriftVerdict::Drifting,
                 format!(
-                    "{:.0}% of transitions originate outside the model (≥ {:.0}%); \
-                     coverage is eroding",
+                    "{:.0}% of transitions originate outside the model \
+                     (≥ {UNKNOWN_DRIFT_PCT:.0}%); coverage is eroding",
                     drift.from_unknown_pct(),
-                    cfg.unknown_drift_pct
                 ),
             )
         } else {
@@ -561,6 +542,20 @@ mod tests {
         GuidedModel::build(Tsa::from_runs(&[run]), &GuidanceConfig::default())
     }
 
+    /// A hub state stepping to each of twelve spokes equally often — no
+    /// bias, so the analyzer metric is high.
+    fn uniform_model() -> GuidedModel {
+        let hub = StateKey::solo(p(0, 0));
+        let mut run = Vec::new();
+        for _ in 0..4 {
+            for i in 0..12 {
+                run.push(hub.clone());
+                run.push(StateKey::solo(p(1, i)));
+            }
+        }
+        GuidedModel::build(Tsa::from_runs(&[run]), &GuidanceConfig::default())
+    }
+
     /// Replay the model's own profiled distribution into the tracker.
     fn replay_profile(model: &GuidedModel, tracker: &DriftTracker) {
         let tsa = model.tsa();
@@ -591,6 +586,15 @@ mod tests {
             d.profiled_metric_pct
         );
         assert_eq!(d.observed_states, d.modeled_states);
+    }
+
+    #[test]
+    fn profiled_metric_is_the_analyzer_metric() {
+        for model in [biased_model(), uniform_model()] {
+            let tracked = DriftTracker::new(&model).report().profiled_metric_pct;
+            let analyzed = analyzer::analyze(&model).guidance_metric_pct;
+            assert_eq!(tracked.to_bits(), analyzed.to_bits());
+        }
     }
 
     #[test]

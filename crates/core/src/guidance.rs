@@ -1202,16 +1202,12 @@ mod tests {
     fn maybe_regenerate_fires_only_on_drift() {
         // Drift ladder with a low evidence bar so a handful of off-model
         // commits reach Stale.
-        let drift_cfg = crate::drift::DriftConfig {
-            min_transitions: 8,
-            ..crate::drift::DriftConfig::default()
-        };
+        let drift_cfg = crate::drift::DriftConfig { min_transitions: 8 };
         let adapt = AdaptConfig {
             window: 64,
             min_window: 4,
             background: false,
             drift: drift_cfg,
-            ..AdaptConfig::default()
         };
         let hook = GuidedHook::adaptive(
             two_state_model(),
@@ -1257,15 +1253,11 @@ mod tests {
     fn background_guardian_swaps_on_live_drift() {
         // End-to-end: guardian thread polls, sees a stale verdict, and
         // swaps without any manual call.
-        let drift_cfg = crate::drift::DriftConfig {
-            min_transitions: 8,
-            ..crate::drift::DriftConfig::default()
-        };
+        let drift_cfg = crate::drift::DriftConfig { min_transitions: 8 };
         let adapt = AdaptConfig {
             window: 64,
             min_window: 4,
             background: true,
-            poll: std::time::Duration::from_millis(1),
             drift: drift_cfg,
         };
         let hook = GuidedHook::adaptive(

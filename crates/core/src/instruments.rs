@@ -20,6 +20,11 @@ use crate::telemetry::{Telemetry, TraceKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Attempts a writer makes at one location's lock, each failed attempt
+/// ending in a yield, before it aborts with
+/// [`crate::AbortCause::CommitLockBusy`]; both backends' lock loops use it.
+pub const COMMIT_SPIN: u32 = 64;
+
 /// One in-flight transaction attempt, as the retry driver sees it.
 pub trait Attempt {
     /// The backend's `(forced abort, commit delay)` chaos sites, probed in

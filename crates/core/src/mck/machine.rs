@@ -716,11 +716,6 @@ impl MachineState {
         self.cfg.swaps - self.swaps_left
     }
 
-    /// Breaker (trips, probes, recloses) so far; zeros when disabled.
-    pub fn breaker_counters(&self) -> (u32, u32, u32) {
-        self.breaker.as_ref().map_or((0, 0, 0), |b| (b.trips, b.probes, b.recloses))
-    }
-
     /// Breaker state code (0 Closed, 1 Open, 2 Half-Open); Closed when
     /// disabled.
     pub fn breaker_state(&self) -> u8 {

@@ -43,7 +43,7 @@ use crate::drift::DriftVerdict;
 use crate::json::{array_lines, escape};
 use crate::sync::Mutex;
 use crate::telemetry::{
-    event_json, LatencyHistogram, Telemetry, TelemetrySnapshot, TraceEvent, ABORT_CAUSE_NAMES,
+    bucket_quantile, event_json, Telemetry, TelemetrySnapshot, TraceEvent, ABORT_CAUSE_NAMES,
     BUILD_VERSION, SCHEMA_VERSION,
 };
 use std::collections::VecDeque;
@@ -212,24 +212,6 @@ impl WindowCounters {
             commit_sum_ns: self.commit_sum_ns.wrapping_sub(older.commit_sum_ns),
         })
     }
-}
-
-/// Quantile upper bound over delta buckets (same bucket resolution as
-/// [`HistogramSnapshot::quantile_upper_bound`], but over a window's own
-/// distribution).
-fn bucket_quantile(buckets: &[u64], count: u64, q: f64) -> u64 {
-    if count == 0 {
-        return 0;
-    }
-    let target = (q.clamp(0.0, 1.0) * count as f64).ceil() as u64;
-    let mut cum = 0u64;
-    for (i, &b) in buckets.iter().enumerate() {
-        cum += b;
-        if cum >= target {
-            return LatencyHistogram::bucket_range(i).1;
-        }
-    }
-    LatencyHistogram::bucket_range(buckets.len().saturating_sub(1)).1
 }
 
 /// One closed window: exact counter deltas plus point-in-time gauges

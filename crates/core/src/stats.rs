@@ -16,16 +16,6 @@ pub struct ThreadStats {
     pub aborts: u64,
     /// Distribution of aborts-before-commit per transaction.
     pub abort_hist: AbortHistogram,
-    /// Aborts because a read found a held lock.
-    pub read_locked: u64,
-    /// Aborts because a read found a too-new version.
-    pub read_version: u64,
-    /// Aborts because commit-time lock acquisition timed out.
-    pub commit_busy: u64,
-    /// Aborts because commit-time read-set validation failed.
-    pub validation: u64,
-    /// Aborts inflicted by a committing writer (LibTM abort-readers).
-    pub doomed: u64,
     /// Explicit retries requested by the transaction body.
     pub explicit: u64,
 }
@@ -45,13 +35,8 @@ impl ThreadStats {
     /// Record one rolled-back attempt.
     pub fn record_abort(&mut self, cause: AbortCause) {
         self.aborts += 1;
-        match cause {
-            AbortCause::ReadLocked { .. } => self.read_locked += 1,
-            AbortCause::ReadVersion => self.read_version += 1,
-            AbortCause::CommitLockBusy { .. } => self.commit_busy += 1,
-            AbortCause::Validation => self.validation += 1,
-            AbortCause::AbortedByWriter { .. } => self.doomed += 1,
-            AbortCause::Explicit => self.explicit += 1,
+        if cause == AbortCause::Explicit {
+            self.explicit += 1;
         }
     }
 
@@ -60,21 +45,7 @@ impl ThreadStats {
         self.commits += other.commits;
         self.aborts += other.aborts;
         self.abort_hist.merge(&other.abort_hist);
-        self.read_locked += other.read_locked;
-        self.read_version += other.read_version;
-        self.commit_busy += other.commit_busy;
-        self.validation += other.validation;
-        self.doomed += other.doomed;
         self.explicit += other.explicit;
-    }
-
-    /// Aborts per commit; 0 when nothing committed.
-    pub fn abort_rate(&self) -> f64 {
-        if self.commits == 0 {
-            0.0
-        } else {
-            self.aborts as f64 / self.commits as f64
-        }
     }
 }
 
@@ -100,16 +71,14 @@ mod tests {
         s.record_abort(AbortCause::ReadLocked {
             owner: Some(ThreadId(1)),
         });
-        s.record_abort(AbortCause::Validation);
+        s.record_abort(AbortCause::Explicit);
         s.record_abort(AbortCause::Validation);
         assert_eq!(s.aborts, 3);
-        assert_eq!(s.read_locked, 1);
-        assert_eq!(s.validation, 2);
-        assert_eq!(s.commit_busy, 0);
+        assert_eq!(s.explicit, 1);
     }
 
     #[test]
-    fn merge_and_abort_rate() {
+    fn merge_adds_counts() {
         let mut a = ThreadStats::new();
         a.record_commit(1);
         a.record_abort(AbortCause::ReadVersion);
@@ -119,7 +88,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.commits, 2);
         assert_eq!(a.aborts, 2);
-        assert_eq!(a.abort_rate(), 1.0);
-        assert_eq!(ThreadStats::new().abort_rate(), 0.0);
+        assert_eq!(a.explicit, 1);
+        assert_eq!(a.abort_hist.total_commits(), 2);
     }
 }

@@ -245,6 +245,27 @@ impl Default for LatencyHistogram {
     }
 }
 
+/// Upper bound of the bucket where the cumulative count of `buckets`
+/// (laid out as a [`LatencyHistogram`]'s) first reaches `q` (0 < q ≤ 1)
+/// of `count` samples; 0 when `count` is 0. Serves whole snapshots and a
+/// window's delta buckets alike. A snapshot can race a record (buckets
+/// are bumped before the count), so a `count` above the bucket sum
+/// resolves to the top bucket.
+pub(crate) fn bucket_quantile(buckets: &[u64], count: u64, q: f64) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    let target = (q.clamp(0.0, 1.0) * count as f64).ceil() as u64;
+    let mut cum = 0u64;
+    for (i, &b) in buckets.iter().enumerate() {
+        cum += b;
+        if cum >= target {
+            return LatencyHistogram::bucket_range(i).1;
+        }
+    }
+    LatencyHistogram::bucket_range(NUM_BUCKETS - 1).1
+}
+
 /// Plain-data copy of a [`LatencyHistogram`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
@@ -272,18 +293,7 @@ impl HistogramSnapshot {
     /// `q` (0 < q ≤ 1) of the samples; 0 when empty. A coarse quantile —
     /// exact only up to bucket resolution.
     pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut cum = 0u64;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            cum += b;
-            if cum >= target {
-                return LatencyHistogram::bucket_range(i).1;
-            }
-        }
-        LatencyHistogram::bucket_range(NUM_BUCKETS - 1).1
+        bucket_quantile(&self.buckets, self.count, q)
     }
 
     /// Fold `other` into `self` bucket-wise (exact: counts and sums add;

@@ -106,7 +106,6 @@ pub struct GameExperiment {
 fn tm_config(cfg: &GameExperimentConfig) -> LibTmConfig {
     LibTmConfig {
         yield_prob_log2: cfg.yield_k,
-        ..LibTmConfig::default()
     }
 }
 

@@ -8,15 +8,24 @@
 //!   fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
 //!   stamp      (tables I, III, IV + figures 4-10)
 //!   synquake   (table V + figures 11, 12)
+//!   summary    (one row per STAMP benchmark x thread count with every
+//!              derived metric)
+//!   repeated   (the full STAMP pipeline --repeat times: mean +- sd per
+//!              derived metric)
+//!   inspect    (train one model, first --bench or kmeans, at the first
+//!              thread count and print its hottest states, Figure 3-style)
 //!   all        (everything)
 //!
 //! Options:
 //!   --threads A,B       thread counts            (default: 8,16)
-//!   --runs N            measurement runs/mode    (default: 8)
-//!   --profile-runs N    model-training runs      (default: 6)
+//!   --runs N            measurement runs/mode    (default: 20)
+//!   --profile-runs N    model-training runs      (default: 12)
+//!   --repeat N          pipeline repeats for `repeated` (default: 3)
 //!   --bench a,b,...     restrict STAMP benchmarks
-//!   --size s            small|medium|large test input (default: small)
-//!   --train-size s      profiling input           (default: small)
+//!   --size s            small|medium|large test input (default: large
+//!                       for kmeans; medium for genome, intruder,
+//!                       labyrinth, ssca2; small for the rest)
+//!   --train-size s      profiling input           (default: --size)
 //!   --players N         SynQuake players          (default: 192)
 //!   --frames N          SynQuake test frames      (default: 96)
 //!   --tfactor F         guidance threshold knob   (default: 4)
@@ -72,7 +81,7 @@ use gstm_harness::experiment::{
 use gstm_harness::game::{run_game_experiment, GameExperiment, GameExperimentConfig};
 use gstm_harness::report::{self, Table};
 use gstm_harness::{figures, tables};
-use gstm_stamp::{all_benchmarks, InputSize};
+use gstm_stamp::{all_benchmarks, Benchmark, InputSize};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -121,6 +130,37 @@ struct Options {
     slo: Option<String>,
     /// `--duration=SECS`: hold the ops endpoint up this long.
     duration: Option<u64>,
+}
+
+impl Options {
+    /// The STAMP experiments selected at `threads`: each benchmark
+    /// `--bench` names (all when absent), with its config.
+    fn experiments(&self, threads: u16) -> Vec<(Arc<dyn Benchmark>, ExperimentConfig)> {
+        all_benchmarks()
+            .into_iter()
+            .filter(|b| {
+                self.benches
+                    .as_ref()
+                    .is_none_or(|names| names.iter().any(|n| n == b.name()))
+            })
+            .map(|bench| {
+                let size = self.size.unwrap_or_else(|| default_size(bench.name()));
+                let cfg = ExperimentConfig {
+                    threads,
+                    profile_runs: self.profile_runs,
+                    measure_runs: self.runs,
+                    train_size: self.train_size.unwrap_or(size),
+                    test_size: size,
+                    yield_k: Some(2),
+                    guidance: GuidanceConfig::with_tfactor(self.tfactor),
+                    seed: self.seed,
+                    adaptive: self.adaptive,
+                    profile_threads: self.profile_threads,
+                };
+                (bench, cfg)
+            })
+            .collect()
+    }
 }
 
 fn parse_size(s: &str) -> InputSize {
@@ -266,12 +306,12 @@ fn parse_args() -> Options {
 }
 
 fn print_help() {
-    // The module doc is the manual; print its code block.
+    // A short form of the module-doc manual.
     println!(
         "gstm-repro — regenerate the paper's tables and figures\n\n\
          commands: table1 table2 table3 table4 table5 fig4 fig5 fig6 fig7\n\
          \x20         fig8 fig9 fig10 fig11 fig12 stamp synquake summary repeated inspect all\n\n\
-         options: --threads A,B --runs N --profile-runs N --bench a,b\n\
+         options: --threads A,B --runs N --profile-runs N --repeat N --bench a,b\n\
          \x20        --size s --train-size s --players N --frames N\n\
          \x20        --tfactor F --seed X --out DIR --no-csv --telemetry[=DIR]\n\
          \x20        --adaptive[=W] --profile-threads N --chaos SEED[:PLAN] --breaker\n\
@@ -321,28 +361,7 @@ impl Campaign {
     fn stamp_for(&mut self, threads: u16) -> &[BenchExperiment] {
         if !self.stamp.contains_key(&threads) {
             let mut exps = Vec::new();
-            for bench in all_benchmarks() {
-                if let Some(filter) = &self.opts.benches {
-                    if !filter.iter().any(|f| f == bench.name()) {
-                        continue;
-                    }
-                }
-                let size = self
-                    .opts
-                    .size
-                    .unwrap_or_else(|| default_size(bench.name()));
-                let cfg = ExperimentConfig {
-                    threads,
-                    profile_runs: self.opts.profile_runs,
-                    measure_runs: self.opts.runs,
-                    train_size: self.opts.train_size.unwrap_or(size),
-                    test_size: size,
-                    yield_k: Some(2),
-                    guidance: GuidanceConfig::with_tfactor(self.opts.tfactor),
-                    seed: self.opts.seed,
-                    adaptive: self.opts.adaptive,
-                    profile_threads: self.opts.profile_threads,
-                };
+            for (bench, cfg) in self.opts.experiments(threads) {
                 eprintln!("[gstm-repro] running {} @ {threads} threads ...", bench.name());
                 // Collectors exist when artifacts were requested
                 // (--telemetry) or the live ops plane is on
@@ -693,23 +712,15 @@ fn main() {
                 .as_ref()
                 .and_then(|b| b.first().cloned())
                 .unwrap_or_else(|| "kmeans".into());
-            let bench = gstm_stamp::by_name(&name).unwrap_or_else(|| {
+            let threads = c.opts.threads.first().copied().unwrap_or(8);
+            let Some((bench, cfg)) = c
+                .opts
+                .experiments(threads)
+                .into_iter()
+                .find(|(b, _)| b.name() == name)
+            else {
                 eprintln!("unknown benchmark {name:?}");
                 std::process::exit(2);
-            });
-            let threads = c.opts.threads.first().copied().unwrap_or(8);
-            let size = c.opts.size.unwrap_or_else(|| default_size(&name));
-            let cfg = ExperimentConfig {
-                threads,
-                profile_runs: c.opts.profile_runs,
-                measure_runs: 0,
-                train_size: c.opts.train_size.unwrap_or(size),
-                test_size: size,
-                yield_k: Some(2),
-                guidance: GuidanceConfig::with_tfactor(c.opts.tfactor),
-                seed: c.opts.seed,
-                adaptive: c.opts.adaptive,
-                profile_threads: c.opts.profile_threads,
             };
             eprintln!("[gstm-repro] training {name} @ {threads} threads ...");
             let model = gstm_harness::experiment::train_model(&*bench, &cfg);
@@ -719,29 +730,8 @@ fn main() {
             // Mean ± sd over full pipeline repeats — the statistically
             // honest view on a noisy host. Uses --repeat (default 3).
             let mut aggs = Vec::new();
-            for &threads in &c.opts.threads.clone() {
-                for bench in all_benchmarks() {
-                    if let Some(filter) = &c.opts.benches {
-                        if !filter.iter().any(|f| f == bench.name()) {
-                            continue;
-                        }
-                    }
-                    let size = c
-                        .opts
-                        .size
-                        .unwrap_or_else(|| default_size(bench.name()));
-                    let cfg = ExperimentConfig {
-                        threads,
-                        profile_runs: c.opts.profile_runs,
-                        measure_runs: c.opts.runs,
-                        train_size: c.opts.train_size.unwrap_or(size),
-                        test_size: size,
-                        yield_k: Some(2),
-                        guidance: GuidanceConfig::with_tfactor(c.opts.tfactor),
-                        seed: c.opts.seed,
-                        adaptive: c.opts.adaptive,
-                        profile_threads: c.opts.profile_threads,
-                    };
+            for &threads in &c.opts.threads {
+                for (bench, cfg) in c.opts.experiments(threads) {
                     eprintln!(
                         "[gstm-repro] repeating {} @ {threads} threads x{} ...",
                         bench.name(),

@@ -128,11 +128,6 @@ impl<T: Clone + Send + Sync + 'static> TObject<T> {
     pub fn load_quiesced(&self) -> T {
         self.inner.snapshot()
     }
-
-    /// Whether two handles denote the same object.
-    pub fn same_object(&self, other: &TObject<T>) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
 }
 
 #[cfg(test)]

@@ -17,21 +17,10 @@ use std::sync::Arc;
 /// version-validated, writer locks taken at commit) and resolution is
 /// abort-readers (a committing writer dooms the object's visible
 /// readers), the one configuration the paper's SynQuake runs use.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct LibTmConfig {
-    /// Bounded spin for commit-time writer-lock acquisition.
-    pub commit_spin: u32,
     /// Interleave injection, as in gstm-tl2's `StmConfig::yield_prob_log2`.
     pub yield_prob_log2: Option<u32>,
-}
-
-impl Default for LibTmConfig {
-    fn default() -> Self {
-        LibTmConfig {
-            commit_spin: 64,
-            yield_prob_log2: None,
-        }
-    }
 }
 
 /// One thread's doomed flag (abort-readers resolution).
@@ -234,7 +223,6 @@ mod tests {
     fn counter_is_atomic() {
         let tm = LibTm::new(LibTmConfig {
             yield_prob_log2: Some(2),
-            ..LibTmConfig::default()
         });
         let v = TObject::new(0u64);
         std::thread::scope(|s| {
@@ -256,7 +244,6 @@ mod tests {
     fn transfers_between_objects_preserve_total() {
         let tm = LibTm::new(LibTmConfig {
             yield_prob_log2: Some(2),
-            ..LibTmConfig::default()
         });
         let accounts: Vec<TObject<i64>> = (0..6).map(|_| TObject::new(100)).collect();
         std::thread::scope(|s| {

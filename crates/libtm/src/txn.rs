@@ -4,6 +4,7 @@
 use crate::object::{ObjectInner, TObject};
 use crate::runtime::LibTm;
 use gstm_core::faultinject::FaultSite;
+use gstm_core::instruments::COMMIT_SPIN;
 use gstm_core::rng::Interleave;
 use gstm_core::{Abort, AbortCause, AddrSet, Attempt, Pair, ThreadId, TxResult};
 use std::any::Any;
@@ -263,7 +264,7 @@ impl<'tm> LtTxn<'tm> {
 
     fn acquire_writer(&self, target: &dyn LtTarget) -> TxResult<()> {
         let me = self.me.thread;
-        for _ in 0..self.tm.config.commit_spin {
+        for _ in 0..COMMIT_SPIN {
             if target.try_lock_writer(me) {
                 return Ok(());
             }

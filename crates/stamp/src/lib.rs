@@ -70,17 +70,6 @@ pub struct RunConfig {
     pub seed: u64,
 }
 
-impl RunConfig {
-    /// A config with everything defaulted except the thread count.
-    pub fn with_threads(threads: u16) -> Self {
-        RunConfig {
-            threads,
-            size: InputSize::Small,
-            seed: 0x5eed_cafe,
-        }
-    }
-}
-
 /// What a benchmark run produced.
 #[derive(Clone, Debug, Default)]
 pub struct BenchResult {

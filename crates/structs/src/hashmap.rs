@@ -35,11 +35,6 @@ impl<V: Clone + Send + Sync + 'static> THashMap<V> {
         &self.buckets[h % self.buckets.len()]
     }
 
-    /// Number of buckets (fixed at construction).
-    pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Insert `key -> value`; `false` if the key is already present.
     pub fn insert(&self, tx: &mut Txn, key: u64, value: V) -> TxResult<bool> {
         self.bucket(key).insert(tx, key, value)

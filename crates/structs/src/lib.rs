@@ -14,8 +14,9 @@
 //! * [`THashMap`] — fixed-bucket chained hash table.
 //! * [`TQueue`] — FIFO queue.
 //!
-//! Ports of STAMP's `vector.c` and `bitmap.c` existed once and were
-//! removed: no workload used them.
+//! Each container offers only the operations the ported workloads call;
+//! ports of STAMP's `vector.c` and `bitmap.c` were removed because no
+//! workload used them.
 //!
 //! ## Example
 //!

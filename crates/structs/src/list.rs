@@ -151,15 +151,6 @@ impl<V: Clone + Send + Sync + 'static> TList<V> {
         }
         Ok(out)
     }
-
-    /// Smallest key ≥ `key`, with its value.
-    pub fn ceiling(&self, tx: &mut Txn, key: u64) -> TxResult<Option<(u64, V)>> {
-        let (_, found) = self.locate(tx, key)?;
-        match found {
-            Some(ref node) => Ok(Some((node.key, tx.read(&node.value)?))),
-            None => Ok(None),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -217,20 +208,6 @@ mod tests {
             assert_eq!(list.upsert(tx, 4, 20)?, Some(10));
             assert_eq!(list.get(tx, 4)?, Some(20));
             assert_eq!(list.len(tx)?, 1);
-            Ok(())
-        });
-    }
-
-    #[test]
-    fn ceiling_finds_next_key() {
-        let list = TList::new();
-        with_tx(|tx| {
-            for k in [10u64, 20, 30] {
-                list.insert(tx, k, ())?;
-            }
-            assert_eq!(list.ceiling(tx, 15)?.map(|(k, _)| k), Some(20));
-            assert_eq!(list.ceiling(tx, 20)?.map(|(k, _)| k), Some(20));
-            assert_eq!(list.ceiling(tx, 31)?, None);
             Ok(())
         });
     }

@@ -207,31 +207,6 @@ impl<V: Clone + Send + Sync + 'static> TMap<V> {
             }
         }
     }
-
-    /// Smallest key ≥ `key`, with its value.
-    pub fn ceiling(&self, tx: &mut Txn, key: u64) -> TxResult<Option<(u64, V)>> {
-        let mut best: Option<Arc<Node<V>>> = None;
-        let mut cur = tx.read(&self.root)?;
-        while let Some(node) = cur {
-            if node.key == key {
-                let v = tx.read(&node.value)?;
-                return Ok(Some((key, v)));
-            }
-            if node.key > key {
-                cur = tx.read(&node.left)?;
-                best = Some(node);
-            } else {
-                cur = tx.read(&node.right)?;
-            }
-        }
-        match best {
-            Some(node) => {
-                let v = tx.read(&node.value)?;
-                Ok(Some((node.key, v)))
-            }
-            None => Ok(None),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -338,21 +313,6 @@ mod tests {
             assert!(map.update(tx, 1, |v| v + 5)?);
             assert!(!map.update(tx, 2, |v| v)?);
             assert_eq!(map.get(tx, 1)?, Some(15));
-            Ok(())
-        });
-    }
-
-    #[test]
-    fn ceiling_queries() {
-        let map = TMap::new();
-        with_tx(|tx| {
-            for k in [10u64, 20, 30, 40] {
-                map.insert(tx, k, ())?;
-            }
-            assert_eq!(map.ceiling(tx, 5)?.map(|(k, _)| k), Some(10));
-            assert_eq!(map.ceiling(tx, 20)?.map(|(k, _)| k), Some(20));
-            assert_eq!(map.ceiling(tx, 25)?.map(|(k, _)| k), Some(30));
-            assert_eq!(map.ceiling(tx, 41)?, None);
             Ok(())
         });
     }

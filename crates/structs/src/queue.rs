@@ -91,29 +91,6 @@ impl<V: Clone + Send + Sync + 'static> TQueue<V> {
             None => Ok(None),
         }
     }
-
-    /// Remove and return the head value, retrying the whole transaction if
-    /// the queue is empty (blocks until a producer pushes).
-    pub fn pop_or_retry(&self, tx: &mut Txn) -> TxResult<V> {
-        match self.pop(tx)? {
-            Some(v) => Ok(v),
-            None => Err(tx.retry()),
-        }
-    }
-
-    /// Peek at the head value without removing it.
-    pub fn peek(&self, tx: &mut Txn) -> TxResult<Option<V>> {
-        Ok(tx.read(&self.head)?.map(|n| n.value.clone()))
-    }
-
-    /// Drain everything into a vector (head first).
-    pub fn drain(&self, tx: &mut Txn) -> TxResult<Vec<V>> {
-        let mut out = Vec::new();
-        while let Some(v) = self.pop(tx)? {
-            out.push(v);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -136,8 +113,11 @@ mod tests {
             for i in 0..5 {
                 q.push(tx, i)?;
             }
-            assert_eq!(q.peek(tx)?, Some(0));
-            q.drain(tx)
+            let mut out = Vec::new();
+            while let Some(v) = q.pop(tx)? {
+                out.push(v);
+            }
+            Ok(out)
         });
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
     }
@@ -167,7 +147,9 @@ mod tests {
             assert_eq!(q.pop(tx)?, Some('a'));
             q.push(tx, 'c')?;
             assert_eq!(q.len(tx)?, 2);
-            assert_eq!(q.drain(tx)?, vec!['b', 'c']);
+            assert_eq!(q.pop(tx)?, Some('b'));
+            assert_eq!(q.pop(tx)?, Some('c'));
+            assert_eq!(q.pop(tx)?, None);
             Ok(())
         });
     }

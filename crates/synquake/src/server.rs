@@ -360,7 +360,6 @@ mod tests {
     fn worst_case_layout_generates_contention() {
         let tm = LibTm::new(LibTmConfig {
             yield_prob_log2: Some(2),
-            ..LibTmConfig::default()
         });
         let mut cfg = quick_cfg(4, QuestLayout::WorstCase4);
         cfg.frames = 30;

@@ -33,8 +33,6 @@ pub enum Detection {
 pub struct StmConfig {
     /// Conflict-detection mode for writes.
     pub detection: Detection,
-    /// Bounded spin iterations per write-lock acquisition at commit.
-    pub commit_spin: u32,
     /// Interleave injection: when `Some(k)`, every transactional read or
     /// write yields the OS thread with probability `2^-k`, and every
     /// transaction begin with probability 1/2 (see
@@ -47,7 +45,6 @@ impl Default for StmConfig {
     fn default() -> Self {
         StmConfig {
             detection: Detection::Lazy,
-            commit_spin: 64,
             yield_prob_log2: None,
         }
     }

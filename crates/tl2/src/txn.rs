@@ -5,6 +5,7 @@ use crate::runtime::{Detection, Stm};
 use crate::tvar::{TVar, TxTarget};
 use crate::vlock::VLock;
 use gstm_core::faultinject::FaultSite;
+use gstm_core::instruments::COMMIT_SPIN;
 use gstm_core::rng::Interleave;
 use gstm_core::{Abort, AbortCause, AddrSet, Attempt, Pair, TxResult};
 use std::any::Any;
@@ -210,12 +211,12 @@ impl<'stm> Txn<'stm> {
         Ok(value)
     }
 
-    /// Take the lock of the location keyed `key`, spinning up to the
-    /// configured bound. Returns the pre-lock version, or the abort naming
-    /// the last observed holder.
+    /// Take the lock of the location keyed `key`, trying up to
+    /// [`COMMIT_SPIN`] times. Returns the pre-lock version, or the abort
+    /// naming the last observed holder.
     fn lock(&self, lock: &VLock, key: usize) -> TxResult<u64> {
         let mut last_owner = None;
-        for _ in 0..self.stm.config.commit_spin {
+        for _ in 0..COMMIT_SPIN {
             match lock.try_lock(self.me.thread) {
                 Ok(prev) => return Ok(prev),
                 Err(observed) => {
@@ -461,6 +462,7 @@ mod tests {
         let (x2, y2) = (x.clone(), y.clone());
         let mut ctx = stm.register_as(ThreadId(0));
         let mut attempt = 0;
+        let mut causes = Vec::new();
         let (a, b) = ctx.atomically(TxnId(0), |tx| {
             attempt += 1;
             let a = tx.read(&x2)?;
@@ -472,12 +474,12 @@ mod tests {
                     tx2.write(&y2, 10)
                 });
             }
-            let b = tx.read(&y2)?;
+            let b = tx.read(&y2).inspect_err(|a| causes.push(a.cause))?;
             Ok((a, b))
         });
         assert_eq!(attempt, 2, "first attempt aborted");
         assert_eq!((a, b), (10, 10), "second attempt sees the new snapshot");
-        assert_eq!(ctx.stats().read_version + ctx.stats().validation, 1);
+        assert_eq!(causes, vec![AbortCause::ReadVersion]);
     }
 
     #[test]
@@ -485,7 +487,6 @@ mod tests {
         let config = StmConfig {
             detection: crate::Detection::Eager,
             yield_prob_log2: Some(2),
-            ..StmConfig::default()
         };
         let stm = Stm::new(config);
         let v = TVar::new(0u64);
@@ -508,7 +509,6 @@ mod tests {
     fn eager_writer_conflict_aborts_at_write_not_commit() {
         let config = StmConfig {
             detection: crate::Detection::Eager,
-            commit_spin: 2,
             ..StmConfig::default()
         };
         let stm = Stm::new(config);
@@ -571,7 +571,6 @@ mod tests {
         let config = StmConfig {
             detection: crate::Detection::Eager,
             yield_prob_log2: Some(2),
-            ..StmConfig::default()
         };
         let stm = Stm::new(config);
         let accounts: Vec<TVar<i64>> = (0..6).map(|_| TVar::new(100)).collect();

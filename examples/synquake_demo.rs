@@ -28,7 +28,6 @@ fn main() {
     ] {
         let tm = LibTm::new(LibTmConfig {
             yield_prob_log2: Some(2),
-            ..LibTmConfig::default()
         });
         let cfg = GameConfig {
             threads,

@@ -27,7 +27,6 @@ fn quick_cfg(quest: QuestLayout) -> GameConfig {
 fn world_is_consistent_under_libtm() {
     let tm = LibTm::new(LibTmConfig {
         yield_prob_log2: Some(3),
-        ..LibTmConfig::default()
     });
     let r = run_game(&tm, &quick_cfg(QuestLayout::WorstCase4));
     assert_eq!(r.audit_failures, 0, "corrupt world");
@@ -39,7 +38,6 @@ fn guided_game_preserves_world_consistency() {
     let guidance = GuidanceConfig::default();
     let tm_cfg = LibTmConfig {
         yield_prob_log2: Some(3),
-        ..LibTmConfig::default()
     };
     // Train on the paper's training quests.
     let rec = Arc::new(RecorderHook::new());
