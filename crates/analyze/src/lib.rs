@@ -49,18 +49,18 @@ use std::path::Path;
 
 /// One sample from a Prometheus text exposition.
 #[derive(Clone, Debug, PartialEq)]
-pub struct PromSample {
+struct PromSample {
     /// Metric family name.
-    pub name: String,
+    name: String,
     /// Label pairs, in exposition order.
-    pub labels: Vec<(String, String)>,
+    labels: Vec<(String, String)>,
     /// Sample value.
-    pub value: f64,
+    value: f64,
 }
 
 /// A parsed `.prom` file.
 #[derive(Clone, Debug, Default)]
-pub struct PromSnapshot {
+struct PromSnapshot {
     samples: Vec<PromSample>,
 }
 
@@ -69,7 +69,7 @@ impl PromSnapshot {
     /// `TelemetrySnapshot::render_prometheus` (and any conforming subset
     /// of the Prometheus format: `name{k="v",...} value` lines, `#`
     /// comments).
-    pub fn parse(text: &str) -> Result<PromSnapshot, String> {
+    pub(crate) fn parse(text: &str) -> Result<PromSnapshot, String> {
         let mut samples = Vec::new();
         for (n, raw) in text.lines().enumerate() {
             let line = raw.trim();
@@ -105,7 +105,7 @@ impl PromSnapshot {
     }
 
     /// First sample of `name` carrying every label in `labels`.
-    pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
+    fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
         self.samples
             .iter()
             .find(|s| {
@@ -118,7 +118,7 @@ impl PromSnapshot {
     }
 
     /// Sum of every sample of `name` carrying every label in `labels`.
-    pub fn sum(&self, name: &str, labels: &[(&str, &str)]) -> f64 {
+    pub(crate) fn sum(&self, name: &str, labels: &[(&str, &str)]) -> f64 {
         self.samples
             .iter()
             .filter(|s| {
@@ -132,7 +132,7 @@ impl PromSnapshot {
     }
 
     /// All samples of `name`.
-    pub fn family(&self, name: &str) -> impl Iterator<Item = &PromSample> + '_ {
+    fn family(&self, name: &str) -> impl Iterator<Item = &PromSample> + '_ {
         let name = name.to_string();
         self.samples.iter().filter(move |s| s.name == name)
     }
@@ -145,21 +145,21 @@ impl PromSnapshot {
 /// One row of `<stem>_runs.csv`: what the harness measured for one
 /// thread in one guided repetition.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CsvRunRow {
+struct CsvRunRow {
     /// Repetition index.
-    pub run: usize,
+    run: usize,
     /// Thread index.
-    pub thread: usize,
+    thread: usize,
     /// Execution time of that thread, seconds.
-    pub secs: f64,
+    secs: f64,
     /// Commits that thread performed.
-    pub commits: u64,
+    commits: u64,
     /// Aborts that thread suffered.
-    pub aborts: u64,
+    aborts: u64,
 }
 
 /// Parse `<stem>_runs.csv` (`run,thread,secs,commits,aborts`).
-pub fn parse_runs_csv(text: &str) -> Result<Vec<CsvRunRow>, String> {
+fn parse_runs_csv(text: &str) -> Result<Vec<CsvRunRow>, String> {
     let mut rows = Vec::new();
     for (n, line) in text.lines().enumerate().skip(1) {
         if line.trim().is_empty() {
@@ -186,21 +186,21 @@ pub fn parse_runs_csv(text: &str) -> Result<Vec<CsvRunRow>, String> {
 
 /// The harness's own cross-run metrics from `<stem>_guided_summary.csv`.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct HarnessSummary {
+struct HarnessSummary {
     /// Per-thread execution-time standard deviation, seconds.
-    pub std_dev_secs: Vec<f64>,
+    std_dev_secs: Vec<f64>,
     /// Per-thread abort-tail metric Σj².
-    pub tail_metric: Vec<u64>,
+    tail_metric: Vec<u64>,
     /// Distinct TSS across the guided repetitions.
-    pub non_determinism: u64,
+    non_determinism: u64,
     /// Total guided commits across repetitions.
-    pub commits: u64,
+    commits: u64,
     /// Total guided aborts across repetitions.
-    pub aborts: u64,
+    aborts: u64,
 }
 
 /// Parse `<stem>_guided_summary.csv` (`metric,thread,value`).
-pub fn parse_summary_csv(text: &str) -> Result<HarnessSummary, String> {
+fn parse_summary_csv(text: &str) -> Result<HarnessSummary, String> {
     let mut s = HarnessSummary::default();
     for (n, line) in text.lines().enumerate().skip(1) {
         if line.trim().is_empty() {
@@ -252,7 +252,7 @@ pub struct CsvFailure {
 
 /// Parse `<stem>_failures.csv` (`phase,rep,cause`). An empty table means
 /// every repetition completed; the cause field may be CSV-quoted.
-pub fn parse_failures_csv(text: &str) -> Result<Vec<CsvFailure>, String> {
+fn parse_failures_csv(text: &str) -> Result<Vec<CsvFailure>, String> {
     let unquote = |s: &str| -> String {
         s.strip_prefix('"')
             .and_then(|s| s.strip_suffix('"'))
@@ -288,7 +288,7 @@ pub fn parse_failures_csv(text: &str) -> Result<Vec<CsvFailure>, String> {
 /// Rebuild per-thread abort histograms: each thread's aborts since its
 /// previous commit are that commit's retry count, mirroring the
 /// harness's `ThreadStats::record_commit` bookkeeping.
-pub fn per_thread_hists(events: &[TraceEvent], threads: usize) -> Vec<AbortHistogram> {
+fn per_thread_hists(events: &[TraceEvent], threads: usize) -> Vec<AbortHistogram> {
     let mut hists = vec![AbortHistogram::new(); threads];
     let mut pending = vec![0u32; threads];
     for ev in events {
@@ -327,7 +327,7 @@ pub struct EpochSegment {
 /// Segment a run's globally-sequenced trace at its `ModelSwap` events,
 /// attributing every transition and commit to the model epoch that was
 /// live when it was traced.
-pub fn epoch_segments(events: &[TraceEvent]) -> Vec<EpochSegment> {
+fn epoch_segments(events: &[TraceEvent]) -> Vec<EpochSegment> {
     let mut segs = vec![EpochSegment::default()];
     for ev in events {
         match ev.kind {
@@ -354,51 +354,49 @@ pub fn epoch_segments(events: &[TraceEvent]) -> Vec<EpochSegment> {
 
 /// Everything re-derived from one repetition's artifacts.
 #[derive(Clone, Debug)]
-pub struct RunAnalysis {
+struct RunAnalysis {
     /// Repetition index.
-    pub run: usize,
-    /// Trace events, in global sequence order.
-    pub events: usize,
+    run: usize,
     /// Keys of the run's traced [`TraceKind::State`] records, in sequence
     /// order: the guided hook's recorded Tseq.
-    pub states: Vec<u64>,
+    states: Vec<u64>,
     /// Reconstructed per-thread abort histograms.
-    pub hists: Vec<AbortHistogram>,
+    hists: Vec<AbortHistogram>,
     /// Raw commit latencies, sorted ascending, nanoseconds.
-    pub commit_ns: Vec<u64>,
+    commit_ns: Vec<u64>,
     /// `gstm_trace_dropped_total` — nonzero means the trace is a sample
     /// and exact trace-derived cross-checks are skipped.
-    pub dropped: u64,
+    dropped: u64,
     /// The run's trace split at its `ModelSwap` events — one segment per
     /// model epoch that was live during the run (always at least one).
-    pub segments: Vec<EpochSegment>,
+    segments: Vec<EpochSegment>,
     /// Circuit-breaker transitions traced during the run, in sequence
     /// order (`(from, to, cause)` stable codes).
-    pub breaker_events: Vec<BreakerEvent>,
+    breaker_events: Vec<BreakerEvent>,
     /// Abort events in the trace (every abort is traced, unlike the
     /// histogram reconstruction, which drops trailing aborts).
-    pub abort_events: u64,
+    abort_events: u64,
     /// Abort events carrying a culprit address (`addr != 0`) — the trace
     /// side of the contention tracker's `attributed` counter.
-    pub abort_events_with_addr: u64,
+    abort_events_with_addr: u64,
     /// The run's parsed counter exposition.
-    pub prom: PromSnapshot,
+    prom: PromSnapshot,
 }
 
 /// One traced circuit-breaker transition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BreakerEvent {
     /// State code left (0 closed, 1 open, 2 half-open).
-    pub from: u8,
+    from: u8,
     /// State code entered.
-    pub to: u8,
+    pub(crate) to: u8,
     /// Stable cause code (see `gstm_core::breaker::BreakerCause`).
-    pub cause: u8,
+    cause: u8,
 }
 
 impl RunAnalysis {
     /// Analyze one repetition's JSONL + prom artifact pair.
-    pub fn from_artifacts(
+    fn from_artifacts(
         run: usize,
         jsonl: &str,
         prom_text: &str,
@@ -439,7 +437,6 @@ impl RunAnalysis {
         }
         Ok(RunAnalysis {
             run,
-            events: events.len(),
             states,
             hists: per_thread_hists(&events, threads),
             commit_ns,
@@ -453,20 +450,20 @@ impl RunAnalysis {
     }
 
     /// Commits reconstructed from the trace.
-    pub fn trace_commits(&self) -> u64 {
+    fn trace_commits(&self) -> u64 {
         self.hists.iter().map(|h| h.total_commits()).sum()
     }
 
     /// Aborts reconstructed from the trace (attributed ones — trailing
     /// aborts with no following commit on their thread are not counted,
     /// same as the harness histograms).
-    pub fn trace_aborts(&self) -> u64 {
+    fn trace_aborts(&self) -> u64 {
         self.hists.iter().map(|h| h.total_aborts()).sum()
     }
 
     /// Model hot-swaps reconstructed from the trace (one per epoch
     /// boundary).
-    pub fn trace_swaps(&self) -> u64 {
+    fn trace_swaps(&self) -> u64 {
         self.segments.len() as u64 - 1
     }
 }
@@ -531,11 +528,11 @@ impl Default for Thresholds {
 #[derive(Clone, Debug)]
 pub struct Check {
     /// Stable identifier (snake_case), keyed on by CI.
-    pub name: String,
+    name: String,
     /// Whether it held.
     pub pass: bool,
     /// Human-readable evidence.
-    pub detail: String,
+    detail: String,
 }
 
 impl Check {
@@ -550,7 +547,7 @@ impl Check {
 
     /// A check that passes iff `findings` is empty: its detail is
     /// `ok_detail` on a pass and the findings joined by `"; "` otherwise.
-    pub fn from_findings(name: &str, findings: Vec<String>, ok_detail: impl Into<String>) -> Check {
+    fn from_findings(name: &str, findings: Vec<String>, ok_detail: impl Into<String>) -> Check {
         match findings.is_empty() {
             true => Check::new(name, true, ok_detail.into()),
             false => Check::new(name, false, findings.join("; ")),
@@ -607,7 +604,7 @@ pub struct DegradationFacts {
 
 impl DegradationFacts {
     /// Whether the campaign degraded at all.
-    pub fn any(&self) -> bool {
+    fn any(&self) -> bool {
         !self.failed_reps.is_empty()
             || self.breaker_trips > 0
             || self.model_rejections > 0
@@ -647,7 +644,7 @@ pub struct ContentionFacts {
 impl ContentionFacts {
     /// Attribution rate: share of recorded aborts with a known culprit
     /// address, percent.
-    pub fn attribution_pct(&self) -> f64 {
+    fn attribution_pct(&self) -> f64 {
         let total = self.attributed + self.unattributed;
         if total == 0 {
             0.0
@@ -659,7 +656,7 @@ impl ContentionFacts {
 
 /// Gini coefficient of a count distribution (0 = uniform, →1 = one value
 /// holds everything). Empty and all-zero inputs are 0.
-pub fn gini(counts: &[u64]) -> f64 {
+fn gini(counts: &[u64]) -> f64 {
     let total: u64 = counts.iter().sum();
     if counts.len() < 2 || total == 0 {
         return 0.0;
@@ -676,12 +673,12 @@ pub fn gini(counts: &[u64]) -> f64 {
 }
 
 /// Human-readable label for a breaker state code.
-pub fn breaker_state_label(code: u64) -> &'static str {
+fn breaker_state_label(code: u64) -> &'static str {
     gstm_core::breaker::BreakerState::from_code(code as u8).label()
 }
 
 /// Human-readable staleness label for a `gstm_model_staleness` code.
-pub fn staleness_label(code: u64) -> &'static str {
+fn staleness_label(code: u64) -> &'static str {
     match code {
         0 => "insufficient",
         1 => "fresh",
@@ -743,7 +740,7 @@ pub struct CampaignReport {
 
 impl CampaignReport {
     /// Whether every check passed.
-    pub fn pass(&self) -> bool {
+    fn pass(&self) -> bool {
         self.checks.iter().all(|c| c.pass)
     }
 }
@@ -753,22 +750,11 @@ fn approx(a: f64, b: f64, tol: f64) -> bool {
 }
 
 /// Run every cross-check and policy gate over the re-derived runs, the
-/// harness's raw per-run CSV, and its summary CSV.
-pub fn analyze_campaign(
-    stem: &str,
-    runs: &[RunAnalysis],
-    csv: &[CsvRunRow],
-    summary: &HarnessSummary,
-    th: &Thresholds,
-) -> CampaignReport {
-    analyze_campaign_with_failures(stem, runs, csv, summary, &[], th)
-}
-
-/// [`analyze_campaign`] plus the harness's failures CSV, folded into the
-/// degradation facts (a campaign with casualties has fewer repetitions
+/// harness's raw per-run CSV, its summary CSV, and its failures CSV, folded
+/// into the degradation facts (a campaign with casualties has fewer repetitions
 /// than attempts; every other check already operates on the successful
 /// ones only).
-pub fn analyze_campaign_with_failures(
+fn analyze_campaign_with_failures(
     stem: &str,
     runs: &[RunAnalysis],
     csv: &[CsvRunRow],
@@ -1529,7 +1515,7 @@ pub fn analyze_dir(dir: &Path, stem: &str, th: &Thresholds) -> Result<CampaignRe
 // ---------------------------------------------------------------------------
 
 /// Human-readable label for a `gstm_slo_state` code.
-pub fn slo_state_label(code: u64) -> &'static str {
+fn slo_state_label(code: u64) -> &'static str {
     match code {
         0 => "ok",
         1 => "warn",
@@ -1638,7 +1624,7 @@ pub fn parse_incident_json(name: &str, text: &str) -> Result<IncidentFacts, Stri
 /// deltas plus the evicted rollup must equal the cumulative counter
 /// *exactly*, and retained + evicted window counts must equal
 /// `gstm_windows_closed_total`.
-pub fn ops_partition_check(prom: &PromSnapshot) -> Check {
+fn ops_partition_check(prom: &PromSnapshot) -> Check {
     let retained = prom.family("gstm_window_commits").count() as u64;
     let evicted_n = prom.get("gstm_window_evicted_windows_total", &[]).unwrap_or(0.0) as u64;
     let closed = prom.get("gstm_windows_closed_total", &[]).unwrap_or(0.0) as u64;
@@ -1686,7 +1672,7 @@ pub fn ops_partition_check(prom: &PromSnapshot) -> Check {
 /// `incident<seq>.json` next to it. Returns `Ok(None)` when the
 /// campaign ran without the live ops plane; schema mismatches are hard
 /// errors.
-pub fn analyze_ops(dir: &Path, stem: &str) -> Result<Option<(OpsFacts, Vec<Check>)>, String> {
+fn analyze_ops(dir: &Path, stem: &str) -> Result<Option<(OpsFacts, Vec<Check>)>, String> {
     let path = [format!("{stem}_ops.prom"), "ops.prom".into()]
         .into_iter()
         .map(|n| dir.join(n))
@@ -2268,29 +2254,29 @@ pub fn parse_ticks_jsonl(text: &str) -> Result<(Vec<ServerTickRow>, u64), String
 #[derive(Clone, Debug, Default)]
 pub struct ServerFacts {
     /// Ticks analyzed.
-    pub ticks: usize,
+    ticks: usize,
     /// Early ticks evicted from the server's record ring.
-    pub truncated: u64,
+    truncated: u64,
     /// Mean frame time, nanoseconds.
-    pub frame_mean_ns: f64,
+    frame_mean_ns: f64,
     /// Frame-time coefficient of variation, percent.
-    pub frame_cv_pct: f64,
+    frame_cv_pct: f64,
     /// Frame-time median, nanoseconds.
-    pub frame_p50_ns: u64,
+    frame_p50_ns: u64,
     /// Frame-time 99th percentile, nanoseconds.
-    pub frame_p99_ns: u64,
+    frame_p99_ns: u64,
     /// Σ actions offered.
-    pub offered: u64,
+    offered: u64,
     /// Σ actions executed.
-    pub executed: u64,
+    executed: u64,
     /// Σ actions shed.
-    pub shed: u64,
+    shed: u64,
     /// Highest ladder rung reached.
-    pub max_rung: u8,
+    max_rung: u8,
     /// Ticks spent at each rung (index = rung code).
-    pub rung_ticks: [u64; 4],
+    rung_ticks: [u64; 4],
     /// Rung changes between consecutive ticks.
-    pub ladder_moves: u64,
+    ladder_moves: u64,
 }
 
 /// Run the server checks over a parsed tick log: per-tick shed

@@ -8,6 +8,17 @@ use gstm_core::tsa::{GuidedModel, Tsa};
 use gstm_core::tss::{hash_parts, StateKey};
 use std::sync::Arc;
 
+/// A campaign without a failures CSV.
+fn analyze_campaign(
+    stem: &str,
+    runs: &[RunAnalysis],
+    csv: &[CsvRunRow],
+    summary: &HarnessSummary,
+    th: &Thresholds,
+) -> CampaignReport {
+    analyze_campaign_with_failures(stem, runs, csv, summary, &[], th)
+}
+
 fn pair(txn: u16, thread: u16) -> Pair {
     Pair::new(TxnId(txn), ThreadId(thread))
 }

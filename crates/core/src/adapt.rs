@@ -63,7 +63,7 @@
 
 use crate::breaker::Breaker;
 use crate::config::GuidanceConfig;
-use crate::drift::{DriftConfig, DriftTracker, DriftVerdict, ModelDrift};
+use crate::drift::{DriftConfig, DriftTracker, DriftVerdict};
 use crate::faultinject::{FaultPlan, FaultSite};
 use crate::guidance::GuidedHook;
 use crate::sync::Mutex;
@@ -91,16 +91,16 @@ const GUARDIAN_BACKOFF_CAP: u32 = 6;
 /// or state ids.
 pub struct ModelEpoch {
     /// Monotone generation number (the initial model is epoch 0).
-    pub id: u32,
+    pub(crate) id: u32,
     /// The guided model of this generation.
     pub model: Arc<GuidedModel>,
     /// Drift observed while this generation was (or is) current.
-    pub drift: Arc<DriftTracker>,
+    pub(crate) drift: Arc<DriftTracker>,
 }
 
 impl ModelEpoch {
     /// Wrap `model` as generation `id` with a fresh drift tracker.
-    pub fn new(id: u32, model: Arc<GuidedModel>, drift_cfg: DriftConfig) -> Arc<Self> {
+    pub(crate) fn new(id: u32, model: Arc<GuidedModel>, drift_cfg: DriftConfig) -> Arc<Self> {
         let drift = Arc::new(DriftTracker::with_config(&model, drift_cfg));
         Arc::new(ModelEpoch { id, model, drift })
     }
@@ -129,7 +129,7 @@ thread_local! {
 /// See the module docs for the design. Readers call [`EpochCell::with`]
 /// once per hook entry; the manager calls [`EpochCell::swap`] per
 /// regeneration.
-pub struct EpochCell {
+pub(crate) struct EpochCell {
     /// Process-unique id keying the readers' thread-local caches.
     id: u64,
     /// Publication counter: bumped (release) after `current` is replaced.
@@ -139,7 +139,7 @@ pub struct EpochCell {
 
 impl EpochCell {
     /// A cell whose current generation is `initial`.
-    pub fn new(initial: Arc<ModelEpoch>) -> Self {
+    pub(crate) fn new(initial: Arc<ModelEpoch>) -> Self {
         EpochCell {
             id: NEXT_CELL_ID.fetch_add(1, Ordering::Relaxed),
             epoch: AtomicU32::new(0),
@@ -147,13 +147,8 @@ impl EpochCell {
         }
     }
 
-    /// The publication counter (number of swaps so far).
-    pub fn publications(&self) -> u32 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
     /// Clone the current epoch (locks; not for the hot path).
-    pub fn current(&self) -> Arc<ModelEpoch> {
+    fn current(&self) -> Arc<ModelEpoch> {
         self.current.lock().clone()
     }
 
@@ -161,7 +156,7 @@ impl EpochCell {
     /// counter bump on their next read and refresh their cache; the
     /// superseded epoch is freed when the last cached/cloned `Arc` to it
     /// drops.
-    pub fn swap(&self, next: Arc<ModelEpoch>) {
+    fn swap(&self, next: Arc<ModelEpoch>) {
         *self.current.lock() = next;
         self.epoch.fetch_add(1, Ordering::Release);
     }
@@ -174,7 +169,7 @@ impl EpochCell {
     /// another `with` on the same thread finds the cache in use and reads
     /// a locked clone instead.
     #[inline]
-    pub fn with<R>(&self, f: impl FnOnce(&ModelEpoch) -> R) -> R {
+    pub(crate) fn with<R>(&self, f: impl FnOnce(&ModelEpoch) -> R) -> R {
         let tag = self.epoch.load(Ordering::Acquire);
         EPOCH_CACHE.with(|cache| {
             let Ok(mut cache) = cache.try_borrow_mut() else {
@@ -250,8 +245,6 @@ pub struct ModelManager {
     guidance: GuidanceConfig,
     cfg: AdaptConfig,
     swaps: AtomicU64,
-    /// Rebuild opportunities declined because the window was too small.
-    skipped_thin_window: AtomicU64,
     stop: AtomicBool,
     guardian: Mutex<Option<std::thread::JoinHandle<()>>>,
     /// Swap events and per-epoch drift re-attachment go here when set.
@@ -260,8 +253,6 @@ pub struct ModelManager {
     breaker: Option<Arc<Breaker>>,
     /// Chaos plan probed at the guardian-panic site.
     faults: Option<Arc<FaultPlan>>,
-    /// Guardian panics caught and survived.
-    restarts: AtomicU64,
 }
 
 impl ModelManager {
@@ -272,7 +263,7 @@ impl ModelManager {
     /// epoch's drift tracker across hot-swaps, and the guardian probes
     /// `faults`' guardian-panic site each poll (panics are caught,
     /// counted, and survived with capped backoff).
-    pub fn with_robustness(
+    pub(crate) fn with_robustness(
         initial: Arc<GuidedModel>,
         guidance: GuidanceConfig,
         cfg: AdaptConfig,
@@ -292,13 +283,11 @@ impl ModelManager {
             guidance,
             cfg,
             swaps: AtomicU64::new(0),
-            skipped_thin_window: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             guardian: Mutex::new(None),
             telemetry,
             breaker,
             faults,
-            restarts: AtomicU64::new(0),
         })
     }
 
@@ -322,34 +311,13 @@ impl ModelManager {
         self.swaps.load(Ordering::Relaxed)
     }
 
-    /// Rebuilds skipped because the sliding window was thinner than
-    /// `min_window`.
-    pub fn skipped_thin_window(&self) -> u64 {
-        self.skipped_thin_window.load(Ordering::Relaxed)
-    }
-
-    /// Guardian panics caught and survived so far.
-    pub fn guardian_restarts(&self) -> u64 {
-        self.restarts.load(Ordering::Relaxed)
-    }
-
-    /// The adaptation tunables in effect.
-    pub fn config(&self) -> &AdaptConfig {
-        &self.cfg
-    }
-
-    /// Drift report of the *current* generation.
-    pub fn drift_report(&self) -> ModelDrift {
-        self.cell.current().drift.report()
-    }
-
     /// One decision step: read the current epoch's verdict and rebuild
     /// from `hook`'s sliding window when it says Drifting/Stale. Returns
     /// the new epoch id when a swap happened.
     ///
     /// This is what the guardian thread calls each poll; tests call it
     /// directly for deterministic, scripted swap points.
-    pub fn maybe_regenerate(&self, hook: &GuidedHook) -> Option<u32> {
+    pub(crate) fn maybe_regenerate(&self, hook: &GuidedHook) -> Option<u32> {
         let epoch = self.cell.current();
         let report = epoch.drift.report();
         if report.verdict < DriftVerdict::Drifting {
@@ -364,7 +332,6 @@ impl ModelManager {
     pub fn regenerate_from(&self, hook: &GuidedHook, cause: DriftVerdict) -> Option<u32> {
         let window = hook.window_snapshot();
         if window.len() < self.cfg.min_window {
-            self.skipped_thin_window.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         // The window is one contiguous run: transitions are counted
@@ -398,7 +365,7 @@ impl ModelManager {
     /// hook and run [`ModelManager::maybe_regenerate`]. The thread exits
     /// when the hook is dropped or [`ModelManager::stop`] is called. At
     /// most one guardian per manager.
-    pub fn spawn_guardian(self: &Arc<Self>, hook: &Arc<GuidedHook>) {
+    pub(crate) fn spawn_guardian(self: &Arc<Self>, hook: &Arc<GuidedHook>) {
         let mut slot = self.guardian.lock();
         if slot.is_some() {
             return;
@@ -432,7 +399,6 @@ impl ModelManager {
                     Ok(()) => streak = 0,
                     Err(_) => {
                         streak = streak.saturating_add(1);
-                        mgr.restarts.fetch_add(1, Ordering::Relaxed);
                         if let Some(t) = &mgr.telemetry {
                             t.record_guardian_restart();
                         }
@@ -513,7 +479,6 @@ mod tests {
         assert!(std::ptr::eq(cell.with(|e| e as *const ModelEpoch), first));
         cell.swap(ModelEpoch::new(1, model_of(&[(1, 0)]), DriftConfig::default()));
         assert_eq!(cell.with(|e| e.id), 1, "reader refreshes after a swap");
-        assert_eq!(cell.publications(), 1);
     }
 
     #[test]

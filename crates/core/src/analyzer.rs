@@ -19,7 +19,7 @@ use crate::tsa::GuidedModel;
 /// model ("If the metric is above 50 ... most of the transition states
 /// in the model are high probability states"); the drift tracker applies
 /// the same bound live.
-pub const METRIC_REJECT_PCT: f64 = 50.0;
+pub(crate) const METRIC_REJECT_PCT: f64 = 50.0;
 
 /// Whether the analyzer deems a model usable for guided execution.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -27,7 +27,7 @@ pub enum ModelVerdict {
     /// The model is biased enough to guide execution.
     Fit,
     /// Transition distributions are too uniform (metric at or above
-    /// [`METRIC_REJECT_PCT`]): guidance would only add overhead.
+    /// `METRIC_REJECT_PCT`): guidance would only add overhead.
     TooUniform,
     /// The automaton has too few states to express meaningful bias.
     TooFewStates,
@@ -47,16 +47,10 @@ pub struct AnalyzerReport {
     /// Sum of thresholded destination-set sizes, `Σ|S'|`.
     pub kept_destinations: u64,
     /// The verdict under [`GuidanceConfig::min_states`] and
-    /// [`METRIC_REJECT_PCT`].
+    /// `METRIC_REJECT_PCT`.
     pub verdict: ModelVerdict,
 }
 
-impl AnalyzerReport {
-    /// Convenience: is the model usable?
-    pub fn is_fit(&self) -> bool {
-        self.verdict == ModelVerdict::Fit
-    }
-}
 
 /// Analyze a model with the default thresholds.
 pub fn analyze(model: &GuidedModel) -> AnalyzerReport {

@@ -103,20 +103,6 @@ impl BreakerCause {
         self as u8
     }
 
-    /// Human-readable label.
-    pub fn label(self) -> &'static str {
-        match self {
-            BreakerCause::ReleasedRate => "released-rate",
-            BreakerCause::OffModel => "off-model",
-            BreakerCause::Starvation => "starvation",
-            BreakerCause::AbortStorm => "abort-storm",
-            BreakerCause::ModelRejected => "model-rejected",
-            BreakerCause::Cooldown => "cooldown",
-            BreakerCause::Probe => "probe",
-            BreakerCause::Overload => "overload",
-        }
-    }
-
     /// Label for a stable code (trace/report rendering).
     pub fn label_for(code: u8) -> &'static str {
         match code {
@@ -138,11 +124,11 @@ impl BreakerCause {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BreakerTransition {
     /// State left.
-    pub from: BreakerState,
+    from: BreakerState,
     /// State entered.
-    pub to: BreakerState,
+    pub(crate) to: BreakerState,
     /// Why.
-    pub cause: BreakerCause,
+    cause: BreakerCause,
 }
 
 /// Thresholds and window sizes. Units are gate calls unless noted.
@@ -213,7 +199,6 @@ pub struct Breaker {
     trips: AtomicU64,
     recloses: AtomicU64,
     probes: AtomicU64,
-    model_rejections: AtomicU64,
     last_cause: AtomicU32,
     telemetry: Option<Arc<Telemetry>>,
 }
@@ -236,7 +221,6 @@ impl Breaker {
             trips: AtomicU64::new(0),
             recloses: AtomicU64::new(0),
             probes: AtomicU64::new(0),
-            model_rejections: AtomicU64::new(0),
             last_cause: AtomicU32::new(0),
             telemetry: None,
         }
@@ -248,15 +232,10 @@ impl Breaker {
         self
     }
 
-    /// The thresholds in force.
-    pub fn config(&self) -> &BreakerConfig {
-        &self.cfg
-    }
-
     /// (Re-)attach the live drift tracker consulted at window
     /// boundaries. The adapt manager re-attaches on every hot-swap so
     /// the breaker always judges the epoch that is actually gating.
-    pub fn attach_drift(&self, tracker: Arc<DriftTracker>) {
+    pub(crate) fn attach_drift(&self, tracker: Arc<DriftTracker>) {
         *self.drift.lock() = Some(tracker);
     }
 
@@ -267,7 +246,7 @@ impl Breaker {
 
     /// Whether the gate should bypass guidance (fail-open).
     #[inline]
-    pub fn bypass(&self) -> bool {
+    pub(crate) fn bypass(&self) -> bool {
         self.state.load(Ordering::Acquire) == BreakerState::Open.code() as u32
     }
 
@@ -284,11 +263,6 @@ impl Breaker {
     /// Open → Half-Open transitions so far.
     pub fn probes(&self) -> u64 {
         self.probes.load(Ordering::Relaxed)
-    }
-
-    /// Model files rejected via [`Breaker::reject_model`].
-    pub fn model_rejections(&self) -> u64 {
-        self.model_rejections.load(Ordering::Relaxed)
     }
 
     /// Cause of the most recent transition.
@@ -321,7 +295,7 @@ impl Breaker {
     /// Record one gate call and its outcome. Returns the transition it
     /// caused, if any — the caller owns the fail-open reaction (e.g.
     /// publishing the unknown state word).
-    pub fn note_gate(&self, thread: usize, released: bool) -> Option<BreakerTransition> {
+    pub(crate) fn note_gate(&self, thread: usize, released: bool) -> Option<BreakerTransition> {
         let state = self.state();
         match state {
             BreakerState::Open => {
@@ -362,7 +336,7 @@ impl Breaker {
     }
 
     /// Record an abort on `thread`.
-    pub fn note_abort(&self, thread: usize) -> Option<BreakerTransition> {
+    pub(crate) fn note_abort(&self, thread: usize) -> Option<BreakerTransition> {
         let state = self.state();
         if state == BreakerState::Open {
             return None;
@@ -377,7 +351,7 @@ impl Breaker {
     }
 
     /// Record a commit on `thread` (resets its abort streak).
-    pub fn note_commit(&self, thread: usize) {
+    pub(crate) fn note_commit(&self, thread: usize) {
         if self.state() == BreakerState::Open {
             return;
         }
@@ -391,7 +365,6 @@ impl Breaker {
     /// A model file failed its integrity checks at load: count it and
     /// fail open so the run proceeds unguided.
     pub fn reject_model(&self) -> Option<BreakerTransition> {
-        self.model_rejections.fetch_add(1, Ordering::Relaxed);
         if let Some(t) = &self.telemetry {
             t.record_model_rejected();
         }
@@ -561,7 +534,7 @@ mod tests {
     fn drain_window(b: &Breaker, released: bool) -> Option<BreakerTransition> {
         // Drive exactly one full Closed window of gate calls.
         let mut tr = None;
-        for i in 0..b.config().window {
+        for i in 0..b.cfg.window {
             // Spread across threads so no starvation streak forms.
             let t = (i % 8) as usize;
             if let Some(x) = b.note_gate(t, released) {
@@ -799,10 +772,11 @@ mod tests {
 
     #[test]
     fn model_rejection_counts_and_is_idempotent_when_open() {
-        let b = Breaker::new(small_cfg(), None);
+        let tel = Arc::new(Telemetry::new());
+        let b = Breaker::new(small_cfg(), Some(tel.clone()));
         assert!(b.reject_model().is_some());
         assert!(b.reject_model().is_none(), "already open");
-        assert_eq!(b.model_rejections(), 2);
+        assert_eq!(tel.snapshot().breaker_model_rejected, 2);
         assert_eq!(b.trips(), 1);
     }
 

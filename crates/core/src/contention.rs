@@ -17,7 +17,7 @@
 //! allocation. Each cell contains:
 //!
 //! * a **space-saving top-K sketch** (Metwally et al.) over conflict
-//!   addresses: [`SKETCH_SLOTS`] `(addr, count, err)` slots. A recorded
+//!   addresses: `SKETCH_SLOTS` `(addr, count, err)` slots. A recorded
 //!   address that matches a slot increments it; a miss claims an empty
 //!   slot; when the table is full the *minimum-count* slot is evicted and
 //!   the newcomer inherits its count as an over-count bound (`err`).
@@ -41,7 +41,7 @@
 //! Merging happens only on the cold snapshot path
 //! ([`ContentionTracker::snapshot`]), like the PR 1 abort shards: per-cell
 //! sketches are summed by address, ranked, and the mass beyond
-//! [`EXPORT_TOP_K`] is folded into an explicit `residual` so
+//! `EXPORT_TOP_K` is folded into an explicit `residual` so
 //! `Σ top counts + residual == attributed` stays exact after truncation.
 //!
 //! When disabled the backends hold `None` and the abort path pays one
@@ -55,11 +55,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Slots per space-saving sketch cell. The error bound on any reported
 /// count is at most `attributed_in_cell / SKETCH_SLOTS`.
-pub const SKETCH_SLOTS: usize = 32;
+const SKETCH_SLOTS: usize = 32;
 
 /// How many merged hot addresses a snapshot exports; the rest of the
 /// sketch mass is folded into [`ContentionStats::residual`].
-pub const EXPORT_TOP_K: usize = 16;
+const EXPORT_TOP_K: usize = 16;
 
 /// One thread's contention cell: a space-saving sketch plus a
 /// conflict-matrix row. Runs with more threads than [`SLOTS`] share
@@ -179,7 +179,7 @@ impl ContentionTracker {
     /// attributed aborts — one hash plus a bounded array probe. No
     /// allocation, no locks.
     #[inline]
-    pub fn record(&self, thread: ThreadId, cause: AbortCause, site: ConflictSite) {
+    pub(crate) fn record(&self, thread: ThreadId, cause: AbortCause, site: ConflictSite) {
         let cell = self.cells.get(thread.index());
         match cause {
             AbortCause::ReadLocked { owner: Some(o) }
@@ -284,7 +284,7 @@ pub struct HotAddr {
     /// most `err`).
     pub count: u64,
     /// Space-saving over-count bound inherited at eviction.
-    pub err: u64,
+    pub(crate) err: u64,
 }
 
 /// One nonzero conflict-matrix entry: `victim` aborted `count` times
@@ -314,11 +314,11 @@ pub struct ContentionStats {
     /// Attributed mass beyond the exported top-K.
     pub residual: u64,
     /// Space-saving evictions across all cells.
-    pub replacements: u64,
+    pub(crate) replacements: u64,
     /// Occupied sketch slots across all cells.
-    pub occupied: u64,
+    pub(crate) occupied: u64,
     /// Total sketch slots (`crate::sync::SLOTS * SKETCH_SLOTS`).
-    pub capacity: u64,
+    pub(crate) capacity: u64,
     /// The merged top-K hot addresses, count-descending.
     pub top: Vec<HotAddr>,
     /// Nonzero conflict-matrix entries, (victim, owner)-ascending.
@@ -332,22 +332,6 @@ impl ContentionStats {
     /// Total aborts recorded.
     pub fn total(&self) -> u64 {
         self.attributed + self.unattributed
-    }
-
-    /// Whether anything was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total() == 0
-    }
-
-    /// Sketch saturation in [0, 1]: evictions per attributed record. 0
-    /// means the top-K is exact (no eviction ever happened); values near
-    /// 1 mean the address space churned far beyond the sketch width.
-    pub fn saturation(&self) -> f64 {
-        if self.attributed == 0 {
-            0.0
-        } else {
-            self.replacements as f64 / self.attributed as f64
-        }
     }
 }
 
@@ -433,7 +417,7 @@ mod tests {
             assert!(h.count >= h.err, "count bounds its own error: {h:?}");
         }
         assert!(s.replacements > 0, "the adversarial stream must evict");
-        assert!(s.saturation() > 0.0 && s.saturation() < 1.0);
+        assert!(s.replacements < s.attributed);
     }
 
     #[test]
@@ -557,10 +541,10 @@ mod tests {
     #[test]
     fn empty_tracker_snapshot_is_empty() {
         let s = ContentionTracker::new().snapshot();
-        assert!(s.is_empty());
+        assert_eq!(s.total(), 0);
         assert_eq!(s.top.len(), 0);
         assert_eq!(s.pairs.len(), 0);
-        assert_eq!(s.saturation(), 0.0);
+        assert_eq!(s.replacements, 0);
         assert_eq!(s.capacity, (SLOTS * SKETCH_SLOTS) as u64);
     }
 }

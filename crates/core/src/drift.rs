@@ -78,7 +78,7 @@ const UNKNOWN_STALE_PCT: f64 = 60.0;
 /// Evidence bar of the staleness verdict. The thresholds themselves are
 /// fixed: KL 0.5 nats, off-model 25% / 60%, unknown-origin 25% / 60%
 /// (drifting / stale), and an observed guidance metric at or above
-/// [`METRIC_REJECT_PCT`] for a model that profiled below
+/// `METRIC_REJECT_PCT` for a model that profiled below
 /// it — the paper's "metric ≥ ~50 means guidance is useless" rejection,
 /// applied live.
 #[derive(Clone, Copy, Debug)]
@@ -123,7 +123,7 @@ impl DriftVerdict {
     }
 
     /// Lower-case label used in reports and exports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             DriftVerdict::Insufficient => "insufficient",
             DriftVerdict::Fresh => "fresh",
@@ -139,65 +139,39 @@ impl std::fmt::Display for DriftVerdict {
     }
 }
 
-/// Per-state drift detail (only states with observed outbound
-/// transitions appear in [`ModelDrift::per_state`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct StateDrift {
-    /// State id in the model.
-    pub state: u32,
-    /// Observed transitions along modeled edges out of this state.
-    pub on_edge: u64,
-    /// Observed transitions to a modeled state over an unmodeled edge.
-    pub off_edge: u64,
-    /// Observed transitions to a state absent from the model.
-    pub to_unknown: u64,
-    /// KL divergence (nats) of the observed on-edge distribution from
-    /// the profiled one (0 when fewer than one on-edge observation).
-    pub kl_nats: f64,
-}
-
-impl StateDrift {
-    /// All observed transitions out of this state.
-    pub fn total(&self) -> u64 {
-        self.on_edge + self.off_edge + self.to_unknown
-    }
-}
-
 /// A point-in-time comparison of observed vs profiled transition
 /// behaviour — the drift tracker's snapshot.
 #[derive(Clone, Debug, Default)]
 pub struct ModelDrift {
     /// Observed transitions along modeled edges.
-    pub on_edge: u64,
+    pub(crate) on_edge: u64,
     /// Observed transitions between modeled states over unmodeled edges.
-    pub off_edge: u64,
+    pub(crate) off_edge: u64,
     /// Observed transitions from a modeled state to an unmodeled one.
-    pub to_unknown: u64,
+    pub(crate) to_unknown: u64,
     /// Observed transitions out of an unmodeled (unknown) state.
-    pub from_unknown: u64,
+    pub(crate) from_unknown: u64,
     /// `100 · (off_edge + to_unknown) / (on_edge + off_edge +
     /// to_unknown)`; 0 when nothing was observed from modeled states.
-    pub off_model_pct: f64,
+    pub(crate) off_model_pct: f64,
     /// The analyzer's guidance metric of the profiled model.
-    pub profiled_metric_pct: f64,
+    pub(crate) profiled_metric_pct: f64,
     /// The guidance metric recomputed from the observed distribution
     /// (see the module docs); `None` until at least one on-edge
     /// transition was observed.
-    pub observed_metric_pct: Option<f64>,
+    pub(crate) observed_metric_pct: Option<f64>,
     /// Transition-weighted mean per-state KL divergence (nats).
-    pub mean_kl_nats: f64,
+    pub(crate) mean_kl_nats: f64,
     /// Largest per-state KL divergence (nats).
-    pub max_kl_nats: f64,
+    pub(crate) max_kl_nats: f64,
     /// Number of states in the profiled model.
-    pub modeled_states: usize,
+    pub(crate) modeled_states: usize,
     /// Modeled states with at least one observed outbound transition.
-    pub observed_states: usize,
-    /// Per-state detail for observed states, ascending state id.
-    pub per_state: Vec<StateDrift>,
+    pub(crate) observed_states: usize,
     /// The staleness verdict under the tracker's [`DriftConfig`].
     pub verdict: DriftVerdict,
     /// Human-readable justification of the verdict.
-    pub reason: String,
+    pub(crate) reason: String,
 }
 
 impl ModelDrift {
@@ -210,7 +184,7 @@ impl ModelDrift {
     /// model, percent — the coverage complement. High values mean the
     /// model never even *sees* most of the execution, regardless of how
     /// well the covered part matches.
-    pub fn from_unknown_pct(&self) -> f64 {
+    fn unknown_origin_pct(&self) -> f64 {
         let total = self.transitions_total();
         if total == 0 {
             0.0
@@ -251,7 +225,7 @@ impl ModelDrift {
 /// Lock-free observed-transition accumulator over a profiled model.
 ///
 /// One tracker instance is shared (`Arc`) between the guided hook (which
-/// calls [`DriftTracker::record`] once per commit) and whoever reads
+/// calls `DriftTracker::record` once per commit) and whoever reads
 /// [`DriftTracker::report`]. All counters are relaxed atomics: a record
 /// is one binary search over the source state's (sorted) modeled
 /// destinations plus one `fetch_add`.
@@ -288,7 +262,7 @@ impl DriftTracker {
     }
 
     /// Build a tracker over `model` with explicit thresholds.
-    pub fn with_config(model: &GuidedModel, config: DriftConfig) -> Self {
+    pub(crate) fn with_config(model: &GuidedModel, config: DriftConfig) -> Self {
         let tsa = model.tsa();
         let n = tsa.num_states();
         let mut edge_offsets = Vec::with_capacity(n + 1);
@@ -326,7 +300,7 @@ impl DriftTracker {
     }
 
     /// Number of states in the tracked model.
-    pub fn num_states(&self) -> usize {
+    pub(crate) fn num_states(&self) -> usize {
         self.edge_offsets.len() - 1
     }
 
@@ -334,7 +308,7 @@ impl DriftTracker {
     /// guided hook tracks them; [`UNKNOWN_STATE`] for unmodeled states).
     /// Called on every guided commit, including self-transitions.
     #[inline]
-    pub fn record(&self, from: u32, to: u32) {
+    pub(crate) fn record(&self, from: u32, to: u32) {
         if from == UNKNOWN_STATE || from as usize >= self.num_states() {
             self.from_unknown.fetch_add(1, Ordering::Relaxed);
             return;
@@ -353,7 +327,7 @@ impl DriftTracker {
     /// Compare observed against profiled and issue a verdict.
     pub fn report(&self) -> ModelDrift {
         let n = self.num_states();
-        let mut per_state = Vec::new();
+        let mut observed_states = 0;
         let (mut on_edge, mut off_edge_t, mut to_unknown_t) = (0u64, 0u64, 0u64);
         let (mut kl_weighted, mut kl_weight, mut max_kl) = (0.0f64, 0u64, 0.0f64);
         let (mut obs_all, mut obs_kept) = (0u64, 0u64);
@@ -372,8 +346,9 @@ impl DriftTracker {
             if on + off + unk == 0 {
                 continue;
             }
-            let mut kl = 0.0f64;
+            observed_states += 1;
             if on > 0 {
+                let mut kl = 0.0f64;
                 let profiled_total: u64 = self.edge_profiled[row.clone()].iter().sum();
                 // Observed guidance metric inputs for this state.
                 let p_h = counts.iter().copied().max().unwrap_or(0) as f64 / on as f64;
@@ -398,13 +373,6 @@ impl DriftTracker {
                 kl_weight += on;
                 max_kl = max_kl.max(kl);
             }
-            per_state.push(StateDrift {
-                state: s as u32,
-                on_edge: on,
-                off_edge: off,
-                to_unknown: unk,
-                kl_nats: kl,
-            });
         }
         let from_unknown = self.from_unknown.load(Ordering::Relaxed);
         let from_modeled = on_edge + off_edge_t + to_unknown_t;
@@ -431,8 +399,7 @@ impl DriftTracker {
             mean_kl_nats,
             max_kl_nats: max_kl,
             modeled_states: n,
-            observed_states: per_state.len(),
-            per_state,
+            observed_states,
             verdict: DriftVerdict::Insufficient,
             reason: String::new(),
         };
@@ -465,14 +432,14 @@ impl DriftTracker {
                      (≥ {OFF_MODEL_STALE_PCT:.0}%); re-profile"
                 ),
             )
-        } else if drift.from_unknown_pct() >= UNKNOWN_STALE_PCT {
+        } else if drift.unknown_origin_pct() >= UNKNOWN_STALE_PCT {
             (
                 DriftVerdict::Stale,
                 format!(
                     "{:.0}% of transitions originate outside the model \
                      (≥ {UNKNOWN_STALE_PCT:.0}%); the profile no longer covers this \
                      execution; re-profile",
-                    drift.from_unknown_pct(),
+                    drift.unknown_origin_pct(),
                 ),
             )
         } else if mean_kl_nats >= KL_DRIFT_NATS {
@@ -488,13 +455,13 @@ impl DriftTracker {
                      (≥ {OFF_MODEL_DRIFT_PCT:.0}%)"
                 ),
             )
-        } else if drift.from_unknown_pct() >= UNKNOWN_DRIFT_PCT {
+        } else if drift.unknown_origin_pct() >= UNKNOWN_DRIFT_PCT {
             (
                 DriftVerdict::Drifting,
                 format!(
                     "{:.0}% of transitions originate outside the model \
                      (≥ {UNKNOWN_DRIFT_PCT:.0}%); coverage is eroding",
-                    drift.from_unknown_pct(),
+                    drift.unknown_origin_pct(),
                 ),
             )
         } else {
@@ -703,7 +670,7 @@ mod tests {
         let d = tracker.report();
         assert!(d.mean_kl_nats < 1e-9, "covered part still matches");
         assert!(d.off_model_pct < 1.0);
-        assert!(d.from_unknown_pct() > 60.0, "{}", d.from_unknown_pct());
+        assert!(d.unknown_origin_pct() > 60.0, "{}", d.unknown_origin_pct());
         assert_eq!(d.verdict, DriftVerdict::Stale, "reason: {}", d.reason);
         assert!(d.reason.contains("no longer covers"), "reason: {}", d.reason);
     }

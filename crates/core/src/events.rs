@@ -39,7 +39,7 @@ pub enum AbortCause {
 
 impl AbortCause {
     /// The conflicting thread, when the STM knows it.
-    pub fn conflicting_thread(&self) -> Option<ThreadId> {
+    pub(crate) fn conflicting_thread(&self) -> Option<ThreadId> {
         match *self {
             AbortCause::ReadLocked { owner } => owner,
             AbortCause::CommitLockBusy { owner } => owner,
@@ -60,28 +60,28 @@ impl AbortCause {
 /// location (explicit retries, doom flags observed without provenance),
 /// which the contention sketch counts as *unattributed*.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct ConflictSite {
+pub(crate) struct ConflictSite {
     addr: usize,
 }
 
 impl ConflictSite {
     /// No known location (attribution counts this abort as unattributed).
-    pub const UNKNOWN: ConflictSite = ConflictSite { addr: 0 };
+    pub(crate) const UNKNOWN: ConflictSite = ConflictSite { addr: 0 };
 
     /// A conflict detected on the location with the given stable key.
     /// A zero key collapses to [`ConflictSite::UNKNOWN`] (allocation
     /// addresses are never null).
-    pub fn at(addr: usize) -> Self {
+    pub(crate) fn at(addr: usize) -> Self {
         ConflictSite { addr }
     }
 
     /// The conflicting location's key, if one was recorded.
-    pub fn addr(self) -> Option<usize> {
+    pub(crate) fn addr(self) -> Option<usize> {
         (self.addr != 0).then_some(self.addr)
     }
 
     /// The raw key (0 = unknown) — the trace-schema encoding.
-    pub fn raw(self) -> usize {
+    pub(crate) fn raw(self) -> usize {
         self.addr
     }
 }
@@ -95,7 +95,7 @@ pub struct Abort {
     /// What killed the attempt.
     pub cause: AbortCause,
     /// Where the conflict was detected (unknown for explicit retries).
-    pub site: ConflictSite,
+    pub(crate) site: ConflictSite,
 }
 
 impl Abort {

@@ -33,7 +33,7 @@ const INITIAL_SLOTS: usize = 16;
 
 impl AddrSet {
     /// Number of keys in the set.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.filled.len()
     }
 
@@ -53,24 +53,6 @@ impl AddrSet {
     #[inline]
     fn slot_of(key: usize, mask: usize) -> usize {
         key.wrapping_mul(PHI) >> 7 & mask
-    }
-
-    /// Whether `key` is in the set.
-    #[inline]
-    pub fn contains(&self, key: usize) -> bool {
-        debug_assert_ne!(key, 0, "AddrSet keys must be non-zero");
-        if self.slots.is_empty() {
-            return false;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = Self::slot_of(key, mask);
-        loop {
-            match self.slots[i] {
-                0 => return false,
-                k if k == key => return true,
-                _ => i = (i + 1) & mask,
-            }
-        }
     }
 
     /// Insert `key`, returning `true` if it was not already present.
@@ -116,6 +98,24 @@ impl AddrSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AddrSet {
+        /// Whether `key` is in the set.
+        fn contains(&self, key: usize) -> bool {
+            if self.slots.is_empty() {
+                return false;
+            }
+            let mask = self.slots.len() - 1;
+            let mut i = Self::slot_of(key, mask);
+            loop {
+                match self.slots[i] {
+                    0 => return false,
+                    k if k == key => return true,
+                    _ => i = (i + 1) & mask,
+                }
+            }
+        }
+    }
 
     #[test]
     fn insert_and_contains() {

@@ -78,10 +78,10 @@ pub enum FaultSite {
 }
 
 /// Number of distinct [`FaultSite`]s.
-pub const NUM_SITES: usize = 13;
+const NUM_SITES: usize = 13;
 
 /// Every site, in discriminant order.
-pub const ALL_SITES: [FaultSite; NUM_SITES] = [
+const ALL_SITES: [FaultSite; NUM_SITES] = [
     FaultSite::Tl2Abort,
     FaultSite::Tl2CommitDelay,
     FaultSite::LibtmAbort,
@@ -123,7 +123,7 @@ impl FaultSite {
     }
 
     /// Inverse of [`FaultSite::name`].
-    pub fn from_name(name: &str) -> Option<FaultSite> {
+    fn from_name(name: &str) -> Option<FaultSite> {
         ALL_SITES.iter().copied().find(|s| s.name() == name)
     }
 
@@ -166,15 +166,15 @@ impl FaultSite {
 /// Per-site arming: fire rate, intensity, and an optional injection
 /// budget after which the site disarms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SiteConfig {
+pub(crate) struct SiteConfig {
     /// Fire probability per probe, in thousandths. 0 disarms the site.
-    pub permille: u16,
+    permille: u16,
     /// Site-specific intensity (spin iterations / storm length); the
     /// actual fired value is deterministically perturbed in
     /// `[payload, 2·payload)`.
-    pub payload: u32,
+    payload: u32,
     /// Maximum injections before the site disarms; 0 = unlimited.
-    pub budget: u64,
+    budget: u64,
 }
 
 impl SiteConfig {
@@ -222,7 +222,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// A plan with explicit per-site arming.
-    pub fn new(seed: u64, sites: [SiteConfig; NUM_SITES]) -> FaultPlan {
+    pub(crate) fn new(seed: u64, sites: [SiteConfig; NUM_SITES]) -> FaultPlan {
         FaultPlan {
             seed,
             sites,
@@ -316,17 +316,6 @@ impl FaultPlan {
         self.seed
     }
 
-    /// The arming of `site`.
-    pub fn site_config(&self, site: FaultSite) -> SiteConfig {
-        self.sites[site.index()]
-    }
-
-    /// Whether `site` can ever fire under this plan (budget not
-    /// considered).
-    pub fn armed(&self, site: FaultSite) -> bool {
-        self.sites[site.index()].permille > 0
-    }
-
     /// Faults injected at `site` so far.
     pub fn injected(&self, site: FaultSite) -> u64 {
         self.injected[site.index()].load(Ordering::Relaxed)
@@ -413,7 +402,7 @@ impl FaultPlan {
 
 /// Busy-wait `spins` iterations (the delay/stall payload).
 #[inline]
-pub fn spin_for(spins: u32) {
+pub(crate) fn spin_for(spins: u32) {
     for _ in 0..spins {
         std::hint::spin_loop();
     }
@@ -431,31 +420,39 @@ fn parse_u64(s: &str) -> Option<u64> {
 mod tests {
     use super::*;
 
+    fn site_config(p: &FaultPlan, site: FaultSite) -> SiteConfig {
+        p.sites[site.index()]
+    }
+
+    fn armed(p: &FaultPlan, site: FaultSite) -> bool {
+        site_config(p, site).permille > 0
+    }
+
     #[test]
     fn parse_seed_only_defaults_to_forced_aborts() {
         let p = FaultPlan::parse_spec("42").unwrap();
         assert_eq!(p.seed(), 42);
-        assert!(p.armed(FaultSite::Tl2Abort));
-        assert!(p.armed(FaultSite::LibtmAbort));
-        assert!(!p.armed(FaultSite::GateStall));
-        assert!(!p.armed(FaultSite::ModelCorrupt));
+        assert!(armed(&p, FaultSite::Tl2Abort));
+        assert!(armed(&p, FaultSite::LibtmAbort));
+        assert!(!armed(&p, FaultSite::GateStall));
+        assert!(!armed(&p, FaultSite::ModelCorrupt));
     }
 
     #[test]
     fn parse_hex_seed_and_explicit_plan() {
         let p = FaultPlan::parse_spec("0xfeed:gate-stalls+corrupt-model").unwrap();
         assert_eq!(p.seed(), 0xfeed);
-        assert!(p.armed(FaultSite::GateStall));
-        assert!(p.armed(FaultSite::ModelCorrupt));
-        assert!(!p.armed(FaultSite::Tl2Abort));
+        assert!(armed(&p, FaultSite::GateStall));
+        assert!(armed(&p, FaultSite::ModelCorrupt));
+        assert!(!armed(&p, FaultSite::Tl2Abort));
     }
 
     #[test]
     fn parse_rates_and_budgets() {
         let p = FaultPlan::parse_spec("7:tl2-abort@500x100+storms@30").unwrap();
-        let a = p.site_config(FaultSite::Tl2Abort);
+        let a = site_config(&p, FaultSite::Tl2Abort);
         assert_eq!((a.permille, a.budget), (500, 100));
-        let s = p.site_config(FaultSite::TransitionStorm);
+        let s = site_config(&p, FaultSite::TransitionStorm);
         assert_eq!((s.permille, s.budget), (30, 0));
     }
 

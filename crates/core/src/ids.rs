@@ -31,13 +31,6 @@ impl ThreadId {
     }
 }
 
-impl TxnId {
-    /// Raw numeric value.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
 
 impl fmt::Display for ThreadId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -82,7 +75,7 @@ impl Pair {
 
     /// Inverse of [`Pair::packed`].
     #[inline]
-    pub fn from_packed(raw: u32) -> Self {
+    pub(crate) fn from_packed(raw: u32) -> Self {
         Pair {
             txn: TxnId((raw >> 16) as u16),
             thread: ThreadId((raw & 0xffff) as u16),

@@ -42,14 +42,14 @@
 
 #![deny(unsafe_code)]
 
-pub mod adapt;
+pub(crate) mod adapt;
 pub mod analyzer;
 pub mod breaker;
 pub mod config;
 pub mod contention;
 pub mod drift;
 pub mod events;
-pub mod fastset;
+pub(crate) mod fastset;
 pub mod faultinject;
 pub mod guidance;
 pub mod ids;
@@ -60,7 +60,7 @@ pub mod metrics;
 pub mod model_io;
 pub mod ops;
 pub mod rng;
-pub mod stats;
+pub(crate) mod stats;
 pub mod sync;
 pub mod telemetry;
 pub mod tsa;
@@ -68,25 +68,22 @@ pub mod tss;
 
 /// Convenient re-exports of the types used by nearly every integration.
 pub mod prelude {
-    pub use crate::adapt::{AdaptConfig, ModelEpoch, ModelManager};
-    pub use crate::analyzer::{analyze, AnalyzerReport, ModelVerdict};
+    pub use crate::adapt::AdaptConfig;
+    pub use crate::analyzer::AnalyzerReport;
     pub use crate::breaker::{Breaker, BreakerCause, BreakerConfig, BreakerState};
     pub use crate::config::GuidanceConfig;
-    pub use crate::faultinject::{FaultPlan, FaultSite};
-    pub use crate::drift::{DriftConfig, DriftTracker, DriftVerdict, ModelDrift};
-    pub use crate::contention::{ContentionStats, ContentionTracker, HotAddr, PairConflict};
-    pub use crate::events::{Abort, AbortCause, ConflictSite, TxResult};
+    pub use crate::contention::{ContentionStats, ContentionTracker};
+    pub use crate::drift::{DriftTracker, DriftVerdict};
+    pub use crate::events::{Abort, AbortCause, TxResult};
     pub use crate::fastset::AddrSet;
+    pub use crate::faultinject::{FaultPlan, FaultSite};
     pub use crate::guidance::{GateStats, GuidanceHook, GuidedHook, NoopHook, RecorderHook};
     pub use crate::ids::{Pair, ThreadId, TxnId};
     pub use crate::instruments::{Attempt, Instruments};
     pub use crate::metrics::AbortHistogram;
-    pub use crate::ops::{
-        OpsPlane, OpsRoller, OpsServer, SloSpec, SloState, SloTransition, SloWatchdog,
-        WindowDelta, WindowedTelemetry,
-    };
+    pub use crate::ops::{OpsPlane, SloSpec};
     pub use crate::stats::ThreadStats;
-    pub use crate::telemetry::{Telemetry, TelemetrySnapshot, TraceEvent, TraceKind};
+    pub use crate::telemetry::{Telemetry, TraceKind};
     pub use crate::tsa::{GuidedModel, StateId, Tsa};
     pub use crate::tss::StateKey;
 }

@@ -210,7 +210,7 @@ impl Explorer {
 /// Exact interleaving count of the full graph by memoized DP (no path is
 /// ever enumerated, so astronomically large counts are fine). Returns
 /// `(paths, distinct_states)`; counts saturate at `u128::MAX`.
-pub fn naive_interleavings(cfg: &MckConfig) -> (u128, u64) {
+fn naive_interleavings(cfg: &MckConfig) -> (u128, u64) {
     fn count(
         state: &MachineState,
         memo: &mut HashMap<Vec<u64>, u128>,

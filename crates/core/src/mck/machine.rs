@@ -60,7 +60,7 @@ use crate::tsa::{GuidedModel, StateId, Tsa};
 use crate::tss::StateKey;
 
 /// Unknown state id (mirrors `guidance::UNKNOWN`).
-pub const UNKNOWN: u32 = u32::MAX;
+pub(crate) const UNKNOWN: u32 = u32::MAX;
 /// Current word naming "unknown under epoch 0" (mirrors the hook's
 /// fail-open store).
 const UNKNOWN_WORD: u64 = UNKNOWN as u64;
@@ -75,19 +75,19 @@ const UNKNOWN_WORD: u64 = UNKNOWN as u64;
 #[derive(Clone, Copy, Debug)]
 pub struct MckBreakerConfig {
     /// Gate calls per Closed evaluation window.
-    pub window: u64,
+    pub(crate) window: u64,
     /// Trip when a window's released share (percent) reaches this.
-    pub max_released_pct: f64,
+    pub(crate) max_released_pct: f64,
     /// Trip when a window's abort share (percent) reaches this.
-    pub max_abort_pct: f64,
+    pub(crate) max_abort_pct: f64,
     /// Trip on this many consecutive releases on one thread.
-    pub starvation_releases: u32,
+    pub(crate) starvation_releases: u32,
     /// Trip on this many consecutive aborts without a commit.
-    pub abort_streak: u32,
+    pub(crate) abort_streak: u32,
     /// Gate calls spent Open before probing.
-    pub cooldown: u64,
+    pub(crate) cooldown: u64,
     /// Gate calls the Half-Open probe observes before judging.
-    pub probe_window: u64,
+    pub(crate) probe_window: u64,
 }
 
 impl Default for MckBreakerConfig {
@@ -182,7 +182,7 @@ impl MckConfig {
     }
 
     /// Total schedulable agents (workers plus the manager when swaps > 0).
-    pub fn agents(&self) -> u16 {
+    fn agents(&self) -> u16 {
         self.threads + (self.swaps > 0) as u16
     }
 
@@ -263,7 +263,7 @@ impl ViolationKind {
     }
 
     /// Inverse of [`ViolationKind::name`].
-    pub fn parse(s: &str) -> Option<ViolationKind> {
+    pub(crate) fn parse(s: &str) -> Option<ViolationKind> {
         [
             ViolationKind::ReleasedWhileAllowed,
             ViolationKind::GateUnbounded,
@@ -299,24 +299,24 @@ pub struct Violation {
 /// current word, EpochCell generation, breaker word, recorded Tseq, then
 /// one bit per abort shard.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Footprint {
+pub(crate) struct Footprint {
     /// Words read.
-    pub reads: u32,
+    reads: u32,
     /// Words written.
-    pub writes: u32,
+    writes: u32,
 }
 
 /// The packed current-state word.
-pub const W_CUR: u32 = 1 << 0;
+const W_CUR: u32 = 1 << 0;
 /// The EpochCell generation counter (and the published model list).
-pub const W_GEN: u32 = 1 << 1;
+const W_GEN: u32 = 1 << 1;
 /// The breaker's state + window counters (coarsened to one word).
-pub const W_BRK: u32 = 1 << 2;
+const W_BRK: u32 = 1 << 2;
 /// The recorded Tseq / sliding window.
-pub const W_REC: u32 = 1 << 3;
+const W_REC: u32 = 1 << 3;
 
 /// The abort shard of worker `t`.
-pub fn w_shard(t: u16) -> u32 {
+fn w_shard(t: u16) -> u32 {
     1 << (4 + t as u32)
 }
 
@@ -333,7 +333,7 @@ impl Footprint {
     /// touches. Disjoint footprints commute *and* leave each other's
     /// footprint unchanged, which is the property the sleep-set and
     /// persistent-singleton pruning rely on.
-    pub fn conflicts(&self, other: &Footprint) -> bool {
+    pub(crate) fn conflicts(&self, other: &Footprint) -> bool {
         (self.writes & (other.reads | other.writes)) != 0
             || (other.writes & (self.reads | self.writes)) != 0
     }
@@ -612,12 +612,12 @@ pub struct StepEffect {
     /// Invariant breach attached to this step, if any.
     pub violation: Option<Violation>,
     /// Exact words read/written by this step.
-    pub footprint: Footprint,
+    pub(crate) footprint: Footprint,
 }
 
 /// A reachable state of the protocol model. Clone is cheap-ish (small
 /// vectors + Arc bumps); equality for exploration purposes is via
-/// [`MachineState::encode`].
+/// `MachineState::encode`.
 #[derive(Clone)]
 pub struct MachineState {
     cfg: Arc<MckConfig>,
@@ -645,7 +645,7 @@ pub struct MachineState {
     /// Gate calls started.
     pub gate_calls: u64,
     /// Steps taken along the path that produced this state (bookkeeping).
-    pub steps: u32,
+    steps: u32,
 }
 
 /// Chain-hash of a key sequence (for epoch signatures and cache keys).
@@ -691,11 +691,6 @@ impl MachineState {
         }
     }
 
-    /// The configuration this state belongs to.
-    pub fn config(&self) -> &MckConfig {
-        &self.cfg
-    }
-
     /// The latest published generation id.
     pub fn generation(&self) -> u32 {
         (self.epochs.len() - 1) as u32
@@ -716,15 +711,9 @@ impl MachineState {
         self.cfg.swaps - self.swaps_left
     }
 
-    /// Breaker state code (0 Closed, 1 Open, 2 Half-Open); Closed when
-    /// disabled.
-    pub fn breaker_state(&self) -> u8 {
-        self.breaker.as_ref().map_or(CLOSED, |b| b.state)
-    }
-
     /// Whether agent `a`'s next step exists. Workers block on nothing;
     /// the manager is enabled once there is a window to rebuild from.
-    pub fn enabled(&self, agent: u16) -> bool {
+    pub(crate) fn enabled(&self, agent: u16) -> bool {
         if let Some(t) = self.threads.get(agent as usize) {
             return t.phase != Phase::Done;
         }
@@ -738,7 +727,7 @@ impl MachineState {
 
     /// Agents that may still take steps in the future (enabled now or
     /// temporarily blocked — the manager waiting for a first commit).
-    pub fn live_agents(&self) -> Vec<u16> {
+    pub(crate) fn live_agents(&self) -> Vec<u16> {
         (0..self.cfg.agents())
             .filter(|&a| {
                 if let Some(t) = self.threads.get(a as usize) {
@@ -751,7 +740,7 @@ impl MachineState {
     }
 
     /// A complete (maximal) execution: nothing can move.
-    pub fn is_complete(&self) -> bool {
+    fn is_complete(&self) -> bool {
         self.enabled_agents().is_empty()
     }
 
@@ -760,7 +749,7 @@ impl MachineState {
     /// (hash-compaction, as in SPIN's `-DHC`): a collision would merge two
     /// distinct states, with probability ~|states|²/2⁶⁴ — negligible at
     /// model scale and documented in DESIGN.md §15.
-    pub fn encode(&self) -> Vec<u64> {
+    pub(crate) fn encode(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.threads.len() + 6);
         for t in &self.threads {
             out.push(
@@ -794,7 +783,7 @@ impl MachineState {
 
     /// 64-bit fingerprint of [`MachineState::encode`] (for trace
     /// fingerprint chains).
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for w in self.encode() {
             h = (h ^ w).wrapping_mul(0x100_0000_01b3);
@@ -873,7 +862,7 @@ impl MachineState {
     /// End-of-path invariant: outcomes partition resolved gate calls.
     /// (Structural in the unmutated machine; kept as a monitor so counter
     /// bookkeeping bugs in the machine itself get caught.)
-    pub fn check_complete(&self) -> Option<Violation> {
+    pub(crate) fn check_complete(&self) -> Option<Violation> {
         debug_assert!(self.is_complete());
         let resolved = self.passed + self.waited + self.released;
         if resolved != self.gate_calls {
@@ -1182,7 +1171,7 @@ impl MachineState {
     /// Over-approximation of every footprint agent `a` may produce from
     /// here to the end of its program — the stubborn-set side condition
     /// for the persistent-singleton rule.
-    pub fn future_footprint(&self, agent: u16) -> Footprint {
+    pub(crate) fn future_footprint(&self, agent: u16) -> Footprint {
         let mut fp = Footprint::default();
         if agent as usize >= self.threads.len() {
             if self.swaps_left > 0 {
@@ -1297,11 +1286,6 @@ impl MachineState {
     /// Whether the worker is at an op boundary about to commit.
     pub fn at_commit(&self, t: u16) -> bool {
         self.threads.get(t as usize).is_some_and(|c| c.phase == Phase::CommitEntry)
-    }
-
-    /// Whether the worker has finished all its windows.
-    pub fn done(&self, t: u16) -> bool {
-        self.threads.get(t as usize).is_some_and(|c| c.phase == Phase::Done)
     }
 }
 
@@ -1484,7 +1468,7 @@ mod tests {
         s = eff.state;
         // Thread 1 commits fully, giving the manager a window; the swap
         // publishes generation 1 whose ids differ from the seed model's.
-        while !s.done(1) {
+        while s.threads[1].phase != Phase::Done {
             let eff = s.step(1);
             assert!(eff.violation.is_none());
             s = eff.state;

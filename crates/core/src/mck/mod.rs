@@ -12,17 +12,17 @@
 //!
 //! ## The pieces
 //!
-//! * [`machine`] — the deterministic small-step operational model: each
+//! * `machine` — the deterministic small-step operational model: each
 //!   step is one atomic action on the shared words the real implementation
 //!   touches (the current-state word, the breaker state, the EpochCell
 //!   generation, the per-thread abort shards, the recorded Tseq). Invariant
 //!   monitors are evaluated on every state and every transition.
-//! * [`explore`](mod@explore) — stateful DFS with dynamic partial-order reduction:
+//! * `explore` — stateful DFS with dynamic partial-order reduction:
 //!   sleep sets (Godefroid) plus a persistent/stubborn singleton rule keyed
 //!   on the shared-word footprint of each step, with an exact
 //!   path-counting pass so the POR reduction factor is a measured claim,
 //!   not an estimate.
-//! * [`schedule`] — counterexample schedules: minimized, serialized to a
+//! * `schedule` — counterexample schedules: minimized, serialized to a
 //!   text file, and replayable bit-identically (the replay is a pure
 //!   function of the schedule, so two replays produce the same trace
 //!   fingerprint or the file is broken).
@@ -54,15 +54,13 @@
 //!   judges within `probe_window` calls (it always reaches Closed or
 //!   Open).
 
-pub mod explore;
-pub mod machine;
-pub mod schedule;
+pub(crate) mod explore;
+pub(crate) mod machine;
+mod schedule;
 
-pub use explore::{explore, naive_interleavings, ExploreOptions, ExploreReport};
-pub use machine::{
-    MachineState, MckBreakerConfig, MckConfig, StepEffect, Violation, ViolationKind,
-};
-pub use schedule::{replay_schedule, Counterexample, ReplayOutcome};
+pub use explore::{explore, ExploreOptions, ExploreReport};
+pub use machine::{MachineState, MckConfig, Violation, ViolationKind};
+pub use schedule::Counterexample;
 
 /// One flipped protocol decision. The checker must find a violation for
 /// every site — that is the proof it has teeth.

@@ -32,13 +32,13 @@ use super::machine::{MachineState, MckBreakerConfig, MckConfig, Violation, Viola
 use super::Mutation;
 
 /// Magic first line of a schedule file.
-pub const MAGIC: &str = "gstm-mck-counterexample v1";
+const MAGIC: &str = "gstm-mck-counterexample v1";
 
 /// Everything a violation reproduction needs, serializable to text.
 #[derive(Clone, Debug)]
 pub struct Counterexample {
     /// The configuration the machine was built with (mutation included).
-    pub config: MckConfig,
+    pub(crate) config: MckConfig,
     /// Agent ids dispatched in order from the initial state.
     pub schedule: Vec<u16>,
     /// The violation the schedule ends in.
@@ -51,7 +51,7 @@ pub struct Counterexample {
 #[derive(Clone, Debug)]
 pub struct ReplayOutcome {
     /// Violation hit while replaying (the schedule's final step, if any).
-    pub violation: Option<Violation>,
+    violation: Option<Violation>,
     /// Chain hash over every post-step state fingerprint. For a schedule
     /// ending in a violation the chain covers the steps *before* it (the
     /// violating step has no post-state — the machine stops there).
@@ -65,7 +65,7 @@ pub struct ReplayOutcome {
 /// same inputs, same outcome, bit for bit. Errors when the schedule
 /// dispatches an agent that is not enabled (a corrupt or mismatched
 /// file), naming the offending index.
-pub fn replay_schedule(cfg: &MckConfig, schedule: &[u16]) -> Result<ReplayOutcome, String> {
+fn replay_schedule(cfg: &MckConfig, schedule: &[u16]) -> Result<ReplayOutcome, String> {
     let mut state = MachineState::initial(cfg);
     let mut chain: u64 = 0xcbf2_9ce4_8422_2325;
     let mut steps = 0u32;

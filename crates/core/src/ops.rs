@@ -6,21 +6,21 @@
 //! hot addresses — this module re-derives *while the run executes*, as
 //! per-window deltas over the existing [`Telemetry`] counters:
 //!
-//! * [`WindowedTelemetry`] snapshots the cumulative counters on a fixed
+//! * `WindowedTelemetry` snapshots the cumulative counters on a fixed
 //!   cadence and keeps a bounded ring of per-window deltas plus a rollup
 //!   of evicted windows, with the hard invariant that
 //!   `Σ retained windows + evicted rollup == cumulative counters` exactly
 //!   (every delta is an exact `u64` difference of successive snapshots,
-//!   so the partition holds by construction — [`WindowedTelemetry::check_partition`]
+//!   so the partition holds by construction — `WindowedTelemetry::check_partition`
 //!   re-verifies it and `gstm-analyze` cross-checks the exported form).
-//! * [`SloWatchdog`] is an Ok→Warn→Incident state machine with
+//! * `SloWatchdog` is an Ok→Warn→Incident state machine with
 //!   hysteresis (consecutive breaching windows to escalate, consecutive
 //!   clean windows to step back down) over windowed rates plus the
 //!   breaker position and drift verdict.
 //! * Entering Incident trips the **flight recorder**: the last N
 //!   windows, a trace-ring drain, the contention snapshot, and the drift
 //!   verdict are serialized as a stamped incident artifact
-//!   ([`render_incident_json`]) that `gstm-analyze` ingests. Trace
+//!   (`render_incident_json`) that `gstm-analyze` ingests. Trace
 //!   events in the dump deliberately omit `ts_ns`: `seq` order is the
 //!   causal truth, and dropping wall-clock noise is what makes a
 //!   chaos-seeded incident replay bit-identically.
@@ -57,11 +57,11 @@ use std::time::Duration;
 
 /// Default bound on retained windows (older windows fold into the
 /// evicted rollup).
-pub const DEFAULT_WINDOW_RING: usize = 64;
+const DEFAULT_WINDOW_RING: usize = 64;
 
 /// Hot addresses carried per window (from the contention sketch's
 /// merged top-K at window close).
-pub const WINDOW_HOT_ADDRS: usize = 4;
+const WINDOW_HOT_ADDRS: usize = 4;
 
 // ---------------------------------------------------------------------------
 // Window counters and deltas
@@ -72,43 +72,43 @@ pub const WINDOW_HOT_ADDRS: usize = 4;
 /// shape, so the partition invariant is checked field-by-field with
 /// ordinary `==`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WindowCounters {
+struct WindowCounters {
     /// Committed attempts.
-    pub commits: u64,
+    commits: u64,
     /// Aborted attempts by cause (indexed per [`ABORT_CAUSE_NAMES`]).
-    pub aborts: [u64; 6],
+    aborts: [u64; 6],
     /// Gate calls that passed immediately.
-    pub gate_passed: u64,
+    gate_passed: u64,
     /// Gate calls that waited before passing.
-    pub gate_waited: u64,
+    gate_waited: u64,
     /// Gate calls released by the progress escape.
-    pub gate_released: u64,
+    gate_released: u64,
     /// Trace events lost to ring overwrites.
-    pub trace_dropped: u64,
+    pub(crate) trace_dropped: u64,
     /// Guided-model hot-swaps.
-    pub model_swaps: u64,
+    model_swaps: u64,
     /// Breaker trips.
-    pub breaker_trips: u64,
+    pub(crate) breaker_trips: u64,
     /// Breaker re-closes.
-    pub breaker_recloses: u64,
+    pub(crate) breaker_recloses: u64,
     /// Breaker half-open probes.
-    pub breaker_probes: u64,
+    pub(crate) breaker_probes: u64,
     /// Model files rejected by integrity checks.
-    pub model_rejected: u64,
+    model_rejected: u64,
     /// Adapt-guardian restarts.
-    pub guardian_restarts: u64,
+    pub(crate) guardian_restarts: u64,
     /// Commit-latency histogram buckets (delta of bucket counts, so a
     /// window has its own latency distribution, not the cumulative one).
-    pub commit_buckets: Vec<u64>,
+    commit_buckets: Vec<u64>,
     /// Commit-latency sample count.
-    pub commit_count: u64,
+    commit_count: u64,
     /// Commit-latency sample sum (ns).
-    pub commit_sum_ns: u64,
+    commit_sum_ns: u64,
 }
 
 impl WindowCounters {
     /// Reduce a snapshot to its monotone counter fields.
-    pub fn from_snapshot(s: &TelemetrySnapshot) -> Self {
+    fn from_snapshot(s: &TelemetrySnapshot) -> Self {
         WindowCounters {
             commits: s.commits,
             aborts: s.aborts,
@@ -129,17 +129,17 @@ impl WindowCounters {
     }
 
     /// Total aborted attempts.
-    pub fn aborts_total(&self) -> u64 {
+    fn aborts_total(&self) -> u64 {
         self.aborts.iter().sum()
     }
 
     /// Total gate calls.
-    pub fn gate_total(&self) -> u64 {
+    fn gate_total(&self) -> u64 {
         self.gate_passed + self.gate_waited + self.gate_released
     }
 
     /// Whether every counter is zero (an idle window).
-    pub fn is_zero(&self) -> bool {
+    fn is_zero(&self) -> bool {
         self.commits == 0
             && self.aborts_total() == 0
             && self.gate_total() == 0
@@ -155,7 +155,7 @@ impl WindowCounters {
 
     /// Fold `other` into `self` (exact addition, bucket-wise for the
     /// histogram).
-    pub fn add(&mut self, other: &WindowCounters) {
+    fn add(&mut self, other: &WindowCounters) {
         self.commits += other.commits;
         for (a, b) in self.aborts.iter_mut().zip(&other.aborts) {
             *a += b;
@@ -184,7 +184,7 @@ impl WindowCounters {
     /// negative (a non-monotone pair, which `WindowedTelemetry` never
     /// produces: collectors are absorbed into the base before being
     /// replaced, so the cumulative view only grows).
-    pub fn delta_from(&self, older: &WindowCounters) -> Option<WindowCounters> {
+    fn delta_from(&self, older: &WindowCounters) -> Option<WindowCounters> {
         let mut aborts = [0u64; 6];
         for (out, (&new, &old)) in aborts.iter_mut().zip(self.aborts.iter().zip(&older.aborts)) {
             *out = new.checked_sub(old)?;
@@ -217,34 +217,34 @@ impl WindowCounters {
 /// One closed window: exact counter deltas plus point-in-time gauges
 /// sampled at close.
 #[derive(Clone, Debug, PartialEq)]
-pub struct WindowDelta {
+struct WindowDelta {
     /// Zero-based index among non-idle windows.
-    pub index: u64,
+    index: u64,
     /// Exact counter deltas for this window.
-    pub counters: WindowCounters,
+    counters: WindowCounters,
     /// Median commit latency within the window (bucket upper bound; ns).
-    pub commit_p50_ns: u64,
+    commit_p50_ns: u64,
     /// p99 commit latency within the window (bucket upper bound; ns).
-    pub commit_p99_ns: u64,
+    commit_p99_ns: u64,
     /// `aborts / (commits + aborts)` within the window, percent.
-    pub abort_ratio_pct: f64,
+    abort_ratio_pct: f64,
     /// `released / gate_total` within the window, percent.
-    pub released_pct: f64,
+    released_pct: f64,
     /// Off-model transition fraction at close (live drift gauge), when a
     /// drift tracker is attached.
-    pub off_model_pct: Option<f64>,
+    pub(crate) off_model_pct: Option<f64>,
     /// Drift verdict code at close ([`DriftVerdict::code`]; 0 when no
     /// tracker is attached).
-    pub staleness: u8,
+    staleness: u8,
     /// Breaker position at close (0 closed, 1 open, 2 half-open).
-    pub breaker_state: u8,
+    pub(crate) breaker_state: u8,
     /// Top hot addresses `(addr, count)` from the contention sketch at
     /// close (cumulative counts; empty without a tracker).
-    pub hot_addrs: Vec<(usize, u64)>,
+    hot_addrs: Vec<(usize, u64)>,
     /// Window-scoped network-server stats, when a [`ServerSource`] is
     /// registered on the plane (`None` otherwise — the plane predates
     /// the server or none is attached).
-    pub server: Option<ServerWindow>,
+    server: Option<ServerWindow>,
 }
 
 impl WindowDelta {
@@ -339,13 +339,11 @@ pub trait ServerSource: Send + Sync {
 /// Rolls the cumulative [`Telemetry`] counters into a bounded ring of
 /// per-window deltas.
 ///
-/// The harness creates one collector per repetition; [`attach`] absorbs
+/// The harness creates one collector per repetition; `attach` absorbs
 /// the outgoing collector's final snapshot into a base before switching,
 /// so the cumulative view (and therefore every live `/metrics` scrape)
 /// is monotone across the whole campaign.
-///
-/// [`attach`]: WindowedTelemetry::attach
-pub struct WindowedTelemetry {
+struct WindowedTelemetry {
     cap: usize,
     base: TelemetrySnapshot,
     current: Option<Arc<Telemetry>>,
@@ -359,7 +357,7 @@ pub struct WindowedTelemetry {
 
 impl WindowedTelemetry {
     /// An empty aggregator retaining at most `cap` windows (≥ 1).
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         WindowedTelemetry {
             cap: cap.max(1),
             base: TelemetrySnapshot::default(),
@@ -376,7 +374,7 @@ impl WindowedTelemetry {
     /// Switch the live collector: the outgoing collector's final
     /// snapshot folds into the base so the cumulative view never
     /// regresses.
-    pub fn attach(&mut self, tel: Arc<Telemetry>) {
+    fn attach(&mut self, tel: Arc<Telemetry>) {
         if let Some(old) = self.current.take() {
             if !Arc::ptr_eq(&old, &tel) {
                 self.base.absorb(&old.snapshot());
@@ -387,7 +385,7 @@ impl WindowedTelemetry {
 
     /// The cumulative snapshot: base (completed collectors) plus the
     /// live collector.
-    pub fn cumulative(&self) -> TelemetrySnapshot {
+    fn cumulative(&self) -> TelemetrySnapshot {
         let mut s = self.base.clone();
         if let Some(cur) = &self.current {
             s.absorb(&cur.snapshot());
@@ -397,7 +395,7 @@ impl WindowedTelemetry {
 
     /// Trace events currently held by the live collector (copied, not
     /// drained).
-    pub fn current_trace(&self) -> Vec<TraceEvent> {
+    fn current_trace(&self) -> Vec<TraceEvent> {
         self.current.as_ref().map(|t| t.trace_events()).unwrap_or_default()
     }
 
@@ -406,7 +404,7 @@ impl WindowedTelemetry {
     /// rollup when full). Idle ticks — every counter unchanged — close
     /// no window and return `None`, so the ring holds activity, not
     /// silence.
-    pub fn roll(&mut self) -> Option<WindowDelta> {
+    fn roll(&mut self) -> Option<WindowDelta> {
         self.rolls += 1;
         let snap = self.cumulative();
         let cum = WindowCounters::from_snapshot(&snap);
@@ -429,35 +427,35 @@ impl WindowedTelemetry {
     }
 
     /// The retained windows, oldest first.
-    pub fn windows(&self) -> &VecDeque<WindowDelta> {
+    fn windows(&self) -> &VecDeque<WindowDelta> {
         &self.ring
     }
 
     /// Attach server stats to the most recently closed window (the one
     /// the current roll just pushed). No-op on an empty ring.
-    pub fn annotate_server(&mut self, sw: ServerWindow) {
+    fn annotate_server(&mut self, sw: ServerWindow) {
         if let Some(last) = self.ring.back_mut() {
             last.server = Some(sw);
         }
     }
 
     /// Rollup of evicted windows and how many were folded into it.
-    pub fn evicted(&self) -> (&WindowCounters, u64) {
+    fn evicted(&self) -> (&WindowCounters, u64) {
         (&self.evicted, self.evicted_windows)
     }
 
     /// Non-idle windows closed so far.
-    pub fn closed(&self) -> u64 {
+    fn closed(&self) -> u64 {
         self.closed
     }
 
     /// Roll attempts (including idle ticks).
-    pub fn rolls(&self) -> u64 {
+    fn rolls(&self) -> u64 {
         self.rolls
     }
 
     /// Σ retained + evicted rollup (the partition's left-hand side).
-    pub fn retained_sum(&self) -> WindowCounters {
+    fn retained_sum(&self) -> WindowCounters {
         let mut sum = self.evicted.clone();
         for w in &self.ring {
             sum.add(&w.counters);
@@ -467,7 +465,7 @@ impl WindowedTelemetry {
 
     /// Verify the hard invariant: Σ retained windows + evicted rollup ==
     /// cumulative counters as of the last close, exactly.
-    pub fn check_partition(&self) -> Result<(), String> {
+    fn check_partition(&self) -> Result<(), String> {
         let sum = self.retained_sum();
         if sum == self.last {
             Ok(())
@@ -490,42 +488,42 @@ impl WindowedTelemetry {
 // SLO spec
 // ---------------------------------------------------------------------------
 
-/// Thresholds and hysteresis for the [`SloWatchdog`], parsed from the
+/// Thresholds and hysteresis for the `SloWatchdog`, parsed from the
 /// harness `--slo=SPEC` flag.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SloSpec {
     /// Breach when a window's abort ratio exceeds this (percent).
-    pub max_abort_ratio_pct: Option<f64>,
+    max_abort_ratio_pct: Option<f64>,
     /// Breach when a window's gate released-rate exceeds this (percent).
-    pub max_released_pct: Option<f64>,
+    pub(crate) max_released_pct: Option<f64>,
     /// Breach when a window's commit p99 exceeds this (ns).
-    pub max_commit_p99_ns: Option<u64>,
+    max_commit_p99_ns: Option<u64>,
     /// Breach when the live off-model fraction exceeds this (percent).
-    pub max_off_model_pct: Option<f64>,
+    max_off_model_pct: Option<f64>,
     /// Breach when a window's server frame p99 exceeds this (ns).
     /// Judged only on windows annotated with a [`ServerWindow`].
-    pub max_frame_p99_ns: Option<u64>,
+    max_frame_p99_ns: Option<u64>,
     /// Breach when the degradation-ladder rung at close is at or above
     /// this (0 full tick … 3 load shed). Judged only on annotated
     /// windows.
-    pub max_ladder: Option<u8>,
+    max_ladder: Option<u8>,
     /// Treat an open breaker at window close as a breach.
-    pub breaker_open_breaches: bool,
+    breaker_open_breaches: bool,
     /// Treat a stale drift verdict at window close as a breach.
-    pub stale_breaches: bool,
+    stale_breaches: bool,
     /// Consecutive breaching windows to go Ok→Warn.
-    pub warn_after: u32,
+    warn_after: u32,
     /// Consecutive breaching windows (after Warn) to go Warn→Incident.
-    pub incident_after: u32,
+    incident_after: u32,
     /// Consecutive clean windows to step down one level.
-    pub clear_after: u32,
+    clear_after: u32,
     /// Windows with fewer than this many events (commits + aborts +
     /// gate calls) are too quiet to judge and do not move the machine.
-    pub min_events: u64,
+    min_events: u64,
     /// Roll cadence for the timer-driven driver (ms).
     pub window_ms: u64,
     /// Windows included in a flight-recorder dump.
-    pub dump_windows: usize,
+    dump_windows: usize,
 }
 
 impl Default for SloSpec {
@@ -672,7 +670,7 @@ pub struct SloTransition {
 /// reach Warn and `incident_after` more to reach Incident; recovery
 /// requires `clear_after` consecutive clean windows per step down, so a
 /// single noisy or quiet window never flaps the verdict.
-pub struct SloWatchdog {
+struct SloWatchdog {
     spec: SloSpec,
     state: SloState,
     breach_streak: u32,
@@ -685,7 +683,7 @@ pub struct SloWatchdog {
 
 impl SloWatchdog {
     /// A watchdog in `Ok` with the given spec.
-    pub fn new(spec: SloSpec) -> Self {
+    pub(crate) fn new(spec: SloSpec) -> Self {
         SloWatchdog {
             spec,
             state: SloState::Ok,
@@ -699,38 +697,38 @@ impl SloWatchdog {
     }
 
     /// The active spec.
-    pub fn spec(&self) -> &SloSpec {
+    fn spec(&self) -> &SloSpec {
         &self.spec
     }
 
     /// Current state.
-    pub fn state(&self) -> SloState {
+    fn state(&self) -> SloState {
         self.state
     }
 
     /// All transitions so far, oldest first.
-    pub fn timeline(&self) -> &[SloTransition] {
+    fn timeline(&self) -> &[SloTransition] {
         &self.timeline
     }
 
     /// Windows judged (quiet windows excluded).
-    pub fn windows_seen(&self) -> u64 {
+    fn windows_seen(&self) -> u64 {
         self.windows_seen
     }
 
     /// Judged windows that breached at least one rule.
-    pub fn breached_windows(&self) -> u64 {
+    fn breached_windows(&self) -> u64 {
         self.breached_windows
     }
 
     /// Breaches from the most recent breaching window.
-    pub fn last_breaches(&self) -> &[String] {
+    fn last_breaches(&self) -> &[String] {
         &self.last_breaches
     }
 
     /// Evaluate every rule against one window; returns human-readable
     /// breach descriptions (empty when clean).
-    pub fn breaches_of(&self, w: &WindowDelta) -> Vec<String> {
+    fn breaches_of(&self, w: &WindowDelta) -> Vec<String> {
         let mut out = Vec::new();
         if let Some(max) = self.spec.max_abort_ratio_pct {
             if w.abort_ratio_pct > max {
@@ -775,7 +773,7 @@ impl SloWatchdog {
 
     /// Feed one closed window through the machine. Returns the
     /// transition if the state changed.
-    pub fn observe(&mut self, w: &WindowDelta) -> Option<SloTransition> {
+    fn observe(&mut self, w: &WindowDelta) -> Option<SloTransition> {
         let events = w.counters.commits + w.counters.aborts_total() + w.counters.gate_total();
         if events < self.spec.min_events {
             return None;
@@ -920,7 +918,7 @@ fn transition_json(t: &SloTransition) -> String {
 /// cumulative counters, breaker/drift/contention verdicts, and a
 /// trace-ring drain (without `ts_ns` — see `event_json`).
 #[allow(clippy::too_many_arguments)]
-pub fn render_incident_json(
+fn render_incident_json(
     seq: u64,
     stamp: &str,
     trip: &SloTransition,
@@ -1065,7 +1063,7 @@ impl OpsPlane {
         }
     }
 
-    /// Switch the live collector (see [`WindowedTelemetry::attach`]).
+    /// Switch the live collector (see `WindowedTelemetry::attach`).
     pub fn attach(&self, tel: &Arc<Telemetry>) {
         self.inner.lock().windows.attach(Arc::clone(tel));
     }
@@ -1079,7 +1077,7 @@ impl OpsPlane {
 
     /// Close a window with a wall-clock stamp (the timer driver's
     /// entry point).
-    pub fn roll(&self) -> Option<SloTransition> {
+    fn roll(&self) -> Option<SloTransition> {
         self.roll_stamped(&wall_stamp())
     }
 
@@ -1151,7 +1149,7 @@ impl OpsPlane {
     /// The `/metrics` body: the cumulative Prometheus exposition plus
     /// the window/SLO families (or the frozen body after
     /// [`freeze`](OpsPlane::freeze)).
-    pub fn metrics(&self) -> String {
+    fn metrics(&self) -> String {
         let g = self.inner.lock();
         if let Some(f) = &g.frozen {
             return f.clone();
@@ -1461,7 +1459,7 @@ const MAX_REQUEST_BYTES: usize = 16 * 1024;
 /// Result of parsing a (possibly still incomplete) HTTP/1.x request
 /// head.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum HttpParse {
+enum HttpParse {
     /// A full request head was present.
     Complete {
         /// Request method, verbatim (e.g. `GET`).
@@ -1478,7 +1476,7 @@ pub enum HttpParse {
 /// Parse an HTTP/1.x request head from `buf`. Incremental: callers
 /// re-invoke with a longer buffer after [`HttpParse::Partial`], which
 /// is how the service loop survives requests arriving in fragments.
-pub fn parse_http_request(buf: &[u8]) -> HttpParse {
+fn parse_http_request(buf: &[u8]) -> HttpParse {
     let head_end = buf.windows(4).position(|w| w == b"\r\n\r\n");
     let Some(head_end) = head_end else {
         return if buf.len() > MAX_REQUEST_BYTES {
@@ -1512,7 +1510,7 @@ const CT_PROM: &str = "text/plain; version=0.0.4; charset=utf-8";
 
 /// Route one request against the plane: `(status, content-type, body)`.
 /// Unknown paths are 404, non-GET methods 405.
-pub fn route(plane: &OpsPlane, method: &str, path: &str) -> (u16, &'static str, String) {
+fn route(plane: &OpsPlane, method: &str, path: &str) -> (u16, &'static str, String) {
     if method != "GET" {
         return (405, CT_JSON, "{\"error\":\"method not allowed\"}".to_string());
     }

@@ -14,12 +14,12 @@
 //! the replay suites assert ("same seed ⇒ bit-identical execution").
 
 /// The splitmix64 increment (2^64 / φ).
-pub const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+pub(crate) const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// The splitmix64 output finalizer alone: two xor-shift-multiply rounds
 /// and a final xor-shift. A bijection on `u64`.
 #[inline]
-pub fn finalize(mut z: u64) -> u64 {
+pub(crate) fn finalize(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
@@ -96,7 +96,7 @@ impl Interleave {
 
     /// Begin-time injection point: yield with p = 1/2.
     #[inline]
-    pub fn at_begin(&self) {
+    pub(crate) fn at_begin(&self) {
         if self.mask.is_some() && self.draw() & 1 == 0 {
             std::thread::yield_now();
         }

@@ -27,13 +27,13 @@ impl ThreadStats {
     }
 
     /// Record a committed transaction that aborted `retries` times first.
-    pub fn record_commit(&mut self, retries: u32) {
+    pub(crate) fn record_commit(&mut self, retries: u32) {
         self.commits += 1;
         self.abort_hist.record(retries);
     }
 
     /// Record one rolled-back attempt.
-    pub fn record_abort(&mut self, cause: AbortCause) {
+    pub(crate) fn record_abort(&mut self, cause: AbortCause) {
         self.aborts += 1;
         if cause == AbortCause::Explicit {
             self.explicit += 1;

@@ -19,7 +19,7 @@ pub const SLOTS: usize = 64;
 /// The slot thread id `thread` maps to in a [`PerThread`] table. Masking
 /// is idempotent, so a slot index maps to itself.
 #[inline]
-pub const fn slot_of(thread: usize) -> usize {
+pub(crate) const fn slot_of(thread: usize) -> usize {
     thread & (SLOTS - 1)
 }
 
@@ -32,7 +32,7 @@ struct Padded<T>(T);
 ///
 /// Every hot-path counter and buffer that is kept per thread lives in
 /// one of these: a thread writes only its own slot, and cold readers
-/// sum over [`PerThread::iter`]. Aliased ids share a slot, so a slot's
+/// sum over `PerThread::iter`. Aliased ids share a slot, so a slot's
 /// contents must stay correct under concurrent writers (atomics or a
 /// lock); aliasing only coarsens per-thread attribution.
 pub struct PerThread<T> {
@@ -41,20 +41,20 @@ pub struct PerThread<T> {
 
 impl<T> PerThread<T> {
     /// A table whose every slot is `init()`.
-    pub fn new(mut init: impl FnMut() -> T) -> Self {
+    pub(crate) fn new(mut init: impl FnMut() -> T) -> Self {
         PerThread {
             slots: (0..SLOTS).map(|_| Padded(init())).collect(),
         }
     }
 
-    /// The slot of thread id `thread` (see [`slot_of`]).
+    /// The slot of thread id `thread` (see `slot_of`).
     #[inline]
     pub fn get(&self, thread: usize) -> &T {
         &self.slots[slot_of(thread)].0
     }
 
     /// Every slot, in slot order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
         self.slots.iter().map(|s| &s.0)
     }
 }

@@ -25,7 +25,7 @@ pub struct StateId(pub u32);
 impl StateId {
     /// Raw index.
     #[inline]
-    pub fn index(self) -> usize {
+    fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -150,7 +150,7 @@ impl Tsa {
 
     /// Reassemble an automaton from its parts (used by the model decoder).
     /// Fails if state keys are not unique or an edge points out of range.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         states: Vec<StateKey>,
         transitions: Vec<Vec<(StateId, u64)>>,
     ) -> Result<Self, String> {
@@ -211,12 +211,6 @@ impl Tsa {
     /// The state key for an id.
     pub fn state(&self, id: StateId) -> &StateKey {
         &self.states[id.index()]
-    }
-
-    /// Look up a state key.
-    pub fn id_of(&self, key: &StateKey) -> Option<StateId> {
-        self.index
-            .lookup(key.hash64(), |id| self.states[id.index()] == *key)
     }
 
     /// Look up the state described by a *sorted, deduplicated* abort slice
@@ -391,14 +385,9 @@ impl GuidedModel {
         (d.all, d.kept)
     }
 
-    /// Look up the state id for an observed state key, if modeled.
-    pub fn id_of(&self, key: &StateKey) -> Option<StateId> {
-        self.tsa.id_of(key)
-    }
-
     /// Hot-path state lookup by borrowed parts (see [`Tsa::id_of_parts`]).
     #[inline]
-    pub fn id_of_parts(&self, aborts: &[Pair], commit: Pair) -> Option<StateId> {
+    pub(crate) fn id_of_parts(&self, aborts: &[Pair], commit: Pair) -> Option<StateId> {
         self.tsa.id_of_parts(aborts, commit)
     }
 
@@ -415,6 +404,14 @@ mod tests {
 
     fn p(t: u16, th: u16) -> Pair {
         Pair::new(TxnId(t), ThreadId(th))
+    }
+
+    impl Tsa {
+        /// Look up a whole state key (the reference `id_of_parts` must match).
+        fn id_of(&self, key: &StateKey) -> Option<StateId> {
+            self.index
+                .lookup(key.hash64(), |id| self.states[id.index()] == *key)
+        }
     }
 
     fn chain(pairs: &[(Vec<Pair>, Pair)]) -> Vec<StateKey> {

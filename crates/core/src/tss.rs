@@ -90,15 +90,6 @@ impl StateKey {
         &self.aborts
     }
 
-    /// Whether `who` participates in this state at all (as the commit or as
-    /// one of the aborts). This is the membership test the guided STM uses:
-    /// a transaction is allowed to proceed if it appears in *any* tuple of a
-    /// high-probability destination state — committing **or** aborting —
-    /// because either way it keeps execution on a modeled path.
-    pub fn contains(&self, who: Pair) -> bool {
-        self.commit == who || self.aborts.binary_search(&who).is_ok()
-    }
-
     /// All pairs of the state: aborts then commit.
     pub fn pairs(&self) -> impl Iterator<Item = Pair> + '_ {
         self.aborts.iter().copied().chain(std::iter::once(self.commit))
@@ -113,7 +104,7 @@ impl StateKey {
     /// Whether this state equals the one described by a sorted abort slice
     /// and a committing pair — equality without constructing a `StateKey`.
     #[inline]
-    pub fn matches_parts(&self, aborts: &[Pair], commit: Pair) -> bool {
+    pub(crate) fn matches_parts(&self, aborts: &[Pair], commit: Pair) -> bool {
         self.commit == commit && *self.aborts == *aborts
     }
 }
@@ -173,15 +164,6 @@ mod tests {
         assert_eq!(s1, s2);
         let s3 = StateKey::new(vec![p(0, 1), p(0, 1)], p(3, 4));
         assert_eq!(s3.aborts().len(), 1, "duplicates removed");
-    }
-
-    #[test]
-    fn contains_checks_commit_and_aborts() {
-        let s = StateKey::new(vec![p(0, 6)], p(1, 7));
-        assert!(s.contains(p(0, 6)));
-        assert!(s.contains(p(1, 7)));
-        assert!(!s.contains(p(0, 7)));
-        assert!(!s.contains(p(2, 5)));
     }
 
     #[test]

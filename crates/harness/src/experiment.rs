@@ -30,7 +30,7 @@ pub struct ExperimentConfig {
     /// Input seed.
     pub seed: u64,
     /// Online model regeneration for the guided phase: `Some(window)`
-    /// gates through an adaptive hook whose [`ModelManager`] rebuilds
+    /// gates through an adaptive hook whose `ModelManager` rebuilds
     /// the model from a `window`-state sliding window when the drift
     /// ladder reaches Drifting/Stale (the `--adaptive[=window]` flag);
     /// `None` keeps the offline fixed-model pipeline.
@@ -41,23 +41,6 @@ pub struct ExperimentConfig {
     pub profile_threads: Option<u16>,
 }
 
-impl ExperimentConfig {
-    /// A scaled-down default suitable for this reproduction's host.
-    pub fn quick(threads: u16) -> Self {
-        ExperimentConfig {
-            threads,
-            profile_runs: 6,
-            measure_runs: 8,
-            train_size: InputSize::Small,
-            test_size: InputSize::Small,
-            yield_k: Some(2),
-            guidance: GuidanceConfig::default(),
-            seed: 0x5eed_cafe,
-            adaptive: None,
-            profile_threads: None,
-        }
-    }
-}
 
 /// Chaos-campaign plumbing for one experiment (the `--chaos` /
 /// `--breaker` flags): a deterministic fault plan armed during the
@@ -79,9 +62,9 @@ pub struct Robustness {
 pub struct RepFailure {
     /// Index in the phase's attempt sequence (0-based, counting failed
     /// and successful repetitions alike).
-    pub rep: usize,
+    pub(crate) rep: usize,
     /// The panic payload, rendered as a string.
-    pub cause: String,
+    pub(crate) cause: String,
 }
 
 /// Measurements of one execution mode (default or guided) across runs.
@@ -95,7 +78,7 @@ pub struct ModeMeasurement {
     /// commit/abort accounting `gstm-analyze` cross-checks against.
     pub per_run_hists: Vec<Vec<AbortHistogram>>,
     /// Wall-clock time of each run.
-    pub wall_secs: Vec<f64>,
+    pub(crate) wall_secs: Vec<f64>,
     /// Number of distinct thread transactional states observed across all
     /// runs — the paper's non-determinism measure.
     pub non_determinism: usize,
@@ -130,12 +113,12 @@ impl ModeMeasurement {
     }
 
     /// Mean wall-clock time over runs.
-    pub fn mean_wall(&self) -> f64 {
+    pub(crate) fn mean_wall(&self) -> f64 {
         metrics::mean(&self.wall_secs)
     }
 
     /// Per-thread abort-tail metrics.
-    pub fn per_thread_tails(&self) -> Vec<u64> {
+    pub(crate) fn per_thread_tails(&self) -> Vec<u64> {
         self.per_thread_hists
             .iter()
             .map(AbortHistogram::tail_metric)
@@ -151,7 +134,7 @@ impl ModeMeasurement {
     }
 
     /// Total commits across threads and runs.
-    pub fn total_commits(&self) -> u64 {
+    pub(crate) fn total_commits(&self) -> u64 {
         self.per_thread_hists
             .iter()
             .map(AbortHistogram::total_commits)
@@ -165,12 +148,12 @@ pub struct BenchExperiment {
     /// Benchmark name.
     pub name: &'static str,
     /// Worker threads.
-    pub threads: u16,
+    pub(crate) threads: u16,
     /// Number of states in the trained model (Table III).
     pub model_states: usize,
     /// Size of the model in the compact on-disk encoding, in bytes (the
     /// paper quotes ~118 KB at 8 threads, ~1.3 MB at 16).
-    pub model_bytes: usize,
+    pub(crate) model_bytes: usize,
     /// The analyzer's report on the trained model (Table I).
     pub analyzer: AnalyzerReport,
     /// Default (unguided) measurements.
@@ -198,7 +181,7 @@ impl BenchExperiment {
     /// Per-thread percentage improvement in execution-time standard
     /// deviation, guided over default (Figures 4/6; negative =
     /// degradation, as for ssca2 in Figure 8).
-    pub fn variance_improvement_pct(&self) -> Vec<f64> {
+    pub(crate) fn variance_improvement_pct(&self) -> Vec<f64> {
         self.default_m
             .per_thread_std_dev()
             .iter()
@@ -552,11 +535,11 @@ pub fn run_experiment_chaos(
 /// Mean and sample standard deviation of a derived metric across
 /// repeated campaigns.
 #[derive(Clone, Copy, Debug)]
-pub struct MeanSd {
+pub(crate) struct MeanSd {
     /// Mean over repeats.
-    pub mean: f64,
+    pub(crate) mean: f64,
     /// Sample standard deviation over repeats.
-    pub sd: f64,
+    pub(crate) sd: f64,
 }
 
 impl MeanSd {
@@ -580,22 +563,22 @@ impl std::fmt::Display for MeanSd {
 #[derive(Clone, Debug)]
 pub struct AggregatedExperiment {
     /// Benchmark name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Worker threads.
-    pub threads: u16,
+    pub(crate) threads: u16,
     /// How many full pipelines were run.
-    pub repeats: usize,
+    pub(crate) repeats: usize,
     /// Analyzer guidance metric %.
-    pub metric_pct: MeanSd,
+    pub(crate) metric_pct: MeanSd,
     /// Per-thread variance improvement %, averaged over threads then
     /// aggregated over repeats.
-    pub var_improvement: MeanSd,
+    pub(crate) var_improvement: MeanSd,
     /// Non-determinism reduction %.
-    pub nd_reduction: MeanSd,
+    pub(crate) nd_reduction: MeanSd,
     /// Abort-tail improvement %.
-    pub tail_improvement: MeanSd,
+    pub(crate) tail_improvement: MeanSd,
     /// Slowdown ×.
-    pub slowdown: MeanSd,
+    pub(crate) slowdown: MeanSd,
 }
 
 /// Run the full pipeline `repeats` times and aggregate the derived

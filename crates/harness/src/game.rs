@@ -26,50 +26,35 @@ pub struct GameExperimentConfig {
     pub seed: u64,
 }
 
-impl GameExperimentConfig {
-    /// A scaled-down default for this host (the paper's frame counts are
-    /// scaled by ~20×; shapes are preserved, see EXPERIMENTS.md).
-    pub fn quick(threads: u16) -> Self {
-        GameExperimentConfig {
-            threads,
-            players: 192,
-            train_frames: 48,
-            test_frames: 96,
-            yield_k: Some(2),
-            guidance: GuidanceConfig::default(),
-            seed: 0x9a3e,
-        }
-    }
-}
 
 /// Per-quest measurements under one mode.
 #[derive(Clone, Debug)]
-pub struct GameModeMeasurement {
+struct GameModeMeasurement {
     /// Per-frame processing times, seconds.
-    pub frame_secs: Vec<f64>,
+    frame_secs: Vec<f64>,
     /// Abort ratio (aborts / (aborts + commits)).
-    pub abort_ratio: f64,
+    abort_ratio: f64,
     /// Total processing time.
-    pub total_secs: f64,
+    total_secs: f64,
     /// World-audit failures (must be 0).
-    pub audit_failures: usize,
+    audit_failures: usize,
 }
 
 /// Results for one test quest.
 #[derive(Clone, Debug)]
-pub struct GameQuestResult {
+pub(crate) struct GameQuestResult {
     /// The test quest.
-    pub quest: QuestLayout,
+    quest: QuestLayout,
     /// Unguided measurement.
-    pub default_m: GameModeMeasurement,
+    default_m: GameModeMeasurement,
     /// Guided measurement.
-    pub guided_m: GameModeMeasurement,
+    guided_m: GameModeMeasurement,
 }
 
 impl GameQuestResult {
     /// Percentage improvement in frame-time standard deviation
     /// (Figures 11a/12a).
-    pub fn frame_variance_improvement_pct(&self) -> f64 {
+    pub(crate) fn frame_variance_improvement_pct(&self) -> f64 {
         metrics::pct_improvement(
             metrics::std_dev(&self.default_m.frame_secs),
             metrics::std_dev(&self.guided_m.frame_secs),
@@ -77,13 +62,13 @@ impl GameQuestResult {
     }
 
     /// Percentage reduction in abort ratio (Figures 11b/12b).
-    pub fn abort_reduction_pct(&self) -> f64 {
+    pub(crate) fn abort_reduction_pct(&self) -> f64 {
         metrics::pct_improvement(self.default_m.abort_ratio, self.guided_m.abort_ratio)
     }
 
     /// Slowdown (×) of guided over default (Figures 11c/12c; below 1.0 is
     /// a speedup, which the paper observes at 8 threads).
-    pub fn slowdown(&self) -> f64 {
+    pub(crate) fn slowdown(&self) -> f64 {
         metrics::slowdown(self.default_m.total_secs, self.guided_m.total_secs)
     }
 }
@@ -92,15 +77,29 @@ impl GameQuestResult {
 #[derive(Clone, Debug)]
 pub struct GameExperiment {
     /// Worker threads.
-    pub threads: u16,
-    /// States in the model trained on the two training quests.
-    pub model_states: usize,
+    pub(crate) threads: u16,
     /// Analyzer report (Table V).
-    pub analyzer: AnalyzerReport,
+    pub(crate) analyzer: AnalyzerReport,
     /// Results for `4quadrants` (Figure 11).
-    pub quadrants: GameQuestResult,
+    pub(crate) quadrants: GameQuestResult,
     /// Results for `4center_spread6` (Figure 12).
-    pub center_spread: GameQuestResult,
+    pub(crate) center_spread: GameQuestResult,
+}
+
+impl GameExperiment {
+    /// Every measurement whose post-run world audit found violations, as
+    /// `(quest, mode, violations)`; empty when all four worlds are clean.
+    pub fn audit_failures(&self) -> Vec<(&'static str, &'static str, usize)> {
+        let mut out = Vec::new();
+        for q in [&self.quadrants, &self.center_spread] {
+            for (mode, m) in [("default", &q.default_m), ("guided", &q.guided_m)] {
+                if m.audit_failures > 0 {
+                    out.push((q.quest.name(), mode, m.audit_failures));
+                }
+            }
+        }
+        out
+    }
 }
 
 fn tm_config(cfg: &GameExperimentConfig) -> LibTmConfig {
@@ -147,7 +146,6 @@ pub fn run_game_experiment(cfg: &GameExperimentConfig) -> GameExperiment {
         train_runs.push(recorder.take_run());
     }
     let tsa = Tsa::from_runs(&train_runs);
-    let model_states = tsa.num_states();
     let model = Arc::new(GuidedModel::build(tsa, &cfg.guidance));
     let analyzer_report = analyzer::analyze_with(&model, &cfg.guidance);
 
@@ -171,7 +169,6 @@ pub fn run_game_experiment(cfg: &GameExperimentConfig) -> GameExperiment {
 
     GameExperiment {
         threads: cfg.threads,
-        model_states,
         analyzer: analyzer_report,
         quadrants,
         center_spread,
@@ -194,10 +191,9 @@ mod tests {
             seed: 4,
         };
         let e = run_game_experiment(&cfg);
-        assert!(e.model_states > 0);
+        assert!(e.analyzer.num_states > 0);
         assert_eq!(e.quadrants.default_m.frame_secs.len(), 12);
-        assert_eq!(e.quadrants.default_m.audit_failures, 0);
-        assert_eq!(e.quadrants.guided_m.audit_failures, 0);
+        assert_eq!(e.audit_failures(), vec![]);
         assert_eq!(e.center_spread.quest, QuestLayout::CenterSpread6);
         assert!(e.quadrants.slowdown() > 0.0);
     }

@@ -14,6 +14,3 @@ pub mod figures;
 pub mod game;
 pub mod report;
 pub mod tables;
-
-pub use experiment::{run_experiment, BenchExperiment, ExperimentConfig, ModeMeasurement};
-pub use game::{run_game_experiment, GameExperiment, GameExperimentConfig};

@@ -184,6 +184,22 @@ fn parse_flag<T: std::str::FromStr>(flag: &str, val: &str) -> T {
     })
 }
 
+/// Split a `--bench` list, rejecting any name that is not a STAMP port.
+fn parse_benches(list: &str) -> Result<Vec<String>, String> {
+    let names: Vec<String> = list.split(',').map(str::to_string).collect();
+    match names.iter().find(|n| gstm_stamp::by_name(n).is_none()) {
+        None => Ok(names),
+        Some(bad) => {
+            let all = all_benchmarks();
+            let valid: Vec<&str> = all.iter().map(|b| b.name()).collect();
+            Err(format!(
+                "unknown benchmark {bad:?} (want {})",
+                valid.join("|")
+            ))
+        }
+    }
+}
+
 fn parse_args() -> Options {
     let mut args = std::env::args().skip(1);
     let mut opts = Options {
@@ -228,12 +244,11 @@ fn parse_args() -> Options {
                 opts.profile_runs = parse_flag("--profile-runs", &next(&mut args, "--profile-runs"))
             }
             "--bench" => {
-                opts.benches = Some(
-                    next(&mut args, "--bench")
-                        .split(',')
-                        .map(str::to_string)
-                        .collect(),
-                )
+                let list = next(&mut args, "--bench");
+                opts.benches = Some(parse_benches(&list).unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    std::process::exit(2);
+                }));
             }
             "--size" => opts.size = Some(parse_size(&next(&mut args, "--size"))),
             "--train-size" => {
@@ -522,7 +537,17 @@ impl Campaign {
                     guidance: GuidanceConfig::with_tfactor(self.opts.tfactor),
                     seed: self.opts.seed,
                 };
-                self.games.push(run_game_experiment(&cfg));
+                let game = run_game_experiment(&cfg);
+                let failures = game.audit_failures();
+                for (quest, mode, n) in &failures {
+                    eprintln!(
+                        "[gstm-repro] SynQuake world audit failed: {quest} {mode} @ {threads} threads: {n} violations"
+                    );
+                }
+                if !failures.is_empty() {
+                    std::process::exit(1);
+                }
+                self.games.push(game);
             }
         }
         &self.games
@@ -713,15 +738,12 @@ fn main() {
                 .and_then(|b| b.first().cloned())
                 .unwrap_or_else(|| "kmeans".into());
             let threads = c.opts.threads.first().copied().unwrap_or(8);
-            let Some((bench, cfg)) = c
+            let (bench, cfg) = c
                 .opts
                 .experiments(threads)
                 .into_iter()
                 .find(|(b, _)| b.name() == name)
-            else {
-                eprintln!("unknown benchmark {name:?}");
-                std::process::exit(2);
-            };
+                .expect("--bench names are checked at parse time");
             eprintln!("[gstm-repro] training {name} @ {threads} threads ...");
             let model = gstm_harness::experiment::train_model(&*bench, &cfg);
             println!("{}", figures::fig3_excerpt(&model, 6));
@@ -764,5 +786,21 @@ fn main() {
 
     if let Some(rig) = rig {
         finalize_ops(rig);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bench_list_rejects_unknown_names() {
+        assert_eq!(
+            parse_benches("kmeans,genome").unwrap(),
+            ["kmeans", "genome"]
+        );
+        let err = parse_benches("kmeans,nosuch").unwrap_err();
+        assert!(err.contains("\"nosuch\""), "{err}");
+        assert!(err.contains("kmeans|"), "lists the valid names: {err}");
     }
 }

@@ -16,7 +16,7 @@ pub struct Table {
 
 impl Table {
     /// A table with the given title and column headers.
-    pub fn new(title: &str, header: &[&str]) -> Self {
+    pub(crate) fn new(title: &str, header: &[&str]) -> Self {
         Table {
             title: title.to_string(),
             header: header.iter().map(|s| s.to_string()).collect(),
@@ -25,7 +25,7 @@ impl Table {
     }
 
     /// Append a row (cells are already formatted).
-    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: Vec<String>) -> &mut Self {
         assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
         self.rows.push(cells);
         self
@@ -67,7 +67,7 @@ impl Table {
     }
 
     /// Render to CSV (header + rows).
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let mut out = String::new();
         let esc = |s: &str| {
             if s.contains(',') || s.contains('"') {
@@ -204,17 +204,17 @@ pub fn save_run_metrics(
 }
 
 /// Format a float with 1 decimal.
-pub fn f1(x: f64) -> String {
+pub(crate) fn f1(x: f64) -> String {
     format!("{x:.1}")
 }
 
 /// Format a float with 2 decimals.
-pub fn f2(x: f64) -> String {
+pub(crate) fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
 /// Format a float with 4 decimals (timings).
-pub fn f4(x: f64) -> String {
+pub(crate) fn f4(x: f64) -> String {
     format!("{x:.4}")
 }
 

@@ -35,9 +35,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod object;
-pub mod runtime;
-pub mod txn;
+mod object;
+pub(crate) mod runtime;
+pub(crate) mod txn;
 
 pub use object::TObject;
 pub use runtime::{LibTm, LibTmConfig, LtThreadCtx};

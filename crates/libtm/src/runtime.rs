@@ -37,7 +37,7 @@ struct Doom {
 
 /// One LibTM instance.
 pub struct LibTm {
-    pub(crate) config: LibTmConfig,
+    config: LibTmConfig,
     /// Hook, telemetry, fault plan, contention tracker and the outcome
     /// totals — everything the retry driver reports to.
     instruments: Instruments,
@@ -119,11 +119,6 @@ impl LibTm {
         }
     }
 
-    /// This instance's configuration.
-    pub fn config(&self) -> &LibTmConfig {
-        &self.config
-    }
-
     /// Total commits across all threads.
     pub fn total_commits(&self) -> u64 {
         self.instruments.total_commits()
@@ -166,20 +161,6 @@ pub struct LtThreadCtx {
 }
 
 impl LtThreadCtx {
-    /// This thread's id.
-    pub fn thread_id(&self) -> ThreadId {
-        self.thread
-    }
-
-    /// The owning instance.
-    pub fn tm(&self) -> &Arc<LibTm> {
-        &self.tm
-    }
-
-    /// Statistics accumulated so far.
-    pub fn stats(&self) -> &ThreadStats {
-        &self.stats
-    }
 
     /// Take the statistics, resetting the counters.
     pub fn take_stats(&mut self) -> ThreadStats {
@@ -206,7 +187,7 @@ impl LtThreadCtx {
     /// Whether the thread's buffers are back home and empty — true
     /// between transactions.
     #[cfg(test)]
-    pub(crate) fn buffers_idle(&self) -> bool {
+    fn buffers_idle(&self) -> bool {
         let bufs = self.bufs.take();
         let idle = bufs.is_empty();
         self.bufs.set(bufs);
@@ -408,8 +389,8 @@ mod tests {
     #[test]
     fn registration_ids_are_bounded() {
         let tm = LibTm::new(LibTmConfig::default());
-        assert_eq!(tm.register().thread_id(), ThreadId(0));
-        assert_eq!(tm.register().thread_id(), ThreadId(1));
+        assert_eq!(tm.register().thread, ThreadId(0));
+        assert_eq!(tm.register().thread, ThreadId(1));
     }
 
     #[test]

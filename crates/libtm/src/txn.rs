@@ -12,7 +12,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 /// Type-erased view of an object for read/write sets.
-pub(crate) trait LtTarget: Send + Sync {
+trait LtTarget: Send + Sync {
     fn version(&self) -> u64;
     fn bump_version(&self);
     fn try_lock_writer(&self, me: ThreadId) -> bool;
@@ -155,11 +155,6 @@ impl<'tm> LtTxn<'tm> {
             home,
             inject,
         }
-    }
-
-    /// The `<txn,thread>` identity of this attempt.
-    pub fn who(&self) -> Pair {
-        self.me
     }
 
     /// Explicitly abort and retry.

@@ -19,9 +19,7 @@
 
 use std::process::ExitCode;
 
-use gstm_core::mck::{
-    explore, replay_schedule, Counterexample, ExploreOptions, ExploreReport, MckConfig, Mutation,
-};
+use gstm_core::mck::{explore, Counterexample, ExploreOptions, ExploreReport, MckConfig, Mutation};
 
 const USAGE: &str = "\
 gstm-mck — exhaustive-interleaving model checker for the guidance protocol
@@ -295,11 +293,4 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
-}
-
-// Keep the helper honest: replay_schedule is re-exported for tests and
-// external tooling; reference it so a rename breaks this binary loudly.
-#[allow(dead_code)]
-fn _assert_api(cfg: &MckConfig) {
-    let _ = replay_schedule(cfg, &[]);
 }

@@ -35,12 +35,12 @@ pub enum Rung {
 
 impl Rung {
     /// Stable numeric code (metrics).
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         self as u8
     }
 
     /// Decode a code (clamped into range).
-    pub fn from_code(code: u8) -> Rung {
+    fn from_code(code: u8) -> Rung {
         match code {
             0 => Rung::FullTick,
             1 => Rung::ReducedAoi,
@@ -103,11 +103,11 @@ impl Default for AdmissionConfig {
 }
 
 /// One ladder transition: `(tick, from, to)`.
-pub type LadderTransition = (u64, Rung, Rung);
+type LadderTransition = (u64, Rung, Rung);
 
 /// The admission controller: per-tick action caps plus the ladder state
 /// machine.
-pub struct Admission {
+pub(crate) struct Admission {
     cfg: AdmissionConfig,
     rung: Rung,
     over_streak: u32,
@@ -117,7 +117,7 @@ pub struct Admission {
 
 impl Admission {
     /// A controller at `full-tick`.
-    pub fn new(cfg: AdmissionConfig) -> Admission {
+    pub(crate) fn new(cfg: AdmissionConfig) -> Admission {
         Admission {
             cfg,
             rung: Rung::FullTick,
@@ -128,23 +128,23 @@ impl Admission {
     }
 
     /// The tunables in force.
-    pub fn config(&self) -> &AdmissionConfig {
+    pub(crate) fn config(&self) -> &AdmissionConfig {
         &self.cfg
     }
 
     /// Current rung.
-    pub fn rung(&self) -> Rung {
+    pub(crate) fn rung(&self) -> Rung {
         self.rung
     }
 
     /// Ladder transitions so far, oldest first.
-    pub fn transitions(&self) -> &[LadderTransition] {
+    pub(crate) fn transitions(&self) -> &[LadderTransition] {
         &self.transitions
     }
 
     /// How many of `offered` actions to admit this tick; the rest are
     /// shed (lowest priority first — the caller orders them).
-    pub fn admit(&self, offered: usize) -> usize {
+    pub(crate) fn admit(&self, offered: usize) -> usize {
         let budget_actions =
             (self.cfg.tick_budget.saturating_sub(self.cfg.base_cost) / self.cfg.action_cost.max(1))
                 .max(1) as usize;
@@ -158,7 +158,7 @@ impl Admission {
 
     /// Whether a new session may be admitted with `live` already
     /// connected.
-    pub fn accepts_sessions(&self, live: usize) -> bool {
+    pub(crate) fn accepts_sessions(&self, live: usize) -> bool {
         live < self.cfg.max_sessions && self.rung < Rung::LoadShed
     }
 
@@ -167,7 +167,7 @@ impl Admission {
     /// still cost a quarter unit each: shedding is cheaper than
     /// executing, not free, which is what lets sustained overload climb
     /// past the shedding rungs.
-    pub fn synthetic_cost(&self, admitted: usize, shed: usize) -> u64 {
+    pub(crate) fn synthetic_cost(&self, admitted: usize, shed: usize) -> u64 {
         self.cfg.base_cost
             + admitted as u64 * self.cfg.action_cost
             + shed as u64 * self.cfg.action_cost.div_ceil(4)
@@ -175,7 +175,7 @@ impl Admission {
 
     /// Feed one tick's measured cost; hysteresis may move the rung one
     /// step. Returns the transition, if any.
-    pub fn observe_tick(&mut self, tick: u64, cost: u64) -> Option<(Rung, Rung)> {
+    pub(crate) fn observe_tick(&mut self, tick: u64, cost: u64) -> Option<(Rung, Rung)> {
         let low_water = self.cfg.tick_budget * self.cfg.low_water_pct as u64 / 100;
         if cost > self.cfg.tick_budget {
             self.under_streak = 0;

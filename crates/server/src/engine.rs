@@ -15,7 +15,7 @@
 //!   one engine thread — so a fault schedule is a pure function of the
 //!   `--chaos` seed and the input script;
 //! - in deterministic mode the tick clock is synthetic
-//!   ([`Admission::synthetic_cost`]), making the degradation-ladder
+//!   (`Admission::synthetic_cost`), making the degradation-ladder
 //!   trajectory itself replayable bit-for-bit (wall time never feeds
 //!   back into control flow);
 //! - ties inside a tick break on arrival order (`seq`), never on map or
@@ -41,13 +41,13 @@ const OVERLOAD_BACKOFF_TICKS: u16 = 32;
 const MAX_TICK_RECORDS: usize = 200_000;
 
 /// Goodbye reason codes.
-pub mod goodbye {
+pub(crate) mod goodbye {
     /// Orderly close (client `Bye` or server shutdown).
-    pub const ORDERLY: u8 = 0;
+    pub(crate) const ORDERLY: u8 = 0;
     /// Idle reaper.
-    pub const IDLE: u8 = 1;
+    pub(crate) const IDLE: u8 = 1;
     /// Protocol violation (decoder fatal).
-    pub const PROTOCOL: u8 = 2;
+    pub(crate) const PROTOCOL: u8 = 2;
 }
 
 /// Engine tunables.
@@ -251,11 +251,6 @@ impl Engine {
         self.tm.total_commits()
     }
 
-    /// Live sessions.
-    pub fn sessions_live(&self) -> usize {
-        self.sessions.len()
-    }
-
     /// Ticks processed.
     pub fn tick(&self) -> u64 {
         self.tick
@@ -336,7 +331,7 @@ impl Engine {
                 Effect::Close { conn },
             ];
         }
-        self.sessions.insert(conn, Session::new(conn));
+        self.sessions.insert(conn, Session::new());
         self.stats.sessions_accepted.fetch_add(1, atomic_order());
         self.stats.sessions.store(self.sessions.len() as u64, atomic_order());
         Vec::new()
@@ -751,7 +746,7 @@ mod tests {
         };
         assert_eq!(*conn, 1);
         assert!(bytes.starts_with(&Frame::welcome(0).encode()), "player 0 assigned first");
-        assert_eq!(e.sessions_live(), 1);
+        assert_eq!(e.sessions.len(), 1);
     }
 
     #[test]
@@ -839,7 +834,7 @@ mod tests {
             "goodbye flushed before close"
         );
         assert!(fx.contains(&Effect::Close { conn: 1 }));
-        assert_eq!(e.sessions_live(), 0);
+        assert_eq!(e.sessions.len(), 0);
     }
 
     #[test]
@@ -866,7 +861,7 @@ mod tests {
         let fx = e.shutdown();
         let closes = fx.iter().filter(|f| matches!(f, Effect::Close { .. })).count();
         assert_eq!(closes, 2);
-        assert_eq!(e.sessions_live(), 0);
+        assert_eq!(e.sessions.len(), 0);
         // Late connect is refused.
         let fx = e.handle(Event::Connect { conn: 9 });
         assert!(fx.contains(&Effect::Close { conn: 9 }));

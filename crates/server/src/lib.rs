@@ -6,7 +6,7 @@
 //! ([`proto`]), a per-tick cost budget drives admission control and a
 //! four-rung graceful-degradation ladder ([`admission`]), and bounded
 //! per-session write queues give backpressure instead of unbounded
-//! buffering ([`session`]).
+//! buffering (`session`).
 //!
 //! The heart is [`engine::Engine`]: a *pure, single-threaded* state
 //! machine mapping input events (connect / bytes / disconnect / tick)
@@ -28,12 +28,6 @@ pub mod admission;
 pub mod engine;
 pub mod net;
 pub mod proto;
-pub mod session;
+mod session;
 pub mod signal;
 pub mod stats;
-
-pub use admission::{Admission, AdmissionConfig, Rung};
-pub use engine::{Effect, Engine, EngineConfig, Event, TickRecord};
-pub use proto::{DecodeStep, Frame, FrameDecoder, FrameType};
-pub use session::Session;
-pub use stats::ServerStats;

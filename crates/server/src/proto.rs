@@ -12,22 +12,22 @@
 //! The two magic bytes exist for the decoder's benefit: after garbage
 //! (a malformed-frame fault, a buggy client, a mid-frame disconnect
 //! splice) it scans forward to the next magic and resumes, counting one
-//! *desync* per scan. A session that desyncs more than [`MAX_DESYNCS`]
+//! *desync* per scan. A session that desyncs more than `MAX_DESYNCS`
 //! times is judged hostile or hopeless and disconnected. The decoder
 //! never panics on any byte sequence — the seeded fuzz tests below hold
 //! it to that.
 
 /// First magic byte.
-pub const MAGIC0: u8 = 0xA5;
+pub(crate) const MAGIC0: u8 = 0xA5;
 /// Second magic byte.
-pub const MAGIC1: u8 = 0x7E;
+const MAGIC1: u8 = 0x7E;
 /// Header length: magic (2) + type (1) + priority (1) + len (2, LE).
-pub const HEADER_LEN: usize = 6;
+const HEADER_LEN: usize = 6;
 /// Hard cap on a frame payload; a longer length field is treated as
 /// garbage (desync), not an allocation request.
-pub const MAX_PAYLOAD: usize = 512;
+const MAX_PAYLOAD: usize = 512;
 /// Desyncs tolerated per session before the decoder turns fatal.
-pub const MAX_DESYNCS: u32 = 8;
+const MAX_DESYNCS: u32 = 8;
 /// Cap on buffered undecoded bytes per session; beyond this the peer is
 /// not speaking the protocol and the decoder turns fatal.
 const MAX_BUFFER: usize = 8 * 1024;
@@ -58,7 +58,7 @@ pub enum FrameType {
 
 impl FrameType {
     /// Decode a type byte.
-    pub fn from_code(code: u8) -> Option<FrameType> {
+    fn from_code(code: u8) -> Option<FrameType> {
         Some(match code {
             0x01 => FrameType::Hello,
             0x02 => FrameType::Action,
@@ -74,23 +74,8 @@ impl FrameType {
     }
 
     /// The wire byte.
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         self as u8
-    }
-
-    /// Stable label (logs/metrics).
-    pub fn label(self) -> &'static str {
-        match self {
-            FrameType::Hello => "hello",
-            FrameType::Action => "action",
-            FrameType::Ping => "ping",
-            FrameType::Bye => "bye",
-            FrameType::Welcome => "welcome",
-            FrameType::TickReport => "tick-report",
-            FrameType::Pong => "pong",
-            FrameType::Overloaded => "overloaded",
-            FrameType::Goodbye => "goodbye",
-        }
     }
 }
 
@@ -107,7 +92,7 @@ pub enum ActionOp {
 
 impl ActionOp {
     /// Decode an opcode byte.
-    pub fn from_code(code: u8) -> Option<ActionOp> {
+    fn from_code(code: u8) -> Option<ActionOp> {
         Some(match code {
             0 => ActionOp::Move,
             1 => ActionOp::Attack,
@@ -124,14 +109,14 @@ pub struct Frame {
     pub kind: FrameType,
     /// Priority, 0 (droppable) … 255 (critical). Admission control
     /// sheds the lowest priorities first.
-    pub priority: u8,
-    /// Payload bytes (≤ [`MAX_PAYLOAD`]).
+    pub(crate) priority: u8,
+    /// Payload bytes (≤ `MAX_PAYLOAD`).
     pub payload: Vec<u8>,
 }
 
 impl Frame {
     /// A frame with an explicit payload (truncated to [`MAX_PAYLOAD`]).
-    pub fn new(kind: FrameType, priority: u8, mut payload: Vec<u8>) -> Frame {
+    pub(crate) fn new(kind: FrameType, priority: u8, mut payload: Vec<u8>) -> Frame {
         payload.truncate(MAX_PAYLOAD);
         Frame { kind, priority, payload }
     }
@@ -151,7 +136,7 @@ impl Frame {
     }
 
     /// Parse an `Action` payload back into `(op, a, b)`.
-    pub fn parse_action(payload: &[u8]) -> Option<(ActionOp, u16, u16)> {
+    pub(crate) fn parse_action(payload: &[u8]) -> Option<(ActionOp, u16, u16)> {
         if payload.len() < 5 {
             return None;
         }
@@ -172,22 +157,22 @@ impl Frame {
     }
 
     /// S→C session accepted, carrying the assigned player id.
-    pub fn welcome(player: u16) -> Frame {
+    pub(crate) fn welcome(player: u16) -> Frame {
         Frame::new(FrameType::Welcome, 255, player.to_le_bytes().to_vec())
     }
 
     /// S→C rejection with a suggested backoff (ticks).
-    pub fn overloaded(backoff_ticks: u16) -> Frame {
+    pub(crate) fn overloaded(backoff_ticks: u16) -> Frame {
         Frame::new(FrameType::Overloaded, 255, backoff_ticks.to_le_bytes().to_vec())
     }
 
     /// S→C orderly close.
-    pub fn goodbye(reason: u8) -> Frame {
+    pub(crate) fn goodbye(reason: u8) -> Frame {
         Frame::new(FrameType::Goodbye, 255, vec![reason])
     }
 
     /// S→C `Ping` echo.
-    pub fn pong(token_payload: &[u8]) -> Frame {
+    pub(crate) fn pong(token_payload: &[u8]) -> Frame {
         Frame::new(FrameType::Pong, 200, token_payload.to_vec())
     }
 
@@ -244,13 +229,8 @@ impl FrameDecoder {
     }
 
     /// Desyncs survived so far.
-    pub fn desyncs(&self) -> u32 {
+    pub(crate) fn desyncs(&self) -> u32 {
         self.desyncs
-    }
-
-    /// Bytes buffered but not yet decoded.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
     }
 
     /// Drop `n` buffered bytes as garbage, counting one desync and

@@ -6,46 +6,43 @@ use std::collections::VecDeque;
 /// Cap on a session's queued outbound bytes. Beyond this the session is
 /// not draining (slow-loris or a dead link) and low-priority frames are
 /// dropped instead of buffered without bound — the backpressure policy.
-pub const WRITE_QUEUE_CAP: usize = 32 * 1024;
+const WRITE_QUEUE_CAP: usize = 32 * 1024;
 
 /// Priority at or above which a frame is *critical*: queued even past
 /// the cap (`Welcome`/`Overloaded`/`Goodbye` use 255) so control frames
 /// survive backpressure while bulk tick reports are shed.
-pub const CRITICAL_PRIORITY: u8 = 250;
+const CRITICAL_PRIORITY: u8 = 250;
 
 /// Ticks a session may sit without delivering a frame before the idle
 /// reaper closes it.
-pub const IDLE_TICKS_MAX: u64 = 1_000;
+pub(crate) const IDLE_TICKS_MAX: u64 = 1_000;
 
 /// One connected client.
-pub struct Session {
-    /// Connection id (the net layer's handle).
-    pub conn: u64,
+pub(crate) struct Session {
     /// Assigned player, once the `Hello` handshake completed.
-    pub player: Option<u32>,
+    pub(crate) player: Option<u32>,
     /// Incremental frame decoder for this session's byte stream.
-    pub decoder: FrameDecoder,
+    pub(crate) decoder: FrameDecoder,
     /// Encoded outbound bytes not yet handed to the socket layer.
-    pub outq: VecDeque<u8>,
+    pub(crate) outq: VecDeque<u8>,
     /// Outbound frames dropped by backpressure.
-    pub dropped_frames: u64,
+    dropped_frames: u64,
     /// Ticks since the last complete inbound frame.
-    pub idle_ticks: u64,
+    pub(crate) idle_ticks: u64,
     /// Remaining ticks this session's drain is stalled (slow-loris
     /// fault: the peer reads one byte per eon, so our queue backs up).
-    pub loris_ticks: u32,
+    pub(crate) loris_ticks: u32,
     /// Inbound bytes deferred by a partial-read fault, prepended to the
     /// next delivery.
-    pub deferred_in: Vec<u8>,
+    pub(crate) deferred_in: Vec<u8>,
     /// A `Goodbye` is queued; close once the queue drains.
-    pub closing: bool,
+    pub(crate) closing: bool,
 }
 
 impl Session {
-    /// A fresh session for connection `conn`.
-    pub fn new(conn: u64) -> Session {
+    /// A fresh session, before its `Hello` handshake.
+    pub(crate) fn new() -> Session {
         Session {
-            conn,
             player: None,
             decoder: FrameDecoder::new(),
             outq: VecDeque::new(),
@@ -60,7 +57,7 @@ impl Session {
     /// Queue a frame for delivery. Returns `false` (and counts a drop)
     /// when backpressure sheds it: queue at cap and the frame is below
     /// [`CRITICAL_PRIORITY`].
-    pub fn queue_frame(&mut self, frame: &Frame) -> bool {
+    pub(crate) fn queue_frame(&mut self, frame: &Frame) -> bool {
         if self.outq.len() >= WRITE_QUEUE_CAP && frame.priority < CRITICAL_PRIORITY {
             self.dropped_frames += 1;
             return false;
@@ -71,7 +68,7 @@ impl Session {
 
     /// Take up to `max` queued bytes for the wire (empty while a
     /// slow-loris stall is in force).
-    pub fn drain_out(&mut self, max: usize) -> Vec<u8> {
+    pub(crate) fn drain_out(&mut self, max: usize) -> Vec<u8> {
         if self.loris_ticks > 0 {
             return Vec::new();
         }
@@ -87,7 +84,7 @@ mod tests {
 
     #[test]
     fn backpressure_sheds_bulk_but_keeps_control_frames() {
-        let mut s = Session::new(1);
+        let mut s = Session::new();
         // Fill the queue past the cap with bulk frames.
         let bulk = Frame::new(FrameType::TickReport, 10, vec![0; 500]);
         while s.outq.len() < WRITE_QUEUE_CAP {
@@ -100,7 +97,7 @@ mod tests {
 
     #[test]
     fn loris_stall_blocks_drain() {
-        let mut s = Session::new(1);
+        let mut s = Session::new();
         s.queue_frame(&Frame::welcome(3));
         s.loris_ticks = 2;
         assert!(s.drain_out(4096).is_empty());

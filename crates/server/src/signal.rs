@@ -8,24 +8,14 @@
 //! runs without signal-driven drain (Ctrl-C then kills it the default
 //! way), which is acceptable degradation for a diagnostics binary.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 
 /// Flipped once by the first SIGINT/SIGTERM; the net loop polls it.
 static STOP: AtomicBool = AtomicBool::new(false);
 
-/// Whether a shutdown signal has arrived.
-pub fn stop_requested() -> bool {
-    STOP.load(Ordering::Relaxed)
-}
-
 /// The flag itself, for loops that poll a `&AtomicBool`.
 pub fn stop_flag() -> &'static AtomicBool {
     &STOP
-}
-
-/// Request shutdown programmatically (tests, `--ticks` runs).
-pub fn request_stop() {
-    STOP.store(true, Ordering::Relaxed);
 }
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
@@ -83,7 +73,7 @@ mod imp {
         ret
     }
 
-    pub fn install() -> bool {
+    pub(crate) fn install() -> bool {
         let act = KernelSigaction {
             handler: on_signal as extern "C" fn(i32) as usize,
             flags: SA_RESTORER | SA_RESTART,
@@ -99,7 +89,7 @@ mod imp {
 
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 mod imp {
-    pub fn install() -> bool {
+    fn install() -> bool {
         false
     }
 }
@@ -114,15 +104,6 @@ pub fn install() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn request_stop_flips_the_flag() {
-        // Note: STOP is process-global; this test only ever sets it.
-        assert!(!stop_requested() || stop_requested());
-        request_stop();
-        assert!(stop_requested());
-        assert!(stop_flag().load(std::sync::atomic::Ordering::Relaxed));
-    }
 
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     #[test]

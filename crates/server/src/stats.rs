@@ -18,35 +18,35 @@ use crate::admission::Rung;
 #[derive(Default)]
 pub struct ServerStats {
     /// Complete frames decoded from clients.
-    pub frames_in: AtomicU64,
+    pub(crate) frames_in: AtomicU64,
     /// Frames queued toward clients.
-    pub frames_out: AtomicU64,
+    pub(crate) frames_out: AtomicU64,
     /// Outbound frames shed by per-session backpressure.
-    pub frames_dropped: AtomicU64,
+    pub(crate) frames_dropped: AtomicU64,
     /// Actions executed against the world.
     pub actions_executed: AtomicU64,
     /// Actions shed by admission control.
-    pub actions_shed: AtomicU64,
+    pub(crate) actions_shed: AtomicU64,
     /// Sessions refused with an `Overloaded` frame.
-    pub sessions_rejected: AtomicU64,
+    pub(crate) sessions_rejected: AtomicU64,
     /// Sessions accepted over the server's lifetime.
-    pub sessions_accepted: AtomicU64,
+    pub(crate) sessions_accepted: AtomicU64,
     /// Frames the decoder could not parse (desyncs observed).
-    pub malformed_frames: AtomicU64,
+    pub(crate) malformed_frames: AtomicU64,
     /// Sessions closed, any reason.
-    pub disconnects: AtomicU64,
+    pub(crate) disconnects: AtomicU64,
     /// Sessions closed by the idle reaper specifically.
-    pub idle_reaped: AtomicU64,
+    pub(crate) idle_reaped: AtomicU64,
     /// Live sessions (gauge).
-    pub sessions: AtomicU64,
+    pub(crate) sessions: AtomicU64,
     /// Current ladder rung (gauge; [`Rung::code`]).
-    pub ladder: AtomicU32,
+    ladder: AtomicU32,
     /// Ladder entries per rung (index = code).
-    pub ladder_entries: [AtomicU64; 4],
+    ladder_entries: [AtomicU64; 4],
     /// Ticks processed.
-    pub ticks: AtomicU64,
+    ticks: AtomicU64,
     /// Σ engine frame time, ns.
-    pub frame_ns_sum: AtomicU64,
+    frame_ns_sum: AtomicU64,
     inner: Mutex<StatsInner>,
 }
 
@@ -65,14 +65,14 @@ impl ServerStats {
     }
 
     /// Record one engine tick's duration.
-    pub fn record_tick(&self, frame_ns: u64) {
+    pub(crate) fn record_tick(&self, frame_ns: u64) {
         self.ticks.fetch_add(1, Ordering::Relaxed);
         self.frame_ns_sum.fetch_add(frame_ns, Ordering::Relaxed);
         self.inner.lock().window_frame_ns.push(frame_ns);
     }
 
     /// Record a ladder move (updates the gauge and entry counter).
-    pub fn record_ladder(&self, to: Rung) {
+    pub(crate) fn record_ladder(&self, to: Rung) {
         self.ladder.store(to.code() as u32, Ordering::Relaxed);
         self.ladder_entries[to.code() as usize].fetch_add(1, Ordering::Relaxed);
     }

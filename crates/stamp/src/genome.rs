@@ -91,7 +91,7 @@ fn hash_bytes(bytes: &[u8]) -> u64 {
 }
 
 /// The genome benchmark.
-pub struct Genome;
+pub(crate) struct Genome;
 
 impl Benchmark for Genome {
     fn name(&self) -> &'static str {

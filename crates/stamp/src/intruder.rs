@@ -110,7 +110,7 @@ fn detect(payload: &[u8]) -> bool {
 }
 
 /// The intruder benchmark.
-pub struct Intruder;
+pub(crate) struct Intruder;
 
 impl Benchmark for Intruder {
     fn name(&self) -> &'static str {

@@ -72,7 +72,7 @@ struct ClusterAcc {
 }
 
 /// The kmeans benchmark.
-pub struct KMeans;
+pub(crate) struct KMeans;
 
 impl Benchmark for KMeans {
     fn name(&self) -> &'static str {

@@ -56,7 +56,7 @@ fn params(size: InputSize) -> Params {
 
 /// The routing grid: one transactional cell per coordinate. 0 = free,
 /// otherwise the id (1-based) of the path occupying the cell.
-pub(crate) struct Grid {
+struct Grid {
     cells: Vec<TVar<u32>>,
     w: usize,
     h: usize,
@@ -182,7 +182,7 @@ fn gen_routes(p: &Params, seed: u64) -> Vec<(Point, Point)> {
 }
 
 /// The labyrinth benchmark.
-pub struct Labyrinth;
+pub(crate) struct Labyrinth;
 
 impl Benchmark for Labyrinth {
     fn name(&self) -> &'static str {

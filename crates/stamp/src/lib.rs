@@ -33,13 +33,13 @@
 
 #![forbid(unsafe_code)]
 
-pub mod genome;
-pub mod intruder;
-pub mod kmeans;
-pub mod labyrinth;
-pub mod ssca2;
-pub mod vacation;
-pub mod yada;
+mod genome;
+mod intruder;
+mod kmeans;
+mod labyrinth;
+mod ssca2;
+mod vacation;
+mod yada;
 
 use gstm_tl2::{Stm, ThreadStats};
 use std::sync::Arc;
@@ -129,7 +129,7 @@ pub fn by_name(name: &str) -> Option<Arc<dyn Benchmark>> {
 /// thread ids 0..n-1, times each worker's thread function, and collects
 /// per-thread stats. `work` receives `(thread_index, ThreadCtx)` and
 /// returns a checksum contribution.
-pub(crate) fn run_workers(
+fn run_workers(
     stm: &Arc<Stm>,
     cfg: &RunConfig,
     work: impl Fn(u16, &mut gstm_tl2::ThreadCtx) -> u64 + Send + Sync,

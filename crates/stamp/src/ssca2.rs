@@ -41,7 +41,7 @@ fn params(size: InputSize) -> Params {
 }
 
 /// The ssca2 benchmark.
-pub struct Ssca2;
+pub(crate) struct Ssca2;
 
 impl Benchmark for Ssca2 {
     fn name(&self) -> &'static str {

@@ -71,7 +71,7 @@ struct Customer {
 }
 
 /// The vacation benchmark.
-pub struct Vacation;
+pub(crate) struct Vacation;
 
 struct Tables {
     resources: [TMap<Resource>; 3], // cars, flights, rooms

@@ -64,7 +64,7 @@ fn is_bad(id: u64, depth: u32, seed: u64) -> bool {
 }
 
 /// The yada benchmark.
-pub struct Yada;
+pub(crate) struct Yada;
 
 impl Benchmark for Yada {
     fn name(&self) -> &'static str {

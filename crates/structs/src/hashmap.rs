@@ -50,11 +50,6 @@ impl<V: Clone + Send + Sync + 'static> THashMap<V> {
         self.bucket(key).get(tx, key)
     }
 
-    /// Whether `key` is present.
-    pub fn contains(&self, tx: &mut Txn, key: u64) -> TxResult<bool> {
-        self.bucket(key).contains(tx, key)
-    }
-
     /// Remove `key`, returning its value if present.
     pub fn remove(&self, tx: &mut Txn, key: u64) -> TxResult<Option<V>> {
         self.bucket(key).remove(tx, key)
@@ -68,11 +63,6 @@ impl<V: Clone + Send + Sync + 'static> THashMap<V> {
             n += b.len(tx)?;
         }
         Ok(n)
-    }
-
-    /// Whether the table is empty (touches every bucket).
-    pub fn is_empty(&self, tx: &mut Txn) -> TxResult<bool> {
-        Ok(self.len(tx)? == 0)
     }
 
     /// Collect all `(key, value)` pairs (bucket-major order, sorted within

@@ -44,10 +44,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod hashmap;
-pub mod list;
-pub mod map;
-pub mod queue;
+mod hashmap;
+mod list;
+mod map;
+pub(crate) mod queue;
 
 pub use hashmap::THashMap;
 pub use list::TList;

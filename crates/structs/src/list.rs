@@ -47,11 +47,6 @@ impl<V: Clone + Send + Sync + 'static> TList<V> {
         tx.read(&self.len)
     }
 
-    /// Whether the list is empty.
-    pub fn is_empty(&self, tx: &mut Txn) -> TxResult<bool> {
-        Ok(self.len(tx)? == 0)
-    }
-
     /// Walk to the insertion point of `key`: returns the link TVar whose
     /// target is the first node with `node.key >= key` (or the tail link),
     /// plus that node if its key equals `key`.
@@ -120,11 +115,6 @@ impl<V: Clone + Send + Sync + 'static> TList<V> {
             Some(ref node) if node.key == key => Ok(Some(tx.read(&node.value)?)),
             _ => Ok(None),
         }
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, tx: &mut Txn, key: u64) -> TxResult<bool> {
-        Ok(self.get(tx, key)?.is_some())
     }
 
     /// Remove `key`, returning its value if it was present.

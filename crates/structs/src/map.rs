@@ -53,11 +53,6 @@ impl<V: Clone + Send + Sync + 'static> TMap<V> {
         tx.read(&self.len)
     }
 
-    /// Whether the map is empty.
-    pub fn is_empty(&self, tx: &mut Txn) -> TxResult<bool> {
-        Ok(self.len(tx)? == 0)
-    }
-
     /// Walk to `key`: the link TVar that holds (or would hold) the node
     /// with that key, plus the node if present.
     fn locate(&self, tx: &mut Txn, key: u64) -> TxResult<(TVar<Link<V>>, Link<V>)> {

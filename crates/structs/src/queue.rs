@@ -51,11 +51,6 @@ impl<V: Clone + Send + Sync + 'static> TQueue<V> {
         tx.read(&self.len)
     }
 
-    /// Whether the queue is empty.
-    pub fn is_empty(&self, tx: &mut Txn) -> TxResult<bool> {
-        Ok(self.len(tx)? == 0)
-    }
-
     /// Append `value` at the tail.
     pub fn push(&self, tx: &mut Txn, value: V) -> TxResult<()> {
         let node = Arc::new(Node {
@@ -133,7 +128,7 @@ mod tests {
             // Tail must have been cleared: pushing again works.
             q.push(tx, 2)?;
             assert_eq!(q.pop(tx)?, Some(2));
-            assert!(q.is_empty(tx)?);
+            assert_eq!(q.len(tx)?, 0);
             Ok(())
         });
     }

@@ -40,10 +40,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod quest;
-pub mod server;
-pub mod world;
+mod quest;
+mod server;
+mod world;
 
 pub use quest::QuestLayout;
-pub use server::{cross_thread_overlaps, run_game, Action, FrameResult, GameConfig};
-pub use world::{Player, World};
+pub use server::{cross_thread_overlaps, run_game, GameConfig};
+pub use world::World;

@@ -31,20 +31,9 @@ impl QuestLayout {
         }
     }
 
-    /// The layout with the given paper name.
-    pub fn by_name(name: &str) -> Option<Self> {
-        match name {
-            "4worst_case" => Some(QuestLayout::WorstCase4),
-            "4moving" => Some(QuestLayout::Moving4),
-            "4quadrants" => Some(QuestLayout::Quadrants4),
-            "4center_spread6" => Some(QuestLayout::CenterSpread6),
-            _ => None,
-        }
-    }
-
     /// Position of quest `q` (0..4) at frame `frame` on a `size`×`size`
     /// map.
-    pub fn position(&self, q: usize, frame: u64, size: u32) -> (u32, u32) {
+    pub(crate) fn position(&self, q: usize, frame: u64, size: u32) -> (u32, u32) {
         let s = size as f64;
         let center = (s / 2.0, s / 2.0);
         let quadrant = |q: usize| {
@@ -88,19 +77,6 @@ mod tests {
     use super::*;
 
     const SIZE: u32 = 1024;
-
-    #[test]
-    fn names_round_trip() {
-        for l in [
-            QuestLayout::WorstCase4,
-            QuestLayout::Moving4,
-            QuestLayout::Quadrants4,
-            QuestLayout::CenterSpread6,
-        ] {
-            assert_eq!(QuestLayout::by_name(l.name()), Some(l));
-        }
-        assert_eq!(QuestLayout::by_name("nope"), None);
-    }
 
     #[test]
     fn worst_case_stacks_all_quests_at_center() {

@@ -78,10 +78,6 @@ pub struct FrameResult {
     /// World-consistency violations found by the post-run audit (0 =
     /// clean).
     pub audit_failures: usize,
-    /// Total frags scored (workload checksum).
-    pub total_score: u64,
-    /// Items picked up during the run.
-    pub items_picked: u64,
 }
 
 impl FrameResult {
@@ -98,7 +94,7 @@ impl FrameResult {
 impl GameConfig {
     /// The players thread `t` acts for: the `t`-th of `threads`
     /// contiguous, equal-sized (up to rounding) id ranges.
-    pub fn share(&self, t: u16) -> Range<u32> {
+    fn share(&self, t: u16) -> Range<u32> {
         let n = self.threads.max(1) as u32;
         let chunk = self.players.div_ceil(n);
         (t as u32 * chunk).min(self.players)..((t as u32 + 1) * chunk).min(self.players)
@@ -109,7 +105,7 @@ impl GameConfig {
     /// depends on where the player stands — its state, which `player` is
     /// called to read.
     #[inline]
-    pub fn action(&self, frame: u64, id: u32, player: impl FnOnce() -> Player) -> Action {
+    fn action(&self, frame: u64, id: u32, player: impl FnOnce() -> Player) -> Action {
         let r = mix64(self.seed ^ (frame << 24) ^ id as u64);
         if r % 100 < self.attack_pct {
             return Action::Attack { pick: mix64(r) };
@@ -131,7 +127,7 @@ impl GameConfig {
 
 /// One player's action in one frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Action {
+enum Action {
     /// Attack a player sharing the cell; `pick` chooses which.
     Attack {
         /// Victim choice among the cell's other occupants.
@@ -150,7 +146,7 @@ pub enum Action {
 
 impl Action {
     /// The transaction site the action runs as.
-    pub fn txn(&self) -> TxnId {
+    fn txn(&self) -> TxnId {
         match self {
             Action::Attack { .. } => TXN_ATTACK,
             Action::Pickup => TXN_PICKUP,
@@ -159,7 +155,7 @@ impl Action {
     }
 
     /// Run the action for player `id` inside `tx`.
-    pub fn run(&self, world: &World, tx: &mut LtTxn, id: u32) -> TxResult<()> {
+    fn run(&self, world: &World, tx: &mut LtTxn, id: u32) -> TxResult<()> {
         match *self {
             Action::Attack { pick } => world.attack(tx, id, 25, pick).map(drop),
             Action::Pickup => world.pickup(tx, id).map(drop),
@@ -177,7 +173,7 @@ impl Action {
 /// player's own cell. Footprints are known from the world before the
 /// frame runs, and only a player's own moves change its position, so
 /// the count is a pure function of the world, the seed, the quest
-/// layout and the thread partition ([`GameConfig::share`]). It is
+/// layout and the thread partition (`GameConfig::share`). It is
 /// computed on the calling thread, without running a transaction.
 pub fn cross_thread_overlaps(cfg: &GameConfig) -> Vec<u64> {
     let world = World::new(cfg.map_size, cfg.cell_size, cfg.players, cfg.seed);
@@ -228,7 +224,6 @@ fn step_toward(v: u32, target: u32, speed: u32) -> u32 {
 pub fn run_game(tm: &Arc<LibTm>, cfg: &GameConfig) -> FrameResult {
     let mut world = World::new(cfg.map_size, cfg.cell_size, cfg.players, cfg.seed);
     world.spawn_items(cfg.items, cfg.seed ^ 0x17e5);
-    let items_spawned = world.items_remaining();
     let world = Arc::new(world);
     let n = cfg.threads.max(1) as usize;
     let barrier = Arc::new(Barrier::new(n));
@@ -266,17 +261,10 @@ pub fn run_game(tm: &Arc<LibTm>, cfg: &GameConfig) -> FrameResult {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    let total_score: u64 = world
-        .players
-        .iter()
-        .map(|p| p.load_quiesced().score as u64)
-        .sum();
     FrameResult {
         frame_secs: frame_secs.take(),
         per_thread_stats,
         audit_failures: world.audit(),
-        total_score,
-        items_picked: (items_spawned - world.items_remaining()) as u64,
     }
 }
 
@@ -381,13 +369,9 @@ mod tests {
         let mut cfg = quick_cfg(2, QuestLayout::Quadrants4);
         cfg.frames = 40;
         cfg.attack_pct = 0; // pure movement
-        let world = {
-            // Re-run inline so we can inspect final positions: run_game
-            // hides the world, so rebuild the same world and check the
-            // total score path instead.
-            run_game(&tm, &cfg)
-        };
-        // Pure-movement game: nobody scores.
-        assert_eq!(world.total_score, 0);
+        let r = run_game(&tm, &cfg);
+        // Pure movement keeps every player in exactly one cell.
+        assert_eq!(r.audit_failures, 0);
+        assert_eq!(r.frame_secs.len(), 40);
     }
 }

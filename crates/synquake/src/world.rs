@@ -16,7 +16,7 @@ pub struct Player {
     /// Frags scored.
     pub score: u32,
     /// Which quest (0..4) this player is drawn to.
-    pub quest: usize,
+    pub(crate) quest: usize,
 }
 
 /// The shared world: a `size`×`size` map partitioned into square cells of
@@ -25,15 +25,15 @@ pub struct Player {
 /// design point versus a lock-based server.
 pub struct World {
     /// Map edge length.
-    pub size: u32,
+    size: u32,
     /// Cell edge length.
-    pub cell_size: u32,
+    cell_size: u32,
     cells_per_row: u32,
     /// Cell occupancy lists.
     pub cells: Vec<TObject<Vec<u32>>>,
     /// Items lying in each cell (health packs / ammo in the original;
     /// here an opaque item id).
-    pub items: Vec<TObject<Vec<u32>>>,
+    items: Vec<TObject<Vec<u32>>>,
     /// Player objects.
     pub players: Vec<TObject<Player>>,
 }
@@ -184,11 +184,6 @@ impl World {
         }
     }
 
-    /// Total items remaining on the map (quiesced).
-    pub fn items_remaining(&self) -> usize {
-        self.items.iter().map(|c| c.load_quiesced().len()).sum()
-    }
-
     /// Quiesced audit: every player appears in exactly the cell its
     /// position maps to. Returns the number of inconsistencies.
     pub fn audit(&self) -> usize {
@@ -221,6 +216,13 @@ mod tests {
     use super::*;
     use gstm_core::{ThreadId, TxnId};
     use gstm_libtm::{LibTm, LibTmConfig};
+
+    impl World {
+        /// Total items remaining on the map (quiesced).
+        fn items_remaining(&self) -> usize {
+            self.items.iter().map(|c| c.load_quiesced().len()).sum()
+        }
+    }
 
     #[test]
     fn construction_places_every_player_once() {

@@ -27,7 +27,7 @@ const LOCK_BIT: u64 = 1 << 63;
 
 /// A shared, monotonically increasing version clock.
 #[derive(Debug, Default)]
-pub struct GlobalClock(AtomicU64);
+pub(crate) struct GlobalClock(AtomicU64);
 
 /// The process-wide version clock.
 ///
@@ -39,19 +39,19 @@ static CLOCK: GlobalClock = GlobalClock::new();
 
 /// The process-wide clock every [`crate::Stm`] instance commits through.
 #[inline]
-pub fn global() -> &'static GlobalClock {
+pub(crate) fn global() -> &'static GlobalClock {
     &CLOCK
 }
 
 impl GlobalClock {
     /// A clock starting at version 0.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         GlobalClock(AtomicU64::new(0))
     }
 
     /// Sample the current version (a transaction's read version `rv`).
     #[inline]
-    pub fn now(&self) -> u64 {
+    pub(crate) fn now(&self) -> u64 {
         self.0.load(Ordering::SeqCst)
     }
 
@@ -65,7 +65,7 @@ impl GlobalClock {
     /// 2^63 commits and cannot occur in practice; a `debug_assert!`
     /// turns the impossibility into a loud failure in debug builds.
     #[inline]
-    pub fn advance(&self) -> u64 {
+    pub(crate) fn advance(&self) -> u64 {
         let wv = self.0.fetch_add(1, Ordering::SeqCst).wrapping_add(1);
         debug_assert!(
             wv & LOCK_BIT == 0,

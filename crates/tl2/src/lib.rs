@@ -3,7 +3,7 @@
 //! A Rust implementation of Transactional Locking II (Dice, Shalev, Shavit
 //! — DISC'06), the STM the paper's STAMP experiments run on:
 //!
-//! * **Version clock** ([`clock::GlobalClock`]): committers advance it;
+//! * **Version clock** (`clock::GlobalClock`): committers advance it;
 //!   every transaction samples it at begin into its read version `rv`.
 //! * **Commit-time locking, write-back**: writes are buffered in the
 //!   transaction's write set; at commit the write locations are locked,
@@ -45,15 +45,13 @@
 
 #![forbid(unsafe_code)]
 
-pub mod clock;
-pub mod runtime;
-pub mod tvar;
-pub mod txn;
-pub mod vlock;
+mod clock;
+mod runtime;
+mod tvar;
+mod txn;
+mod vlock;
 
-pub use clock::GlobalClock;
+pub use gstm_core::{ThreadStats, TxResult};
 pub use runtime::{Detection, Stm, StmBuilder, StmConfig, ThreadCtx};
-pub use gstm_core::{Abort, ThreadStats, TxResult};
 pub use tvar::TVar;
 pub use txn::Txn;
-pub use vlock::VLock;

@@ -143,7 +143,7 @@ impl StmBuilder {
 }
 
 /// One STM instance: configuration plus its [`Instruments`]. Every
-/// instance commits through the process-wide [`clock::global`] clock, so
+/// instance commits through the process-wide `clock::global` clock, so
 /// a [`crate::TVar`] may be used under any instance — instances differ
 /// only in configuration and instrumentation.
 pub struct Stm {
@@ -199,11 +199,6 @@ impl Stm {
         }
     }
 
-    /// This instance's configuration.
-    pub fn config(&self) -> &StmConfig {
-        &self.config
-    }
-
     /// Total commits across all threads so far.
     pub fn total_commits(&self) -> u64 {
         self.instruments.total_commits()
@@ -216,7 +211,7 @@ impl Stm {
 
     /// Current value of the commit clock. No stamp a new transaction
     /// can observe exceeds this value.
-    pub fn clock_now(&self) -> u64 {
+    fn clock_now(&self) -> u64 {
         clock::global().now()
     }
 }
@@ -233,15 +228,6 @@ pub struct ThreadCtx {
 }
 
 impl ThreadCtx {
-    /// This thread's id within the STM instance.
-    pub fn thread_id(&self) -> ThreadId {
-        self.thread
-    }
-
-    /// The owning STM instance.
-    pub fn stm(&self) -> &Arc<Stm> {
-        &self.stm
-    }
 
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &ThreadStats {
@@ -306,9 +292,9 @@ mod tests {
     #[test]
     fn registration_assigns_sequential_ids() {
         let stm = Stm::new(StmConfig::default());
-        assert_eq!(stm.register().thread_id(), ThreadId(0));
-        assert_eq!(stm.register().thread_id(), ThreadId(1));
-        assert_eq!(stm.register_as(ThreadId(9)).thread_id(), ThreadId(9));
+        assert_eq!(stm.register().thread, ThreadId(0));
+        assert_eq!(stm.register().thread, ThreadId(1));
+        assert_eq!(stm.register_as(ThreadId(9)).thread, ThreadId(9));
     }
 
     #[test]

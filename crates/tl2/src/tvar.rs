@@ -118,11 +118,6 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     pub(crate) fn key(&self) -> usize {
         self.inner.key()
     }
-
-    /// Whether two handles refer to the same location.
-    pub fn same_location(&self, other: &TVar<T>) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
 }
 
 impl<T: Clone + Send + Sync + std::fmt::Debug + 'static> std::fmt::Debug for TVar<T> {
@@ -147,10 +142,8 @@ mod tests {
     fn clone_aliases_the_location() {
         let a = TVar::new(vec![1, 2, 3]);
         let b = a.clone();
-        assert!(a.same_location(&b));
         assert_eq!(a.key(), b.key());
         let c = TVar::new(vec![1, 2, 3]);
-        assert!(!a.same_location(&c));
         assert_ne!(a.key(), c.key());
     }
 

@@ -99,8 +99,6 @@ pub struct Txn<'stm> {
     home: &'stm Cell<TxBuffers>,
     /// The owning thread's interleave injector.
     inject: &'stm Interleave,
-    n_reads: u64,
-    n_writes: u64,
 }
 
 impl Drop for Txn<'_> {
@@ -132,29 +130,7 @@ impl<'stm> Txn<'stm> {
             bufs: home.take(),
             home,
             inject,
-            n_reads: 0,
-            n_writes: 0,
         }
-    }
-
-    /// The `<txn,thread>` identity of this attempt.
-    pub fn who(&self) -> Pair {
-        self.me
-    }
-
-    /// The read version sampled from the global clock at begin.
-    pub fn rv(&self) -> u64 {
-        self.rv
-    }
-
-    /// Number of transactional reads performed so far.
-    pub fn reads(&self) -> u64 {
-        self.n_reads
-    }
-
-    /// Number of transactional writes performed so far.
-    pub fn writes(&self) -> u64 {
-        self.n_writes
     }
 
     /// Explicitly abort and retry the transaction (e.g. a queue consumer
@@ -176,7 +152,6 @@ impl<'stm> Txn<'stm> {
     /// snapshot, and re-samples — aborting on a held lock or a version
     /// newer than `rv`.
     pub fn read<T: Clone + Send + Sync + 'static>(&mut self, tvar: &TVar<T>) -> TxResult<T> {
-        self.n_reads += 1;
         self.inject.at_access();
         if let Some(i) = self.write_index(tvar.key()) {
             // Invariant, not a recoverable error: keys are allocation
@@ -238,7 +213,6 @@ impl<'stm> Txn<'stm> {
         tvar: &TVar<T>,
         value: T,
     ) -> TxResult<()> {
-        self.n_writes += 1;
         self.inject.at_access();
         if let Some(i) = self.write_index(tvar.key()) {
             // Same invariant as the read-own-write path: a matching key
@@ -391,31 +365,14 @@ mod tests {
         let stm = Stm::new(StmConfig::default());
         let v = TVar::new(0u8);
         let mut ctx = stm.register();
-        let writes_seen = ctx.atomically(TxnId(0), |tx| {
+        let write_entries = ctx.atomically(TxnId(0), |tx| {
             tx.write(&v, 1)?;
             tx.write(&v, 2)?;
             tx.write(&v, 3)?;
-            Ok(tx.writes())
+            Ok(tx.bufs.write_set.len())
         });
-        assert_eq!(writes_seen, 3, "three write calls");
+        assert_eq!(write_entries, 1, "three writes, one write-set entry");
         assert_eq!(v.load_quiesced(), 3, "last value wins");
-    }
-
-    #[test]
-    fn read_counts_and_rv_are_exposed() {
-        let stm = Stm::new(StmConfig::default());
-        let a = TVar::new(1u32);
-        let b = TVar::new(2u32);
-        let mut ctx = stm.register();
-        let (reads, rv_ok, who) = ctx.atomically(TxnId(7), |tx| {
-            let _ = tx.read(&a)?;
-            let _ = tx.read(&b)?;
-            let _ = tx.read(&a)?; // duplicate: still counted as a read call
-            Ok((tx.reads(), tx.rv() <= stm.clock_now(), tx.who()))
-        });
-        assert_eq!(reads, 3);
-        assert!(rv_ok);
-        assert_eq!(who.txn, TxnId(7));
     }
 
     #[test]

@@ -17,26 +17,26 @@ const LOCKED_BIT: u64 = 1 << 63;
 
 /// A snapshot of a lock word.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Sample(u64);
+pub(crate) struct Sample(u64);
 
 impl Sample {
     /// Is the lock currently held by a committing transaction?
     #[inline]
-    pub fn is_locked(self) -> bool {
+    pub(crate) fn is_locked(self) -> bool {
         self.0 & LOCKED_BIT != 0
     }
 
     /// The version stamped by the last commit. Only meaningful when
     /// unlocked.
     #[inline]
-    pub fn version(self) -> u64 {
+    pub(crate) fn version(self) -> u64 {
         debug_assert!(!self.is_locked());
         self.0
     }
 
     /// The owner recorded in a locked word.
     #[inline]
-    pub fn owner(self) -> Option<ThreadId> {
+    pub(crate) fn owner(self) -> Option<ThreadId> {
         if self.is_locked() {
             Some(ThreadId((self.0 & 0xffff) as u16))
         } else {
@@ -47,17 +47,17 @@ impl Sample {
 
 /// A versioned write-lock word.
 #[derive(Debug, Default)]
-pub struct VLock(AtomicU64);
+pub(crate) struct VLock(AtomicU64);
 
 impl VLock {
     /// An unlocked lock at the given version.
-    pub const fn new(version: u64) -> Self {
+    pub(crate) const fn new(version: u64) -> Self {
         VLock(AtomicU64::new(version))
     }
 
     /// Sample the word.
     #[inline]
-    pub fn sample(&self) -> Sample {
+    pub(crate) fn sample(&self) -> Sample {
         Sample(self.0.load(Ordering::Acquire))
     }
 
@@ -65,7 +65,7 @@ impl VLock {
     /// held (needed to restore it if the commit later aborts); on failure
     /// returns the observed sample (whose `owner()` names the holder).
     #[inline]
-    pub fn try_lock(&self, owner: ThreadId) -> Result<u64, Sample> {
+    pub(crate) fn try_lock(&self, owner: ThreadId) -> Result<u64, Sample> {
         let cur = self.0.load(Ordering::Acquire);
         if cur & LOCKED_BIT != 0 {
             return Err(Sample(cur));
@@ -84,7 +84,7 @@ impl VLock {
     ///
     /// Callers must hold the lock; the version must leave bit 63 clear.
     #[inline]
-    pub fn unlock(&self, version: u64) {
+    pub(crate) fn unlock(&self, version: u64) {
         debug_assert!(version & LOCKED_BIT == 0, "version overflow");
         debug_assert!(self.sample().is_locked());
         self.0.store(version, Ordering::Release);
@@ -94,7 +94,7 @@ impl VLock {
     /// validation to accept locations the validating transaction itself
     /// locked for writing.
     #[inline]
-    pub fn is_locked_by(&self, owner: ThreadId) -> bool {
+    pub(crate) fn is_locked_by(&self, owner: ThreadId) -> bool {
         let cur = self.0.load(Ordering::Acquire);
         cur & LOCKED_BIT != 0 && (cur & 0xffff) as u16 == owner.0
     }
