@@ -51,7 +51,6 @@ pub struct AnalyzerReport {
     pub verdict: ModelVerdict,
 }
 
-
 /// Analyze a model with the default thresholds.
 pub fn analyze(model: &GuidedModel) -> AnalyzerReport {
     analyze_with(model, &GuidanceConfig::default())

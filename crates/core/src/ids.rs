@@ -31,7 +31,6 @@ impl ThreadId {
     }
 }
 
-
 impl fmt::Display for ThreadId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)

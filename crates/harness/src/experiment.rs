@@ -41,7 +41,6 @@ pub struct ExperimentConfig {
     pub profile_threads: Option<u16>,
 }
 
-
 /// Chaos-campaign plumbing for one experiment (the `--chaos` /
 /// `--breaker` flags): a deterministic fault plan armed during the
 /// *guided* measurement phase — profiling and the default baseline stay

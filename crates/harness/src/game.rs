@@ -26,7 +26,6 @@ pub struct GameExperimentConfig {
     pub seed: u64,
 }
 
-
 /// Per-quest measurements under one mode.
 #[derive(Clone, Debug)]
 struct GameModeMeasurement {

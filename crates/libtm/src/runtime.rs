@@ -161,7 +161,6 @@ pub struct LtThreadCtx {
 }
 
 impl LtThreadCtx {
-
     /// Take the statistics, resetting the counters.
     pub fn take_stats(&mut self) -> ThreadStats {
         std::mem::take(&mut self.stats)

@@ -73,7 +73,7 @@ mod imp {
         ret
     }
 
-    pub(crate) fn install() -> bool {
+    pub(super) fn install() -> bool {
         let act = KernelSigaction {
             handler: on_signal as extern "C" fn(i32) as usize,
             flags: SA_RESTORER | SA_RESTART,
@@ -89,7 +89,7 @@ mod imp {
 
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 mod imp {
-    fn install() -> bool {
+    pub(super) fn install() -> bool {
         false
     }
 }
@@ -103,11 +103,9 @@ pub fn install() -> bool {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     #[test]
     fn handler_installs_on_linux_x86_64() {
-        assert!(install(), "rt_sigaction failed");
+        assert!(super::install(), "rt_sigaction failed");
     }
 }

@@ -228,7 +228,6 @@ pub struct ThreadCtx {
 }
 
 impl ThreadCtx {
-
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &ThreadStats {
         &self.stats
