@@ -38,105 +38,11 @@
 
 use gstm_core::json::{self, array_lines, escape, Value};
 use gstm_core::metrics::{self, quantile, AbortHistogram};
+use gstm_core::prom::{self, Exposition};
 use gstm_core::telemetry::{parse_jsonl, TraceEvent, TraceKind};
 use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::path::Path;
-
-// ---------------------------------------------------------------------------
-// Prometheus text exposition parsing
-// ---------------------------------------------------------------------------
-
-/// One sample from a Prometheus text exposition.
-#[derive(Clone, Debug, PartialEq)]
-struct PromSample {
-    /// Metric family name.
-    name: String,
-    /// Label pairs, in exposition order.
-    labels: Vec<(String, String)>,
-    /// Sample value.
-    value: f64,
-}
-
-/// A parsed `.prom` file.
-#[derive(Clone, Debug, Default)]
-struct PromSnapshot {
-    samples: Vec<PromSample>,
-}
-
-impl PromSnapshot {
-    /// Parse the text exposition format emitted by
-    /// `TelemetrySnapshot::render_prometheus` (and any conforming subset
-    /// of the Prometheus format: `name{k="v",...} value` lines, `#`
-    /// comments).
-    pub(crate) fn parse(text: &str) -> Result<PromSnapshot, String> {
-        let mut samples = Vec::new();
-        for (n, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let err = |what: &str| format!("prom line {}: {what}: {raw}", n + 1);
-            let (series, value) = line
-                .rsplit_once(' ')
-                .ok_or_else(|| err("missing value"))?;
-            let value: f64 = value.parse().map_err(|_| err("bad value"))?;
-            let (name, labels) = match series.split_once('{') {
-                None => (series.to_string(), Vec::new()),
-                Some((name, rest)) => {
-                    let body = rest
-                        .strip_suffix('}')
-                        .ok_or_else(|| err("unterminated labels"))?;
-                    let mut labels = Vec::new();
-                    for pair in body.split(',').filter(|p| !p.is_empty()) {
-                        let (k, v) = pair.split_once('=').ok_or_else(|| err("bad label"))?;
-                        let v = v
-                            .strip_prefix('"')
-                            .and_then(|v| v.strip_suffix('"'))
-                            .ok_or_else(|| err("unquoted label value"))?;
-                        labels.push((k.to_string(), v.to_string()));
-                    }
-                    (name.to_string(), labels)
-                }
-            };
-            samples.push(PromSample { name, labels, value });
-        }
-        Ok(PromSnapshot { samples })
-    }
-
-    /// First sample of `name` carrying every label in `labels`.
-    fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        self.samples
-            .iter()
-            .find(|s| {
-                s.name == name
-                    && labels
-                        .iter()
-                        .all(|(k, v)| s.labels.iter().any(|(sk, sv)| sk == k && sv == v))
-            })
-            .map(|s| s.value)
-    }
-
-    /// Sum of every sample of `name` carrying every label in `labels`.
-    pub(crate) fn sum(&self, name: &str, labels: &[(&str, &str)]) -> f64 {
-        self.samples
-            .iter()
-            .filter(|s| {
-                s.name == name
-                    && labels
-                        .iter()
-                        .all(|(k, v)| s.labels.iter().any(|(sk, sv)| sk == k && sv == v))
-            })
-            .map(|s| s.value)
-            .sum()
-    }
-
-    /// All samples of `name`.
-    fn family(&self, name: &str) -> impl Iterator<Item = &PromSample> + '_ {
-        let name = name.to_string();
-        self.samples.iter().filter(move |s| s.name == name)
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Harness CSV parsing
@@ -380,7 +286,7 @@ struct RunAnalysis {
     /// side of the contention tracker's `attributed` counter.
     abort_events_with_addr: u64,
     /// The run's parsed counter exposition.
-    prom: PromSnapshot,
+    prom: Exposition,
 }
 
 /// One traced circuit-breaker transition.
@@ -403,7 +309,7 @@ impl RunAnalysis {
         threads: usize,
     ) -> Result<RunAnalysis, String> {
         let events = parse_jsonl(jsonl).map_err(|e| format!("run {run}: {e}"))?;
-        let prom = PromSnapshot::parse(prom_text).map_err(|e| format!("run {run}: {e}"))?;
+        let prom = prom::parse(prom_text).map_err(|e| format!("run {run}: {e}"))?;
         let mut commit_ns: Vec<u64> = events
             .iter()
             .filter_map(|ev| match ev.kind {
@@ -1624,7 +1530,7 @@ pub fn parse_incident_json(name: &str, text: &str) -> Result<IncidentFacts, Stri
 /// deltas plus the evicted rollup must equal the cumulative counter
 /// *exactly*, and retained + evicted window counts must equal
 /// `gstm_windows_closed_total`.
-fn ops_partition_check(prom: &PromSnapshot) -> Check {
+fn ops_partition_check(prom: &Exposition) -> Check {
     let retained = prom.family("gstm_window_commits").count() as u64;
     let evicted_n = prom.get("gstm_window_evicted_windows_total", &[]).unwrap_or(0.0) as u64;
     let closed = prom.get("gstm_windows_closed_total", &[]).unwrap_or(0.0) as u64;
@@ -1681,7 +1587,7 @@ fn analyze_ops(dir: &Path, stem: &str) -> Result<Option<(OpsFacts, Vec<Check>)>,
     let name = path.file_name().unwrap_or_default().to_string_lossy().into_owned();
     let text =
         std::fs::read_to_string(&path).map_err(|e| format!("{name}: {e}"))?;
-    let prom = PromSnapshot::parse(&text).map_err(|e| format!("{name}: {e}"))?;
+    let prom = prom::parse(&text).map_err(|e| format!("{name}: {e}"))?;
     // The exposition stamps its schema as a label on `gstm_build_info`;
     // a mismatch means the reader and writer disagree on family
     // semantics, so refuse rather than mis-ingest.

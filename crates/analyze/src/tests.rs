@@ -89,7 +89,7 @@ fn adaptive_run() -> Vec<TraceEvent> {
 
 #[test]
 fn prom_parse_labels_and_sums() {
-    let p = PromSnapshot::parse(
+    let p = prom::parse(
         "# TYPE gstm_commits_total counter\n\
          gstm_commits_total 42\n\
          gstm_aborts_total{cause=\"read_version\"} 3\n\
@@ -108,7 +108,7 @@ fn prom_parse_labels_and_sums() {
         Some(7.0)
     );
     assert_eq!(p.get("gstm_missing", &[]), None);
-    assert!(PromSnapshot::parse("garbage-without-value").is_err());
+    assert!(prom::parse("garbage-without-value").is_err());
 }
 
 #[test]
@@ -1087,11 +1087,11 @@ fn fixture_incident_json(schema: u32) -> String {
 
 #[test]
 fn ops_partition_check_is_exact() {
-    let ok = PromSnapshot::parse(&fixture_ops_prom(1, false)).unwrap();
+    let ok = prom::parse(&fixture_ops_prom(1, false)).unwrap();
     let c = ops_partition_check(&ok);
     assert!(c.pass, "{}", c.detail);
     assert!(c.detail.contains("2 retained + 1 evicted"), "{}", c.detail);
-    let bad = PromSnapshot::parse(&fixture_ops_prom(1, true)).unwrap();
+    let bad = prom::parse(&fixture_ops_prom(1, true)).unwrap();
     let c = ops_partition_check(&bad);
     assert!(!c.pass);
     assert!(c.detail.contains("commits"), "{}", c.detail);

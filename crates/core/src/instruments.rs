@@ -15,9 +15,7 @@ use crate::guidance::{GuidanceHook, NoopHook};
 use crate::ids::Pair;
 use crate::rng::Interleave;
 use crate::stats::ThreadStats;
-use crate::sync::PerThread;
 use crate::telemetry::{Telemetry, TraceKind};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Attempts a writer makes at one location's lock, each failed attempt
@@ -39,24 +37,13 @@ pub trait Attempt {
     fn commit(self) -> TxResult<()>;
 }
 
-/// One thread's commit and abort totals, in its own [`PerThread`] slot
-/// so committing threads never write a shared line. Ids that alias onto
-/// one slot still count exactly: every add is a `fetch_add`.
-#[derive(Default)]
-struct OutcomeCell {
-    commits: AtomicU64,
-    aborts: AtomicU64,
-}
-
-/// What one STM instance reports to: the guidance hook, the optional
-/// telemetry collector, chaos fault plan and conflict-provenance
-/// tracker, and the instance-wide outcome totals.
+/// What one STM instance reports to: the guidance hook and the optional
+/// telemetry collector, chaos fault plan and conflict-provenance tracker.
 pub struct Instruments {
     hook: Arc<dyn GuidanceHook>,
     telemetry: Option<Arc<Telemetry>>,
     faults: Option<Arc<FaultPlan>>,
     contention: Option<Arc<ContentionTracker>>,
-    totals: PerThread<OutcomeCell>,
 }
 
 impl Default for Instruments {
@@ -78,29 +65,7 @@ impl Instruments {
             telemetry,
             faults,
             contention,
-            totals: PerThread::default(),
         }
-    }
-
-    /// Commits across all threads so far.
-    pub fn total_commits(&self) -> u64 {
-        self.totals
-            .iter()
-            .map(|c| c.commits.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Aborts across all threads so far.
-    pub fn total_aborts(&self) -> u64 {
-        self.totals
-            .iter()
-            .map(|c| c.aborts.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    #[inline]
-    fn totals_of(&self, me: Pair) -> &OutcomeCell {
-        self.totals.get(me.thread.index())
     }
 
     /// Open an attempt: pass the guidance gate and, with telemetry,
@@ -133,7 +98,6 @@ impl Instruments {
     #[inline]
     pub fn commit(&self, me: Pair, stats: &mut ThreadStats, retries: u32, done: (u64, u32)) {
         self.hook.on_commit(me);
-        self.totals_of(me).commits.fetch_add(1, Ordering::Relaxed);
         stats.record_commit(retries);
         if let Some(t) = &self.telemetry {
             let (commit_ns, writes) = done;
@@ -147,7 +111,6 @@ impl Instruments {
     #[inline]
     pub fn abort(&self, me: Pair, stats: &mut ThreadStats, abort: Abort) -> Option<u64> {
         self.hook.on_abort(me, abort.cause);
-        self.totals_of(me).aborts.fetch_add(1, Ordering::Relaxed);
         stats.record_abort(abort.cause);
         if let Some(ct) = &self.contention {
             ct.record(me.thread, abort.cause, abort.site);

@@ -59,6 +59,7 @@ pub mod mck;
 pub mod metrics;
 pub mod model_io;
 pub mod ops;
+pub mod prom;
 pub mod rng;
 pub(crate) mod stats;
 pub mod sync;

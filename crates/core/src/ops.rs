@@ -41,6 +41,7 @@
 
 use crate::drift::DriftVerdict;
 use crate::json::{array_lines, escape};
+use crate::prom::{Kind, Writer};
 use crate::sync::Mutex;
 use crate::telemetry::{
     bucket_quantile, event_json, Telemetry, TelemetrySnapshot, TraceEvent, ABORT_CAUSE_NAMES,
@@ -319,17 +320,16 @@ pub struct ServerWindow {
 
 /// A network server the ops plane can poll at each window roll: the
 /// plane drains one [`ServerWindow`] per close (annotating the window
-/// for SLO judging) and appends the source's cumulative `gstm_server_*`
-/// exposition to `/metrics`. Registered via
+/// for SLO judging) and has the source write its cumulative
+/// `gstm_server_*` families into `/metrics`. Registered via
 /// [`OpsPlane::set_server_source`]; kept as a trait so `gstm_core`
 /// needs no dependency on the server crate.
 pub trait ServerSource: Send + Sync {
     /// Drain window-scoped stats: deltas since the previous call plus
     /// point-in-time gauges.
     fn window(&self) -> ServerWindow;
-    /// Cumulative Prometheus families (`gstm_server_*`), full
-    /// exposition lines including `# TYPE` headers.
-    fn render_prometheus(&self) -> String;
+    /// Write the cumulative Prometheus families (`gstm_server_*`).
+    fn write_metrics(&self, w: &mut Writer);
 }
 
 // ---------------------------------------------------------------------------
@@ -1289,15 +1289,13 @@ fn render_metrics(
     incidents: usize,
     server: Option<&dyn ServerSource>,
 ) -> String {
-    let mut out = w.cumulative().render_prometheus();
-    let _ = writeln!(out, "# TYPE gstm_windows_closed_total counter");
-    let _ = writeln!(out, "gstm_windows_closed_total {}", w.closed());
-    let _ = writeln!(out, "# TYPE gstm_window_rolls_total counter");
-    let _ = writeln!(out, "gstm_window_rolls_total {}", w.rolls());
+    let mut out = Writer::new();
+    w.cumulative().write_prometheus(&mut out);
+    out.counter("gstm_windows_closed_total", w.closed());
+    out.counter("gstm_window_rolls_total", w.rolls());
     let (ev, ev_n) = w.evicted();
-    let _ = writeln!(out, "# TYPE gstm_window_evicted_windows_total counter");
-    let _ = writeln!(out, "gstm_window_evicted_windows_total {ev_n}");
-    let _ = writeln!(out, "# TYPE gstm_window_evicted_total counter");
+    out.counter("gstm_window_evicted_windows_total", ev_n);
+    let mut f = out.family("gstm_window_evicted_total", Kind::Counter);
     for (name, v) in [
         ("commits", ev.commits),
         ("aborts", ev.aborts_total()),
@@ -1305,94 +1303,64 @@ fn render_metrics(
         ("gate_waited", ev.gate_waited),
         ("gate_released", ev.gate_released),
     ] {
-        let _ = writeln!(out, "gstm_window_evicted_total{{counter=\"{name}\"}} {v}");
+        f.sample(&[("counter", &name)], v);
     }
     let ring = w.windows();
-    let _ = writeln!(out, "# TYPE gstm_window_commits gauge");
+    let mut f = out.family("gstm_window_commits", Kind::Gauge);
     for win in ring {
-        let _ = writeln!(out, "gstm_window_commits{{window=\"{}\"}} {}", win.index, win.counters.commits);
+        f.sample(&[("window", &win.index)], win.counters.commits);
     }
-    let _ = writeln!(out, "# TYPE gstm_window_aborts gauge");
+    let mut f = out.family("gstm_window_aborts", Kind::Gauge);
     for win in ring {
-        let _ = writeln!(
-            out,
-            "gstm_window_aborts{{window=\"{}\"}} {}",
-            win.index,
-            win.counters.aborts_total()
-        );
+        f.sample(&[("window", &win.index)], win.counters.aborts_total());
     }
-    let _ = writeln!(out, "# TYPE gstm_window_gate gauge");
+    let mut f = out.family("gstm_window_gate", Kind::Gauge);
     for win in ring {
         for (name, v) in [
             ("passed", win.counters.gate_passed),
             ("waited", win.counters.gate_waited),
             ("released", win.counters.gate_released),
         ] {
-            let _ = writeln!(
-                out,
-                "gstm_window_gate{{window=\"{}\",outcome=\"{name}\"}} {v}",
-                win.index
-            );
+            f.sample(&[("window", &win.index), ("outcome", &name)], v);
         }
     }
-    let _ = writeln!(out, "# TYPE gstm_window_commit_p50_ns gauge");
+    let mut f = out.family("gstm_window_commit_p50_ns", Kind::Gauge);
     for win in ring {
-        let _ = writeln!(
-            out,
-            "gstm_window_commit_p50_ns{{window=\"{}\"}} {}",
-            win.index, win.commit_p50_ns
-        );
+        f.sample(&[("window", &win.index)], win.commit_p50_ns);
     }
-    let _ = writeln!(out, "# TYPE gstm_window_commit_p99_ns gauge");
+    let mut f = out.family("gstm_window_commit_p99_ns", Kind::Gauge);
     for win in ring {
-        let _ = writeln!(
-            out,
-            "gstm_window_commit_p99_ns{{window=\"{}\"}} {}",
-            win.index, win.commit_p99_ns
-        );
+        f.sample(&[("window", &win.index)], win.commit_p99_ns);
     }
-    let _ = writeln!(out, "# TYPE gstm_window_abort_ratio_pct gauge");
+    let mut f = out.family("gstm_window_abort_ratio_pct", Kind::Gauge);
     for win in ring {
-        let _ = writeln!(
-            out,
-            "gstm_window_abort_ratio_pct{{window=\"{}\"}} {:.3}",
-            win.index, win.abort_ratio_pct
+        f.sample(
+            &[("window", &win.index)],
+            format_args!("{:.3}", win.abort_ratio_pct),
         );
     }
     if ring.iter().any(|win| win.server.is_some()) {
-        let _ = writeln!(out, "# TYPE gstm_window_frame_p99_ns gauge");
+        let mut f = out.family("gstm_window_frame_p99_ns", Kind::Gauge);
         for win in ring {
             if let Some(sw) = &win.server {
-                let _ = writeln!(
-                    out,
-                    "gstm_window_frame_p99_ns{{window=\"{}\"}} {}",
-                    win.index, sw.frame_p99_ns
-                );
+                f.sample(&[("window", &win.index)], sw.frame_p99_ns);
             }
         }
-        let _ = writeln!(out, "# TYPE gstm_window_server_ladder gauge");
+        let mut f = out.family("gstm_window_server_ladder", Kind::Gauge);
         for win in ring {
             if let Some(sw) = &win.server {
-                let _ = writeln!(
-                    out,
-                    "gstm_window_server_ladder{{window=\"{}\"}} {}",
-                    win.index, sw.ladder
-                );
+                f.sample(&[("window", &win.index)], sw.ladder);
             }
         }
     }
     if let Some(src) = server {
-        out.push_str(&src.render_prometheus());
+        src.write_metrics(&mut out);
     }
-    let _ = writeln!(out, "# TYPE gstm_slo_state gauge");
-    let _ = writeln!(out, "gstm_slo_state {}", dog.state().code());
-    let _ = writeln!(out, "# TYPE gstm_slo_windows_total counter");
-    let _ = writeln!(out, "gstm_slo_windows_total {}", dog.windows_seen());
-    let _ = writeln!(out, "# TYPE gstm_slo_breached_windows_total counter");
-    let _ = writeln!(out, "gstm_slo_breached_windows_total {}", dog.breached_windows());
-    let _ = writeln!(out, "# TYPE gstm_slo_incidents_total counter");
-    let _ = writeln!(out, "gstm_slo_incidents_total {incidents}");
-    out
+    out.gauge("gstm_slo_state", dog.state().code());
+    out.counter("gstm_slo_windows_total", dog.windows_seen());
+    out.counter("gstm_slo_breached_windows_total", dog.breached_windows());
+    out.counter("gstm_slo_incidents_total", incidents);
+    out.finish()
 }
 
 // ---------------------------------------------------------------------------

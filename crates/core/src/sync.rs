@@ -54,7 +54,7 @@ impl<T> PerThread<T> {
     }
 
     /// Every slot, in slot order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.slots.iter().map(|s| &s.0)
     }
 }

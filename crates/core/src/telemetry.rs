@@ -28,6 +28,7 @@ use crate::contention::ContentionStats;
 use crate::drift::{DriftTracker, ModelDrift};
 use crate::events::AbortCause;
 use crate::ids::Pair;
+use crate::prom::{Kind, Writer};
 use crate::sync::{Mutex, PerThread};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -869,143 +870,105 @@ impl TelemetrySnapshot {
 
     /// Render the snapshot in the Prometheus text exposition format.
     pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
+        let mut w = Writer::new();
+        self.write_prometheus(&mut w);
+        w.finish()
+    }
+
+    /// Write the snapshot's families to `w`.
+    pub(crate) fn write_prometheus(&self, w: &mut Writer) {
         // Build-info stamp first: consumers check the schema label before
         // trusting any family below it.
-        let _ = writeln!(out, "# TYPE gstm_build_info gauge");
-        let _ = writeln!(
-            out,
-            "gstm_build_info{{schema=\"{SCHEMA_VERSION}\",version=\"{BUILD_VERSION}\"}} 1"
+        w.family("gstm_build_info", Kind::Gauge).sample(
+            &[("schema", &SCHEMA_VERSION), ("version", &BUILD_VERSION)],
+            1,
         );
-        let _ = writeln!(out, "# TYPE gstm_commits_total counter");
-        let _ = writeln!(out, "gstm_commits_total {}", self.commits);
-        let _ = writeln!(out, "# TYPE gstm_aborts_total counter");
+        w.counter("gstm_commits_total", self.commits);
+        let mut f = w.family("gstm_aborts_total", Kind::Counter);
         for (name, v) in ABORT_CAUSE_NAMES.iter().zip(&self.aborts) {
-            let _ = writeln!(out, "gstm_aborts_total{{cause=\"{name}\"}} {v}");
+            f.sample(&[("cause", name)], v);
         }
-        let _ = writeln!(out, "# TYPE gstm_gate_outcomes_total counter");
+        let mut f = w.family("gstm_gate_outcomes_total", Kind::Counter);
         for (name, v) in [
             ("passed", self.gate_passed),
             ("waited", self.gate_waited),
             ("released", self.gate_released),
         ] {
-            let _ = writeln!(out, "gstm_gate_outcomes_total{{outcome=\"{name}\"}} {v}");
+            f.sample(&[("outcome", &name)], v);
         }
-        let _ = writeln!(out, "# TYPE gstm_trace_dropped_total counter");
-        let _ = writeln!(out, "gstm_trace_dropped_total {}", self.trace_dropped);
+        w.counter("gstm_trace_dropped_total", self.trace_dropped);
         // Emitted unconditionally (0 for fixed-model runs) so dashboards
         // and the analyzer can rely on the family existing.
-        let _ = writeln!(out, "# TYPE gstm_model_swaps_total counter");
-        let _ = writeln!(out, "gstm_model_swaps_total {}", self.model_swaps);
+        w.counter("gstm_model_swaps_total", self.model_swaps);
         // Breaker/degradation families are likewise unconditional: a
         // clean run exports explicit zeros, so "no degradation" is
         // distinguishable from "artifacts predate the breaker".
-        let _ = writeln!(out, "# TYPE gstm_breaker_tripped_total counter");
-        let _ = writeln!(out, "gstm_breaker_tripped_total {}", self.breaker_trips);
-        let _ = writeln!(out, "# TYPE gstm_breaker_reclosed_total counter");
-        let _ = writeln!(out, "gstm_breaker_reclosed_total {}", self.breaker_recloses);
-        let _ = writeln!(out, "# TYPE gstm_breaker_half_open_total counter");
-        let _ = writeln!(out, "gstm_breaker_half_open_total {}", self.breaker_probes);
-        let _ = writeln!(out, "# TYPE gstm_breaker_model_rejected_total counter");
-        let _ = writeln!(
-            out,
-            "gstm_breaker_model_rejected_total {}",
-            self.breaker_model_rejected
+        w.counter("gstm_breaker_tripped_total", self.breaker_trips);
+        w.counter("gstm_breaker_reclosed_total", self.breaker_recloses);
+        w.counter("gstm_breaker_half_open_total", self.breaker_probes);
+        w.counter(
+            "gstm_breaker_model_rejected_total",
+            self.breaker_model_rejected,
         );
         // 0 closed, 1 open, 2 half-open.
-        let _ = writeln!(out, "# TYPE gstm_breaker_state gauge");
-        let _ = writeln!(out, "gstm_breaker_state {}", self.breaker_state);
-        let _ = writeln!(out, "# TYPE gstm_guardian_restarts_total counter");
-        let _ = writeln!(out, "gstm_guardian_restarts_total {}", self.guardian_restarts);
+        w.gauge("gstm_breaker_state", self.breaker_state);
+        w.counter("gstm_guardian_restarts_total", self.guardian_restarts);
         // Contention families are emitted only when the harness attached
         // a tracker — absence means "artifacts predate conflict
         // provenance" (or the run disabled it), which the analyzer
         // treats as "checks not applicable".
         if let Some(ct) = &self.contention {
-            let _ = writeln!(out, "# TYPE gstm_contention_attributed_total counter");
-            let _ = writeln!(out, "gstm_contention_attributed_total {}", ct.attributed);
-            let _ = writeln!(out, "# TYPE gstm_contention_unattributed_total counter");
-            let _ = writeln!(out, "gstm_contention_unattributed_total {}", ct.unattributed);
-            let _ = writeln!(out, "# TYPE gstm_contention_residual_total counter");
-            let _ = writeln!(out, "gstm_contention_residual_total {}", ct.residual);
-            let _ = writeln!(out, "# TYPE gstm_contention_owner_unknown_total counter");
-            let _ = writeln!(out, "gstm_contention_owner_unknown_total {}", ct.owner_unknown);
-            let _ = writeln!(out, "# TYPE gstm_contention_sketch_replacements_total counter");
-            let _ = writeln!(
-                out,
-                "gstm_contention_sketch_replacements_total {}",
-                ct.replacements
-            );
-            let _ = writeln!(out, "# TYPE gstm_contention_sketch_slots gauge");
-            let _ = writeln!(
-                out,
-                "gstm_contention_sketch_slots{{state=\"occupied\"}} {}",
-                ct.occupied
-            );
-            let _ = writeln!(
-                out,
-                "gstm_contention_sketch_slots{{state=\"capacity\"}} {}",
-                ct.capacity
-            );
+            w.counter("gstm_contention_attributed_total", ct.attributed);
+            w.counter("gstm_contention_unattributed_total", ct.unattributed);
+            w.counter("gstm_contention_residual_total", ct.residual);
+            w.counter("gstm_contention_owner_unknown_total", ct.owner_unknown);
+            w.counter("gstm_contention_sketch_replacements_total", ct.replacements);
+            let mut f = w.family("gstm_contention_sketch_slots", Kind::Gauge);
+            f.sample(&[("state", &"occupied")], ct.occupied);
+            f.sample(&[("state", &"capacity")], ct.capacity);
             if !ct.top.is_empty() {
-                let _ = writeln!(out, "# TYPE gstm_contention_addr_aborts_total counter");
+                let mut f = w.family("gstm_contention_addr_aborts_total", Kind::Counter);
                 for (rank, h) in ct.top.iter().enumerate() {
-                    let _ = writeln!(
-                        out,
-                        "gstm_contention_addr_aborts_total{{rank=\"{rank}\",addr=\"{:#x}\"}} {}",
-                        h.addr, h.count
+                    f.sample(
+                        &[("rank", &rank), ("addr", &format_args!("{:#x}", h.addr))],
+                        h.count,
                     );
                 }
-                let _ = writeln!(out, "# TYPE gstm_contention_addr_error gauge");
+                let mut f = w.family("gstm_contention_addr_error", Kind::Gauge);
                 for (rank, h) in ct.top.iter().enumerate() {
-                    let _ = writeln!(
-                        out,
-                        "gstm_contention_addr_error{{rank=\"{rank}\",addr=\"{:#x}\"}} {}",
-                        h.addr, h.err
+                    f.sample(
+                        &[("rank", &rank), ("addr", &format_args!("{:#x}", h.addr))],
+                        h.err,
                     );
                 }
             }
             if !ct.pairs.is_empty() {
-                let _ = writeln!(out, "# TYPE gstm_contention_pair_aborts_total counter");
+                let mut f = w.family("gstm_contention_pair_aborts_total", Kind::Counter);
                 for p in &ct.pairs {
-                    let _ = writeln!(
-                        out,
-                        "gstm_contention_pair_aborts_total{{victim=\"{}\",owner=\"{}\"}} {}",
-                        p.victim, p.owner, p.count
-                    );
+                    f.sample(&[("victim", &p.victim), ("owner", &p.owner)], p.count);
                 }
             }
         }
-        let _ = writeln!(out, "# TYPE gstm_thread_commits_total counter");
+        let mut f = w.family("gstm_thread_commits_total", Kind::Counter);
         for t in &self.per_thread {
-            let _ = writeln!(out, "gstm_thread_commits_total{{thread=\"{}\"}} {}", t.cell, t.commits);
+            f.sample(&[("thread", &t.cell)], t.commits);
         }
-        let _ = writeln!(out, "# TYPE gstm_thread_aborts_total counter");
+        let mut f = w.family("gstm_thread_aborts_total", Kind::Counter);
         for t in &self.per_thread {
-            let _ = writeln!(
-                out,
-                "gstm_thread_aborts_total{{thread=\"{}\"}} {}",
-                t.cell,
-                t.aborts_total()
-            );
+            f.sample(&[("thread", &t.cell)], t.aborts_total());
         }
         // Per-thread cause/outcome breakdowns: the inputs for per-thread
         // variance analysis, scrapeable rather than aggregate-only. Only
         // populated series are emitted to keep the exposition compact.
-        let _ = writeln!(out, "# TYPE gstm_thread_abort_causes_total counter");
+        let mut f = w.family("gstm_thread_abort_causes_total", Kind::Counter);
         for t in &self.per_thread {
             for (name, &v) in ABORT_CAUSE_NAMES.iter().zip(&t.aborts) {
                 if v != 0 {
-                    let _ = writeln!(
-                        out,
-                        "gstm_thread_abort_causes_total{{thread=\"{}\",cause=\"{name}\"}} {v}",
-                        t.cell
-                    );
+                    f.sample(&[("thread", &t.cell), ("cause", name)], v);
                 }
             }
         }
-        let _ = writeln!(out, "# TYPE gstm_thread_gate_outcomes_total counter");
+        let mut f = w.family("gstm_thread_gate_outcomes_total", Kind::Counter);
         for t in &self.per_thread {
             for (name, v) in [
                 ("passed", t.gate_passed),
@@ -1013,86 +976,49 @@ impl TelemetrySnapshot {
                 ("released", t.gate_released),
             ] {
                 if v != 0 {
-                    let _ = writeln!(
-                        out,
-                        "gstm_thread_gate_outcomes_total{{thread=\"{}\",outcome=\"{name}\"}} {v}",
-                        t.cell
-                    );
+                    f.sample(&[("thread", &t.cell), ("outcome", &name)], v);
                 }
             }
         }
         if let Some(d) = &self.model_drift {
-            let _ = writeln!(out, "# TYPE gstm_model_transitions_total counter");
+            let mut f = w.family("gstm_model_transitions_total", Kind::Counter);
             for (edge, v) in [
                 ("modeled", d.on_edge),
                 ("unmodeled", d.off_edge),
                 ("to_unknown", d.to_unknown),
                 ("from_unknown", d.from_unknown),
             ] {
-                let _ = writeln!(out, "gstm_model_transitions_total{{edge=\"{edge}\"}} {v}");
+                f.sample(&[("edge", &edge)], v);
             }
-            let _ = writeln!(out, "# TYPE gstm_model_off_model_pct gauge");
-            let _ = writeln!(out, "gstm_model_off_model_pct {}", d.off_model_pct);
-            let _ = writeln!(out, "# TYPE gstm_model_kl_divergence_nats gauge");
-            let _ = writeln!(
-                out,
-                "gstm_model_kl_divergence_nats{{stat=\"mean\"}} {}",
-                d.mean_kl_nats
-            );
-            let _ = writeln!(
-                out,
-                "gstm_model_kl_divergence_nats{{stat=\"max\"}} {}",
-                d.max_kl_nats
-            );
-            let _ = writeln!(out, "# TYPE gstm_model_guidance_metric_pct gauge");
-            let _ = writeln!(
-                out,
-                "gstm_model_guidance_metric_pct{{source=\"profiled\"}} {}",
-                d.profiled_metric_pct
-            );
+            w.gauge("gstm_model_off_model_pct", d.off_model_pct);
+            let mut f = w.family("gstm_model_kl_divergence_nats", Kind::Gauge);
+            f.sample(&[("stat", &"mean")], d.mean_kl_nats);
+            f.sample(&[("stat", &"max")], d.max_kl_nats);
+            let mut f = w.family("gstm_model_guidance_metric_pct", Kind::Gauge);
+            f.sample(&[("source", &"profiled")], d.profiled_metric_pct);
             if let Some(obs) = d.observed_metric_pct {
-                let _ = writeln!(
-                    out,
-                    "gstm_model_guidance_metric_pct{{source=\"observed\"}} {obs}"
-                );
+                f.sample(&[("source", &"observed")], obs);
             }
-            let _ = writeln!(out, "# TYPE gstm_model_states gauge");
-            let _ = writeln!(out, "gstm_model_states{{kind=\"modeled\"}} {}", d.modeled_states);
-            let _ = writeln!(out, "gstm_model_states{{kind=\"observed\"}} {}", d.observed_states);
+            let mut f = w.family("gstm_model_states", Kind::Gauge);
+            f.sample(&[("kind", &"modeled")], d.modeled_states);
+            f.sample(&[("kind", &"observed")], d.observed_states);
             // 0 insufficient, 1 fresh, 2 drifting, 3 stale.
-            let _ = writeln!(out, "# TYPE gstm_model_staleness gauge");
-            let _ = writeln!(out, "gstm_model_staleness {}", d.verdict.code());
+            w.gauge("gstm_model_staleness", d.verdict.code());
         }
-        prom_histogram(&mut out, "gstm_commit_duration_ns", &self.commit_ns);
-        prom_histogram(&mut out, "gstm_abort_backoff_ns", &self.backoff_ns);
-        prom_histogram(&mut out, "gstm_gate_wait_ns", &self.gate_wait_ns);
-        out
+        for (name, h) in [
+            ("gstm_commit_duration_ns", &self.commit_ns),
+            ("gstm_abort_backoff_ns", &self.backoff_ns),
+            ("gstm_gate_wait_ns", &self.gate_wait_ns),
+        ] {
+            w.histogram(
+                name,
+                &h.buckets,
+                |i| LatencyHistogram::bucket_range(i).1,
+                h.sum,
+                h.count,
+            );
+        }
     }
-}
-
-/// Emit one histogram in Prometheus text format (cumulative `le` buckets
-/// up to the highest populated one, then `+Inf`, `_sum`, `_count`).
-fn prom_histogram(out: &mut String, name: &str, h: &HistogramSnapshot) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    let last = h
-        .buckets
-        .iter()
-        .rposition(|&b| b != 0)
-        .map(|i| (i + 1).min(NUM_BUCKETS - 1))
-        .unwrap_or(0);
-    let mut cum = 0u64;
-    for (i, &b) in h.buckets.iter().enumerate().take(last + 1) {
-        cum += b;
-        let _ = writeln!(
-            out,
-            "{name}_bucket{{le=\"{}\"}} {cum}",
-            LatencyHistogram::bucket_range(i).1
-        );
-    }
-    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count);
-    let _ = writeln!(out, "{name}_sum {}", h.sum);
-    let _ = writeln!(out, "{name}_count {}", h.count);
 }
 
 // ---------------------------------------------------------------------------
@@ -1940,8 +1866,16 @@ mod tests {
         h.record(1);
         h.record(2);
         h.record(3);
-        let mut out = String::new();
-        prom_histogram(&mut out, "x", &h.snapshot());
+        let snap = h.snapshot();
+        let mut w = Writer::new();
+        w.histogram(
+            "x",
+            &snap.buckets,
+            |i| LatencyHistogram::bucket_range(i).1,
+            snap.sum,
+            snap.count,
+        );
+        let out = w.finish();
         assert!(out.contains("x_bucket{le=\"1\"} 1"));
         assert!(out.contains("x_bucket{le=\"3\"} 3"));
         assert!(out.contains("x_bucket{le=\"+Inf\"} 3"));

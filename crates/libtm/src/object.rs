@@ -2,37 +2,28 @@
 
 use gstm_core::sync::{Mutex, RwLock};
 use gstm_core::ThreadId;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Writer-lock states for [`ObjectInner::writer`].
+/// Writer-lock states for [`ObjectHeader::writer`].
 const UNLOCKED: u32 = u32::MAX;
 
-pub(crate) struct ObjectInner<T> {
+/// The protocol state of one object, apart from its value: committed
+/// version, writer lock and visible-reader registry. Not generic, so the
+/// read and write sets reach it through one type-erased accessor
+/// ([`LtTarget::header`]).
+pub(crate) struct ObjectHeader {
     /// Committed version of the object; bumped by every writer commit.
-    pub(crate) version: AtomicU64,
+    version: AtomicU64,
     /// Writer lock: [`UNLOCKED`] or the owner's thread id.
     writer: AtomicU32,
     /// Visible reader registry: thread ids currently holding a read
     /// dependency on this object.
     readers: Mutex<Vec<u16>>,
-    /// The committed value. The RwLock makes snapshot reads safe; the STM
-    /// protocol (versions + writer lock) provides transactional semantics
-    /// on top.
-    value: RwLock<T>,
 }
 
-impl<T: Clone> ObjectInner<T> {
-    pub(crate) fn snapshot(&self) -> T {
-        self.value.read().clone()
-    }
-
-    pub(crate) fn store(&self, v: T) {
-        *self.value.write() = v;
-    }
-}
-
-impl<T> ObjectInner<T> {
+impl ObjectHeader {
     pub(crate) fn version(&self) -> u64 {
         self.version.load(Ordering::Acquire)
     }
@@ -90,8 +81,50 @@ impl<T> ObjectInner<T> {
         }
     }
 
+    /// The object's stable identity (the header's address, fixed for the
+    /// life of the allocation), used for write-set ordering, read-own-write
+    /// lookups and conflict attribution.
     pub(crate) fn key(&self) -> usize {
-        self as *const Self as *const () as usize
+        self as *const Self as usize
+    }
+}
+
+/// The type-erased view of an object that read and write sets hold.
+pub(crate) trait LtTarget: Send + Sync {
+    /// The object's protocol state.
+    fn header(&self) -> &ObjectHeader;
+}
+
+pub(crate) struct ObjectInner<T> {
+    header: ObjectHeader,
+    /// The committed value. The RwLock makes snapshot reads safe; the STM
+    /// protocol (versions + writer lock) provides transactional semantics
+    /// on top.
+    value: RwLock<T>,
+}
+
+impl<T: Send + Sync> LtTarget for ObjectInner<T> {
+    fn header(&self) -> &ObjectHeader {
+        &self.header
+    }
+}
+
+/// A typed object reaches its protocol state directly.
+impl<T> Deref for ObjectInner<T> {
+    type Target = ObjectHeader;
+
+    fn deref(&self) -> &ObjectHeader {
+        &self.header
+    }
+}
+
+impl<T: Clone> ObjectInner<T> {
+    pub(crate) fn snapshot(&self) -> T {
+        self.value.read().clone()
+    }
+
+    pub(crate) fn store(&self, v: T) {
+        *self.value.write() = v;
     }
 }
 
@@ -115,9 +148,11 @@ impl<T: Clone + Send + Sync + 'static> TObject<T> {
     pub fn new(value: T) -> Self {
         TObject {
             inner: Arc::new(ObjectInner {
-                version: AtomicU64::new(0),
-                writer: AtomicU32::new(UNLOCKED),
-                readers: Mutex::new(Vec::new()),
+                header: ObjectHeader {
+                    version: AtomicU64::new(0),
+                    writer: AtomicU32::new(UNLOCKED),
+                    readers: Mutex::new(Vec::new()),
+                },
                 value: RwLock::new(value),
             }),
         }

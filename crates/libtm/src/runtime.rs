@@ -10,7 +10,7 @@ use gstm_core::telemetry::Telemetry;
 use gstm_core::ThreadStats;
 use gstm_core::{GuidanceHook, Instruments, Pair, ThreadId, TxResult, TxnId};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU16, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Tunables of one LibTM instance. Detection is fully optimistic (reads
@@ -35,14 +35,23 @@ struct Doom {
     addr: AtomicUsize,
 }
 
+/// One thread id's commit and abort totals, for the instance-wide sums.
+#[derive(Default)]
+struct Outcomes {
+    commits: AtomicU64,
+    aborts: AtomicU64,
+}
+
 /// One LibTM instance.
 pub struct LibTm {
     config: LibTmConfig,
-    /// Hook, telemetry, fault plan, contention tracker and the outcome
-    /// totals — everything the retry driver reports to.
+    /// Hook, telemetry, fault plan and contention tracker — everything
+    /// the retry driver reports to.
     instruments: Instruments,
     /// Doomed flags, one per registered thread id.
     doomed: PerThread<Doom>,
+    /// Outcome totals, one per registered thread id.
+    totals: PerThread<Outcomes>,
     next_thread: AtomicU16,
 }
 
@@ -56,6 +65,7 @@ impl LibTm {
             config,
             instruments,
             doomed: PerThread::default(),
+            totals: PerThread::default(),
             next_thread: AtomicU16::new(0),
         })
     }
@@ -121,12 +131,18 @@ impl LibTm {
 
     /// Total commits across all threads.
     pub fn total_commits(&self) -> u64 {
-        self.instruments.total_commits()
+        self.totals
+            .iter()
+            .map(|t| t.commits.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Total aborts across all threads.
     pub fn total_aborts(&self) -> u64 {
-        self.instruments.total_aborts()
+        self.totals
+            .iter()
+            .map(|t| t.aborts.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Mark `victim` as doomed by `writer` over the object keyed `addr`
@@ -161,6 +177,11 @@ pub struct LtThreadCtx {
 }
 
 impl LtThreadCtx {
+    /// Statistics accumulated so far.
+    pub fn stats(&self) -> &ThreadStats {
+        &self.stats
+    }
+
     /// Take the statistics, resetting the counters.
     pub fn take_stats(&mut self) -> ThreadStats {
         std::mem::take(&mut self.stats)
@@ -171,7 +192,8 @@ impl LtThreadCtx {
     pub fn atomically<R>(&mut self, txid: TxnId, f: impl FnMut(&mut LtTxn) -> TxResult<R>) -> R {
         let me = Pair::new(txid, self.thread);
         let (tm, inject, bufs) = (&*self.tm, &self.inject, &self.bufs);
-        tm.instruments.run(
+        let aborts = self.stats.aborts;
+        let r = tm.instruments.run(
             me,
             &mut self.stats,
             inject,
@@ -180,7 +202,15 @@ impl LtThreadCtx {
                 LtTxn::new(tm, me, inject, bufs)
             },
             f,
-        )
+        );
+        let totals = tm.totals.get(me.thread.index());
+        totals.commits.fetch_add(1, Ordering::Relaxed);
+        if self.stats.aborts != aborts {
+            totals
+                .aborts
+                .fetch_add(self.stats.aborts - aborts, Ordering::Relaxed);
+        }
+        r
     }
 
     /// Whether the thread's buffers are back home and empty — true

@@ -1,63 +1,19 @@
 //! LibTM transactions: the fully-optimistic read/write protocol and the
 //! commit protocol with abort-readers resolution.
 
-use crate::object::{ObjectInner, TObject};
+use crate::object::{LtTarget, ObjectHeader, TObject};
 use crate::runtime::LibTm;
 use gstm_core::faultinject::FaultSite;
 use gstm_core::instruments::COMMIT_SPIN;
 use gstm_core::rng::Interleave;
-use gstm_core::{Abort, AbortCause, AddrSet, Attempt, Pair, ThreadId, TxResult};
+use gstm_core::{Abort, AbortCause, AddrSet, Attempt, Pair, TxResult};
 use std::any::Any;
 use std::cell::Cell;
 use std::sync::Arc;
 
-/// Type-erased view of an object for read/write sets.
-trait LtTarget: Send + Sync {
-    fn version(&self) -> u64;
-    fn bump_version(&self);
-    fn try_lock_writer(&self, me: ThreadId) -> bool;
-    fn writer(&self) -> Option<ThreadId>;
-    fn unlock_writer(&self, me: ThreadId);
-    fn add_reader(&self, me: ThreadId);
-    fn remove_reader(&self, me: ThreadId);
-    fn for_each_other_reader(&self, me: ThreadId, visit: &mut dyn FnMut(ThreadId));
-    fn key(&self) -> usize;
-}
-
-impl<T: Send + Sync> LtTarget for ObjectInner<T> {
-    fn version(&self) -> u64 {
-        ObjectInner::version(self)
-    }
-    fn bump_version(&self) {
-        ObjectInner::bump_version(self)
-    }
-    fn try_lock_writer(&self, me: ThreadId) -> bool {
-        ObjectInner::try_lock_writer(self, me)
-    }
-    fn writer(&self) -> Option<ThreadId> {
-        ObjectInner::writer(self)
-    }
-    fn unlock_writer(&self, me: ThreadId) {
-        ObjectInner::unlock_writer(self, me)
-    }
-    fn add_reader(&self, me: ThreadId) {
-        ObjectInner::add_reader(self, me)
-    }
-    fn remove_reader(&self, me: ThreadId) {
-        ObjectInner::remove_reader(self, me)
-    }
-    fn for_each_other_reader(&self, me: ThreadId, visit: &mut dyn FnMut(ThreadId)) {
-        ObjectInner::for_each_other_reader(self, me, visit)
-    }
-    fn key(&self) -> usize {
-        ObjectInner::key(self)
-    }
-}
-
 /// A buffered write awaiting publication.
 trait LtWriteEntry: Send {
-    fn target(&self) -> &dyn LtTarget;
-    fn key(&self) -> usize;
+    fn target(&self) -> &ObjectHeader;
     fn publish(&self);
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
@@ -69,11 +25,8 @@ struct TypedWrite<T> {
 }
 
 impl<T: Clone + Send + Sync + 'static> LtWriteEntry for TypedWrite<T> {
-    fn target(&self) -> &dyn LtTarget {
-        &*self.obj.inner
-    }
-    fn key(&self) -> usize {
-        self.obj.inner.key()
+    fn target(&self) -> &ObjectHeader {
+        &self.obj.inner
     }
     fn publish(&self) {
         self.obj.inner.store(self.value.clone());
@@ -132,7 +85,7 @@ impl Drop for LtTxn<'_> {
         let me = self.me.thread;
         let b = &mut self.bufs;
         for r in b.registered.drain(..) {
-            r.remove_reader(me);
+            r.header().remove_reader(me);
         }
         b.read_set.clear();
         b.registered_keys.clear();
@@ -175,12 +128,16 @@ impl<'tm> LtTxn<'tm> {
     }
 
     fn write_index(&self, key: usize) -> Option<usize> {
-        self.bufs.write_set.iter().position(|e| e.key() == key)
+        self.bufs
+            .write_set
+            .iter()
+            .position(|e| e.target().key() == key)
     }
 
     fn register_reader(&mut self, inner: &Arc<dyn LtTarget>) {
-        if self.bufs.registered_keys.insert(inner.key()) {
-            inner.add_reader(self.me.thread);
+        let header = inner.header();
+        if self.bufs.registered_keys.insert(header.key()) {
+            header.add_reader(self.me.thread);
             self.bufs.registered.push(Arc::clone(inner));
         }
     }
@@ -200,23 +157,24 @@ impl<'tm> LtTxn<'tm> {
                 .expect("write-set entry type mismatch");
             return Ok(e.value.clone());
         }
-        let target: Arc<dyn LtTarget> = obj.inner.clone();
+        let header: &ObjectHeader = &obj.inner;
         let me = self.me.thread;
         // A held writer lock means a commit is in flight: back off.
-        if let Some(owner) = target.writer() {
+        if let Some(owner) = header.writer() {
             if owner != me {
                 return Err(Abort::at(
                     AbortCause::ReadLocked { owner: Some(owner) },
-                    target.key(),
+                    header.key(),
                 ));
             }
         }
         // Visible-reader registration: a committing writer dooms us.
+        let target: Arc<dyn LtTarget> = obj.inner.clone();
         self.register_reader(&target);
-        let v1 = target.version();
+        let v1 = header.version();
         let value = obj.inner.snapshot();
-        if target.version() != v1 || target.writer().is_some_and(|w| w != me) {
-            return Err(Abort::at(AbortCause::ReadVersion, target.key()));
+        if header.version() != v1 || header.writer().is_some_and(|w| w != me) {
+            return Err(Abort::at(AbortCause::ReadVersion, header.key()));
         }
         self.bufs.read_set.push((target, v1));
         Ok(value)
@@ -257,7 +215,7 @@ impl<'tm> LtTxn<'tm> {
         self.write(obj, f(v))
     }
 
-    fn acquire_writer(&self, target: &dyn LtTarget) -> TxResult<()> {
+    fn acquire_writer(&self, target: &ObjectHeader) -> TxResult<()> {
         let me = self.me.thread;
         for _ in 0..COMMIT_SPIN {
             if target.try_lock_writer(me) {
@@ -284,7 +242,9 @@ impl<'tm> LtTxn<'tm> {
         }
         // Keys are unique within the write set, so the unstable sort gives
         // the stable order without the stable sort's scratch buffer.
-        self.bufs.write_set.sort_unstable_by_key(|e| e.key());
+        self.bufs
+            .write_set
+            .sort_unstable_by_key(|e| e.target().key());
         for entry in &self.bufs.write_set {
             self.acquire_writer(entry.target())?;
             *acquired += 1;
@@ -292,6 +252,7 @@ impl<'tm> LtTxn<'tm> {
         // Validate reads: versions unchanged and no foreign writer in
         // flight.
         for (t, v) in &self.bufs.read_set {
+            let t = t.header();
             if t.version() != *v || t.writer().is_some_and(|w| w != me) {
                 return Err(Abort::at(AbortCause::Validation, t.key()));
             }
@@ -303,7 +264,7 @@ impl<'tm> LtTxn<'tm> {
         for entry in &self.bufs.write_set {
             let target = entry.target();
             let key = target.key();
-            target.for_each_other_reader(me, &mut |reader| self.tm.doom(reader, me, key));
+            target.for_each_other_reader(me, |reader| self.tm.doom(reader, me, key));
         }
         for entry in &self.bufs.write_set {
             entry.publish();

@@ -187,7 +187,6 @@ impl TickRecord {
 pub struct Engine {
     cfg: EngineConfig,
     world: World,
-    tm: Arc<LibTm>,
     ctx: LtThreadCtx,
     breaker: Option<Arc<Breaker>>,
     faults: Option<Arc<FaultPlan>>,
@@ -224,7 +223,6 @@ impl Engine {
             free_players: (0..cfg.players).rev().collect(),
             cfg,
             world,
-            tm,
             ctx,
             breaker,
             faults,
@@ -246,9 +244,10 @@ impl Engine {
         &self.world
     }
 
-    /// STM commits so far (zero-lost-updates accounting).
+    /// STM commits so far (zero-lost-updates accounting): the engine's
+    /// own thread context is the only one registered on its `LibTm`.
     pub fn commits(&self) -> u64 {
-        self.tm.total_commits()
+        self.ctx.stats().commits
     }
 
     /// Ticks processed.

@@ -8,8 +8,8 @@
 
 use gstm_core::metrics::quantile;
 use gstm_core::ops::{ServerSource, ServerWindow};
+use gstm_core::prom::{Kind, Writer};
 use gstm_core::sync::Mutex;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use crate::admission::Rung;
@@ -110,87 +110,43 @@ impl ServerSource for ServerStats {
         out
     }
 
-    fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "# TYPE gstm_server_frames_total counter");
-        let _ = writeln!(
-            out,
-            "gstm_server_frames_total{{dir=\"in\"}} {}",
-            self.frames_in.load(Ordering::Relaxed)
+    fn write_metrics(&self, w: &mut Writer) {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let mut f = w.family("gstm_server_frames_total", Kind::Counter);
+        f.sample(&[("dir", &"in")], load(&self.frames_in));
+        f.sample(&[("dir", &"out")], load(&self.frames_out));
+        w.counter(
+            "gstm_server_frames_dropped_total",
+            load(&self.frames_dropped),
         );
-        let _ = writeln!(
-            out,
-            "gstm_server_frames_total{{dir=\"out\"}} {}",
-            self.frames_out.load(Ordering::Relaxed)
+        let mut f = w.family("gstm_server_actions_total", Kind::Counter);
+        f.sample(&[("outcome", &"executed")], load(&self.actions_executed));
+        f.sample(&[("outcome", &"shed")], load(&self.actions_shed));
+        let mut f = w.family("gstm_server_sessions_total", Kind::Counter);
+        f.sample(&[("outcome", &"accepted")], load(&self.sessions_accepted));
+        f.sample(&[("outcome", &"rejected")], load(&self.sessions_rejected));
+        w.counter(
+            "gstm_server_malformed_frames_total",
+            load(&self.malformed_frames),
         );
-        let _ = writeln!(out, "# TYPE gstm_server_frames_dropped_total counter");
-        let _ = writeln!(
-            out,
-            "gstm_server_frames_dropped_total {}",
-            self.frames_dropped.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "# TYPE gstm_server_actions_total counter");
-        let _ = writeln!(
-            out,
-            "gstm_server_actions_total{{outcome=\"executed\"}} {}",
-            self.actions_executed.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "gstm_server_actions_total{{outcome=\"shed\"}} {}",
-            self.actions_shed.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "# TYPE gstm_server_sessions_total counter");
-        let _ = writeln!(
-            out,
-            "gstm_server_sessions_total{{outcome=\"accepted\"}} {}",
-            self.sessions_accepted.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "gstm_server_sessions_total{{outcome=\"rejected\"}} {}",
-            self.sessions_rejected.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "# TYPE gstm_server_malformed_frames_total counter");
-        let _ = writeln!(
-            out,
-            "gstm_server_malformed_frames_total {}",
-            self.malformed_frames.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "# TYPE gstm_server_disconnects_total counter");
-        let _ = writeln!(
-            out,
-            "gstm_server_disconnects_total {}",
-            self.disconnects.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "# TYPE gstm_server_idle_reaped_total counter");
-        let _ = writeln!(
-            out,
-            "gstm_server_idle_reaped_total {}",
-            self.idle_reaped.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "# TYPE gstm_server_sessions gauge");
-        let _ = writeln!(out, "gstm_server_sessions {}", self.sessions.load(Ordering::Relaxed));
-        let _ = writeln!(out, "# TYPE gstm_server_ladder gauge");
-        let _ = writeln!(out, "gstm_server_ladder {}", self.ladder.load(Ordering::Relaxed));
-        let _ = writeln!(out, "# TYPE gstm_server_ladder_entries_total counter");
-        for rung in [Rung::FullTick, Rung::ReducedAoi, Rung::GuidedBypass, Rung::LoadShed] {
-            let _ = writeln!(
-                out,
-                "gstm_server_ladder_entries_total{{rung=\"{}\"}} {}",
-                rung.label(),
-                self.ladder_entries[rung.code() as usize].load(Ordering::Relaxed)
+        w.counter("gstm_server_disconnects_total", load(&self.disconnects));
+        w.counter("gstm_server_idle_reaped_total", load(&self.idle_reaped));
+        w.gauge("gstm_server_sessions", load(&self.sessions));
+        w.gauge("gstm_server_ladder", self.ladder.load(Ordering::Relaxed));
+        let mut f = w.family("gstm_server_ladder_entries_total", Kind::Counter);
+        for rung in [
+            Rung::FullTick,
+            Rung::ReducedAoi,
+            Rung::GuidedBypass,
+            Rung::LoadShed,
+        ] {
+            f.sample(
+                &[("rung", &rung.label())],
+                load(&self.ladder_entries[rung.code() as usize]),
             );
         }
-        let _ = writeln!(out, "# TYPE gstm_server_ticks_total counter");
-        let _ = writeln!(out, "gstm_server_ticks_total {}", self.ticks.load(Ordering::Relaxed));
-        let _ = writeln!(out, "# TYPE gstm_server_frame_ns_sum counter");
-        let _ = writeln!(
-            out,
-            "gstm_server_frame_ns_sum {}",
-            self.frame_ns_sum.load(Ordering::Relaxed)
-        );
-        out
+        w.counter("gstm_server_ticks_total", load(&self.ticks));
+        w.counter("gstm_server_frame_ns_sum", load(&self.frame_ns_sum));
     }
 }
 
@@ -220,7 +176,9 @@ mod tests {
     fn prometheus_exposition_has_the_core_families() {
         let s = ServerStats::new();
         s.record_ladder(Rung::ReducedAoi);
-        let text = s.render_prometheus();
+        let mut w = Writer::new();
+        s.write_metrics(&mut w);
+        let text = w.finish();
         for family in [
             "gstm_server_frames_total",
             "gstm_server_actions_total",

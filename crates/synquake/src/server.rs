@@ -222,12 +222,17 @@ fn step_toward(v: u32, target: u32, speed: u32) -> u32 {
 /// Run a game on the given LibTM instance and return per-frame timings
 /// plus STM statistics.
 pub fn run_game(tm: &Arc<LibTm>, cfg: &GameConfig) -> FrameResult {
+    play(tm, cfg).0
+}
+
+/// [`run_game`], also returning the world as the game left it.
+fn play(tm: &Arc<LibTm>, cfg: &GameConfig) -> (FrameResult, Arc<World>) {
     let mut world = World::new(cfg.map_size, cfg.cell_size, cfg.players, cfg.seed);
     world.spawn_items(cfg.items, cfg.seed ^ 0x17e5);
     let world = Arc::new(world);
     let n = cfg.threads.max(1) as usize;
     let barrier = Arc::new(Barrier::new(n));
-    let frame_secs = Arc::new(parking_lot_free_vec(cfg.frames as usize));
+    let frame_secs = Arc::new(SlotVec::new(cfg.frames as usize));
 
     let per_thread_stats: Vec<ThreadStats> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..n as u16)
@@ -261,22 +266,27 @@ pub fn run_game(tm: &Arc<LibTm>, cfg: &GameConfig) -> FrameResult {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    FrameResult {
+    let result = FrameResult {
         frame_secs: frame_secs.take(),
         per_thread_stats,
         audit_failures: world.audit(),
-    }
+    };
+    (result, world)
 }
 
 /// A fixed-size slot vector writable from one thread per slot without
 /// locking (thread 0 writes each frame slot exactly once).
 struct SlotVec(Vec<std::sync::atomic::AtomicU64>);
 
-fn parking_lot_free_vec(n: usize) -> SlotVec {
-    SlotVec((0..n).map(|_| std::sync::atomic::AtomicU64::new(0)).collect())
-}
-
 impl SlotVec {
+    fn new(n: usize) -> SlotVec {
+        SlotVec(
+            (0..n)
+                .map(|_| std::sync::atomic::AtomicU64::new(0))
+                .collect(),
+        )
+    }
+
     fn set(&self, i: usize, secs: f64) {
         self.0[i].store(secs.to_bits(), std::sync::atomic::Ordering::Relaxed);
     }
@@ -368,10 +378,32 @@ mod tests {
         let tm = LibTm::new(LibTmConfig::default());
         let mut cfg = quick_cfg(2, QuestLayout::Quadrants4);
         cfg.frames = 40;
-        cfg.attack_pct = 0; // pure movement
-        let r = run_game(&tm, &cfg);
-        // Pure movement keeps every player in exactly one cell.
+        // Pure movement: no attacks, no pickups.
+        (cfg.attack_pct, cfg.pickup_pct) = (0, 0);
+        let (r, world) = play(&tm, &cfg);
         assert_eq!(r.audit_failures, 0);
         assert_eq!(r.frame_secs.len(), 40);
+        // Chebyshev distance to the player's (fixed) quadrant quest. A
+        // move aims at the quest plus a jitter below 40 on each axis, and
+        // 40 frames at speed 24 cross the 256-unit map.
+        let dist = |p: &Player| {
+            let (qx, qy) = cfg.quest.position(p.quest, 0, cfg.map_size);
+            p.x.abs_diff(qx).max(p.y.abs_diff(qy))
+        };
+        let start = World::new(cfg.map_size, cfg.cell_size, cfg.players, cfg.seed);
+        let (mut before, mut after) = (0, 0);
+        for (id, (a, b)) in start.players.iter().zip(&world.players).enumerate() {
+            let (from, to) = (dist(&a.load_quiesced()), dist(&b.load_quiesced()));
+            assert!(
+                to < 40,
+                "player {id} ended {to} from its quest (started {from})"
+            );
+            assert!(to <= from.max(39), "player {id} moved away: {from} -> {to}");
+            (before, after) = (before + from, after + to);
+        }
+        assert!(
+            after * 2 < before,
+            "players closed in: Σ distance {before} -> {after}"
+        );
     }
 }

@@ -10,7 +10,7 @@
 //! cargo run --release --example bank_transfer
 //! ```
 
-use gstm_core::{ThreadId, TxnId};
+use gstm_core::{ThreadId, ThreadStats, TxnId};
 use gstm_tl2::{Stm, StmConfig, TVar, TxResult, Txn};
 use std::sync::Arc;
 
@@ -44,12 +44,13 @@ fn main() {
     let accounts: Vec<TVar<i64>> = (0..ACCOUNTS).map(|_| TVar::new(INITIAL)).collect();
     let expected_total = (ACCOUNTS as i64) * INITIAL;
 
-    std::thread::scope(|s| {
+    let overall = std::thread::scope(|s| {
         // Transfer threads.
+        let mut workers = Vec::new();
         for t in 0..THREADS {
             let stm = Arc::clone(&stm);
             let accounts = accounts.clone();
-            s.spawn(move || {
+            workers.push(s.spawn(move || {
                 let mut ctx = stm.register_as(ThreadId(t));
                 let mut r: u64 = 0x1234_5678 ^ (t as u64) << 32;
                 for _ in 0..TRANSFERS_PER_THREAD {
@@ -65,17 +66,18 @@ fn main() {
                     let (a, b) = (accounts[from].clone(), accounts[to].clone());
                     ctx.atomically(TxnId(0), |tx| transfer(tx, &a, &b, amount));
                 }
-                let st = ctx.stats();
+                let st = ctx.take_stats();
                 println!(
                     "thread {t}: {} commits, {} aborts ({} explicit retries)",
                     st.commits, st.aborts, st.explicit
                 );
-            });
+                st
+            }));
         }
         // Auditor thread: consistent whole-bank snapshots.
         let stm_a = Arc::clone(&stm);
         let accounts_a = accounts.clone();
-        s.spawn(move || {
+        workers.push(s.spawn(move || {
             let mut ctx = stm_a.register_as(ThreadId(THREADS));
             for audit in 0..200 {
                 let total = ctx.atomically(TxnId(1), |tx| {
@@ -92,14 +94,19 @@ fn main() {
                 std::thread::yield_now();
             }
             println!("auditor: 200 consistent snapshots, total always {expected_total}");
-        });
+            ctx.take_stats()
+        }));
+        let mut overall = ThreadStats::new();
+        for w in workers {
+            overall.merge(&w.join().unwrap());
+        }
+        overall
     });
 
     let final_total: i64 = accounts.iter().map(TVar::load_quiesced).sum();
     println!(
         "final total: {final_total} (expected {expected_total}); {} commits, {} aborts overall",
-        stm.total_commits(),
-        stm.total_aborts()
+        overall.commits, overall.aborts
     );
     assert_eq!(final_total, expected_total);
 

@@ -200,7 +200,10 @@ fn tl2_forced_abort_is_counted_once() {
             ctx.atomically(TxnId(0), |tx| tx.modify(&v, |x| x + 1));
         }
         assert_eq!(v.load_quiesced(), 3);
-        (ctx.take_stats(), stm.total_commits(), stm.total_aborts())
+        // TL2 keeps no instance totals: its one thread's stats are them.
+        let stats = ctx.take_stats();
+        let (commits, aborts) = (stats.commits, stats.aborts);
+        (stats, commits, aborts)
     });
 }
 
