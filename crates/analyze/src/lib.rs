@@ -580,17 +580,18 @@ fn gini(counts: &[u64]) -> f64 {
 
 /// Human-readable label for a breaker state code.
 fn breaker_state_label(code: u64) -> &'static str {
-    gstm_core::breaker::BreakerState::from_code(code as u8).label()
+    gstm_core::breaker::BreakerState::from_code(code_u8(code)).label()
 }
 
 /// Human-readable staleness label for a `gstm_model_staleness` code.
 fn staleness_label(code: u64) -> &'static str {
-    match code {
-        0 => "insufficient",
-        1 => "fresh",
-        2 => "drifting",
-        _ => "stale",
-    }
+    gstm_core::drift::DriftVerdict::from_code(code_u8(code)).label()
+}
+
+/// A state code read from an export, saturated to `u8` so an out-of-range
+/// code stays out of range instead of wrapping onto a valid one.
+fn code_u8(code: u64) -> u8 {
+    u8::try_from(code).unwrap_or(u8::MAX)
 }
 
 /// The analyzer's full output for one campaign.
@@ -1422,11 +1423,7 @@ pub fn analyze_dir(dir: &Path, stem: &str, th: &Thresholds) -> Result<CampaignRe
 
 /// Human-readable label for a `gstm_slo_state` code.
 fn slo_state_label(code: u64) -> &'static str {
-    match code {
-        0 => "ok",
-        1 => "warn",
-        _ => "incident",
-    }
+    gstm_core::ops::SloState::from_code(code_u8(code)).label()
 }
 
 /// Facts recovered from the harness's frozen `/metrics` exposition

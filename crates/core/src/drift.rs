@@ -122,8 +122,19 @@ impl DriftVerdict {
         }
     }
 
+    /// Inverse of [`DriftVerdict::code`]; an out-of-range code reads as
+    /// the most severe verdict, [`DriftVerdict::Stale`].
+    pub fn from_code(code: u8) -> DriftVerdict {
+        match code {
+            0 => DriftVerdict::Insufficient,
+            1 => DriftVerdict::Fresh,
+            2 => DriftVerdict::Drifting,
+            _ => DriftVerdict::Stale,
+        }
+    }
+
     /// Lower-case label used in reports and exports.
-    pub(crate) fn label(self) -> &'static str {
+    pub fn label(self) -> &'static str {
         match self {
             DriftVerdict::Insufficient => "insufficient",
             DriftVerdict::Fresh => "fresh",
@@ -703,6 +714,10 @@ mod tests {
         assert_eq!(DriftVerdict::Stale.code(), 3);
         assert_eq!(DriftVerdict::Stale.label(), "stale");
         assert_eq!(DriftVerdict::Fresh.to_string(), "fresh");
+        for code in 0..4 {
+            assert_eq!(DriftVerdict::from_code(code).code(), code);
+        }
+        assert_eq!(DriftVerdict::from_code(9), DriftVerdict::Stale);
     }
 
     #[test]

@@ -18,11 +18,6 @@ use crate::stats::ThreadStats;
 use crate::telemetry::{Telemetry, TraceKind};
 use std::sync::Arc;
 
-/// Attempts a writer makes at one location's lock, each failed attempt
-/// ending in a yield, before it aborts with
-/// [`crate::AbortCause::CommitLockBusy`]; both backends' lock loops use it.
-pub const COMMIT_SPIN: u32 = 64;
-
 /// One in-flight transaction attempt, as the retry driver sees it.
 pub trait Attempt {
     /// The backend's `(forced abort, commit delay)` chaos sites, probed in

@@ -55,6 +55,7 @@ pub mod guidance;
 pub mod ids;
 pub mod instruments;
 pub mod json;
+pub(crate) mod location;
 pub mod mck;
 pub mod metrics;
 pub mod model_io;
@@ -81,6 +82,7 @@ pub mod prelude {
     pub use crate::guidance::{GateStats, GuidanceHook, GuidedHook, NoopHook, RecorderHook};
     pub use crate::ids::{Pair, ThreadId, TxnId};
     pub use crate::instruments::{Attempt, Instruments};
+    pub use crate::location::{commit_lock, AnyLocation, Location, WriteSet};
     pub use crate::metrics::AbortHistogram;
     pub use crate::ops::{OpsPlane, SloSpec};
     pub use crate::stats::ThreadStats;

@@ -640,6 +640,16 @@ impl SloState {
         }
     }
 
+    /// Inverse of [`SloState::code`]; an out-of-range code reads as the
+    /// most severe state, [`SloState::Incident`].
+    pub fn from_code(code: u8) -> SloState {
+        match code {
+            0 => SloState::Ok,
+            1 => SloState::Warn,
+            _ => SloState::Incident,
+        }
+    }
+
     /// Stable lowercase label.
     pub fn label(self) -> &'static str {
         match self {
@@ -1623,6 +1633,14 @@ mod tests {
 
     fn pair(t: u16) -> Pair {
         Pair::new(TxnId(t), ThreadId(t))
+    }
+
+    #[test]
+    fn slo_state_codes_round_trip() {
+        for code in 0..3 {
+            assert_eq!(SloState::from_code(code).code(), code);
+        }
+        assert_eq!(SloState::from_code(7), SloState::Incident);
     }
 
     fn window(commits: u64, aborts: u64) -> WindowDelta {

@@ -228,6 +228,7 @@ impl LtThreadCtx {
 mod tests {
     use super::*;
     use crate::object::TObject;
+    use gstm_core::AnyLocation;
 
     #[test]
     fn counter_is_atomic() {
@@ -363,9 +364,9 @@ mod tests {
     /// No writer lock and no reader registration left on `objs`.
     fn released(objs: &[&TObject<u32>]) -> bool {
         objs.iter().all(|o| {
-            let mut readers = 0;
-            o.inner.for_each_other_reader(ThreadId(63), |_| readers += 1);
-            o.inner.writer().is_none() && readers == 0
+            let (header, mut readers) = (o.inner.header(), 0);
+            header.for_each_other_reader(ThreadId(63), |_| readers += 1);
+            header.writer().is_none() && readers == 0
         })
     }
 

@@ -1,43 +1,17 @@
 //! LibTM transactions: the fully-optimistic read/write protocol and the
 //! commit protocol with abort-readers resolution.
 
-use crate::object::{LtTarget, ObjectHeader, TObject};
+use crate::object::{ObjectHeader, TObject};
 use crate::runtime::LibTm;
 use gstm_core::faultinject::FaultSite;
-use gstm_core::instruments::COMMIT_SPIN;
 use gstm_core::rng::Interleave;
-use gstm_core::{Abort, AbortCause, AddrSet, Attempt, Pair, TxResult};
-use std::any::Any;
+use gstm_core::WriteSet;
+use gstm_core::{commit_lock, Abort, AbortCause, AddrSet, AnyLocation, Attempt, Pair, TxResult};
 use std::cell::Cell;
 use std::sync::Arc;
 
-/// A buffered write awaiting publication.
-trait LtWriteEntry: Send {
-    fn target(&self) -> &ObjectHeader;
-    fn publish(&self);
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-struct TypedWrite<T> {
-    obj: TObject<T>,
-    value: T,
-}
-
-impl<T: Clone + Send + Sync + 'static> LtWriteEntry for TypedWrite<T> {
-    fn target(&self) -> &ObjectHeader {
-        &self.obj.inner
-    }
-    fn publish(&self) {
-        self.obj.inner.store(self.value.clone());
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
+/// A location of any value type, as LibTM's read sets hold it.
+type Target = Arc<dyn AnyLocation<ObjectHeader>>;
 
 /// A thread's LibTM transaction buffers. [`crate::LtThreadCtx`] owns one
 /// bundle; each attempt borrows it, and its `Drop` clears and returns it,
@@ -46,14 +20,14 @@ impl<T: Clone + Send + Sync + 'static> LtWriteEntry for TypedWrite<T> {
 #[derive(Default)]
 pub(crate) struct LtBuffers {
     /// Read validation entries: `(object, observed version)`.
-    read_set: Vec<(Arc<dyn LtTarget>, u64)>,
+    read_set: Vec<(Target, u64)>,
     /// Objects where this attempt registered as a visible reader.
-    registered: Vec<Arc<dyn LtTarget>>,
+    registered: Vec<Target>,
     /// Keys of `registered`, for O(1) dedup on every read (a linear scan
     /// here made reader registration quadratic in read-set size).
     registered_keys: AddrSet,
     /// Buffered writes.
-    write_set: Vec<Box<dyn LtWriteEntry>>,
+    write_set: WriteSet<ObjectHeader>,
 }
 
 impl LtBuffers {
@@ -127,54 +101,36 @@ impl<'tm> LtTxn<'tm> {
         Ok(())
     }
 
-    fn write_index(&self, key: usize) -> Option<usize> {
-        self.bufs
-            .write_set
-            .iter()
-            .position(|e| e.target().key() == key)
-    }
-
-    fn register_reader(&mut self, inner: &Arc<dyn LtTarget>) {
-        let header = inner.header();
-        if self.bufs.registered_keys.insert(header.key()) {
-            header.add_reader(self.me.thread);
-            self.bufs.registered.push(Arc::clone(inner));
-        }
-    }
-
     /// Transactional read: register as a visible reader, then take a
     /// version-validated snapshot.
     pub fn read<T: Clone + Send + Sync + 'static>(&mut self, obj: &TObject<T>) -> TxResult<T> {
         self.check_doomed()?;
         self.inject.at_access();
-        if let Some(i) = self.write_index(obj.inner.key()) {
-            // Invariant, not a recoverable error: keys are allocation
-            // addresses kept alive by the entry's TObject clone, so a
-            // same-key entry is the same allocation and the same T.
-            let e = self.bufs.write_set[i]
-                .as_any()
-                .downcast_ref::<TypedWrite<T>>()
-                .expect("write-set entry type mismatch");
-            return Ok(e.value.clone());
+        let location = &obj.inner;
+        if let Some(value) = self.bufs.write_set.get(location) {
+            return Ok(value.clone());
         }
-        let header: &ObjectHeader = &obj.inner;
+        let (header, key) = (location.header(), location.key());
         let me = self.me.thread;
         // A held writer lock means a commit is in flight: back off.
         if let Some(owner) = header.writer() {
             if owner != me {
                 return Err(Abort::at(
                     AbortCause::ReadLocked { owner: Some(owner) },
-                    header.key(),
+                    key,
                 ));
             }
         }
         // Visible-reader registration: a committing writer dooms us.
-        let target: Arc<dyn LtTarget> = obj.inner.clone();
-        self.register_reader(&target);
+        let target: Target = location.clone();
+        if self.bufs.registered_keys.insert(key) {
+            header.add_reader(me);
+            self.bufs.registered.push(Arc::clone(&target));
+        }
         let v1 = header.version();
-        let value = obj.inner.snapshot();
+        let value = location.snapshot();
         if header.version() != v1 || header.writer().is_some_and(|w| w != me) {
-            return Err(Abort::at(AbortCause::ReadVersion, header.key()));
+            return Err(Abort::at(AbortCause::ReadVersion, key));
         }
         self.bufs.read_set.push((target, v1));
         Ok(value)
@@ -188,20 +144,12 @@ impl<'tm> LtTxn<'tm> {
     ) -> TxResult<()> {
         self.check_doomed()?;
         self.inject.at_access();
-        let key = obj.inner.key();
-        if let Some(i) = self.write_index(key) {
-            // Same invariant as the read-own-write path above.
-            let e = self.bufs.write_set[i]
-                .as_any_mut()
-                .downcast_mut::<TypedWrite<T>>()
-                .expect("write-set entry type mismatch");
-            e.value = value;
-            return Ok(());
+        let location = &obj.inner;
+        if let Some(slot) = self.bufs.write_set.get_mut(location) {
+            *slot = value;
+        } else {
+            self.bufs.write_set.push(location, value);
         }
-        self.bufs.write_set.push(Box::new(TypedWrite {
-            obj: obj.clone(),
-            value,
-        }));
         Ok(())
     }
 
@@ -215,22 +163,6 @@ impl<'tm> LtTxn<'tm> {
         self.write(obj, f(v))
     }
 
-    fn acquire_writer(&self, target: &ObjectHeader) -> TxResult<()> {
-        let me = self.me.thread;
-        for _ in 0..COMMIT_SPIN {
-            if target.try_lock_writer(me) {
-                return Ok(());
-            }
-            std::thread::yield_now();
-        }
-        Err(Abort::at(
-            AbortCause::CommitLockBusy {
-                owner: target.writer(),
-            },
-            target.key(),
-        ))
-    }
-
     /// The commit protocol up to publication, counting the commit-time
     /// writer locks it takes in `acquired` for [`Attempt::commit`] to
     /// release.
@@ -240,20 +172,17 @@ impl<'tm> LtTxn<'tm> {
         if self.bufs.write_set.is_empty() {
             return Ok(());
         }
-        // Keys are unique within the write set, so the unstable sort gives
-        // the stable order without the stable sort's scratch buffer.
-        self.bufs
-            .write_set
-            .sort_unstable_by_key(|e| e.target().key());
-        for entry in &self.bufs.write_set {
-            self.acquire_writer(entry.target())?;
+        self.bufs.write_set.sort();
+        let write_set = &self.bufs.write_set;
+        for (key, header) in write_set.iter() {
+            commit_lock(key, || header.try_lock_writer(me))?;
             *acquired += 1;
         }
         // Validate reads: versions unchanged and no foreign writer in
         // flight.
         for (t, v) in &self.bufs.read_set {
-            let t = t.header();
-            if t.version() != *v || t.writer().is_some_and(|w| w != me) {
+            let h = t.header();
+            if h.version() != *v || h.writer().is_some_and(|w| w != me) {
                 return Err(Abort::at(AbortCause::Validation, t.key()));
             }
         }
@@ -261,14 +190,12 @@ impl<'tm> LtTxn<'tm> {
         // Abort-readers resolution: doom the other visible readers of each
         // written object, then publish. Dooming only stores atomics, so it
         // runs under the registry lock without collecting readers first.
-        for entry in &self.bufs.write_set {
-            let target = entry.target();
-            let key = target.key();
-            target.for_each_other_reader(me, |reader| self.tm.doom(reader, me, key));
+        for (key, header) in write_set.iter() {
+            header.for_each_other_reader(me, |reader| self.tm.doom(reader, me, key));
         }
-        for entry in &self.bufs.write_set {
-            entry.publish();
-            entry.target().bump_version();
+        write_set.publish_all();
+        for (_, header) in write_set.iter() {
+            header.bump_version();
         }
         Ok(())
     }
@@ -292,8 +219,8 @@ impl Attempt for LtTxn<'_> {
         let result = self.commit_locked(&mut acquired);
         // Release the writer locks; Drop releases reader registrations.
         let me = self.me.thread;
-        for entry in &self.bufs.write_set[..acquired] {
-            entry.target().unlock_writer(me);
+        for (_, header) in self.bufs.write_set.iter().take(acquired) {
+            header.unlock_writer(me);
         }
         result
     }

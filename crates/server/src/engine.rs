@@ -38,6 +38,7 @@ const DRAIN_PER_TICK: usize = 64 * 1024;
 /// Backoff hint (ticks) inside an `Overloaded` frame.
 const OVERLOAD_BACKOFF_TICKS: u16 = 32;
 /// Cap on retained per-tick records (the tail is what analysis wants).
+/// Reaching it drops the oldest half.
 const MAX_TICK_RECORDS: usize = 200_000;
 
 /// Goodbye reason codes.
@@ -265,7 +266,7 @@ impl Engine {
         self.admission.transitions()
     }
 
-    /// Retained per-tick records (oldest dropped past the cap).
+    /// Retained per-tick records (the oldest half dropped at the cap).
     pub fn records(&self) -> &[TickRecord] {
         &self.records
     }
@@ -634,8 +635,10 @@ impl Engine {
         let frame_ns = elapsed_ns.unwrap_or(cost);
         self.stats.record_tick(frame_ns);
         if self.records.len() == MAX_TICK_RECORDS {
-            self.records.remove(0);
-            self.records_dropped += 1;
+            // Drop the oldest half in one move, so the cap costs amortised
+            // O(1) per tick instead of shifting every record each tick.
+            self.records.drain(..MAX_TICK_RECORDS / 2);
+            self.records_dropped += (MAX_TICK_RECORDS / 2) as u64;
         }
         self.records.push(TickRecord {
             tick: self.tick,
@@ -746,6 +749,25 @@ mod tests {
         assert_eq!(*conn, 1);
         assert!(bytes.starts_with(&Frame::welcome(0).encode()), "player 0 assigned first");
         assert_eq!(e.sessions.len(), 1);
+    }
+
+    #[test]
+    fn tick_records_past_the_cap_drop_the_oldest_half() {
+        let mut e = engine(true);
+        let ticks = MAX_TICK_RECORDS + 1;
+        for _ in 0..ticks {
+            e.handle(Event::Tick);
+        }
+        let (half, records) = (MAX_TICK_RECORDS / 2, e.records());
+        assert_eq!(records.len(), half + 1, "one halving, then one push");
+        assert_eq!(e.records_dropped, half as u64);
+        let (first, last) = (records[0].tick, records[records.len() - 1].tick);
+        assert_eq!(last, e.tick(), "the newest tick is kept");
+        assert_eq!(last - first, half as u64, "retained ticks are contiguous");
+        let mut jsonl = Vec::new();
+        e.write_ticks_jsonl(&mut jsonl).unwrap();
+        let head = jsonl.split(|&b| b == b'\n').next().unwrap();
+        assert_eq!(head, format!("{{\"truncated_ticks\":{half}}}").as_bytes());
     }
 
     #[test]

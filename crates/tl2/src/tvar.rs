@@ -1,11 +1,11 @@
 //! Transactional variables.
 //!
 //! A [`TVar<T>`] is an object-granularity transactional location: a
-//! versioned lock word plus the current committed value. The value sits
-//! behind a reader-writer lock held only for the clone or the swap, the
-//! same scheme LibTM's objects use, so a reader that loses TL2's version
-//! race still clones an intact (if stale) value and then aborts: no torn
-//! reads and no raw pointers.
+//! handle on a [`gstm_core::Location`] whose header is TL2's versioned
+//! lock word. The value sits behind a reader-writer lock held only for the
+//! clone or the swap, the location LibTM's objects use too, so a reader
+//! that loses TL2's version race still clones an intact (if stale) value
+//! and then aborts: no torn reads and no raw pointers.
 //!
 //! Every location embeds its own lock (TL2's per-object "PO" mode). The
 //! striped "PS" mode, where locations hash into a shared lock table, was
@@ -13,55 +13,8 @@
 //! lock words and every commit dedupe its locks by address.
 
 use crate::vlock::VLock;
-use gstm_core::sync::RwLock;
+use gstm_core::{AnyLocation, Location};
 use std::sync::Arc;
-
-/// The lock-word view of a transactional location, type-erased so read and
-/// write sets can hold heterogeneous targets.
-pub(crate) trait TxTarget: Send + Sync {
-    /// The location's versioned lock.
-    fn vlock(&self) -> &VLock;
-    /// A stable identity for the location (its allocation address), used
-    /// for write-set ordering and read-own-write lookups.
-    fn key(&self) -> usize;
-}
-
-pub(crate) struct TVarInner<T> {
-    pub(crate) lock: VLock,
-    value: RwLock<T>,
-}
-
-impl<T: Send + Sync> TxTarget for TVarInner<T> {
-    fn vlock(&self) -> &VLock {
-        &self.lock
-    }
-
-    fn key(&self) -> usize {
-        self as *const Self as *const () as usize
-    }
-}
-
-impl<T: Clone> TVarInner<T> {
-    /// Clone the current value. Callers must sandwich this between lock
-    /// samples (TL2's read protocol) to learn whether the value was
-    /// current.
-    pub(crate) fn read_snapshot(&self) -> T {
-        self.value.read().clone()
-    }
-}
-
-impl<T> TVarInner<T> {
-    /// Install a new value (commit path — the caller holds the versioned
-    /// lock). The old value is dropped after the write guard is released,
-    /// so its destructor never blocks a reader on the `RwLock`. It still
-    /// runs inside the versioned-lock window: commit publishes every
-    /// write before unlocking any, so readers of this `TVar` abort or
-    /// retry for as long as the destructor takes.
-    pub(crate) fn publish(&self, value: T) {
-        let old = std::mem::replace(&mut *self.value.write(), value);
-        drop(old);
-    }
-}
 
 /// A transactional variable holding a value of type `T`.
 ///
@@ -72,7 +25,7 @@ impl<T> TVarInner<T> {
 /// [`crate::Txn::read`] / [`crate::Txn::write`]; [`TVar::load_quiesced`]
 /// reads directly and is meant for setup and post-run verification.
 pub struct TVar<T> {
-    pub(crate) inner: Arc<TVarInner<T>>,
+    pub(crate) inner: Arc<Location<VLock, T>>,
 }
 
 impl<T> Clone for TVar<T> {
@@ -88,10 +41,7 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     /// own embedded lock.
     pub fn new(value: T) -> Self {
         TVar {
-            inner: Arc::new(TVarInner {
-                lock: VLock::new(0),
-                value: RwLock::new(value),
-            }),
+            inner: Arc::new(Location::new(VLock::new(0), value)),
         }
     }
 
@@ -101,22 +51,18 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     /// lock) but provides no multi-location consistency; use it for
     /// initialization and quiesced post-run checks.
     pub fn load_quiesced(&self) -> T {
+        let lock = self.inner.header();
         loop {
-            let s1 = self.inner.lock.sample();
+            let s1 = lock.sample();
             if s1.is_locked() {
                 std::thread::yield_now();
                 continue;
             }
-            let v = self.inner.read_snapshot();
-            if self.inner.lock.sample() == s1 {
+            let v = self.inner.snapshot();
+            if lock.sample() == s1 {
                 return v;
             }
         }
-    }
-
-    /// The location's stable identity.
-    pub(crate) fn key(&self) -> usize {
-        self.inner.key()
     }
 }
 
@@ -142,9 +88,9 @@ mod tests {
     fn clone_aliases_the_location() {
         let a = TVar::new(vec![1, 2, 3]);
         let b = a.clone();
-        assert_eq!(a.key(), b.key());
+        assert_eq!(a.inner.key(), b.inner.key());
         let c = TVar::new(vec![1, 2, 3]);
-        assert_ne!(a.key(), c.key());
+        assert_ne!(a.inner.key(), c.inner.key());
     }
 
     #[test]

@@ -2,52 +2,14 @@
 //! protocol (commit-time locking, read-set validation, write-back).
 
 use crate::runtime::{Detection, Stm};
-use crate::tvar::{TVar, TxTarget};
+use crate::tvar::TVar;
 use crate::vlock::VLock;
 use gstm_core::faultinject::FaultSite;
-use gstm_core::instruments::COMMIT_SPIN;
 use gstm_core::rng::Interleave;
-use gstm_core::{Abort, AbortCause, AddrSet, Attempt, Pair, TxResult};
-use std::any::Any;
+use gstm_core::{commit_lock, Abort, AbortCause, AddrSet, AnyLocation, Attempt, Pair, ThreadId};
+use gstm_core::{TxResult, WriteSet};
 use std::cell::Cell;
 use std::sync::Arc;
-
-/// A buffered write awaiting commit.
-trait WriteEntry: Send {
-    fn target(&self) -> &dyn TxTarget;
-    fn key(&self) -> usize;
-    /// Install the buffered value into the location (lock held).
-    fn publish(&self);
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-struct TypedWrite<T> {
-    tvar: TVar<T>,
-    value: T,
-}
-
-impl<T: Clone + Send + Sync + 'static> WriteEntry for TypedWrite<T> {
-    fn target(&self) -> &dyn TxTarget {
-        &*self.tvar.inner
-    }
-
-    fn key(&self) -> usize {
-        self.tvar.key()
-    }
-
-    fn publish(&self) {
-        self.tvar.inner.publish(self.value.clone());
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
 
 /// A thread's transaction buffers. [`crate::ThreadCtx`] owns one bundle;
 /// each attempt borrows it, and its `Drop` clears and returns it, so a
@@ -55,11 +17,11 @@ impl<T: Clone + Send + Sync + 'static> WriteEntry for TypedWrite<T> {
 /// grown to its largest transaction.
 #[derive(Default)]
 pub(crate) struct TxBuffers {
-    read_set: Vec<Arc<dyn TxTarget>>,
+    read_set: Vec<Arc<dyn AnyLocation<VLock>>>,
     /// Locations already in `read_set`, keyed by allocation address —
     /// consulted on every read, so it avoids a SipHash per probe.
     read_keys: AddrSet,
-    write_set: Vec<Box<dyn WriteEntry>>,
+    write_set: WriteSet<VLock>,
     /// Write locks this attempt holds, as `(write-set index, pre-lock
     /// version)`: taken at commit in lazy mode, at the write in eager
     /// mode. The version restores the word on abort and validates the
@@ -82,6 +44,12 @@ impl TxBuffers {
             && self.write_set.is_empty()
             && self.locked.is_empty()
     }
+}
+
+/// Take `vlock` for `me` within the commit spin budget, returning its
+/// pre-lock version.
+fn lock(vlock: &VLock, key: usize, me: ThreadId) -> TxResult<u64> {
+    commit_lock(key, || vlock.try_lock(me).map_err(|seen| seen.owner()))
 }
 
 /// One in-flight transaction attempt.
@@ -108,7 +76,7 @@ impl Drop for Txn<'_> {
         // `locked` before returning, so this releases nothing there.
         let b = &mut self.bufs;
         for (j, prev) in b.locked.drain(..) {
-            b.write_set[j].target().vlock().unlock(prev);
+            b.write_set[j].unlock(prev);
         }
         self.bufs.clear();
         self.home.set(std::mem::take(&mut self.bufs));
@@ -139,12 +107,6 @@ impl<'stm> Txn<'stm> {
         Abort::EXPLICIT
     }
 
-    fn write_index(&self, key: usize) -> Option<usize> {
-        // Write sets are small in STAMP-style workloads; linear scan beats
-        // a map until tens of entries.
-        self.bufs.write_set.iter().position(|e| e.key() == key)
-    }
-
     /// Transactional read (TL2 read protocol).
     ///
     /// Returns the buffered value if this transaction already wrote the
@@ -153,56 +115,27 @@ impl<'stm> Txn<'stm> {
     /// newer than `rv`.
     pub fn read<T: Clone + Send + Sync + 'static>(&mut self, tvar: &TVar<T>) -> TxResult<T> {
         self.inject.at_access();
-        if let Some(i) = self.write_index(tvar.key()) {
-            // Invariant, not a recoverable error: keys are allocation
-            // addresses and every entry keeps its TVar's Arc alive, so a
-            // same-key entry is the same allocation and thus the same T.
-            // A failed downcast means heap corruption; retrying the
-            // transaction could not fix it.
-            let entry = self.bufs.write_set[i]
-                .as_any()
-                .downcast_ref::<TypedWrite<T>>()
-                .expect("write-set entry type mismatch for aliased key");
-            return Ok(entry.value.clone());
+        let location = &tvar.inner;
+        if let Some(value) = self.bufs.write_set.get(location) {
+            return Ok(value.clone());
         }
-        let inner = &tvar.inner;
-        let s1 = inner.lock.sample();
+        let (vlock, key) = (location.header(), location.key());
+        let s1 = vlock.sample();
         if s1.is_locked() {
             let cause = AbortCause::ReadLocked { owner: s1.owner() };
-            return Err(Abort::at(cause, tvar.key()));
+            return Err(Abort::at(cause, key));
         }
         if s1.version() > self.rv {
-            return Err(Abort::at(AbortCause::ReadVersion, tvar.key()));
+            return Err(Abort::at(AbortCause::ReadVersion, key));
         }
-        let value = inner.read_snapshot();
-        if inner.lock.sample() != s1 {
-            return Err(Abort::at(AbortCause::ReadVersion, tvar.key()));
+        let value = location.snapshot();
+        if vlock.sample() != s1 {
+            return Err(Abort::at(AbortCause::ReadVersion, key));
         }
-        if self.bufs.read_keys.insert(tvar.key()) {
-            self.bufs
-                .read_set
-                .push(Arc::clone(&tvar.inner) as Arc<dyn TxTarget>);
+        if self.bufs.read_keys.insert(key) {
+            self.bufs.read_set.push(Arc::clone(location) as _);
         }
         Ok(value)
-    }
-
-    /// Take the lock of the location keyed `key`, trying up to
-    /// [`COMMIT_SPIN`] times. Returns the pre-lock version, or the abort
-    /// naming the last observed holder.
-    fn lock(&self, lock: &VLock, key: usize) -> TxResult<u64> {
-        let mut last_owner = None;
-        for _ in 0..COMMIT_SPIN {
-            match lock.try_lock(self.me.thread) {
-                Ok(prev) => return Ok(prev),
-                Err(observed) => {
-                    last_owner = observed.owner();
-                    std::hint::spin_loop();
-                    std::thread::yield_now();
-                }
-            }
-        }
-        let cause = AbortCause::CommitLockBusy { owner: last_owner };
-        Err(Abort::at(cause, key))
     }
 
     /// Transactional write: buffer `value` in the write set (write-back).
@@ -214,25 +147,17 @@ impl<'stm> Txn<'stm> {
         value: T,
     ) -> TxResult<()> {
         self.inject.at_access();
-        if let Some(i) = self.write_index(tvar.key()) {
-            // Same invariant as the read-own-write path: a matching key
-            // proves this is the same live allocation, hence the same T.
+        let location = &tvar.inner;
+        if let Some(slot) = self.bufs.write_set.get_mut(location) {
             // In eager mode the first write already took the lock.
-            let entry = self.bufs.write_set[i]
-                .as_any_mut()
-                .downcast_mut::<TypedWrite<T>>()
-                .expect("write-set entry type mismatch for aliased key");
-            entry.value = value;
+            *slot = value;
             return Ok(());
         }
         if self.stm.config.detection == Detection::Eager {
-            let prev = self.lock(&tvar.inner.lock, tvar.key())?;
+            let prev = lock(location.header(), location.key(), self.me.thread)?;
             self.bufs.locked.push((self.bufs.write_set.len(), prev));
         }
-        self.bufs.write_set.push(Box::new(TypedWrite {
-            tvar: tvar.clone(),
-            value,
-        }));
+        self.bufs.write_set.push(location, value);
         Ok(())
     }
 
@@ -275,16 +200,18 @@ impl Attempt for Txn<'_> {
 
         // Phase 2: acquire write locks (lazy mode only; eager writes
         // already hold theirs, indexed by write-set position, so the set
-        // stays unsorted). Keys are unique within the write set, so the
-        // unstable sort gives the stable order without the stable sort's
-        // scratch buffer. A failed acquisition returns the abort, and Drop
-        // releases the locks taken so far.
+        // stays unsorted). A failed acquisition returns the abort, and
+        // Drop releases the locks taken so far.
+        let TxBuffers {
+            read_set,
+            write_set,
+            locked,
+            ..
+        } = &mut self.bufs;
         if self.stm.config.detection == Detection::Lazy {
-            self.bufs.write_set.sort_unstable_by_key(|e| e.key());
-            for i in 0..self.bufs.write_set.len() {
-                let entry = &self.bufs.write_set[i];
-                let prev = self.lock(entry.target().vlock(), entry.key())?;
-                self.bufs.locked.push((i, prev));
+            write_set.sort();
+            for (i, (key, vlock)) in write_set.iter().enumerate() {
+                locked.push((i, lock(vlock, key, me)?));
             }
         }
 
@@ -293,24 +220,17 @@ impl Attempt for Txn<'_> {
 
         // Phase 4: validate the read set, unless no other commit advanced
         // the clock since `rv`. A location this transaction itself locked
-        // validates against its pre-lock version, found by location key.
-        let TxBuffers {
-            read_set,
-            write_set,
-            locked,
-            ..
-        } = &mut self.bufs;
+        // validates against its pre-lock version, found by lock identity.
         if wv != self.rv + 1 {
             for target in read_set.iter() {
-                let lock = target.vlock();
-                let valid = if lock.is_locked_by(me) {
-                    let key = target.key();
+                let vlock = target.header();
+                let valid = if vlock.is_locked_by(me) {
                     locked
                         .iter()
-                        .find(|&&(j, _)| write_set[j].key() == key)
+                        .find(|&&(j, _)| std::ptr::eq(&write_set[j], vlock))
                         .is_some_and(|&(_, prev)| prev <= self.rv)
                 } else {
-                    let s = lock.sample();
+                    let s = vlock.sample();
                     !s.is_locked() && s.version() <= self.rv
                 };
                 if !valid {
@@ -321,11 +241,9 @@ impl Attempt for Txn<'_> {
 
         // Phase 5: write back, then release every lock stamped with wv.
         // Draining `locked` keeps Drop from restoring the old versions.
-        for entry in write_set.iter() {
-            entry.publish();
-        }
+        write_set.publish_all();
         for (j, _) in locked.drain(..) {
-            write_set[j].target().vlock().unlock(wv);
+            write_set[j].unlock(wv);
         }
         Ok(())
     }
@@ -335,7 +253,7 @@ impl Attempt for Txn<'_> {
 mod tests {
     use crate::runtime::{Stm, StmConfig};
     use crate::tvar::TVar;
-    use gstm_core::{AbortCause, ThreadId, TxnId};
+    use gstm_core::{AbortCause, AnyLocation, ThreadId, TxnId};
     use std::sync::Arc;
 
     #[test]
@@ -381,7 +299,7 @@ mod tests {
         // and observe the reader's abort cause.
         let stm = Stm::new(StmConfig::default());
         let v = TVar::new(5u32);
-        v.inner.lock.try_lock(ThreadId(9)).unwrap();
+        v.inner.header().try_lock(ThreadId(9)).unwrap();
         let mut ctx = stm.register_as(ThreadId(0));
         let mut causes = Vec::new();
         let mut attempts = 0;
@@ -394,7 +312,7 @@ mod tests {
             match tx.read(&v) {
                 Err(a) => {
                     causes.push(a.cause);
-                    v.inner.lock.unlock(0);
+                    v.inner.header().unlock(0);
                     Err(a)
                 }
                 Ok(_) => Ok(()),
@@ -471,7 +389,7 @@ mod tests {
         let stm = Stm::new(config);
         let v = TVar::new(0u32);
         // Simulate a concurrent writer holding the lock.
-        let prev = v.inner.lock.try_lock(ThreadId(9)).unwrap();
+        let prev = v.inner.header().try_lock(ThreadId(9)).unwrap();
         let mut ctx = stm.register_as(ThreadId(0));
         let mut first_attempt_cause = None;
         let mut attempts = 0;
@@ -483,7 +401,7 @@ mod tests {
             match tx.write(&v, 5) {
                 Err(a) => {
                     first_attempt_cause = Some(a.cause);
-                    v.inner.lock.unlock(prev);
+                    v.inner.header().unlock(prev);
                     Err(a)
                 }
                 Ok(()) => Ok(()),
@@ -505,7 +423,7 @@ mod tests {
         };
         let stm = Stm::new(config);
         let v = TVar::new(3u32);
-        let before = v.inner.lock.sample();
+        let before = v.inner.header().sample();
         let mut ctx = stm.register();
         let mut attempts = 0;
         ctx.atomically(TxnId(0), |tx| {
@@ -615,7 +533,7 @@ mod tests {
             });
             assert_eq!(seen, (1, 2, 10), "{detection:?}");
             assert_eq!((x.load_quiesced(), y.load_quiesced()), (2, 10));
-            for lock in [&x.inner.lock, &y.inner.lock] {
+            for lock in [x.inner.header(), y.inner.header()] {
                 assert!(!lock.sample().is_locked(), "{detection:?}: lock left held");
             }
             assert!(
@@ -643,7 +561,7 @@ mod tests {
                 })
             }));
             assert!(unwound.is_err());
-            assert!(!v.inner.lock.sample().is_locked(), "{detection:?}");
+            assert!(!v.inner.header().sample().is_locked(), "{detection:?}");
             assert!(ctx.buffers_idle(), "{detection:?}");
             ctx.atomically(TxnId(0), |tx| tx.modify(&v, |x| x * 2));
             assert_eq!(v.load_quiesced(), 10, "{detection:?}: panicked write leaked");
