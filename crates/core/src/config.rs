@@ -11,9 +11,11 @@ pub struct GuidanceConfig {
     /// `k`: how many times a gated transaction re-examines the (possibly
     /// changed) current state before it is released anyway to guarantee
     /// progress and avoid deadlock. This is an upper bound: with a fixed
-    /// model a thread that is the only one ever to have gated on the hook
-    /// is released at once, since no other thread can change the state
-    /// (an adaptive hook always waits out the budget).
+    /// model a waiting thread skips the rest of its budget as soon as no
+    /// other thread that has gated on the hook can change the state —
+    /// each is parked (at a barrier, or retired) or blocked in its own
+    /// gate on the same state (an adaptive hook always waits out the
+    /// budget).
     pub k_retries: u32,
     /// How many spin iterations (each ending in a `yield_now`) one gate
     /// retry waits for the current state to change before counting a retry.

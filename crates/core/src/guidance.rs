@@ -7,9 +7,9 @@
 //!   in any tuple of a high-probability destination state of the *current*
 //!   state, re-examining the (possibly changed) current state up to `k`
 //!   times before releasing the thread anyway (progress guarantee). With
-//!   a fixed model the wait also ends at once while the caller is the
-//!   only thread that has ever gated on the hook, since nobody else can
-//!   change the state.
+//!   a fixed model the wait also ends at once while no other thread that
+//!   has gated on the hook can change the state: each is blocked in its
+//!   own gate on the same state, or parked ([`GuidanceHook::park`]).
 //! * [`GuidanceHook::on_abort`] reports a rolled-back attempt.
 //! * [`GuidanceHook::on_commit`] reports a successful commit; the tracker
 //!   drains the aborts observed since the previous commit into a new
@@ -69,13 +69,13 @@ use crate::config::GuidanceConfig;
 use crate::drift::DriftTracker;
 use crate::events::AbortCause;
 use crate::faultinject::{spin_for, FaultPlan, FaultSite};
-use crate::ids::Pair;
+use crate::ids::{Pair, ThreadId};
 use crate::rng::finalize;
-use crate::sync::{slot_of, Mutex, PerThread};
+use crate::sync::{slot_of, Mutex, PerThread, SLOTS};
 use crate::telemetry::{GateOutcome, Telemetry, TraceKind};
 use crate::tsa::{GuidedModel, StateId};
 use crate::tss::{hash_parts, StateKey};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Sentinel for "current state not present in the model".
@@ -86,11 +86,14 @@ const UNKNOWN: u32 = u32::MAX;
 /// half never matters for this value.
 const UNKNOWN_WORD: u64 = UNKNOWN as u64;
 
-/// [`GuidedHook`]'s gater word before any thread has gated.
-const NO_GATER: u32 = u32::MAX;
+/// Gate-slot value of a thread that is not waiting in a gate. A gate
+/// blocks only on a word whose state is known (an unknown state always
+/// passes), so both sentinels use the [`UNKNOWN`] state half.
+pub(crate) const RUNNING: u64 = UNKNOWN_WORD;
 
-/// [`GuidedHook`]'s gater word once two or more threads have gated.
-const MANY_GATERS: u32 = u32::MAX - 1;
+/// Gate-slot value of a parked thread: outside every attempt, at a
+/// barrier or retired for good.
+pub(crate) const PARKED: u64 = 1 << 32 | UNKNOWN as u64;
 
 /// Cap on the gate's exponential backoff: a wait round busy-spins at most
 /// `2 * (1 << BACKOFF_CAP)` iterations before yielding, keeping the
@@ -109,6 +112,12 @@ pub trait GuidanceHook: Send + Sync {
     fn on_abort(&self, _who: Pair, _cause: AbortCause) {}
     /// Called when an attempt commits.
     fn on_commit(&self, _who: Pair) {}
+    /// Called when `thread` stops running attempts until it calls
+    /// [`GuidanceHook::unpark`] or gates again: it waits at a barrier,
+    /// or its context is gone for good.
+    fn park(&self, _thread: ThreadId) {}
+    /// Called when a parked `thread` runs again.
+    fn unpark(&self, _thread: ThreadId) {}
 }
 
 /// The default hook: plain STM execution, zero overhead.
@@ -338,11 +347,20 @@ pub struct GuidedHook {
     /// the current state is absent from the (epoch's) model. Fixed-model
     /// hooks always use epoch 0.
     current: AtomicU64,
-    /// The one thread that has gated on this hook so far, as a thread
-    /// index; [`NO_GATER`] before the first gate and [`MANY_GATERS`] for
-    /// good once a second thread gates. Read by every waiting gate,
-    /// written at most twice.
-    gaters: AtomicU32,
+    /// One bit per thread index below [`SLOTS`] that has gated on this
+    /// hook; set on gate entry and kept for good (`take_run` too).
+    gaters: AtomicU64,
+    /// Each gater's gate slot: [`RUNNING`], [`PARKED`], or the packed
+    /// current word its gate is blocked on. Only the owning thread
+    /// writes its slot; waiting gates of a fixed-model hook read them.
+    /// This assumes one OS thread per thread id on a hook at a time, as
+    /// the gater bit does: two OS threads under one id would overwrite
+    /// each other's slot.
+    slots: PerThread<AtomicU64>,
+    /// Set for good once a thread id of [`SLOTS`] or more gates: such ids
+    /// alias onto other threads' slots, so no slot can be trusted and
+    /// every wait runs its full budget.
+    aliased: AtomicBool,
     /// Optional telemetry sink: gate outcomes feed the per-thread
     /// counters, commits feed TSA state-transition trace events. `None`
     /// keeps the hot path at one extra predictable branch per call.
@@ -401,7 +419,9 @@ impl GuidedHook {
             config,
             tracker: StateTracker::default(),
             current: AtomicU64::new(UNKNOWN_WORD),
-            gaters: AtomicU32::new(NO_GATER),
+            gaters: AtomicU64::new(0),
+            slots: PerThread::new(|| AtomicU64::new(RUNNING)),
+            aliased: AtomicBool::new(false),
             telemetry,
             drift,
             breaker,
@@ -455,7 +475,9 @@ impl GuidedHook {
             config,
             tracker: StateTracker::default(),
             current: AtomicU64::new(UNKNOWN_WORD),
-            gaters: AtomicU32::new(NO_GATER),
+            gaters: AtomicU64::new(0),
+            slots: PerThread::new(|| AtomicU64::new(RUNNING)),
+            aliased: AtomicBool::new(false),
             telemetry,
             drift: None,
             breaker,
@@ -541,31 +563,49 @@ impl GuidedHook {
         }
     }
 
-    /// The gate loop, parameterized by the model generation resolved at
-    /// call entry. A concurrent hot-swap cannot strand a waiter: commits
-    /// under the new generation re-tag the current word, the tag mismatch
-    /// reads as unknown, and unknown always passes.
+    /// The gate, parameterized by the model generation resolved at call
+    /// entry: wait for an allowed state, then count the outcome. A gate
+    /// that waited leaves its blocked state first, because a breaker trip
+    /// in `count_outcome` stores the word, and a thread whose slot says
+    /// it is blocked must not move the word (see [`GuidedHook::wait`]).
+    fn gate_with(&self, who: Pair, model: &GuidedModel, epoch: u32) {
+        let i = who.thread.index();
+        let slot = (matches!(self.source, ModelSource::Fixed(_)) && i < SLOTS)
+            .then(|| self.slots.get(i));
+        let outcome = self.wait(who, model, epoch, slot);
+        if let Some(slot) = slot.filter(|_| outcome != GateOutcome::Passed) {
+            slot.store(RUNNING, Ordering::SeqCst);
+        }
+        self.count_outcome(who, outcome);
+    }
+
+    /// The wait loop. A concurrent hot-swap cannot strand a waiter:
+    /// commits under the new generation re-tag the current word, the tag
+    /// mismatch reads as unknown, and unknown always passes.
     ///
     /// A fixed model's word changes only in a gate (a breaker trip) or a
-    /// commit, and every commit follows its thread's gate. So while the
-    /// caller is the only thread that has ever gated on the hook, nobody
-    /// can wake it: before each wait round a fixed-model gate checks
-    /// that, and skips the rest of its budget for the final
-    /// re-examination. Once a second thread has gated every wait runs its
-    /// full budget, as the paper's gate does. An adaptive hook always
-    /// keeps the full wait: its manager can re-tag the word from a thread
-    /// that never gates.
-    fn gate_with(&self, who: Pair, model: &GuidedModel, epoch: u32) {
-        let fixed = matches!(self.source, ModelSource::Fixed(_));
+    /// commit, and every commit follows its thread's gate. So a wait pays
+    /// only while some other thread that has gated can still move the
+    /// word. With `slot` (a fixed model and an id below [`SLOTS`]) the
+    /// gate publishes the word it is blocked on there before its first
+    /// wait round on it, and before each round checks
+    /// [`GuidedHook::nobody_can_wake`]; when that holds it skips the rest
+    /// of its budget for the final re-examination. An adaptive hook
+    /// always keeps the full wait: its manager can re-tag the word from
+    /// a thread that never gates.
+    fn wait(
+        &self,
+        who: Pair,
+        model: &GuidedModel,
+        epoch: u32,
+        slot: Option<&AtomicU64>,
+    ) -> GateOutcome {
+        let resolved = |waited| if waited { GateOutcome::Waited } else { GateOutcome::Passed };
         let mut waited = false;
         'retry: for retry in 0..self.config.k_retries {
             let cur = self.current.load(Ordering::Acquire);
             if Self::allowed_word(cur, model, epoch, who) {
-                self.count_outcome(
-                    who,
-                    if waited { GateOutcome::Waited } else { GateOutcome::Passed },
-                );
-                return;
+                return resolved(waited);
             }
             // Wait (bounded) for a concurrent commit to change the current
             // state, then loop to re-examine from the new state. Each
@@ -575,11 +615,14 @@ impl GuidedHook {
             // round), no RNG state — decorrelates threads that blocked on
             // the same state so they do not re-poll in lockstep.
             waited = true;
+            if let Some(slot) = slot {
+                slot.store(cur, Ordering::SeqCst);
+            }
             for round in 0..self.config.wait_spins {
                 if self.current.load(Ordering::Acquire) != cur {
                     break;
                 }
-                if fixed && self.gaters.load(Ordering::Relaxed) == who.thread.index() as u32 {
+                if slot.is_some() && self.nobody_can_wake(who.thread.index(), cur) {
                     break 'retry;
                 }
                 let base = 1u64 << round.min(BACKOFF_CAP);
@@ -595,30 +638,66 @@ impl GuidedHook {
         // change whose new state allows us — and otherwise release to
         // guarantee progress.
         if Self::allowed_word(self.current.load(Ordering::Acquire), model, epoch, who) {
-            self.count_outcome(
-                who,
-                if waited { GateOutcome::Waited } else { GateOutcome::Passed },
-            );
+            resolved(waited)
         } else {
-            self.count_outcome(who, GateOutcome::Released);
+            GateOutcome::Released
         }
     }
 
-    /// Record that `who`'s thread gates on this hook: the first gating
-    /// thread claims [`GuidedHook::gaters`], any other moves it to
-    /// [`MANY_GATERS`] for good. Steady state is one load.
+    /// Whether no thread but `me` that has gated can move the current
+    /// word off `cur`: each is parked, or blocked in its own gate on
+    /// `cur` itself, and the word still reads `cur`. A thread blocked on
+    /// `cur` examined it, was disallowed, and leaves only on a state
+    /// change or by its own release. One blocked on any other word is
+    /// about to re-examine and may pass and commit, so it can wake us.
+    ///
+    /// The loads here and the slot stores are `SeqCst`: a store of the
+    /// blocked word followed by a load of a peer's slot is a
+    /// store-then-load handshake, so of two threads that block on one
+    /// word at least one sees the other.
+    fn nobody_can_wake(&self, me: usize, cur: u64) -> bool {
+        if self.aliased.load(Ordering::SeqCst) {
+            return false;
+        }
+        let mut others = self.gaters.load(Ordering::SeqCst) & !(1 << me);
+        while others != 0 {
+            let slot = self.slots.get(others.trailing_zeros() as usize);
+            others &= others - 1;
+            let state = slot.load(Ordering::SeqCst);
+            if state != PARKED && state != cur {
+                return false;
+            }
+        }
+        self.current.load(Ordering::SeqCst) == cur
+    }
+
+    /// Record that `who`'s thread gates on this hook: set its gater bit
+    /// and mark its slot running (a parked or retired thread runs again).
+    /// An id of [`SLOTS`] or more sets [`GuidedHook::aliased`] instead.
+    /// The steady state is one load of each word.
     #[inline]
     fn note_gater(&self, who: Pair) {
-        let me = who.thread.index() as u32;
-        let seen = self.gaters.load(Ordering::Relaxed);
-        if seen != me
-            && seen != MANY_GATERS
-            && self
-                .gaters
-                .compare_exchange(NO_GATER, me, Ordering::Relaxed, Ordering::Relaxed)
-                .is_err()
-        {
-            self.gaters.store(MANY_GATERS, Ordering::Relaxed);
+        let i = who.thread.index();
+        if i >= SLOTS {
+            if !self.aliased.load(Ordering::Relaxed) {
+                self.aliased.store(true, Ordering::SeqCst);
+            }
+            return;
+        }
+        if self.gaters.load(Ordering::Relaxed) & 1 << i == 0 {
+            self.gaters.fetch_or(1 << i, Ordering::SeqCst);
+        }
+        let slot = self.slots.get(i);
+        if slot.load(Ordering::Relaxed) != RUNNING {
+            slot.store(RUNNING, Ordering::SeqCst);
+        }
+    }
+
+    /// Store `state` in `thread`'s gate slot; ids of [`SLOTS`] or more
+    /// would alias another thread's slot and are ignored.
+    fn set_slot(&self, thread: ThreadId, state: u64) {
+        if thread.index() < SLOTS {
+            self.slots.get(thread.index()).store(state, Ordering::SeqCst);
         }
     }
 
@@ -741,6 +820,14 @@ impl GuidanceHook for GuidedHook {
         if let Some(b) = &self.breaker {
             b.note_commit(who.thread.index());
         }
+    }
+
+    fn park(&self, thread: ThreadId) {
+        self.set_slot(thread, PARKED);
+    }
+
+    fn unpark(&self, thread: ThreadId) {
+        self.set_slot(thread, RUNNING);
     }
 }
 
@@ -936,21 +1023,116 @@ mod tests {
     }
 
     #[test]
-    fn gater_word_turns_many_at_the_second_gating_thread_for_good() {
+    fn gater_bits_register_each_gating_thread_for_good() {
         let hook = GuidedHook::new(two_state_model(), GuidanceConfig::default());
-        let (a, b) = (p(0, 1), p(1, 2));
         let gaters = || hook.gaters.load(Ordering::Relaxed);
-        hook.on_commit(b); // only a gate registers its thread
-        assert_eq!(gaters(), NO_GATER);
-        hook.gate(a);
+        hook.on_commit(p(1, 2)); // only a gate registers its thread
+        assert_eq!(gaters(), 0);
+        hook.gate(p(0, 1));
         hook.gate(p(1, 1)); // another transaction of the same thread
-        assert_eq!(gaters(), 1);
+        assert_eq!(gaters(), 0b10);
         let _ = hook.take_run(); // a new run keeps the registration
-        assert_eq!(gaters(), 1);
-        hook.gate(b);
-        assert_eq!(gaters(), MANY_GATERS);
-        hook.gate(a);
-        assert_eq!(gaters(), MANY_GATERS);
+        assert_eq!(gaters(), 0b10);
+        hook.gate(p(1, 2));
+        assert_eq!(gaters(), 0b110);
+        assert!(!hook.aliased.load(Ordering::Relaxed));
+    }
+
+    /// Wait up to five seconds for `gate` to return; panic otherwise
+    /// (the thread is left behind, spending a budget nobody can sit out).
+    fn returns_soon(gate: std::thread::JoinHandle<()>) {
+        let t0 = std::time::Instant::now();
+        while !gate.is_finished() {
+            assert!(t0.elapsed() < std::time::Duration::from_secs(5), "gate never returned");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        gate.join().unwrap();
+    }
+
+    /// A fixed hook with an endless budget whose threads 1..=`n` have
+    /// each gated once, and whose current state then became A, under
+    /// which only `p(0,1)` may go.
+    fn blocked_hook(n: u16) -> Arc<GuidedHook> {
+        let hook = Arc::new(GuidedHook::new(two_state_model(), endless()));
+        for th in 1..=n {
+            hook.gate(p(9, th)); // the state is unknown: everyone passes
+        }
+        hook.on_commit(p(0, 0));
+        hook
+    }
+
+    #[test]
+    fn two_threads_blocked_on_one_word_release_without_their_budget() {
+        // Threads 2 and 3 both block on A; neither can move the word
+        // until one is released. The first to see the other blocked
+        // releases at once, then parks, which releases the second.
+        let hook = blocked_hook(3);
+        let gates: Vec<_> = [2u16, 3]
+            .into_iter()
+            .map(|th| {
+                let hook = Arc::clone(&hook);
+                std::thread::spawn(move || {
+                    hook.gate(p(0, th));
+                    hook.park(ThreadId(th));
+                })
+            })
+            .collect();
+        hook.park(ThreadId(1)); // thread 1 could wake them; it stays out
+        gates.into_iter().for_each(returns_soon);
+        let stats = hook.stats();
+        assert_eq!((stats.waited, stats.released), (0, 2));
+    }
+
+    #[test]
+    fn a_parked_peer_releases_the_waiter_at_once() {
+        let hook = blocked_hook(2);
+        hook.park(ThreadId(1));
+        let waiter = Arc::clone(&hook);
+        returns_soon(std::thread::spawn(move || waiter.gate(p(0, 2))));
+        assert_eq!(hook.stats().released, 1);
+        // A later gate by the parked thread marks it running again.
+        hook.gate(p(0, 1));
+        assert_eq!(hook.slots.get(1).load(Ordering::Relaxed), RUNNING);
+    }
+
+    /// Start a gate of `p(0,2)` and check it is still waiting 20 ms
+    /// later; a commit into an unknown state then lets it pass.
+    fn keeps_waiting_until_a_commit(hook: &Arc<GuidedHook>) {
+        let waiter = {
+            let hook = Arc::clone(hook);
+            std::thread::spawn(move || hook.gate(p(0, 2)))
+        };
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!waiter.is_finished(), "the gate gave up a wait a peer could end");
+        hook.on_commit(p(5, 5)); // unknown state: everything allowed
+        returns_soon(waiter);
+        let stats = hook.stats();
+        assert_eq!((stats.waited, stats.released), (1, 0));
+    }
+
+    #[test]
+    fn a_peer_blocked_on_a_stale_word_keeps_the_waiter_waiting() {
+        // Thread 1's slot names a word the state has since left: it is
+        // about to re-examine, may pass and commit, and so can wake the
+        // waiter blocked on A.
+        let hook = blocked_hook(2);
+        let stale = pack_state(0, hook.current_tag().1 ^ 1);
+        hook.slots.get(1).store(stale, Ordering::SeqCst);
+        keeps_waiting_until_a_commit(&hook);
+    }
+
+    #[test]
+    fn a_gate_by_an_id_at_or_above_slots_disables_the_rule() {
+        // Thread 2 is the only gater below SLOTS, which alone would
+        // release it at once; but the id SLOTS + 1 aliases onto slot 1,
+        // so no slot can be trusted.
+        let hook = Arc::new(GuidedHook::new(two_state_model(), endless()));
+        let far = ThreadId(SLOTS as u16 + 1);
+        hook.gate(Pair::new(TxnId(9), far));
+        hook.park(far); // ignored: it would mark slot 1 parked
+        assert_eq!(hook.slots.get(1).load(Ordering::Relaxed), RUNNING);
+        hook.on_commit(p(0, 0));
+        keeps_waiting_until_a_commit(&hook);
     }
 
     #[test]

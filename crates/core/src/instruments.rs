@@ -12,7 +12,7 @@ use crate::contention::ContentionTracker;
 use crate::events::{Abort, TxResult};
 use crate::faultinject::{spin_for, FaultPlan, FaultSite, InjectedFault};
 use crate::guidance::{GuidanceHook, NoopHook};
-use crate::ids::Pair;
+use crate::ids::{Pair, ThreadId};
 use crate::rng::Interleave;
 use crate::stats::ThreadStats;
 use crate::telemetry::{Telemetry, TraceKind};
@@ -85,6 +85,21 @@ impl Instruments {
         if wait_ns >= 1_000 {
             t.trace(me, TraceKind::GateWait { wait_ns });
         }
+    }
+
+    /// Run `f` with `thread` parked at the hook ([`GuidanceHook::park`]):
+    /// for a wait outside any attempt, such as a barrier.
+    pub fn parked<R>(&self, thread: ThreadId, f: impl FnOnce() -> R) -> R {
+        self.hook.park(thread);
+        let r = f();
+        self.hook.unpark(thread);
+        r
+    }
+
+    /// Park `thread` at the hook for good: its context is gone. A later
+    /// gate under the same id marks it running again.
+    pub fn retire(&self, thread: ThreadId) {
+        self.hook.park(thread);
     }
 
     /// Record a transaction that committed after `retries` aborts, with

@@ -411,19 +411,18 @@ mod tests {
 
     #[test]
     fn tiny_trunk_is_clean_and_por_agrees_with_full_search() {
-        let with_por = explore(&tiny(), ExploreOptions::default());
-        assert!(with_por.violation.is_none(), "{:?}", with_por.violation);
-        assert!(!with_por.truncated);
-        let full = explore(
-            &tiny(),
-            ExploreOptions { por: false, ..ExploreOptions::default() },
-        );
-        assert!(full.violation.is_none());
-        // The reduced search must touch no more than the full one.
-        assert!(with_por.transitions <= full.transitions);
-        assert!(with_por.states <= full.states);
-        // And the full stateful search must cover the whole graph.
-        assert_eq!(Some(full.states), full.naive_states);
+        for cfg in [tiny(), tiny().fixed_twin()] {
+            let with_por = explore(&cfg, ExploreOptions::default());
+            assert!(with_por.violation.is_none(), "{:?}", with_por.violation);
+            assert!(!with_por.truncated);
+            let full = explore(&cfg, ExploreOptions { por: false, ..ExploreOptions::default() });
+            assert!(full.violation.is_none());
+            // The reduced search must touch no more than the full one.
+            assert!(with_por.transitions <= full.transitions);
+            assert!(with_por.states <= full.states);
+            // And the full stateful search must cover the whole graph.
+            assert_eq!(Some(full.states), full.naive_states);
+        }
     }
 
     #[test]
@@ -437,12 +436,13 @@ mod tests {
     #[test]
     fn mutations_are_caught_in_the_tiny_model_where_reachable() {
         // The gate-protocol mutations need only the gate + swap machinery
-        // and are reachable even at 2×1.
+        // and are reachable even at 2×1; the scan's needs the fixed twin.
         for (m, kind) in [
             (Mutation::SkipReleaseRecheck, ViolationKind::ReleasedWhileAllowed),
             (Mutation::NoRelease, ViolationKind::GateUnbounded),
+            (Mutation::StaleBlockedWord, ViolationKind::ReleasedWhileWakeable),
         ] {
-            let cfg = MckConfig { mutation: Some(m), ..tiny() };
+            let cfg = tiny().reaching(m);
             let r = explore(&cfg, ExploreOptions { count_naive: false, ..Default::default() });
             let (schedule, v) = r.violation.unwrap_or_else(|| panic!("{m} not caught"));
             assert_eq!(v.kind, kind, "{m}");

@@ -48,6 +48,28 @@
 //!    plus the adjacent word store; a hot-swap can land between
 //!    CommitEntry and CommitApply, which is exactly the race the
 //!    `TornEpochTag` monitor watches.
+//!
+//! With [`MckConfig::fixed_model`] the machine models a fixed-model hook
+//! and its early release (DESIGN.md §4). Each worker then owns a gate
+//! slot — not yet a gater, running, parked, or blocked on a word — and
+//! takes three more kinds of step:
+//!
+//! * **GateBlock** — after a non-final check found the word disallowed,
+//!   store that word in the thread's slot (the store half of the
+//!   store-then-load handshake, so it is a step of its own).
+//! * **GateScan** — one scan of the other gaters' slots and the current
+//!   word before a wait round. When every other gater is parked or
+//!   blocked on the word the thread is blocked on, and the word still
+//!   reads that, the gate skips its remaining budget for the final
+//!   re-examination; otherwise the next check runs as usual. One scan per
+//!   wait covers every real wait: earlier rounds' scans that came out
+//!   false are loads with no effect.
+//! * **Retire** — after the last window the thread's context drops and
+//!   parks its slot for good.
+//!
+//! GateEntry also registers the thread as a gater and marks its slot
+//! running; the gate sets its slot running again when it resolves,
+//! before the outcome reaches the breaker.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -55,6 +77,7 @@ use std::sync::{Arc, Mutex};
 use super::Mutation;
 use crate::adapt::{pack_state, unpack_state};
 use crate::config::GuidanceConfig;
+use crate::guidance::{PARKED, RUNNING};
 use crate::ids::{Pair, ThreadId, TxnId};
 use crate::tsa::{GuidedModel, StateId, Tsa};
 use crate::tss::StateKey;
@@ -127,6 +150,11 @@ pub struct MckConfig {
     pub breaker: Option<MckBreakerConfig>,
     /// Tfactor for the seed model and every rebuilt epoch.
     pub tfactor: f64,
+    /// Model a fixed-model hook: gate slots, the early release and
+    /// retirement (module docs). Off = the adaptive hook the conformance
+    /// bridge drives, exactly as before the early release existed. A
+    /// fixed model is never swapped, so this requires `swaps == 0`.
+    pub fixed_model: bool,
     /// The flipped protocol decision, if any.
     pub mutation: Option<Mutation>,
 }
@@ -142,6 +170,7 @@ impl Default for MckConfig {
             swaps: 1,
             breaker: Some(MckBreakerConfig::default()),
             tfactor: 4.0,
+            fixed_model: false,
             mutation: None,
         }
     }
@@ -152,6 +181,19 @@ impl MckConfig {
     /// and hot-swap all enabled (the acceptance configuration).
     pub fn ci() -> Self {
         MckConfig::default()
+    }
+
+    /// The same geometry gated by a fixed model: no manager, and the
+    /// early release and retirement modeled.
+    pub fn fixed_twin(&self) -> Self {
+        MckConfig { fixed_model: true, swaps: 0, ..self.clone() }
+    }
+
+    /// This configuration with `mutation` flipped, under the gating it
+    /// needs: a fixed-model site runs on the fixed twin.
+    pub fn reaching(&self, mutation: Mutation) -> Self {
+        let base = if mutation.needs_fixed_model() { self.fixed_twin() } else { self.clone() };
+        MckConfig { mutation: Some(mutation), ..base }
     }
 
     /// Validate bounds the machine's packing relies on.
@@ -169,6 +211,9 @@ impl MckConfig {
                 "config out of model bounds (threads 1..=16, windows 1..=8, txns >= 1, \
                  k 1..=8, swaps <= 8): {self:?}"
             ));
+        }
+        if self.fixed_model && self.swaps > 0 {
+            return Err("a fixed model is never hot-swapped: fixed_model needs swaps = 0".into());
         }
         if let Some(b) = &self.breaker {
             if b.window == 0 || b.probe_window == 0 || b.cooldown == 0 {
@@ -246,6 +291,10 @@ pub enum ViolationKind {
     TornEpochTag,
     /// Gate outcome counters do not partition the resolved call count.
     OutcomePartition,
+    /// A fixed-model gate skipped its budget while some other gater was
+    /// neither parked nor blocked on the current word — a thread that
+    /// could still commit and wake it.
+    ReleasedWhileWakeable,
 }
 
 impl ViolationKind {
@@ -259,6 +308,7 @@ impl ViolationKind {
             ViolationKind::UnpublishedEpoch => "unpublished-epoch",
             ViolationKind::TornEpochTag => "torn-epoch-tag",
             ViolationKind::OutcomePartition => "outcome-partition",
+            ViolationKind::ReleasedWhileWakeable => "released-while-wakeable",
         }
     }
 
@@ -272,6 +322,7 @@ impl ViolationKind {
             ViolationKind::UnpublishedEpoch,
             ViolationKind::TornEpochTag,
             ViolationKind::OutcomePartition,
+            ViolationKind::ReleasedWhileWakeable,
         ]
         .into_iter()
         .find(|k| k.name() == s)
@@ -297,35 +348,42 @@ pub struct Violation {
 
 /// Shared-word footprint of one step, as read/write bitmasks. Bits:
 /// current word, EpochCell generation, breaker word, recorded Tseq, then
-/// one bit per abort shard.
+/// one bit per abort shard and one per gate slot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Footprint {
     /// Words read.
-    reads: u32,
+    reads: u64,
     /// Words written.
-    writes: u32,
+    writes: u64,
 }
 
 /// The packed current-state word.
-const W_CUR: u32 = 1 << 0;
+const W_CUR: u64 = 1 << 0;
 /// The EpochCell generation counter (and the published model list).
-const W_GEN: u32 = 1 << 1;
+const W_GEN: u64 = 1 << 1;
 /// The breaker's state + window counters (coarsened to one word).
-const W_BRK: u32 = 1 << 2;
+const W_BRK: u64 = 1 << 2;
 /// The recorded Tseq / sliding window.
-const W_REC: u32 = 1 << 3;
+const W_REC: u64 = 1 << 3;
 
 /// The abort shard of worker `t`.
-fn w_shard(t: u16) -> u32 {
+fn w_shard(t: u16) -> u64 {
     1 << (4 + t as u32)
 }
 
+/// The gate slot of worker `t`, with its gater bit (fixed model only).
+/// The real gater bitmap bit is written once, by its owner, at the same
+/// gate entry that marks the slot running, so the two are one word here.
+fn w_slot(t: u16) -> u64 {
+    1 << (20 + t as u32)
+}
+
 impl Footprint {
-    fn read(&mut self, w: u32) {
+    fn read(&mut self, w: u64) {
         self.reads |= w;
     }
 
-    fn write(&mut self, w: u32) {
+    fn write(&mut self, w: u64) {
         self.writes |= w;
     }
 
@@ -565,9 +623,12 @@ impl BreakerModel {
 enum Phase {
     GateEntry,
     GateCheck,
+    GateBlock,
+    GateScan,
     AbortStep,
     CommitEntry,
     CommitApply,
+    Retire,
     Done,
 }
 
@@ -580,6 +641,9 @@ impl Phase {
             Phase::CommitEntry => 3,
             Phase::CommitApply => 4,
             Phase::Done => 5,
+            Phase::GateBlock => 6,
+            Phase::GateScan => 7,
+            Phase::Retire => 8,
         }
     }
 }
@@ -594,6 +658,13 @@ struct ThreadCtx {
     /// Current-word examinations this gate call has performed.
     checks: u32,
     gate_waited: bool,
+    /// Whether the thread has gated (its gater bit; fixed model only).
+    gater: bool,
+    /// Its gate slot: `RUNNING`, `PARKED` or the word it is blocked on.
+    slot: u64,
+    /// The disallowed word the last check loaded, until GateBlock
+    /// stores it (0 otherwise).
+    seen: u64,
 }
 
 /// Rebuilt-model cache shared by every state cloned from one `initial`:
@@ -670,6 +741,9 @@ impl MachineState {
                 pinned: 0,
                 checks: 0,
                 gate_waited: false,
+                gater: false,
+                slot: RUNNING,
+                seen: 0,
             })
             .collect();
         MachineState {
@@ -777,6 +851,12 @@ impl MachineState {
         out.push(shard_sig);
         if let Some(b) = &self.breaker {
             b.encode(&mut out);
+        }
+        if self.cfg.fixed_model {
+            for t in &self.threads {
+                out.push(t.slot);
+                out.push(t.seen << 1 | t.gater as u64);
+            }
         }
         out
     }
@@ -894,6 +974,16 @@ impl MachineState {
         match phase {
             Phase::GateEntry => self.gate_entry(t, fp),
             Phase::GateCheck => self.gate_check(t, fp),
+            Phase::GateBlock => {
+                // The blocked word goes into the slot before the first
+                // wait round on it.
+                fp.write(w_slot(t));
+                let ctx = &mut self.threads[t as usize];
+                ctx.slot = std::mem::take(&mut ctx.seen);
+                ctx.phase = Phase::GateScan;
+                None
+            }
+            Phase::GateScan => self.gate_scan(t, fp),
             Phase::AbortStep => self.abort_step(t, fp),
             Phase::CommitEntry => {
                 // Mirror of on_commit's own EpochCell::with.
@@ -905,6 +995,14 @@ impl MachineState {
                 None
             }
             Phase::CommitApply => self.commit_apply(t, fp),
+            Phase::Retire => {
+                // The context drops: park the slot for good.
+                fp.write(w_slot(t));
+                let ctx = &mut self.threads[t as usize];
+                ctx.slot = PARKED;
+                ctx.phase = Phase::Done;
+                None
+            }
             Phase::Done => unreachable!("Done agents are never enabled"),
         }
     }
@@ -913,6 +1011,13 @@ impl MachineState {
     /// coarsening argument).
     fn gate_entry(&mut self, t: u16, fp: &mut Footprint) -> Option<Violation> {
         self.gate_calls += 1;
+        let ctx = &mut self.threads[t as usize];
+        if self.cfg.fixed_model && !(ctx.gater && ctx.slot == RUNNING) {
+            // Register as a gater and mark the slot running.
+            fp.write(w_slot(t));
+            ctx.gater = true;
+            ctx.slot = RUNNING;
+        }
         if self.breaker.is_some() {
             fp.read(W_BRK);
             if self.breaker.as_ref().unwrap().bypass() {
@@ -954,9 +1059,14 @@ impl MachineState {
                 let outcome = if waited { Outcome::Waited } else { Outcome::Passed };
                 return self.resolve_gate(t, outcome, fp);
             }
+            let fixed = self.cfg.fixed_model;
             let ctx = &mut self.threads[t as usize];
             ctx.checks += 1;
             ctx.gate_waited = true;
+            if fixed {
+                ctx.seen = self.current;
+                ctx.phase = Phase::GateBlock;
+            }
             return None;
         }
         // The final re-examination after the retry budget.
@@ -981,6 +1091,44 @@ impl MachineState {
                 }
             }
         }
+    }
+
+    /// One scan before a wait round (fixed model): skip to the final
+    /// re-examination when no other gater can move the word off the one
+    /// this thread is blocked on. Mirror of `GuidedHook::nobody_can_wake`
+    /// with its loads coarsened into one step; the
+    /// `ReleasedWhileWakeable` monitor judges the skip against the true
+    /// slots and word.
+    fn gate_scan(&mut self, t: u16, fp: &mut Footprint) -> Option<Violation> {
+        let cur = self.threads[t as usize].slot;
+        let peers: Vec<(u16, u64)> = (0..self.cfg.threads)
+            .filter(|&u| u != t && self.threads[u as usize].gater)
+            .map(|u| (u, self.threads[u as usize].slot))
+            .collect();
+        peers.iter().for_each(|&(u, _)| fp.read(w_slot(u)));
+        fp.read(W_CUR);
+        // MUTATION stale-blocked-word: any blocked peer counts as blocked,
+        // whatever word it is blocked on.
+        let stale_ok = self.cfg.mutation == Some(Mutation::StaleBlockedWord);
+        let release = self.current == cur
+            && peers.iter().all(|&(_, slot)| {
+                slot == PARKED || slot == cur || stale_ok && slot != RUNNING
+            });
+        self.threads[t as usize].phase = Phase::GateCheck;
+        if !release {
+            return None;
+        }
+        self.threads[t as usize].checks = self.cfg.k_retries;
+        let &(waker, slot) =
+            peers.iter().find(|&&(_, slot)| slot != PARKED && slot != self.current)?;
+        Some(self.violation(
+            ViolationKind::ReleasedWhileWakeable,
+            t,
+            format!(
+                "thread {t} skipped its wait on {cur:#x} while thread {waker}'s slot holds \
+                 {slot:#x}"
+            ),
+        ))
     }
 
     /// Count one gate resolution — mirror of `count_outcome`, including
@@ -1014,6 +1162,11 @@ impl MachineState {
             Outcome::Passed => self.passed += 1,
             Outcome::Waited => self.waited += 1,
             Outcome::Released => self.released += 1,
+        }
+        if self.threads[t as usize].slot != RUNNING {
+            // Leave the blocked state before the breaker can move the word.
+            fp.write(w_slot(t));
+            self.threads[t as usize].slot = RUNNING;
         }
         let mut edge = None;
         if let (Some(b), Some(bc)) = (&mut self.breaker, &self.cfg.breaker) {
@@ -1136,7 +1289,7 @@ impl MachineState {
             ctx.must_abort = self.cfg.wants_abort(t, next_window);
         } else {
             ctx.window = next_window;
-            ctx.phase = Phase::Done;
+            ctx.phase = if self.cfg.fixed_model { Phase::Retire } else { Phase::Done };
         }
         None
     }
@@ -1185,7 +1338,21 @@ impl MachineState {
         if ctx.phase == Phase::Done {
             return fp;
         }
-        let gates_ahead = matches!(ctx.phase, Phase::GateEntry | Phase::GateCheck)
+        if self.cfg.fixed_model {
+            // Entry, block, resolve and retire write the slot; a scan
+            // reads every slot (and the word, added below).
+            fp.write(w_slot(t));
+            if ctx.phase == Phase::Retire {
+                return fp;
+            }
+            for u in 0..self.cfg.threads {
+                fp.read(w_slot(u));
+            }
+        }
+        let gates_ahead = matches!(
+            ctx.phase,
+            Phase::GateEntry | Phase::GateCheck | Phase::GateBlock | Phase::GateScan
+        )
             || ctx.must_abort
             || ctx.phase == Phase::AbortStep
             || ctx.window + 1 < self.cfg.windows;
@@ -1482,11 +1649,53 @@ mod tests {
         assert_eq!(v.kind, ViolationKind::TornEpochTag);
     }
 
+    /// Step `t` through `phases` of one gate, asserting each step is clean.
+    fn steps(s: &mut MachineState, t: u16, phases: &[Phase]) {
+        for &phase in phases {
+            assert_eq!(s.threads[t as usize].phase, phase);
+            let eff = s.step(t);
+            assert!(eff.violation.is_none(), "{:?}", eff.violation);
+            *s = eff.state;
+        }
+    }
+
+    #[test]
+    fn a_fixed_model_gate_skips_its_budget_only_when_no_gater_can_wake_it() {
+        use Phase::*;
+        let cfg = MckConfig { k_retries: 3, abort_mask: 0, breaker: None, ..MckConfig::ci() }
+            .fixed_twin();
+        let mut s = MachineState::initial(&cfg);
+        // t0 commits window 0 (the unknown word passes it): the word now
+        // allows only t1, which has never gated.
+        assert!(s.run_op(0, 64).is_none());
+        assert!(s.run_op(0, 64).is_none());
+        // t2 blocks on that word; t0 is a running gater, so t2 waits on.
+        steps(&mut s, 2, &[GateEntry, GateCheck, GateBlock, GateScan]);
+        assert_eq!(s.threads[2].checks, 1, "a running peer keeps the wait");
+        // t0 blocks on the same word: t2 is blocked on it and t1 cannot
+        // commit without gating, so t0 skips to its final examination.
+        steps(&mut s, 0, &[GateEntry, GateCheck, GateBlock, GateScan]);
+        assert_eq!(s.threads[0].checks, cfg.k_retries, "early release");
+        let released = s.released;
+        steps(&mut s, 0, &[GateCheck]);
+        assert_eq!(s.released, released + 1);
+        assert_eq!(s.threads[0].slot, RUNNING, "a resolved gate is running again");
+    }
+
+    #[test]
+    fn fixed_model_threads_retire_parked() {
+        let s = drain(&MckConfig::ci().fixed_twin());
+        assert_eq!(s.check_complete(), None);
+        assert!(s.threads.iter().all(|t| t.gater && t.slot == PARKED));
+    }
+
     #[test]
     fn config_validation_rejects_out_of_bound_models() {
         assert!(MckConfig { threads: 0, ..MckConfig::ci() }.validate().is_err());
         assert!(MckConfig { threads: 17, ..MckConfig::ci() }.validate().is_err());
         assert!(MckConfig { k_retries: 0, ..MckConfig::ci() }.validate().is_err());
+        assert!(MckConfig { fixed_model: true, ..MckConfig::ci() }.validate().is_err());
+        assert!(MckConfig::ci().fixed_twin().validate().is_ok());
         assert!(MckConfig::ci().validate().is_ok());
     }
 }

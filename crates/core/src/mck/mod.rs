@@ -32,7 +32,8 @@
 //! A checker that cannot find bugs proves nothing, so the machine has a
 //! built-in mutation mode: [`Mutation`] flips exactly one protocol decision
 //! (skip the release re-check, never release, jump the breaker two rungs,
-//! never judge the Half-Open probe, tag a commit with the wrong epoch) and
+//! never judge the Half-Open probe, tag a commit with the wrong epoch,
+//! count a peer blocked on a stale word as unable to wake a waiter) and
 //! the explorer must produce a counterexample for every site. The mutation
 //! list is the regression suite for the checker itself.
 //!
@@ -49,6 +50,9 @@
 //! * **No torn model reads** — the current word's `(epoch, state)` tag
 //!   always names a published generation, and the state id is the id the
 //!   *tagged* epoch's model assigns to the committed key.
+//! * **No futile-only early release** — on a fixed model, a gate skips
+//!   its budget only while every other gater is parked or blocked on the
+//!   current word, so no thread that could still wake it is running.
 //! * **Bounded liveness** — no thread is gated past `k_retries + 1`
 //!   examinations (the k-retry release fires on every path), and Half-Open
 //!   judges within `probe_window` calls (it always reaches Closed or
@@ -82,16 +86,21 @@ pub enum Mutation {
     /// current word with the *latest* generation: caught by
     /// `TornEpochTag`.
     TornRetag,
+    /// A fixed-model gate's scan counts a peer blocked on *any* word as
+    /// unable to wake it, without comparing that word to the current
+    /// one: caught by `ReleasedWhileWakeable`.
+    StaleBlockedWord,
 }
 
 impl Mutation {
     /// Every mutation site, in CLI/reporting order.
-    pub const ALL: [Mutation; 5] = [
+    pub const ALL: [Mutation; 6] = [
         Mutation::SkipReleaseRecheck,
         Mutation::NoRelease,
         Mutation::TwoRungClose,
         Mutation::ProbeNoJudge,
         Mutation::TornRetag,
+        Mutation::StaleBlockedWord,
     ];
 
     /// Stable name used by `--mutate=SITE` and the schedule file header.
@@ -102,7 +111,14 @@ impl Mutation {
             Mutation::TwoRungClose => "two-rung-close",
             Mutation::ProbeNoJudge => "probe-no-judge",
             Mutation::TornRetag => "torn-retag",
+            Mutation::StaleBlockedWord => "stale-blocked-word",
         }
+    }
+
+    /// Whether the site exists only on a fixed-model hook (see
+    /// [`MckConfig::reaching`]).
+    pub(crate) fn needs_fixed_model(self) -> bool {
+        self == Mutation::StaleBlockedWord
     }
 
     /// Inverse of [`Mutation::name`].

@@ -23,7 +23,8 @@
 //! schedule 0 0 0 1 2
 //! ```
 //!
-//! The `breaker` line is omitted when the breaker is off; floats use
+//! The `config` line carries `model=fixed` only for a fixed-model
+//! configuration. The `breaker` line is omitted when the breaker is off; floats use
 //! Rust's shortest round-trip `Display`, so parsing is exact.
 
 use std::fmt::Write as _;
@@ -133,6 +134,9 @@ impl Counterexample {
             "config threads={} windows={} txns={} k={} abort-mask={:#x} swaps={} tfactor={}",
             c.threads, c.windows, c.txns, c.k_retries, c.abort_mask, c.swaps, c.tfactor
         );
+        if c.fixed_model {
+            out.push_str(" model=fixed");
+        }
         if let Some(m) = c.mutation {
             let _ = write!(out, " mutation={}", m.name());
         }
@@ -211,6 +215,13 @@ impl Counterexample {
                                 c.tfactor = v
                                     .parse()
                                     .map_err(|_| format!("bad tfactor {v:?}"))?
+                            }
+                            "model" => {
+                                c.fixed_model = match v {
+                                    "fixed" => true,
+                                    "adaptive" => false,
+                                    _ => return Err(format!("unknown model {v:?}")),
+                                }
                             }
                             "mutation" => {
                                 c.mutation = Some(
@@ -348,13 +359,8 @@ mod tests {
     use super::*;
 
     fn witness(mutation: Mutation) -> Counterexample {
-        let cfg = MckConfig {
-            threads: 2,
-            windows: 2,
-            abort_mask: 0,
-            mutation: Some(mutation),
-            ..MckConfig::ci()
-        };
+        let cfg = MckConfig { threads: 2, windows: 2, abort_mask: 0, ..MckConfig::ci() }
+            .reaching(mutation);
         let r = explore(
             &cfg,
             ExploreOptions { count_naive: false, ..ExploreOptions::default() },
@@ -365,17 +371,20 @@ mod tests {
 
     #[test]
     fn capture_serialize_parse_verify_round_trips() {
-        let ce = witness(Mutation::NoRelease);
-        let text = ce.to_text();
-        let parsed = Counterexample::parse(&text).expect("parses");
-        assert_eq!(parsed.schedule, ce.schedule);
-        assert_eq!(parsed.violation, ce.violation);
-        assert_eq!(parsed.fingerprint, ce.fingerprint);
-        // Bit-identical replay, twice, from the parsed copy.
-        let a = parsed.verify().expect("first replay");
-        let b = parsed.verify().expect("second replay");
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.fingerprint, ce.fingerprint);
+        for m in [Mutation::NoRelease, Mutation::StaleBlockedWord] {
+            let ce = witness(m);
+            let text = ce.to_text();
+            let parsed = Counterexample::parse(&text).expect("parses");
+            assert_eq!(parsed.config.fixed_model, m.needs_fixed_model(), "{m}");
+            assert_eq!(parsed.schedule, ce.schedule);
+            assert_eq!(parsed.violation, ce.violation);
+            assert_eq!(parsed.fingerprint, ce.fingerprint);
+            // Bit-identical replay, twice, from the parsed copy.
+            let a = parsed.verify().expect("first replay");
+            let b = parsed.verify().expect("second replay");
+            assert_eq!(a.fingerprint, b.fingerprint);
+            assert_eq!(a.fingerprint, ce.fingerprint);
+        }
     }
 
     #[test]

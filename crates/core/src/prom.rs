@@ -5,11 +5,13 @@
 //! its one `# TYPE name kind` line, then its `name{k="v",…} value`
 //! samples. Values and label values are `impl Display`, so each caller
 //! keeps its own number formatting (`{:.3}` ratios, `{:#x}` addresses).
-//! Label values are written verbatim; none the workspace writes holds a
-//! `"`, `\`, `,`, `=` or newline.
+//! Label values are escaped as the text format specifies: `\`, `"` and
+//! newline become `\\`, `\"` and `\n`.
 //!
 //! Readers use [`parse`], which takes `name{k="v",…} value` lines and
 //! skips blank lines and `#` comments, so `# TYPE` lines are optional.
+//! A quoted label value is read up to its closing quote, with those
+//! escapes undone, so it may hold any character.
 
 use std::fmt::{Display, Write as _};
 
@@ -101,12 +103,31 @@ impl Writer {
         let _ = write!(self.out, "{name}{suffix}");
         for (i, (k, v)) in labels.iter().enumerate() {
             let open = if i == 0 { '{' } else { ',' };
-            let _ = write!(self.out, "{open}{k}=\"{v}\"");
+            let _ = write!(self.out, "{open}{k}=\"");
+            let _ = write!(Escaped(&mut self.out), "{v}");
+            self.out.push('"');
         }
         if !labels.is_empty() {
             self.out.push('}');
         }
         let _ = writeln!(self.out, " {value}");
+    }
+}
+
+/// Writes into the string it wraps with label-value escapes applied.
+struct Escaped<'a>(&'a mut String);
+
+impl std::fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for c in s.chars() {
+            match c {
+                '\\' => self.0.push_str("\\\\"),
+                '"' => self.0.push_str("\\\""),
+                '\n' => self.0.push_str("\\n"),
+                c => self.0.push(c),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -191,16 +212,7 @@ pub fn parse(text: &str) -> Result<Exposition, String> {
                 let body = rest
                     .strip_suffix('}')
                     .ok_or_else(|| err("unterminated labels"))?;
-                let mut labels = Vec::new();
-                for pair in body.split(',').filter(|p| !p.is_empty()) {
-                    let (k, v) = pair.split_once('=').ok_or_else(|| err("bad label"))?;
-                    let v = v
-                        .strip_prefix('"')
-                        .and_then(|v| v.strip_suffix('"'))
-                        .ok_or_else(|| err("unquoted label value"))?;
-                    labels.push((k.to_string(), v.to_string()));
-                }
-                (name.to_string(), labels)
+                (name.to_string(), parse_labels(body).map_err(err)?)
             }
         };
         samples.push(Sample {
@@ -210,6 +222,35 @@ pub fn parse(text: &str) -> Result<Exposition, String> {
         });
     }
     Ok(Exposition { samples })
+}
+
+/// Parse the `k="v",…` body of a label set, undoing the value escapes.
+fn parse_labels(mut body: &str) -> Result<Vec<(String, String)>, &'static str> {
+    let mut labels = Vec::new();
+    while !body.is_empty() {
+        let (k, rest) = body.split_once('=').ok_or("bad label")?;
+        let mut chars = rest.strip_prefix('"').ok_or("unquoted label value")?.char_indices();
+        let mut v = String::new();
+        let end = loop {
+            match chars.next().ok_or("unterminated label value")? {
+                (i, '"') => break i,
+                (_, '\\') => v.push(match chars.next().ok_or("unterminated label value")?.1 {
+                    'n' => '\n',
+                    c @ ('\\' | '"') => c,
+                    _ => return Err("bad escape in label value"),
+                }),
+                (_, c) => v.push(c),
+            }
+        };
+        labels.push((k.to_string(), v));
+        body = &rest[end + 2..];
+        body = match body.strip_prefix(',') {
+            Some(next) => next,
+            None if body.is_empty() => body,
+            None => return Err("bad label"),
+        };
+    }
+    Ok(labels)
 }
 
 #[cfg(test)]
@@ -275,6 +316,36 @@ mod tests {
     }
 
     #[test]
+    fn label_values_with_special_characters_round_trip() {
+        let values = [
+            "a,b=c",
+            "{x}",
+            "two words",
+            "back\\slash",
+            "say \"hi\"",
+            "line\nbreak",
+            "\\\"} 9",
+            "",
+        ];
+        let mut w = Writer::new();
+        let mut f = w.family("m", Kind::Gauge);
+        for (i, v) in values.iter().enumerate() {
+            f.sample(&[("v", v), ("i", &i)], i);
+        }
+        let text = w.finish();
+        assert!(text.contains(r#"m{v="back\\slash",i="3"} 3"#), "{text}");
+        assert!(text.contains(r#"m{v="say \"hi\"",i="4"} 4"#), "{text}");
+        assert!(text.contains(r#"m{v="line\nbreak",i="5"} 5"#), "{text}");
+        assert_eq!(text.lines().count(), values.len() + 1, "one line per sample");
+        let p = parse(&text).unwrap();
+        for (i, v) in values.iter().enumerate() {
+            let want = vec![("v".to_string(), v.to_string()), ("i".to_string(), i.to_string())];
+            assert_eq!(p.samples[i].labels, want);
+            assert_eq!(p.samples[i].value, i as f64);
+        }
+    }
+
+    #[test]
     fn reader_skips_comments_and_names_the_bad_line() {
         let p = parse("# HELP x y\n\nx 1\n").unwrap();
         assert_eq!(p.samples.len(), 1);
@@ -284,6 +355,9 @@ mod tests {
             ("x{a=\"1\" 1", "unterminated labels"),
             ("x{a} 1", "bad label"),
             ("x{a=1} 1", "unquoted label value"),
+            ("x{a=\"1} 1", "unterminated label value"),
+            ("x{a=\"\\t\"} 1", "bad escape in label value"),
+            ("x{a=\"1\"b=\"2\"} 1", "bad label"),
         ] {
             let err = parse(&format!("ok 1\n{bad}\n")).unwrap_err();
             assert!(err.starts_with(&format!("prom line 2: {what}")), "{err}");

@@ -213,6 +213,13 @@ impl LtThreadCtx {
         r
     }
 
+    /// Run `f` — a wait outside any transaction, such as a barrier —
+    /// with this thread parked at the guidance hook, so that a gate
+    /// waiting for it to commit is released at once.
+    pub fn parked<R>(&self, f: impl FnOnce() -> R) -> R {
+        self.tm.instruments.parked(self.thread, f)
+    }
+
     /// Whether the thread's buffers are back home and empty — true
     /// between transactions.
     #[cfg(test)]
@@ -224,11 +231,19 @@ impl LtThreadCtx {
     }
 }
 
+impl Drop for LtThreadCtx {
+    /// The thread runs no more transactions here: retire it at the hook.
+    fn drop(&mut self) {
+        self.tm.instruments.retire(self.thread);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::object::TObject;
     use gstm_core::AnyLocation;
+    use gstm_core::{GuidanceHook, GuidedHook, Pair};
 
     #[test]
     fn counter_is_atomic() {
@@ -428,5 +443,44 @@ mod tests {
     fn oversized_thread_id_is_rejected() {
         let tm = LibTm::new(LibTmConfig::default());
         let _ = tm.register_as(ThreadId(SLOTS as u16));
+    }
+
+    /// A fixed guided hook whose model lets only thread 0 go after
+    /// thread 1 commits, with a budget no test could sit out.
+    fn after_thread_one_only_zero_goes() -> Arc<GuidedHook> {
+        use gstm_core::{GuidanceConfig, GuidedModel, StateKey, Tsa};
+        let [zero, one] = [0, 1].map(|t| StateKey::solo(Pair::new(TxnId(0), ThreadId(t))));
+        let run: Vec<_> = (0..8).flat_map(|_| [one.clone(), zero.clone()]).collect();
+        let cfg = GuidanceConfig {
+            k_retries: 1_000_000,
+            wait_spins: 1_000_000,
+            ..GuidanceConfig::default()
+        };
+        let model = GuidedModel::build(Tsa::from_runs(&[run]), &cfg);
+        Arc::new(GuidedHook::new(Arc::new(model), cfg))
+    }
+
+    /// Thread 2, which the model never lets go, gates: it returns only if
+    /// no other gater can wake it.
+    fn lone_waiter_returns(hook: &Arc<GuidedHook>) -> bool {
+        let hook = Arc::clone(hook);
+        let waiter =
+            std::thread::spawn(move || hook.gate(Pair::new(TxnId(0), ThreadId(2))));
+        let t0 = std::time::Instant::now();
+        while !waiter.is_finished() && t0.elapsed() < std::time::Duration::from_secs(5) {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        waiter.is_finished()
+    }
+
+    #[test]
+    fn dropping_a_context_retires_its_thread_at_the_hook() {
+        let hook = after_thread_one_only_zero_goes();
+        let tm = LibTm::with_hook(hook.clone(), LibTmConfig::default());
+        let mut ctx = tm.register_as(ThreadId(1));
+        ctx.atomically(TxnId(0), |_| Ok(()));
+        drop(ctx);
+        assert!(lone_waiter_returns(&hook), "thread 1 still counts as a waker");
+        assert_eq!(hook.stats().released, 1);
     }
 }

@@ -135,13 +135,13 @@ impl Benchmark for Genome {
                     inserted += 1;
                 }
             }
-            barrier.wait();
+            ctx.parked(|| barrier.wait());
             // Thread 0 snapshots the unique set for the next phases.
             if t == 0 {
                 let snap = ctx.atomically(TXN_DEDUP, |tx| unique.snapshot(tx));
                 let _ = unique_snapshot.set(snap);
             }
-            barrier.wait();
+            ctx.parked(|| barrier.wait());
             let uniq = unique_snapshot.get().expect("snapshot published");
 
             // ---- Phase 2a: publish prefix table ----
@@ -153,7 +153,7 @@ impl Benchmark for Genome {
                 let (key, pre) = (*key, pre);
                 ctx.atomically(TXN_PREFIX_TABLE, |tx| prefixes.insert(tx, pre, key));
             }
-            barrier.wait();
+            ctx.parked(|| barrier.wait());
 
             // ---- Phase 2b: match suffixes to prefixes and claim links ----
             let mut linked = 0u64;

@@ -245,14 +245,14 @@ fn play(tm: &Arc<LibTm>, cfg: &GameConfig) -> (FrameResult, Arc<World>) {
                 s.spawn(move || {
                     let mut ctx = tm.register_as(ThreadId(t));
                     for frame in 0..cfg.frames {
-                        barrier.wait();
+                        ctx.parked(|| barrier.wait());
                         let t0 = Instant::now();
                         for id in cfg.share(t) {
                             let action = cfg
                                 .action(frame, id, || world.players[id as usize].load_quiesced());
                             ctx.atomically(action.txn(), |tx| action.run(&world, tx, id));
                         }
-                        barrier.wait();
+                        ctx.parked(|| barrier.wait());
                         // Thread 0 owns the frame clock: the frame is done
                         // when every thread has passed the second barrier.
                         if t == 0 {
