@@ -36,9 +36,11 @@
 //! * **Commits** take the *single* commit-side lock, sweep the shards into
 //!   a reused scratch buffer, canonicalize it in place, classify the state
 //!   (model lookup by borrowed slice, via precomputed 64-bit hashes — see
-//!   [`crate::tsa`]), and append one owned [`StateKey`] to the recorded
-//!   Tseq. The common solo state (no aborts since the last commit)
-//!   allocates nothing.
+//!   [`crate::tsa`]), and append the state's 4-byte id in a per-run
+//!   table of distinct states to the recorded Tseq. One hash of the
+//!   window serves the model lookup and the table lookup; only a state
+//!   the run has not seen before is materialized into an owned
+//!   [`StateKey`].
 //! * **Gates** count their outcome, and commits count a state absent
 //!   from the model, in the caller's own shard, so neither writes a line
 //!   another thread writes.
@@ -73,7 +75,7 @@ use crate::ids::{Pair, ThreadId};
 use crate::rng::finalize;
 use crate::sync::{slot_of, Mutex, PerThread, SLOTS};
 use crate::telemetry::{GateOutcome, Telemetry, TraceKind};
-use crate::tsa::{GuidedModel, StateId};
+use crate::tsa::{GuidedModel, StateId, StateIndex};
 use crate::tss::{hash_parts, StateKey};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -142,16 +144,21 @@ struct Shard {
 
 /// Commit-side state, all behind one lock: the scratch buffer commits
 /// drain into (reused, so steady-state commits never allocate it) and
-/// the recorded Tseq. In adaptive mode the bounded sliding window model
-/// rebuilds train on is *derived* from `recorded` — every commit pushes
-/// exactly one key, so the window is always the last `window_cap`
-/// entries. Snapshots slice that suffix on demand; the commit itself
-/// does no window bookkeeping at all, so adaptation adds zero work (not
-/// even a clone) to the hot path.
+/// the recorded Tseq, kept as ids into the run's table of distinct
+/// states. In adaptive mode the bounded sliding window model rebuilds
+/// train on is *derived* from `recorded` — every commit pushes exactly
+/// one id, so the window is always the last `window_cap` entries.
+/// Snapshots materialize that suffix on demand; the commit itself does no
+/// window bookkeeping at all, so adaptation adds zero work to the hot
+/// path.
 #[derive(Default)]
 struct CommitSide {
     scratch: Vec<Pair>,
-    recorded: Vec<StateKey>,
+    /// The run's distinct states, in first-seen order, and their index.
+    states: Vec<StateKey>,
+    index: StateIndex,
+    /// The run's Tseq: one `states` id per commit.
+    recorded: Vec<StateId>,
     /// Sliding-window capacity; 0 disables window snapshots.
     window_cap: usize,
 }
@@ -217,13 +224,13 @@ impl StateTracker {
     }
 
     /// Form the state for a commit, record it, and hand the canonicalized
-    /// window to `classify` (borrowed — no allocation) before it is
-    /// materialized into the recorded Tseq. Returns `classify`'s result.
+    /// window and its [`hash_parts`] value to `classify` (borrowed — no
+    /// allocation) before it is recorded. Returns `classify`'s result.
     ///
     /// The whole drain-classify-record sequence runs under the single
     /// commit-side lock, so concurrent committers observe disjoint,
     /// complete windows.
-    fn commit_with<R>(&self, who: Pair, classify: impl FnOnce(&[Pair], Pair) -> R) -> R {
+    fn commit_with<R>(&self, who: Pair, classify: impl FnOnce(&[Pair], Pair, u64) -> R) -> R {
         let mut side = self.commit.lock();
         let side = &mut *side;
         side.scratch.clear();
@@ -236,8 +243,9 @@ impl StateTracker {
         }
         side.scratch.sort_unstable();
         side.scratch.dedup();
-        let result = classify(&side.scratch, who);
-        side.recorded.push(StateKey::from_sorted(&side.scratch, who));
+        let hash = hash_parts(&side.scratch, who);
+        let result = classify(&side.scratch, who, hash);
+        side.record(hash, who);
         result
     }
 
@@ -255,7 +263,7 @@ impl StateTracker {
             return Vec::new();
         }
         let start = side.recorded.len().saturating_sub(side.window_cap);
-        side.recorded[start..].to_vec()
+        side.materialize(&side.recorded[start..])
     }
 
     fn take_run(&self) -> Vec<StateKey> {
@@ -265,7 +273,37 @@ impl StateTracker {
             shard.pending.lock().clear();
         }
         side.scratch.clear();
-        std::mem::take(&mut side.recorded)
+        let run = side.materialize(&side.recorded);
+        side.recorded.clear();
+        side.states.clear();
+        side.index = StateIndex::default();
+        run
+    }
+}
+
+impl CommitSide {
+    /// Append the state that the scratch window and `commit` form, whose
+    /// [`hash_parts`] value is `hash`, to the recorded Tseq, interning it
+    /// in the run's table the first time the run sees it.
+    fn record(&mut self, hash: u64, commit: Pair) {
+        let (aborts, states) = (&self.scratch, &mut self.states);
+        let known = self
+            .index
+            .lookup(hash, |id| states[id.index()].matches_parts(aborts, commit));
+        let id = known.unwrap_or_else(|| {
+            let id = StateId(states.len() as u32);
+            states.push(StateKey::from_sorted(aborts, commit));
+            self.index.insert(hash, id);
+            id
+        });
+        self.recorded.push(id);
+    }
+
+    /// The states `ids` name, as owned keys.
+    fn materialize(&self, ids: &[StateId]) -> Vec<StateKey> {
+        ids.iter()
+            .map(|id| self.states[id.index()].clone())
+            .collect()
     }
 }
 
@@ -297,7 +335,7 @@ impl GuidanceHook for RecorderHook {
     }
 
     fn on_commit(&self, who: Pair) {
-        self.tracker.commit_with(who, |_, _| ());
+        self.tracker.commit_with(who, |_, _, _| ());
     }
 }
 
@@ -713,12 +751,12 @@ impl GuidedHook {
         epoch: u32,
         drift: Option<&DriftTracker>,
     ) {
-        // The state's identity is hashed under the commit lock only when
-        // a trace ring will record it.
+        // The state's hash names it in the trace only when a trace ring
+        // will record it.
         let trace_states = self.telemetry.as_ref().is_some_and(|t| t.trace_enabled());
-        let (id, key) = self.tracker.commit_with(who, |aborts, commit| {
-            let key = trace_states.then(|| hash_parts(aborts, commit));
-            (model.id_of_parts(aborts, commit), key)
+        let (id, key) = self.tracker.commit_with(who, |aborts, commit, hash| {
+            let key = trace_states.then_some(hash);
+            (model.tsa().id_of_hashed(hash, aborts, commit), key)
         });
         if let (Some(t), Some(key)) = (&self.telemetry, key) {
             t.trace(who, TraceKind::State { key });
@@ -867,6 +905,31 @@ mod tests {
         rec.on_commit(p(1, 0));
         let run = rec.take_run();
         assert_eq!(run, vec![StateKey::new(vec![p(0, 1), p(0, 1 + far)], p(1, 0))]);
+    }
+
+    #[test]
+    fn recorded_run_keeps_each_distinct_state_once() {
+        let rec = RecorderHook::new();
+        let aborted = |a: Vec<Pair>, c| (a, c);
+        // Five commits over three distinct states, two of them with aborts.
+        let commits = [
+            aborted(vec![p(0, 1)], p(1, 0)),
+            aborted(vec![], p(0, 0)),
+            aborted(vec![p(0, 1)], p(1, 0)),
+            aborted(vec![p(2, 2), p(0, 1)], p(1, 0)),
+            aborted(vec![], p(0, 0)),
+        ];
+        for (aborts, commit) in &commits {
+            for &a in aborts {
+                rec.on_abort(a, AbortCause::Validation);
+            }
+            rec.on_commit(*commit);
+        }
+        assert_eq!(rec.tracker.commit.lock().states.len(), 3, "one key per state");
+        let expected: Vec<StateKey> =
+            commits.into_iter().map(|(a, c)| StateKey::new(a, c)).collect();
+        assert_eq!(rec.take_run(), expected, "the run is the commit sequence");
+        assert!(rec.tracker.commit.lock().states.is_empty(), "take_run resets");
     }
 
     fn two_state_model() -> Arc<GuidedModel> {

@@ -25,7 +25,7 @@ pub struct StateId(pub u32);
 impl StateId {
     /// Raw index.
     #[inline]
-    fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -39,9 +39,10 @@ impl StateId {
 /// `states` vec — no `StateKey` construction, cloning, or SipHash on the
 /// query side. Collisions on the full 64-bit hash fall back to the
 /// caller-supplied equality predicate, so correctness never depends on
-/// hash quality.
+/// hash quality. The guided tracker reuses it to intern each run's
+/// states.
 #[derive(Clone, Debug, Default)]
-struct StateIndex {
+pub(crate) struct StateIndex {
     /// Power-of-two slot array; `id == EMPTY_SLOT` marks an empty slot.
     slots: Box<[(u64, u32)]>,
     len: usize,
@@ -60,7 +61,7 @@ impl StateIndex {
 
     /// Find the id whose slot hash equals `hash` and for which `eq` holds.
     #[inline]
-    fn lookup(&self, hash: u64, mut eq: impl FnMut(StateId) -> bool) -> Option<StateId> {
+    pub(crate) fn lookup(&self, hash: u64, mut eq: impl FnMut(StateId) -> bool) -> Option<StateId> {
         if self.slots.is_empty() {
             return None;
         }
@@ -80,7 +81,7 @@ impl StateIndex {
 
     /// Insert a (hash, id) pair. The caller guarantees the id is not
     /// already present under this hash.
-    fn insert(&mut self, hash: u64, id: StateId) {
+    pub(crate) fn insert(&mut self, hash: u64, id: StateId) {
         if self.slots.is_empty() {
             *self = Self::with_capacity(4);
         } else if (self.len + 1) * 4 > self.slots.len() * 3 {
@@ -218,7 +219,14 @@ impl Tsa {
     /// the borrowed parts directly instead of constructing a `StateKey`.
     #[inline]
     pub fn id_of_parts(&self, aborts: &[Pair], commit: Pair) -> Option<StateId> {
-        self.index.lookup(hash_parts(aborts, commit), |id| {
+        self.id_of_hashed(hash_parts(aborts, commit), aborts, commit)
+    }
+
+    /// [`Tsa::id_of_parts`] for a caller that already holds the parts'
+    /// [`hash_parts`] value.
+    #[inline]
+    pub(crate) fn id_of_hashed(&self, hash: u64, aborts: &[Pair], commit: Pair) -> Option<StateId> {
+        self.index.lookup(hash, |id| {
             self.states[id.index()].matches_parts(aborts, commit)
         })
     }

@@ -60,9 +60,9 @@ impl StateKey {
     ///
     /// This is the online tracker's constructor: the commit-side scratch
     /// buffer is canonicalized in place, looked up in the model by
-    /// reference, and only then materialized into an owned key for the
-    /// recorded Tseq — one boxed-slice copy, no intermediate `Vec`, and no
-    /// allocation at all for the common solo (no aborts) state.
+    /// reference, and materialized into an owned key only the first time
+    /// the run records that state — one boxed-slice copy, no intermediate
+    /// `Vec`, and no allocation at all for a solo (no aborts) state.
     pub fn from_sorted(aborts: &[Pair], commit: Pair) -> Self {
         debug_assert!(
             aborts.windows(2).all(|w| w[0] < w[1]),

@@ -1,6 +1,5 @@
 //! Transactional objects with visible readers.
 
-use gstm_core::sync::Mutex;
 use gstm_core::{Location, ThreadId};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -13,18 +12,31 @@ fn holder(word: u32) -> Option<ThreadId> {
     (word != UNLOCKED).then_some(ThreadId(word as u16))
 }
 
+/// `me`'s bit in a reader registry. Registration keeps ids below
+/// [`gstm_core::sync::SLOTS`] = 64, so every id owns one bit.
+fn reader_bit(me: ThreadId) -> u64 {
+    1 << me.index()
+}
+
 /// The protocol state of one object, apart from its value: committed
 /// version, writer lock and visible-reader registry. It is the header of
 /// the object's [`Location`], so the read and write sets reach it through
 /// [`gstm_core::AnyLocation::header`].
+///
+/// A reader registers (`fetch_or`) and then loads the writer lock; a
+/// committing writer takes the lock (CAS) and then loads the registry.
+/// Each side stores and then loads what the other stores, so all four
+/// are `SeqCst`: of a reader and a writer that race, at least one sees
+/// the other, and either the writer dooms the reader or the reader sees
+/// the lock and aborts its read.
 pub(crate) struct ObjectHeader {
     /// Committed version of the object; bumped by every writer commit.
     version: AtomicU64,
     /// Writer lock: [`UNLOCKED`] or the owner's thread id.
     writer: AtomicU32,
-    /// Visible reader registry: thread ids currently holding a read
-    /// dependency on this object.
-    readers: Mutex<Vec<u16>>,
+    /// Visible reader registry: bit `i` is set while thread id `i` holds
+    /// a read dependency on this object.
+    readers: AtomicU64,
 }
 
 impl ObjectHeader {
@@ -32,7 +44,7 @@ impl ObjectHeader {
         ObjectHeader {
             version: AtomicU64::new(0),
             writer: AtomicU32::new(UNLOCKED),
-            readers: Mutex::new(Vec::new()),
+            readers: AtomicU64::new(0),
         }
     }
 
@@ -50,8 +62,8 @@ impl ObjectHeader {
             .compare_exchange(
                 UNLOCKED,
                 me.0 as u32,
-                Ordering::AcqRel,
-                Ordering::Acquire,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
             )
             .map(drop)
             .map_err(holder)
@@ -59,7 +71,7 @@ impl ObjectHeader {
 
     /// Current writer, if locked.
     pub(crate) fn writer(&self) -> Option<ThreadId> {
-        holder(self.writer.load(Ordering::Acquire))
+        holder(self.writer.load(Ordering::SeqCst))
     }
 
     pub(crate) fn unlock_writer(&self, me: ThreadId) {
@@ -69,24 +81,21 @@ impl ObjectHeader {
 
     /// Register `me` as a visible reader. Idempotent.
     pub(crate) fn add_reader(&self, me: ThreadId) {
-        let mut rs = self.readers.lock();
-        if !rs.contains(&me.0) {
-            rs.push(me.0);
-        }
+        self.readers.fetch_or(reader_bit(me), Ordering::SeqCst);
     }
 
     /// Deregister `me`.
     pub(crate) fn remove_reader(&self, me: ThreadId) {
-        let mut rs = self.readers.lock();
-        rs.retain(|&r| r != me.0);
+        self.readers.fetch_and(!reader_bit(me), Ordering::Release);
     }
 
-    /// Call `visit` on each reader other than `me`, in registration
-    /// order, under the registry lock (so `visit` must not touch this
-    /// object's registry).
+    /// Call `visit` on each reader other than `me`, in id order, as one
+    /// load of the registry found them.
     pub(crate) fn for_each_other_reader(&self, me: ThreadId, mut visit: impl FnMut(ThreadId)) {
-        for &r in self.readers.lock().iter().filter(|&&r| r != me.0) {
-            visit(ThreadId(r));
+        let mut others = self.readers.load(Ordering::SeqCst) & !reader_bit(me);
+        while others != 0 {
+            visit(ThreadId(others.trailing_zeros() as u16));
+            others &= others - 1;
         }
     }
 }
@@ -140,22 +149,20 @@ mod tests {
     #[test]
     fn reader_registry_tracks_membership() {
         let o = ObjectHeader::new();
-        o.add_reader(ThreadId(1));
-        o.add_reader(ThreadId(1)); // idempotent
-        o.add_reader(ThreadId(2));
-        o.add_reader(ThreadId(3));
+        for id in [63, 2, 0, 2] {
+            o.add_reader(ThreadId(id)); // idempotent for 2
+        }
         let others = |me: u16| {
             let mut rs = Vec::new();
-            o.for_each_other_reader(ThreadId(me), |r| rs.push(r));
+            o.for_each_other_reader(ThreadId(me), |r| rs.push(r.0));
             rs
         };
-        assert_eq!(
-            others(1),
-            [ThreadId(2), ThreadId(3)],
-            "registration order, self excluded"
-        );
-        o.remove_reader(ThreadId(3));
-        assert_eq!(others(3), [ThreadId(1), ThreadId(2)]);
+        assert_eq!(others(2), [0, 63], "id order, self excluded");
+        assert_eq!(others(5), [0, 2, 63], "a non-member excludes nobody");
+        o.remove_reader(ThreadId(63));
+        o.remove_reader(ThreadId(7)); // not a member: no effect
+        assert_eq!(others(7), [0, 2]);
+        o.remove_reader(ThreadId(0));
         o.remove_reader(ThreadId(2));
         assert!(others(1).is_empty());
     }

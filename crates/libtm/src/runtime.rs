@@ -156,9 +156,13 @@ impl LibTm {
     }
 
     /// Consume `me`'s doomed flag, returning the dooming writer and the
-    /// contended object key if set.
+    /// contended object key if set. A clear flag costs one load: only a
+    /// set one is swapped out, so the common check writes no line.
     pub(crate) fn take_doom(&self, me: ThreadId) -> Option<(ThreadId, usize)> {
         let doom = self.doomed.get(me.index());
+        if doom.writer.load(Ordering::Acquire) == 0 {
+            return None;
+        }
         match doom.writer.swap(0, Ordering::AcqRel) {
             0 => None,
             w => Some((ThreadId((w - 1) as u16), doom.addr.load(Ordering::Relaxed))),

@@ -19,13 +19,13 @@ type Target = Arc<dyn AnyLocation<ObjectHeader>>;
 /// have grown to its largest transaction.
 #[derive(Default)]
 pub(crate) struct LtBuffers {
-    /// Read validation entries: `(object, observed version)`.
+    /// One entry per object this attempt has read: the object, where the
+    /// attempt is registered as a visible reader, and the version its
+    /// first read observed, which commit validates.
     read_set: Vec<(Target, u64)>,
-    /// Objects where this attempt registered as a visible reader.
-    registered: Vec<Target>,
-    /// Keys of `registered`, for O(1) dedup on every read (a linear scan
+    /// Keys of `read_set`, for O(1) dedup on every read (a linear scan
     /// here made reader registration quadratic in read-set size).
-    registered_keys: AddrSet,
+    read_keys: AddrSet,
     /// Buffered writes.
     write_set: WriteSet<ObjectHeader>,
 }
@@ -33,10 +33,7 @@ pub(crate) struct LtBuffers {
 impl LtBuffers {
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.read_set.is_empty()
-            && self.registered.is_empty()
-            && self.registered_keys.is_empty()
-            && self.write_set.is_empty()
+        self.read_set.is_empty() && self.read_keys.is_empty() && self.write_set.is_empty()
     }
 }
 
@@ -58,11 +55,10 @@ impl Drop for LtTxn<'_> {
     fn drop(&mut self) {
         let me = self.me.thread;
         let b = &mut self.bufs;
-        for r in b.registered.drain(..) {
+        for (r, _) in b.read_set.drain(..) {
             r.header().remove_reader(me);
         }
-        b.read_set.clear();
-        b.registered_keys.clear();
+        b.read_keys.clear();
         b.write_set.clear();
         self.home.set(std::mem::take(&mut self.bufs));
     }
@@ -102,7 +98,9 @@ impl<'tm> LtTxn<'tm> {
     }
 
     /// Transactional read: register as a visible reader, then take a
-    /// version-validated snapshot.
+    /// version-validated snapshot. Only an object's first read in an
+    /// attempt registers and enters the read set; a re-read of it writes
+    /// no shared line but the value lock's.
     pub fn read<T: Clone + Send + Sync + 'static>(&mut self, obj: &TObject<T>) -> TxResult<T> {
         self.check_doomed()?;
         self.inject.at_access();
@@ -121,18 +119,21 @@ impl<'tm> LtTxn<'tm> {
                 ));
             }
         }
-        // Visible-reader registration: a committing writer dooms us.
-        let target: Target = location.clone();
-        if self.bufs.registered_keys.insert(key) {
+        // Visible-reader registration: a committing writer dooms us. The
+        // entry goes in before the snapshot, so a failed first read is
+        // still deregistered by `Drop`.
+        let v1 = if self.bufs.read_keys.insert(key) {
             header.add_reader(me);
-            self.bufs.registered.push(Arc::clone(&target));
-        }
-        let v1 = header.version();
+            let v1 = header.version();
+            self.bufs.read_set.push((location.clone(), v1));
+            v1
+        } else {
+            header.version()
+        };
         let value = location.snapshot();
         if header.version() != v1 || header.writer().is_some_and(|w| w != me) {
             return Err(Abort::at(AbortCause::ReadVersion, key));
         }
-        self.bufs.read_set.push((target, v1));
         Ok(value)
     }
 
@@ -188,8 +189,9 @@ impl<'tm> LtTxn<'tm> {
         }
         self.check_doomed()?;
         // Abort-readers resolution: doom the other visible readers of each
-        // written object, then publish. Dooming only stores atomics, so it
-        // runs under the registry lock without collecting readers first.
+        // written object, then publish. Each object's readers come from
+        // one load of its registry, after this commit took the object's
+        // lock (see `ObjectHeader` for the handshake).
         for (key, header) in write_set.iter() {
             header.for_each_other_reader(me, |reader| self.tm.doom(reader, me, key));
         }
@@ -223,5 +225,74 @@ impl Attempt for LtTxn<'_> {
             header.unlock_writer(me);
         }
         result
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{LibTm, LibTmConfig, TObject};
+    use gstm_core::{Abort, AbortCause, AnyLocation, ThreadId, TxnId};
+    use std::sync::Arc;
+
+    #[test]
+    fn rereads_share_one_read_set_entry() {
+        let tm = LibTm::new(LibTmConfig::default());
+        let x = TObject::new(7u32);
+        let mut ctx = tm.register();
+        ctx.atomically(TxnId(0), |tx| {
+            assert_eq!(tx.read(&x)?, 7);
+            let once = Arc::strong_count(&x.inner);
+            for _ in 0..2 {
+                assert_eq!(tx.read(&x)?, 7);
+            }
+            assert_eq!(tx.bufs.read_set.len(), 1, "one entry per object");
+            assert_eq!(Arc::strong_count(&x.inner), once, "a re-read clones");
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn writer_dooms_a_reader_registered_before_its_scan() {
+        let tm = LibTm::new(LibTmConfig::default());
+        let (x, y) = (TObject::new(0u32), TObject::new(0u32));
+        let mut reader = tm.register_as(ThreadId(0));
+        let mut writer = tm.register_as(ThreadId(1));
+        let mut seen = Vec::new();
+        reader.atomically(TxnId(0), |tx| {
+            tx.read(&x)?;
+            if seen.is_empty() {
+                // The writer commits while this attempt is registered on x.
+                writer.atomically(TxnId(1), |w| w.write(&x, 1));
+            }
+            let next = tx.read(&y).inspect_err(|&a| seen.push(a));
+            next.map(drop)
+        });
+        let doomed = AbortCause::AbortedByWriter {
+            writer: Some(ThreadId(1)),
+        };
+        assert_eq!(seen, [Abort::at(doomed, x.inner.key())]);
+        assert_eq!((tm.total_aborts(), tm.total_commits()), (1, 2));
+    }
+
+    #[test]
+    fn read_of_a_locked_object_aborts() {
+        let tm = LibTm::new(LibTmConfig::default());
+        let x = TObject::new(0u32);
+        let header = x.inner.header();
+        header.try_lock_writer(ThreadId(1)).expect("lock is free");
+        let mut ctx = tm.register_as(ThreadId(0));
+        let mut seen = Vec::new();
+        let v = ctx.atomically(TxnId(0), |tx| {
+            let read = tx.read(&x).inspect_err(|&a| seen.push(a));
+            if read.is_err() {
+                header.unlock_writer(ThreadId(1));
+            }
+            read
+        });
+        assert_eq!(v, 0);
+        let locked = AbortCause::ReadLocked {
+            owner: Some(ThreadId(1)),
+        };
+        assert_eq!(seen, [Abort::at(locked, x.inner.key())]);
     }
 }
