@@ -149,9 +149,9 @@ impl Cell {
 }
 
 /// Lock-free conflict-provenance recorder. See the module docs for the
-/// layout; construct one per run and attach it to the backend (TL2's
-/// `StmBuilder::contention`, or the `Instruments` bundle given to
-/// `LibTm::with_instruments`), then
+/// layout; construct one per run and attach it to the backend through
+/// [`crate::Builder::contention`] (TL2's `StmBuilder`, LibTM's
+/// `LibTmBuilder`), then
 /// [`snapshot`](ContentionTracker::snapshot) after the run quiesces.
 pub struct ContentionTracker {
     cells: PerThread<Cell>,

@@ -11,8 +11,8 @@
 use crate::contention::ContentionTracker;
 use crate::events::{Abort, TxResult};
 use crate::faultinject::{spin_for, FaultPlan, FaultSite, InjectedFault};
-use crate::guidance::{GuidanceHook, NoopHook};
-use crate::ids::{Pair, ThreadId};
+use crate::guidance::GuidanceHook;
+use crate::ids::Pair;
 use crate::rng::Interleave;
 use crate::stats::ThreadStats;
 use crate::telemetry::{Telemetry, TraceKind};
@@ -35,16 +35,10 @@ pub trait Attempt {
 /// What one STM instance reports to: the guidance hook and the optional
 /// telemetry collector, chaos fault plan and conflict-provenance tracker.
 pub struct Instruments {
-    hook: Arc<dyn GuidanceHook>,
-    telemetry: Option<Arc<Telemetry>>,
-    faults: Option<Arc<FaultPlan>>,
-    contention: Option<Arc<ContentionTracker>>,
-}
-
-impl Default for Instruments {
-    fn default() -> Self {
-        Instruments::new(Arc::new(NoopHook), None, None, None)
-    }
+    pub(crate) hook: Arc<dyn GuidanceHook>,
+    pub(crate) telemetry: Option<Arc<Telemetry>>,
+    pub(crate) faults: Option<Arc<FaultPlan>>,
+    pub(crate) contention: Option<Arc<ContentionTracker>>,
 }
 
 impl Instruments {
@@ -85,21 +79,6 @@ impl Instruments {
         if wait_ns >= 1_000 {
             t.trace(me, TraceKind::GateWait { wait_ns });
         }
-    }
-
-    /// Run `f` with `thread` parked at the hook ([`GuidanceHook::park`]):
-    /// for a wait outside any attempt, such as a barrier.
-    pub fn parked<R>(&self, thread: ThreadId, f: impl FnOnce() -> R) -> R {
-        self.hook.park(thread);
-        let r = f();
-        self.hook.unpark(thread);
-        r
-    }
-
-    /// Park `thread` at the hook for good: its context is gone. A later
-    /// gate under the same id marks it running again.
-    pub fn retire(&self, thread: ThreadId) {
-        self.hook.park(thread);
     }
 
     /// Record a transaction that committed after `retries` aborts, with
@@ -151,7 +130,8 @@ impl Instruments {
     }
 
     /// The retry loop: run `body` on attempts opened by `begin` until one
-    /// commits, and return its result.
+    /// commits, and return its result. `begin` receives the number of
+    /// aborts before the attempt it opens.
     ///
     /// An attempt passes [`Instruments::begin`], the begin-time
     /// interleave coin and the backend's `begin`; after the body come the
@@ -165,7 +145,7 @@ impl Instruments {
         me: Pair,
         stats: &mut ThreadStats,
         inject: &Interleave,
-        mut begin: impl FnMut() -> A,
+        mut begin: impl FnMut(u32) -> A,
         mut body: impl FnMut(&mut A) -> TxResult<R>,
     ) -> R {
         let mut retries: u32 = 0;
@@ -173,7 +153,7 @@ impl Instruments {
         loop {
             self.begin(me, backoff_from);
             inject.at_begin();
-            let mut tx = begin();
+            let mut tx = begin(retries);
             let outcome = match body(&mut tx) {
                 Err(a) => Err(a),
                 // A forced abort takes the ordinary rollback path; a

@@ -15,6 +15,7 @@
 //! The crate is STM-agnostic: an STM integrates by invoking a
 //! [`guidance::GuidanceHook`] at transaction begin, abort, and commit.
 //! Both `gstm-tl2` and `gstm-libtm` do exactly that, through one shared
+//! runtime ([`Runtime`], [`Context`]) over their [`Backend`] impls and one
 //! retry driver ([`Instruments::run`]).
 //!
 //! ## Quick tour
@@ -44,6 +45,7 @@
 
 pub(crate) mod adapt;
 pub mod analyzer;
+pub mod backend;
 pub mod breaker;
 pub mod config;
 pub mod contention;
@@ -72,6 +74,7 @@ pub mod tss;
 pub mod prelude {
     pub use crate::adapt::AdaptConfig;
     pub use crate::analyzer::AnalyzerReport;
+    pub use crate::backend::{Backend, Builder, Context, Runtime};
     pub use crate::breaker::{Breaker, BreakerCause, BreakerConfig, BreakerState};
     pub use crate::config::GuidanceConfig;
     pub use crate::contention::{ContentionStats, ContentionTracker};

@@ -16,9 +16,13 @@
 //! reads and/or encounter-time write locks) and its wait-for-readers
 //! policy were implemented once and removed: no workload ran them.
 //!
-//! Like `gstm-tl2`, every transaction reports begin/abort/commit to a
-//! [`gstm_core::GuidanceHook`], so profiling and model-guided execution
-//! work identically on both STMs.
+//! Like `gstm-tl2`, this crate keeps only the protocol: [`LibTmProtocol`]
+//! is a [`gstm_core::Backend`] whose begin step clears a stale doom, and
+//! [`LibTm`], [`LibTmBuilder`] and [`LtThreadCtx`] are gstm-core's generic
+//! runtime, builder and thread context over it. Every transaction
+//! reports begin/abort/commit to a [`gstm_core::GuidanceHook`] through
+//! that one runtime, so profiling and model-guided execution work
+//! identically on both STMs.
 //!
 //! ## Example
 //!
@@ -40,5 +44,5 @@ pub(crate) mod runtime;
 pub(crate) mod txn;
 
 pub use object::TObject;
-pub use runtime::{LibTm, LibTmConfig, LtThreadCtx};
-pub use txn::LtTxn;
+pub use runtime::{LibTm, LibTmBuilder, LibTmConfig, LtThreadCtx};
+pub use txn::{LibTmProtocol, LtTxn};

@@ -1,24 +1,153 @@
-//! LibTM transactions: the fully-optimistic read/write protocol and the
-//! commit protocol with abort-readers resolution.
+//! The LibTM protocol: the doomed-flag table and outcome totals of an
+//! instance, the begin step, the fully-optimistic read/write protocol and
+//! the commit protocol with abort-readers resolution.
 
 use crate::object::{ObjectHeader, TObject};
-use crate::runtime::LibTm;
+use crate::runtime::LibTmConfig;
 use gstm_core::faultinject::FaultSite;
 use gstm_core::rng::Interleave;
-use gstm_core::WriteSet;
+use gstm_core::sync::{PerThread, SLOTS};
 use gstm_core::{commit_lock, Abort, AbortCause, AddrSet, AnyLocation, Attempt, Pair, TxResult};
+use gstm_core::{Backend, ThreadId, WriteSet};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A location of any value type, as LibTM's read sets hold it.
 type Target = Arc<dyn AnyLocation<ObjectHeader>>;
+
+/// One thread's doomed flag (abort-readers resolution).
+#[derive(Default)]
+struct Doom {
+    /// 0 (clear) or the dooming writer's id + 1.
+    writer: AtomicU32,
+    /// The contended object key behind the doom, written (Relaxed)
+    /// before the flag's Release store. Best-effort under concurrent
+    /// dooms of one victim — the partition counters stay exact; only
+    /// which address gets charged can race, like the flag itself.
+    addr: AtomicUsize,
+}
+
+/// One thread id's commit and abort totals, for the instance-wide sums.
+#[derive(Default)]
+struct Outcomes {
+    commits: AtomicU64,
+    aborts: AtomicU64,
+}
+
+/// The LibTM commit protocol of one instance.
+pub struct LibTmProtocol {
+    config: LibTmConfig,
+    /// Doomed flags, one per registered thread id.
+    doomed: PerThread<Doom>,
+    /// Outcome totals, one per registered thread id.
+    totals: PerThread<Outcomes>,
+}
+
+impl Backend for LibTmProtocol {
+    type Config = LibTmConfig;
+    type Buffers = LtBuffers;
+    /// Ids index the doom table and the objects' reader bitmaps.
+    const SLOTS: usize = SLOTS;
+    type Attempt<'a> = LtTxn<'a>;
+
+    fn new(config: LibTmConfig) -> Self {
+        LibTmProtocol {
+            config,
+            doomed: PerThread::default(),
+            totals: PerThread::default(),
+        }
+    }
+
+    fn yield_prob_log2(&self) -> Option<u32> {
+        self.config.yield_prob_log2
+    }
+
+    fn is_idle(b: &LtBuffers) -> bool {
+        b.read_set.is_empty() && b.read_keys.is_empty() && b.write_set.is_empty()
+    }
+
+    /// An attempt begins by clearing any doom aimed at a previous one.
+    #[inline]
+    fn begin<'a>(
+        &'a self,
+        me: Pair,
+        retries: u32,
+        inject: &'a Interleave,
+        home: &'a Cell<LtBuffers>,
+    ) -> LtTxn<'a> {
+        let _ = self.take_doom(me.thread);
+        LtTxn {
+            tm: self,
+            me,
+            retries,
+            bufs: home.take(),
+            home,
+            inject,
+        }
+    }
+}
+
+impl LibTmProtocol {
+    /// Total commits across all threads.
+    pub fn total_commits(&self) -> u64 {
+        self.totals
+            .iter()
+            .map(|t| t.commits.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Total aborts across all threads.
+    pub fn total_aborts(&self) -> u64 {
+        self.totals
+            .iter()
+            .map(|t| t.aborts.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Count a committed transaction of `thread` and the `retries`
+    /// aborts before it.
+    pub(crate) fn count_commit(&self, thread: ThreadId, retries: u32) {
+        let totals = self.totals.get(thread.index());
+        totals.commits.fetch_add(1, Ordering::Relaxed);
+        if retries != 0 {
+            totals
+                .aborts
+                .fetch_add(u64::from(retries), Ordering::Relaxed);
+        }
+    }
+
+    /// Mark `victim` as doomed by `writer` over the object keyed `addr`
+    /// (abort-readers resolution). The address lands before the flag's
+    /// Release store, so a victim that observes the flag also observes
+    /// the address.
+    pub(crate) fn doom(&self, victim: ThreadId, writer: ThreadId, addr: usize) {
+        let doom = self.doomed.get(victim.index());
+        doom.addr.store(addr, Ordering::Relaxed);
+        doom.writer.store(writer.0 as u32 + 1, Ordering::Release);
+    }
+
+    /// Consume `me`'s doomed flag, returning the dooming writer and the
+    /// contended object key if set. A clear flag costs one load: only a
+    /// set one is swapped out, so the common check writes no line.
+    pub(crate) fn take_doom(&self, me: ThreadId) -> Option<(ThreadId, usize)> {
+        let doom = self.doomed.get(me.index());
+        if doom.writer.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        match doom.writer.swap(0, Ordering::AcqRel) {
+            0 => None,
+            w => Some((ThreadId((w - 1) as u16), doom.addr.load(Ordering::Relaxed))),
+        }
+    }
+}
 
 /// A thread's LibTM transaction buffers. [`crate::LtThreadCtx`] owns one
 /// bundle; each attempt borrows it, and its `Drop` clears and returns it,
 /// so a thread's attempts allocate no sets of their own once the buffers
 /// have grown to its largest transaction.
 #[derive(Default)]
-pub(crate) struct LtBuffers {
+pub struct LtBuffers {
     /// One entry per object this attempt has read: the object, where the
     /// attempt is registered as a visible reader, and the version its
     /// first read observed, which commit validates.
@@ -30,20 +159,15 @@ pub(crate) struct LtBuffers {
     write_set: WriteSet<ObjectHeader>,
 }
 
-impl LtBuffers {
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.read_set.is_empty() && self.read_keys.is_empty() && self.write_set.is_empty()
-    }
-}
-
 /// One in-flight LibTM transaction attempt.
 ///
 /// Dropping an attempt (committed or aborted) deregisters its visible
 /// reads, so no later commit dooms this thread over a finished attempt.
 pub struct LtTxn<'tm> {
-    tm: &'tm LibTm,
+    tm: &'tm LibTmProtocol,
     me: Pair,
+    /// Aborts of this transaction before this attempt.
+    retries: u32,
     /// The thread's buffers, taken from `home` for this attempt.
     bufs: LtBuffers,
     home: &'tm Cell<LtBuffers>,
@@ -65,21 +189,6 @@ impl Drop for LtTxn<'_> {
 }
 
 impl<'tm> LtTxn<'tm> {
-    pub(crate) fn new(
-        tm: &'tm LibTm,
-        me: Pair,
-        inject: &'tm Interleave,
-        home: &'tm Cell<LtBuffers>,
-    ) -> Self {
-        LtTxn {
-            tm,
-            me,
-            bufs: home.take(),
-            home,
-            inject,
-        }
-    }
-
     /// Explicitly abort and retry.
     pub fn retry(&self) -> Abort {
         Abort::EXPLICIT
@@ -212,7 +321,8 @@ impl Attempt for LtTxn<'_> {
     }
 
     /// Commit: take writer locks in key order, validate reads, doom the
-    /// written objects' other readers, publish, and release the locks.
+    /// written objects' other readers, publish, and release the locks. A
+    /// commit counts the transaction into the instance totals.
     fn commit(mut self) -> TxResult<()> {
         // Commit-time locks are taken in sorted write-set order and the
         // first failure stops, so they always cover a prefix of the write
@@ -223,6 +333,9 @@ impl Attempt for LtTxn<'_> {
         let me = self.me.thread;
         for (_, header) in self.bufs.write_set.iter().take(acquired) {
             header.unlock_writer(me);
+        }
+        if result.is_ok() {
+            self.tm.count_commit(me, self.retries);
         }
         result
     }

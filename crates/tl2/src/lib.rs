@@ -20,7 +20,10 @@
 //! that loses the version race clones a stale-but-intact value and then
 //! aborts.
 //!
-//! The runtime reports every begin/abort/commit to a
+//! This crate keeps only the protocol: [`Tl2`] is a [`gstm_core::Backend`]
+//! whose begin step samples the clock, and [`Stm`], [`StmBuilder`] and
+//! [`ThreadCtx`] are gstm-core's generic runtime, builder and thread
+//! context over it. That runtime reports every begin/abort/commit to a
 //! [`gstm_core::GuidanceHook`], which is how profiled and guided execution
 //! (the paper's contribution) plug in without touching the STM's core.
 //!
@@ -54,4 +57,4 @@ mod vlock;
 pub use gstm_core::{ThreadStats, TxResult};
 pub use runtime::{Detection, Stm, StmBuilder, StmConfig, ThreadCtx};
 pub use tvar::TVar;
-pub use txn::Txn;
+pub use txn::{Tl2, Txn};

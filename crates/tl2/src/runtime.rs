@@ -1,25 +1,16 @@
-//! The STM runtime: instance configuration, thread registration, and the
-//! `atomically` entry point into the shared retry driver
-//! ([`gstm_core::Instruments::run`]).
+//! TL2's configuration and its names for gstm-core's generic runtime,
+//! builder and thread context over the [`Tl2`] protocol.
 
-use crate::clock;
-use crate::txn::{TxBuffers, Txn};
-use gstm_core::contention::ContentionTracker;
-use gstm_core::faultinject::FaultPlan;
-use gstm_core::rng::Interleave;
-use gstm_core::telemetry::Telemetry;
-use gstm_core::ThreadStats;
-use gstm_core::{GuidanceHook, Instruments, NoopHook, Pair, ThreadId, TxResult, TxnId};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU16, Ordering};
-use std::sync::Arc;
+use crate::txn::Tl2;
+use gstm_core::{Builder, Context, Runtime};
 
 /// When conflicts between writers are detected (Section II of the paper:
 /// "STMs provide options of eager and lazy conflict detection").
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Detection {
     /// TL2's native mode: writes are buffered and locks are taken at
     /// commit; writer/writer conflicts surface at commit time.
+    #[default]
     Lazy,
     /// Encounter-time write locking: a write acquires the location's
     /// lock immediately, so writer/writer conflicts abort at the write
@@ -29,7 +20,7 @@ pub enum Detection {
 }
 
 /// Tunables of one STM instance.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct StmConfig {
     /// Conflict-detection mode for writes.
     pub detection: Detection,
@@ -39,15 +30,6 @@ pub struct StmConfig {
     /// [`gstm_core::rng::Interleave`]). `None` disables injection (the
     /// default).
     pub yield_prob_log2: Option<u32>,
-}
-
-impl Default for StmConfig {
-    fn default() -> Self {
-        StmConfig {
-            detection: Detection::Lazy,
-            yield_prob_log2: None,
-        }
-    }
 }
 
 impl StmConfig {
@@ -60,11 +42,12 @@ impl StmConfig {
     }
 }
 
+/// One STM instance: the [`Tl2`] protocol plus its instruments.
+pub type Stm = Runtime<Tl2>;
+
 /// Configures and builds an [`Stm`] instance — the one construction
-/// path; the named constructors ([`Stm::new`], [`Stm::with_robustness`])
-/// are thin wrappers over it. First concrete step toward the planned
-/// `StmBackend` trait: backends will take a builder, not a constructor
-/// ladder.
+/// path; the named constructors ([`Stm::new`], [`Stm::with_robustness`],
+/// ...) forward to it.
 ///
 /// ```
 /// use gstm_core::{Telemetry, TxnId};
@@ -79,206 +62,17 @@ impl StmConfig {
 /// stm.register().atomically(TxnId(0), |tx| tx.modify(&v, |x| x + 1));
 /// assert_eq!(tel.snapshot().commits, 1);
 /// ```
-pub struct StmBuilder {
-    hook: Arc<dyn GuidanceHook>,
-    config: StmConfig,
-    telemetry: Option<Arc<Telemetry>>,
-    faults: Option<Arc<FaultPlan>>,
-    contention: Option<Arc<ContentionTracker>>,
-}
+pub type StmBuilder = Builder<Tl2>;
 
-impl StmBuilder {
-    /// A builder for a plain instance (no recording, no gating).
-    pub fn new(config: StmConfig) -> Self {
-        StmBuilder {
-            hook: Arc::new(NoopHook),
-            config,
-            telemetry: None,
-            faults: None,
-            contention: None,
-        }
-    }
-
-    /// Report to the given guidance hook — a [`gstm_core::RecorderHook`]
-    /// for profiling or a [`gstm_core::GuidedHook`] for model-driven
-    /// execution.
-    pub fn hook(mut self, hook: Arc<dyn GuidanceHook>) -> Self {
-        self.hook = hook;
-        self
-    }
-
-    /// Additionally record commits, aborts, and latencies into
-    /// `telemetry`.
-    pub fn telemetry(mut self, telemetry: Option<Arc<Telemetry>>) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Arm a deterministic fault plan: each attempt probes the
-    /// `tl2-abort` site (forced abort through the ordinary rollback
-    /// path, surfaced as [`gstm_core::AbortCause::Explicit`]) and the
-    /// `tl2-commit-delay` site (a bounded spin while the write set is
-    /// buffered, emulating a descheduled committer).
-    pub fn faults(mut self, faults: Option<Arc<FaultPlan>>) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Attach a conflict-provenance tracker: every abort is recorded
-    /// with its cause, owner, and conflicting address. `None` (the
-    /// default) keeps the abort path at one predictable branch.
-    pub fn contention(mut self, tracker: Option<Arc<ContentionTracker>>) -> Self {
-        self.contention = tracker;
-        self
-    }
-
-    /// Build the instance.
-    pub fn build(self) -> Arc<Stm> {
-        Arc::new(Stm {
-            instruments: Instruments::new(self.hook, self.telemetry, self.faults, self.contention),
-            config: self.config,
-            next_thread: AtomicU16::new(0),
-        })
-    }
-}
-
-/// One STM instance: configuration plus its [`Instruments`]. Every
-/// instance commits through the process-wide `clock::global` clock, so
-/// a [`crate::TVar`] may be used under any instance — instances differ
-/// only in configuration and instrumentation.
-pub struct Stm {
-    /// Hook, telemetry, fault plan, contention tracker and the outcome
-    /// totals — everything the retry driver reports to.
-    instruments: Instruments,
-    pub(crate) config: StmConfig,
-    next_thread: AtomicU16,
-}
-
-impl Stm {
-    /// A plain STM instance (no recording, no gating).
-    pub fn new(config: StmConfig) -> Arc<Self> {
-        StmBuilder::new(config).build()
-    }
-
-    /// An instance reporting to the given guidance hook — a
-    /// [`gstm_core::RecorderHook`] for profiling or a
-    /// [`gstm_core::GuidedHook`] for model-driven execution — that
-    /// optionally records into `telemetry` and runs a deterministic fault
-    /// plan (see [`StmBuilder::faults`]).
-    pub fn with_robustness(
-        hook: Arc<dyn GuidanceHook>,
-        config: StmConfig,
-        telemetry: Option<Arc<Telemetry>>,
-        faults: Option<Arc<FaultPlan>>,
-    ) -> Arc<Self> {
-        StmBuilder::new(config)
-            .hook(hook)
-            .telemetry(telemetry)
-            .faults(faults)
-            .build()
-    }
-
-    /// Register the calling thread, assigning the next sequential
-    /// [`ThreadId`] (0, 1, 2, ...).
-    pub fn register(self: &Arc<Self>) -> ThreadCtx {
-        let id = ThreadId(self.next_thread.fetch_add(1, Ordering::Relaxed));
-        self.register_as(id)
-    }
-
-    /// Register the calling thread under an explicit id. Workloads use
-    /// this to keep thread ids stable across runs — the model's states
-    /// name specific thread ids, so profiled and guided runs must agree on
-    /// the numbering.
-    pub fn register_as(self: &Arc<Self>, id: ThreadId) -> ThreadCtx {
-        ThreadCtx {
-            stm: Arc::clone(self),
-            thread: id,
-            stats: ThreadStats::new(),
-            inject: Interleave::for_thread(self.config.yield_prob_log2, id),
-            bufs: Cell::default(),
-        }
-    }
-
-    /// Current value of the commit clock. No stamp a new transaction
-    /// can observe exceeds this value.
-    fn clock_now(&self) -> u64 {
-        clock::global().now()
-    }
-}
-
-/// A worker thread's handle onto an [`Stm`]: identity, statistics, and the
-/// `atomically` entry point. Not `Sync` — each thread owns its context.
-pub struct ThreadCtx {
-    stm: Arc<Stm>,
-    thread: ThreadId,
-    stats: ThreadStats,
-    inject: Interleave,
-    /// Read/write-set buffers every attempt of this thread reuses.
-    bufs: Cell<TxBuffers>,
-}
-
-impl ThreadCtx {
-    /// Statistics accumulated so far.
-    pub fn stats(&self) -> &ThreadStats {
-        &self.stats
-    }
-
-    /// Take the statistics, resetting the context's counters.
-    pub fn take_stats(&mut self) -> ThreadStats {
-        std::mem::take(&mut self.stats)
-    }
-
-    /// Run `f` transactionally at static transaction site `txid`,
-    /// retrying on conflicts until it commits. Returns `f`'s result from
-    /// the committing attempt.
-    ///
-    /// Each attempt is bracketed by the guidance hook: `gate` before the
-    /// attempt (blocks in guided mode while the transaction would steer
-    /// execution to a low-probability state), `on_abort` after a rollback,
-    /// `on_commit` after success. An attempt begins by sampling the
-    /// commit clock into its read version.
-    pub fn atomically<R>(&mut self, txid: TxnId, f: impl FnMut(&mut Txn) -> TxResult<R>) -> R {
-        let me = Pair::new(txid, self.thread);
-        let (stm, inject, bufs) = (&*self.stm, &self.inject, &self.bufs);
-        stm.instruments.run(
-            me,
-            &mut self.stats,
-            inject,
-            || Txn::new(stm, me, stm.clock_now(), inject, bufs),
-            f,
-        )
-    }
-
-    /// Run `f` — a wait outside any transaction, such as a barrier —
-    /// with this thread parked at the guidance hook, so that a gate
-    /// waiting for it to commit is released at once.
-    pub fn parked<R>(&self, f: impl FnOnce() -> R) -> R {
-        self.stm.instruments.parked(self.thread, f)
-    }
-
-    /// Whether the thread's buffers are back home and empty — true
-    /// between transactions.
-    #[cfg(test)]
-    pub(crate) fn buffers_idle(&self) -> bool {
-        let bufs = self.bufs.take();
-        let idle = bufs.is_empty();
-        self.bufs.set(bufs);
-        idle
-    }
-}
-
-impl Drop for ThreadCtx {
-    /// The thread runs no more transactions here: retire it at the hook.
-    fn drop(&mut self) {
-        self.stm.instruments.retire(self.thread);
-    }
-}
+/// A worker thread's handle onto an [`Stm`]; its attempts are [`crate::Txn`]s.
+pub type ThreadCtx = Context<Tl2>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tvar::TVar;
-    use gstm_core::{GuidanceHook, GuidedHook, Pair};
+    use gstm_core::{ThreadId, TxnId};
+    use std::sync::Arc;
 
     #[test]
     fn single_thread_counter() {
@@ -442,44 +236,5 @@ mod tests {
                 }
             });
         });
-    }
-
-    /// A fixed guided hook whose model lets only thread 0 go after
-    /// thread 1 commits, with a budget no test could sit out.
-    fn after_thread_one_only_zero_goes() -> Arc<GuidedHook> {
-        use gstm_core::{GuidanceConfig, GuidedModel, StateKey, Tsa};
-        let [zero, one] = [0, 1].map(|t| StateKey::solo(Pair::new(TxnId(0), ThreadId(t))));
-        let run: Vec<_> = (0..8).flat_map(|_| [one.clone(), zero.clone()]).collect();
-        let cfg = GuidanceConfig {
-            k_retries: 1_000_000,
-            wait_spins: 1_000_000,
-            ..GuidanceConfig::default()
-        };
-        let model = GuidedModel::build(Tsa::from_runs(&[run]), &cfg);
-        Arc::new(GuidedHook::new(Arc::new(model), cfg))
-    }
-
-    /// Thread 2, which the model never lets go, gates: it returns only if
-    /// no other gater can wake it.
-    fn lone_waiter_returns(hook: &Arc<GuidedHook>) -> bool {
-        let hook = Arc::clone(hook);
-        let waiter =
-            std::thread::spawn(move || hook.gate(Pair::new(TxnId(0), ThreadId(2))));
-        let t0 = std::time::Instant::now();
-        while !waiter.is_finished() && t0.elapsed() < std::time::Duration::from_secs(5) {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        waiter.is_finished()
-    }
-
-    #[test]
-    fn dropping_a_context_retires_its_thread_at_the_hook() {
-        let hook = after_thread_one_only_zero_goes();
-        let stm = Stm::with_robustness(hook.clone(), StmConfig::default(), None, None);
-        let mut ctx = stm.register_as(ThreadId(1));
-        ctx.atomically(TxnId(0), |_| Ok(()));
-        drop(ctx);
-        assert!(lone_waiter_returns(&hook), "thread 1 still counts as a waker");
-        assert_eq!(hook.stats().released, 1);
     }
 }

@@ -1,13 +1,14 @@
-//! Transactions: read/write sets, the TL2 read protocol, and the commit
-//! protocol (commit-time locking, read-set validation, write-back).
+//! The TL2 protocol: the begin step that samples the commit clock,
+//! read/write sets, the TL2 read protocol, and the commit protocol
+//! (commit-time locking, read-set validation, write-back).
 
-use crate::runtime::{Detection, Stm};
+use crate::runtime::{Detection, StmConfig};
 use crate::tvar::TVar;
 use crate::vlock::VLock;
 use gstm_core::faultinject::FaultSite;
 use gstm_core::rng::Interleave;
 use gstm_core::{commit_lock, Abort, AbortCause, AddrSet, AnyLocation, Attempt, Pair, ThreadId};
-use gstm_core::{TxResult, WriteSet};
+use gstm_core::{Backend, TxResult, WriteSet};
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -16,7 +17,7 @@ use std::sync::Arc;
 /// thread's attempts allocate no sets of their own once the buffers have
 /// grown to its largest transaction.
 #[derive(Default)]
-pub(crate) struct TxBuffers {
+pub struct TxBuffers {
     read_set: Vec<Arc<dyn AnyLocation<VLock>>>,
     /// Locations already in `read_set`, keyed by allocation address —
     /// consulted on every read, so it avoids a SipHash per probe.
@@ -36,13 +37,56 @@ impl TxBuffers {
         self.write_set.clear();
         self.locked.clear();
     }
+}
 
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.read_set.is_empty()
-            && self.read_keys.is_empty()
-            && self.write_set.is_empty()
-            && self.locked.is_empty()
+/// The TL2 commit protocol of one instance. Every instance commits
+/// through the process-wide `clock::global` clock, so a [`TVar`] may be
+/// used under any instance — instances differ only in configuration and
+/// instrumentation.
+pub struct Tl2 {
+    config: StmConfig,
+}
+
+impl Backend for Tl2 {
+    type Config = StmConfig;
+    type Buffers = TxBuffers;
+    /// Any `u16` id: TL2 keeps no per-thread table.
+    const SLOTS: usize = 1 << 16;
+    type Attempt<'a> = Txn<'a>;
+
+    fn new(config: StmConfig) -> Self {
+        Tl2 { config }
+    }
+
+    fn yield_prob_log2(&self) -> Option<u32> {
+        self.config.yield_prob_log2
+    }
+
+    fn is_idle(b: &TxBuffers) -> bool {
+        b.read_set.is_empty()
+            && b.read_keys.is_empty()
+            && b.write_set.is_empty()
+            && b.locked.is_empty()
+    }
+
+    /// An attempt begins by sampling the commit clock into its read
+    /// version: no stamp it can observe exceeds that value.
+    #[inline]
+    fn begin<'a>(
+        &'a self,
+        me: Pair,
+        _retries: u32,
+        inject: &'a Interleave,
+        home: &'a Cell<TxBuffers>,
+    ) -> Txn<'a> {
+        Txn {
+            tl2: self,
+            me,
+            rv: crate::clock::global().now(),
+            bufs: home.take(),
+            home,
+            inject,
+        }
     }
 }
 
@@ -54,12 +98,12 @@ fn lock(vlock: &VLock, key: usize, me: ThreadId) -> TxResult<u64> {
 
 /// One in-flight transaction attempt.
 ///
-/// Created by [`crate::ThreadCtx::atomically`]; user code receives
-/// `&mut Txn` and performs reads and writes through it. All conflict
-/// detection surfaces as an [`Abort`] error, which the retry loop converts
-/// into a rollback and a fresh attempt.
+/// Opened by [`Tl2`]'s begin step for [`crate::ThreadCtx::atomically`];
+/// user code receives `&mut Txn` and performs reads and writes through
+/// it. All conflict detection surfaces as an [`Abort`] error, which the
+/// retry loop converts into a rollback and a fresh attempt.
 pub struct Txn<'stm> {
-    stm: &'stm Stm,
+    tl2: &'stm Tl2,
     me: Pair,
     rv: u64,
     /// The thread's buffers, taken from `home` for this attempt.
@@ -84,23 +128,6 @@ impl Drop for Txn<'_> {
 }
 
 impl<'stm> Txn<'stm> {
-    pub(crate) fn new(
-        stm: &'stm Stm,
-        me: Pair,
-        rv: u64,
-        inject: &'stm Interleave,
-        home: &'stm Cell<TxBuffers>,
-    ) -> Self {
-        Txn {
-            stm,
-            me,
-            rv,
-            bufs: home.take(),
-            home,
-            inject,
-        }
-    }
-
     /// Explicitly abort and retry the transaction (e.g. a queue consumer
     /// finding the queue empty).
     pub fn retry(&self) -> Abort {
@@ -153,7 +180,7 @@ impl<'stm> Txn<'stm> {
             *slot = value;
             return Ok(());
         }
-        if self.stm.config.detection == Detection::Eager {
+        if self.tl2.config.detection == Detection::Eager {
             let prev = lock(location.header(), location.key(), self.me.thread)?;
             self.bufs.locked.push((self.bufs.write_set.len(), prev));
         }
@@ -208,7 +235,7 @@ impl Attempt for Txn<'_> {
             locked,
             ..
         } = &mut self.bufs;
-        if self.stm.config.detection == Detection::Lazy {
+        if self.tl2.config.detection == Detection::Lazy {
             write_set.sort();
             for (i, (key, vlock)) in write_set.iter().enumerate() {
                 locked.push((i, lock(vlock, key, me)?));

@@ -6,8 +6,8 @@
 use gstm_core::contention::ContentionTracker;
 use gstm_core::faultinject::{FaultPlan, FaultSite};
 use gstm_core::telemetry::{Telemetry, TraceKind};
-use gstm_core::{AbortCause, Instruments, NoopHook, ThreadId, ThreadStats, TxnId};
-use gstm_libtm::{LibTm, LibTmConfig, TObject};
+use gstm_core::{AbortCause, ThreadId, ThreadStats, TxnId};
+use gstm_libtm::{LibTm, LibTmBuilder, LibTmConfig, TObject};
 use gstm_tl2::{Stm, StmBuilder, StmConfig, TVar};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -210,9 +210,11 @@ fn tl2_forced_abort_is_counted_once() {
 #[test]
 fn libtm_forced_abort_is_counted_once() {
     check_forced_abort_counted_once(FaultSite::LibtmAbort, |tel, plan, tracker| {
-        let instruments =
-            Instruments::new(Arc::new(NoopHook), Some(tel), Some(plan), Some(tracker));
-        let tm = LibTm::with_instruments(LibTmConfig::default(), instruments);
+        let tm = LibTmBuilder::new(LibTmConfig::default())
+            .telemetry(Some(tel))
+            .faults(Some(plan))
+            .contention(Some(tracker))
+            .build();
         let v = TObject::new(0u64);
         let mut ctx = tm.register();
         for _ in 0..3 {
