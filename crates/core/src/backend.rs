@@ -201,9 +201,8 @@ impl<B: Backend> Runtime<B> {
 /// context.
 pub struct Context<B: Backend> {
     runtime: Arc<Runtime<B>>,
-    /// The id this context registered under. Reassigning it makes the
-    /// context act as another thread, bypassing registration's bound.
-    pub thread: ThreadId,
+    /// The id this context registered under, below [`Backend::SLOTS`].
+    thread: ThreadId,
     stats: ThreadStats,
     inject: Interleave,
     /// Buffers every attempt of this thread reuses.
@@ -211,6 +210,11 @@ pub struct Context<B: Backend> {
 }
 
 impl<B: Backend> Context<B> {
+    /// The id this context registered under.
+    pub fn thread(&self) -> ThreadId {
+        self.thread
+    }
+
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &ThreadStats {
         &self.stats
@@ -348,9 +352,9 @@ mod tests {
     #[test]
     fn registration_assigns_sequential_ids_below_the_bound() {
         let rt = Runtime::<Log>::new(None);
-        let ids: Vec<_> = (0..3).map(|_| rt.register().thread).collect();
+        let ids: Vec<_> = (0..3).map(|_| rt.register().thread()).collect();
         assert_eq!(ids, [ThreadId(0), ThreadId(1), ThreadId(2)]);
-        assert_eq!(rt.register_as(ThreadId(3)).thread, ThreadId(3));
+        assert_eq!(rt.register_as(ThreadId(3)).thread(), ThreadId(3));
         let over =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.register_as(ThreadId(4))));
         assert!(over.is_err(), "id 4 reaches SLOTS 4");

@@ -37,12 +37,20 @@ impl<H, T> Location<H, T> {
     }
 
     /// Install a new committed value (the caller holds the location's
-    /// commit lock). The old value is dropped after the write guard is
-    /// released, so its destructor never blocks a reader on the value
-    /// lock; it still runs inside the commit-lock window.
-    pub fn publish(&self, value: T) {
-        let old = std::mem::replace(&mut *self.value.write(), value);
-        drop(old);
+    /// commit lock) and return the value it displaced. The write guard is
+    /// released on return, so the old value's destructor never blocks a
+    /// reader on the value lock; the write set keeps it until the
+    /// attempt's buffers are cleared, after the commit locks are released.
+    pub fn publish(&self, value: T) -> T {
+        std::mem::replace(&mut *self.value.write(), value)
+    }
+
+    /// Apply `f` to the committed value under its read lock, without
+    /// cloning it. Outside a transaction this sees the latest publish; it
+    /// checks no header, so inside a commit window it may see a value
+    /// whose version is not yet bumped.
+    pub fn peek<R>(&self, f: impl FnOnce(&T) -> R) -> R {
+        f(&self.value.read())
     }
 }
 
@@ -99,24 +107,30 @@ pub fn commit_lock<R>(
 /// `Any` to its `TypedWrite`.
 trait WriteEntry<H>: Any + Send {
     fn header(&self) -> &H;
-    /// Install the buffered value into the location (commit lock held).
-    fn publish(&self);
+    /// Move the buffered value into the location (commit lock held).
+    fn publish(&mut self);
 }
 
 struct TypedWrite<H, T> {
     location: Arc<Location<H, T>>,
-    value: T,
+    /// The buffered value, until publishing moves it into the location.
+    value: Option<T>,
+    /// The committed value publishing displaced. Freeing it inside the
+    /// commit-lock window lengthened the window (on LibTM, concurrent
+    /// readers found the writer lock held more than twice as often), so
+    /// it is dropped with the entry instead.
+    displaced: Option<T>,
 }
 
-impl<H: Send + Sync + 'static, T: Clone + Send + Sync + 'static> WriteEntry<H>
-    for TypedWrite<H, T>
-{
+impl<H: Send + Sync + 'static, T: Send + Sync + 'static> WriteEntry<H> for TypedWrite<H, T> {
     fn header(&self) -> &H {
         &self.location.header
     }
 
-    fn publish(&self) {
-        self.location.publish(self.value.clone());
+    fn publish(&mut self) {
+        if let Some(value) = self.value.take() {
+            self.displaced = Some(self.location.publish(value));
+        }
     }
 }
 
@@ -150,7 +164,7 @@ impl<H: Send + Sync + 'static> WriteSet<H> {
     pub fn get<T: Send + Sync + 'static>(&self, location: &Location<H, T>) -> Option<&T> {
         let entry: &dyn Any = &*self.entries[self.position(location.key())?].1;
         let typed = entry.downcast_ref::<TypedWrite<H, T>>().expect(ALIASED);
-        Some(&typed.value)
+        typed.value.as_ref()
     }
 
     /// The value buffered for `location`, if any, to overwrite in place.
@@ -161,18 +175,21 @@ impl<H: Send + Sync + 'static> WriteSet<H> {
         let i = self.position(location.key())?;
         let entry: &mut dyn Any = &mut *self.entries[i].1;
         let typed = entry.downcast_mut::<TypedWrite<H, T>>().expect(ALIASED);
-        Some(&mut typed.value)
+        typed.value.as_mut()
     }
 
     /// Buffer `value` for a location not yet in the set (one allocation).
-    pub fn push<T: Clone + Send + Sync + 'static>(
-        &mut self,
-        location: &Arc<Location<H, T>>,
-        value: T,
-    ) {
+    pub fn push<T: Send + Sync + 'static>(&mut self, location: &Arc<Location<H, T>>, value: T) {
         let (key, location) = (location.key(), Arc::clone(location));
-        self.entries
-            .push((key, Box::new(TypedWrite { location, value })));
+        let (value, displaced) = (Some(value), None);
+        self.entries.push((
+            key,
+            Box::new(TypedWrite {
+                location,
+                value,
+                displaced,
+            }),
+        ));
     }
 
     /// Order the entries by key, the global lock order. Keys are unique,
@@ -186,9 +203,13 @@ impl<H: Send + Sync + 'static> WriteSet<H> {
         self.entries.iter().map(|(k, e)| (*k, e.header()))
     }
 
-    /// Install every buffered value, in set order (commit locks held).
-    pub fn publish_all(&self) {
-        for (_, entry) in &self.entries {
+    /// Move every buffered value into its location, in set order (commit
+    /// locks held). The entries stay, so their headers can still be
+    /// reached to release the locks, but hold no buffered value: `get` and
+    /// `get_mut` return `None`. The displaced values are dropped by the
+    /// next `clear`.
+    pub fn publish_all(&mut self) {
+        for (_, entry) in &mut self.entries {
             entry.publish();
         }
     }
@@ -203,7 +224,8 @@ impl<H: Send + Sync + 'static> WriteSet<H> {
         self.entries.is_empty()
     }
 
-    /// Drop every entry, keeping the allocation for the next attempt.
+    /// Drop every entry and the values publishing displaced, keeping the
+    /// allocation for the next attempt.
     pub fn clear(&mut self) {
         self.entries.clear();
     }
@@ -280,6 +302,31 @@ mod tests {
         ws.publish_all();
         assert_eq!((a.snapshot(), b.snapshot()), (2, vec![2, 2]));
         assert_eq!(ws.len(), 2, "publishing keeps the entries");
+        assert_eq!(ws.get(&a), None, "the value moved out");
+    }
+
+    #[test]
+    fn publish_moves_values_and_clear_drops_the_displaced_ones() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        // Not `Clone`; each token adds its id to `dropped` when dropped.
+        struct Token(u32, Arc<AtomicU32>);
+        impl Drop for Token {
+            fn drop(&mut self) {
+                self.1.fetch_add(self.0, Ordering::Relaxed);
+            }
+        }
+        let dropped = Arc::new(AtomicU32::new(0));
+        let token = |id| Token(id, Arc::clone(&dropped));
+        let a = loc(token(1));
+        let mut ws = WriteSet::default();
+        ws.push(&a, token(2));
+        ws.get_mut(&a).expect("buffered").0 = 3;
+        ws.publish_all();
+        ws.publish_all(); // nothing left to publish
+        assert_eq!(a.peek(|t| t.0), 3);
+        assert_eq!(dropped.load(Ordering::Relaxed), 0, "displaced, not dropped");
+        ws.clear();
+        assert_eq!(dropped.load(Ordering::Relaxed), 1, "clear drops the old value");
     }
 
     #[test]

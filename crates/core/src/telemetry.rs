@@ -16,8 +16,9 @@
 //!
 //! * counters live in a [`PerThread`] table of cells (relaxed atomic
 //!   adds on the caller's own line — no contention, no false sharing);
-//! * histograms are HDR-style power-of-2 buckets: one `ilog2` plus one
-//!   relaxed add;
+//! * each cell allocates its HDR-style power-of-2 latency histograms on
+//!   its first record; a sample is one `ilog2`, a bucket add, a sum add
+//!   and a load of the max, and snapshots merge the cells;
 //! * timestamps come from the TSC on x86_64 (calibrated once at
 //!   construction), not from `Instant`, so a sample is a couple of
 //!   instructions (`Clock`);
@@ -31,7 +32,7 @@ use crate::ids::Pair;
 use crate::prom::{Kind, Writer};
 use crate::sync::{Mutex, PerThread};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Histogram buckets: bucket 0 holds exact zeros; bucket *i* ≥ 1 holds
@@ -174,11 +175,11 @@ impl Default for Clock {
 // Histograms
 // ---------------------------------------------------------------------------
 
-/// A lock-free power-of-2 latency histogram (HDR-style): 65 buckets, a
-/// relaxed add per sample, `count`/`sum`/`max` tracked alongside.
+/// A lock-free power-of-2 latency histogram (HDR-style): 65 buckets plus
+/// a running `sum` and `max`. The sample count is the bucket sum, taken
+/// at snapshot time.
 struct LatencyHistogram {
     buckets: [AtomicU64; NUM_BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -188,7 +189,6 @@ impl LatencyHistogram {
     pub(crate) fn new() -> Self {
         LatencyHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -218,22 +218,30 @@ impl LatencyHistogram {
         }
     }
 
-    /// Record one sample.
+    /// Record one sample: two relaxed adds and a load of `max`, which is
+    /// raised only by a sample above it.
     #[inline]
     pub(crate) fn record(&self, v: u64) {
         self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         // Wrapping on astronomically large totals is acceptable for a
         // diagnostic sum; the buckets stay exact.
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
-    /// A point-in-time copy of the histogram.
+    /// A point-in-time copy of the histogram; its `count` is the sum of
+    /// the copied buckets.
     fn snapshot(&self) -> HistogramSnapshot {
+        let buckets: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
         HistogramSnapshot {
-            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            count: self.count.load(Ordering::Relaxed),
+            count: buckets.iter().sum(),
+            buckets,
             sum: self.sum.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
         }
@@ -249,9 +257,9 @@ impl Default for LatencyHistogram {
 /// Upper bound of the bucket where the cumulative count of `buckets`
 /// (laid out as a [`LatencyHistogram`]'s) first reaches `q` (0 < q ≤ 1)
 /// of `count` samples; 0 when `count` is 0. Serves whole snapshots and a
-/// window's delta buckets alike. A snapshot can race a record (buckets
-/// are bumped before the count), so a `count` above the bucket sum
-/// resolves to the top bucket.
+/// window's delta buckets alike. Both take `count` as their bucket sum,
+/// so the scan always ends inside the buckets; a caller's `count` above
+/// the bucket sum would resolve to the top bucket.
 pub(crate) fn bucket_quantile(buckets: &[u64], count: u64, q: f64) -> u64 {
     if count == 0 {
         return 0;
@@ -281,6 +289,14 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// A histogram of no samples, with every bucket present.
+    fn empty() -> Self {
+        HistogramSnapshot {
+            buckets: vec![0; NUM_BUCKETS],
+            ..Default::default()
+        }
+    }
+
     /// Mean sample value (0 when empty).
     pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -319,14 +335,33 @@ impl HistogramSnapshot {
 
 /// One thread's counter cell. All adds are relaxed: each thread writes
 /// (almost always) only its own cell, and the snapshot only needs
-/// eventually-consistent totals.
+/// eventually-consistent totals. The cell's commits are its commit
+/// histogram's count.
 #[derive(Default)]
 struct CounterCell {
-    commits: AtomicU64,
     aborts: [AtomicU64; 6],
     gate_passed: AtomicU64,
     gate_waited: AtomicU64,
     gate_released: AtomicU64,
+    /// Allocated by the cell's first latency record, so a table of
+    /// [`crate::sync::SLOTS`] cells costs histogram memory only for the
+    /// threads that record.
+    latency: OnceLock<Box<CellLatency>>,
+}
+
+/// A cell's latency histograms (ns).
+#[derive(Default)]
+struct CellLatency {
+    commit: LatencyHistogram,
+    backoff: LatencyHistogram,
+    gate_wait: LatencyHistogram,
+}
+
+impl CounterCell {
+    #[inline]
+    fn latency(&self) -> &CellLatency {
+        self.latency.get_or_init(Box::default)
+    }
 }
 
 /// How a gate call resolved (mirrors [`crate::guidance::GateStats`]).
@@ -422,11 +457,12 @@ pub struct TraceEvent {
 }
 
 /// Bounded ring of trace events; `next` is the overwrite cursor once the
-/// ring is full.
+/// ring is full, and `dropped` counts the events it overwrote.
 #[derive(Default)]
 struct TraceRing {
     buf: Vec<TraceEvent>,
     next: usize,
+    dropped: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -438,17 +474,16 @@ struct TraceRing {
 /// Constructed once per instrumented run and shared (`Arc`) between the
 /// STM runtime, the guidance hook, and whoever reads the snapshot.
 pub struct Telemetry {
+    /// Per-thread counters and latency histograms, merged at snapshot.
     cells: PerThread<CounterCell>,
-    commit_ns: LatencyHistogram,
-    backoff_ns: LatencyHistogram,
-    gate_wait_ns: LatencyHistogram,
     clock: Clock,
     trace_cap: usize,
+    /// The one shared write of a trace event: a global order that the
+    /// analyzer's segmentation and incident dumps read.
     trace_seq: AtomicU64,
     /// Per-thread tracer rings, padded like the counter cells so tracing
     /// threads never false-share.
     trace: PerThread<Mutex<TraceRing>>,
-    trace_dropped: AtomicU64,
     /// Guided-model hot-swaps performed by the adaptive model manager.
     model_swaps: AtomicU64,
     /// Circuit-breaker trips (Closed/Half-Open → Open).
@@ -488,14 +523,10 @@ impl Telemetry {
     pub fn with_trace_capacity(cap: usize) -> Self {
         Telemetry {
             cells: PerThread::default(),
-            commit_ns: LatencyHistogram::new(),
-            backoff_ns: LatencyHistogram::new(),
-            gate_wait_ns: LatencyHistogram::new(),
             clock: Clock::new(),
             trace_cap: cap,
             trace_seq: AtomicU64::new(0),
             trace: PerThread::default(),
-            trace_dropped: AtomicU64::new(0),
             model_swaps: AtomicU64::new(0),
             breaker_trips: AtomicU64::new(0),
             breaker_recloses: AtomicU64::new(0),
@@ -550,8 +581,7 @@ impl Telemetry {
     /// Record a committed attempt and its commit-protocol latency.
     #[inline]
     pub fn record_commit(&self, who: Pair, commit_ns: u64) {
-        self.cell(who).commits.fetch_add(1, Ordering::Relaxed);
-        self.commit_ns.record(commit_ns);
+        self.cell(who).latency().commit.record(commit_ns);
     }
 
     /// Record an aborted attempt.
@@ -562,14 +592,14 @@ impl Telemetry {
 
     /// Record the abort-to-retry backoff latency preceding an attempt.
     #[inline]
-    pub(crate) fn record_backoff(&self, _who: Pair, ns: u64) {
-        self.backoff_ns.record(ns);
+    pub(crate) fn record_backoff(&self, who: Pair, ns: u64) {
+        self.cell(who).latency().backoff.record(ns);
     }
 
     /// Record the time an attempt spent inside the guidance gate.
     #[inline]
-    pub(crate) fn record_gate_wait(&self, _who: Pair, ns: u64) {
-        self.gate_wait_ns.record(ns);
+    pub(crate) fn record_gate_wait(&self, who: Pair, ns: u64) {
+        self.cell(who).latency().gate_wait.record(ns);
     }
 
     /// Record how a gate call resolved (invoked by the guided hook).
@@ -585,15 +615,22 @@ impl Telemetry {
     }
 
     /// Append a trace event to the calling thread's ring (no-op when
-    /// tracing is disabled). Timestamp and sequence number are assigned
+    /// tracing is disabled), stamped now. The sequence number is assigned
     /// here.
     pub fn trace(&self, who: Pair, kind: TraceKind) {
+        self.trace_at(who, kind, None);
+    }
+
+    /// [`Telemetry::trace`] with a timestamp the caller already read
+    /// (`None` reads the clock, and only when tracing is enabled).
+    #[inline]
+    pub(crate) fn trace_at(&self, who: Pair, kind: TraceKind, ts_ns: Option<u64>) {
         if self.trace_cap == 0 {
             return;
         }
         let ev = TraceEvent {
             seq: self.trace_seq.fetch_add(1, Ordering::Relaxed),
-            ts_ns: self.now_ns(),
+            ts_ns: ts_ns.unwrap_or_else(|| self.now_ns()),
             pair: who,
             kind,
         };
@@ -604,7 +641,7 @@ impl Telemetry {
             let i = ring.next;
             ring.buf[i] = ev;
             ring.next = (i + 1) % self.trace_cap;
-            self.trace_dropped.fetch_add(1, Ordering::Relaxed);
+            ring.dropped += 1;
         }
     }
 
@@ -622,7 +659,7 @@ impl Telemetry {
 
     /// Trace events overwritten because a ring was full.
     pub fn trace_dropped(&self) -> u64 {
-        self.trace_dropped.load(Ordering::Relaxed)
+        self.trace.iter().map(|ring| ring.lock().dropped).sum()
     }
 
     /// Record a guided-model hot-swap (invoked by the adaptive model
@@ -675,9 +712,9 @@ impl Telemetry {
     /// Aggregate the per-thread cells and histograms into a snapshot.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let mut snap = TelemetrySnapshot {
-            commit_ns: self.commit_ns.snapshot(),
-            backoff_ns: self.backoff_ns.snapshot(),
-            gate_wait_ns: self.gate_wait_ns.snapshot(),
+            commit_ns: HistogramSnapshot::empty(),
+            backoff_ns: HistogramSnapshot::empty(),
+            gate_wait_ns: HistogramSnapshot::empty(),
             trace_dropped: self.trace_dropped(),
             model_swaps: self.model_swaps(),
             breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
@@ -691,7 +728,14 @@ impl Telemetry {
             ..Default::default()
         };
         for (i, cell) in self.cells.iter().enumerate() {
-            let commits = cell.commits.load(Ordering::Relaxed);
+            let mut commits = 0;
+            if let Some(latency) = cell.latency.get() {
+                let commit = latency.commit.snapshot();
+                commits = commit.count;
+                snap.commit_ns.absorb(&commit);
+                snap.backoff_ns.absorb(&latency.backoff.snapshot());
+                snap.gate_wait_ns.absorb(&latency.gate_wait.snapshot());
+            }
             let mut aborts = [0u64; 6];
             for (a, c) in aborts.iter_mut().zip(&cell.aborts) {
                 *a = c.load(Ordering::Relaxed);
@@ -1479,6 +1523,78 @@ mod tests {
         let events = tel.trace_events();
         assert_eq!(events.len(), 200);
         assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
+    }
+
+    #[test]
+    fn per_thread_histograms_merge_to_a_one_thread_reference() {
+        // Thread `th` records samples `th, th + 2, th + 4, ...` spread
+        // over many buckets; the reference records all of them from one
+        // thread.
+        const N: u64 = 20_000;
+        let sample = |i: u64| (i * 7919) % 1_000_003;
+        let tel = std::sync::Arc::new(Telemetry::counters_only());
+        let writers: Vec<_> = (0..2u16)
+            .map(|th| {
+                let tel = std::sync::Arc::clone(&tel);
+                std::thread::spawn(move || {
+                    for i in (u64::from(th)..N).step_by(2) {
+                        let who = p(0, th);
+                        tel.record_commit(who, sample(i));
+                        tel.record_backoff(who, sample(i) / 3);
+                        tel.record_gate_wait(who, sample(i) / 5);
+                    }
+                })
+            })
+            .collect();
+        // Snapshots taken while the writers run are self-consistent: each
+        // count is its bucket sum and the commits are the commit count.
+        while !writers.iter().all(|w| w.is_finished()) {
+            let s = tel.snapshot();
+            for h in [&s.commit_ns, &s.backoff_ns, &s.gate_wait_ns] {
+                assert_eq!(h.count, h.buckets.iter().sum::<u64>());
+            }
+            assert_eq!(s.commits, s.commit_ns.count);
+            assert_eq!(
+                s.per_thread.iter().map(|t| t.commits).sum::<u64>(),
+                s.commits
+            );
+        }
+        for w in writers {
+            w.join().unwrap();
+        }
+        let reference = Telemetry::counters_only();
+        for i in 0..N {
+            reference.record_commit(p(0, 0), sample(i));
+            reference.record_backoff(p(0, 0), sample(i) / 3);
+            reference.record_gate_wait(p(0, 0), sample(i) / 5);
+        }
+        let (s, r) = (tel.snapshot(), reference.snapshot());
+        assert_eq!(s.commit_ns, r.commit_ns);
+        assert_eq!(s.backoff_ns, r.backoff_ns);
+        assert_eq!(s.gate_wait_ns, r.gate_wait_ns);
+        assert_eq!((s.commit_ns.count, s.commits), (N, N));
+        assert_eq!(s.commit_ns.max, (0..N).map(sample).max().unwrap());
+        assert_eq!(s.per_thread.len(), 2);
+        for (th, t) in s.per_thread.iter().enumerate() {
+            let own = tel.cells.get(th).latency.get().expect("recorded");
+            assert_eq!(t.commits, own.commit.snapshot().count);
+            assert_eq!(t.commits, N / 2);
+        }
+    }
+
+    #[test]
+    fn dropped_events_are_the_sum_of_each_rings_overwrites() {
+        let tel = Telemetry::with_trace_capacity(4);
+        for (th, n) in [(0u16, 10u64), (1, 7), (2, 3)] {
+            for i in 0..n {
+                tel.trace(p(0, th), TraceKind::GateWait { wait_ns: i });
+            }
+        }
+        let rings: Vec<u64> = tel.trace.iter().map(|r| r.lock().dropped).collect();
+        assert_eq!(rings[..3], [6, 3, 0]);
+        assert_eq!(tel.trace_dropped(), rings.iter().sum::<u64>());
+        assert_eq!(tel.snapshot().trace_dropped, 9);
+        assert_eq!(tel.trace_events().len(), 4 + 4 + 3);
     }
 
     fn sample_events() -> Vec<TraceEvent> {

@@ -128,6 +128,12 @@ impl<T: Clone + Send + Sync + 'static> TObject<T> {
     pub fn load_quiesced(&self) -> T {
         self.inner.snapshot()
     }
+
+    /// Apply `f` to the committed value outside any transaction, without
+    /// cloning it ([`TObject::load_quiesced`] for a part of the value).
+    pub fn peek_quiesced<R>(&self, f: impl FnOnce(&T) -> R) -> R {
+        self.inner.peek(f)
+    }
 }
 
 #[cfg(test)]
@@ -176,5 +182,6 @@ mod tests {
         assert_eq!(header.version(), 1);
         o.inner.publish(42);
         assert_eq!(o.load_quiesced(), 42);
+        assert_eq!(o.peek_quiesced(|v| v + 1), 43);
     }
 }

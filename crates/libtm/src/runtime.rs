@@ -222,8 +222,8 @@ mod tests {
     #[test]
     fn registration_ids_are_bounded() {
         let tm = LibTm::new(LibTmConfig::default());
-        assert_eq!(tm.register().thread, ThreadId(0));
-        assert_eq!(tm.register().thread, ThreadId(1));
+        assert_eq!(tm.register().thread(), ThreadId(0));
+        assert_eq!(tm.register().thread(), ThreadId(1));
     }
 
     #[test]

@@ -304,8 +304,8 @@ impl<'tm> LtTxn<'tm> {
         for (key, header) in write_set.iter() {
             header.for_each_other_reader(me, |reader| self.tm.doom(reader, me, key));
         }
-        write_set.publish_all();
-        for (_, header) in write_set.iter() {
+        self.bufs.write_set.publish_all();
+        for (_, header) in self.bufs.write_set.iter() {
             header.bump_version();
         }
         Ok(())

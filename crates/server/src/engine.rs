@@ -676,8 +676,7 @@ impl Engine {
                         0
                     } else {
                         self.world.cells[ny as usize * per_row + nx as usize]
-                            .load_quiesced()
-                            .len()
+                            .peek_quiesced(Vec::len)
                             .min(255)
                     };
                     payload.push(n as u8);

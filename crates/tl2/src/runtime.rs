@@ -89,9 +89,9 @@ mod tests {
     #[test]
     fn registration_assigns_sequential_ids() {
         let stm = Stm::new(StmConfig::default());
-        assert_eq!(stm.register().thread, ThreadId(0));
-        assert_eq!(stm.register().thread, ThreadId(1));
-        assert_eq!(stm.register_as(ThreadId(9)).thread, ThreadId(9));
+        assert_eq!(stm.register().thread(), ThreadId(0));
+        assert_eq!(stm.register().thread(), ThreadId(1));
+        assert_eq!(stm.register_as(ThreadId(9)).thread(), ThreadId(9));
     }
 
     #[test]
