@@ -9,7 +9,9 @@
 //! The three Prometheus expositions (a telemetry snapshot, the ops
 //! plane's `/metrics` body and the server's `gstm_server_*` families)
 //! are pinned byte for byte to `golden/*.prom`: dashboards, the
-//! analyzer and the `ops.prom` = `/metrics` comparison key on them.
+//! analyzer and the `ops.prom` = `/metrics` comparison key on them. The
+//! ops plane's JSON bodies (an incident dump, `/vars` and `/health`) are
+//! pinned to `golden/ops_*.json` the same way.
 
 use gstm_analyze::{
     analyze_server_ticks, parse_incident_json, parse_ticks_jsonl, render_server_verdict_json,
@@ -24,8 +26,9 @@ use gstm_core::telemetry::{
     TraceKind,
 };
 use gstm_core::{
-    Abort, AbortCause, ContentionTracker, DriftTracker, GuidanceConfig, GuidanceHook, GuidedHook,
-    GuidedModel, Instruments, Pair, StateKey, ThreadId, ThreadStats, Tsa, TxnId,
+    Abort, AbortCause, AdaptConfig, Breaker, BreakerConfig, ContentionTracker, DriftTracker,
+    DriftVerdict, GuidanceConfig, GuidanceHook, GuidedHook, GuidedModel, Instruments, Pair,
+    StateKey, ThreadId, ThreadStats, Tsa, TxnId,
 };
 use gstm_libtm::{LibTm, LibTmConfig};
 use gstm_server::engine::{Engine, EngineConfig, Event, TickRecord};
@@ -303,18 +306,23 @@ fn histogram_of(samples: &[u64]) -> HistogramSnapshot {
     tel.snapshot().commit_ns
 }
 
-/// A snapshot carrying every optional family: contention, drift,
-/// per-thread rows with gate outcomes, trace drops and all three
-/// histograms. Every value is a function of the call sequence alone.
-fn rich_snapshot() -> TelemetrySnapshot {
+/// A model trained on 60 commits alternating between two threads.
+fn alternating_model() -> Arc<GuidedModel> {
     let (a, b) = (StateKey::solo(p(0, 0)), StateKey::solo(p(0, 1)));
     let run: Vec<StateKey> = (0..60)
         .map(|i| if i % 2 == 0 { a.clone() } else { b.clone() })
         .collect();
-    let model = Arc::new(GuidedModel::build(
+    Arc::new(GuidedModel::build(
         Tsa::from_runs(&[run]),
         &GuidanceConfig::default(),
-    ));
+    ))
+}
+
+/// A snapshot carrying every optional family: contention, drift,
+/// per-thread rows with gate outcomes, trace drops and all three
+/// histograms. Every value is a function of the call sequence alone.
+fn rich_snapshot() -> TelemetrySnapshot {
+    let model = alternating_model();
     let tel = Arc::new(Telemetry::with_trace_capacity(8));
     let drift = Arc::new(DriftTracker::new(&model));
     tel.attach_drift(drift.clone());
@@ -428,6 +436,76 @@ fn ops_metrics() -> String {
     plane.freeze_stamped("1700000001.000")
 }
 
+/// The ops plane's JSON bodies `(incident dump, /vars, /health)` after a
+/// campaign over two collectors: a model hot-swap on the first, a forced
+/// breaker trip on the second, and enough aborts for one incident in a
+/// four-window ring that has evicted windows by then. Stamps are fixed
+/// and the dump's trace carries no `ts_ns`, so every byte is a function
+/// of the call sequence alone.
+fn ops_json() -> (String, String, String) {
+    let spec = SloSpec::parse("abort-ratio<=25,warn=1,incident=2,clear=2").unwrap();
+    let plane = OpsPlane::with_ring(spec, 4);
+    let first = Arc::new(Telemetry::with_trace_capacity(16));
+    plane.attach(&first);
+    let adapt = AdaptConfig {
+        background: false,
+        ..AdaptConfig::default()
+    };
+    let model = alternating_model();
+    let hook = GuidedHook::adaptive(
+        model.clone(),
+        GuidanceConfig::default(),
+        adapt,
+        Some(first.clone()),
+    );
+    let load = |tel: &Telemetry, window: u16, aborts_every: u16| {
+        for i in 0..12u16 {
+            let who = p(i % 2, i % 3);
+            if (i + window).is_multiple_of(aborts_every) {
+                tel.record_abort(who, AbortCause::Validation);
+                tel.trace(
+                    who,
+                    TraceKind::Abort {
+                        cause: AbortCause::Validation,
+                        addr: 0x40 * usize::from(i),
+                    },
+                );
+            } else {
+                let ns = 90 + 41 * u64::from(i + window);
+                tel.record_commit(who, ns);
+                tel.trace(
+                    who,
+                    TraceKind::Commit {
+                        commit_ns: ns,
+                        writes: u32::from(i % 4),
+                    },
+                );
+            }
+        }
+    };
+    for window in 0..3u16 {
+        load(&first, window, 6);
+        plane.roll_stamped("1700000000.000");
+    }
+    hook.manager()
+        .expect("adaptive hook")
+        .swap_in(model, DriftVerdict::Drifting);
+    plane.roll_stamped("1700000000.100");
+    let second = Arc::new(Telemetry::with_trace_capacity(16));
+    plane.attach(&second);
+    let breaker = Breaker::new(BreakerConfig::default(), Some(second.clone()));
+    breaker.force_open().expect("a closed breaker opens");
+    for window in 3..7u16 {
+        load(&second, window, 2);
+        plane.roll_stamped("1700000000.200");
+    }
+    plane.freeze_stamped("1700000001.000");
+    let incidents = plane.incidents();
+    assert_eq!(incidents.len(), 1, "the fixture trips exactly one incident");
+    let (_, health) = plane.health_json();
+    (incidents[0].json.clone(), plane.vars_json(), health)
+}
+
 /// The `gstm_server_*` block a plane appends for an engine after five
 /// ticks.
 fn server_families() -> String {
@@ -458,6 +536,15 @@ fn telemetry_exposition_bytes_are_pinned() {
 #[test]
 fn ops_metrics_bytes_are_pinned() {
     assert_eq!(ops_metrics(), include_str!("golden/ops_metrics.prom"));
+}
+
+#[test]
+fn ops_json_bytes_are_pinned() {
+    let (incident, vars, health) = ops_json();
+    assert!(!incident.contains("ts_ns"), "the dump omits wall-clock noise");
+    assert_eq!(incident, include_str!("golden/ops_incident.json"));
+    assert_eq!(vars, include_str!("golden/ops_vars.json"));
+    assert_eq!(health, include_str!("golden/ops_health.json"));
 }
 
 #[test]
