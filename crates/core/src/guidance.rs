@@ -452,8 +452,22 @@ impl GuidedHook {
         if let (Some(b), Some(d)) = (&breaker, &drift) {
             b.attach_drift(Arc::clone(d));
         }
+        let source = ModelSource::Fixed(model);
+        Self::over(source, config, telemetry, drift, breaker, faults)
+    }
+
+    /// A hook over `source` in its initial state: no current state, no
+    /// gater, every gate slot running.
+    fn over(
+        source: ModelSource,
+        config: GuidanceConfig,
+        telemetry: Option<Arc<Telemetry>>,
+        drift: Option<Arc<DriftTracker>>,
+        breaker: Option<Arc<Breaker>>,
+        faults: Option<Arc<FaultPlan>>,
+    ) -> Self {
         GuidedHook {
-            source: ModelSource::Fixed(model),
+            source,
             config,
             tracker: StateTracker::default(),
             current: AtomicU64::new(UNKNOWN_WORD),
@@ -508,19 +522,8 @@ impl GuidedHook {
             breaker.clone(),
             faults.clone(),
         );
-        let hook = Arc::new(GuidedHook {
-            source: ModelSource::Adaptive(Arc::clone(&manager)),
-            config,
-            tracker: StateTracker::default(),
-            current: AtomicU64::new(UNKNOWN_WORD),
-            gaters: AtomicU64::new(0),
-            slots: PerThread::new(|| AtomicU64::new(RUNNING)),
-            aliased: AtomicBool::new(false),
-            telemetry,
-            drift: None,
-            breaker,
-            faults,
-        });
+        let source = ModelSource::Adaptive(Arc::clone(&manager));
+        let hook = Arc::new(Self::over(source, config, telemetry, None, breaker, faults));
         hook.tracker.set_window_cap(adapt.window);
         if adapt.background {
             manager.spawn_guardian(&hook);

@@ -10,9 +10,11 @@
 //!   cadence and keeps a bounded ring of per-window deltas plus a rollup
 //!   of evicted windows, with the hard invariant that
 //!   `Σ retained windows + evicted rollup == cumulative counters` exactly
-//!   (every delta is an exact `u64` difference of successive snapshots,
-//!   so the partition holds by construction — `WindowedTelemetry::check_partition`
-//!   re-verifies it and `gstm-analyze` cross-checks the exported form).
+//!   (a window is the exact difference of successive snapshots,
+//!   `TelemetrySnapshot::since`, and the sums are
+//!   `TelemetrySnapshot::absorb`, so the partition holds by
+//!   construction — `WindowedTelemetry::check_partition` re-verifies it
+//!   and `gstm-analyze` cross-checks the exported form).
 //! * `SloWatchdog` is an Ok→Warn→Incident state machine with
 //!   hysteresis (consecutive breaching windows to escalate, consecutive
 //!   clean windows to step back down) over windowed rates plus the
@@ -44,8 +46,8 @@ use crate::json::{array_lines, escape};
 use crate::prom::{Kind, Writer};
 use crate::sync::Mutex;
 use crate::telemetry::{
-    bucket_quantile, event_json, Telemetry, TelemetrySnapshot, TraceEvent, ABORT_CAUSE_NAMES,
-    BUILD_VERSION, SCHEMA_VERSION,
+    event_json, Telemetry, TelemetrySnapshot, TraceEvent, ABORT_CAUSE_NAMES, BUILD_VERSION,
+    SCHEMA_VERSION,
 };
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -65,164 +67,21 @@ const DEFAULT_WINDOW_RING: usize = 64;
 const WINDOW_HOT_ADDRS: usize = 4;
 
 // ---------------------------------------------------------------------------
-// Window counters and deltas
+// Window deltas
 // ---------------------------------------------------------------------------
 
-/// The monotone counter fields of a [`TelemetrySnapshot`], as plain
-/// data: both the cumulative reduction and a per-window delta use this
-/// shape, so the partition invariant is checked field-by-field with
-/// ordinary `==`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct WindowCounters {
-    /// Committed attempts.
-    commits: u64,
-    /// Aborted attempts by cause (indexed per [`ABORT_CAUSE_NAMES`]).
-    aborts: [u64; 6],
-    /// Gate calls that passed immediately.
-    gate_passed: u64,
-    /// Gate calls that waited before passing.
-    gate_waited: u64,
-    /// Gate calls released by the progress escape.
-    gate_released: u64,
-    /// Trace events lost to ring overwrites.
-    pub(crate) trace_dropped: u64,
-    /// Guided-model hot-swaps.
-    model_swaps: u64,
-    /// Breaker trips.
-    pub(crate) breaker_trips: u64,
-    /// Breaker re-closes.
-    pub(crate) breaker_recloses: u64,
-    /// Breaker half-open probes.
-    pub(crate) breaker_probes: u64,
-    /// Model files rejected by integrity checks.
-    model_rejected: u64,
-    /// Adapt-guardian restarts.
-    pub(crate) guardian_restarts: u64,
-    /// Commit-latency histogram buckets (delta of bucket counts, so a
-    /// window has its own latency distribution, not the cumulative one).
-    commit_buckets: Vec<u64>,
-    /// Commit-latency sample count.
-    commit_count: u64,
-    /// Commit-latency sample sum (ns).
-    commit_sum_ns: u64,
-}
-
-impl WindowCounters {
-    /// Reduce a snapshot to its monotone counter fields.
-    fn from_snapshot(s: &TelemetrySnapshot) -> Self {
-        WindowCounters {
-            commits: s.commits,
-            aborts: s.aborts,
-            gate_passed: s.gate_passed,
-            gate_waited: s.gate_waited,
-            gate_released: s.gate_released,
-            trace_dropped: s.trace_dropped,
-            model_swaps: s.model_swaps,
-            breaker_trips: s.breaker_trips,
-            breaker_recloses: s.breaker_recloses,
-            breaker_probes: s.breaker_probes,
-            model_rejected: s.breaker_model_rejected,
-            guardian_restarts: s.guardian_restarts,
-            commit_buckets: s.commit_ns.buckets.clone(),
-            commit_count: s.commit_ns.count,
-            commit_sum_ns: s.commit_ns.sum,
-        }
-    }
-
-    /// Total aborted attempts.
-    fn aborts_total(&self) -> u64 {
-        self.aborts.iter().sum()
-    }
-
-    /// Total gate calls.
-    fn gate_total(&self) -> u64 {
-        self.gate_passed + self.gate_waited + self.gate_released
-    }
-
-    /// Whether every counter is zero (an idle window).
-    fn is_zero(&self) -> bool {
-        self.commits == 0
-            && self.aborts_total() == 0
-            && self.gate_total() == 0
-            && self.trace_dropped == 0
-            && self.model_swaps == 0
-            && self.breaker_trips == 0
-            && self.breaker_recloses == 0
-            && self.breaker_probes == 0
-            && self.model_rejected == 0
-            && self.guardian_restarts == 0
-            && self.commit_count == 0
-    }
-
-    /// Fold `other` into `self` (exact addition, bucket-wise for the
-    /// histogram).
-    fn add(&mut self, other: &WindowCounters) {
-        self.commits += other.commits;
-        for (a, b) in self.aborts.iter_mut().zip(&other.aborts) {
-            *a += b;
-        }
-        self.gate_passed += other.gate_passed;
-        self.gate_waited += other.gate_waited;
-        self.gate_released += other.gate_released;
-        self.trace_dropped += other.trace_dropped;
-        self.model_swaps += other.model_swaps;
-        self.breaker_trips += other.breaker_trips;
-        self.breaker_recloses += other.breaker_recloses;
-        self.breaker_probes += other.breaker_probes;
-        self.model_rejected += other.model_rejected;
-        self.guardian_restarts += other.guardian_restarts;
-        if self.commit_buckets.len() < other.commit_buckets.len() {
-            self.commit_buckets.resize(other.commit_buckets.len(), 0);
-        }
-        for (a, b) in self.commit_buckets.iter_mut().zip(&other.commit_buckets) {
-            *a += b;
-        }
-        self.commit_count += other.commit_count;
-        self.commit_sum_ns = self.commit_sum_ns.wrapping_add(other.commit_sum_ns);
-    }
-
-    /// `self - older`, exact. Returns `None` if any field would go
-    /// negative (a non-monotone pair, which `WindowedTelemetry` never
-    /// produces: collectors are absorbed into the base before being
-    /// replaced, so the cumulative view only grows).
-    fn delta_from(&self, older: &WindowCounters) -> Option<WindowCounters> {
-        let mut aborts = [0u64; 6];
-        for (out, (&new, &old)) in aborts.iter_mut().zip(self.aborts.iter().zip(&older.aborts)) {
-            *out = new.checked_sub(old)?;
-        }
-        let mut commit_buckets = vec![0u64; self.commit_buckets.len()];
-        for (i, out) in commit_buckets.iter_mut().enumerate() {
-            let old = older.commit_buckets.get(i).copied().unwrap_or(0);
-            *out = self.commit_buckets[i].checked_sub(old)?;
-        }
-        Some(WindowCounters {
-            commits: self.commits.checked_sub(older.commits)?,
-            aborts,
-            gate_passed: self.gate_passed.checked_sub(older.gate_passed)?,
-            gate_waited: self.gate_waited.checked_sub(older.gate_waited)?,
-            gate_released: self.gate_released.checked_sub(older.gate_released)?,
-            trace_dropped: self.trace_dropped.checked_sub(older.trace_dropped)?,
-            model_swaps: self.model_swaps.checked_sub(older.model_swaps)?,
-            breaker_trips: self.breaker_trips.checked_sub(older.breaker_trips)?,
-            breaker_recloses: self.breaker_recloses.checked_sub(older.breaker_recloses)?,
-            breaker_probes: self.breaker_probes.checked_sub(older.breaker_probes)?,
-            model_rejected: self.model_rejected.checked_sub(older.model_rejected)?,
-            guardian_restarts: self.guardian_restarts.checked_sub(older.guardian_restarts)?,
-            commit_buckets,
-            commit_count: self.commit_count.checked_sub(older.commit_count)?,
-            commit_sum_ns: self.commit_sum_ns.wrapping_sub(older.commit_sum_ns),
-        })
-    }
-}
-
-/// One closed window: exact counter deltas plus point-in-time gauges
-/// sampled at close.
-#[derive(Clone, Debug, PartialEq)]
+/// One closed window: the exact counts recorded in it plus point-in-time
+/// gauges sampled at close.
+#[derive(Clone, Debug)]
 struct WindowDelta {
     /// Zero-based index among non-idle windows.
     index: u64,
-    /// Exact counter deltas for this window.
-    counters: WindowCounters,
+    /// The cumulative snapshot at close [`since`] the one at the previous
+    /// close; its drift report and contention stats are taken out into
+    /// the gauges below, so a window does not retain them.
+    ///
+    /// [`since`]: TelemetrySnapshot::since
+    delta: TelemetrySnapshot,
     /// Median commit latency within the window (bucket upper bound; ns).
     commit_p50_ns: u64,
     /// p99 commit latency within the window (bucket upper bound; ns).
@@ -233,12 +92,10 @@ struct WindowDelta {
     released_pct: f64,
     /// Off-model transition fraction at close (live drift gauge), when a
     /// drift tracker is attached.
-    pub(crate) off_model_pct: Option<f64>,
+    off_model_pct: Option<f64>,
     /// Drift verdict code at close ([`DriftVerdict::code`]; 0 when no
     /// tracker is attached).
     staleness: u8,
-    /// Breaker position at close (0 closed, 1 open, 2 half-open).
-    pub(crate) breaker_state: u8,
     /// Top hot addresses `(addr, count)` from the contention sketch at
     /// close (cumulative counts; empty without a tracker).
     hot_addrs: Vec<(usize, u64)>,
@@ -249,40 +106,43 @@ struct WindowDelta {
 }
 
 impl WindowDelta {
-    fn from_counters(index: u64, counters: WindowCounters, snap: &TelemetrySnapshot) -> Self {
-        let attempts = counters.commits + counters.aborts_total();
+    fn new(index: u64, mut delta: TelemetrySnapshot) -> Self {
+        let attempts = delta.commits + delta.aborts_total();
         let abort_ratio_pct = if attempts == 0 {
             0.0
         } else {
-            counters.aborts_total() as f64 / attempts as f64 * 100.0
+            delta.aborts_total() as f64 / attempts as f64 * 100.0
         };
-        let gate = counters.gate_total();
+        let gate = delta.gate_total();
         let released_pct = if gate == 0 {
             0.0
         } else {
-            counters.gate_released as f64 / gate as f64 * 100.0
+            delta.gate_released as f64 / gate as f64 * 100.0
         };
-        let commit_p50_ns = bucket_quantile(&counters.commit_buckets, counters.commit_count, 0.50);
-        let commit_p99_ns = bucket_quantile(&counters.commit_buckets, counters.commit_count, 0.99);
-        let (off_model_pct, staleness) = match &snap.model_drift {
+        let (off_model_pct, staleness) = match delta.model_drift.take() {
             Some(d) => (Some(d.off_model_pct), d.verdict.code()),
             None => (None, 0),
         };
-        let hot_addrs = snap
+        let hot_addrs = delta
             .contention
-            .as_ref()
-            .map(|c| c.top.iter().take(WINDOW_HOT_ADDRS).map(|h| (h.addr, h.count)).collect())
+            .take()
+            .map(|c| {
+                c.top
+                    .iter()
+                    .take(WINDOW_HOT_ADDRS)
+                    .map(|h| (h.addr, h.count))
+                    .collect()
+            })
             .unwrap_or_default();
         WindowDelta {
             index,
-            counters,
-            commit_p50_ns,
-            commit_p99_ns,
+            commit_p50_ns: delta.commit_ns.quantile_upper_bound(0.50),
+            commit_p99_ns: delta.commit_ns.quantile_upper_bound(0.99),
+            delta,
             abort_ratio_pct,
             released_pct,
             off_model_pct,
             staleness,
-            breaker_state: snap.breaker_state,
             hot_addrs,
             server: None,
         }
@@ -347,9 +207,11 @@ struct WindowedTelemetry {
     cap: usize,
     base: TelemetrySnapshot,
     current: Option<Arc<Telemetry>>,
-    last: WindowCounters,
+    /// The cumulative snapshot at the last close.
+    last: TelemetrySnapshot,
     ring: VecDeque<WindowDelta>,
-    evicted: WindowCounters,
+    /// Σ of the windows evicted from the ring.
+    evicted: TelemetrySnapshot,
     evicted_windows: u64,
     closed: u64,
     rolls: u64,
@@ -362,9 +224,9 @@ impl WindowedTelemetry {
             cap: cap.max(1),
             base: TelemetrySnapshot::default(),
             current: None,
-            last: WindowCounters::default(),
+            last: TelemetrySnapshot::default(),
             ring: VecDeque::new(),
-            evicted: WindowCounters::default(),
+            evicted: TelemetrySnapshot::default(),
             evicted_windows: 0,
             closed: 0,
             rolls: 0,
@@ -399,27 +261,27 @@ impl WindowedTelemetry {
         self.current.as_ref().map(|t| t.trace_events()).unwrap_or_default()
     }
 
-    /// Close a window now: compute the exact delta since the previous
+    /// Close a window now: take the exact difference since the previous
     /// close and append it to the ring (evicting the oldest into the
-    /// rollup when full). Idle ticks — every counter unchanged — close
-    /// no window and return `None`, so the ring holds activity, not
-    /// silence.
+    /// rollup when full). Idle ticks — no event counter moved — close no
+    /// window and return `None`, so the ring holds activity, not
+    /// silence; latency samples of an idle tick count in the next
+    /// window.
     fn roll(&mut self) -> Option<WindowDelta> {
         self.rolls += 1;
-        let snap = self.cumulative();
-        let cum = WindowCounters::from_snapshot(&snap);
+        let cum = self.cumulative();
         let delta = cum
-            .delta_from(&self.last)
+            .since(&self.last)
             .expect("cumulative telemetry counters are monotone");
-        if delta.is_zero() {
+        if !delta.has_events() {
             return None;
         }
         self.last = cum;
-        let w = WindowDelta::from_counters(self.closed, delta, &snap);
+        let w = WindowDelta::new(self.closed, delta);
         self.closed += 1;
         if self.ring.len() == self.cap {
             let old = self.ring.pop_front().expect("ring is non-empty at capacity");
-            self.evicted.add(&old.counters);
+            self.evicted.absorb(&old.delta);
             self.evicted_windows += 1;
         }
         self.ring.push_back(w.clone());
@@ -440,7 +302,7 @@ impl WindowedTelemetry {
     }
 
     /// Rollup of evicted windows and how many were folded into it.
-    fn evicted(&self) -> (&WindowCounters, u64) {
+    fn evicted(&self) -> (&TelemetrySnapshot, u64) {
         (&self.evicted, self.evicted_windows)
     }
 
@@ -455,19 +317,19 @@ impl WindowedTelemetry {
     }
 
     /// Σ retained + evicted rollup (the partition's left-hand side).
-    fn retained_sum(&self) -> WindowCounters {
+    fn retained_sum(&self) -> TelemetrySnapshot {
         let mut sum = self.evicted.clone();
         for w in &self.ring {
-            sum.add(&w.counters);
+            sum.absorb(&w.delta);
         }
         sum
     }
 
     /// Verify the hard invariant: Σ retained windows + evicted rollup ==
-    /// cumulative counters as of the last close, exactly.
+    /// cumulative counts as of the last close, exactly.
     fn check_partition(&self) -> Result<(), String> {
         let sum = self.retained_sum();
-        if sum == self.last {
+        if sum.same_counts(&self.last) {
             Ok(())
         } else {
             Err(format!(
@@ -772,7 +634,7 @@ impl SloWatchdog {
                 }
             }
         }
-        if self.spec.breaker_open_breaches && w.breaker_state == 1 {
+        if self.spec.breaker_open_breaches && w.delta.breaker_state == 1 {
             out.push("breaker open".to_string());
         }
         if self.spec.stale_breaches && w.staleness == DriftVerdict::Stale.code() {
@@ -784,7 +646,7 @@ impl SloWatchdog {
     /// Feed one closed window through the machine. Returns the
     /// transition if the state changed.
     fn observe(&mut self, w: &WindowDelta) -> Option<SloTransition> {
-        let events = w.counters.commits + w.counters.aborts_total() + w.counters.gate_total();
+        let events = w.delta.commits + w.delta.aborts_total() + w.delta.gate_total();
         if events < self.spec.min_events {
             return None;
         }
@@ -871,23 +733,23 @@ fn window_json(w: &WindowDelta) -> String {
     let mut out = format!(
         "{{\"index\":{},\"commits\":{},\"aborts\":{}",
         w.index,
-        w.counters.commits,
-        w.counters.aborts_total()
+        w.delta.commits,
+        w.delta.aborts_total()
     );
     let _ = write!(
         out,
         ",\"aborts_by_cause\":{}",
-        cause_counts_json(&w.counters.aborts)
+        cause_counts_json(&w.delta.aborts)
     );
     let _ = write!(
         out,
         ",\"gate_passed\":{},\"gate_waited\":{},\"gate_released\":{}",
-        w.counters.gate_passed, w.counters.gate_waited, w.counters.gate_released
+        w.delta.gate_passed, w.delta.gate_waited, w.delta.gate_released
     );
     let _ = write!(
         out,
         ",\"trace_dropped\":{},\"commit_count\":{},\"commit_p50_ns\":{},\"commit_p99_ns\":{}",
-        w.counters.trace_dropped, w.counters.commit_count, w.commit_p50_ns, w.commit_p99_ns
+        w.delta.trace_dropped, w.delta.commit_ns.count, w.commit_p50_ns, w.commit_p99_ns
     );
     let _ = write!(
         out,
@@ -903,7 +765,7 @@ fn window_json(w: &WindowDelta) -> String {
     let _ = write!(
         out,
         ",\"staleness\":{},\"breaker_state\":{}",
-        w.staleness, w.breaker_state
+        w.staleness, w.delta.breaker_state
     );
     out.push_str(",\"hot_addrs\":[");
     for (i, (addr, count)) in w.hot_addrs.iter().enumerate() {
@@ -934,7 +796,7 @@ fn render_incident_json(
     trip: &SloTransition,
     timeline: &[SloTransition],
     windows: &[&WindowDelta],
-    evicted: (&WindowCounters, u64),
+    evicted: (&TelemetrySnapshot, u64),
     snap: &TelemetrySnapshot,
     trace: &[TraceEvent],
 ) -> String {
@@ -1318,18 +1180,18 @@ fn render_metrics(
     let ring = w.windows();
     let mut f = out.family("gstm_window_commits", Kind::Gauge);
     for win in ring {
-        f.sample(&[("window", &win.index)], win.counters.commits);
+        f.sample(&[("window", &win.index)], win.delta.commits);
     }
     let mut f = out.family("gstm_window_aborts", Kind::Gauge);
     for win in ring {
-        f.sample(&[("window", &win.index)], win.counters.aborts_total());
+        f.sample(&[("window", &win.index)], win.delta.aborts_total());
     }
     let mut f = out.family("gstm_window_gate", Kind::Gauge);
     for win in ring {
         for (name, v) in [
-            ("passed", win.counters.gate_passed),
-            ("waited", win.counters.gate_waited),
-            ("released", win.counters.gate_released),
+            ("passed", win.delta.gate_passed),
+            ("waited", win.delta.gate_waited),
+            ("released", win.delta.gate_released),
         ] {
             f.sample(&[("window", &win.index), ("outcome", &name)], v);
         }
@@ -1644,30 +1506,12 @@ mod tests {
     }
 
     fn window(commits: u64, aborts: u64) -> WindowDelta {
-        let mut c = WindowCounters {
+        let mut delta = TelemetrySnapshot {
             commits,
-            ..WindowCounters::default()
+            ..TelemetrySnapshot::default()
         };
-        c.aborts[3] = aborts; // validation
-        let attempts = commits + aborts;
-        let ratio = if attempts == 0 {
-            0.0
-        } else {
-            aborts as f64 / attempts as f64 * 100.0
-        };
-        WindowDelta {
-            index: 0,
-            counters: c,
-            commit_p50_ns: 0,
-            commit_p99_ns: 0,
-            abort_ratio_pct: ratio,
-            released_pct: 0.0,
-            off_model_pct: None,
-            staleness: 0,
-            breaker_state: 0,
-            hot_addrs: Vec::new(),
-            server: None,
-        }
+        delta.aborts[3] = aborts; // validation
+        WindowDelta::new(0, delta)
     }
 
     #[test]
@@ -1716,8 +1560,8 @@ mod tests {
         assert_eq!(sum.commits, snap.commits);
         assert_eq!(sum.aborts_total(), snap.aborts_total());
         assert_eq!(sum.gate_total(), snap.gate_total());
-        assert_eq!(sum.commit_count, snap.commit_ns.count);
-        assert_eq!(sum.commit_sum_ns, snap.commit_ns.sum);
+        assert_eq!(sum.commit_ns.count, snap.commit_ns.count);
+        assert_eq!(sum.commit_ns.sum, snap.commit_ns.sum);
     }
 
     #[test]
@@ -1753,8 +1597,25 @@ mod tests {
         assert_eq!(wt.rolls(), 2);
         tel.record_commit(pair(0), 7);
         let w = wt.roll().expect("activity closes a window");
-        assert_eq!(w.counters.commits, 1);
+        assert_eq!(w.delta.commits, 1);
         assert_eq!(wt.closed(), 1);
+        wt.check_partition().unwrap();
+    }
+
+    #[test]
+    fn latency_samples_alone_close_no_window() {
+        let tel = Arc::new(Telemetry::counters_only());
+        let mut wt = WindowedTelemetry::new(4);
+        wt.attach(Arc::clone(&tel));
+        tel.record_backoff(pair(0), 300);
+        tel.record_gate_wait(pair(1), 40);
+        assert!(wt.roll().is_none(), "backoff and gate-wait samples are no events");
+        tel.record_guardian_restart();
+        let w = wt.roll().expect("a guardian restart is an event");
+        assert_eq!(w.delta.commits, 0);
+        // The idle tick's samples count in the next window.
+        assert_eq!((w.delta.backoff_ns.count, w.delta.gate_wait_ns.count), (1, 1));
+        assert!(w.delta.per_thread.is_empty(), "no cell counted an event");
         wt.check_partition().unwrap();
     }
 

@@ -254,27 +254,6 @@ impl Default for LatencyHistogram {
     }
 }
 
-/// Upper bound of the bucket where the cumulative count of `buckets`
-/// (laid out as a [`LatencyHistogram`]'s) first reaches `q` (0 < q ≤ 1)
-/// of `count` samples; 0 when `count` is 0. Serves whole snapshots and a
-/// window's delta buckets alike. Both take `count` as their bucket sum,
-/// so the scan always ends inside the buckets; a caller's `count` above
-/// the bucket sum would resolve to the top bucket.
-pub(crate) fn bucket_quantile(buckets: &[u64], count: u64, q: f64) -> u64 {
-    if count == 0 {
-        return 0;
-    }
-    let target = (q.clamp(0.0, 1.0) * count as f64).ceil() as u64;
-    let mut cum = 0u64;
-    for (i, &b) in buckets.iter().enumerate() {
-        cum += b;
-        if cum >= target {
-            return LatencyHistogram::bucket_range(i).1;
-        }
-    }
-    LatencyHistogram::bucket_range(NUM_BUCKETS - 1).1
-}
-
 /// Plain-data copy of a `LatencyHistogram`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
@@ -308,9 +287,22 @@ impl HistogramSnapshot {
 
     /// Upper bound of the bucket where the cumulative count first reaches
     /// `q` (0 < q ≤ 1) of the samples; 0 when empty. A coarse quantile —
-    /// exact only up to bucket resolution.
+    /// exact only up to bucket resolution. The count is the bucket sum
+    /// (for a window's difference too), so the scan always ends inside
+    /// the buckets.
     pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        bucket_quantile(&self.buckets, self.count, q)
+        if self.count == 0 {
+            return 0;
+        }
+        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
+        let mut cum = 0u64;
+        for (i, &b) in self.buckets.iter().enumerate() {
+            cum += b;
+            if cum >= target {
+                return LatencyHistogram::bucket_range(i).1;
+            }
+        }
+        LatencyHistogram::bucket_range(NUM_BUCKETS - 1).1
     }
 
     /// Fold `other` into `self` bucket-wise (exact: counts and sums add;
@@ -327,6 +319,38 @@ impl HistogramSnapshot {
         self.sum = self.sum.wrapping_add(other.sum);
         self.max = self.max.max(other.max);
     }
+
+    /// The samples recorded after `older` was taken: `self - older`
+    /// bucket-wise, so `older.absorb(&d)` gives `self` back. `None` when a
+    /// bucket or the count went down, i.e. `self` is not a later snapshot
+    /// of the same histogram. The sum wraps as in `absorb`; `max` is not
+    /// a count, so the difference keeps `self`'s.
+    pub(crate) fn since(&self, older: &HistogramSnapshot) -> Option<HistogramSnapshot> {
+        let mut d = self.clone();
+        if d.buckets.len() < older.buckets.len() {
+            d.buckets.resize(older.buckets.len(), 0);
+        }
+        for (a, &b) in d.buckets.iter_mut().zip(&older.buckets) {
+            *a = a.checked_sub(b)?;
+        }
+        d.count = d.count.checked_sub(older.count)?;
+        d.sum = d.sum.wrapping_sub(older.sum);
+        Some(d)
+    }
+}
+
+/// `*a -= b`, or `None` where that would go below zero: the step
+/// [`TelemetrySnapshot::since`] takes on each counter.
+fn checked_sub(a: &mut u64, b: u64) -> Option<()> {
+    *a = a.checked_sub(b)?;
+    Some(())
+}
+
+/// `*a += b`: the step [`TelemetrySnapshot::absorb`] takes on each
+/// counter.
+fn add(a: &mut u64, b: u64) -> Option<()> {
+    *a += b;
+    Some(())
 }
 
 // ---------------------------------------------------------------------------
@@ -361,6 +385,38 @@ impl CounterCell {
     #[inline]
     fn latency(&self) -> &CellLatency {
         self.latency.get_or_init(Box::default)
+    }
+
+    /// The cell's counts as a snapshot of one thread: its totals, its
+    /// histograms once allocated, and its per-thread row when it
+    /// recorded anything.
+    fn snapshot(&self, cell: usize) -> TelemetrySnapshot {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let mut snap = TelemetrySnapshot {
+            aborts: std::array::from_fn(|i| load(&self.aborts[i])),
+            gate_passed: load(&self.gate_passed),
+            gate_waited: load(&self.gate_waited),
+            gate_released: load(&self.gate_released),
+            ..Default::default()
+        };
+        if let Some(latency) = self.latency.get() {
+            snap.commit_ns = latency.commit.snapshot();
+            snap.commits = snap.commit_ns.count;
+            snap.backoff_ns = latency.backoff.snapshot();
+            snap.gate_wait_ns = latency.gate_wait.snapshot();
+        }
+        let row = ThreadCounters {
+            cell,
+            commits: snap.commits,
+            aborts: snap.aborts,
+            gate_passed: snap.gate_passed,
+            gate_waited: snap.gate_waited,
+            gate_released: snap.gate_released,
+        };
+        if !row.is_empty() {
+            snap.per_thread.push(row);
+        }
+        snap
     }
 }
 
@@ -711,10 +767,18 @@ impl Telemetry {
 
     /// Aggregate the per-thread cells and histograms into a snapshot.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let mut snap = TelemetrySnapshot {
+        let mut cells = TelemetrySnapshot {
             commit_ns: HistogramSnapshot::empty(),
             backoff_ns: HistogramSnapshot::empty(),
             gate_wait_ns: HistogramSnapshot::empty(),
+            ..Default::default()
+        };
+        for (i, cell) in self.cells.iter().enumerate() {
+            cells.absorb(&cell.snapshot(i));
+        }
+        // The collector-wide fields go in after the merge, which would
+        // overwrite the breaker position with a cell's.
+        TelemetrySnapshot {
             trace_dropped: self.trace_dropped(),
             model_swaps: self.model_swaps(),
             breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
@@ -725,44 +789,8 @@ impl Telemetry {
             guardian_restarts: self.guardian_restarts.load(Ordering::Relaxed),
             model_drift: self.drift.lock().as_ref().map(|d| d.report()),
             contention: self.contention.lock().clone(),
-            ..Default::default()
-        };
-        for (i, cell) in self.cells.iter().enumerate() {
-            let mut commits = 0;
-            if let Some(latency) = cell.latency.get() {
-                let commit = latency.commit.snapshot();
-                commits = commit.count;
-                snap.commit_ns.absorb(&commit);
-                snap.backoff_ns.absorb(&latency.backoff.snapshot());
-                snap.gate_wait_ns.absorb(&latency.gate_wait.snapshot());
-            }
-            let mut aborts = [0u64; 6];
-            for (a, c) in aborts.iter_mut().zip(&cell.aborts) {
-                *a = c.load(Ordering::Relaxed);
-            }
-            let passed = cell.gate_passed.load(Ordering::Relaxed);
-            let waited = cell.gate_waited.load(Ordering::Relaxed);
-            let released = cell.gate_released.load(Ordering::Relaxed);
-            let aborts_total: u64 = aborts.iter().sum();
-            snap.commits += commits;
-            for (t, a) in snap.aborts.iter_mut().zip(&aborts) {
-                *t += a;
-            }
-            snap.gate_passed += passed;
-            snap.gate_waited += waited;
-            snap.gate_released += released;
-            if commits + aborts_total + passed + waited + released != 0 {
-                snap.per_thread.push(ThreadCounters {
-                    cell: i,
-                    commits,
-                    aborts,
-                    gate_passed: passed,
-                    gate_waited: waited,
-                    gate_released: released,
-                });
-            }
+            ..cells
         }
-        snap
     }
 }
 
@@ -800,6 +828,30 @@ impl ThreadCounters {
     /// Total gate calls in this cell.
     pub fn gate_total(&self) -> u64 {
         self.gate_passed + self.gate_waited + self.gate_released
+    }
+
+    /// Apply `f` to each counter of `self` and the same counter of
+    /// `other`, stopping at the first `None`: the one list of a cell's
+    /// counters.
+    fn zip_counts(
+        &mut self,
+        other: &ThreadCounters,
+        mut f: impl FnMut(&mut u64, u64) -> Option<()>,
+    ) -> Option<()> {
+        f(&mut self.commits, other.commits)?;
+        for (a, &b) in self.aborts.iter_mut().zip(&other.aborts) {
+            f(a, b)?;
+        }
+        f(&mut self.gate_passed, other.gate_passed)?;
+        f(&mut self.gate_waited, other.gate_waited)?;
+        f(&mut self.gate_released, other.gate_released)
+    }
+
+    /// Whether every counter is zero.
+    fn is_empty(&self) -> bool {
+        ThreadCounters::default()
+            .zip_counts(self, |_, v| (v == 0).then_some(()))
+            .is_some()
     }
 }
 
@@ -864,51 +916,109 @@ impl TelemetrySnapshot {
         self.gate_passed + self.gate_waited + self.gate_released
     }
 
+    /// Apply `f` to each event counter of `self` and the same counter of
+    /// `other`, stopping at the first `None`. This is the one list of the
+    /// snapshot's monotone event counters, which `absorb` adds, `since`
+    /// subtracts and `has_events` reads; the histograms, the per-thread
+    /// rows and the point-in-time fields are not on it.
+    fn zip_events(
+        &mut self,
+        other: &TelemetrySnapshot,
+        mut f: impl FnMut(&mut u64, u64) -> Option<()>,
+    ) -> Option<()> {
+        f(&mut self.commits, other.commits)?;
+        for (a, &b) in self.aborts.iter_mut().zip(&other.aborts) {
+            f(a, b)?;
+        }
+        f(&mut self.gate_passed, other.gate_passed)?;
+        f(&mut self.gate_waited, other.gate_waited)?;
+        f(&mut self.gate_released, other.gate_released)?;
+        f(&mut self.trace_dropped, other.trace_dropped)?;
+        f(&mut self.model_swaps, other.model_swaps)?;
+        f(&mut self.breaker_trips, other.breaker_trips)?;
+        f(&mut self.breaker_recloses, other.breaker_recloses)?;
+        f(&mut self.breaker_probes, other.breaker_probes)?;
+        f(
+            &mut self.breaker_model_rejected,
+            other.breaker_model_rejected,
+        )?;
+        f(&mut self.guardian_restarts, other.guardian_restarts)
+    }
+
     /// Fold `other` into `self`, treating the pair as one logical run:
     /// counters and histograms add exactly; per-thread cells merge by
     /// cell index; point-in-time fields (breaker position, drift,
     /// contention) take `other`'s when present, since `other`
     /// is the newer snapshot. This is how the ops plane maintains one
-    /// cumulative view across the harness's per-run collectors.
+    /// cumulative view across the harness's per-run collectors, and how
+    /// [`Telemetry::snapshot`] merges its cells.
     pub(crate) fn absorb(&mut self, other: &TelemetrySnapshot) {
-        self.commits += other.commits;
-        for (a, b) in self.aborts.iter_mut().zip(&other.aborts) {
-            *a += b;
-        }
-        self.gate_passed += other.gate_passed;
-        self.gate_waited += other.gate_waited;
-        self.gate_released += other.gate_released;
+        self.zip_events(other, add);
         self.commit_ns.absorb(&other.commit_ns);
         self.backoff_ns.absorb(&other.backoff_ns);
         self.gate_wait_ns.absorb(&other.gate_wait_ns);
         for tc in &other.per_thread {
             match self.per_thread.iter_mut().find(|m| m.cell == tc.cell) {
                 Some(m) => {
-                    m.commits += tc.commits;
-                    for (a, b) in m.aborts.iter_mut().zip(&tc.aborts) {
-                        *a += b;
-                    }
-                    m.gate_passed += tc.gate_passed;
-                    m.gate_waited += tc.gate_waited;
-                    m.gate_released += tc.gate_released;
+                    m.zip_counts(tc, add);
                 }
                 None => self.per_thread.push(*tc),
             }
         }
         self.per_thread.sort_by_key(|t| t.cell);
-        self.trace_dropped += other.trace_dropped;
-        self.model_swaps += other.model_swaps;
-        self.breaker_trips += other.breaker_trips;
-        self.breaker_recloses += other.breaker_recloses;
-        self.breaker_probes += other.breaker_probes;
-        self.breaker_model_rejected += other.breaker_model_rejected;
         self.breaker_state = other.breaker_state;
-        self.guardian_restarts += other.guardian_restarts;
         if other.model_drift.is_some() {
             self.model_drift = other.model_drift.clone();
         }
         if other.contention.is_some() {
             self.contention = other.contention.clone();
+        }
+    }
+
+    /// What was recorded after `older` was taken: `self - older` on every
+    /// event counter, histogram and per-thread row, so `older.absorb(&d)`
+    /// gives `self` back. `None` when some counter, bucket or cell went
+    /// down, i.e. `self` is not a later snapshot of the same counters.
+    /// Rows of cells that did not move are left out; the point-in-time
+    /// fields and each histogram's `max` are `self`'s.
+    pub(crate) fn since(&self, older: &TelemetrySnapshot) -> Option<TelemetrySnapshot> {
+        let mut d = self.clone();
+        d.zip_events(older, checked_sub)?;
+        d.commit_ns = self.commit_ns.since(&older.commit_ns)?;
+        d.backoff_ns = self.backoff_ns.since(&older.backoff_ns)?;
+        d.gate_wait_ns = self.gate_wait_ns.since(&older.gate_wait_ns)?;
+        for old in &older.per_thread {
+            // A cell `self` lacks is a zero row, below any counts `older`
+            // holds for it.
+            let mut none = ThreadCounters::default();
+            let row = d.per_thread.iter_mut().find(|r| r.cell == old.cell);
+            row.unwrap_or(&mut none).zip_counts(old, checked_sub)?;
+        }
+        d.per_thread.retain(|row| !row.is_empty());
+        Some(d)
+    }
+
+    /// Whether any event counter (see `zip_events`) is nonzero. On a
+    /// difference taken by `since`, whether anything happened beyond
+    /// latency samples: a backoff or gate-wait sample alone is no event.
+    pub(crate) fn has_events(&self) -> bool {
+        TelemetrySnapshot::default()
+            .zip_events(self, |_, v| (v == 0).then_some(()))
+            .is_none()
+    }
+
+    /// Whether `self` and `other` hold the same counts: every event
+    /// counter, histogram bucket, sample count and sum, and per-thread
+    /// row. A histogram's `max` is not a count and is not compared.
+    pub(crate) fn same_counts(&self, other: &TelemetrySnapshot) -> bool {
+        // Each difference exists only where its minuend is at least the
+        // subtrahend everywhere, so both existing means every count is
+        // equal; the sums wrap, so theirs must differ by zero.
+        match (self.since(other), other.since(self)) {
+            (Some(d), Some(_)) => [d.commit_ns, d.backoff_ns, d.gate_wait_ns]
+                .iter()
+                .all(|h| h.sum == 0),
+            _ => false,
         }
     }
 
@@ -1595,6 +1705,161 @@ mod tests {
         assert_eq!(tel.trace_dropped(), rings.iter().sum::<u64>());
         assert_eq!(tel.snapshot().trace_dropped, 9);
         assert_eq!(tel.trace_events().len(), 4 + 4 + 3);
+    }
+
+    /// Raise every event counter, histogram bucket, sum and maximum of
+    /// `s` and every counter of cells `0..cells` (adding the rows that
+    /// are missing) by a random step from `min..min + 4`. Each count
+    /// stays its bucket sum.
+    fn grow(s: &mut TelemetrySnapshot, rng: &mut crate::rng::SplitMix64, min: u64, cells: usize) {
+        let mut step = || min + rng.below(4);
+        let zero = TelemetrySnapshot::default();
+        s.zip_events(&zero, |a, _| add(a, step()));
+        for h in [&mut s.commit_ns, &mut s.backoff_ns, &mut s.gate_wait_ns] {
+            h.buckets.resize(NUM_BUCKETS, 0);
+            for b in &mut h.buckets {
+                *b += step();
+            }
+            h.count = h.buckets.iter().sum();
+            h.sum = h.sum.wrapping_add(step() << 40);
+            h.max += step();
+        }
+        for cell in 0..cells {
+            if s.per_thread.iter().all(|r| r.cell != cell) {
+                s.per_thread.push(ThreadCounters {
+                    cell,
+                    ..Default::default()
+                });
+            }
+        }
+        for row in &mut s.per_thread {
+            row.zip_counts(&ThreadCounters::default(), |a, _| add(a, step()));
+        }
+        s.per_thread.sort_by_key(|r| r.cell);
+    }
+
+    /// A snapshot whose every counter, bucket and row counter is at
+    /// least 1, with one to three cells.
+    fn random_snapshot(rng: &mut crate::rng::SplitMix64) -> TelemetrySnapshot {
+        let mut s = TelemetrySnapshot::default();
+        let cells = 1 + rng.below(3) as usize;
+        grow(&mut s, rng, 1, cells);
+        s
+    }
+
+    #[test]
+    fn absorbing_the_difference_gives_the_newer_snapshot_back() {
+        for seed in 0..300 {
+            let mut rng = crate::rng::SplitMix64::new(seed);
+            let older = random_snapshot(&mut rng);
+            let mut newer = older.clone();
+            let cells = 1 + rng.below(4) as usize;
+            grow(&mut newer, &mut rng, 0, cells);
+            newer.breaker_state = 2;
+            let d = newer.since(&older).expect("a grown snapshot is later");
+            assert!(d.per_thread.iter().all(|r| !r.is_empty()), "seed {seed}");
+            let mut back = older.clone();
+            back.absorb(&d);
+            // The exposition renders every counter, bucket, count, sum,
+            // per-thread row and the breaker position; the maxima are
+            // checked apart.
+            assert_eq!(
+                back.render_prometheus(),
+                newer.render_prometheus(),
+                "seed {seed}"
+            );
+            assert!(
+                back.same_counts(&newer) && newer.same_counts(&back),
+                "seed {seed}"
+            );
+            for (h, n) in [
+                (&back.commit_ns, &newer.commit_ns),
+                (&back.backoff_ns, &newer.backoff_ns),
+                (&back.gate_wait_ns, &newer.gate_wait_ns),
+            ] {
+                assert_eq!(h.max, n.max, "seed {seed}: a maximum is not subtracted");
+            }
+            let nothing = newer.since(&newer).expect("a snapshot is not below itself");
+            assert!(
+                !nothing.has_events() && nothing.per_thread.is_empty(),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_counter_that_went_down_has_no_difference() {
+        for seed in 0..300 {
+            let mut rng = crate::rng::SplitMix64::new(seed);
+            let older = random_snapshot(&mut rng);
+            let mut newer = older.clone();
+            grow(&mut newer, &mut rng, 0, 4);
+            let what = match rng.below(5) {
+                0 => {
+                    // One of the 16 event counters.
+                    let mut k = rng.below(16);
+                    newer.zip_events(&older, |a, b| {
+                        if k == 0 {
+                            *a = b - 1;
+                        }
+                        k = k.wrapping_sub(1);
+                        Some(())
+                    });
+                    "event counter"
+                }
+                1 => {
+                    let i = rng.below(NUM_BUCKETS as u64) as usize;
+                    newer.backoff_ns.buckets[i] = older.backoff_ns.buckets[i] - 1;
+                    "bucket"
+                }
+                2 => {
+                    newer.gate_wait_ns.count = older.gate_wait_ns.count - 1;
+                    "count"
+                }
+                3 => {
+                    let row = &mut newer.per_thread[0];
+                    let mut k = rng.below(10);
+                    row.zip_counts(&older.per_thread[0], |a, b| {
+                        if k == 0 {
+                            *a = b - 1;
+                        }
+                        k = k.wrapping_sub(1);
+                        Some(())
+                    });
+                    "row counter"
+                }
+                _ => {
+                    let gone =
+                        older.per_thread[rng.below(older.per_thread.len() as u64) as usize].cell;
+                    newer.per_thread.retain(|r| r.cell != gone);
+                    "row"
+                }
+            };
+            assert!(newer.since(&older).is_none(), "seed {seed}: lowered {what}");
+            assert!(!newer.same_counts(&older), "seed {seed}: lowered {what}");
+        }
+    }
+
+    #[test]
+    fn cell_snapshots_merge_to_the_totals() {
+        let tel = Telemetry::counters_only();
+        tel.record_commit(p(0, 1), 40);
+        tel.record_abort(p(0, 1), AbortCause::Validation);
+        tel.record_gate_outcome(p(0, 3), GateOutcome::Released);
+        tel.record_backoff(p(0, 5), 9);
+        tel.record_breaker_transition(0, 1, 7);
+        let s = tel.snapshot();
+        assert_eq!(
+            s.breaker_state, 1,
+            "no cell overwrites the breaker position"
+        );
+        assert_eq!((s.commits, s.aborts_total(), s.gate_released), (1, 1, 1));
+        assert_eq!(s.backoff_ns.count, 1);
+        // A cell with only latency samples records no counted event.
+        let cells: Vec<usize> = s.per_thread.iter().map(|t| t.cell).collect();
+        assert_eq!(cells, [1, 3]);
+        assert_eq!(s.commit_ns.buckets.len(), NUM_BUCKETS);
+        assert_eq!(s.gate_wait_ns.buckets.len(), NUM_BUCKETS);
     }
 
     fn sample_events() -> Vec<TraceEvent> {

@@ -541,7 +541,10 @@ fn ops_metrics_bytes_are_pinned() {
 #[test]
 fn ops_json_bytes_are_pinned() {
     let (incident, vars, health) = ops_json();
-    assert!(!incident.contains("ts_ns"), "the dump omits wall-clock noise");
+    assert!(
+        !incident.contains("ts_ns"),
+        "the dump omits wall-clock noise"
+    );
     assert_eq!(incident, include_str!("golden/ops_incident.json"));
     assert_eq!(vars, include_str!("golden/ops_vars.json"));
     assert_eq!(health, include_str!("golden/ops_health.json"));
