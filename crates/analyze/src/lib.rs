@@ -156,32 +156,64 @@ pub struct CsvFailure {
     pub cause: String,
 }
 
+/// Split CSV `text` into records, each with the line it starts on
+/// (1-based), undoing the harness's quoting: a quoted field may hold
+/// commas, doubled quotes and line breaks. Blank lines are skipped.
+fn csv_records(text: &str) -> Result<Vec<(usize, Vec<String>)>, String> {
+    let mut records = Vec::new();
+    let (mut fields, mut field) = (Vec::new(), String::new());
+    let (mut line, mut start, mut quoted) = (1, 1, false);
+    let mut chars = text.chars().peekable();
+    while let Some(c) = chars.next() {
+        match (quoted, c) {
+            (true, '"') if chars.peek() == Some(&'"') => {
+                chars.next();
+                field.push('"');
+            }
+            (true, '"') => quoted = false,
+            (false, '"') if field.is_empty() => quoted = true,
+            (false, ',') => fields.push(std::mem::take(&mut field)),
+            (false, '\r') => {}
+            (false, '\n') => {
+                fields.push(std::mem::take(&mut field));
+                let record = std::mem::take(&mut fields);
+                if record != [""] {
+                    records.push((start, record));
+                }
+                line += 1;
+                start = line;
+            }
+            (_, c) => {
+                line += usize::from(c == '\n');
+                field.push(c);
+            }
+        }
+    }
+    if quoted {
+        return Err(format!("line {start}: unterminated quoted field"));
+    }
+    if !field.is_empty() || !fields.is_empty() {
+        fields.push(field);
+        records.push((start, fields));
+    }
+    Ok(records)
+}
+
 /// Parse `<stem>_failures.csv` (`phase,rep,cause`). An empty table means
-/// every repetition completed; the cause field may be CSV-quoted.
+/// every repetition completed; the cause field may be CSV-quoted and
+/// span lines.
 fn parse_failures_csv(text: &str) -> Result<Vec<CsvFailure>, String> {
-    let unquote = |s: &str| -> String {
-        s.strip_prefix('"')
-            .and_then(|s| s.strip_suffix('"'))
-            .map(|s| s.replace("\"\"", "\""))
-            .unwrap_or_else(|| s.to_string())
-    };
+    let records = csv_records(text).map_err(|e| format!("failures.csv {e}"))?;
     let mut rows = Vec::new();
-    for (n, line) in text.lines().enumerate().skip(1) {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let err = |what: &str| format!("failures.csv line {}: {what}: {line}", n + 1);
-        // The cause is free text (possibly quoted, possibly containing
-        // commas); phase and rep never are, so split off the first two
-        // fields only.
-        let f: Vec<&str> = line.splitn(3, ',').collect();
-        if f.len() != 3 {
+    for (n, f) in records.into_iter().skip(1) {
+        let err = |what: &str| format!("failures.csv line {n}: {what}: {}", f.join(","));
+        let [phase, rep, cause] = &f[..] else {
             return Err(err("expected 3 fields"));
-        }
+        };
         rows.push(CsvFailure {
-            phase: f[0].to_string(),
-            rep: f[1].parse().map_err(|_| err("bad rep"))?,
-            cause: unquote(f[2]),
+            phase: phase.clone(),
+            rep: rep.parse().map_err(|_| err("bad rep"))?,
+            cause: cause.clone(),
         });
     }
     Ok(rows)

@@ -540,6 +540,15 @@ fn failures_csv_roundtrip_parses_quoted_causes() {
     // Malformed rows are errors, not silently dropped casualties.
     assert!(parse_failures_csv("phase,rep,cause\nguided,notanum,x\n").is_err());
     assert!(parse_failures_csv("phase,rep,cause\nguided\n").is_err());
+    // A quoted cause may span lines (an `assert_eq!` message) and stays
+    // one field; an unterminated quote is an error.
+    let rows =
+        parse_failures_csv("phase,rep,cause\nguided,0,\"a\n  left: 1\"\r\ndefault,1,x\n").unwrap();
+    assert_eq!(rows.len(), 2);
+    assert_eq!(rows[0].cause, "a\n  left: 1");
+    assert_eq!((rows[1].rep, rows[1].cause.as_str()), (1, "x"));
+    let err = parse_failures_csv("phase,rep,cause\n\nguided,0,\"open\n").unwrap_err();
+    assert!(err.contains("line 3"), "{err}");
 }
 
 /// The scripted schedule plus one full breaker excursion: trip on

@@ -51,7 +51,7 @@
 use gstm_core::contention::ContentionTracker;
 use gstm_core::drift::{DriftConfig, DriftTracker};
 use gstm_core::guidance::{GuidanceHook, GuidedHook, NoopHook, RecorderHook};
-use gstm_core::ops::{self, OpsPlane, OpsRoller, OpsServer, SloSpec};
+use gstm_core::ops::{OpsHandle, OpsPlane, SloSpec};
 use gstm_core::telemetry::Telemetry;
 use gstm_core::{
     Abort, AbortCause, AdaptConfig, GuidanceConfig, GuidedModel, Instruments, Pair, StateKey,
@@ -95,19 +95,12 @@ fn hot_abort(i: usize) -> Abort {
     Abort::at(AbortCause::Validation, 0x1000 + (i << 6))
 }
 
-/// The live ops plane's moving parts for the `guided+ops` row, held
-/// alive (roller thread + HTTP service thread) for the duration of one
-/// measured repetition and torn down between repetitions.
-struct OpsRig {
-    _plane: Arc<OpsPlane>,
-    _roller: OpsRoller,
-    _server: Option<OpsServer>,
-}
-
 /// One row's moving parts: the instruments (hook plus optional
-/// telemetry and conflict provenance) its windows report to, plus the
-/// off-path ops rig kept alive while the row runs.
-type Setup = (Instruments, Option<OpsRig>);
+/// telemetry and conflict provenance) its windows report to, plus, for
+/// the `guided+ops` row, the started ops plane (roller thread + HTTP
+/// service thread) kept alive while one measured repetition runs and
+/// torn down between repetitions.
+type Setup = (Instruments, Option<OpsHandle>);
 
 /// A row with only a hook: every optional instrument off.
 fn bare(hook: Arc<dyn GuidanceHook>) -> Setup {
@@ -291,9 +284,9 @@ const COMMITS: usize = 200_000;
 fn best_of(n: usize, threads: u16, mk: &dyn Fn() -> Setup) -> f64 {
     (0..n)
         .map(|_| {
-            let (instruments, rig) = mk();
+            let (instruments, ops) = mk();
             let ns = drive(instruments, threads, COMMITS);
-            drop(rig);
+            drop(ops);
             ns
         })
         .fold(f64::INFINITY, f64::min)
@@ -305,9 +298,9 @@ fn best_of(n: usize, threads: u16, mk: &dyn Fn() -> Setup) -> f64 {
 fn median_of(n: usize, threads: u16, mk: &dyn Fn() -> Setup) -> f64 {
     let mut samples: Vec<f64> = (0..n)
         .map(|_| {
-            let (instruments, rig) = mk();
+            let (instruments, ops) = mk();
             let ns = drive(instruments, threads, COMMITS);
-            drop(rig);
+            drop(ops);
             ns
         })
         .collect();
@@ -503,19 +496,10 @@ fn main() {
             "guided+ops",
             best(&|| {
                 let tel = Arc::new(Telemetry::counters_only());
-                let plane = Arc::new(OpsPlane::new(
-                    SloSpec::parse("window-ms=50").expect("static spec"),
-                ));
+                let plane = OpsPlane::new(SloSpec::parse("window-ms=50").expect("static spec"));
                 plane.attach(&tel);
-                let roller =
-                    ops::start_roller(Arc::clone(&plane), std::time::Duration::from_millis(50));
-                let server = ops::serve(Arc::clone(&plane), "127.0.0.1:0").ok();
-                let rig = OpsRig {
-                    _plane: plane,
-                    _roller: roller,
-                    _server: server,
-                };
-                (telemetry_instruments(&model, tel), Some(rig))
+                let ops = plane.start(Some("127.0.0.1:0")).expect("start the ops plane");
+                (telemetry_instruments(&model, tel), Some(ops))
             }),
         ));
         for (name, ns) in rows {

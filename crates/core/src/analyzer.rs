@@ -12,7 +12,6 @@
 //!
 //! Lower is better; at or above ~50% the model is rejected.
 
-use crate::config::GuidanceConfig;
 use crate::tsa::GuidedModel;
 
 /// Guidance-metric percentage at or above which the analyzer rejects a
@@ -20,6 +19,11 @@ use crate::tsa::GuidedModel;
 /// in the model are high probability states"); the drift tracker applies
 /// the same bound live.
 pub(crate) const METRIC_REJECT_PCT: f64 = 50.0;
+
+/// Minimum number of states for a model to be considered trainable at
+/// all; below this the analyzer declares the model unfit ("if the model
+/// contains too few states ... the model is unfit").
+pub(crate) const MIN_STATES: usize = 8;
 
 /// Whether the analyzer deems a model usable for guided execution.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -46,18 +50,12 @@ pub struct AnalyzerReport {
     pub total_destinations: u64,
     /// Sum of thresholded destination-set sizes, `Σ|S'|`.
     pub kept_destinations: u64,
-    /// The verdict under [`GuidanceConfig::min_states`] and
-    /// `METRIC_REJECT_PCT`.
+    /// The verdict under `MIN_STATES` and `METRIC_REJECT_PCT`.
     pub verdict: ModelVerdict,
 }
 
-/// Analyze a model with the default thresholds.
-pub fn analyze(model: &GuidedModel) -> AnalyzerReport {
-    analyze_with(model, &GuidanceConfig::default())
-}
-
 /// Analyze a model: compute the guidance metric and issue a verdict.
-pub fn analyze_with(model: &GuidedModel, config: &GuidanceConfig) -> AnalyzerReport {
+pub fn analyze(model: &GuidedModel) -> AnalyzerReport {
     let mut total = 0u64;
     let mut kept = 0u64;
     for id in model.tsa().state_ids() {
@@ -70,7 +68,7 @@ pub fn analyze_with(model: &GuidedModel, config: &GuidanceConfig) -> AnalyzerRep
     } else {
         100.0 * kept as f64 / total as f64
     };
-    let verdict = if model.num_states() < config.min_states {
+    let verdict = if model.num_states() < MIN_STATES {
         ModelVerdict::TooFewStates
     } else if metric >= METRIC_REJECT_PCT {
         ModelVerdict::TooUniform
@@ -90,6 +88,7 @@ pub fn analyze_with(model: &GuidedModel, config: &GuidanceConfig) -> AnalyzerRep
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::GuidanceConfig;
     use crate::ids::{Pair, ThreadId, TxnId};
     use crate::tsa::Tsa;
     use crate::tss::StateKey;
@@ -189,14 +188,8 @@ mod tests {
     fn lower_tfactor_lowers_metric() {
         let runs = biased_runs();
         let tsa = Tsa::from_runs(&runs);
-        let tight = analyze_with(
-            &GuidedModel::build(tsa.clone(), &GuidanceConfig::with_tfactor(1.0)),
-            &GuidanceConfig::default(),
-        );
-        let loose = analyze_with(
-            &GuidedModel::build(tsa, &GuidanceConfig::with_tfactor(10.0)),
-            &GuidanceConfig::default(),
-        );
+        let tight = analyze(&GuidedModel::build(tsa.clone(), &GuidanceConfig::with_tfactor(1.0)));
+        let loose = analyze(&GuidedModel::build(tsa, &GuidanceConfig::with_tfactor(10.0)));
         assert!(tight.guidance_metric_pct <= loose.guidance_metric_pct);
     }
 }

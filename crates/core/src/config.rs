@@ -20,10 +20,6 @@ pub struct GuidanceConfig {
     /// How many spin iterations (each ending in a `yield_now`) one gate
     /// retry waits for the current state to change before counting a retry.
     pub wait_spins: u32,
-    /// Minimum number of states for a model to be considered trainable at
-    /// all; below this the analyzer declares the model unfit ("if the model
-    /// contains too few states ... the model is unfit").
-    pub min_states: usize,
 }
 
 impl Default for GuidanceConfig {
@@ -32,7 +28,6 @@ impl Default for GuidanceConfig {
             tfactor: 4.0,
             k_retries: 16,
             wait_spins: 2,
-            min_states: 8,
         }
     }
 }

@@ -26,11 +26,22 @@
 //!   events in the dump deliberately omit `ts_ns`: `seq` order is the
 //!   causal truth, and dropping wall-clock noise is what makes a
 //!   chaos-seeded incident replay bit-identically.
-//! * [`serve`] runs a hand-rolled HTTP/1.1 exporter on one
-//!   `std::net::TcpListener` service thread — no dependencies — serving
-//!   `/metrics` (Prometheus text, live), `/health` (SLO verdict JSON,
-//!   503 while in Incident), `/vars` (full snapshot JSON), and
-//!   `/incidents`.
+//! * A hand-rolled HTTP/1.1 exporter on one `std::net::TcpListener`
+//!   service thread — no dependencies — serves `/metrics` (Prometheus
+//!   text, live), `/health` (SLO verdict JSON, 503 while in Incident),
+//!   `/vars` (full snapshot JSON), and `/incidents`.
+//!
+//! ## Lifecycle
+//!
+//! Every user of the plane runs it the same way: configure it
+//! ([`OpsPlane::new`], [`attach`](OpsPlane::attach),
+//! [`set_server_source`](OpsPlane::set_server_source)), then
+//! [`OpsPlane::start`] spawns the window roller on the spec's
+//! `window-ms` cadence and, optionally, the HTTP exporter, and returns
+//! an [`OpsHandle`]. [`OpsHandle::finish`] stops the roller, freezes the
+//! exposition, writes `ops.prom` plus one `incident<N>.json` per
+//! incident, and re-checks the window partition; the exporter serves
+//! the frozen body until the handle drops, which joins both threads.
 //!
 //! ## Why this never touches the hot path
 //!
@@ -51,12 +62,13 @@ use crate::telemetry::{
 };
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::io::{ErrorKind, Read as _, Write as _};
+use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Default bound on retained windows (older windows fold into the
 /// evicted rollup).
@@ -382,8 +394,8 @@ pub struct SloSpec {
     /// Windows with fewer than this many events (commits + aborts +
     /// gate calls) are too quiet to judge and do not move the machine.
     min_events: u64,
-    /// Roll cadence for the timer-driven driver (ms).
-    pub window_ms: u64,
+    /// Roll cadence of the started plane's roller (ms).
+    window_ms: u64,
     /// Windows included in a flight-recorder dump.
     dump_windows: usize,
 }
@@ -907,11 +919,11 @@ struct OpsInner {
 /// The shared live-ops state: aggregator + watchdog + incident store,
 /// behind one mutex, exported by the HTTP service thread.
 ///
-/// [`freeze`] closes the final window and pins the `/metrics` body, so
-/// a scrape after campaign end is byte-identical to the exported
-/// `ops.prom` artifact.
+/// [`freeze_stamped`] closes the final window and pins the `/metrics`
+/// body, so a scrape after campaign end is byte-identical to the
+/// exported `ops.prom` artifact.
 ///
-/// [`freeze`]: OpsPlane::freeze
+/// [`freeze_stamped`]: OpsPlane::freeze_stamped
 pub struct OpsPlane {
     inner: Mutex<OpsInner>,
 }
@@ -947,16 +959,10 @@ impl OpsPlane {
         self.inner.lock().server = Some(src);
     }
 
-    /// Close a window with a wall-clock stamp (the timer driver's
-    /// entry point).
-    fn roll(&self) -> Option<SloTransition> {
-        self.roll_stamped(&wall_stamp())
-    }
-
     /// Close a window, feed it to the watchdog, and — when the
     /// transition enters Incident — trip the flight recorder, stamping
     /// the dump with `stamp`. Deterministic replays pass a fixed stamp;
-    /// the harness passes wall time.
+    /// the started plane's roller passes wall time.
     pub fn roll_stamped(&self, stamp: &str) -> Option<SloTransition> {
         let mut g = self.inner.lock();
         let inner = &mut *g;
@@ -995,15 +1001,11 @@ impl OpsPlane {
         Some(tr)
     }
 
-    /// Close the final (possibly partial) window, render the exposition
-    /// one last time, and pin it: every later `/metrics` scrape returns
-    /// this exact body. Returns the pinned body.
-    pub fn freeze(&self) -> String {
-        self.freeze_stamped(&wall_stamp())
-    }
-
-    /// [`freeze`](OpsPlane::freeze) with an explicit stamp for the final
-    /// roll (deterministic replays).
+    /// Close the final (possibly partial) window, stamping any dump it
+    /// trips with `stamp`, render the exposition one last time, and pin
+    /// it: every later `/metrics` scrape returns this exact body. Returns
+    /// the pinned body. [`OpsHandle::finish`] freezes with wall time;
+    /// deterministic replays pass a fixed stamp.
     pub fn freeze_stamped(&self, stamp: &str) -> String {
         drop(self.roll_stamped(stamp));
         let mut g = self.inner.lock();
@@ -1020,7 +1022,7 @@ impl OpsPlane {
 
     /// The `/metrics` body: the cumulative Prometheus exposition plus
     /// the window/SLO families (or the frozen body after
-    /// [`freeze`](OpsPlane::freeze)).
+    /// [`freeze_stamped`](OpsPlane::freeze_stamped)).
     fn metrics(&self) -> String {
         let g = self.inner.lock();
         if let Some(f) = &g.frozen {
@@ -1236,55 +1238,128 @@ fn render_metrics(
 }
 
 // ---------------------------------------------------------------------------
-// Timer driver
+// Lifecycle: start, finish, stop
 // ---------------------------------------------------------------------------
 
-/// Background thread rolling an [`OpsPlane`] on the spec's cadence.
-/// Stops (and joins) on [`stop`](OpsRoller::stop) or drop.
-pub struct OpsRoller {
+/// A background thread that runs until its stop flag is set. Dropping
+/// the handle sets the flag, unparks the thread and joins it.
+struct Worker {
     stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    thread: Option<JoinHandle<()>>,
 }
 
-/// Start a timer thread calling `plane.roll()` every `every`.
-pub fn start_roller(plane: Arc<OpsPlane>, every: Duration) -> OpsRoller {
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let handle = std::thread::Builder::new()
-        .name("gstm-ops-roll".to_string())
-        .spawn(move || {
-            while !stop2.load(Ordering::Relaxed) {
-                std::thread::sleep(every);
-                if stop2.load(Ordering::Relaxed) {
-                    break;
-                }
-                drop(plane.roll());
-            }
+impl Worker {
+    /// Spawn a thread named `name` running `body(stop)`; `body` must
+    /// return soon after `stop` is set (a parked `body` is unparked).
+    fn spawn(
+        name: &str,
+        body: impl FnOnce(&AtomicBool) + Send + 'static,
+    ) -> std::io::Result<Worker> {
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
+        let thread = std::thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || body(&flag))?;
+        Ok(Worker {
+            stop,
+            thread: Some(thread),
         })
-        .expect("spawn ops roller thread");
-    OpsRoller {
-        stop,
-        handle: Some(handle),
     }
 }
 
-impl OpsRoller {
-    /// Stop the timer and join it.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
+impl Drop for Worker {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+        if let Some(t) = self.thread.take() {
+            t.thread().unpark();
+            let _ = t.join();
         }
     }
 }
 
-impl Drop for OpsRoller {
-    fn drop(&mut self) {
-        self.shutdown();
+/// A started ops plane: the window roller and the optional HTTP
+/// exporter, from [`OpsPlane::start`]. [`finish`](OpsHandle::finish)
+/// ends the run; dropping the handle stops both threads and joins them.
+pub struct OpsHandle {
+    plane: Arc<OpsPlane>,
+    roller: Option<Worker>,
+    http: Option<(SocketAddr, Worker)>,
+}
+
+/// What [`OpsHandle::finish`] wrote and found.
+#[derive(Debug)]
+pub struct OpsReport {
+    /// `ops.prom`, then one `incident<N>.json` per recorded incident.
+    pub written: Vec<PathBuf>,
+    /// The window-partition re-check ([`OpsPlane::check_partition`]).
+    pub partition: Result<(), String>,
+}
+
+impl OpsPlane {
+    /// Start the plane: a roller thread closes a window every
+    /// `window-ms` of the spec and, when `addr` is given, an HTTP
+    /// exporter serves the plane there. Configure the plane first
+    /// ([`attach`](OpsPlane::attach),
+    /// [`set_server_source`](OpsPlane::set_server_source)): the first
+    /// roll comes one cadence after this returns.
+    pub fn start(self, addr: Option<&str>) -> std::io::Result<OpsHandle> {
+        let plane = Arc::new(self);
+        let http = match addr {
+            Some(addr) => Some(serve(Arc::clone(&plane), addr)?),
+            None => None,
+        };
+        let every = Duration::from_millis(plane.inner.lock().watchdog.spec().window_ms);
+        let rolled = Arc::clone(&plane);
+        let roller = Worker::spawn("gstm-ops-roll", move |stop| loop {
+            let due = Instant::now() + every;
+            while !stop.load(Ordering::Relaxed) && Instant::now() < due {
+                std::thread::park_timeout(due.saturating_duration_since(Instant::now()));
+            }
+            if stop.load(Ordering::Relaxed) {
+                return;
+            }
+            drop(rolled.roll_stamped(&wall_stamp()));
+        })?;
+        Ok(OpsHandle {
+            plane,
+            roller: Some(roller),
+            http,
+        })
+    }
+}
+
+impl OpsHandle {
+    /// The running plane (attach later collectors here).
+    pub fn plane(&self) -> &Arc<OpsPlane> {
+        &self.plane
+    }
+
+    /// Where the HTTP exporter listens, when one was started.
+    pub fn addr(&self) -> Option<SocketAddr> {
+        self.http.as_ref().map(|(addr, _)| *addr)
+    }
+
+    /// End the run: stop the roller, freeze the exposition (closing the
+    /// final window), write `dir/ops.prom` — the frozen `/metrics` body —
+    /// and one `dir/incident<N>.json` flight-recorder dump per incident
+    /// (creating `dir`), and re-check the window partition. The HTTP
+    /// exporter keeps serving the frozen body until the handle drops.
+    pub fn finish(&mut self, dir: &Path) -> std::io::Result<OpsReport> {
+        drop(self.roller.take());
+        let frozen = self.plane.freeze_stamped(&wall_stamp());
+        std::fs::create_dir_all(dir)?;
+        let prom = dir.join("ops.prom");
+        std::fs::write(&prom, frozen)?;
+        let mut written = vec![prom];
+        for inc in self.plane.incidents() {
+            let path = dir.join(format!("incident{}.json", inc.seq));
+            std::fs::write(&path, &inc.json)?;
+            written.push(path);
+        }
+        Ok(OpsReport {
+            written,
+            partition: self.plane.check_partition(),
+        })
     }
 }
 
@@ -1424,66 +1499,26 @@ fn handle_conn(mut stream: TcpStream, plane: &OpsPlane) -> std::io::Result<()> {
     }
 }
 
-/// Handle to the exporter service thread; stops (and joins) on
-/// [`stop`](OpsServer::stop) or drop.
-pub struct OpsServer {
-    /// The bound address (useful with port 0).
-    pub addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
 /// Bind `addr` and serve the plane from one background thread. The
 /// accept loop polls a nonblocking listener so the stop flag is honored
 /// within a few milliseconds; each connection is then handled
 /// synchronously (blocking reads with a timeout) — one service thread,
 /// no dependencies, which is all a scrape endpoint needs.
-pub fn serve(plane: Arc<OpsPlane>, addr: &str) -> std::io::Result<OpsServer> {
+fn serve(plane: Arc<OpsPlane>, addr: &str) -> std::io::Result<(SocketAddr, Worker)> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let handle = std::thread::Builder::new()
-        .name("gstm-ops-http".to_string())
-        .spawn(move || {
-            while !stop2.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let _ = handle_conn(stream, &plane);
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
+    let worker = Worker::spawn("gstm-ops-http", move |stop| {
+        while !stop.load(Ordering::Relaxed) {
+            match listener.accept() {
+                Ok((stream, _peer)) => {
+                    let _ = handle_conn(stream, &plane);
                 }
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
             }
-        })?;
-    Ok(OpsServer {
-        addr: local,
-        stop,
-        handle: Some(handle),
-    })
-}
-
-impl OpsServer {
-    /// Stop the service thread and join it.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
         }
-    }
-}
-
-impl Drop for OpsServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
+    })?;
+    Ok((local, worker))
 }
 
 #[cfg(test)]
@@ -1858,36 +1893,97 @@ mod tests {
         assert!(body.contains("abort_ratio"));
     }
 
+    /// Send `req_parts` to `addr` as separate writes and read the whole
+    /// response.
+    fn fetch(addr: SocketAddr, req_parts: &[&str]) -> String {
+        let mut s = TcpStream::connect(addr).expect("connect");
+        for part in req_parts {
+            s.write_all(part.as_bytes()).unwrap();
+            s.flush().unwrap();
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let mut out = String::new();
+        s.read_to_string(&mut out).unwrap();
+        out
+    }
+
     #[test]
     fn server_round_trips_over_a_real_socket_with_partial_writes() {
-        let plane = Arc::new(OpsPlane::new(SloSpec::default()));
+        let plane = OpsPlane::new(SloSpec::default());
         let tel = Arc::new(Telemetry::counters_only());
         plane.attach(&tel);
         tel.record_commit(pair(0), 9);
-        let server = serve(Arc::clone(&plane), "127.0.0.1:0").expect("bind");
-        let addr = server.addr;
-
-        let fetch = |req_parts: &[&str]| -> String {
-            let mut s = TcpStream::connect(addr).expect("connect");
-            for part in req_parts {
-                s.write_all(part.as_bytes()).unwrap();
-                s.flush().unwrap();
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            let mut out = String::new();
-            s.read_to_string(&mut out).unwrap();
-            out
-        };
+        let handle = plane.start(Some("127.0.0.1:0")).expect("bind");
+        let addr = handle.addr().expect("exporter started");
 
         // Request split across writes exercises the Partial path.
-        let resp = fetch(&["GET /met", "rics HTTP/1.1\r\nHost: t\r\n\r\n"]);
+        let resp = fetch(addr, &["GET /met", "rics HTTP/1.1\r\nHost: t\r\n\r\n"]);
         assert!(resp.starts_with("HTTP/1.1 200 OK"), "got: {resp}");
         assert!(resp.contains("gstm_commits_total 1"));
-        let resp = fetch(&["GET /unknown HTTP/1.1\r\n\r\n"]);
+        let resp = fetch(addr, &["GET /unknown HTTP/1.1\r\n\r\n"]);
         assert!(resp.starts_with("HTTP/1.1 404"));
-        let resp = fetch(&["GET /health HTTP/1.1\r\n\r\n"]);
+        let resp = fetch(addr, &["GET /health HTTP/1.1\r\n\r\n"]);
         assert!(resp.starts_with("HTTP/1.1 200"));
-        server.stop();
+    }
+
+    #[test]
+    fn finish_writes_the_frozen_body_and_every_dump_and_keeps_serving_it() {
+        // The cadence is far off, so only this test's rolls close windows:
+        // bad, bad (Incident 0), clean (back to Warn), bad (Incident 1).
+        let spec = SloSpec::parse("abort-ratio=10,warn=1,incident=1,clear=1,window-ms=600000")
+            .unwrap();
+        let plane = OpsPlane::new(spec);
+        let tel = Arc::new(Telemetry::with_trace_capacity(64));
+        plane.attach(&tel);
+        let mut handle = plane.start(Some("127.0.0.1:0")).expect("bind");
+        for aborts in [20, 20, 0, 20] {
+            for _ in 0..aborts {
+                tel.record_abort(pair(0), AbortCause::Validation);
+            }
+            tel.record_commit(pair(0), 50);
+            drop(handle.plane().roll_stamped("s"));
+        }
+        let dir = std::env::temp_dir().join(format!("gstm_ops_finish_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let report = handle.finish(&dir).expect("artifacts written");
+        report.partition.expect("Σ windows + evicted == cumulative");
+        let incidents = handle.plane().incidents();
+        assert_eq!(incidents.len(), 2);
+        let names: Vec<PathBuf> = ["ops.prom", "incident0.json", "incident1.json"]
+            .iter()
+            .map(|n| dir.join(n))
+            .collect();
+        assert_eq!(report.written, names);
+        let prom = std::fs::read_to_string(&names[0]).unwrap();
+        assert_eq!(prom, handle.plane().metrics(), "ops.prom is the frozen body");
+        assert!(prom.contains("gstm_slo_incidents_total 2"));
+        for (inc, path) in incidents.iter().zip(&names[1..]) {
+            assert_eq!(std::fs::read_to_string(path).unwrap(), inc.json);
+        }
+        // Counters move after the freeze; a late scrape still returns
+        // exactly the exported body.
+        tel.record_commit(pair(0), 1);
+        let resp = fetch(handle.addr().unwrap(), &["GET /metrics HTTP/1.1\r\n\r\n"]);
+        let body = resp.split_once("\r\n\r\n").map(|(_, b)| b).unwrap();
+        assert_eq!(body, prom);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn dropping_the_handle_joins_both_threads() {
+        let plane = OpsPlane::new(SloSpec::parse("window-ms=1").unwrap());
+        let tel = Arc::new(Telemetry::counters_only());
+        plane.attach(&tel);
+        let handle = plane.start(Some("127.0.0.1:0")).expect("bind");
+        let plane = Arc::clone(handle.plane());
+        tel.record_commit(pair(0), 3);
+        // Each thread owns a reference to the plane until it has exited.
+        assert_eq!(Arc::strong_count(&plane), 4, "handle, roller, exporter, test");
+        drop(handle);
+        assert_eq!(Arc::strong_count(&plane), 1, "both threads joined");
+        let rolls = plane.inner.lock().windows.rolls();
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(plane.inner.lock().windows.rolls(), rolls, "no roll after the drop");
     }
 
     #[test]

@@ -408,7 +408,7 @@ pub fn run_experiment_chaos(
         }
     }
     let model = Arc::new(GuidedModel::build(tsa, &cfg.guidance));
-    let analyzer_report = analyzer::analyze_with(&model, &cfg.guidance);
+    let analyzer_report = analyzer::analyze(&model);
 
     // ---- Phase 3: default measurement (`default` + `ND_only`) ----
     // The recorder stays installed so default and guided runs carry the

@@ -146,7 +146,7 @@ pub fn run_game_experiment(cfg: &GameExperimentConfig) -> GameExperiment {
     }
     let tsa = Tsa::from_runs(&train_runs);
     let model = Arc::new(GuidedModel::build(tsa, &cfg.guidance));
-    let analyzer_report = analyzer::analyze_with(&model, &cfg.guidance);
+    let analyzer_report = analyzer::analyze(&model);
 
     // ---- Test on 4quadrants and 4center_spread6 ----
     let test = |quest: QuestLayout| -> GameQuestResult {

@@ -70,10 +70,17 @@
 //!                       body is frozen at completion, so late scrapes
 //!                       equal the exported ops.prom byte-for-byte)
 //! ```
+//!
+//! Any of `--serve`, `--slo` or `--duration` starts the live ops plane
+//! ([`gstm_core::ops`]) before the campaign and attaches every guided
+//! run's collector to it. At the end one `finish` stops the window
+//! roller, freezes `/metrics`, and writes `ops.prom` plus one
+//! `incident<N>.json` per incident into the telemetry directory
+//! (`--telemetry=DIR`, else `--out`, else `results`).
 
 #![forbid(unsafe_code)]
 
-use gstm_core::ops::{self, OpsPlane, OpsRoller, OpsServer, SloSpec};
+use gstm_core::ops::{OpsHandle, OpsPlane, SloSpec};
 use gstm_core::{FaultPlan, GuidanceConfig, Telemetry};
 use gstm_harness::experiment::{
     run_experiment_chaos, BenchExperiment, ExperimentConfig, Robustness,
@@ -85,6 +92,7 @@ use gstm_stamp::{all_benchmarks, Benchmark, InputSize};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Default input preset per benchmark, chosen so one run is long enough
 /// for abort-driven timing effects to rise above host scheduling noise on
@@ -563,108 +571,67 @@ impl Campaign {
     }
 }
 
-/// Running pieces of the live ops plane: the shared state, its timer
-/// driver, the HTTP service thread, and where to write end-of-run
-/// artifacts.
-struct OpsRig {
-    plane: Arc<OpsPlane>,
-    roller: Option<OpsRoller>,
-    server: Option<OpsServer>,
-    started: std::time::Instant,
-    duration: Option<u64>,
-    dir: PathBuf,
-}
-
-/// Build the ops plane when any of `--serve`/`--slo`/`--duration` is
-/// present: parse the SLO spec, bind the endpoint, start the window
-/// roller on the spec's cadence.
-fn build_ops(opts: &Options) -> Option<OpsRig> {
+/// Start the ops plane when any of `--serve`/`--slo`/`--duration` is
+/// present: parse the SLO spec, then start the window roller and, with
+/// `--serve`, the endpoint.
+fn start_ops(opts: &Options) -> Option<OpsHandle> {
     if opts.serve.is_none() && opts.slo.is_none() && opts.duration.is_none() {
         return None;
     }
-    let spec = match opts.slo.as_deref() {
-        Some(s) => SloSpec::parse(s).unwrap_or_else(|e| {
-            eprintln!("bad --slo: {e}");
-            std::process::exit(2);
-        }),
-        None => SloSpec::default(),
-    };
-    let cadence = std::time::Duration::from_millis(spec.window_ms);
-    let plane = Arc::new(OpsPlane::new(spec));
-    let server = opts.serve.as_deref().map(|addr| {
-        match ops::serve(Arc::clone(&plane), addr) {
-            Ok(s) => {
-                eprintln!(
-                    "[gstm-repro] ops endpoint on http://{} \
-                     (/metrics /health /vars /incidents)",
-                    s.addr
-                );
-                s
-            }
-            Err(e) => {
-                eprintln!("failed to bind --serve={addr}: {e}");
-                std::process::exit(2);
-            }
-        }
+    let spec = SloSpec::parse(opts.slo.as_deref().unwrap_or("")).unwrap_or_else(|e| {
+        eprintln!("bad --slo: {e}");
+        std::process::exit(2);
     });
-    let roller = ops::start_roller(Arc::clone(&plane), cadence);
+    let addr = opts.serve.as_deref();
+    let handle = OpsPlane::new(spec).start(addr).unwrap_or_else(|e| {
+        eprintln!("failed to bind --serve={}: {e}", addr.unwrap_or_default());
+        std::process::exit(2);
+    });
+    if let Some(addr) = handle.addr() {
+        eprintln!("[gstm-repro] ops endpoint on http://{addr} (/metrics /health /vars /incidents)");
+    }
+    Some(handle)
+}
+
+/// Campaign's over: finish the plane (exporting `ops.prom` and
+/// `incident<N>.json` next to the telemetry), then hold the endpoint up
+/// until `--duration` elapses after process start (serving the frozen
+/// body, so a late scrape equals the exported file exactly).
+fn finish_ops(mut ops: OpsHandle, opts: &Options, started: Instant) {
     let dir = opts
         .telemetry
         .clone()
         .flatten()
         .or_else(|| opts.out.clone())
         .unwrap_or_else(|| PathBuf::from("results"));
-    Some(OpsRig {
-        plane,
-        roller: Some(roller),
-        server,
-        started: std::time::Instant::now(),
-        duration: opts.duration,
-        dir,
-    })
-}
-
-/// Campaign's over: stop the roller, close the final window, freeze the
-/// exposition, export `ops.prom` + `incident<N>.json`, self-check the
-/// window partition, then hold the endpoint up until `--duration`
-/// elapses (serving the frozen body, so a late scrape equals the
-/// exported file exactly).
-fn finalize_ops(mut rig: OpsRig) {
-    if let Some(r) = rig.roller.take() {
-        r.stop();
-    }
-    let frozen = rig.plane.freeze();
-    match report::save_ops(&rig.dir, &rig.plane, &frozen) {
-        Ok(paths) => {
-            for p in paths {
+    match ops.finish(&dir) {
+        Ok(report) => {
+            for p in report.written {
                 eprintln!("[gstm-repro] wrote {}", p.display());
+            }
+            if let Err(e) = report.partition {
+                eprintln!("[gstm-repro] WARNING: {e}");
             }
         }
         Err(e) => eprintln!("[gstm-repro] failed to write ops artifacts: {e}"),
     }
-    if let Err(e) = rig.plane.check_partition() {
-        eprintln!("[gstm-repro] WARNING: {e}");
-    }
+    let plane = ops.plane();
     eprintln!(
         "[gstm-repro] ops: SLO {} after {} window(s), {} breached, {} incident(s)",
-        rig.plane.state().label(),
-        rig.plane.windows_closed(),
-        rig.plane.breached_windows(),
-        rig.plane.incidents().len(),
+        plane.state().label(),
+        plane.windows_closed(),
+        plane.breached_windows(),
+        plane.incidents().len(),
     );
-    if let (Some(server), Some(secs)) = (rig.server.as_ref(), rig.duration) {
-        let deadline = rig.started + std::time::Duration::from_secs(secs);
-        let now = std::time::Instant::now();
+    if let (Some(addr), Some(secs)) = (ops.addr(), opts.duration) {
+        let deadline = started + Duration::from_secs(secs);
+        let now = Instant::now();
         if now < deadline {
             eprintln!(
-                "[gstm-repro] holding ops endpoint http://{} until --duration={secs}s elapses ...",
-                server.addr
+                "[gstm-repro] holding ops endpoint http://{addr} until --duration={secs}s elapses ..."
             );
             std::thread::sleep(deadline - now);
         }
-    }
-    if let Some(s) = rig.server.take() {
-        s.stop();
     }
 }
 
@@ -674,9 +641,10 @@ fn main() {
     let threads = opts.threads.clone();
     let t_lo = threads.first().copied().unwrap_or(8);
     let t_hi = threads.get(1).copied().unwrap_or(t_lo);
-    let rig = build_ops(&opts);
+    let started = Instant::now();
+    let ops = start_ops(&opts);
     let mut c = Campaign::new(opts);
-    c.ops = rig.as_ref().map(|r| Arc::clone(&r.plane));
+    c.ops = ops.as_ref().map(|h| Arc::clone(h.plane()));
 
     let run_stamp_cmd = |c: &mut Campaign, which: &str| {
         let (e8, e16) = c.stamp_pair();
@@ -784,8 +752,8 @@ fn main() {
         }
     }
 
-    if let Some(rig) = rig {
-        finalize_ops(rig);
+    if let Some(ops) = ops {
+        finish_ops(ops, &c.opts, started);
     }
 }
 

@@ -66,11 +66,13 @@ impl Table {
         out
     }
 
-    /// Render to CSV (header + rows).
+    /// Render to CSV (header + rows). A cell holding a comma, a quote or
+    /// a line break is quoted (`"` doubled), so a multi-line panic cause
+    /// stays one field.
     pub(crate) fn to_csv(&self) -> String {
         let mut out = String::new();
         let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
+            if s.contains([',', '"', '\n', '\r']) {
                 format!("\"{}\"", s.replace('"', "\"\""))
             } else {
                 s.to_string()
@@ -119,28 +121,6 @@ pub fn save_telemetry(
         let chrome = dir.join(format!("{stem}.trace.json"));
         std::fs::write(&chrome, gstm_core::telemetry::export_chrome_trace(&events))?;
         written.push(chrome);
-    }
-    Ok(written)
-}
-
-/// Write the ops plane's end-of-campaign artifacts into `dir` (creating
-/// it): `ops.prom` — the frozen `/metrics` body (cumulative exposition
-/// plus the window-partition and SLO families; byte-identical to any
-/// scrape taken after the campaign ended) — and one `incident<N>.json`
-/// flight-recorder dump per incident. Returns the paths written.
-pub fn save_ops(
-    dir: &Path,
-    plane: &gstm_core::ops::OpsPlane,
-    frozen: &str,
-) -> std::io::Result<Vec<std::path::PathBuf>> {
-    std::fs::create_dir_all(dir)?;
-    let prom = dir.join("ops.prom");
-    std::fs::write(&prom, frozen)?;
-    let mut written = vec![prom];
-    for inc in plane.incidents() {
-        let path = dir.join(format!("incident{}.json", inc.seq));
-        std::fs::write(&path, &inc.json)?;
-        written.push(path);
     }
     Ok(written)
 }

@@ -6,7 +6,7 @@
 //! the ops plane attached. `--chaos=SEED` arms the deterministic socket
 //! fault plan; `--ticks=N` bounds the run for scripted campaigns.
 
-use gstm_core::ops::{self, OpsPlane, SloSpec};
+use gstm_core::ops::{OpsPlane, SloSpec};
 use gstm_core::prelude::*;
 use gstm_libtm::{LibTm, LibTmConfig};
 use gstm_server::admission::AdmissionConfig;
@@ -167,25 +167,19 @@ fn run(opts: Options) -> Result<(), String> {
     let tm = LibTm::with_robustness(hook, LibTmConfig::default(), Some(tel.clone()), faults.clone());
 
     // ---- ops plane ----
-    let spec = match opts.slo.as_deref() {
-        Some(s) => SloSpec::parse(s).map_err(|e| format!("bad --slo: {e}"))?,
-        None => SloSpec::default(),
-    };
-    let cadence = std::time::Duration::from_millis(spec.window_ms);
-    let plane = Arc::new(OpsPlane::new(spec));
+    let spec = SloSpec::parse(opts.slo.as_deref().unwrap_or(""))
+        .map_err(|e| format!("bad --slo: {e}"))?;
+    let plane = OpsPlane::new(spec);
     plane.attach(&tel);
     let stats = Arc::new(ServerStats::new());
     plane.set_server_source(stats.clone());
-    let ops_server = match opts.ops_port {
-        Some(p) => {
-            let s = ops::serve(Arc::clone(&plane), &format!("127.0.0.1:{p}"))
-                .map_err(|e| format!("failed to bind --ops-port={p}: {e}"))?;
-            eprintln!("[gstm-server] ops endpoint on http://{} (/metrics /health)", s.addr);
-            Some(s)
-        }
-        None => None,
-    };
-    let roller = ops::start_roller(Arc::clone(&plane), cadence);
+    let addr = opts.ops_port.map(|p| format!("127.0.0.1:{p}"));
+    let mut ops = plane
+        .start(addr.as_deref())
+        .map_err(|e| format!("failed to bind --ops-port={}: {e}", opts.ops_port.unwrap_or(0)))?;
+    if let Some(a) = ops.addr() {
+        eprintln!("[gstm-server] ops endpoint on http://{a} (/metrics /health)");
+    }
 
     // ---- engine + socket loop ----
     let ecfg = EngineConfig {
@@ -210,15 +204,19 @@ fn run(opts: Options) -> Result<(), String> {
         .map_err(|e| format!("failed to bind port {}: {e}", opts.port))?;
     let bound = listener.local_addr().map(|a| a.to_string()).unwrap_or_default();
     eprintln!("[gstm-server] serving on {bound}");
-    let ncfg = NetConfig { tick_ms: opts.tick_ms, max_ticks: opts.ticks, ..NetConfig::default() };
+    let ncfg = NetConfig { tick_ms: opts.tick_ms, max_ticks: opts.ticks };
     let ticks = net::serve(&mut engine, listener, signal::stop_flag(), &ncfg, faults.clone())
         .map_err(|e| format!("socket loop failed: {e}"))?;
 
     // ---- drain + artifacts ----
-    roller.stop();
+    let report = ops.finish(&opts.out).map_err(|e| format!("cannot write ops artifacts: {e}"))?;
+    if let Err(e) = report.partition {
+        eprintln!("[gstm-server] WARNING: {e}");
+    }
+    for p in report.written {
+        eprintln!("[gstm-server] wrote {}", p.display());
+    }
     let audit = engine.world().audit();
-    std::fs::create_dir_all(&opts.out)
-        .map_err(|e| format!("cannot create {}: {e}", opts.out.display()))?;
     let ticks_path = opts.out.join("ticks.jsonl");
     let write_ticks = || -> std::io::Result<()> {
         let mut f = std::io::BufWriter::new(std::fs::File::create(&ticks_path)?);
@@ -226,9 +224,6 @@ fn run(opts: Options) -> Result<(), String> {
         f.flush()
     };
     write_ticks().map_err(|e| format!("cannot write {}: {e}", ticks_path.display()))?;
-    let prom_path = opts.out.join("ops.prom");
-    std::fs::write(&prom_path, plane.freeze())
-        .map_err(|e| format!("cannot write {}: {e}", prom_path.display()))?;
     if let Some(f) = &faults {
         let log: Vec<String> = f
             .log()
@@ -239,9 +234,6 @@ fn run(opts: Options) -> Result<(), String> {
         std::fs::write(&fp, log.join("\n") + "\n")
             .map_err(|e| format!("cannot write {}: {e}", fp.display()))?;
         eprintln!("[gstm-server] {} fault(s) fired, log at {}", log.len(), fp.display());
-    }
-    if let Some(s) = ops_server {
-        s.stop();
     }
     eprintln!(
         "[gstm-server] done: {ticks} tick(s), {} commit(s), rung {}, {} ladder move(s), \

@@ -23,33 +23,22 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Socket-loop tunables.
+/// Poll sleep between readiness sweeps.
+const POLL: Duration = Duration::from_millis(2);
+/// Max bytes read per session per sweep.
+const READ_CHUNK: usize = 4096;
+/// Bytes of OS-refused writes buffered per connection before the link
+/// is declared dead (physical backpressure bound; the engine's
+/// per-session queue is the logical one).
+const WRITE_BUF_CAP: usize = 64 * 1024;
+
+/// Socket-loop settings.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
     /// Engine tick cadence.
     pub tick_ms: u64,
-    /// Poll sleep between readiness sweeps.
-    pub poll_ms: u64,
-    /// Max bytes read per session per sweep.
-    pub read_chunk: usize,
-    /// Bytes of OS-refused writes buffered per connection before the
-    /// link is declared dead (physical backpressure bound; the engine's
-    /// per-session queue is the logical one).
-    pub write_buf_cap: usize,
     /// Stop after this many ticks (0 = run until `stop`).
     pub max_ticks: u64,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            tick_ms: 20,
-            poll_ms: 2,
-            read_chunk: 4096,
-            write_buf_cap: 64 * 1024,
-            max_ticks: 0,
-        }
-    }
 }
 
 struct Conn {
@@ -117,7 +106,7 @@ pub fn serve(
         // ---- read sweep (sorted ids: deterministic event order) ----
         let mut ids: Vec<u64> = conns.keys().copied().collect();
         ids.sort_unstable();
-        let mut buf = vec![0u8; cfg.read_chunk];
+        let mut buf = vec![0u8; READ_CHUNK];
         for id in ids {
             let Some(c) = conns.get_mut(&id) else { continue };
             if c.skip_reads > 0 {
@@ -186,7 +175,7 @@ pub fn serve(
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => dead.push(id),
             }
-            if c.backlog.len() > cfg.write_buf_cap {
+            if c.backlog.len() > WRITE_BUF_CAP {
                 // The peer stopped draining and the engine-level queue
                 // already shed what it could: cut the link.
                 dead.push(id);
@@ -198,7 +187,7 @@ pub fn serve(
             }
         }
 
-        std::thread::sleep(Duration::from_millis(cfg.poll_ms.max(1)));
+        std::thread::sleep(POLL);
     }
 
     // Graceful drain: goodbye frames out, best-effort flush, close.

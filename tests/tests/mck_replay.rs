@@ -150,7 +150,6 @@ fn hook_for(cfg: &MckConfig) -> std::sync::Arc<GuidedHook> {
         tfactor: cfg.tfactor,
         k_retries: cfg.k_retries,
         wait_spins: 2,
-        ..GuidanceConfig::default()
     };
     let adapt = AdaptConfig {
         window: 4096, // never evicts: the machine records full history

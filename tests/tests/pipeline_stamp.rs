@@ -100,3 +100,65 @@ fn deterministic_benchmarks_produce_identical_checksums_across_modes() {
         assert_eq!(r1.checksum, r2.checksum, "{name}: run-to-run checksum");
     }
 }
+
+/// Quotes, a backslash, a line break and a tab: the cause text a CSV
+/// writer and reader must carry through unchanged.
+const AWKWARD: &str = "say \"hi\" \\ then\nnewline\ttab";
+
+/// kmeans, except that one chosen call fails in `assert_ne!`, whose panic
+/// message spans lines.
+struct FailsInAssertNe {
+    calls: std::sync::atomic::AtomicUsize,
+    fail_on: usize,
+}
+
+impl gstm_stamp::Benchmark for FailsInAssertNe {
+    fn name(&self) -> &'static str {
+        "kmeans"
+    }
+    fn num_txn_sites(&self) -> u16 {
+        gstm_stamp::by_name("kmeans").unwrap().num_txn_sites()
+    }
+    fn run(
+        &self,
+        stm: &std::sync::Arc<gstm_tl2::Stm>,
+        cfg: &gstm_stamp::RunConfig,
+    ) -> gstm_stamp::BenchResult {
+        let n = self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        assert_ne!(n, self.fail_on, "{AWKWARD}");
+        gstm_stamp::by_name("kmeans").unwrap().run(stm, cfg)
+    }
+}
+
+#[test]
+fn a_multi_line_failure_cause_round_trips_from_harness_to_analyzer() {
+    use gstm_analyze::{analyze_dir, Thresholds};
+    use gstm_core::Telemetry;
+    use gstm_harness::experiment::{run_experiment_chaos, Robustness};
+    use gstm_harness::report;
+    use std::sync::Arc;
+
+    // Calls 0-1 profile, 2-4 measure default, 5-7 measure guided: the
+    // guided repetition 1 dies.
+    let bench = FailsInAssertNe { calls: Default::default(), fail_on: 6 };
+    let cfg = ExperimentConfig { threads: 2, profile_runs: 2, measure_runs: 3, ..cfg(2) };
+    let tels: Vec<Arc<Telemetry>> = (0..cfg.measure_runs)
+        .map(|_| Arc::new(Telemetry::with_trace_capacity(1 << 17)))
+        .collect();
+    let e = run_experiment_chaos(&bench, &cfg, |r| tels.get(r).cloned(), &Robustness::default());
+    let dir = std::env::temp_dir().join(format!("gstm_failure_cause_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    for (r, rep) in e.guided_m.ok_reps().enumerate() {
+        report::save_telemetry(&dir, &format!("kmeans_2t_run{r}_telemetry"), &tels[rep]).unwrap();
+    }
+    report::save_run_metrics(&dir, &e).unwrap();
+    let verdict = analyze_dir(&dir, "kmeans_2t", &Thresholds::default());
+    std::fs::remove_dir_all(&dir).ok();
+    let failed = verdict.expect("the failures CSV reads back").degradation.failed_reps;
+    assert_eq!(failed.len(), 1);
+    assert_eq!((failed[0].phase.as_str(), failed[0].rep), ("guided", 1));
+    assert_eq!(
+        failed[0].cause,
+        format!("assertion `left != right` failed: {AWKWARD}\n  left: 6\n right: 6")
+    );
+}

@@ -250,7 +250,7 @@ fn analyzer_metric_is_bounded_and_monotone_in_tfactor() {
         for tf in [1.0, 2.0, 4.0, 8.0] {
             let cfg = GuidanceConfig::with_tfactor(tf);
             let model = GuidedModel::build(tsa.clone(), &cfg);
-            let rep = analyzer::analyze_with(&model, &cfg);
+            let rep = analyzer::analyze(&model);
             ensure((0.0..=100.0 + 1e-9).contains(&rep.guidance_metric_pct), || {
                 format!("tf {tf}: metric {} out of range", rep.guidance_metric_pct)
             })?;
