@@ -238,7 +238,8 @@ impl FaultPlan {
             Some((a, b)) => (a, b),
             None => (spec, "forced-aborts"),
         };
-        let seed = parse_u64(seed_s).ok_or_else(|| format!("bad chaos seed: {seed_s:?}"))?;
+        let seed =
+            crate::rng::parse_seed(seed_s).ok_or_else(|| format!("bad chaos seed: {seed_s:?}"))?;
         let mut sites = [SiteConfig::disarmed(); NUM_SITES];
         let mut arm = |site: FaultSite, permille: u16, budget: u64| {
             sites[site.index()] = SiteConfig {
@@ -405,14 +406,6 @@ impl FaultPlan {
 pub(crate) fn spin_for(spins: u32) {
     for _ in 0..spins {
         std::hint::spin_loop();
-    }
-}
-
-fn parse_u64(s: &str) -> Option<u64> {
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
     }
 }
 

@@ -161,33 +161,15 @@ impl WindowDelta {
     }
 }
 
-/// One window of network-server activity: frame/action deltas since the
-/// previous close plus point-in-time gauges, drained from a
-/// [`ServerSource`] when the plane rolls.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// One window of network-server activity, drained from a
+/// [`ServerSource`] when the plane rolls: exactly what the server SLO
+/// rules judge and the `gstm_window_*` server families export.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ServerWindow {
-    /// Complete frames decoded from clients this window.
-    pub frames_in: u64,
-    /// Frames queued to clients this window.
-    pub frames_out: u64,
-    /// Player actions executed against the world this window.
-    pub actions_executed: u64,
-    /// Actions shed by admission control this window.
-    pub actions_shed: u64,
-    /// New sessions rejected with `Overloaded` this window.
-    pub sessions_rejected: u64,
-    /// Frames the decoder rejected as malformed this window.
-    pub malformed_frames: u64,
-    /// Sessions closed (any reason) this window.
-    pub disconnects: u64,
-    /// Median engine frame time within the window (ns).
-    pub frame_p50_ns: u64,
     /// p99 engine frame time within the window (ns).
     pub frame_p99_ns: u64,
     /// Degradation-ladder rung at close (0 full tick … 3 load shed).
     pub ladder: u8,
-    /// Live sessions at close.
-    pub sessions: u64,
 }
 
 /// A network server the ops plane can poll at each window roll: the
@@ -197,8 +179,8 @@ pub struct ServerWindow {
 /// [`OpsPlane::set_server_source`]; kept as a trait so `gstm_core`
 /// needs no dependency on the server crate.
 pub trait ServerSource: Send + Sync {
-    /// Drain window-scoped stats: deltas since the previous call plus
-    /// point-in-time gauges.
+    /// Drain the window: frame p99 over the frames since the previous
+    /// call, and the ladder rung now.
     fn window(&self) -> ServerWindow;
     /// Write the cumulative Prometheus families (`gstm_server_*`).
     fn write_metrics(&self, w: &mut Writer);
@@ -377,9 +359,8 @@ pub struct SloSpec {
     /// Breach when a window's server frame p99 exceeds this (ns).
     /// Judged only on windows annotated with a [`ServerWindow`].
     max_frame_p99_ns: Option<u64>,
-    /// Breach when the degradation-ladder rung at close is at or above
-    /// this (0 full tick … 3 load shed). Judged only on annotated
-    /// windows.
+    /// Breach when the degradation-ladder rung at close is above this
+    /// (0 full tick … 3 load shed). Judged only on annotated windows.
     max_ladder: Option<u8>,
     /// Treat an open breaker at window close as a breach.
     breaker_open_breaches: bool,
@@ -641,8 +622,8 @@ impl SloWatchdog {
                 }
             }
             if let Some(max) = self.spec.max_ladder {
-                if sw.ladder >= max {
-                    out.push(format!("ladder rung {} >= {max}", sw.ladder));
+                if sw.ladder > max {
+                    out.push(format!("ladder rung {} > {max}", sw.ladder));
                 }
             }
         }
@@ -969,7 +950,7 @@ impl OpsPlane {
         let mut w = inner.windows.roll()?;
         if let Some(src) = &inner.server {
             let sw = src.window();
-            inner.windows.annotate_server(sw.clone());
+            inner.windows.annotate_server(sw);
             w.server = Some(sw);
         }
         let tr = inner.watchdog.observe(&w)?;
@@ -1734,6 +1715,44 @@ mod tests {
         assert!(dog.observe(&quiet).is_none());
         assert_eq!(dog.windows_seen(), 0);
         assert_eq!(dog.state(), SloState::Ok);
+    }
+
+    /// A server source that reports one fixed window.
+    struct StubServer(ServerWindow);
+
+    impl ServerSource for StubServer {
+        fn window(&self) -> ServerWindow {
+            self.0
+        }
+        fn write_metrics(&self, _: &mut Writer) {}
+    }
+
+    /// Breaches of one rolled window annotated with `sw`, under
+    /// `frame-p99-ns<=1000,ladder<=2`.
+    fn server_breaches(sw: ServerWindow) -> Vec<String> {
+        let plane = OpsPlane::new(SloSpec::parse("frame-p99-ns<=1000,ladder<=2,warn=1").unwrap());
+        let tel = Arc::new(Telemetry::counters_only());
+        plane.attach(&tel);
+        plane.set_server_source(Arc::new(StubServer(sw)));
+        tel.record_commit(pair(0), 1);
+        plane
+            .roll_stamped("s")
+            .map(|tr| tr.breaches)
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn server_rules_breach_only_strictly_above_their_bound() {
+        let at = |frame_p99_ns, ladder| {
+            server_breaches(ServerWindow {
+                frame_p99_ns,
+                ladder,
+            })
+        };
+        assert!(at(1000, 0).is_empty(), "frame p99 at the bound is clean");
+        assert_eq!(at(1001, 0), ["frame_p99 1001ns > 1000ns"]);
+        assert!(at(0, 2).is_empty(), "ladder<=2 allows rung 2");
+        assert_eq!(at(0, 3), ["ladder rung 3 > 2"]);
     }
 
     #[test]

@@ -113,6 +113,16 @@ impl Interleave {
     }
 }
 
+/// Parse a seed: decimal, or hex after `0x`/`0X` — the one seed grammar
+/// every `--chaos`/`--seed` argument accepts.
+pub fn parse_seed(s: &str) -> Option<u64> {
+    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        u64::from_str_radix(hex, 16).ok()
+    } else {
+        s.parse().ok()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,5 +176,14 @@ mod tests {
             seen[v] = true;
         }
         assert!(seen.iter().all(|&s| s), "5-way draw missed a bucket in 200 tries");
+    }
+
+    #[test]
+    fn seeds_parse_as_decimal_or_hex() {
+        assert_eq!(parse_seed("42"), Some(42));
+        assert_eq!(parse_seed("0x10ad"), Some(0x10ad));
+        assert_eq!(parse_seed("0X10AD"), Some(0x10ad));
+        assert_eq!(parse_seed("10ad"), None);
+        assert_eq!(parse_seed(""), None);
     }
 }

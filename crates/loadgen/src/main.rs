@@ -15,7 +15,7 @@
 //! its schedule completed without a `Goodbye`/`Overloaded` excuse);
 //! 2 on bad usage.
 
-use gstm_core::rng::SplitMix64;
+use gstm_core::rng::{parse_seed, SplitMix64};
 use gstm_server::proto::{ActionOp, DecodeStep, Frame, FrameDecoder, FrameType};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -23,13 +23,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Delay between client starts.
+const RAMP: Duration = Duration::from_millis(50);
+/// Delay between a client's frames.
+const INTERVAL: Duration = Duration::from_millis(5);
+
 #[derive(Clone)]
 struct Options {
     addr: String,
     clients: u32,
-    ramp_ms: u64,
     actions: u32,
-    interval_ms: u64,
     seed: u64,
     mode: Mode,
 }
@@ -46,9 +49,7 @@ impl Default for Options {
         Options {
             addr: "127.0.0.1:7777".into(),
             clients: 8,
-            ramp_ms: 50,
             actions: 32,
-            interval_ms: 5,
             seed: 0x10ad,
             mode: Mode::Mix,
         }
@@ -57,11 +58,9 @@ impl Default for Options {
 
 const USAGE: &str = "usage: gstm-loadgen [options]
   --addr=HOST:PORT   server address (default 127.0.0.1:7777)
-  --clients=N        client connections (default 8)
-  --ramp-ms=N        delay between client starts (default 50)
-  --actions=N        actions per client (default 32)
-  --interval-ms=N    delay between a client's frames (default 5)
-  --seed=N           run seed (default 0x10ad)
+  --clients=N        client connections, started 50 ms apart (default 8)
+  --actions=N        actions per client, sent 5 ms apart (default 32)
+  --seed=N           run seed, decimal or 0x hex (default 0x10ad)
   --mode=mix|garbage|loris (default mix)";
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -71,10 +70,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         match key {
             "--addr" => o.addr = val.to_string(),
             "--clients" => o.clients = num(key, val)?,
-            "--ramp-ms" => o.ramp_ms = num(key, val)?,
             "--actions" => o.actions = num(key, val)?,
-            "--interval-ms" => o.interval_ms = num(key, val)?,
-            "--seed" => o.seed = num(key, val)?,
+            "--seed" => {
+                o.seed =
+                    parse_seed(val).ok_or_else(|| format!("--seed wants a number, got {val:?}"))?
+            }
             "--mode" => {
                 o.mode = match val {
                     "mix" => Mode::Mix,
@@ -132,7 +132,6 @@ fn client(id: u32, opts: &Options, tally: &Tally) -> bool {
     let _ = stream.set_nonblocking(true);
     let _ = stream.set_nodelay(true);
     let mut dec = FrameDecoder::new();
-    let interval = Duration::from_millis(opts.interval_ms.max(1));
 
     if opts.mode == Mode::Loris {
         // Trickle a valid Hello one byte at a time, then go silent: the
@@ -143,7 +142,7 @@ fn client(id: u32, opts: &Options, tally: &Tally) -> bool {
             if stream.write_all(&[b]).is_err() {
                 return true;
             }
-            std::thread::sleep(interval * 4);
+            std::thread::sleep(INTERVAL * 4);
         }
         let deadline = Instant::now() + Duration::from_secs(10);
         while Instant::now() < deadline {
@@ -151,7 +150,7 @@ fn client(id: u32, opts: &Options, tally: &Tally) -> bool {
                 Ok(true) => {}
                 _ => return true, // server cut us loose
             }
-            std::thread::sleep(interval * 4);
+            std::thread::sleep(INTERVAL * 4);
         }
         return true;
     }
@@ -261,7 +260,7 @@ fn client(id: u32, opts: &Options, tally: &Tally) -> bool {
             let _ = send(&mut stream, &mut rng, &Frame::bye());
             said_goodbye = true; // wait for the server's Goodbye next loop
         }
-        std::thread::sleep(interval);
+        std::thread::sleep(INTERVAL);
     }
     clean
 }
@@ -282,7 +281,7 @@ fn main() {
         let o = opts.clone();
         let tally = Arc::clone(&tally);
         handles.push(std::thread::spawn(move || client(id, &o, &tally)));
-        std::thread::sleep(Duration::from_millis(opts.ramp_ms));
+        std::thread::sleep(RAMP);
     }
     let mut all_clean = true;
     for h in handles {
@@ -311,4 +310,28 @@ fn main() {
         tally.early_closes.load(Ordering::Relaxed),
     );
     std::process::exit(if all_clean { 0 } else { 1 });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Result<Options, String> {
+        parse_args(&list.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn seed_takes_the_hex_default_the_usage_prints() {
+        assert_eq!(args(&["--seed=0x10ad"]).unwrap().seed, 0x10ad);
+        assert_eq!(args(&["--seed=7"]).unwrap().seed, 7);
+        assert!(args(&["--seed=x"]).is_err());
+    }
+
+    #[test]
+    fn removed_knobs_are_unknown_flags() {
+        for flag in ["--ramp-ms=1", "--interval-ms=1"] {
+            let err = args(&[flag]).err().unwrap();
+            assert!(err.starts_with("unknown flag"), "{flag}: {err}");
+        }
+    }
 }

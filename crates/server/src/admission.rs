@@ -1,9 +1,9 @@
 //! Admission control and the graceful-degradation ladder.
 //!
-//! The engine measures each tick's cost against a budget (abstract cost
-//! units: in real mode elapsed nanoseconds are scaled into units, in
+//! The engine measures each tick's cost against a budget in cost units:
+//! in real mode one unit is one microsecond of elapsed tick time, in
 //! deterministic replay mode a synthetic cost model produces them as a
-//! pure function of the work). Sustained over-budget ticks climb the
+//! pure function of the work. Sustained over-budget ticks climb the
 //! ladder one rung at a time; sustained headroom climbs back down:
 //!
 //! | rung | label          | effect                                        |
@@ -102,9 +102,6 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// One ladder transition: `(tick, from, to)`.
-type LadderTransition = (u64, Rung, Rung);
-
 /// The admission controller: per-tick action caps plus the ladder state
 /// machine.
 pub(crate) struct Admission {
@@ -112,7 +109,6 @@ pub(crate) struct Admission {
     rung: Rung,
     over_streak: u32,
     under_streak: u32,
-    transitions: Vec<LadderTransition>,
 }
 
 impl Admission {
@@ -123,23 +119,12 @@ impl Admission {
             rung: Rung::FullTick,
             over_streak: 0,
             under_streak: 0,
-            transitions: Vec::new(),
         }
-    }
-
-    /// The tunables in force.
-    pub(crate) fn config(&self) -> &AdmissionConfig {
-        &self.cfg
     }
 
     /// Current rung.
     pub(crate) fn rung(&self) -> Rung {
         self.rung
-    }
-
-    /// Ladder transitions so far, oldest first.
-    pub(crate) fn transitions(&self) -> &[LadderTransition] {
-        &self.transitions
     }
 
     /// How many of `offered` actions to admit this tick; the rest are
@@ -175,7 +160,7 @@ impl Admission {
 
     /// Feed one tick's measured cost; hysteresis may move the rung one
     /// step. Returns the transition, if any.
-    pub(crate) fn observe_tick(&mut self, tick: u64, cost: u64) -> Option<(Rung, Rung)> {
+    pub(crate) fn observe_tick(&mut self, cost: u64) -> Option<(Rung, Rung)> {
         let low_water = self.cfg.tick_budget * self.cfg.low_water_pct as u64 / 100;
         if cost > self.cfg.tick_budget {
             self.under_streak = 0;
@@ -184,7 +169,6 @@ impl Admission {
                 let from = self.rung;
                 self.rung = self.rung.up();
                 self.over_streak = 0;
-                self.transitions.push((tick, from, self.rung));
                 return Some((from, self.rung));
             }
         } else if cost < low_water {
@@ -194,7 +178,6 @@ impl Admission {
                 let from = self.rung;
                 self.rung = self.rung.down();
                 self.under_streak = 0;
-                self.transitions.push((tick, from, self.rung));
                 return Some((from, self.rung));
             }
         } else {
@@ -224,34 +207,33 @@ mod tests {
     #[test]
     fn ladder_climbs_one_rung_at_a_time_with_hysteresis() {
         let mut a = Admission::new(cfg());
-        assert_eq!(a.observe_tick(0, 200), None, "one hot tick is noise");
-        assert_eq!(a.observe_tick(1, 200), Some((Rung::FullTick, Rung::ReducedAoi)));
-        assert_eq!(a.observe_tick(2, 200), None);
-        assert_eq!(a.observe_tick(3, 200), Some((Rung::ReducedAoi, Rung::GuidedBypass)));
-        assert_eq!(a.observe_tick(4, 200), None);
-        assert_eq!(a.observe_tick(5, 200), Some((Rung::GuidedBypass, Rung::LoadShed)));
+        assert_eq!(a.observe_tick(200), None, "one hot tick is noise");
+        assert_eq!(a.observe_tick(200), Some((Rung::FullTick, Rung::ReducedAoi)));
+        assert_eq!(a.observe_tick(200), None);
+        assert_eq!(a.observe_tick(200), Some((Rung::ReducedAoi, Rung::GuidedBypass)));
+        assert_eq!(a.observe_tick(200), None);
+        assert_eq!(a.observe_tick(200), Some((Rung::GuidedBypass, Rung::LoadShed)));
         // Saturates at load-shed.
-        assert_eq!(a.observe_tick(6, 200), None);
-        assert_eq!(a.observe_tick(7, 200), None);
+        assert_eq!(a.observe_tick(200), None);
+        assert_eq!(a.observe_tick(200), None);
         assert_eq!(a.rung(), Rung::LoadShed);
     }
 
     #[test]
     fn ladder_descends_on_sustained_headroom() {
         let mut a = Admission::new(cfg());
-        for t in 0..4 {
-            a.observe_tick(t, 200);
+        for _ in 0..4 {
+            a.observe_tick(200);
         }
         assert_eq!(a.rung(), Rung::GuidedBypass);
-        assert_eq!(a.observe_tick(4, 20), None);
-        assert_eq!(a.observe_tick(5, 20), None);
-        assert_eq!(a.observe_tick(6, 20), Some((Rung::GuidedBypass, Rung::ReducedAoi)));
+        assert_eq!(a.observe_tick(20), None);
+        assert_eq!(a.observe_tick(20), None);
+        assert_eq!(a.observe_tick(20), Some((Rung::GuidedBypass, Rung::ReducedAoi)));
         // Mid-band cost resets both streaks.
-        assert_eq!(a.observe_tick(7, 80), None);
-        assert_eq!(a.observe_tick(8, 20), None);
-        assert_eq!(a.observe_tick(9, 20), None);
-        assert_eq!(a.observe_tick(10, 20), Some((Rung::ReducedAoi, Rung::FullTick)));
-        assert_eq!(a.transitions().len(), 4);
+        assert_eq!(a.observe_tick(80), None);
+        assert_eq!(a.observe_tick(20), None);
+        assert_eq!(a.observe_tick(20), None);
+        assert_eq!(a.observe_tick(20), Some((Rung::ReducedAoi, Rung::FullTick)));
     }
 
     #[test]
@@ -260,8 +242,8 @@ mod tests {
         assert_eq!(a.admit(100), 9, "budget (100-10)/10 actions");
         assert!(a.accepts_sessions(3));
         assert!(!a.accepts_sessions(4), "session cap");
-        for t in 0..6 {
-            a.observe_tick(t, 500);
+        for _ in 0..6 {
+            a.observe_tick(500);
         }
         assert_eq!(a.rung(), Rung::LoadShed);
         assert_eq!(a.admit(100), 2, "quartered cap");

@@ -23,7 +23,7 @@
 
 use crate::admission::{Admission, AdmissionConfig, Rung};
 use crate::proto::{ActionOp, DecodeStep, Frame, FrameType};
-use crate::session::Session;
+use crate::session::{Session, IDLE_TICKS_MAX};
 use crate::stats::ServerStats;
 use gstm_core::breaker::Breaker;
 use gstm_core::faultinject::{FaultPlan, FaultSite};
@@ -40,6 +40,10 @@ const OVERLOAD_BACKOFF_TICKS: u16 = 32;
 /// Cap on retained per-tick records (the tail is what analysis wants).
 /// Reaching it drops the oldest half.
 const MAX_TICK_RECORDS: usize = 200_000;
+/// Cell edge length of the served world.
+const CELL_SIZE: u32 = 64;
+/// Items scattered at startup.
+const ITEMS: u32 = 128;
 
 /// Goodbye reason codes.
 pub(crate) mod goodbye {
@@ -56,37 +60,25 @@ pub(crate) mod goodbye {
 pub struct EngineConfig {
     /// World edge length.
     pub world_size: u32,
-    /// Cell edge length.
-    pub cell_size: u32,
     /// Player slots (one per concurrent session).
     pub players: u32,
-    /// Items scattered at startup.
-    pub items: u32,
     /// World/placement seed.
     pub seed: u64,
     /// Admission/ladder tunables.
     pub admission: AdmissionConfig,
-    /// Use the synthetic tick clock (replayable) instead of wall time.
+    /// Use the synthetic tick clock (replayable) instead of wall time,
+    /// which charges one admission cost unit per elapsed microsecond.
     pub deterministic: bool,
-    /// Real-mode tick budget in nanoseconds (maps elapsed ns onto the
-    /// admission cost scale).
-    pub tick_budget_ns: u64,
-    /// Ticks a session may idle before the reaper closes it.
-    pub idle_ticks_max: u64,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             world_size: 256,
-            cell_size: 64,
             players: 64,
-            items: 128,
             seed: 0x9a3e,
             admission: AdmissionConfig::default(),
             deterministic: false,
-            tick_budget_ns: 2_000_000,
-            idle_ticks_max: crate::session::IDLE_TICKS_MAX,
         }
     }
 }
@@ -216,8 +208,8 @@ impl Engine {
         faults: Option<Arc<FaultPlan>>,
         stats: Arc<ServerStats>,
     ) -> Engine {
-        let mut world = World::new(cfg.world_size, cfg.cell_size, cfg.players, cfg.seed);
-        world.spawn_items(cfg.items, cfg.seed ^ 0x17e5);
+        let mut world = World::new(cfg.world_size, CELL_SIZE, cfg.players, cfg.seed);
+        world.spawn_items(ITEMS, cfg.seed ^ 0x17e5);
         let ctx = tm.register_as(ThreadId(0));
         Engine {
             admission: Admission::new(cfg.admission),
@@ -259,11 +251,6 @@ impl Engine {
     /// Current ladder rung.
     pub fn rung(&self) -> Rung {
         self.admission.rung()
-    }
-
-    /// Ladder transitions so far.
-    pub fn ladder_transitions(&self) -> &[(u64, Rung, Rung)] {
-        self.admission.transitions()
     }
 
     /// Retained per-tick records (the oldest half dropped at the cap).
@@ -575,18 +562,15 @@ impl Engine {
         self.stats.actions_executed.fetch_add(executed as u64, atomic_order());
 
         // Tick cost → ladder. Deterministic mode charges the synthetic
-        // model (replayable); real mode scales elapsed wall time onto
-        // the admission cost scale.
+        // model (replayable); real mode charges elapsed wall time, one
+        // cost unit per microsecond.
         let shed_n = shed.len();
         let elapsed_ns = started.map(|t| t.elapsed().as_nanos() as u64);
         let cost = match elapsed_ns {
             None => self.admission.synthetic_cost(executed, shed_n),
-            Some(ns) => {
-                ns.saturating_mul(self.admission.config().tick_budget)
-                    / self.cfg.tick_budget_ns.max(1)
-            }
+            Some(ns) => ns / 1_000,
         };
-        if let Some((from, to)) = self.admission.observe_tick(self.tick, cost) {
+        if let Some((from, to)) = self.admission.observe_tick(cost) {
             self.stats.record_ladder(to);
             if to >= Rung::GuidedBypass && from < Rung::GuidedBypass {
                 if let Some(b) = &self.breaker {
@@ -614,7 +598,7 @@ impl Engine {
             if s.loris_ticks > 0 {
                 s.loris_ticks -= 1;
             }
-            if s.idle_ticks > self.cfg.idle_ticks_max {
+            if s.idle_ticks > IDLE_TICKS_MAX {
                 self.stats.idle_reaped.fetch_add(1, atomic_order());
                 to_close.push((conn, Some(goodbye::IDLE)));
                 continue;
@@ -808,7 +792,7 @@ mod tests {
         }
         assert!(saw_shed);
         assert!(e.rung() > Rung::FullTick, "sustained overload climbed the ladder");
-        assert!(!e.ladder_transitions().is_empty());
+        assert!(e.stats.ladder_moves() > 0);
         // Drain the pressure: the ladder steps back down.
         for _ in 0..32 {
             e.handle(Event::Tick);
@@ -860,16 +844,10 @@ mod tests {
     #[test]
     fn idle_reaper_closes_quiet_sessions() {
         let mut e = engine(true);
-        e.cfg.idle_ticks_max = 3;
         hello(&mut e, 1);
-        let mut closed = false;
-        for _ in 0..6 {
-            if e.handle(Event::Tick).contains(&Effect::Close { conn: 1 }) {
-                closed = true;
-                break;
-            }
-        }
-        assert!(closed, "idle session reaped");
+        let closed_at = (1..=IDLE_TICKS_MAX + 2)
+            .find(|_| e.handle(Event::Tick).contains(&Effect::Close { conn: 1 }));
+        assert_eq!(closed_at, Some(IDLE_TICKS_MAX + 1), "idle session reaped");
         assert_eq!(e.stats.idle_reaped.load(std::sync::atomic::Ordering::Relaxed), 1);
     }
 

@@ -20,8 +20,8 @@
 //!
 //! Operational state exports through the PR 8 ops plane: [`stats`]
 //! implements `gstm_core::ops::ServerSource`, annotating every closed
-//! window with frame-time quantiles and the ladder rung (new
-//! `frame-p99-*`/`ladder` SLO rules judge them) and contributing the
+//! window with the frame p99 and the ladder rung (the `frame-p99-*` and
+//! `ladder` SLO rules judge them) and contributing the
 //! `gstm_server_*` Prometheus families to `/metrics`.
 
 pub mod admission;

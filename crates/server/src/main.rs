@@ -23,10 +23,6 @@ use std::sync::Arc;
 struct Options {
     port: u16,
     tick_ms: u64,
-    players: u32,
-    world_size: u32,
-    cell_size: u32,
-    items: u32,
     max_sessions: usize,
     budget_us: u64,
     chaos: Option<String>,
@@ -34,7 +30,6 @@ struct Options {
     ops_port: Option<u16>,
     out: PathBuf,
     ticks: u64,
-    train_frames: u64,
 }
 
 impl Default for Options {
@@ -42,10 +37,6 @@ impl Default for Options {
         Options {
             port: 7777,
             tick_ms: 20,
-            players: 64,
-            world_size: 256,
-            cell_size: 64,
-            items: 128,
             max_sessions: 64,
             budget_us: 2_000,
             chaos: None,
@@ -53,7 +44,6 @@ impl Default for Options {
             ops_port: None,
             out: PathBuf::from("results/server"),
             ticks: 0,
-            train_frames: 24,
         }
     }
 }
@@ -61,18 +51,13 @@ impl Default for Options {
 const USAGE: &str = "usage: gstm-server [options]
   --port=N           TCP port (default 7777)
   --tick-ms=N        tick cadence, ms (default 20)
-  --players=N        player slots (default 64)
-  --world-size=N     world edge length (default 256)
-  --cell-size=N      cell edge length (default 64)
-  --items=N          items spawned (default 128)
   --max-sessions=N   session cap (default 64)
   --budget-us=N      tick budget, microseconds (default 2000)
   --chaos=SEED[:PLAN] arm the socket fault plan (plan default: socket)
   --slo=SPEC         SLO spec for the ops watchdog
   --ops-port=N       serve /metrics /health on this port
   --out=DIR          artifact directory (default results/server)
-  --ticks=N          stop after N ticks (default: run until SIGINT)
-  --train-frames=N   self-play training frames (default 24; 0 skips)";
+  --ticks=N          stop after N ticks (default: run until SIGINT)";
 
 fn parse_num<T: std::str::FromStr>(key: &str, val: &str) -> Result<T, String> {
     val.parse().map_err(|_| format!("{key} wants a number, got {val:?}"))
@@ -88,10 +73,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         match key {
             "--port" => o.port = parse_num(key, val)?,
             "--tick-ms" => o.tick_ms = parse_num(key, val)?,
-            "--players" => o.players = parse_num(key, val)?,
-            "--world-size" => o.world_size = parse_num(key, val)?,
-            "--cell-size" => o.cell_size = parse_num(key, val)?,
-            "--items" => o.items = parse_num(key, val)?,
             "--max-sessions" => o.max_sessions = parse_num(key, val)?,
             "--budget-us" => o.budget_us = parse_num(key, val)?,
             "--chaos" => o.chaos = Some(val.to_string()),
@@ -99,40 +80,37 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--ops-port" => o.ops_port = Some(parse_num(key, val)?),
             "--out" => o.out = PathBuf::from(val),
             "--ticks" => o.ticks = parse_num(key, val)?,
-            "--train-frames" => o.train_frames = parse_num(key, val)?,
             "--help" | "-h" => return Err(USAGE.to_string()),
             _ => return Err(format!("unknown flag {key:?}\n{USAGE}")),
         }
     }
-    if o.players == 0 || o.world_size == 0 || o.cell_size == 0 {
-        return Err("--players/--world-size/--cell-size must be nonzero".into());
-    }
     Ok(o)
 }
 
-/// Self-play training: record two training quests, build the TSA model.
-/// `frames == 0` skips training and serves a trivial (empty-run) model,
-/// which the breaker will gate on its own.
-fn train_model(opts: &Options, guidance: &GuidanceConfig) -> Arc<GuidedModel> {
+/// Self-play frames per training quest.
+const TRAIN_FRAMES: u64 = 24;
+
+/// Self-play training: record two training quests on a fixed world and
+/// build their TSA. One thread, as the engine serves from one thread:
+/// a multi-threaded self-play would train a different model in every
+/// process.
+fn train_tsa() -> Tsa {
     let recorder = Arc::new(RecorderHook::new());
     let mut runs = Vec::new();
-    if opts.train_frames > 0 {
-        for quest in [QuestLayout::WorstCase4, QuestLayout::Moving4] {
-            let tm = LibTm::with_hook(recorder.clone(), LibTmConfig::default());
-            let cfg = GameConfig {
-                threads: 2,
-                players: opts.players.min(64),
-                frames: opts.train_frames,
-                quest,
-                seed: 0x9a3e,
-                ..GameConfig::default()
-            };
-            let _ = run_game(&tm, &cfg);
-            runs.push(recorder.take_run());
-        }
+    for quest in [QuestLayout::WorstCase4, QuestLayout::Moving4] {
+        let tm = LibTm::with_hook(recorder.clone(), LibTmConfig::default());
+        let cfg = GameConfig {
+            threads: 1,
+            players: 64,
+            frames: TRAIN_FRAMES,
+            quest,
+            seed: 0x9a3e,
+            ..GameConfig::default()
+        };
+        let _ = run_game(&tm, &cfg);
+        runs.push(recorder.take_run());
     }
-    let tsa = Tsa::from_runs(&runs);
-    Arc::new(GuidedModel::build(tsa, guidance))
+    Tsa::from_runs(&runs)
 }
 
 fn run(opts: Options) -> Result<(), String> {
@@ -152,8 +130,8 @@ fn run(opts: Options) -> Result<(), String> {
 
     // ---- model + STM runtime ----
     let guidance = GuidanceConfig::default();
-    eprintln!("[gstm-server] training guided model ({} frames/quest)...", opts.train_frames);
-    let model = train_model(&opts, &guidance);
+    eprintln!("[gstm-server] training guided model ({TRAIN_FRAMES} frames/quest)...");
+    let model = Arc::new(GuidedModel::build(train_tsa(), &guidance));
     let tel = Arc::new(Telemetry::new());
     let breaker = Arc::new(Breaker::new(BreakerConfig::default(), Some(tel.clone())));
     let hook = Arc::new(GuidedHook::with_robustness(
@@ -183,10 +161,6 @@ fn run(opts: Options) -> Result<(), String> {
 
     // ---- engine + socket loop ----
     let ecfg = EngineConfig {
-        world_size: opts.world_size,
-        cell_size: opts.cell_size,
-        players: opts.players,
-        items: opts.items,
         seed: faults.as_ref().map(|f| f.seed()).unwrap_or(0x9a3e),
         admission: AdmissionConfig {
             tick_budget: opts.budget_us,
@@ -196,7 +170,6 @@ fn run(opts: Options) -> Result<(), String> {
         // Chaos runs use the synthetic tick clock so the ladder
         // trajectory is a pure function of (seed, traffic).
         deterministic: faults.is_some(),
-        tick_budget_ns: opts.budget_us * 1_000,
         ..EngineConfig::default()
     };
     let mut engine = Engine::new(ecfg, tm, Some(breaker.clone()), faults.clone(), stats.clone());
@@ -240,7 +213,7 @@ fn run(opts: Options) -> Result<(), String> {
          breaker {:?}, audit {}",
         engine.commits(),
         engine.rung().label(),
-        engine.ladder_transitions().len(),
+        stats.ladder_moves(),
         breaker.state(),
         audit,
     );
@@ -262,5 +235,32 @@ fn main() {
     if let Err(e) = run(opts) {
         eprintln!("[gstm-server] error: {e}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gstm_core::model_io;
+
+    #[test]
+    fn training_is_a_function_of_the_fixed_world() {
+        let tsa = train_tsa();
+        assert!(tsa.num_states() > 1, "training recorded states");
+        assert_eq!(model_io::encode(&tsa), model_io::encode(&train_tsa()));
+    }
+
+    #[test]
+    fn removed_knobs_are_unknown_flags() {
+        for flag in [
+            "--players=8",
+            "--world-size=64",
+            "--cell-size=8",
+            "--items=4",
+            "--train-frames=0",
+        ] {
+            let err = parse_args(&[flag.to_string()]).err().unwrap();
+            assert!(err.starts_with("unknown flag"), "{flag}: {err}");
+        }
     }
 }

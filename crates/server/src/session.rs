@@ -25,8 +25,6 @@ pub(crate) struct Session {
     pub(crate) decoder: FrameDecoder,
     /// Encoded outbound bytes not yet handed to the socket layer.
     pub(crate) outq: VecDeque<u8>,
-    /// Outbound frames dropped by backpressure.
-    dropped_frames: u64,
     /// Ticks since the last complete inbound frame.
     pub(crate) idle_ticks: u64,
     /// Remaining ticks this session's drain is stalled (slow-loris
@@ -46,7 +44,6 @@ impl Session {
             player: None,
             decoder: FrameDecoder::new(),
             outq: VecDeque::new(),
-            dropped_frames: 0,
             idle_ticks: 0,
             loris_ticks: 0,
             deferred_in: Vec::new(),
@@ -54,12 +51,11 @@ impl Session {
         }
     }
 
-    /// Queue a frame for delivery. Returns `false` (and counts a drop)
-    /// when backpressure sheds it: queue at cap and the frame is below
-    /// [`CRITICAL_PRIORITY`].
+    /// Queue a frame for delivery. Returns `false` when backpressure
+    /// sheds it (the caller counts the drop): queue at cap and the frame
+    /// is below [`CRITICAL_PRIORITY`].
     pub(crate) fn queue_frame(&mut self, frame: &Frame) -> bool {
         if self.outq.len() >= WRITE_QUEUE_CAP && frame.priority < CRITICAL_PRIORITY {
-            self.dropped_frames += 1;
             return false;
         }
         self.outq.extend(frame.encode());
@@ -91,7 +87,6 @@ mod tests {
             assert!(s.queue_frame(&bulk));
         }
         assert!(!s.queue_frame(&bulk), "bulk frame shed at cap");
-        assert_eq!(s.dropped_frames, 1);
         assert!(s.queue_frame(&Frame::goodbye(0)), "critical frame still queued");
     }
 

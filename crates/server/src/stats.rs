@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use crate::admission::Rung;
 
-/// Cumulative server counters plus window bookkeeping.
+/// Cumulative server counters plus the current window's frame times.
 #[derive(Default)]
 pub struct ServerStats {
     /// Complete frames decoded from clients.
@@ -47,15 +47,8 @@ pub struct ServerStats {
     ticks: AtomicU64,
     /// Σ engine frame time, ns.
     frame_ns_sum: AtomicU64,
-    inner: Mutex<StatsInner>,
-}
-
-#[derive(Default)]
-struct StatsInner {
     /// Frame times since the last window drain, ns.
-    window_frame_ns: Vec<u64>,
-    /// Cumulative counter values at the last drain (delta base).
-    last: ServerWindow,
+    window_frame_ns: Mutex<Vec<u64>>,
 }
 
 impl ServerStats {
@@ -68,7 +61,7 @@ impl ServerStats {
     pub(crate) fn record_tick(&self, frame_ns: u64) {
         self.ticks.fetch_add(1, Ordering::Relaxed);
         self.frame_ns_sum.fetch_add(frame_ns, Ordering::Relaxed);
-        self.inner.lock().window_frame_ns.push(frame_ns);
+        self.window_frame_ns.lock().push(frame_ns);
     }
 
     /// Record a ladder move (updates the gauge and entry counter).
@@ -76,38 +69,24 @@ impl ServerStats {
         self.ladder.store(to.code() as u32, Ordering::Relaxed);
         self.ladder_entries[to.code() as usize].fetch_add(1, Ordering::Relaxed);
     }
+
+    /// Ladder moves so far: the entries into every rung.
+    pub fn ladder_moves(&self) -> u64 {
+        self.ladder_entries
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .sum()
+    }
 }
 
 impl ServerSource for ServerStats {
     fn window(&self) -> ServerWindow {
-        let mut inner = self.inner.lock();
-        let mut frames = std::mem::take(&mut inner.window_frame_ns);
+        let mut frames = std::mem::take(&mut *self.window_frame_ns.lock());
         frames.sort_unstable();
-        let cur = ServerWindow {
-            frames_in: self.frames_in.load(Ordering::Relaxed),
-            frames_out: self.frames_out.load(Ordering::Relaxed),
-            actions_executed: self.actions_executed.load(Ordering::Relaxed),
-            actions_shed: self.actions_shed.load(Ordering::Relaxed),
-            sessions_rejected: self.sessions_rejected.load(Ordering::Relaxed),
-            malformed_frames: self.malformed_frames.load(Ordering::Relaxed),
-            disconnects: self.disconnects.load(Ordering::Relaxed),
-            frame_p50_ns: quantile(&frames, 0.50),
+        ServerWindow {
             frame_p99_ns: quantile(&frames, 0.99),
             ladder: self.ladder.load(Ordering::Relaxed) as u8,
-            sessions: self.sessions.load(Ordering::Relaxed),
-        };
-        let out = ServerWindow {
-            frames_in: cur.frames_in - inner.last.frames_in,
-            frames_out: cur.frames_out - inner.last.frames_out,
-            actions_executed: cur.actions_executed - inner.last.actions_executed,
-            actions_shed: cur.actions_shed - inner.last.actions_shed,
-            sessions_rejected: cur.sessions_rejected - inner.last.sessions_rejected,
-            malformed_frames: cur.malformed_frames - inner.last.malformed_frames,
-            disconnects: cur.disconnects - inner.last.disconnects,
-            ..cur.clone()
-        };
-        inner.last = cur;
-        out
+        }
     }
 
     fn write_metrics(&self, w: &mut Writer) {
@@ -157,19 +136,15 @@ mod tests {
     #[test]
     fn windows_are_deltas_and_gauges_are_points() {
         let s = ServerStats::new();
-        s.frames_in.store(10, Ordering::Relaxed);
-        s.sessions.store(3, Ordering::Relaxed);
+        s.record_ladder(Rung::GuidedBypass);
         s.record_tick(100);
         s.record_tick(900);
         let w1 = s.window();
-        assert_eq!(w1.frames_in, 10);
-        assert_eq!(w1.sessions, 3);
-        assert_eq!(w1.frame_p50_ns, 100);
         assert_eq!(w1.frame_p99_ns, 900);
-        s.frames_in.store(15, Ordering::Relaxed);
+        assert_eq!(w1.ladder, 2);
         let w2 = s.window();
-        assert_eq!(w2.frames_in, 5, "second window is a delta");
         assert_eq!(w2.frame_p99_ns, 0, "frame samples drained");
+        assert_eq!(w2.ladder, 2, "the rung is a point, not drained");
     }
 
     #[test]
